@@ -394,8 +394,6 @@ def _dc_quad() -> OperatorEntry:
         dc=DcSplit(
             g_prox=ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma)),
             h_grad=lambda x: 0.5 * np.asarray(x, dtype=float),
-            g_value=lambda x: 0.5 * float(x[0]) ** 2,
-            h_value=lambda x: 0.25 * float(x[0]) ** 2,
         ),
         monotone=True,
         inf_f=0.0,

@@ -79,12 +79,14 @@ def check_h1(trace: IterateTrace, alpha: float, tol: float = _ATOL) -> Certifica
     return _collect("H1", {"alpha": alpha}, indices, oks)
 
 
-def _witness_pairs(trace: IterateTrace, side: str):
-    """(iterate index, witness, paired step norm) under an index convention.
+def _relative_error(hypothesis: str, side: str, trace: IterateTrace, beta: float, tol: float) -> Certificate:
+    """``||w|| <= beta * step`` for every witness, under an index convention.
 
     ``side="next"`` pairs a witness at k with the step that produced iterate
     k; ``side="current"`` pairs it with the step leaving iterate k.
     """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
     if not trace.witness_points:
         raise ValueError("the trace carries no witnesses")
     if trace.witness_side is not None and trace.witness_side != side:
@@ -92,37 +94,25 @@ def _witness_pairs(trace: IterateTrace, side: str):
             f"trace witnesses attach to the {trace.witness_side!r} iterate; "
             f"this check needs the {side!r} convention"
         )
-    pairs = []
+    indices, oks = [], []
     for k, w in zip(trace.witness_indices, trace.witness_points):
-        if side == "next":
-            if k >= 1:
-                pairs.append((k, w, trace.step_norms[k - 1]))
-        else:
-            if k <= len(trace) - 2:
-                pairs.append((k, w, trace.step_norms[k]))
-    return pairs
+        step = k - 1 if side == "next" else k
+        if 0 <= step <= len(trace) - 2:
+            indices.append(k)
+            oks.append(float(np.linalg.norm(w)) <= beta * trace.step_norms[step] + tol)
+    return _collect(hypothesis, {"beta": beta}, indices, oks)
 
 
 def check_h2(trace: IterateTrace, beta: float, tol: float = _ATOL) -> Certificate:
     """Relative error with the witness at the new iterate:
     ``||w_{k+1}|| <= beta * step_k``."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    pairs = _witness_pairs(trace, "next")
-    indices = [k for k, _, _ in pairs]
-    oks = [float(np.linalg.norm(w)) <= beta * d + tol for _, w, d in pairs]
-    return _collect("H2", {"beta": beta}, indices, oks)
+    return _relative_error("H2", "next", trace, beta, tol)
 
 
 def check_h3(trace: IterateTrace, beta: float, tol: float = _ATOL) -> Certificate:
     """Relative error with the witness at the current iterate:
     ``||w_k|| <= beta * step_k``."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    pairs = _witness_pairs(trace, "current")
-    indices = [k for k, _, _ in pairs]
-    oks = [float(np.linalg.norm(w)) <= beta * d + tol for _, w, d in pairs]
-    return _collect("H3", {"beta": beta}, indices, oks)
+    return _relative_error("H3", "current", trace, beta, tol)
 
 
 def check_h4(

@@ -15,9 +15,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .geometry import Window
 from .setmap import OperatorEntry
 
 _KINDS = ("modulus", "lojasiewicz", "plk", "solve", "certify", "full-pipeline")
-_ALGORITHMS = ("ppa", "gdm", "qpower", "dca", "shifted-ppa")
-_HYPOTHESES = ("H1", "H2", "H3", "H4", "RCLASS")
 
 
 class ConfigError(ValueError):
@@ -43,10 +41,32 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _positive(value, path: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number")
-    _require(float(value) > 0, path, "must be positive")
+def _number(value, path: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max, path, "must be a finite number")
     return float(value)
+
+
+def _positive(value, path: str) -> float:
+    _require(_number(value, path) > 0, path, "must be positive")
+    return float(value)
+
+
+def _int(value, path: str, minimum: int) -> int:
+    _require(_number(value, path).is_integer(), path, "must be an integer")
+    _require(value >= minimum, path, f"must be >= {minimum}")
+    return int(value)
+
+
+def _vector(value, path: str, dim: int) -> List[float]:
+    items = value if isinstance(value, list) else [value]
+    _require(len(items) == dim, path, f"must have dimension {dim}")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(items)]
+
+
+def _object(value, path: str) -> dict:
+    _require(isinstance(value, dict), path, "must be a JSON object")
+    return dict(value)
 
 
 def _radii_list(spec, path: str) -> List[float]:
@@ -55,13 +75,73 @@ def _radii_list(spec, path: str) -> List[float]:
             _require(key in spec, f"{path}.{key}", "missing")
         start = _positive(spec["start"], f"{path}.start")
         stop = _positive(spec["stop"], f"{path}.stop")
-        count = int(spec["count"])
+        count = _int(spec["count"], f"{path}.count", 2)
         _require(count >= 2 and stop > start, path, "needs count >= 2 and stop > start")
         return [float(r) for r in np.geomspace(start, stop, count)]
     _require(isinstance(spec, list) and len(spec) >= 1, path, "must be a list or {start, stop, count}")
     radii = [_positive(r, f"{path}[{i}]") for i, r in enumerate(spec)]
     _require(all(b > a for a, b in zip(radii[:-1], radii[1:])), path, "must be strictly increasing")
     return radii
+
+
+def _step_condition(value, path: str) -> str:
+    _require(value in ("derived", "reciprocal"), path, "must be 'derived' or 'reciprocal'")
+    return value
+
+
+def _qpower_supported(entry: OperatorEntry, alg: dict) -> None:
+    """Power-penalty subproblems have a closed form on quadratics at q = 2
+    and a bracketed scalar solve on 1-d entries with a scalar function."""
+    _require(alg["q"] > 1, "algorithm.q", "must exceed 1")
+    if entry.quad_form is not None and alg["q"] == 2.0:
+        return
+    path = "algorithm.q" if entry.quad_form is not None else "algorithm.name"
+    _require(entry.dim_in == 1, path, "power-penalty subproblems are 1-d only, except on quadratics with q = 2")
+    _require(entry.f is not None, "algorithm.name", f"entry {entry.name!r} has no scalar function")
+
+
+def _shifted_step_condition(entry: OperatorEntry, alg: dict) -> None:
+    gamma, kappa = float(alg["gamma"]), float(alg["kappa"])
+    if alg["step_condition"] == "derived":
+        _require(gamma > 2 * kappa, "algorithm.gamma", "derived step condition needs gamma > 2 * kappa")
+    else:
+        _require(gamma < 1 / (2 * kappa), "algorithm.gamma", "reciprocal step condition needs gamma < 1 / (2 * kappa)")
+
+
+class _Algorithm(NamedTuple):
+    """How the CLI validates and runs one solver.  ``runner`` names a function
+    of :mod:`solvers`, looked up when the run starts (so a patched module
+    attribute is the one that runs); ``params`` maps each config field it is
+    passed by name to the reader that validates it."""
+
+    runner: str
+    params: Dict[str, Callable]
+    witness: str  # the map its witnesses belong to: "forward" | "subgrad"
+    oracle: Optional[str] = None  # entry field the runner cannot do without
+    check: Optional[Callable[[OperatorEntry, dict], None]] = None  # cross-field precondition
+
+
+_ALGORITHMS = {
+    "ppa": _Algorithm("run_ppa", {"gamma": _positive}, "forward", "prox"),
+    "gdm": _Algorithm("run_gdm", {"step": _positive}, "subgrad", "grad"),
+    "qpower": _Algorithm("run_qpower_prox", {"gamma": _positive, "q": _number}, "subgrad",
+                         check=_qpower_supported),
+    "dca": _Algorithm("run_dca", {"gamma": _positive}, "subgrad", "dc"),
+    "shifted-ppa": _Algorithm(
+        "run_shifted_ppa", {"gamma": _positive, "kappa": _positive, "step_condition": _step_condition},
+        "forward", "prox", _shifted_step_condition),
+}
+
+#: Certificate hypotheses: their positive request fields, and the check to run
+#: as ``(trace, entry, request) -> Certificate``, resolved from :mod:`certify`
+#: at call time.
+_CHECKS = {
+    "H1": (("alpha",), lambda trace, entry, r: certify.check_h1(trace, r["alpha"])),
+    "H2": (("beta",), lambda trace, entry, r: certify.check_h2(trace, r["beta"])),
+    "H3": (("beta",), lambda trace, entry, r: certify.check_h3(trace, r["beta"])),
+    "H4": ((), lambda trace, entry, r: certify.check_h4(trace, entry)),
+    "RCLASS": (("alpha", "beta"), lambda trace, entry, r: certify.check_rclass(trace, r["alpha"], r["beta"])),
+}
 
 
 @dataclass
@@ -90,21 +170,23 @@ class ExperimentConfig:
             entry = catalog.catalog_lookup(operator)
         except catalog.CatalogError as exc:
             raise ConfigError("operator", str(exc)) from None
-        seed = int(raw.get("seed", 0))
+        seed = _int(raw.get("seed", 0), "seed", 0)
         tolerance = _positive(raw.get("tolerance", 1e-6), "tolerance")
         out_dir = raw.get("out_dir")
+        _require(out_dir is None or isinstance(out_dir, str), "out_dir", "must be a path string")
 
-        stop_raw = dict(raw.get("stop", {}))
+        stop_raw = _object(raw.get("stop", {}), "stop")
         stop = {
             "step_tol": _positive(stop_raw.get("step_tol", 1e-10), "stop.step_tol"),
-            "max_iter": int(stop_raw.get("max_iter", 100_000)),
+            "max_iter": _int(stop_raw.get("max_iter", 100_000), "stop.max_iter", 1),
             "divergence_guard": _positive(stop_raw.get("divergence_guard", 1e12), "stop.divergence_guard"),
         }
-        _require(stop["max_iter"] >= 1, "stop.max_iter", "must be >= 1")
 
-        algorithm = dict(raw.get("algorithm", {}))
-        analysis_cfg = dict(raw.get("analysis", {}))
-        certificates = [dict(c) for c in raw.get("certificates", [])]
+        algorithm = _object(raw.get("algorithm", {}), "algorithm")
+        analysis_cfg = _object(raw.get("analysis", {}), "analysis")
+        requests = raw.get("certificates", [])
+        _require(isinstance(requests, list), "certificates", "must be a list")
+        certificates = [_object(c, f"certificates[{i}]") for i, c in enumerate(requests)]
 
         cfg = cls(
             kind=kind,
@@ -118,7 +200,7 @@ class ExperimentConfig:
             certificates=certificates,
         )
         cfg._validate(entry)
-        cfg.resolved = cfg._echo()
+        cfg.resolved = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "resolved"}
         return cfg
 
     # -- validation ---------------------------------------------------------
@@ -130,71 +212,56 @@ class ExperimentConfig:
             self._validate_algorithm(entry)
         if needs_modulus:
             self._validate_modulus(entry)
+        if self.kind in ("lojasiewicz", "plk"):
+            _require(entry.f is not None, "operator", "needs a scalar function for this experiment")
         if self.kind == "lojasiewicz":
-            _require(entry.f is not None, "operator", "needs a scalar function for this experiment")
-            self._window("analysis.window", required=True)
-            self.analysis.setdefault("grid_count", 2001)
+            self._window(True, entry.dim_in)
+            _int(self.analysis.setdefault("grid_count", 2001), "analysis.grid_count", 1)
         if self.kind == "plk":
-            _require(entry.f is not None, "operator", "needs a scalar function for this experiment")
             plk = self.analysis.get("plk")
             _require(isinstance(plk, dict), "analysis.plk", "missing PLK parameters")
             for key in ("M", "eta", "neighborhood_radius"):
                 _positive(plk.get(key, 0), f"analysis.plk.{key}")
-            q = plk.get("q_exp")
-            _require(isinstance(q, (int, float)) and 0 <= float(q) < 1, "analysis.plk.q_exp", "must lie in [0, 1)")
-            self.analysis.setdefault("xbar", [0.0] * entry.dim_in)
-            self.analysis.setdefault("grid_count", 257)
+            q = _number(plk.get("q_exp"), "analysis.plk.q_exp")
+            _require(0 <= q < 1, "analysis.plk.q_exp", "must lie in [0, 1)")
+            _vector(self.analysis.setdefault("xbar", [0.0] * entry.dim_in), "analysis.xbar", entry.dim_in)
+            _int(self.analysis.setdefault("grid_count", 257), "analysis.grid_count", 1)
         if self.kind == "certify":
             _require(bool(self.certificates), "certificates", "at least one certificate is required")
         for i, cert in enumerate(self.certificates):
             hyp = cert.get("hypothesis")
-            _require(hyp in _HYPOTHESES, f"certificates[{i}].hypothesis", f"must be one of {', '.join(_HYPOTHESES)}")
-            if hyp in ("H1",):
-                _positive(cert.get("alpha", 0), f"certificates[{i}].alpha")
-            if hyp in ("H2", "H3"):
-                _positive(cert.get("beta", 0), f"certificates[{i}].beta")
-            if hyp == "RCLASS":
-                _positive(cert.get("alpha", 0), f"certificates[{i}].alpha")
-                _positive(cert.get("beta", 0), f"certificates[{i}].beta")
+            _require(isinstance(hyp, str) and hyp in _CHECKS, f"certificates[{i}].hypothesis",
+                     f"must be one of {', '.join(_CHECKS)}")
+            for key in _CHECKS[hyp][0]:
+                _positive(cert.get(key, 0), f"certificates[{i}].{key}")
 
     def _validate_algorithm(self, entry: OperatorEntry) -> None:
-        name = self.algorithm.get("name")
-        _require(name in _ALGORITHMS, "algorithm.name", f"must be one of {', '.join(_ALGORITHMS)}")
-        x0 = self.algorithm.get("x0")
-        _require(x0 is not None, "algorithm.x0", "missing starting point")
-        x0 = [float(v) for v in (x0 if isinstance(x0, list) else [x0])]
-        _require(len(x0) == entry.dim_in, "algorithm.x0", f"must have dimension {entry.dim_in}")
-        self.algorithm["x0"] = x0
-        if name in ("ppa", "shifted-ppa"):
-            _require(entry.prox is not None, "algorithm.name", f"entry {entry.name!r} has no prox oracle")
-            gamma = _positive(self.algorithm.get("gamma", 0), "algorithm.gamma")
-            _require(entry.prox.valid_gamma(gamma), "algorithm.gamma", f"outside the resolvent's range ({entry.prox.note})")
-        if name == "gdm":
-            _require(entry.grad is not None, "algorithm.name", f"entry {entry.name!r} has no gradient oracle")
-            _positive(self.algorithm.get("step", 0), "algorithm.step")
-        if name == "qpower":
-            _positive(self.algorithm.get("gamma", 0), "algorithm.gamma")
-            q = self.algorithm.get("q")
-            _require(isinstance(q, (int, float)) and float(q) > 1, "algorithm.q", "must exceed 1")
-        if name == "dca":
-            _require(entry.dc is not None, "algorithm.name", f"entry {entry.name!r} has no dc split")
-            _positive(self.algorithm.get("gamma", 0), "algorithm.gamma")
-        if name == "shifted-ppa":
-            kappa = _positive(self.algorithm.get("kappa", 0), "algorithm.kappa")
-            gamma = float(self.algorithm["gamma"])
-            mode = self.algorithm.setdefault("step_condition", "derived")
-            _require(mode in ("derived", "reciprocal"), "algorithm.step_condition", "must be 'derived' or 'reciprocal'")
-            if mode == "derived":
-                _require(gamma > 2 * kappa, "algorithm.gamma", "derived step condition needs gamma > 2 * kappa")
-            else:
-                _require(gamma < 1 / (2 * kappa), "algorithm.gamma", "reciprocal step condition needs gamma < 1 / (2 * kappa)")
+        alg = self.algorithm
+        name = alg.get("name")
+        _require(isinstance(name, str) and name in _ALGORITHMS, "algorithm.name",
+                 f"must be one of {', '.join(_ALGORITHMS)}")
+        spec = _ALGORITHMS[name]
+        _require(alg.get("x0") is not None, "algorithm.x0", "missing starting point")
+        alg["x0"] = _vector(alg["x0"], "algorithm.x0", entry.dim_in)
+        if spec.oracle is not None:
+            _require(getattr(entry, spec.oracle) is not None, "algorithm.name",
+                     f"entry {entry.name!r} has no {spec.oracle} oracle")
+        if "step_condition" in spec.params:
+            alg.setdefault("step_condition", "derived")
+        for key, read in spec.params.items():
+            read(alg.get(key, 0), f"algorithm.{key}")
+        if spec.oracle == "prox":
+            _require(entry.prox.valid_gamma(float(alg["gamma"])), "algorithm.gamma",
+                     f"outside the resolvent's range ({entry.prox.note})")
+        if spec.check is not None:
+            spec.check(entry, alg)
 
     def _modulus_map(self, entry: OperatorEntry):
         target = self.analysis.setdefault("target", "forward" if self.kind == "modulus" else "auto")
         if self.kind == "full-pipeline":
             # The curve must bound distances via the witnesses the solver
             # records, so it is estimated on the inverse of the witness map.
-            side = "forward" if self.algorithm.get("name") in ("ppa", "shifted-ppa") else "subgrad"
+            side = _ALGORITHMS[self.algorithm["name"]].witness
             m = entry.inverse if side == "forward" else entry.grad_inverse
             _require(m is not None, "operator", "no closed-form inverse of the witness map is registered")
             return m
@@ -206,42 +273,24 @@ class ExperimentConfig:
 
     def _validate_modulus(self, entry: OperatorEntry) -> None:
         m = self._modulus_map(entry)
-        self.analysis.setdefault("xbar", [0.0] * m.dim_in)
+        _vector(self.analysis.setdefault("xbar", [0.0] * m.dim_in), "analysis.xbar", m.dim_in)
         radii = self.analysis.get("radii", {"start": 1e-4, "stop": 1e-1, "count": 13})
         self.analysis["radii"] = _radii_list(radii, "analysis.radii")
-        count = int(self.analysis.setdefault("samples_per_radius", 64))
-        _require(count >= 1, "analysis.samples_per_radius", "must be >= 1")
+        _int(self.analysis.setdefault("samples_per_radius", 64), "analysis.samples_per_radius", 1)
         scheme = self.analysis.setdefault("scheme", "grid")
         _require(scheme in ("grid", "halton"), "analysis.scheme", "must be 'grid' or 'halton'")
-        window = self._window("analysis.window", required=m.window_required)
-        if m.window_required:
-            _require(window is not None, "analysis.window",
-                     f"map {m.name!r} has unbounded values and needs a compact window")
+        self._window(m.window_required, m.dim_out)
 
-    def _window(self, path: str, required: bool) -> Optional[Window]:
+    def _window(self, required: bool, dim: int) -> None:
         raw = self.analysis.get("window")
         if raw is None:
-            _require(not required, path, "a compact window is required for this experiment")
-            return None
+            _require(not required, "analysis.window", "a compact window is required for this experiment")
+            return
         try:
-            return Window.from_dict(raw)
+            window = Window.from_dict(raw)
         except Exception as exc:
-            raise ConfigError(path, str(exc)) from None
-
-    # -- echo ---------------------------------------------------------------
-
-    def _echo(self) -> dict:
-        return {
-            "kind": self.kind,
-            "operator": self.operator,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "out_dir": self.out_dir,
-            "algorithm": self.algorithm,
-            "analysis": self.analysis,
-            "stop": self.stop,
-            "certificates": self.certificates,
-        }
+            raise ConfigError("analysis.window", str(exc)) from None
+        _require(window.dim == dim, "analysis.window", f"must have dimension {dim}")
 
 
 @dataclass
@@ -256,47 +305,12 @@ class RunReport:
         return bool(self.verdicts.get("failed"))
 
 
-def _stop_rule(cfg: ExperimentConfig) -> solvers.StopRule:
-    return solvers.StopRule(
-        step_tol=cfg.stop["step_tol"],
-        max_iter=cfg.stop["max_iter"],
-        divergence_guard=cfg.stop["divergence_guard"],
-    )
-
-
 def _run_algorithm(entry: OperatorEntry, cfg: ExperimentConfig) -> solvers.IterateTrace:
     alg = cfg.algorithm
-    stop = _stop_rule(cfg)
-    name = alg["name"]
-    x0 = alg["x0"]
-    if name == "ppa":
-        return solvers.run_ppa(entry, alg["gamma"], x0, stop)
-    if name == "gdm":
-        return solvers.run_gdm(entry, alg["step"], x0, stop)
-    if name == "qpower":
-        return solvers.run_qpower_prox(entry, alg["gamma"], alg["q"], x0, stop)
-    if name == "dca":
-        return solvers.run_dca(entry, alg["gamma"], x0, stop)
-    return solvers.run_shifted_ppa(
-        entry, alg["kappa"], alg["gamma"], x0, stop, alg.get("step_condition", "derived")
-    )
-
-
-def _run_certificates(trace, entry, requests: List[dict]) -> List[certify.Certificate]:
-    out = []
-    for req in requests:
-        hyp = req["hypothesis"]
-        if hyp == "H1":
-            out.append(certify.check_h1(trace, req["alpha"]))
-        elif hyp == "H2":
-            out.append(certify.check_h2(trace, req["beta"]))
-        elif hyp == "H3":
-            out.append(certify.check_h3(trace, req["beta"]))
-        elif hyp == "H4":
-            out.append(certify.check_h4(trace, entry))
-        else:
-            out.append(certify.check_rclass(trace, req["alpha"], req["beta"]))
-    return out
+    spec = _ALGORITHMS[alg["name"]]
+    run = getattr(solvers, spec.runner)
+    stop = solvers.StopRule(**cfg.stop)
+    return run(entry, x0=alg["x0"], stop=stop, **{key: alg[key] for key in spec.params})
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
@@ -373,7 +387,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
             verdicts["diverged"] = True
 
         if cfg.certificates:
-            certs = _run_certificates(trace, entry, cfg.certificates)
+            certs = [_CHECKS[req["hypothesis"]][1](trace, entry, req) for req in cfg.certificates]
             records = [c.to_json_dict() for c in certs]
             emit("certificates.json", lambda p: serialize.write_json(p, records))
             verdicts["certificates"] = records
@@ -397,11 +411,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
         "verdicts": report.verdicts,
     })
     return report
-
-
-def list_catalog() -> List[dict]:
-    """Machine-readable catalog listing."""
-    return catalog.catalog_listing()
 
 
 # -- command line -------------------------------------------------------------
@@ -450,7 +459,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "catalog":
-            listing = list_catalog()
+            listing = catalog.catalog_listing()
             if args.out:
                 args.out.mkdir(parents=True, exist_ok=True)
                 serialize.write_json(args.out / "catalog.json", listing)
@@ -459,6 +468,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         raw: dict = {}
         if args.config:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            _require(isinstance(raw, dict), "--config", "configuration must be a JSON object")
         raw["kind"] = _SUBCOMMAND_KIND[args.command]
         if args.seed is not None:
             raw["seed"] = args.seed

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .certify import DistanceVerdict
 from .analysis import ModulusCurve
 from .solvers import IterateTrace
 
@@ -85,7 +84,3 @@ def trace_to_csv(trace: IterateTrace, path: Path, distances: Optional[List[float
             row.append(trace.fejer_ledger[k] if k < len(trace.fejer_ledger) else None)
         rows.append(row)
     write_csv(path, header, rows)
-
-
-def verdict_to_json_dict(verdict: DistanceVerdict) -> dict:
-    return verdict.to_json_dict()

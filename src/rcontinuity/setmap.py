@@ -84,11 +84,6 @@ class SetValuedMap:
         return distance_to_set(y, vals)
 
 
-def eval_windowed(m: SetValuedMap, x, k: Optional[Window] = None) -> PointSet:
-    """Windowed evaluation ``A(x) ∩ K`` (module-level form of ``m.eval``)."""
-    return m.eval(x, k)
-
-
 @dataclass(frozen=True)
 class ProxOracle:
     """Closed-form resolvent ``J_{γA}(y) = (γA + I)^{-1}(y)``.
@@ -114,8 +109,6 @@ class DcSplit:
 
     g_prox: ProxOracle
     h_grad: Callable[[np.ndarray], np.ndarray]
-    g_value: Optional[Callable[[np.ndarray], float]] = None
-    h_value: Optional[Callable[[np.ndarray], float]] = None
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .geometry import as_point
-from .setmap import MissingOracleError, OperatorEntry, ProxOracle
+from .setmap import MissingOracleError, OperatorEntry
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,6 @@ class IterateTrace:
     def dim(self) -> int:
         return self.iterates[0].size
 
-    @property
-    def witnesses(self) -> List[tuple]:
-        return list(zip(self.witness_indices, self.witness_points))
-
     def witness_norms(self) -> np.ndarray:
         return np.array([float(np.linalg.norm(w)) for w in self.witness_points])
 
@@ -86,25 +82,76 @@ class IterateTrace:
         return self.termination == "divergence"
 
 
-def _terminate(k: int, delta: float, x_next: np.ndarray, stop: StopRule) -> Optional[str]:
-    if float(np.linalg.norm(x_next)) > stop.divergence_guard:
-        return "divergence"
-    if delta <= stop.step_tol:
-        return "tolerance"
-    if k + 1 >= stop.max_iter:
-        return "max_iter"
-    return None
+def _iterate(
+    entry: OperatorEntry,
+    x0,
+    stop: StopRule,
+    step: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    algorithm: str,
+    params: dict,
+    witness_side: str,
+    witness_map: str,
+    ledger: Optional[Callable[[np.ndarray, np.ndarray, float], float]] = None,
+    xbar: Optional[np.ndarray] = None,
+) -> IterateTrace:
+    """The loop every runner shares: ``x_{k+1}, w = step(x_k)``.
+
+    Each step records the iterate, its step norm Δ_k, and the witness ``w``
+    at index k+1 (``witness_side="next"``) or k (``"current"``), paired with
+    xi = Δ_k.  The run stops on the divergence guard, then on the step
+    tolerance, then on ``max_iter``.  ``ledger(x_k, x_{k+1}, Δ_k)``, when
+    given, adds one value per step to the trace's ``fejer_ledger``.
+    """
+    x = as_point(x0, entry.dim_in)
+    iterates = [x]
+    steps: List[float] = []
+    w_pts: List[np.ndarray] = []
+    entries: Optional[List[float]] = None if ledger is None else []
+    termination = "max_iter"
+    for _ in range(stop.max_iter):
+        xn, w = step(x)
+        delta = float(np.linalg.norm(xn - x))
+        if ledger is not None:
+            entries.append(ledger(x, xn, delta))
+        iterates.append(xn)
+        steps.append(delta)
+        w_pts.append(w)
+        x = xn
+        if float(np.linalg.norm(xn)) > stop.divergence_guard:
+            termination = "divergence"
+            break
+        if delta <= stop.step_tol:
+            termination = "tolerance"
+            break
+    first = 1 if witness_side == "next" else 0
+    return IterateTrace(
+        algorithm=algorithm,
+        params=params,
+        iterates=iterates,
+        step_norms=steps,
+        stop=stop,
+        termination=termination,
+        f_values=None if entry.f is None else [float(entry.f(p)) for p in iterates],
+        witness_indices=list(range(first, first + len(steps))),
+        witness_points=w_pts,
+        xi_values=list(steps),
+        witness_side=witness_side,
+        witness_map=witness_map,
+        fejer_ledger=entries,
+        xbar=xbar,
+    )
 
 
-def _f_values(entry: OperatorEntry, iterates: List[np.ndarray]) -> Optional[List[float]]:
-    if entry.f is None:
-        return None
-    return [float(entry.f(x)) for x in iterates]
+def _proximal_step(entry: OperatorEntry, gamma: float):
+    """``x -> (J_{γA}(x), (x - J_{γA}(x)) / γ)``: the resolvent step and its witness."""
+    if entry.prox is None:
+        raise MissingOracleError(f"entry {entry.name!r} has no prox oracle")
 
+    def step(x):
+        xn = entry.prox.resolve(gamma, x)
+        return xn, (x - xn) / gamma
 
-def resolvent(p: ProxOracle, gamma: float, y) -> np.ndarray:
-    """Evaluate ``J_{γA}(y)``; gamma must lie in the oracle's declared range."""
-    return p.resolve(gamma, y)
+    return step
 
 
 def run_ppa(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -116,42 +163,7 @@ def run_ppa(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if entry.prox is None:
-        raise MissingOracleError(f"entry {entry.name!r} has no prox oracle")
-    x = as_point(x0, entry.dim_in)
-    iterates = [x]
-    steps: List[float] = []
-    w_idx: List[int] = []
-    w_pts: List[np.ndarray] = []
-    xis: List[float] = []
-    termination = "max_iter"
-    for k in range(stop.max_iter):
-        xn = entry.prox.resolve(gamma, x)
-        delta = float(np.linalg.norm(xn - x))
-        iterates.append(xn)
-        steps.append(delta)
-        w_idx.append(k + 1)
-        w_pts.append((x - xn) / gamma)
-        xis.append(delta)
-        x = xn
-        reason = _terminate(k, delta, xn, stop)
-        if reason:
-            termination = reason
-            break
-    return IterateTrace(
-        algorithm="ppa",
-        params={"gamma": gamma},
-        iterates=iterates,
-        step_norms=steps,
-        stop=stop,
-        termination=termination,
-        f_values=_f_values(entry, iterates),
-        witness_indices=w_idx,
-        witness_points=w_pts,
-        xi_values=xis,
-        witness_side="next",
-        witness_map="forward",
-    )
+    return _iterate(entry, x0, stop, _proximal_step(entry, gamma), "ppa", {"gamma": gamma}, "next", "forward")
 
 
 def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -160,41 +172,12 @@ def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) 
         raise ValueError("step must be positive")
     if entry.grad is None:
         raise MissingOracleError(f"entry {entry.name!r} has no gradient oracle")
-    x = as_point(x0, entry.dim_in)
-    iterates = [x]
-    steps: List[float] = []
-    w_idx: List[int] = []
-    w_pts: List[np.ndarray] = []
-    xis: List[float] = []
-    termination = "max_iter"
-    for k in range(stop.max_iter):
+
+    def descend(x):
         g = as_point(entry.grad(x), entry.dim_in)
-        xn = x - step * g
-        delta = float(np.linalg.norm(xn - x))
-        iterates.append(xn)
-        steps.append(delta)
-        w_idx.append(k)
-        w_pts.append(g)
-        xis.append(delta)
-        x = xn
-        reason = _terminate(k, delta, xn, stop)
-        if reason:
-            termination = reason
-            break
-    return IterateTrace(
-        algorithm="gdm",
-        params={"step": step},
-        iterates=iterates,
-        step_norms=steps,
-        stop=stop,
-        termination=termination,
-        f_values=_f_values(entry, iterates),
-        witness_indices=w_idx,
-        witness_points=w_pts,
-        xi_values=xis,
-        witness_side="current",
-        witness_map="subgrad",
-    )
+        return x - step * g, g
+
+    return _iterate(entry, x0, stop, descend, "gdm", {"step": step}, "current", "subgrad")
 
 
 def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float, center: np.ndarray) -> np.ndarray:
@@ -262,41 +245,14 @@ def run_qpower_prox(
         raise ValueError("q must exceed 1")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    x = as_point(x0, entry.dim_in)
-    iterates = [x]
-    steps: List[float] = []
-    w_idx: List[int] = []
-    w_pts: List[np.ndarray] = []
-    xis: List[float] = []
-    termination = "max_iter"
-    for k in range(stop.max_iter):
+
+    def step(x):
         xn = _qpower_subproblem(entry, gamma, q, x)
         delta = float(np.linalg.norm(xn - x))
         w = -gamma * q * delta ** (q - 2.0) * (xn - x) if delta > 0 else np.zeros_like(x)
-        iterates.append(xn)
-        steps.append(delta)
-        w_idx.append(k + 1)
-        w_pts.append(w)
-        xis.append(delta)
-        x = xn
-        reason = _terminate(k, delta, xn, stop)
-        if reason:
-            termination = reason
-            break
-    return IterateTrace(
-        algorithm="qpower",
-        params={"gamma": gamma, "q": q},
-        iterates=iterates,
-        step_norms=steps,
-        stop=stop,
-        termination=termination,
-        f_values=_f_values(entry, iterates),
-        witness_indices=w_idx,
-        witness_points=w_pts,
-        xi_values=xis,
-        witness_side="next",
-        witness_map="subgrad",
-    )
+        return xn, w
+
+    return _iterate(entry, x0, stop, step, "qpower", {"gamma": gamma, "q": q}, "next", "subgrad")
 
 
 def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -311,42 +267,13 @@ def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
     if entry.dc is None:
         raise MissingOracleError(f"entry {entry.name!r} has no dc split (g prox, grad h)")
     g_prox, h_grad = entry.dc.g_prox, entry.dc.h_grad
-    x = as_point(x0, entry.dim_in)
-    iterates = [x]
-    steps: List[float] = []
-    w_idx: List[int] = []
-    w_pts: List[np.ndarray] = []
-    xis: List[float] = []
-    termination = "max_iter"
-    for k in range(stop.max_iter):
+
+    def step(x):
         hx = as_point(h_grad(x), entry.dim_in)
         xn = g_prox.resolve(gamma, x + gamma * hx)
-        delta = float(np.linalg.norm(xn - x))
-        r = hx - as_point(h_grad(xn), entry.dim_in) - (xn - x) / gamma
-        iterates.append(xn)
-        steps.append(delta)
-        w_idx.append(k + 1)
-        w_pts.append(r)
-        xis.append(delta)
-        x = xn
-        reason = _terminate(k, delta, xn, stop)
-        if reason:
-            termination = reason
-            break
-    return IterateTrace(
-        algorithm="dca",
-        params={"gamma": gamma},
-        iterates=iterates,
-        step_norms=steps,
-        stop=stop,
-        termination=termination,
-        f_values=_f_values(entry, iterates),
-        witness_indices=w_idx,
-        witness_points=w_pts,
-        xi_values=xis,
-        witness_side="next",
-        witness_map="subgrad",
-    )
+        return xn, hx - as_point(h_grad(xn), entry.dim_in) - (xn - x) / gamma
+
+    return _iterate(entry, x0, stop, step, "dca", {"gamma": gamma}, "next", "subgrad")
 
 
 def run_shifted_ppa(
@@ -380,50 +307,16 @@ def run_shifted_ppa(
             raise ValueError("reciprocal step condition requires gamma < 1 / (2 * kappa)")
     else:
         raise ValueError(f"unknown step_condition {step_condition!r}")
-    if entry.prox is None:
-        raise MissingOracleError(f"entry {entry.name!r} has no prox oracle")
+    step = _proximal_step(entry, gamma)
     x = as_point(x0, entry.dim_in)
     xb = entry.solution_set.project(x) if xbar is None else as_point(xbar, entry.dim_in)
     coeff = 1.0 - 2.0 * kappa / gamma
-    iterates = [x]
-    steps: List[float] = []
-    w_idx: List[int] = []
-    w_pts: List[np.ndarray] = []
-    xis: List[float] = []
-    ledger: List[float] = []
-    termination = "max_iter"
-    for k in range(stop.max_iter):
-        xn = entry.prox.resolve(gamma, x)
-        delta = float(np.linalg.norm(xn - x))
-        ledger.append(
-            float(np.linalg.norm(xn - xb) ** 2 - np.linalg.norm(x - xb) ** 2 + coeff * delta ** 2)
-        )
-        iterates.append(xn)
-        steps.append(delta)
-        w_idx.append(k + 1)
-        w_pts.append((x - xn) / gamma)
-        xis.append(delta)
-        x = xn
-        reason = _terminate(k, delta, xn, stop)
-        if reason:
-            termination = reason
-            break
-    return IterateTrace(
-        algorithm="shifted-ppa",
-        params={"gamma": gamma, "kappa": kappa, "step_condition": step_condition},
-        iterates=iterates,
-        step_norms=steps,
-        stop=stop,
-        termination=termination,
-        f_values=_f_values(entry, iterates),
-        witness_indices=w_idx,
-        witness_points=w_pts,
-        xi_values=xis,
-        witness_side="next",
-        witness_map="forward",
-        fejer_ledger=ledger,
-        xbar=xb,
-    )
+
+    def ledger(x, xn, delta):
+        return float(np.linalg.norm(xn - xb) ** 2 - np.linalg.norm(x - xb) ** 2 + coeff * delta ** 2)
+
+    params = {"gamma": gamma, "kappa": kappa, "step_condition": step_condition}
+    return _iterate(entry, x, stop, step, "shifted-ppa", params, "next", "forward", ledger, xb)
 
 
 def make_synthetic_trace(

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcontinuity.cli import ConfigError, ExperimentConfig, list_catalog, main, run_experiment
+from rcontinuity import catalog_listing
+from rcontinuity.cli import ConfigError, ExperimentConfig, main, run_experiment
 
 
 def pipeline_config(out=None):
@@ -25,7 +26,54 @@ def pipeline_config(out=None):
     }
 
 
+_GDM = 'algorithm={"name": "gdm", "step": 0.5, "x0": [1.0]}'
+_SOLVE = ["solve", "--set", "operator=quad", "--set", _GDM]
+_QPOWER = 'algorithm={"name": "qpower", "gamma": 1.0, "q": 1.5, "x0": %s}'
+_RADII = 'analysis.radii={"start": 0.01, "stop": 0.1, "count": 2.5}'
+_WINDOW_1D = 'analysis.window={"kind": "box", "center": [0.0], "extent": [1.0]}'
+
+
+def _rejected(name, argv, path, config=None):
+    """An input the CLI must refuse with exit 2, naming ``path``; ``config``
+    is the text of a config file passed with ``--config``."""
+    return pytest.param(config, argv, path, id=name)
+
+
+REJECTED = [
+    _rejected("seed-string", _SOLVE + ["--set", "seed=abc"], "seed"),
+    _rejected("seed-negative", _SOLVE + ["--set", "seed=-1"], "seed"),
+    _rejected("max_iter-string", _SOLVE + ["--set", "stop.max_iter=1.5x"], "stop.max_iter"),
+    _rejected("max_iter-bool", _SOLVE + ["--set", "stop.max_iter=true"], "stop.max_iter"),
+    _rejected("max_iter-fraction", _SOLVE + ["--set", "stop.max_iter=2.5"], "stop.max_iter"),
+    _rejected("x0-string", _SOLVE + ["--set", 'algorithm.x0=["a"]'], "algorithm.x0[0]"),
+    _rejected("tolerance-infinite", _SOLVE + ["--set", "tolerance=Infinity"], "tolerance"),
+    _rejected("step-overflow", _SOLVE + ["--set", "algorithm.step=1e400"], "algorithm.step"),
+    _rejected("stop-not-object", _SOLVE + ["--set", "stop=[1]"], "stop"),
+    _rejected("config-list", ["solve"], "--config", config="[1, 2]"),
+    _rejected("qpower-quad2-q", ["solve", "--set", "operator=quad2", "--set", _QPOWER % "[1.0, 1.0]"],
+              "algorithm.q"),
+    _rejected("qpower-rm1", ["solve", "--set", "operator=rm1", "--set", _QPOWER % "[1.0]"], "algorithm.name"),
+    _rejected("radii-count-fraction", ["modulus", "--set", "operator=square", "--set", _RADII],
+              "analysis.radii.count"),
+    _rejected("samples-bool", ["modulus", "--set", "operator=square", "--set", "analysis.samples_per_radius=true"],
+              "analysis.samples_per_radius"),
+    _rejected("window-dimension", ["modulus", "--set", "operator=quad2", "--set", _WINDOW_1D], "analysis.window"),
+    _rejected("grid_count-fraction",
+              ["loja", "--set", "operator=square", "--set", _WINDOW_1D, "--set", "analysis.grid_count=10.5"],
+              "analysis.grid_count"),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("config, argv, path", REJECTED)
+    def test_rejected_input_exits_2_naming_the_field(self, config, argv, path, tmp_path, capsys):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_operator(self):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict({"kind": "solve", "operator": "nope",
@@ -159,13 +207,13 @@ class TestRunExperiment:
 
 class TestCatalogListing:
     def test_contains_required_entries(self):
-        names = {item["name"] for item in list_catalog()}
+        names = {item["name"] for item in catalog_listing()}
         required = {"rm1", "flat-exp", "square", "double-well",
                     "abs-subdiff", "quad", "linear-neg", "dc-quad"}
         assert required <= names
 
     def test_flags(self):
-        listing = {item["name"]: item for item in list_catalog()}
+        listing = {item["name"]: item for item in catalog_listing()}
         assert listing["rm1"]["window_required"] is True
         assert listing["linear-neg"]["oracles"]["prox"] is True
         assert listing["linear-neg"]["monotone"] is False
@@ -219,3 +267,70 @@ class TestCsvFormat:
         for cell in first:
             if cell:
                 float(cell) if cell[0].isdigit() or cell[0] in "-+." else None
+
+
+# One short 1-d certify run per algorithm, with the sha256 of each artifact as
+# written by the code before the runners shared one driver.  A change to any
+# of these bytes is a change of the artifact contract, not a refactor.
+GOLDEN = {
+    "ppa": (
+        {"operator": "abs-subdiff", "algorithm": {"name": "ppa", "gamma": 0.3, "x0": [1.0]},
+         "certificates": [{"hypothesis": "H1", "alpha": 1.6666666666666667},
+                          {"hypothesis": "H2", "beta": 3.3333333333333335},
+                          {"hypothesis": "H4"},
+                          {"hypothesis": "RCLASS", "alpha": 3.3333333333333335, "beta": 1.0}]},
+        {"trace.csv": "c82ca12f728748c1a58e0dddf7bbefa48178f94b2838a7c5fa2f203eeeeda075",
+         "certificates.json": "9286d9787d72acca43f41c6f77202d029f0e307a7d9b938f7624be400cdba5ef",
+         "report.json": "a9f23cce73ad075c8e8ee207a51b66bf7e8820b6008fed7ad9bf83c9f5a08cfd"},
+    ),
+    "gdm": (
+        {"operator": "quad", "algorithm": {"name": "gdm", "step": 0.5, "x0": [1.0]},
+         "certificates": [{"hypothesis": "H1", "alpha": 1.0},
+                          {"hypothesis": "H3", "beta": 2.0},
+                          {"hypothesis": "H4"},
+                          {"hypothesis": "RCLASS", "alpha": 2.0, "beta": 1.0}]},
+        {"trace.csv": "4e704b8f9732de156967fcf25d9abb9e3687d429c5b1e63541e311da372a96e8",
+         "certificates.json": "cb5c15440f39bdc410e481e89d6e3b606d00682bad28c0d831fd58d879d63d66",
+         "report.json": "84d4599823adeb9504b10a0582f0d2d0908d6ff491540289a71ca1cf7289bbf3"},
+    ),
+    "qpower": (
+        {"operator": "double-well",
+         "algorithm": {"name": "qpower", "gamma": 1.0, "q": 1.5, "x0": [2.0]},
+         "stop": {"max_iter": 50},
+         "certificates": [{"hypothesis": "H1", "alpha": 0.1},
+                          {"hypothesis": "H2", "beta": 10.0},
+                          {"hypothesis": "RCLASS", "alpha": 10.0, "beta": 0.5}]},
+        {"trace.csv": "9d14ee4ad225d2647629b3e83cc21e2ba87feef8a86c382c41bb7083dcbae792",
+         "certificates.json": "be6c0f049f4016c53df8fad18c3e7be53ead373d930fd7c43a3b62aca6ea1acd",
+         "report.json": "6d294b07c98d622389520d453bf871f552137bbe3626f4417b255690b9902023"},
+    ),
+    "dca": (
+        {"operator": "dc-quad", "algorithm": {"name": "dca", "gamma": 0.5, "x0": [1.0]},
+         "certificates": [{"hypothesis": "H1", "alpha": 0.1},
+                          {"hypothesis": "H2", "beta": 5.0},
+                          {"hypothesis": "H4"},
+                          {"hypothesis": "RCLASS", "alpha": 5.0, "beta": 1.0}]},
+        {"trace.csv": "0e4b3fd2af6ba45aba66efbf7e95815ed7c3edf70f3a9519863ffb1fcd1138c7",
+         "certificates.json": "c6f62bbedbc0eac4c349389970a810e3224fd4052f14deb49103a441e0bc9f87",
+         "report.json": "04e0ba8532bf44925bb9a649600594f6118770f9817a47bf311cc1ad5fd1605b"},
+    ),
+    "shifted-ppa": (
+        {"operator": "quad",
+         "algorithm": {"name": "shifted-ppa", "kappa": 0.25, "gamma": 1.0, "x0": [1.0]},
+         "certificates": [{"hypothesis": "H1", "alpha": 0.5},
+                          {"hypothesis": "H2", "beta": 1.0},
+                          {"hypothesis": "RCLASS", "alpha": 1.0, "beta": 1.0}]},
+        {"trace.csv": "6de69481decf21a8046f5e28c4bcbc82943e3731fcc5f745fa981fd11a9c8352",
+         "certificates.json": "2937a4dd1b2e6912ba34b88d8df73cbf197f8d0add317eb9fed5376555ddf1c0",
+         "report.json": "9dbeb42fa7a4b7da41c8333ff460daf3f754133ec213a837c8b955604ee21446"},
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN))
+def test_golden_artifact_digests(algorithm, tmp_out):
+    import hashlib
+    raw, expected = GOLDEN[algorithm]
+    run_experiment(ExperimentConfig.from_dict(dict(raw, kind="certify")), out_dir=tmp_out)
+    got = {name: hashlib.sha256((tmp_out / name).read_bytes()).hexdigest() for name in expected}
+    assert got == expected

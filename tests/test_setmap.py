@@ -13,7 +13,6 @@ from rcontinuity import (
     catalog_listing,
     catalog_lookup,
     catalog_names,
-    eval_windowed,
     invert,
     sample_window,
 )
@@ -27,11 +26,11 @@ REQUIRED = [
 
 class TestEvalWindowed:
     def test_rm1_far_branch_excluded(self):
-        got = eval_windowed(catalog_lookup("rm1").forward, [0.05], K10)
+        got = catalog_lookup("rm1").forward.eval([0.05], K10)
         assert sorted(got.points.ravel()) == pytest.approx([0.05])
 
     def test_rm1_both_branches_inside(self):
-        got = eval_windowed(catalog_lookup("rm1").forward, [0.5], K10)
+        got = catalog_lookup("rm1").forward.eval([0.5], K10)
         assert sorted(got.points.ravel()) == pytest.approx([0.5, 2.0])
 
     def test_square_inverse_pair(self):

@@ -10,7 +10,6 @@ from rcontinuity import (
     catalog_lookup,
     check_h1,
     make_synthetic_trace,
-    resolvent,
     run_dca,
     run_gdm,
     run_ppa,
@@ -39,17 +38,17 @@ def witness_member_errors(trace, entry):
 
 class TestResolvent:
     def test_soft_threshold(self):
-        assert resolvent(catalog_lookup("abs-subdiff").prox, 0.3, [1.0]) == pytest.approx([0.7])
+        assert catalog_lookup("abs-subdiff").prox.resolve(0.3, [1.0]) == pytest.approx([0.7])
 
     def test_identity_gradient(self):
-        assert resolvent(catalog_lookup("quad").prox, 1.0, [2.0]) == pytest.approx([1.0])
+        assert catalog_lookup("quad").prox.resolve(1.0, [2.0]) == pytest.approx([1.0])
 
     def test_negative_linear(self):
-        assert resolvent(catalog_lookup("linear-neg").prox, 0.25, [1.0]) == pytest.approx([2.0])
+        assert catalog_lookup("linear-neg").prox.resolve(0.25, [1.0]) == pytest.approx([2.0])
 
     def test_out_of_range_gamma(self):
         with pytest.raises(ValueError):
-            resolvent(catalog_lookup("linear-neg").prox, 0.5, [1.0])
+            catalog_lookup("linear-neg").prox.resolve(0.5, [1.0])
 
 
 class TestPpa:
@@ -131,7 +130,7 @@ class TestQpower:
     def test_witness_norm_identity(self):
         for gamma, q in ((1.0, 2.0), (1.0, 1.5), (0.7, 2.0)):
             trace = run_qpower_prox(catalog_lookup("quad"), gamma, q, [1.0], StopRule(max_iter=25))
-            for (k, w), xi in zip(trace.witnesses, trace.xi_values):
+            for w, xi in zip(trace.witness_points, trace.xi_values):
                 if xi == 0.0:
                     continue
                 assert np.linalg.norm(w) == pytest.approx(gamma * q * xi ** (q - 1.0), rel=1e-9)
