@@ -300,7 +300,7 @@ def lojasiewicz_fit(
 
     def grid_eval(n: int):
         pts = sample_window(k, "grid", n, seed=0).points
-        d = np.array([region.distance(p) for p in pts])
+        d = region.distance_rows(pts)
         f = np.array([entry.f(p) for p in pts])
         return pts, d, f
 
@@ -476,17 +476,14 @@ def certify_inverse_lipschitz(
             raise ValueError("the certificate needs a single-valued forward map")
         return vals.points[0]
 
-    violations: List[np.ndarray] = []
-    checked = 0
     per_anchor = max(1, test_samples // len(anchors))
-    for i, u in enumerate(anchors):
-        offs = sample_window(Window.ball(np.zeros(entry.dim_in), tube_radius), "halton", per_anchor, seed + i).points
-        for o in offs:
-            x = u + o
-            checked += 1
-            if region.distance(x) > (1.0 + tol) * float(np.linalg.norm(fvec(x))) / c_hat:
-                violations.append(x)
-    return InverseLipschitzResult(c_hat, "full-rank", violations, checked)
+    xs = np.vstack([
+        u + sample_window(Window.ball(np.zeros(entry.dim_in), tube_radius), "halton", per_anchor, seed + i).points
+        for i, u in enumerate(anchors)
+    ])
+    violations = [x for x, d in zip(xs, region.distance_rows(xs))
+                  if d > (1.0 + tol) * float(np.linalg.norm(fvec(x))) / c_hat]
+    return InverseLipschitzResult(c_hat, "full-rank", violations, len(xs))
 
 
 @dataclass(frozen=True)
@@ -528,11 +525,7 @@ def calmness_estimate(
         vals = m.eval(x, vwin)
         if vals.is_empty:
             continue
-        if dx > 0.0:
+        if dx > 0.0:  # at dx = 0 the 0/0 convention: contributes nothing
             any_nonempty = True
-        for y in vals:
-            dy = float(np.min(np.linalg.norm(reference.points - y, axis=1))) if len(reference) else math.inf
-            if dx == 0.0:
-                continue  # 0/0 convention: contributes nothing
-            kappa = max(kappa, dy / dx)
+            kappa = max(kappa, excess(vals, reference) / dx)
     return CalmnessResult(kappa_hat=kappa, vacuous=not any_nonempty)

@@ -68,7 +68,6 @@ def _rm1() -> OperatorEntry:
         evaluator=ev,
         window_required=True,
         value_dist=vdist,
-        description="two-branch map with an unbounded 1/x branch",
     )
     return OperatorEntry(
         name="rm1",
@@ -108,8 +107,8 @@ def _flat_exp() -> OperatorEntry:
             return _rows(-r, r)
         return np.empty((0, 1))
 
-    fwd = SetValuedMap("flat-exp", 1, 1, ev, description="infinitely flat C-infinity function")
-    inv = SetValuedMap("flat-exp-inverse", 1, 1, inv_ev, description="solve exp(-1/x^2) = y")
+    fwd = SetValuedMap("flat-exp", 1, 1, ev)
+    inv = SetValuedMap("flat-exp-inverse", 1, 1, inv_ev)
     return OperatorEntry(
         name="flat-exp",
         forward=fwd,
@@ -147,7 +146,7 @@ def _square() -> OperatorEntry:
         forward=SetValuedMap("square", 1, 1, ev),
         solution_set=Region.from_points([[0.0]]),
         description="scalar quadratic equation map",
-        inverse=SetValuedMap("square-inverse", 1, 1, inv_ev, description="y -> {+sqrt(y), -sqrt(y)}"),
+        inverse=SetValuedMap("square-inverse", 1, 1, inv_ev),
         subgrad=SetValuedMap("square-grad", 1, 1, lambda x, w: grad(x).reshape(1, 1)),
         subgrad_witness=grad,
         grad_inverse=SetValuedMap("square-grad-inverse", 1, 1, lambda y, w: _rows(float(y[0]) / 2.0)),
@@ -256,7 +255,6 @@ def _abs_subdiff() -> OperatorEntry:
     fwd = SetValuedMap(
         "abs-subdiff", 1, 1, ev,
         resolution=_INTERVAL_RESOLUTION, value_dist=vdist,
-        description="sign(x) away from 0, the full interval [-1, 1] at 0",
     )
     return OperatorEntry(
         name="abs-subdiff",
@@ -266,7 +264,6 @@ def _abs_subdiff() -> OperatorEntry:
         inverse=SetValuedMap(
             "abs-subdiff-inverse", 1, 1, inv_ev,
             window_required=True, resolution=_INTERVAL_RESOLUTION, value_dist=inv_vdist,
-            description="half-lines at y = +-1, {0} inside, empty outside",
         ),
         prox=ProxOracle(shrink, note="soft threshold, all gamma > 0"),
         subgrad=fwd,
@@ -283,7 +280,7 @@ def _quad() -> OperatorEntry:
     def ev(x, window):
         return _rows(float(x[0]))
 
-    fwd = SetValuedMap("quad", 1, 1, ev, description="identity gradient map")
+    fwd = SetValuedMap("quad", 1, 1, ev)
     return OperatorEntry(
         name="quad",
         forward=fwd,
@@ -319,7 +316,7 @@ def _quad2() -> OperatorEntry:
     def prox_rule(gamma, y):
         return np.linalg.solve(np.eye(2) + gamma * Q, np.asarray(y, dtype=float) + gamma * b)
 
-    fwd = SetValuedMap("quad2", 2, 2, ev, description="SPD gradient map in two dimensions")
+    fwd = SetValuedMap("quad2", 2, 2, ev)
     fval = lambda x: float(0.5 * x @ Q @ x - b @ x)
     return OperatorEntry(
         name="quad2",
@@ -349,7 +346,7 @@ def _linear_neg() -> OperatorEntry:
     def prox_rule(gamma, y):
         return np.asarray(y, dtype=float) / (1.0 - 2.0 * gamma)
 
-    fwd = SetValuedMap("linear-neg", 1, 1, ev, description="negative linear map")
+    fwd = SetValuedMap("linear-neg", 1, 1, ev)
     return OperatorEntry(
         name="linear-neg",
         forward=fwd,
@@ -376,7 +373,7 @@ def _dc_quad() -> OperatorEntry:
     def ev(x, window):
         return _rows(0.5 * float(x[0]))
 
-    fwd = SetValuedMap("dc-quad", 1, 1, ev, description="gradient map of the dc objective x^2/4")
+    fwd = SetValuedMap("dc-quad", 1, 1, ev)
     return OperatorEntry(
         name="dc-quad",
         forward=fwd,

@@ -227,7 +227,7 @@ def distance_trace(
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    distances = [float(s.distance(x)) for x in trace.iterates]
+    distances = s.distance_rows(np.asarray(trace.iterates)).tolist()
     window = distances[-min(10, len(distances)):]
     converged = all(d < tolerance for d in window)
     if trace.termination == "tolerance" and distances[-1] < tolerance:

@@ -64,14 +64,19 @@ def _vector(value, path: str, dim: int) -> List[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(items)]
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, allowed) -> dict:
+    """A copy of a JSON object whose keys are all among ``allowed``."""
     _require(isinstance(value, dict), path, "must be a JSON object")
+    for key in value:
+        _require(key in allowed, f"{path}.{key}" if path else key or repr(key), "unknown field")
     return dict(value)
 
 
 def _radii_list(spec, path: str) -> List[float]:
     if isinstance(spec, dict):
-        for key in ("start", "stop", "count"):
+        keys = ("start", "stop", "count")
+        _object(spec, path, keys)
+        for key in keys:
             _require(key in spec, f"{path}.{key}", "missing")
         start = _positive(spec["start"], f"{path}.start")
         stop = _positive(spec["stop"], f"{path}.stop")
@@ -143,6 +148,16 @@ _CHECKS = {
     "RCLASS": (("alpha", "beta"), lambda trace, entry, r: certify.check_rclass(trace, r["alpha"], r["beta"])),
 }
 
+#: The fields each config section may hold.  ``algorithm`` and a certificate
+#: start from the union over all algorithms or hypotheses and are narrowed to
+#: the named one when it is validated.
+_STOP_FIELDS = [f.name for f in fields(solvers.StopRule)]
+_ALGORITHM_FIELDS = {"name", "x0"}.union(*(spec.params for spec in _ALGORITHMS.values()))
+_ANALYSIS_FIELDS = ("target", "xbar", "radii", "samples_per_radius", "scheme", "window", "grid_count", "plk")
+_PLK_FIELDS = [f.name for f in fields(analysis.PlkConfig)]
+_WINDOW_FIELDS = [f.name for f in fields(Window)]
+_CERTIFICATE_FIELDS = {"hypothesis"}.union(*(keys for keys, _ in _CHECKS.values()))
+
 
 @dataclass
 class ExperimentConfig:
@@ -161,7 +176,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _require(isinstance(raw, dict), "", "configuration must be a JSON object")
+        names = [f.name for f in fields(cls) if f.name != "resolved"]
+        _object(raw, "", names)
         kind = raw.get("kind")
         _require(kind in _KINDS, "kind", f"must be one of {', '.join(_KINDS)}")
         operator = raw.get("operator")
@@ -175,18 +191,18 @@ class ExperimentConfig:
         out_dir = raw.get("out_dir")
         _require(out_dir is None or isinstance(out_dir, str), "out_dir", "must be a path string")
 
-        stop_raw = _object(raw.get("stop", {}), "stop")
+        stop_raw = _object(raw.get("stop", {}), "stop", _STOP_FIELDS)
         stop = {
             "step_tol": _positive(stop_raw.get("step_tol", 1e-10), "stop.step_tol"),
             "max_iter": _int(stop_raw.get("max_iter", 100_000), "stop.max_iter", 1),
             "divergence_guard": _positive(stop_raw.get("divergence_guard", 1e12), "stop.divergence_guard"),
         }
 
-        algorithm = _object(raw.get("algorithm", {}), "algorithm")
-        analysis_cfg = _object(raw.get("analysis", {}), "analysis")
+        algorithm = _object(raw.get("algorithm", {}), "algorithm", _ALGORITHM_FIELDS)
+        analysis_cfg = _object(raw.get("analysis", {}), "analysis", _ANALYSIS_FIELDS)
         requests = raw.get("certificates", [])
         _require(isinstance(requests, list), "certificates", "must be a list")
-        certificates = [_object(c, f"certificates[{i}]") for i, c in enumerate(requests)]
+        certificates = [_object(c, f"certificates[{i}]", _CERTIFICATE_FIELDS) for i, c in enumerate(requests)]
 
         cfg = cls(
             kind=kind,
@@ -200,7 +216,7 @@ class ExperimentConfig:
             certificates=certificates,
         )
         cfg._validate(entry)
-        cfg.resolved = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "resolved"}
+        cfg.resolved = {name: getattr(cfg, name) for name in names}
         return cfg
 
     # -- validation ---------------------------------------------------------
@@ -218,8 +234,8 @@ class ExperimentConfig:
             self._window(True, entry.dim_in)
             _int(self.analysis.setdefault("grid_count", 2001), "analysis.grid_count", 1)
         if self.kind == "plk":
-            plk = self.analysis.get("plk")
-            _require(isinstance(plk, dict), "analysis.plk", "missing PLK parameters")
+            _require("plk" in self.analysis, "analysis.plk", "missing PLK parameters")
+            plk = _object(self.analysis["plk"], "analysis.plk", _PLK_FIELDS)
             for key in ("M", "eta", "neighborhood_radius"):
                 _positive(plk.get(key, 0), f"analysis.plk.{key}")
             q = _number(plk.get("q_exp"), "analysis.plk.q_exp")
@@ -232,6 +248,7 @@ class ExperimentConfig:
             hyp = cert.get("hypothesis")
             _require(isinstance(hyp, str) and hyp in _CHECKS, f"certificates[{i}].hypothesis",
                      f"must be one of {', '.join(_CHECKS)}")
+            _object(cert, f"certificates[{i}]", ("hypothesis",) + _CHECKS[hyp][0])
             for key in _CHECKS[hyp][0]:
                 _positive(cert.get(key, 0), f"certificates[{i}].{key}")
 
@@ -241,6 +258,7 @@ class ExperimentConfig:
         _require(isinstance(name, str) and name in _ALGORITHMS, "algorithm.name",
                  f"must be one of {', '.join(_ALGORITHMS)}")
         spec = _ALGORITHMS[name]
+        _object(alg, "algorithm", ("name", "x0", *spec.params))
         _require(alg.get("x0") is not None, "algorithm.x0", "missing starting point")
         alg["x0"] = _vector(alg["x0"], "algorithm.x0", entry.dim_in)
         if spec.oracle is not None:
@@ -249,7 +267,8 @@ class ExperimentConfig:
         if "step_condition" in spec.params:
             alg.setdefault("step_condition", "derived")
         for key, read in spec.params.items():
-            read(alg.get(key, 0), f"algorithm.{key}")
+            _require(key in alg, f"algorithm.{key}", "missing")
+            read(alg[key], f"algorithm.{key}")
         if spec.oracle == "prox":
             _require(entry.prox.valid_gamma(float(alg["gamma"])), "algorithm.gamma",
                      f"outside the resolvent's range ({entry.prox.note})")
@@ -286,6 +305,7 @@ class ExperimentConfig:
         if raw is None:
             _require(not required, "analysis.window", "a compact window is required for this experiment")
             return
+        _object(raw, "analysis.window", _WINDOW_FIELDS)
         try:
             window = Window.from_dict(raw)
         except Exception as exc:
@@ -365,11 +385,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
         verdicts["lojasiewicz"] = fit.to_json_dict()
 
     if cfg.kind == "plk":
-        plk = cfg.analysis["plk"]
         result = analysis.check_plk_exponent(
             entry,
             cfg.analysis["xbar"],
-            analysis.PlkConfig(plk["M"], plk["q_exp"], plk["eta"], plk["neighborhood_radius"]),
+            analysis.PlkConfig(**cfg.analysis["plk"]),
             grid_count=cfg.analysis["grid_count"],
             seed=cfg.seed,
         )
@@ -380,8 +399,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
 
     if cfg.kind in ("solve", "certify", "full-pipeline"):
         trace = _run_algorithm(entry, cfg)
-        distances = [float(entry.solution_set.distance(x)) for x in trace.iterates]
-        emit("trace.csv", lambda p: serialize.trace_to_csv(trace, p, distances=distances))
+        dv = certify.distance_trace(trace, entry.solution_set, cfg.tolerance, modulus=curve)
+        emit("trace.csv", lambda p: serialize.trace_to_csv(trace, p, distances=dv.distances))
         verdicts["termination"] = trace.termination
         if trace.diverged:
             verdicts["diverged"] = True
@@ -395,7 +414,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
                 verdicts["failed"] = True
 
         if cfg.kind == "full-pipeline":
-            dv = certify.distance_trace(trace, entry.solution_set, cfg.tolerance, modulus=curve)
             emit("distance.json", lambda p: serialize.write_json(p, dv.to_json_dict()))
             verdicts["distance"] = dv.to_json_dict()
             if not dv.converged and not trace.diverged:

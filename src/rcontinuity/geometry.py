@@ -59,7 +59,7 @@ class PointSet:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[1] == 0:
             raise ValueError(f"PointSet needs an (n, dim) array, got shape {pts.shape}")
-        if pts.size and not np.all(np.isfinite(pts)):
+        if pts.size and not np.isfinite(pts).all():
             raise ValueError("all coordinates must be finite")
         object.__setattr__(self, "points", pts)
 
@@ -92,6 +92,27 @@ class PointSet:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.points)
+
+    def distance_rows(self, pts) -> np.ndarray:
+        """Distance from each row of an ``(n, dim)`` array to the nearest
+        point of the set; an empty set is an error."""
+        if self.is_empty:
+            raise EmptyTargetError("distance to an empty point set is undefined")
+        return _nearest(_rows(pts, self.dim), self.points)
+
+
+def _rows(pts, dim: int) -> np.ndarray:
+    """``pts`` as a finite ``(n, dim)`` float array, validated as a PointSet
+    (so a 1-d array is a column of 1-d points)."""
+    rows = PointSet(pts).points
+    if rows.shape[1] != dim:
+        raise DimensionMismatchError(f"expected dimension {dim}, got {rows.shape[1]}")
+    return rows
+
+
+def _nearest(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance from each row of ``rows`` to its nearest row of ``points``."""
+    return np.linalg.norm(rows[:, None, :] - points[None, :, :], axis=2).min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -172,8 +193,8 @@ class Region:
 
     Supported kinds: a finite point list, an axis-aligned box, an affine
     subspace (anchor plus orthonormal basis columns), and a closed ball.
-    ``distance`` is exact for every kind; ``contains`` applies the membership
-    tolerance.
+    ``distance_rows`` (and ``distance``, its one-point form) is exact for
+    every kind; ``contains`` applies the membership tolerance.
     """
 
     kind: str  # "points" | "box" | "affine" | "ball"
@@ -243,19 +264,23 @@ class Region:
             return self.anchor.size
         return self.center.size
 
-    def distance(self, x) -> float:
-        """Exact Euclidean distance from ``x`` to the region."""
-        p = as_point(x, self.dim)
+    def distance_rows(self, pts) -> np.ndarray:
+        """Exact Euclidean distance from each row of an ``(n, dim)`` array to
+        the region."""
+        rows = _rows(pts, self.dim)
         if self.kind == "points":
-            return float(np.min(np.linalg.norm(self.points - p, axis=1)))
+            return _nearest(rows, self.points)
         if self.kind == "box":
-            gap = np.maximum(np.abs(p - self.center) - self.halfwidths, 0.0)
-            return float(np.linalg.norm(gap))
+            gap = np.maximum(np.abs(rows - self.center) - self.halfwidths, 0.0)
+            return np.linalg.norm(gap, axis=1)
         if self.kind == "ball":
-            return float(max(0.0, np.linalg.norm(p - self.center) - self.radius))
-        r = p - self.anchor
-        coeff = self.basis.T @ r
-        return float(np.linalg.norm(r - self.basis @ coeff))
+            return np.maximum(0.0, np.linalg.norm(rows - self.center, axis=1) - self.radius)
+        r = rows - self.anchor
+        return np.linalg.norm(r - (r @ self.basis) @ self.basis.T, axis=1)
+
+    def distance(self, x) -> float:
+        """Exact Euclidean distance from the point ``x`` to the region."""
+        return distance_to_set(x, self)
 
     def project(self, x) -> np.ndarray:
         """A nearest point of the region to ``x``."""
@@ -267,8 +292,8 @@ class Region:
             return np.clip(p, self.center - self.halfwidths, self.center + self.halfwidths)
         if self.kind == "ball":
             d = np.linalg.norm(p - self.center)
-            if d <= self.radius or d == 0.0:
-                return p.copy() if d <= self.radius else self.center.copy()
+            if d <= self.radius:
+                return p.copy()
             return self.center + (p - self.center) * (self.radius / d)
         return self.anchor + self.basis @ (self.basis.T @ (p - self.anchor))
 
@@ -317,12 +342,7 @@ def distance_to_set(x, target: TargetSet) -> float:
     Exact minimum for a finite :class:`PointSet`, closed form for every
     :class:`Region` kind.  An empty point-set target is an error.
     """
-    if isinstance(target, Region):
-        return target.distance(x)
-    if target.is_empty:
-        raise EmptyTargetError("distance to an empty point set is undefined")
-    p = as_point(x, target.dim)
-    return float(np.min(np.linalg.norm(target.points - p, axis=1)))
+    return float(target.distance_rows(as_point(x)[None, :])[0])
 
 
 def excess(a: PointSet, b: TargetSet) -> float:
@@ -334,14 +354,9 @@ def excess(a: PointSet, b: TargetSet) -> float:
     """
     if a.is_empty:
         return 0.0
-    if isinstance(b, PointSet):
-        if b.is_empty:
-            return math.inf
-        if a.dim != b.dim:
-            raise DimensionMismatchError("excess operands have different dimensions")
-        diffs = a.points[:, None, :] - b.points[None, :, :]
-        return float(np.max(np.min(np.linalg.norm(diffs, axis=2), axis=1)))
-    return float(max(b.distance(p) for p in a))
+    if isinstance(b, PointSet) and b.is_empty:
+        return math.inf
+    return float(b.distance_rows(a.points).max())
 
 
 def _grid_axis_counts(count: int, dim: int) -> int:

@@ -55,7 +55,6 @@ class SetValuedMap:
     window_required: bool = False
     resolution: Optional[int] = None
     value_dist: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    description: str = ""
 
     def eval(self, x, window: Optional[Window] = None) -> PointSet:
         """Evaluate ``A(x)`` or ``A(x) ∩ window``; the result may be empty."""

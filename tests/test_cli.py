@@ -3,8 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rcontinuity import catalog_listing
+from rcontinuity import catalog_listing, catalog_names
 from rcontinuity.cli import ConfigError, ExperimentConfig, main, run_experiment
 
 
@@ -31,6 +33,9 @@ _SOLVE = ["solve", "--set", "operator=quad", "--set", _GDM]
 _QPOWER = 'algorithm={"name": "qpower", "gamma": 1.0, "q": 1.5, "x0": %s}'
 _RADII = 'analysis.radii={"start": 0.01, "stop": 0.1, "count": 2.5}'
 _WINDOW_1D = 'analysis.window={"kind": "box", "center": [0.0], "extent": [1.0]}'
+_LOJA = ["loja", "--set", "operator=square", "--set", _WINDOW_1D]
+_PLK = 'analysis.plk={"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0, "m": 1.0}'
+_CERTIFY = ["certify", "--set", "operator=quad", "--set", _GDM]
 
 
 def _rejected(name, argv, path, config=None):
@@ -52,16 +57,84 @@ REJECTED = [
     _rejected("config-list", ["solve"], "--config", config="[1, 2]"),
     _rejected("qpower-quad2-q", ["solve", "--set", "operator=quad2", "--set", _QPOWER % "[1.0, 1.0]"],
               "algorithm.q"),
+    _rejected("qpower-missing-q", ["solve", "--set", "operator=square", "--set",
+                                   'algorithm={"name": "qpower", "gamma": 1.0, "x0": [1.0]}'], "algorithm.q"),
     _rejected("qpower-rm1", ["solve", "--set", "operator=rm1", "--set", _QPOWER % "[1.0]"], "algorithm.name"),
     _rejected("radii-count-fraction", ["modulus", "--set", "operator=square", "--set", _RADII],
               "analysis.radii.count"),
     _rejected("samples-bool", ["modulus", "--set", "operator=square", "--set", "analysis.samples_per_radius=true"],
               "analysis.samples_per_radius"),
     _rejected("window-dimension", ["modulus", "--set", "operator=quad2", "--set", _WINDOW_1D], "analysis.window"),
-    _rejected("grid_count-fraction",
-              ["loja", "--set", "operator=square", "--set", _WINDOW_1D, "--set", "analysis.grid_count=10.5"],
-              "analysis.grid_count"),
+    _rejected("grid_count-fraction", _LOJA + ["--set", "analysis.grid_count=10.5"], "analysis.grid_count"),
+    _rejected("unknown-top-level", _SOLVE + ["--set", "tolerence=5"], "tolerence"),
+    _rejected("unknown-stop", _SOLVE + ["--set", "stop.max_iters=5"], "stop.max_iters"),
+    _rejected("unknown-algorithm", _SOLVE + ["--set", "algorithm.stpe=3"], "algorithm.stpe"),
+    _rejected("other-algorithm-param", _SOLVE + ["--set", "algorithm.gamma=1.0"], "algorithm.gamma"),
+    _rejected("unknown-analysis", ["modulus", "--set", "operator=square", "--set", "analysis.sample_per_radius=8"],
+              "analysis.sample_per_radius"),
+    _rejected("unknown-radii", ["modulus", "--set", "operator=square", "--set", "analysis.radii.step=2"],
+              "analysis.radii.step"),
+    _rejected("unknown-plk", ["plk", "--set", "operator=square", "--set", _PLK], "analysis.plk.m"),
+    _rejected("unknown-window", _LOJA + ["--set", "analysis.window.radius=1.0"], "analysis.window.radius"),
+    _rejected("unknown-certificate", _CERTIFY + ["--set", 'certificates=[{"hypothesis": "H4", "beta": 2.0}]'],
+              "certificates[0].beta"),
+    _rejected("other-hypothesis-param", _CERTIFY + ["--set", 'certificates=[{"hypothesis": "H1", "beta": 2.0}]'],
+              "certificates[0].beta"),
 ]
+
+
+# Random config documents: known field names with random values, plus random
+# keys.  Most draws are plausible (a known name, a small positive number, an
+# object of known fields, no extra key), so that many documents get past the
+# first checks.  Integers stay within +-10**6, because a huge
+# ``analysis.radii.count`` has its whole grid built during validation.
+_SCALARS = (st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+            | st.text(max_size=6))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=6)
+
+
+def _mostly(plausible, noise=_JSON):
+    return st.one_of(plausible, plausible, plausible, noise)
+
+
+_NUMBER = _mostly(st.integers(1, 3) | st.floats(0.01, 10.0))
+_VECTOR = _mostly(st.lists(_NUMBER, min_size=1, max_size=3))
+
+
+def _one_of(*names):
+    return st.sampled_from(names * 3 + (None, 0, "?"))
+
+
+def _section(required=(), **fields):
+    """An object holding the ``required`` fields, some of the other
+    ``fields`` and perhaps one random key."""
+    known = st.fixed_dictionaries({k: fields.pop(k) for k in required}, optional=fields)
+    extra = _mostly(st.just({}), st.dictionaries(st.text(max_size=6), _JSON, min_size=1, max_size=1))
+    return st.tuples(known, extra).map(lambda pair: {**pair[1], **pair[0]})
+
+
+_CONFIGS = _section(
+    ("kind", "operator"),
+    kind=_one_of("modulus", "lojasiewicz", "plk", "solve", "certify", "full-pipeline"),
+    operator=_one_of(*catalog_names()),
+    seed=_NUMBER,
+    tolerance=_NUMBER,
+    out_dir=_one_of(None, "out"),
+    stop=_mostly(_section(step_tol=_NUMBER, max_iter=_NUMBER, divergence_guard=_NUMBER)),
+    algorithm=_mostly(_section(
+        ("name", "x0"), name=_one_of("ppa", "gdm", "qpower", "dca", "shifted-ppa"), x0=_VECTOR,
+        gamma=_NUMBER, step=_NUMBER, q=_NUMBER, kappa=_NUMBER, step_condition=_one_of("derived", "reciprocal"))),
+    analysis=_mostly(_section(
+        target=_one_of("forward", "inverse"), xbar=_VECTOR,
+        radii=_mostly(_section(start=_NUMBER, stop=_NUMBER, count=_NUMBER), st.lists(_NUMBER)),
+        samples_per_radius=_NUMBER, scheme=_one_of("grid", "halton"), grid_count=_NUMBER,
+        window=_mostly(_section(kind=_one_of("box", "ball"), center=_VECTOR, extent=_VECTOR)),
+        plk=_mostly(_section(M=_NUMBER, q_exp=_NUMBER, eta=_NUMBER, neighborhood_radius=_NUMBER)))),
+    certificates=_mostly(st.lists(_mostly(_section(
+        ("hypothesis",), hypothesis=_one_of("H1", "H2", "H3", "H4", "RCLASS"), alpha=_NUMBER, beta=_NUMBER)),
+        max_size=2)),
+)
 
 
 class TestValidation:
@@ -102,6 +175,14 @@ class TestValidation:
             ExperimentConfig.from_dict({"kind": "certify", "operator": "quad",
                                         "algorithm": {"name": "ppa", "gamma": 1.0, "x0": [1.0]}})
         assert err.value.path == "certificates"
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(config=_CONFIGS)
+    def test_any_json_object_is_accepted_or_rejected_with_a_path(self, config):
+        try:
+            ExperimentConfig.from_dict(config)
+        except ConfigError as exc:
+            assert exc.path
 
     def test_defaults_are_resolved_into_the_echo(self):
         cfg = ExperimentConfig.from_dict(pipeline_config())
@@ -270,8 +351,11 @@ class TestCsvFormat:
 
 
 # One short 1-d certify run per algorithm, with the sha256 of each artifact as
-# written by the code before the runners shared one driver.  A change to any
-# of these bytes is a change of the artifact contract, not a refactor.
+# written by the code before the runners shared one driver, plus the README
+# pipeline (all six artifacts), a 2-d trace and a Lojasiewicz fit, recorded
+# before distances became row-wise.  An entry's ``kind`` defaults to certify.
+# A change to any of these bytes is a change of the artifact contract, not a
+# refactor.
 GOLDEN = {
     "ppa": (
         {"operator": "abs-subdiff", "algorithm": {"name": "ppa", "gamma": 0.3, "x0": [1.0]},
@@ -324,13 +408,44 @@ GOLDEN = {
          "certificates.json": "2937a4dd1b2e6912ba34b88d8df73cbf197f8d0add317eb9fed5376555ddf1c0",
          "report.json": "9dbeb42fa7a4b7da41c8333ff460daf3f754133ec213a837c8b955604ee21446"},
     ),
+    "readme-pipeline": (
+        {"kind": "full-pipeline", "operator": "abs-subdiff",
+         "algorithm": {"name": "ppa", "gamma": 0.3, "x0": [1.0]},
+         "analysis": {"window": {"kind": "box", "center": [0.0], "extent": [10.0]},
+                      "radii": {"start": 0.01, "stop": 1.0, "count": 9},
+                      "samples_per_radius": 65},
+         "certificates": [{"hypothesis": "H1", "alpha": 1.6666666666666667},
+                          {"hypothesis": "H2", "beta": 3.3333333333333335}],
+         "tolerance": 1e-6},
+        {"trace.csv": "c82ca12f728748c1a58e0dddf7bbefa48178f94b2838a7c5fa2f203eeeeda075",
+         "modulus.csv": "986cd82a83181b79923ebfdbb6c56a6304dfd4b51aa44e299b3b6c0746086238",
+         "holder_fit.json": "710246c993a09101cecb3582a6d95171d560250d8656dd54de8f5f8bb2edf29e",
+         "certificates.json": "c03c80077e1775e80014ecc4a718872fdab74dd653cfebc48e06e3e8ca0cf3f9",
+         "distance.json": "4e22428d8a5a59c2adc942e606b420cd728a50f0518f6195290ea16d92290ef9",
+         "report.json": "40ae113de804597157f2495a559a794be4a79908c02ec97d33d911554f78106a"},
+    ),
+    "quad2-shifted-ppa": (
+        {"operator": "quad2",
+         "algorithm": {"name": "shifted-ppa", "kappa": 0.25, "gamma": 1.0, "x0": [1.0, -0.5]},
+         "certificates": [{"hypothesis": "H1", "alpha": 0.5},
+                          {"hypothesis": "H2", "beta": 1.0}]},
+        {"trace.csv": "86d325cee2f8050b1cb438683953542c151cebea97bce441cd8b5ba5aa001611",
+         "certificates.json": "9787026062ec4fbc3a583fc04dc7f125fdd2475521c8d405bda7d01366520589",
+         "report.json": "a75f9e30f43f390b8adf484325422961c80219d806b106a0d8aba18ca118eff0"},
+    ),
+    "square-loja": (
+        {"kind": "lojasiewicz", "operator": "square",
+         "analysis": {"window": {"kind": "box", "center": [0.0], "extent": [1.0]}}},
+        {"loja_fit.json": "91132f5ccdb5a843f1291fba2fc05926986783f50925cb711f12bcf5f5e2ab09",
+         "report.json": "8161bcdd20cee4e0cbd3363aa43d0aaa034cff5f0632972645a0120e54204190"},
+    ),
 }
 
 
-@pytest.mark.parametrize("algorithm", sorted(GOLDEN))
-def test_golden_artifact_digests(algorithm, tmp_out):
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_artifact_digests(name, tmp_out):
     import hashlib
-    raw, expected = GOLDEN[algorithm]
-    run_experiment(ExperimentConfig.from_dict(dict(raw, kind="certify")), out_dir=tmp_out)
+    raw, expected = GOLDEN[name]
+    run_experiment(ExperimentConfig.from_dict({"kind": "certify", **raw}), out_dir=tmp_out)
     got = {name: hashlib.sha256((tmp_out / name).read_bytes()).hexdigest() for name in expected}
     assert got == expected

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rcontinuity import (
     DimensionMismatchError,
@@ -132,6 +133,105 @@ class TestRegionDistance:
         plane = Region.affine([1.0, 0.0, 0.0], np.eye(3)[:, 1:])
         for p in plane.sample(16, seed=2):
             assert plane.distance(p) <= 1e-12
+
+
+def reference_distance(target, x) -> float:
+    """The per-point distance formulas that preceded ``distance_rows``."""
+    p = np.asarray(x, dtype=float)
+    if isinstance(target, PointSet) or target.kind == "points":
+        return float(np.min(np.linalg.norm(target.points - p, axis=1)))
+    if target.kind == "box":
+        return float(np.linalg.norm(np.maximum(np.abs(p - target.center) - target.halfwidths, 0.0)))
+    if target.kind == "ball":
+        return float(max(0.0, np.linalg.norm(p - target.center) - target.radius))
+    r = p - target.anchor
+    return float(np.linalg.norm(r - target.basis @ (target.basis.T @ r)))
+
+
+def _rows(dim, lo=-50.0, hi=50.0, min_rows=1):
+    return st.integers(min_rows, 8).flatmap(
+        lambda n: arrays(np.float64, (n, dim), elements=st.floats(lo, hi)))
+
+
+@st.composite
+def point_targets(draw):
+    """A dimension, a nonempty PointSet or ``points`` region of it, and rows."""
+    dim = draw(st.integers(1, 3))
+    pts = draw(_rows(dim))
+    target = PointSet(pts) if draw(st.booleans()) else Region("points", points=pts)
+    return target, draw(_rows(dim))
+
+
+@st.composite
+def closed_form_regions(draw):
+    """A box, ball or affine region and rows, all at unit scale: there the
+    reordered sums of the row-wise forms stay within 1e-15 of the old ones."""
+    dim = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+    center = draw(arrays(np.float64, dim, elements=unit))
+    kind = draw(st.sampled_from(["box", "ball", "affine"]))
+    if kind == "box":
+        region = Region.box(center, draw(arrays(np.float64, dim, elements=st.floats(0.0, 1.0))))
+    elif kind == "ball":
+        region = Region.ball(center, draw(st.floats(0.0, 1.0)))
+    else:
+        k = draw(st.integers(1, dim))
+        raw = draw(arrays(np.float64, (dim, k), elements=unit))
+        region = Region.affine(center, np.linalg.qr(raw)[0])
+    return region, draw(_rows(dim, -1.0, 1.0))
+
+
+class TestDistanceRows:
+    @given(point_targets())
+    def test_point_targets_match_the_per_point_formula_bit_for_bit(self, case):
+        target, rows = case
+        expected = [reference_distance(target, x) for x in rows]
+        assert np.array_equal(target.distance_rows(rows), expected)
+
+    @given(closed_form_regions())
+    def test_closed_form_regions_match_the_per_point_formula(self, case):
+        region, rows = case
+        expected = [reference_distance(region, x) for x in rows]
+        np.testing.assert_allclose(region.distance_rows(rows), expected, rtol=1e-15, atol=1e-15)
+
+    @given(point_targets())
+    def test_excess_is_the_largest_per_point_distance(self, case):
+        target, rows = case
+        assert excess(PointSet(rows), target) == max(reference_distance(target, x) for x in rows)
+
+    @given(closed_form_regions())
+    def test_excess_against_a_closed_form_region(self, case):
+        region, rows = case
+        expected = max(reference_distance(region, x) for x in rows)
+        assert excess(PointSet(rows), region) == pytest.approx(expected, rel=1e-15, abs=1e-15)
+
+    @given(point_targets(), st.data())
+    def test_non_finite_rows_are_rejected(self, case, data):
+        target, rows = case
+        i = data.draw(st.integers(0, rows.shape[0] - 1))
+        j = data.draw(st.integers(0, rows.shape[1] - 1))
+        rows[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError):
+            target.distance_rows(rows)
+
+    @given(point_targets(), st.integers(1, 3))
+    def test_rows_of_another_width_are_rejected(self, case, extra):
+        target, rows = case
+        with pytest.raises(DimensionMismatchError):
+            target.distance_rows(np.hstack([rows, np.zeros((rows.shape[0], extra))]))
+
+    @given(point_targets())
+    def test_non_2d_input_is_rejected(self, case):
+        target, rows = case
+        with pytest.raises(ValueError):
+            target.distance_rows(rows[None, :, :])
+        with pytest.raises(ValueError):
+            target.distance_rows(np.float64(rows[0, 0]))
+
+    @given(_rows(2))
+    def test_empty_point_set_is_an_error(self, rows):
+        with pytest.raises(EmptyTargetError):
+            PointSet.empty(2).distance_rows(rows)
 
 
 class TestSampleWindow:
