@@ -62,8 +62,6 @@ class ModulusCurve:
             raise ValueError("radius must be nonnegative")
         if r > self.radii[-1]:
             return None
-        if r <= self.radii[0]:
-            return float(self.rho_hat[0])
         return float(np.interp(r, self.radii, self.rho_hat))
 
 

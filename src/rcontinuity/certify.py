@@ -26,8 +26,7 @@ _ATOL = 1e-12
 class Certificate:
     hypothesis: str  # "H1" | "H2" | "H3" | "H4" | "RCLASS"
     params: dict
-    per_step: List[bool]
-    step_indices: List[int]
+    step_indices: np.ndarray
     first_violation: Optional[int]
     vacuous: bool
     tail_ok: bool = True
@@ -48,18 +47,14 @@ class Certificate:
 
 
 def _collect(hypothesis, params, indices, oks, vacuous=False, tail_ok=True, note="") -> Certificate:
-    first = None
-    for idx, ok in zip(indices, oks):
-        if not ok:
-            first = idx
-            break
+    indices = np.asarray(indices, dtype=int)
+    failed = np.flatnonzero(np.logical_not(oks))
     return Certificate(
         hypothesis=hypothesis,
         params=params,
-        per_step=list(oks),
-        step_indices=list(indices),
-        first_violation=first,
-        vacuous=vacuous or not indices,
+        step_indices=indices,
+        first_violation=int(indices[failed[0]]) if failed.size else None,
+        vacuous=vacuous or not indices.size,
         tail_ok=tail_ok,
         note=note,
     )
@@ -71,12 +66,9 @@ def check_h1(trace: IterateTrace, alpha: float, tol: float = _ATOL) -> Certifica
         raise ValueError("alpha must be positive")
     if trace.f_values is None:
         raise ValueError("the trace has no recorded function values")
-    indices, oks = [], []
-    for k in range(len(trace) - 1):
-        drop = trace.f_values[k] - trace.f_values[k + 1]
-        indices.append(k)
-        oks.append(drop >= alpha * trace.step_norms[k] ** 2 - tol)
-    return _collect("H1", {"alpha": alpha}, indices, oks)
+    drops = trace.f_values[:-1] - trace.f_values[1:]
+    oks = drops >= alpha * trace.step_norms ** 2 - tol
+    return _collect("H1", {"alpha": alpha}, np.arange(len(trace) - 1), oks)
 
 
 def _relative_error(hypothesis: str, side: str, trace: IterateTrace, beta: float, tol: float) -> Certificate:
@@ -87,20 +79,18 @@ def _relative_error(hypothesis: str, side: str, trace: IterateTrace, beta: float
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if not trace.witness_points:
+    if not len(trace.witness_points):
         raise ValueError("the trace carries no witnesses")
     if trace.witness_side is not None and trace.witness_side != side:
         raise ValueError(
             f"trace witnesses attach to the {trace.witness_side!r} iterate; "
             f"this check needs the {side!r} convention"
         )
-    indices, oks = [], []
-    for k, w in zip(trace.witness_indices, trace.witness_points):
-        step = k - 1 if side == "next" else k
-        if 0 <= step <= len(trace) - 2:
-            indices.append(k)
-            oks.append(float(np.linalg.norm(w)) <= beta * trace.step_norms[step] + tol)
-    return _collect(hypothesis, {"beta": beta}, indices, oks)
+    indices = trace.witness_indices
+    steps = indices - 1 if side == "next" else indices
+    paired = (steps >= 0) & (steps <= len(trace) - 2)  # witnesses without a step are skipped
+    oks = trace.witness_norms[paired] <= beta * trace.step_norms[steps[paired]] + tol
+    return _collect(hypothesis, {"beta": beta}, indices[paired], oks)
 
 
 def check_h2(trace: IterateTrace, beta: float, tol: float = _ATOL) -> Certificate:
@@ -134,7 +124,7 @@ def check_h4(
     n = len(trace)
     if n < 20:
         return _collect("H4", {}, [], [], vacuous=True, note="fewer than 20 iterates")
-    pts = np.asarray(trace.iterates)
+    pts = trace.iterates
     if n > 2000:  # keep the pairwise scan quadratic in a bounded count
         sel = np.arange(0, n, int(math.ceil(n / 2000)))
         pts = pts[sel]
@@ -168,18 +158,15 @@ def check_rclass(trace: IterateTrace, alpha: float, beta: float, tol: float = _A
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    if not trace.xi_values:
+    if not len(trace.xi_values):
         raise ValueError("the trace carries no xi values")
-    indices = list(trace.witness_indices)
-    oks = [
-        float(np.linalg.norm(w)) <= alpha * xi ** beta + tol
-        for w, xi in zip(trace.witness_points, trace.xi_values)
-    ]
+    oks = trace.witness_norms <= alpha * trace.xi_values ** beta + tol
     tail = trace.xi_values[-10:]
-    nonincreasing = all(b <= a + 1e-15 for a, b in zip(tail[:-1], tail[1:]))
-    tail_ok = nonincreasing and tail[-1] <= 10.0 * trace.stop.step_tol
+    nonincreasing = (tail[1:] <= tail[:-1] + 1e-15).all()
+    tail_ok = bool(nonincreasing and tail[-1] <= 10.0 * trace.stop.step_tol)
     note = "" if tail_ok else "xi tail does not vanish"
-    return _collect("RCLASS", {"alpha": alpha, "beta": beta}, indices, oks, tail_ok=tail_ok, note=note)
+    return _collect("RCLASS", {"alpha": alpha, "beta": beta}, trace.witness_indices, oks,
+                    tail_ok=tail_ok, note=note)
 
 
 @dataclass(frozen=True)
@@ -227,26 +214,23 @@ def distance_trace(
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    distances = s.distance_rows(np.asarray(trace.iterates)).tolist()
-    window = distances[-min(10, len(distances)):]
-    converged = all(d < tolerance for d in window)
-    if trace.termination == "tolerance" and distances[-1] < tolerance:
-        converged = True
+    distances = s.distance_rows(trace.iterates)
+    converged = bool((distances[-10:] < tolerance).all()
+                     or (trace.termination == "tolerance" and distances[-1] < tolerance))
     checked = 0
     violations: List[int] = []
     out_of_range: List[int] = []
     if modulus is not None:
-        for k, w in zip(trace.witness_indices, trace.witness_points):
-            r = float(np.linalg.norm(w))
-            bound = modulus.rho_at(r)
-            if bound is None:
-                out_of_range.append(k)
-                continue
-            checked += 1
-            if distances[k] > 1.1 * bound + _ATOL:
-                violations.append(k)
+        # ModulusCurve.rho_at on every norm: np.interp clamps below the grid
+        norms, indices = trace.witness_norms, trace.witness_indices
+        inside = norms <= modulus.radii[-1]
+        bounds = np.interp(norms[inside], modulus.radii, modulus.rho_hat)
+        failed = distances[indices[inside]] > 1.1 * bounds + _ATOL
+        checked = int(inside.sum())
+        violations = indices[inside][failed].tolist()
+        out_of_range = indices[~inside].tolist()
     return DistanceVerdict(
-        distances=distances,
+        distances=distances.tolist(),
         converged=converged,
         tolerance=tolerance,
         link_checked=checked,

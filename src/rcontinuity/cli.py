@@ -27,6 +27,9 @@ from .setmap import OperatorEntry
 
 _KINDS = ("modulus", "lojasiewicz", "plk", "solve", "certify", "full-pipeline")
 
+#: Largest ``analysis.radii.count``: validation builds the whole radius grid.
+_MAX_RADII = 10_000
+
 
 class ConfigError(ValueError):
     """Configuration rejected before any computation; carries the field path."""
@@ -81,6 +84,7 @@ def _radii_list(spec, path: str) -> List[float]:
         start = _positive(spec["start"], f"{path}.start")
         stop = _positive(spec["stop"], f"{path}.stop")
         count = _int(spec["count"], f"{path}.count", 2)
+        _require(count <= _MAX_RADII, f"{path}.count", f"must be <= {_MAX_RADII}")
         _require(count >= 2 and stop > start, path, "needs count >= 2 and stop > start")
         return [float(r) for r in np.geomspace(start, stop, count)]
     _require(isinstance(spec, list) and len(spec) >= 1, path, "must be a list or {start, stop, count}")

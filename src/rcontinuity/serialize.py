@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
@@ -58,29 +58,28 @@ def modulus_to_csv(curve: ModulusCurve, path: Path) -> None:
 
 def trace_to_csv(trace: IterateTrace, path: Path, distances: Optional[List[float]] = None) -> None:
     """One row per iterate: index, coordinates, step norm, then whichever of
-    function value, witness norm, xi, distance, and ledger entry exist."""
-    dim = trace.dim
-    header = ["k"] + [f"x{i}" for i in range(dim)]
+    function value, witness norm, xi, distance, and ledger entry exist.  A
+    row shows the last witness recorded at its index."""
+    n = len(trace)
+    header = ["k"] + [f"x{i}" for i in range(trace.dim)]
     header += ["delta", "f_value", "witness_norm", "xi"]
+    indices = trace.witness_indices
+    inside = (indices >= 0) & (indices < n)
+    last = np.full(n, -1)  # -1, a row without a witness, picks the trailing None below
+    np.maximum.at(last, indices[inside], np.flatnonzero(inside))
+
+    def witnessed(values: np.ndarray) -> np.ndarray:
+        return np.array(values.tolist() + [None], dtype=object)[last]
+
+    def padded(values: Optional[np.ndarray]) -> list:
+        return [None] * n if values is None else values.tolist() + [None] * (n - len(values))
+
+    columns = [range(n), *trace.iterates.T.tolist(), padded(trace.step_norms), padded(trace.f_values),
+               witnessed(trace.witness_norms), witnessed(trace.xi_values)]
     if distances is not None:
         header.append("distance")
+        columns.append(distances)
     if trace.fejer_ledger is not None:
         header.append("fejer_ledger")
-    wit_at = {k: w for k, w in zip(trace.witness_indices, trace.witness_points)}
-    xi_at = {k: x for k, x in zip(trace.witness_indices, trace.xi_values)}
-    rows = []
-    for k, x in enumerate(trace.iterates):
-        row: list = [k] + [float(v) for v in x]
-        row.append(trace.step_norms[k] if k < len(trace.step_norms) else None)
-        row.append(trace.f_values[k] if trace.f_values is not None else None)
-        if k in wit_at:
-            row.append(float(np.linalg.norm(wit_at[k])))
-            row.append(xi_at[k])
-        else:
-            row += [None, None]
-        if distances is not None:
-            row.append(distances[k])
-        if trace.fejer_ledger is not None:
-            row.append(trace.fejer_ledger[k] if k < len(trace.fejer_ledger) else None)
-        rows.append(row)
-    write_csv(path, header, rows)
+        columns.append(padded(trace.fejer_ledger))
+    write_csv(path, header, zip(*columns))

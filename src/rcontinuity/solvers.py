@@ -36,7 +36,8 @@ class StopRule:
 
 @dataclass
 class IterateTrace:
-    """Per-iteration record of a solver run.
+    """Per-iteration record of a solver run: ``(n, dim)`` iterates, ``(m, dim)``
+    witness points and 1-d columns, coerced from raw sequences on construction.
 
     ``witness_indices[i]`` is the iterate index that ``witness_points[i]``
     belongs to; ``xi_values[i]`` is the vanishing-sequence value paired with
@@ -45,37 +46,47 @@ class IterateTrace:
     """
 
     algorithm: str
-    params: dict
-    iterates: List[np.ndarray]
-    step_norms: List[float]
+    iterates: np.ndarray
+    step_norms: np.ndarray
     stop: StopRule
     termination: str  # "tolerance" | "max_iter" | "divergence"
-    f_values: Optional[List[float]] = None
-    witness_indices: List[int] = field(default_factory=list)
-    witness_points: List[np.ndarray] = field(default_factory=list)
-    xi_values: List[float] = field(default_factory=list)
+    f_values: Optional[np.ndarray] = None
+    witness_indices: np.ndarray = field(default_factory=list)
+    witness_points: np.ndarray = field(default_factory=list)
+    xi_values: np.ndarray = field(default_factory=list)
     witness_side: Optional[str] = None  # "next" | "current"
     witness_map: Optional[str] = None  # "forward" | "subgrad"
-    fejer_ledger: Optional[List[float]] = None
-    xbar: Optional[np.ndarray] = None
+    fejer_ledger: Optional[np.ndarray] = None
+    witness_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.iterates = np.asarray(self.iterates, dtype=float).reshape(len(self.iterates), -1)
+        self.step_norms = np.asarray(self.step_norms, dtype=float)
+        self.witness_indices = np.asarray(self.witness_indices, dtype=int)
+        self.witness_points = np.asarray(self.witness_points, dtype=float).reshape(len(self.witness_points), self.dim)
+        self.xi_values = np.asarray(self.xi_values, dtype=float)
+        self.f_values = None if self.f_values is None else np.asarray(self.f_values, dtype=float)
+        self.fejer_ledger = None if self.fejer_ledger is None else np.asarray(self.fejer_ledger, dtype=float)
+        if not (np.isfinite(self.iterates).all() and np.isfinite(self.witness_points).all()):
+            raise ValueError("iterate and witness coordinates must be finite")
         if len(self.step_norms) != len(self.iterates) - 1:
             raise ValueError("step_norms must be one shorter than iterates")
         if not (len(self.witness_indices) == len(self.witness_points) == len(self.xi_values)):
             raise ValueError("witness bookkeeping lists must run in parallel")
         if self.f_values is not None and len(self.f_values) != len(self.iterates):
             raise ValueError("f_values must align with iterates")
+        # One norm per row, not norm(W, axis=1): the axis form reduces the squares
+        # another way and differs in the last bit for 2-d witnesses (1,110 of the
+        # 10,946 of a 2-d shifted-PPA run, numpy 2.4 on x86-64), and these norms
+        # are written to trace.csv.
+        self.witness_norms = np.array([float(np.linalg.norm(w)) for w in self.witness_points])
 
     def __len__(self) -> int:
         return len(self.iterates)
 
     @property
     def dim(self) -> int:
-        return self.iterates[0].size
-
-    def witness_norms(self) -> np.ndarray:
-        return np.array([float(np.linalg.norm(w)) for w in self.witness_points])
+        return self.iterates.shape[1]
 
     @property
     def diverged(self) -> bool:
@@ -88,17 +99,16 @@ def _iterate(
     stop: StopRule,
     step: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     algorithm: str,
-    params: dict,
     witness_side: str,
     witness_map: str,
     ledger: Optional[Callable[[np.ndarray, np.ndarray, float], float]] = None,
-    xbar: Optional[np.ndarray] = None,
 ) -> IterateTrace:
     """The loop every runner shares: ``x_{k+1}, w = step(x_k)``.
 
     Each step records the iterate, its step norm Δ_k, and the witness ``w``
     at index k+1 (``witness_side="next"``) or k (``"current"``), paired with
-    xi = Δ_k.  The run stops on the divergence guard, then on the step
+    xi = Δ_k.  A step with a non-finite Δ_k is not recorded and ends the run
+    as divergence; otherwise it stops on the divergence guard, then on the step
     tolerance, then on ``max_iter``.  ``ledger(x_k, x_{k+1}, Δ_k)``, when
     given, adds one value per step to the trace's ``fejer_ledger``.
     """
@@ -111,6 +121,9 @@ def _iterate(
     for _ in range(stop.max_iter):
         xn, w = step(x)
         delta = float(np.linalg.norm(xn - x))
+        if not math.isfinite(delta):
+            termination = "divergence"
+            break
         if ledger is not None:
             entries.append(ledger(x, xn, delta))
         iterates.append(xn)
@@ -126,19 +139,17 @@ def _iterate(
     first = 1 if witness_side == "next" else 0
     return IterateTrace(
         algorithm=algorithm,
-        params=params,
         iterates=iterates,
         step_norms=steps,
         stop=stop,
         termination=termination,
         f_values=None if entry.f is None else [float(entry.f(p)) for p in iterates],
-        witness_indices=list(range(first, first + len(steps))),
+        witness_indices=range(first, first + len(steps)),
         witness_points=w_pts,
-        xi_values=list(steps),
+        xi_values=steps,
         witness_side=witness_side,
         witness_map=witness_map,
         fejer_ledger=entries,
-        xbar=xbar,
     )
 
 
@@ -163,7 +174,7 @@ def run_ppa(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return _iterate(entry, x0, stop, _proximal_step(entry, gamma), "ppa", {"gamma": gamma}, "next", "forward")
+    return _iterate(entry, x0, stop, _proximal_step(entry, gamma), "ppa", "next", "forward")
 
 
 def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -177,7 +188,7 @@ def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) 
         g = as_point(entry.grad(x), entry.dim_in)
         return x - step * g, g
 
-    return _iterate(entry, x0, stop, descend, "gdm", {"step": step}, "current", "subgrad")
+    return _iterate(entry, x0, stop, descend, "gdm", "current", "subgrad")
 
 
 def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float, center: np.ndarray) -> np.ndarray:
@@ -252,7 +263,7 @@ def run_qpower_prox(
         w = -gamma * q * delta ** (q - 2.0) * (xn - x) if delta > 0 else np.zeros_like(x)
         return xn, w
 
-    return _iterate(entry, x0, stop, step, "qpower", {"gamma": gamma, "q": q}, "next", "subgrad")
+    return _iterate(entry, x0, stop, step, "qpower", "next", "subgrad")
 
 
 def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -273,7 +284,7 @@ def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
         xn = g_prox.resolve(gamma, x + gamma * hx)
         return xn, hx - as_point(h_grad(xn), entry.dim_in) - (xn - x) / gamma
 
-    return _iterate(entry, x0, stop, step, "dca", {"gamma": gamma}, "next", "subgrad")
+    return _iterate(entry, x0, stop, step, "dca", "next", "subgrad")
 
 
 def run_shifted_ppa(
@@ -315,8 +326,7 @@ def run_shifted_ppa(
     def ledger(x, xn, delta):
         return float(np.linalg.norm(xn - xb) ** 2 - np.linalg.norm(x - xb) ** 2 + coeff * delta ** 2)
 
-    params = {"gamma": gamma, "kappa": kappa, "step_condition": step_condition}
-    return _iterate(entry, x, stop, step, "shifted-ppa", params, "next", "forward", ledger, xb)
+    return _iterate(entry, x, stop, step, "shifted-ppa", "next", "forward", ledger)
 
 
 def make_synthetic_trace(
@@ -328,17 +338,14 @@ def make_synthetic_trace(
     algorithm: str = "synthetic",
 ) -> IterateTrace:
     """Assemble a trace from raw sequences, mainly for tests and examples."""
-    pts = [as_point(x) for x in iterates]
-    steps = [float(np.linalg.norm(b - a)) for a, b in zip(pts[:-1], pts[1:])]
     return IterateTrace(
         algorithm=algorithm,
-        params={},
-        iterates=pts,
-        step_norms=steps,
+        iterates=iterates,
+        step_norms=[float(np.linalg.norm(np.subtract(b, a))) for a, b in zip(iterates[:-1], iterates[1:])],
         stop=stop,
         termination="max_iter",
         f_values=f_values,
-        witness_indices=[int(k) for k, _ in witnesses],
-        witness_points=[as_point(w) for _, w in witnesses],
-        xi_values=[float(v) for v in xi_values],
+        witness_indices=[k for k, _ in witnesses],
+        witness_points=[w for _, w in witnesses],
+        xi_values=xi_values,
     )

@@ -1,9 +1,15 @@
+import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rcontinuity import (
+    ModulusCurve,
     Region,
     StopRule,
     catalog_lookup,
@@ -21,6 +27,7 @@ from rcontinuity import (
     run_ppa,
     run_qpower_prox,
 )
+from rcontinuity.serialize import trace_to_csv, write_csv
 
 S0 = Region.from_points([[0.0]])
 
@@ -237,3 +244,213 @@ class TestCertificateRecord:
         trace = make_synthetic_trace([[1.0], [0.5]], witnesses=[(0, [1.0])], xi_values=[0.5])
         cert = check_h2(trace, 1.0)
         assert cert.vacuous and not cert.passed
+
+
+# -- the array checks against the per-step loops they replaced ---------------
+
+_ATOL = 1e-12
+
+
+def reference_collect(pairs, tail_ok=True):
+    """``(step_indices, first_violation, vacuous, passed)`` from ``(index, ok)``
+    pairs, as the loop of ``_collect`` found them."""
+    first = next((k for k, ok in pairs if not ok), None)
+    vacuous = not pairs
+    return [k for k, _ in pairs], first, vacuous, not vacuous and first is None and tail_ok
+
+
+def reference_h1(trace, alpha):
+    """``(index, drop, bound)`` per step, as ``check_h1`` looped; ok is ``drop >= bound``."""
+    f, steps = trace.f_values.tolist(), trace.step_norms.tolist()
+    return [(k, f[k] - f[k + 1], alpha * steps[k] ** 2 - _ATOL) for k in range(len(trace) - 1)]
+
+
+def reference_relative_error(trace, side, beta):
+    """``(index, ok)`` per paired witness, as ``_relative_error`` looped."""
+    steps, pairs = trace.step_norms.tolist(), []
+    for k, w in zip(trace.witness_indices.tolist(), list(trace.witness_points)):
+        step = k - 1 if side == "next" else k
+        if 0 <= step <= len(trace) - 2:
+            pairs.append((k, float(np.linalg.norm(w)) <= beta * steps[step] + _ATOL))
+    return pairs
+
+
+def reference_rclass(trace, alpha, beta):
+    """``(index, norm, bound)`` per witness and the tail verdict, as
+    ``check_rclass`` looped; ok is ``norm <= bound``."""
+    xi = trace.xi_values.tolist()
+    triples = [(k, float(np.linalg.norm(w)), alpha * x ** beta + _ATOL)
+               for k, w, x in zip(trace.witness_indices.tolist(), list(trace.witness_points), xi)]
+    tail = xi[-10:]
+    nonincreasing = all(b <= a + 1e-15 for a, b in zip(tail[:-1], tail[1:]))
+    return triples, nonincreasing and tail[-1] <= 10.0 * trace.stop.step_tol
+
+
+def reference_rho_at(curve, r):
+    if r > curve.radii[-1]:
+        return None
+    if r <= curve.radii[0]:
+        return float(curve.rho_hat[0])
+    return float(np.interp(r, curve.radii, curve.rho_hat))
+
+
+def reference_link_audit(trace, distances, curve):
+    """``(checked, violations, out_of_range)``, as ``distance_trace`` looped."""
+    checked, violations, out_of_range = 0, [], []
+    for k, w in zip(trace.witness_indices.tolist(), list(trace.witness_points)):
+        bound = reference_rho_at(curve, float(np.linalg.norm(w)))
+        if bound is None:
+            out_of_range.append(k)
+            continue
+        checked += 1
+        if distances[k] > 1.1 * bound + _ATOL:
+            violations.append(k)
+    return checked, violations, out_of_range
+
+
+def reference_trace_rows(trace, distances):
+    """The rows ``trace_to_csv`` built per iterate, with its two dicts."""
+    wit_at = {k: w for k, w in zip(trace.witness_indices.tolist(), list(trace.witness_points))}
+    xi_at = {k: x for k, x in zip(trace.witness_indices.tolist(), trace.xi_values.tolist())}
+    steps, f, ledger = (None if a is None else a.tolist()
+                        for a in (trace.step_norms, trace.f_values, trace.fejer_ledger))
+    rows = []
+    for k, x in enumerate(trace.iterates):
+        row = [k] + [float(v) for v in x]
+        row.append(steps[k] if k < len(steps) else None)
+        row.append(f[k] if f is not None else None)
+        if k in wit_at:
+            row += [float(np.linalg.norm(wit_at[k])), xi_at[k]]
+        else:
+            row += [None, None]
+        row.append(distances[k])
+        if ledger is not None:
+            row.append(ledger[k] if k < len(ledger) else None)
+        rows.append(row)
+    return rows
+
+
+def _off_threshold(triples):
+    """True when every ``(index, lhs, rhs)`` comparison is clear of its threshold
+    by more than 1e-9 relative: numpy's ``**`` and Python's ``pow`` may round
+    apart in the last bit, which flips a comparison only at the threshold."""
+    return all(abs(a - b) > 1e-9 * (1.0 + abs(b)) for _, a, b in triples)
+
+
+_COORD = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def synthetic_traces(draw):
+    """A 1-d or 2-d synthetic trace with function values, a Fejér ledger on
+    some draws, and witnesses whose indices may be negative, out of range or
+    repeated; the witness list may be empty."""
+    dim = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 12))
+    point = st.lists(_COORD, min_size=dim, max_size=dim)
+    iterates = draw(st.lists(point, min_size=n, max_size=n))
+    m = draw(st.integers(0, 14))
+    witnesses = draw(st.lists(st.tuples(st.integers(-2, n + 1), point), min_size=m, max_size=m))
+    xi = draw(st.lists(st.floats(0.0, 4.0), min_size=m, max_size=m))
+    f_values = draw(st.lists(_COORD, min_size=n, max_size=n))
+    stop = StopRule(step_tol=draw(st.sampled_from([1e-6, 0.5, 4.0])))
+    trace = make_synthetic_trace(iterates, witnesses, xi, f_values=f_values, stop=stop)
+    if draw(st.booleans()):
+        ledger = draw(st.lists(_COORD, min_size=n - 1, max_size=n - 1))
+        trace = dataclasses.replace(trace, fejer_ledger=ledger)
+    return trace, witnesses
+
+
+def _same(cert, reference):
+    indices, first, vacuous, passed = reference
+    assert cert.step_indices.tolist() == indices
+    assert cert.first_violation == first
+    assert cert.vacuous is vacuous
+    assert cert.passed is passed
+
+
+_PARAMS = st.floats(0.1, 4.0)
+_CASES = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+class TestArrayChecksMatchReference:
+    @_CASES
+    @given(synthetic_traces())
+    def test_witness_norms_are_the_per_row_norms(self, case):
+        trace, witnesses = case
+        expected = [float(np.linalg.norm(np.asarray(w, dtype=float))) for _, w in witnesses]
+        assert np.array_equal(trace.witness_norms, expected)
+        assert trace.witness_points.shape == (len(witnesses), trace.dim)
+
+    @_CASES
+    @given(synthetic_traces(), _PARAMS)
+    def test_h1(self, case, alpha):
+        trace, _ = case
+        triples = reference_h1(trace, alpha)
+        assume(_off_threshold(triples))
+        _same(check_h1(trace, alpha), reference_collect([(k, a >= b) for k, a, b in triples]))
+
+    @_CASES
+    @given(synthetic_traces(), _PARAMS, st.sampled_from([(check_h2, "next"), (check_h3, "current")]))
+    def test_h2_h3(self, case, beta, check):
+        trace, witnesses = case
+        check, side = check
+        if not witnesses:
+            with pytest.raises(ValueError, match="no witnesses"):
+                check(trace, beta)
+            return
+        _same(check(trace, beta), reference_collect(reference_relative_error(trace, side, beta)))
+
+    @_CASES
+    @given(synthetic_traces(), _PARAMS, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+    def test_rclass(self, case, alpha, beta):
+        trace, witnesses = case
+        if not witnesses:
+            with pytest.raises(ValueError, match="no xi"):
+                check_rclass(trace, alpha, beta)
+            return
+        triples, tail_ok = reference_rclass(trace, alpha, beta)
+        assume(_off_threshold(triples))
+        cert = check_rclass(trace, alpha, beta)
+        assert cert.tail_ok is tail_ok
+        _same(cert, reference_collect([(k, a <= b) for k, a, b in triples], tail_ok))
+
+    @_CASES
+    @given(synthetic_traces(), st.lists(st.floats(1e-3, 8.0), min_size=1, max_size=5, unique=True),
+           st.data())
+    def test_link_audit(self, case, radii, data):
+        trace, _ = case
+        # some witness norms as radii, so that norms sit exactly on the grid's ends
+        ties = [r for r in trace.witness_norms.tolist() if r > 0]
+        if ties:
+            radii += data.draw(st.lists(st.sampled_from(ties), max_size=2))
+        radii = sorted(set(radii))
+        rho = data.draw(st.lists(st.floats(0.0, 4.0), min_size=len(radii), max_size=len(radii)))
+        curve = ModulusCurve(map_name="drawn", base_point=np.zeros(trace.dim), window=None,
+                             radii=np.array(radii), rho_hat=np.array(rho),
+                             sample_counts=[1] * len(radii), seed=0, scheme="grid")
+        region = Region.from_points([[0.0] * trace.dim])
+        distances = distance_trace(trace, region, 1e-6).distances
+        try:
+            expected = reference_link_audit(trace, distances, curve)
+        except IndexError:  # an audited witness indexed past the last iterate
+            with pytest.raises(IndexError):
+                distance_trace(trace, region, 1e-6, modulus=curve)
+            return
+        verdict = distance_trace(trace, region, 1e-6, modulus=curve)
+        assert (verdict.link_checked, verdict.link_violations, verdict.link_out_of_range) == expected
+
+    @_CASES
+    @given(synthetic_traces())
+    def test_trace_csv_bytes(self, case):
+        trace, _ = case
+        distances = distance_trace(trace, Region.from_points([[0.0] * trace.dim]), 1e-6).distances
+        header = ["k"] + [f"x{i}" for i in range(trace.dim)] + ["delta", "f_value", "witness_norm", "xi",
+                                                                 "distance"]
+        if trace.fejer_ledger is not None:
+            header.append("fejer_ledger")
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            trace_to_csv(trace, got, distances=distances)
+            write_csv(want, header, reference_trace_rows(trace, distances))
+            assert got.read_bytes() == want.read_bytes()

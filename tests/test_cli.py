@@ -62,6 +62,9 @@ REJECTED = [
     _rejected("qpower-rm1", ["solve", "--set", "operator=rm1", "--set", _QPOWER % "[1.0]"], "algorithm.name"),
     _rejected("radii-count-fraction", ["modulus", "--set", "operator=square", "--set", _RADII],
               "analysis.radii.count"),
+    _rejected("radii-count-huge", ["modulus", "--set", "operator=square", "--set",
+                                   'analysis.radii={"start": 1e-4, "stop": 0.1, "count": 10000000000}'],
+              "analysis.radii.count"),
     _rejected("samples-bool", ["modulus", "--set", "operator=square", "--set", "analysis.samples_per_radius=true"],
               "analysis.samples_per_radius"),
     _rejected("window-dimension", ["modulus", "--set", "operator=quad2", "--set", _WINDOW_1D], "analysis.window"),
@@ -86,10 +89,8 @@ REJECTED = [
 # Random config documents: known field names with random values, plus random
 # keys.  Most draws are plausible (a known name, a small positive number, an
 # object of known fields, no extra key), so that many documents get past the
-# first checks.  Integers stay within +-10**6, because a huge
-# ``analysis.radii.count`` has its whole grid built during validation.
-_SCALARS = (st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
-            | st.text(max_size=6))
+# first checks.
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
 _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
                      | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=6)
 
@@ -272,6 +273,14 @@ class TestRunExperiment:
         assert "trace.csv" in report.manifest
         assert report.verdicts["termination"] == "tolerance"
 
+    def test_overflowing_step_diverges_with_a_finite_trace(self, tmp_path, capsys):
+        gdm = 'algorithm={"name": "gdm", "step": 1e300, "x0": [1e10]}'
+        assert main(["solve", "--set", "operator=quad", "--set", gdm, "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"]["diverged"] is True
+        rows = (tmp_path / "trace.csv").read_text().strip().split("\n")
+        cells = [float(c) for row in rows[1:] for c in row.split(",") if c]
+        assert cells and np.isfinite(cells).all()
+
     def test_shifted_run_records_ledger_column(self, tmp_out):
         cfg = ExperimentConfig.from_dict({
             "kind": "solve",
@@ -353,7 +362,9 @@ class TestCsvFormat:
 # One short 1-d certify run per algorithm, with the sha256 of each artifact as
 # written by the code before the runners shared one driver, plus the README
 # pipeline (all six artifacts), a 2-d trace and a Lojasiewicz fit, recorded
-# before distances became row-wise.  An entry's ``kind`` defaults to certify.
+# before distances became row-wise, and a 2-d pipeline whose witness norms feed
+# the modulus-link audit (41 checked, 6 out of range), recorded before traces
+# became arrays.  An entry's ``kind`` defaults to certify.
 # A change to any of these bytes is a change of the artifact contract, not a
 # refactor.
 GOLDEN = {
@@ -432,6 +443,19 @@ GOLDEN = {
         {"trace.csv": "86d325cee2f8050b1cb438683953542c151cebea97bce441cd8b5ba5aa001611",
          "certificates.json": "9787026062ec4fbc3a583fc04dc7f125fdd2475521c8d405bda7d01366520589",
          "report.json": "a75f9e30f43f390b8adf484325422961c80219d806b106a0d8aba18ca118eff0"},
+    ),
+    "quad2-gdm-pipeline": (
+        {"kind": "full-pipeline", "operator": "quad2",
+         "algorithm": {"name": "gdm", "step": 0.5, "x0": [3.0, -2.0]},
+         "analysis": {"radii": {"start": 1e-3, "stop": 0.1, "count": 5}, "samples_per_radius": 16},
+         "certificates": [{"hypothesis": "H3", "beta": 3.0},
+                          {"hypothesis": "RCLASS", "alpha": 3.0, "beta": 1.0}]},
+        {"trace.csv": "45b0c0f9d30645639cd7e3a860e8167a56f842d428897747580a379e7aead9a7",
+         "modulus.csv": "33355c0590c7869f87687cd3fa21b286abc8c68b8d3e65fbda233e47da52f113",
+         "holder_fit.json": "0c5fcef1b9edf7fe98c26c418e07b19ef2ea3a13417c5b0e657a6dd943da75d4",
+         "certificates.json": "d20b076c976857dcb6692b25f33d00e4d9af421e2da348442c6fdd7b6033ce60",
+         "distance.json": "a91d712d28d28a434a46162475b0f4ec36c15e422a2dbb352b4437dda45ea99b",
+         "report.json": "1a61f20c5a657f43814c6daf9df9d8179f79b19cafa0cce58875fb99efeba168"},
     ),
     "square-loja": (
         {"kind": "lojasiewicz", "operator": "square",

@@ -117,6 +117,12 @@ class TestGdm:
         entry = catalog_lookup("double-well")
         assert max(witness_member_errors(trace, entry)) <= 1e-9
 
+    def test_non_finite_step_diverges_unrecorded(self):
+        trace = run_gdm(catalog_lookup("quad"), 1e300, [1e10])
+        assert trace.diverged
+        assert scalar_iterates(trace) == [1e10]
+        assert np.isfinite(trace.iterates).all()
+
     def test_requires_gradient(self):
         with pytest.raises(MissingOracleError):
             run_gdm(catalog_lookup("abs-subdiff"), 0.5, [1.0])
@@ -163,7 +169,7 @@ class TestDca:
 
     def test_residual_vanishes(self):
         trace = run_dca(catalog_lookup("dc-quad"), 1.0, [1.0])
-        norms = trace.witness_norms()
+        norms = trace.witness_norms
         assert norms[0] == pytest.approx(0.375, rel=1e-12)
         assert norms[-1] < 1e-9
 
