@@ -3,9 +3,10 @@ closed-graph probing, Lojasiewicz-exponent fitting, desingularization
 (PLK-style) checks, full-rank inverse-Lipschitz certification, and a
 calmness estimator for comparison.
 
-All estimators are deterministic for fixed seeds.  Per-sample evaluations are
-independent and reduced in sample order, so serial and parallel execution
-would agree bit for bit; the implementation here is serial.
+All estimators are deterministic for fixed seeds.  Map values are evaluated
+in one ``SetValuedMap.eval_rows`` batch per radius, sequence or sample set,
+and reduced per sample in sample order, so every result equals that of a
+loop evaluating one sample at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -122,13 +123,11 @@ def estimate_modulus(
     divergent = False
     running = 0.0
     for r in radii:
-        worst = 0.0
-        for u in offsets:
-            vals = m.eval(xb + r * u, k)
-            e = excess(vals, reference)
-            if math.isinf(e):
-                divergent = True
-            worst = max(worst, e)
+        # the worst excess over the samples is the excess of all their values
+        vals, _ = m.eval_rows(xb + r * offsets, k)
+        worst = excess(vals, reference)
+        if math.isinf(worst):
+            divergent = True
         running = max(running, worst)
         rho.append(running)
         counts.append(len(offsets))
@@ -204,22 +203,20 @@ def closed_graph_test(
     dirs = unit_directions(n_sequences, m.dim_in, seed)
     chains_total = 0
     chains_converged = 0
+    steps = np.ldexp(start_radius, -np.arange(depth + 1))  # start_radius * 2**-j, exactly
     for d in dirs:
-        values_along = []
-        for j in range(depth + 1):
-            xj = xb + d * (start_radius * 2.0 ** (-j))
-            values_along.append(m.eval(xj, k))
-        starts = [] if values_along[0].is_empty else list(values_along[0].points[:max_chains_per_sequence])
-        for y0 in starts:
+        vals, owner = m.eval_rows(xb + steps[:, None] * d, k)
+        values_along = np.split(vals.points, np.searchsorted(owner, np.arange(1, depth + 1)))
+        for y0 in values_along[0][:max_chains_per_sequence]:
             chains_total += 1
-            chain = [np.asarray(y0, dtype=float)]
+            chain = [y0]
             broken = False
-            for vals in values_along[1:]:
-                if vals.is_empty:
+            for pts in values_along[1:]:
+                if pts.shape[0] == 0:
                     broken = True
                     break
-                idx = int(np.argmin(np.linalg.norm(vals.points - chain[-1], axis=1)))
-                chain.append(vals.points[idx])
+                idx = int(np.argmin(np.linalg.norm(pts - chain[-1], axis=1)))
+                chain.append(pts[idx])
             if broken:
                 continue
             gaps = np.linalg.norm(np.diff(np.asarray(chain), axis=0), axis=1)
@@ -393,27 +390,31 @@ def check_plk_exponent(
     xb = as_point(xbar, entry.dim_in)
     fbar = entry.f(xb)
     pts = sample_window(Window.ball(xb, cfg.neighborhood_radius), "grid", grid_count, seed).points
+    fvals = [entry.f(p) for p in pts]
+    band = [i for i, fx in enumerate(fvals) if fbar < fx < fbar + cfg.eta]
+    if not band:
+        return PlkResult("inconclusive", [], 0, None)
     zero = np.zeros(entry.dim_out)
+    if entry.subgrad is None:
+        slopes = [float(np.linalg.norm(entry.subgrad_witness(pts[i]))) for i in band]
+    elif entry.subgrad.value_dist is not None:
+        slopes = [entry.subgrad.member_dist(pts[i], zero) for i in band]
+    else:
+        # d(0, subgrad f(x)) per band point: the nearest value, inf for none
+        vals, owner = entry.subgrad.eval_rows(pts[band])
+        nearest = np.full(len(band), math.inf)
+        np.minimum.at(nearest, owner, np.linalg.norm(zero - vals.points, axis=1))
+        slopes = nearest.tolist()
     violations: List[np.ndarray] = []
-    checked = 0
     min_product = None
-    for p in pts:
-        fx = entry.f(p)
-        if not (fbar < fx < fbar + cfg.eta):
-            continue
-        checked += 1
-        if entry.subgrad is not None:
-            slope = entry.subgrad.member_dist(p, zero)
-        else:
-            slope = float(np.linalg.norm(entry.subgrad_witness(p)))
+    for i, slope in zip(band, slopes):
+        p, fx = pts[i], fvals[i]
         product = cfg.phi_prime(fx - fbar) * slope
         if min_product is None or product < min_product:
             min_product = product
         if product < 1.0 - 1e-12:
             violations.append(p)
-    if checked == 0:
-        return PlkResult("inconclusive", [], 0, None)
-    return PlkResult("fail" if violations else "pass", violations, checked, min_product)
+    return PlkResult("fail" if violations else "pass", violations, len(band), min_product)
 
 
 @dataclass(frozen=True)
@@ -468,19 +469,16 @@ def certify_inverse_lipschitz(
     if c_hat <= tol:
         return InverseLipschitzResult(c_hat, "rank-deficient", [], 0)
 
-    def fvec(x: np.ndarray) -> np.ndarray:
-        vals = entry.forward.eval(x)
-        if len(vals) != 1:
-            raise ValueError("the certificate needs a single-valued forward map")
-        return vals.points[0]
-
     per_anchor = max(1, test_samples // len(anchors))
     xs = np.vstack([
         u + sample_window(Window.ball(np.zeros(entry.dim_in), tube_radius), "halton", per_anchor, seed + i).points
         for i, u in enumerate(anchors)
     ])
-    violations = [x for x, d in zip(xs, region.distance_rows(xs))
-                  if d > (1.0 + tol) * float(np.linalg.norm(fvec(x))) / c_hat]
+    vals, owner = entry.forward.eval_rows(xs)
+    if not (np.bincount(owner, minlength=len(xs)) == 1).all():
+        raise ValueError("the certificate needs a single-valued forward map")
+    violations = [x for x, d, fx in zip(xs, region.distance_rows(xs), vals.points)
+                  if d > (1.0 + tol) * float(np.linalg.norm(fx)) / c_hat]
     return InverseLipschitzResult(c_hat, "full-rank", violations, len(xs))
 
 
@@ -516,14 +514,17 @@ def calmness_estimate(
     else:
         reference = m.eval(xb, None)
     xs = sample_window(Window.ball(xb, u_radius), scheme, samples, seed).points
+    vals, owner = m.eval_rows(xs, vwin)
+    # per sample, the excess of its values over the reference
+    worst = np.zeros(len(xs))
+    if len(vals):
+        gaps = np.full(len(vals), math.inf) if reference.is_empty else reference.distance_rows(vals.points)
+        np.maximum.at(worst, owner, gaps)
     kappa = 0.0
     any_nonempty = False
-    for x in xs:
+    for x, e, nonempty in zip(xs, worst.tolist(), np.bincount(owner, minlength=len(xs)) > 0):
         dx = float(np.linalg.norm(x - xb))
-        vals = m.eval(x, vwin)
-        if vals.is_empty:
-            continue
-        if dx > 0.0:  # at dx = 0 the 0/0 convention: contributes nothing
+        if nonempty and dx > 0.0:  # at dx = 0 the 0/0 convention: contributes nothing
             any_nonempty = True
-            kappa = max(kappa, excess(vals, reference) / dx)
+            kappa = max(kappa, e / dx)
     return CalmnessResult(kappa_hat=kappa, vacuous=not any_nonempty)

@@ -3,6 +3,13 @@
 Each entry hand-codes its forward values, inverse, subgradients, prox rule,
 and calculus data.  No symbolic or automatic differentiation happens here;
 if a formula is not registered, the corresponding oracle is simply absent.
+
+Map evaluators are row-wise (see :mod:`rcontinuity.setmap`): each takes all
+rows at once and returns its branches as ``(values, rows)`` parts, which
+``SetValuedMap.eval_rows`` orders by row.  The arithmetic is the per-point
+arithmetic, element by element, so every value is the one a per-point
+formula gives; where numpy rounds differently from Python's scalar ``**``
+and ``math.log``, the scalar functions are applied per element.
 """
 
 from __future__ import annotations
@@ -23,16 +30,35 @@ class CatalogError(KeyError):
     """Unknown catalog entry name."""
 
 
-def _rows(*vals) -> np.ndarray:
-    return np.array([[float(v)] for v in vals])
+def _branches(*parts):
+    """Stack 1-d branch parts ``(values, rows)`` into ``(points, owner)``;
+    within a row, values keep the order of the parts."""
+    values = np.concatenate([np.asarray(v, dtype=float) for v, _ in parts])
+    rows = np.concatenate([r for _, r in parts])
+    return values.reshape(-1, 1), rows
 
 
-def _interval_rows(lo: float, hi: float, n: int = _INTERVAL_RESOLUTION) -> np.ndarray:
+def _column(values):
+    """One value per row."""
+    return _branches((values, np.arange(len(values))))
+
+
+def _each(values: np.ndarray, rows: np.ndarray):
+    """The same values for every row in ``rows``, as a branch part."""
+    return np.tile(values, rows.size), np.repeat(rows, values.size)
+
+
+def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
+    """Python's float ``**`` per element: numpy's power rounds differently."""
+    return np.array([v ** exponent for v in values.tolist()], dtype=float)
+
+
+def _interval(lo: float, hi: float, n: int = _INTERVAL_RESOLUTION) -> np.ndarray:
     if hi < lo:
-        return np.empty((0, 1))
+        return np.empty(0)
     if hi == lo:
-        return _rows(lo)
-    return np.linspace(lo, hi, n).reshape(-1, 1)
+        return np.array([lo])
+    return np.linspace(lo, hi, n)
 
 
 def _window_interval(window, default_lo, default_hi):
@@ -48,11 +74,13 @@ def _window_interval(window, default_lo, default_hi):
 # --- rm1: A(0) = {0}, A(x) = {x, 1/x} otherwise ------------------------------
 
 def _rm1() -> OperatorEntry:
-    def ev(x, window):
-        v = float(x[0])
-        if v == 0.0:
-            return _rows(0.0)
-        return _rows(v, 1.0 / v)
+    def ev(X, window):
+        v = X[:, 0]
+        nz = np.flatnonzero(v != 0.0)
+        with np.errstate(over="ignore"):
+            far = 1.0 / v[nz]
+        # A(0) = {0}, also at v = -0.0
+        return _branches((np.where(v == 0.0, 0.0, v), np.arange(v.size)), (far, nz))
 
     def vdist(x, y):
         v = float(x[0])
@@ -95,17 +123,24 @@ def _flat_exp_grad(x) -> np.ndarray:
 
 
 def _flat_exp() -> OperatorEntry:
-    def ev(x, window):
-        return _rows(_flat_exp_f(x))
+    def ev(X, window):
+        v = X[:, 0]
+        with np.errstate(divide="ignore", over="ignore"):  # exp(-inf) = 0 at v = 0
+            return _column(np.exp(-1.0 / (v * v)))
 
-    def inv_ev(y, window):
-        w = float(y[0])
-        if w == 0.0:
-            return _rows(0.0)
-        if 0.0 < w < 1.0:
-            r = math.sqrt(-1.0 / math.log(w))
-            return _rows(-r, r)
-        return np.empty((0, 1))
+    def grad_ev(X, window):
+        v = X[:, 0]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g = 2.0 * np.exp(-1.0 / (v * v)) / _pow(v, 3)
+        # the limit 0 where v * v is 0 (v = 0, or its square underflows)
+        return _column(np.where(v * v == 0.0, 0.0, g))
+
+    def inv_ev(Y, window):
+        w = Y[:, 0]
+        zero = np.flatnonzero(w == 0.0)
+        inside = np.flatnonzero((0.0 < w) & (w < 1.0))
+        r = np.sqrt(-1.0 / np.array([math.log(t) for t in w[inside].tolist()], dtype=float))
+        return _branches((np.zeros(zero.size), zero), (-r, inside), (r, inside))
 
     fwd = SetValuedMap("flat-exp", 1, 1, ev)
     inv = SetValuedMap("flat-exp-inverse", 1, 1, inv_ev)
@@ -115,7 +150,7 @@ def _flat_exp() -> OperatorEntry:
         solution_set=Region.from_points([[0.0]]),
         description="smooth non-analytic function, flat to all orders at 0",
         inverse=inv,
-        subgrad=SetValuedMap("flat-exp-grad", 1, 1, lambda x, w: _flat_exp_grad(x).reshape(1, 1)),
+        subgrad=SetValuedMap("flat-exp-grad", 1, 1, grad_ev),
         subgrad_witness=_flat_exp_grad,
         f=_flat_exp_f,
         grad=_flat_exp_grad,
@@ -128,17 +163,15 @@ def _flat_exp() -> OperatorEntry:
 # --- square: f(x) = x^2 -------------------------------------------------------
 
 def _square() -> OperatorEntry:
-    def ev(x, window):
-        return _rows(float(x[0]) ** 2)
+    def ev(X, window):
+        return _column(_pow(X[:, 0], 2))
 
-    def inv_ev(y, window):
-        w = float(y[0])
-        if w < 0.0:
-            return np.empty((0, 1))
-        if w == 0.0:
-            return _rows(0.0)
-        r = math.sqrt(w)
-        return _rows(-r, r)
+    def inv_ev(Y, window):
+        w = Y[:, 0]
+        zero = np.flatnonzero(w == 0.0)
+        pos = np.flatnonzero(w > 0.0)
+        r = np.sqrt(w[pos])
+        return _branches((np.zeros(zero.size), zero), (-r, pos), (r, pos))
 
     grad = lambda x: np.array([2.0 * float(x[0])])
     return OperatorEntry(
@@ -147,9 +180,9 @@ def _square() -> OperatorEntry:
         solution_set=Region.from_points([[0.0]]),
         description="scalar quadratic equation map",
         inverse=SetValuedMap("square-inverse", 1, 1, inv_ev),
-        subgrad=SetValuedMap("square-grad", 1, 1, lambda x, w: grad(x).reshape(1, 1)),
+        subgrad=SetValuedMap("square-grad", 1, 1, lambda X, w: _column(2.0 * X[:, 0])),
         subgrad_witness=grad,
-        grad_inverse=SetValuedMap("square-grad-inverse", 1, 1, lambda y, w: _rows(float(y[0]) / 2.0)),
+        grad_inverse=SetValuedMap("square-grad-inverse", 1, 1, lambda Y, w: _column(Y[:, 0] / 2.0)),
         f=lambda x: float(x[0]) ** 2,
         grad=grad,
         jac=lambda x: np.array([[2.0 * float(x[0])]]),
@@ -171,22 +204,28 @@ def _dw_grad(x) -> np.ndarray:
 
 
 def _double_well() -> OperatorEntry:
-    def ev(x, window):
-        return _rows(_dw_f(x))
+    def ev(X, window):
+        v = X[:, 0]
+        return _column(_pow(v * (v - 1.0), 2))
 
-    def inv_ev(y, window):
-        w = float(y[0])
-        if w < 0.0:
-            return np.empty((0, 1))
-        if w == 0.0:
-            return _rows(0.0, 1.0)
-        s = math.sqrt(w)
-        roots = []
-        # x(x-1) = +s  and  x(x-1) = -s
-        roots += [(1.0 + math.sqrt(1.0 + 4.0 * s)) / 2.0, (1.0 - math.sqrt(1.0 + 4.0 * s)) / 2.0]
-        if 1.0 - 4.0 * s >= 0.0:
-            roots += [(1.0 + math.sqrt(1.0 - 4.0 * s)) / 2.0, (1.0 - math.sqrt(1.0 - 4.0 * s)) / 2.0]
-        return _rows(*roots)
+    def grad_ev(X, window):
+        v = X[:, 0]
+        return _column(2.0 * v * (v - 1.0) * (2.0 * v - 1.0))
+
+    def inv_ev(Y, window):
+        w = Y[:, 0]
+        zero = np.flatnonzero(w == 0.0)
+        pos = np.flatnonzero(w > 0.0)
+        s = np.sqrt(w[pos])
+        # x(x-1) = +s for every s > 0, and x(x-1) = -s while 1 - 4s >= 0
+        outer = np.sqrt(1.0 + 4.0 * s)
+        near = (1.0 - 4.0 * s) >= 0.0
+        inner, inner_rows = np.sqrt(1.0 - 4.0 * s[near]), pos[near]
+        return _branches(
+            (np.zeros(zero.size), zero), (np.ones(zero.size), zero),
+            ((1.0 + outer) / 2.0, pos), ((1.0 - outer) / 2.0, pos),
+            ((1.0 + inner) / 2.0, inner_rows), ((1.0 - inner) / 2.0, inner_rows),
+        )
 
     return OperatorEntry(
         name="double-well",
@@ -194,7 +233,7 @@ def _double_well() -> OperatorEntry:
         solution_set=Region.from_points([[0.0], [1.0]]),
         description="quartic with two zeros",
         inverse=SetValuedMap("double-well-inverse", 1, 1, inv_ev),
-        subgrad=SetValuedMap("double-well-grad", 1, 1, lambda x, w: _dw_grad(x).reshape(1, 1)),
+        subgrad=SetValuedMap("double-well-grad", 1, 1, grad_ev),
         subgrad_witness=_dw_grad,
         f=_dw_f,
         grad=_dw_grad,
@@ -207,14 +246,11 @@ def _double_well() -> OperatorEntry:
 # --- abs-subdiff: A(x) = subdifferential of |x| -------------------------------
 
 def _abs_subdiff() -> OperatorEntry:
-    def ev(x, window):
-        v = float(x[0])
-        if v > 0.0:
-            return _rows(1.0)
-        if v < 0.0:
-            return _rows(-1.0)
-        lo, hi = _window_interval(window, -1.0, 1.0)
-        return _interval_rows(lo, hi)
+    def ev(X, window):
+        v = X[:, 0]
+        pos, neg, zero = np.flatnonzero(v > 0.0), np.flatnonzero(v < 0.0), np.flatnonzero(v == 0.0)
+        return _branches((np.ones(pos.size), pos), (np.full(neg.size, -1.0), neg),
+                         _each(_interval(*_window_interval(window, -1.0, 1.0)), zero))
 
     def vdist(x, y):
         v = float(x[0])
@@ -225,17 +261,13 @@ def _abs_subdiff() -> OperatorEntry:
             return abs(w + 1.0)
         return max(abs(w) - 1.0, 0.0)
 
-    def inv_ev(y, window):
-        w = float(y[0])
-        if abs(w) > 1.0:
-            return np.empty((0, 1))
-        if abs(w) < 1.0:
-            return _rows(0.0)
-        if w == 1.0:
-            lo, hi = _window_interval(window, 0.0, math.inf)
-            return _interval_rows(lo, hi)
-        lo, hi = _window_interval(window, -math.inf, 0.0)
-        return _interval_rows(lo, hi)
+    def inv_ev(Y, window):
+        w = Y[:, 0]
+        inside = np.flatnonzero(np.abs(w) < 1.0)
+        up = _interval(*_window_interval(window, 0.0, math.inf))
+        down = _interval(*_window_interval(window, -math.inf, 0.0))
+        return _branches((np.zeros(inside.size), inside),
+                         _each(up, np.flatnonzero(w == 1.0)), _each(down, np.flatnonzero(w == -1.0)))
 
     def inv_vdist(y, x):
         w = float(y[0])
@@ -276,21 +308,22 @@ def _abs_subdiff() -> OperatorEntry:
 
 # --- quad: f(x) = x^2 / 2, A(x) = x (1-d identity gradient) -------------------
 
-def _quad() -> OperatorEntry:
-    def ev(x, window):
-        return _rows(float(x[0]))
+def _identity(X, window):
+    return _column(X[:, 0])
 
-    fwd = SetValuedMap("quad", 1, 1, ev)
+
+def _quad() -> OperatorEntry:
+    fwd = SetValuedMap("quad", 1, 1, _identity)
     return OperatorEntry(
         name="quad",
         forward=fwd,
         solution_set=Region.from_points([[0.0]]),
         description="gradient map of x^2/2 with a linear resolvent",
-        inverse=SetValuedMap("quad-inverse", 1, 1, lambda y, w: _rows(float(y[0]))),
+        inverse=SetValuedMap("quad-inverse", 1, 1, _identity),
         prox=ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma)),
         subgrad=fwd,
         subgrad_witness=lambda x: np.array([float(x[0])]),
-        grad_inverse=SetValuedMap("quad-grad-inverse", 1, 1, lambda y, w: _rows(float(y[0]))),
+        grad_inverse=SetValuedMap("quad-grad-inverse", 1, 1, _identity),
         f=lambda x: 0.5 * float(x[0]) ** 2,
         grad=lambda x: np.array([float(x[0])]),
         jac=lambda x: np.array([[1.0]]),
@@ -310,8 +343,14 @@ _QUAD2_SOL = np.linalg.solve(_QUAD2_Q, _QUAD2_B)
 def _quad2() -> OperatorEntry:
     Q, b = _QUAD2_Q, _QUAD2_B
 
-    def ev(x, window):
-        return (Q @ x - b).reshape(1, 2)
+    def ev(X, window):
+        return X @ Q.T - b, np.arange(X.shape[0])
+
+    def inv_ev(Y, window):
+        # a stacked solve, one 2x2 system per row: one solve with all rows as
+        # right-hand sides rounds differently in the last bit
+        n = Y.shape[0]
+        return np.linalg.solve(np.broadcast_to(Q, (n, 2, 2)), (Y + b)[..., None])[..., 0], np.arange(n)
 
     def prox_rule(gamma, y):
         return np.linalg.solve(np.eye(2) + gamma * Q, np.asarray(y, dtype=float) + gamma * b)
@@ -323,11 +362,11 @@ def _quad2() -> OperatorEntry:
         forward=fwd,
         solution_set=Region.from_points([_QUAD2_SOL]),
         description="two-dimensional SPD quadratic",
-        inverse=SetValuedMap("quad2-inverse", 2, 2, lambda y, w: np.linalg.solve(Q, y + b).reshape(1, 2)),
+        inverse=SetValuedMap("quad2-inverse", 2, 2, inv_ev),
         prox=ProxOracle(prox_rule),
         subgrad=fwd,
         subgrad_witness=lambda x: Q @ x - b,
-        grad_inverse=SetValuedMap("quad2-grad-inverse", 2, 2, lambda y, w: np.linalg.solve(Q, y + b).reshape(1, 2)),
+        grad_inverse=SetValuedMap("quad2-grad-inverse", 2, 2, inv_ev),
         f=fval,
         grad=lambda x: Q @ x - b,
         jac=lambda x: Q.copy(),
@@ -340,8 +379,8 @@ def _quad2() -> OperatorEntry:
 # --- linear-neg: A(x) = -2x (not monotone) ------------------------------------
 
 def _linear_neg() -> OperatorEntry:
-    def ev(x, window):
-        return _rows(-2.0 * float(x[0]))
+    def ev(X, window):
+        return _column(-2.0 * X[:, 0])
 
     def prox_rule(gamma, y):
         return np.asarray(y, dtype=float) / (1.0 - 2.0 * gamma)
@@ -352,7 +391,7 @@ def _linear_neg() -> OperatorEntry:
         forward=fwd,
         solution_set=Region.from_points([[0.0]]),
         description="nonmonotone linear map; resolvent single-valued away from gamma = 1/2",
-        inverse=SetValuedMap("linear-neg-inverse", 1, 1, lambda y, w: _rows(-0.5 * float(y[0]))),
+        inverse=SetValuedMap("linear-neg-inverse", 1, 1, lambda Y, w: _column(-0.5 * Y[:, 0])),
         prox=ProxOracle(
             prox_rule,
             valid_gamma=lambda g: g > 0 and abs(g - 0.5) > 1e-12,
@@ -370,8 +409,11 @@ def _linear_neg() -> OperatorEntry:
 # --- dc-quad: g = x^2/2, h = x^2/4, f = g - h = x^2/4 --------------------------
 
 def _dc_quad() -> OperatorEntry:
-    def ev(x, window):
-        return _rows(0.5 * float(x[0]))
+    def ev(X, window):
+        return _column(0.5 * X[:, 0])
+
+    def inv_ev(Y, window):
+        return _column(2.0 * Y[:, 0])
 
     fwd = SetValuedMap("dc-quad", 1, 1, ev)
     return OperatorEntry(
@@ -379,11 +421,11 @@ def _dc_quad() -> OperatorEntry:
         forward=fwd,
         solution_set=Region.from_points([[0.0]]),
         description="difference of two quadratics",
-        inverse=SetValuedMap("dc-quad-inverse", 1, 1, lambda y, w: _rows(2.0 * float(y[0]))),
+        inverse=SetValuedMap("dc-quad-inverse", 1, 1, inv_ev),
         prox=ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + 0.5 * gamma)),
         subgrad=fwd,
         subgrad_witness=lambda x: np.array([0.5 * float(x[0])]),
-        grad_inverse=SetValuedMap("dc-quad-grad-inverse", 1, 1, lambda y, w: _rows(2.0 * float(y[0]))),
+        grad_inverse=SetValuedMap("dc-quad-grad-inverse", 1, 1, inv_ev),
         f=lambda x: 0.25 * float(x[0]) ** 2,
         grad=lambda x: np.array([0.5 * float(x[0])]),
         jac=lambda x: np.array([[0.5]]),

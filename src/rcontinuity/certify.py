@@ -210,7 +210,8 @@ def distance_trace(
     converged when its final distance is below the tolerance.  When a modulus
     curve is supplied, each witnessed iterate is audited against
     ``1.1 * rho(||w||)``; witness norms beyond the curve's largest radius are
-    reported out of range rather than failed.
+    reported out of range rather than failed.  A witness whose index names no
+    iterate (outside ``[0, n)``) is skipped and counts in neither.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -222,7 +223,8 @@ def distance_trace(
     out_of_range: List[int] = []
     if modulus is not None:
         # ModulusCurve.rho_at on every norm: np.interp clamps below the grid
-        norms, indices = trace.witness_norms, trace.witness_indices
+        paired = (trace.witness_indices >= 0) & (trace.witness_indices < len(distances))
+        norms, indices = trace.witness_norms[paired], trace.witness_indices[paired]
         inside = norms <= modulus.radii[-1]
         bounds = np.interp(norms[inside], modulus.radii, modulus.rho_hat)
         failed = distances[indices[inside]] > 1.1 * bounds + _ATOL

@@ -98,10 +98,10 @@ class PointSet:
         point of the set; an empty set is an error."""
         if self.is_empty:
             raise EmptyTargetError("distance to an empty point set is undefined")
-        return _nearest(_rows(pts, self.dim), self.points)
+        return _nearest(as_rows(pts, self.dim), self.points)
 
 
-def _rows(pts, dim: int) -> np.ndarray:
+def as_rows(pts, dim: int) -> np.ndarray:
     """``pts`` as a finite ``(n, dim)`` float array, validated as a PointSet
     (so a 1-d array is a column of 1-d points)."""
     rows = PointSet(pts).points
@@ -110,9 +110,17 @@ def _rows(pts, dim: int) -> np.ndarray:
     return rows
 
 
+#: Row-point pairs per block in :func:`_nearest`, so that its temporaries stay
+#: near 0.5 MB however many rows a batched evaluation produces.
+_PAIR_BLOCK = 1 << 16
+
+
 def _nearest(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from each row of ``rows`` to its nearest row of ``points``."""
-    return np.linalg.norm(rows[:, None, :] - points[None, :, :], axis=2).min(axis=1)
+    step = max(1, _PAIR_BLOCK // points.shape[0])
+    blocks = [np.linalg.norm(rows[i:i + step, None, :] - points[None, :, :], axis=2).min(axis=1)
+              for i in range(0, rows.shape[0], step)]
+    return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -267,7 +275,7 @@ class Region:
     def distance_rows(self, pts) -> np.ndarray:
         """Exact Euclidean distance from each row of an ``(n, dim)`` array to
         the region."""
-        rows = _rows(pts, self.dim)
+        rows = as_rows(pts, self.dim)
         if self.kind == "points":
             return _nearest(rows, self.points)
         if self.kind == "box":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,10 +30,16 @@ def fmt(value) -> str:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    _write_lines(path, header, (",".join(fmt(v) for v in row) for row in rows))
+
+
+def _write_lines(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8", newline="")
+
+
+def _cells(values: Iterable) -> Iterator[str]:
+    """``fmt`` of a float column whose cells are Python floats or None."""
+    return ("" if v is None else repr(v) for v in values)
 
 
 def write_json(path: Path, obj) -> None:
@@ -74,12 +80,13 @@ def trace_to_csv(trace: IterateTrace, path: Path, distances: Optional[List[float
     def padded(values: Optional[np.ndarray]) -> list:
         return [None] * n if values is None else values.tolist() + [None] * (n - len(values))
 
-    columns = [range(n), *trace.iterates.T.tolist(), padded(trace.step_norms), padded(trace.f_values),
+    columns = [*trace.iterates.T.tolist(), padded(trace.step_norms), padded(trace.f_values),
                witnessed(trace.witness_norms), witnessed(trace.xi_values)]
     if distances is not None:
         header.append("distance")
-        columns.append(distances)
+        columns.append(np.asarray(distances, dtype=float).tolist())
     if trace.fejer_ledger is not None:
         header.append("fejer_ledger")
         columns.append(padded(trace.fejer_ledger))
-    write_csv(path, header, zip(*columns))
+    cells = [map(str, range(n)), *(_cells(c) for c in columns)]
+    _write_lines(path, header, map(",".join, zip(*cells)))

@@ -1,10 +1,19 @@
-"""Set-valued mappings with windowed evaluation.
+"""Set-valued mappings with windowed, row-wise evaluation.
 
-A :class:`SetValuedMap` wraps a deterministic evaluator ``(x, window) ->
-points``.  Maps whose values may be unbounded declare ``window_required`` and
-refuse unwindowed evaluation instead of silently truncating.  Maps whose
-values contain continua (intervals, half-lines) return a finite sample at a
-declared resolution and may carry a closed-form ``value_dist`` oracle so that
+A :class:`SetValuedMap` wraps a deterministic row-wise evaluator
+``(X, window) -> (points, owner)``: ``X`` is an ``(n, dim_in)`` array of
+arguments, ``points`` an ``(N, dim_out)`` array of values, and ``owner[j]`` the
+row of ``X`` that produced ``points[j]``.  :meth:`SetValuedMap.eval_rows` is
+the one place that validates the rows and the window, coerces and checks the
+values, orders them by owner (stably, so each row keeps its evaluator's
+order) and keeps only those inside the window; :meth:`SetValuedMap.eval` is
+its one-row form.  :func:`pointwise` lifts a per-point evaluator
+``(x, window) -> points`` into this contract by a loop over the rows.
+
+Maps whose values may be unbounded declare ``window_required`` and refuse
+unwindowed evaluation instead of silently truncating.  Maps whose values
+contain continua (intervals, half-lines) return a finite sample at a declared
+resolution and may carry a closed-form ``value_dist`` oracle so that
 membership tests stay exact.
 
 Maps and operator entries are immutable after construction; evaluation is
@@ -14,7 +23,7 @@ reentrant and thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +33,7 @@ from .geometry import (
     Region,
     Window,
     as_point,
+    as_rows,
     distance_to_set,
 )
 
@@ -36,16 +46,37 @@ class MissingOracleError(ValueError):
     """A closed-form oracle (inverse, prox, gradient, ...) is not registered."""
 
 
-Evaluator = Callable[[np.ndarray, Optional[Window]], np.ndarray]
+Evaluator = Callable[[np.ndarray, Optional[Window]], Tuple[np.ndarray, np.ndarray]]
+
+
+def pointwise(f: Callable[[np.ndarray, Optional[Window]], object]) -> Evaluator:
+    """Lift a per-point evaluator ``(x, window) -> points`` into the row
+    contract, calling ``f`` once per row, in row order.
+
+    ``f`` receives one row as a 1-d array and returns that row's values as a
+    ``(k, dim_out)`` array; ``k`` may be 0, and a 1-d array is one point.
+    """
+
+    def evaluator(X: np.ndarray, window: Optional[Window]):
+        blocks = [np.atleast_2d(np.asarray(f(x, window), dtype=float)) for x in X]
+        counts = [b.shape[0] if b.size else 0 for b in blocks]
+        values = [b for b in blocks if b.size]
+        points = np.concatenate(values) if values else np.empty((0, 1))
+        return points, np.repeat(np.arange(len(blocks)), counts)
+
+    return evaluator
 
 
 @dataclass(frozen=True)
 class SetValuedMap:
     """An evaluable mapping ``x -> finite point set``.
 
-    ``evaluator`` must be deterministic and side-effect free.  When a window
-    is supplied, :meth:`eval` returns exactly the values inside it (the
-    evaluator may use the window to enumerate continuum-valued branches).
+    ``evaluator`` is row-wise, ``(X, window) -> (points, owner)`` as the
+    module docstring states, and must be deterministic and side-effect free.
+    It receives validated rows and may use the window to enumerate
+    continuum-valued branches; values outside the window are dropped by
+    :meth:`eval_rows`, never by the evaluator's caller.  Wrap a per-point
+    formula with :func:`pointwise`.
     """
 
     name: str
@@ -56,22 +87,38 @@ class SetValuedMap:
     resolution: Optional[int] = None
     value_dist: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
-    def eval(self, x, window: Optional[Window] = None) -> PointSet:
-        """Evaluate ``A(x)`` or ``A(x) ∩ window``; the result may be empty."""
-        p = as_point(x, self.dim_in)
+    def eval_rows(self, X, window: Optional[Window] = None) -> Tuple[PointSet, np.ndarray]:
+        """Evaluate every row of an ``(n, dim_in)`` array at once.
+
+        Returns the values as one :class:`PointSet` and, per value, the index
+        of its row.  Values are grouped by row in row order, each row's in its
+        evaluator's order, and only values inside ``window`` are kept; a row
+        may have none.
+        """
+        rows = as_rows(X, self.dim_in)
         if window is None and self.window_required:
             raise WindowRequiredError(
                 f"map {self.name!r} has unbounded values; supply a compact window"
             )
         if window is not None and window.dim != self.dim_out:
             raise DimensionMismatchError("window dimension differs from the map's range")
-        raw = np.asarray(self.evaluator(p, window), dtype=float)
-        if raw.size == 0:
-            return PointSet.empty(self.dim_out)
-        pts = raw.reshape(-1, self.dim_out)
+        raw, owner = self.evaluator(rows, window)
+        pts = np.asarray(raw, dtype=float).reshape(-1, self.dim_out)
+        owner = np.asarray(owner, dtype=np.intp).reshape(-1)
+        if owner.size != pts.shape[0]:
+            raise ValueError(f"map {self.name!r} returned {pts.shape[0]} values but {owner.size} owners")
+        order = np.argsort(owner, kind="stable")
+        pts, owner = pts[order], owner[order]
+        if owner.size and (owner[0] < 0 or owner[-1] >= rows.shape[0]):
+            raise ValueError(f"map {self.name!r} returned an owner outside its {rows.shape[0]} rows")
         if window is not None:
-            pts = pts[window.contains_rows(pts)]
-        return PointSet(pts) if pts.shape[0] else PointSet.empty(self.dim_out)
+            keep = window.contains_rows(pts)
+            pts, owner = pts[keep], owner[keep]
+        return PointSet(pts), owner
+
+    def eval(self, x, window: Optional[Window] = None) -> PointSet:
+        """Evaluate ``A(x)`` or ``A(x) ∩ window``; the result may be empty."""
+        return self.eval_rows(as_point(x, self.dim_in)[None], window)[0]
 
     def member_dist(self, x, y, window: Optional[Window] = None) -> float:
         """Distance from ``y`` to ``A(x)``; exact when a value_dist oracle exists."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,16 +13,23 @@ from rcontinuity import (
     Window,
     WindowRequiredError,
     MissingOracleError,
+    as_point,
     calmness_estimate,
     catalog_lookup,
+    catalog_names,
     certify_inverse_lipschitz,
     check_plk_exponent,
     closed_graph_test,
     estimate_modulus,
+    excess,
     fit_holder,
     invert,
     lojasiewicz_fit,
+    pointwise,
+    sample_window,
 )
+from rcontinuity.analysis import _chain_converged
+from rcontinuity.geometry import unit_directions
 from conftest import brute_force_modulus, curves_agree
 
 K10 = Window.box([0.0], [10.0])
@@ -29,7 +37,7 @@ DECADE = list(np.geomspace(1e-4, 1e-1, 13))
 
 
 def constant_map(value=0.0):
-    return SetValuedMap("const", 1, 1, lambda x, w: np.array([[value]]))
+    return SetValuedMap("const", 1, 1, pointwise(lambda x, w: np.array([[value]])))
 
 
 class TestEstimateModulus:
@@ -57,7 +65,8 @@ class TestEstimateModulus:
 
     def test_running_max_keeps_curve_nondecreasing(self):
         # a map whose worst excess is not monotone in the sampled radius
-        wiggle = SetValuedMap("wiggle", 1, 1, lambda x, w: np.array([[math.sin(40.0 * float(x[0]))]]))
+        wiggle = SetValuedMap("wiggle", 1, 1,
+                              pointwise(lambda x, w: np.array([[math.sin(40.0 * float(x[0]))]])))
         curve = estimate_modulus(wiggle, [0.0], None, list(np.linspace(0.02, 0.5, 25)), 17, seed=0)
         assert np.all(np.diff(curve.rho_hat) >= 0)
 
@@ -127,21 +136,23 @@ class TestFitHolder:
         assert curve.rho_at(2.5) is None
 
 
+JUMP = SetValuedMap(
+    "jump", 1, 1,
+    pointwise(lambda x, w: np.array([[0.0]]) if float(x[0]) != 0 else np.array([[1.0]])),
+)
+
+
 class TestClosedGraph:
     def test_rm1_passes(self):
         assert closed_graph_test(catalog_lookup("rm1").forward, [0.0], K10).passed
 
     def test_jump_map_fails_with_witness(self):
-        bad = SetValuedMap(
-            "jump", 1, 1,
-            lambda x, w: np.array([[0.0]]) if float(x[0]) != 0 else np.array([[1.0]]),
-        )
-        res = closed_graph_test(bad, [0.0], K10)
+        res = closed_graph_test(JUMP, [0.0], K10)
         assert res.verdict == "fail"
         assert res.witness == pytest.approx([0.0])
 
     def test_linear_map_passes(self):
-        lin = SetValuedMap("times2", 1, 1, lambda x, w: np.array([[2.0 * float(x[0])]]))
+        lin = SetValuedMap("times2", 1, 1, pointwise(lambda x, w: np.array([[2.0 * float(x[0])]])))
         assert closed_graph_test(lin, [0.0], K10).passed
 
     def test_slow_selection_is_inconclusive(self):
@@ -180,7 +191,7 @@ class TestLojasiewiczFit:
     def test_identically_zero_rejected(self):
         zero_entry = OperatorEntry(
             name="zero",
-            forward=SetValuedMap("zero", 1, 1, lambda x, w: np.array([[0.0]])),
+            forward=SetValuedMap("zero", 1, 1, pointwise(lambda x, w: np.array([[0.0]]))),
             solution_set=Region.box([0.0], [10.0]),
             f=lambda x: 0.0,
         )
@@ -219,7 +230,7 @@ class TestInverseLipschitz:
     def test_linear_full_rank(self):
         entry = OperatorEntry(
             name="lin-2x",
-            forward=SetValuedMap("lin-2x", 1, 1, lambda x, w: np.array([[2.0 * float(x[0])]])),
+            forward=SetValuedMap("lin-2x", 1, 1, pointwise(lambda x, w: np.array([[2.0 * float(x[0])]]))),
             solution_set=Region.from_points([[0.0]]),
             jac=lambda x: np.array([[2.0]]),
         )
@@ -235,7 +246,7 @@ class TestInverseLipschitz:
     def test_tall_map(self):
         entry = OperatorEntry(
             name="dup",
-            forward=SetValuedMap("dup", 1, 2, lambda x, w: np.array([[float(x[0]), float(x[0])]])),
+            forward=SetValuedMap("dup", 1, 2, pointwise(lambda x, w: np.array([[float(x[0]), float(x[0])]]))),
             solution_set=Region.from_points([[0.0]]),
             jac=lambda x: np.array([[1.0], [1.0]]),
         )
@@ -246,7 +257,7 @@ class TestInverseLipschitz:
     def test_wide_map_rejected(self):
         entry = OperatorEntry(
             name="wide",
-            forward=SetValuedMap("wide", 2, 1, lambda x, w: np.array([[float(x[0])]])),
+            forward=SetValuedMap("wide", 2, 1, pointwise(lambda x, w: np.array([[float(x[0])]]))),
             solution_set=Region.from_points([[0.0, 0.0]]),
             jac=lambda x: np.array([[1.0, 0.0]]),
         )
@@ -263,7 +274,7 @@ class TestInverseLipschitz:
 
 class TestCalmness:
     def test_linear_slope(self):
-        lin = SetValuedMap("times2", 1, 1, lambda x, w: np.array([[2.0 * float(x[0])]]))
+        lin = SetValuedMap("times2", 1, 1, pointwise(lambda x, w: np.array([[2.0 * float(x[0])]])))
         res = calmness_estimate(lin, [0.0], [0.0], 0.5, 1.0, samples=65)
         assert res.kappa_hat == pytest.approx(2.0)
         assert not res.vacuous
@@ -275,14 +286,14 @@ class TestCalmness:
     def test_vacuous_when_values_escape(self):
         escape = SetValuedMap(
             "escape", 1, 1,
-            lambda x, w: np.array([[10.0]]) if float(x[0]) != 0 else np.array([[0.0]]),
+            pointwise(lambda x, w: np.array([[10.0]]) if float(x[0]) != 0 else np.array([[0.0]])),
         )
         res = calmness_estimate(escape, [0.0], [0.0], 0.5, 1.0, samples=33)
         assert res.vacuous
         assert res.kappa_hat == 0.0
 
     def test_base_value_must_belong(self):
-        lin = SetValuedMap("times2", 1, 1, lambda x, w: np.array([[2.0 * float(x[0])]]))
+        lin = SetValuedMap("times2", 1, 1, pointwise(lambda x, w: np.array([[2.0 * float(x[0])]])))
         with pytest.raises(ValueError):
             calmness_estimate(lin, [0.0], [0.5], 0.5, 1.0, samples=9)
 
@@ -301,3 +312,234 @@ class TestDuality:
         assert not loja.failed and not fit.degenerate
         expected = 1.0 / loja.theta_hat
         assert abs(fit.theta_hat - expected) <= 0.1 * expected
+
+
+# --- batched estimators against the per-sample loops ----------------------------
+#
+# The per-sample loops the estimators ran before map values were evaluated in
+# one batch, kept as references.  Each evaluates one sample at a time with
+# ``SetValuedMap.eval`` / ``member_dist`` and reduces in sample order.
+
+def reference_estimate_modulus(m, xbar, k, radii, samples_per_radius, seed, scheme):
+    xb = as_point(xbar, m.dim_in)
+    reference = m.eval(xb, k.scaled(10.0)) if m.window_required else m.eval(xb, None)
+    if reference.is_empty:
+        raise ValueError("empty at the base point")
+    offsets = sample_window(Window.ball(np.zeros(m.dim_in), 1.0), scheme, samples_per_radius, seed).points
+    rho, divergent, running = [], False, 0.0
+    for r in radii:
+        worst = 0.0
+        for u in offsets:
+            e = excess(m.eval(xb + r * u, k), reference)
+            if math.isinf(e):
+                divergent = True
+            worst = max(worst, e)
+        running = max(running, worst)
+        rho.append(running)
+    return np.asarray(rho), divergent
+
+
+def reference_closed_graph(m, xbar, k, n_sequences, tol, seed, depth=60, start_radius=0.5,
+                           max_chains_per_sequence=8):
+    xb = as_point(xbar, m.dim_in)
+    dirs = unit_directions(n_sequences, m.dim_in, seed)
+    chains_total = chains_converged = 0
+    for d in dirs:
+        values_along = [m.eval(xb + d * (start_radius * 2.0 ** (-j)), k) for j in range(depth + 1)]
+        starts = [] if values_along[0].is_empty else list(values_along[0].points[:max_chains_per_sequence])
+        for y0 in starts:
+            chains_total += 1
+            chain = [np.asarray(y0, dtype=float)]
+            broken = False
+            for vals in values_along[1:]:
+                if vals.is_empty:
+                    broken = True
+                    break
+                idx = int(np.argmin(np.linalg.norm(vals.points - chain[-1], axis=1)))
+                chain.append(vals.points[idx])
+            if broken:
+                continue
+            gaps = np.linalg.norm(np.diff(np.asarray(chain), axis=0), axis=1)
+            if not _chain_converged(gaps, 0.1 * tol):
+                continue
+            chains_converged += 1
+            if m.member_dist(xb, chain[-1], k) > tol:
+                return "fail", chain[-1], chains_converged, chains_total
+    if chains_converged == 0:
+        return "inconclusive", None, 0, chains_total
+    return "pass", None, chains_converged, chains_total
+
+
+def reference_plk(entry, xbar, cfg, grid_count, seed):
+    xb = as_point(xbar, entry.dim_in)
+    fbar = entry.f(xb)
+    pts = sample_window(Window.ball(xb, cfg.neighborhood_radius), "grid", grid_count, seed).points
+    zero = np.zeros(entry.dim_out)
+    violations, checked, min_product = [], 0, None
+    for p in pts:
+        fx = entry.f(p)
+        if not (fbar < fx < fbar + cfg.eta):
+            continue
+        checked += 1
+        if entry.subgrad is not None:
+            slope = entry.subgrad.member_dist(p, zero)
+        else:
+            slope = float(np.linalg.norm(entry.subgrad_witness(p)))
+        product = cfg.phi_prime(fx - fbar) * slope
+        if min_product is None or product < min_product:
+            min_product = product
+        if product < 1.0 - 1e-12:
+            violations.append(p)
+    if checked == 0:
+        return "inconclusive", [], 0, None
+    return ("fail" if violations else "pass"), violations, checked, min_product
+
+
+def reference_inverse_lipschitz_violations(entry, xs, c_hat, tol):
+    def fvec(x):
+        vals = entry.forward.eval(x)
+        if len(vals) != 1:
+            raise ValueError("the certificate needs a single-valued forward map")
+        return vals.points[0]
+    return [x for x, d in zip(xs, entry.solution_set.distance_rows(xs))
+            if d > (1.0 + tol) * float(np.linalg.norm(fvec(x))) / c_hat]
+
+
+def reference_calmness(m, xbar, ybar, u_radius, v_radius, samples, seed, scheme):
+    xb = as_point(xbar, m.dim_in)
+    vwin = Window.ball(as_point(ybar, m.dim_out), v_radius)
+    reference = m.eval(xb, vwin.scaled(10.0)) if m.window_required else m.eval(xb, None)
+    kappa, any_nonempty = 0.0, False
+    for x in sample_window(Window.ball(xb, u_radius), scheme, samples, seed).points:
+        dx = float(np.linalg.norm(x - xb))
+        vals = m.eval(x, vwin)
+        if vals.is_empty:
+            continue
+        if dx > 0.0:
+            any_nonempty = True
+            kappa = max(kappa, excess(vals, reference) / dx)
+    return kappa, not any_nonempty
+
+
+def _catalog_maps():
+    """``(label, map)`` for the forward map and inverse of every catalog entry."""
+    out = []
+    for name in catalog_names():
+        entry = catalog_lookup(name)
+        out.append((f"{name}-forward", entry.forward))
+        if entry.inverse is not None:
+            out.append((f"{name}-inverse", entry.inverse))
+    return out
+
+
+_MAPS = _catalog_maps()
+_MAP_IDS = [label for label, _ in _MAPS]
+
+
+def _window(m, extent=10.0):
+    return Window.box([0.0] * m.dim_out, [extent] * m.dim_out)
+
+
+def _base_points(m):
+    """Base points that exercise the branches: 0, 1 and -1 on each axis."""
+    return [[v] * m.dim_in for v in (0.0, 1.0, -1.0)]
+
+
+def _same_points(a, b):
+    return len(a) == len(b) and all(np.array_equal(p, q) for p, q in zip(a, b))
+
+
+class TestBatchedEstimatorsMatchPerSampleLoops:
+    @pytest.mark.parametrize("label,m", _MAPS, ids=_MAP_IDS)
+    @pytest.mark.parametrize("scheme", ["grid", "halton"])
+    def test_estimate_modulus(self, label, m, scheme):
+        radii = list(np.geomspace(1e-3, 1.0, 5))
+        for xbar in _base_points(m):
+            for k in (None, _window(m, 2.0)):
+                if k is None and m.window_required:
+                    continue
+                try:
+                    want, divergent = reference_estimate_modulus(m, xbar, k, radii, 33, 3, scheme)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        estimate_modulus(m, xbar, k, radii, 33, seed=3, scheme=scheme)
+                    continue
+                curve = estimate_modulus(m, xbar, k, radii, 33, seed=3, scheme=scheme)
+                assert curve.rho_hat.tobytes() == want.tobytes()
+                assert curve.divergent is divergent
+                assert curve.sample_counts == [33] * len(radii)
+
+    @pytest.mark.parametrize("label,m", _MAPS + [("jump", JUMP)], ids=_MAP_IDS + ["jump"])
+    def test_closed_graph_test(self, label, m):
+        for xbar in _base_points(m):
+            for tol in (1e-6, 1e-1):
+                verdict, witness, converged, total = reference_closed_graph(m, xbar, _window(m), 4, tol, 2)
+                res = closed_graph_test(m, xbar, _window(m), n_sequences=4, tol=tol, seed=2)
+                assert (res.verdict, res.chains_converged, res.chains_total) == (verdict, converged, total)
+                assert (res.witness is None) == (witness is None)
+                if witness is not None:
+                    assert res.witness.tobytes() == witness.tobytes()
+
+    @pytest.mark.parametrize("name", [n for n in catalog_names()
+                                      if catalog_lookup(n).f is not None
+                                      and (catalog_lookup(n).subgrad is not None
+                                           or catalog_lookup(n).subgrad_witness is not None)])
+    def test_check_plk_exponent(self, name):
+        entry = catalog_lookup(name)
+        for xbar in ([0.0] * entry.dim_in, [0.5] * entry.dim_in):
+            for cfg in (PlkConfig(2.0, 0.5, 1.0, 1.0), PlkConfig(1.0, 0.25, 0.1, 0.5)):
+                verdict, violations, checked, min_product = reference_plk(entry, xbar, cfg, 129, 0)
+                res = check_plk_exponent(entry, xbar, cfg, 129)
+                assert (res.verdict, res.checked, res.min_product) == (verdict, checked, min_product)
+                assert _same_points(res.violations, violations)
+
+    @pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_lookup(n).jac is not None])
+    def test_certify_inverse_lipschitz(self, name):
+        entry = catalog_lookup(name)
+        k = Window.box([0.0] * entry.dim_in, [2.0] * entry.dim_in)
+        if certify_inverse_lipschitz(entry, k).verdict == "rank-deficient":
+            pytest.skip("no bound to check")
+        for tube_radius, tol in ((0.1, 1e-8), (1.0, -0.5)):  # tol < 0: every point off S violates
+            res = certify_inverse_lipschitz(entry, k, test_samples=60, tol=tol, tube_radius=tube_radius)
+            anchors = [p for p in entry.solution_set.sample(25, 0).points if k.contains(p)]
+            per_anchor = max(1, 60 // len(anchors))
+            xs = np.vstack([u + sample_window(Window.ball(np.zeros(entry.dim_in), tube_radius), "halton",
+                                              per_anchor, i).points for i, u in enumerate(anchors)])
+            assert res.checked == len(xs)
+            assert _same_points(res.bound_violations,
+                                reference_inverse_lipschitz_violations(entry, xs, res.c_hat, tol))
+
+    def test_certify_inverse_lipschitz_rejects_multivalued_forward(self):
+        entry = OperatorEntry(
+            name="two-valued", forward=catalog_lookup("rm1").forward,
+            solution_set=Region.from_points([[0.0]]), jac=lambda x: np.array([[1.0]]),
+        )
+        wide = dataclasses.replace(entry, forward=SetValuedMap(
+            "two-valued", 1, 1, pointwise(lambda x, w: np.array([[float(x[0])], [2.0 * float(x[0])]]))))
+        with pytest.raises(ValueError, match="single-valued"):
+            certify_inverse_lipschitz(wide, Window.box([0.0], [1.0]))
+
+    @pytest.mark.parametrize("label,m", _MAPS, ids=_MAP_IDS)
+    def test_calmness_estimate(self, label, m):
+        for xbar in _base_points(m):
+            values = m.eval(xbar, _window(m))
+            for ybar in values.points[:: max(1, len(values) // 3)]:
+                for u_radius, v_radius in ((0.5, 1.0), (0.01, 0.1)):
+                    kappa, vacuous = reference_calmness(m, xbar, ybar, u_radius, v_radius, 65, 1, "halton")
+                    res = calmness_estimate(m, xbar, ybar, u_radius, v_radius, samples=65, seed=1,
+                                            scheme="halton")
+                    assert (res.kappa_hat, res.vacuous) == (kappa, vacuous)
+
+    @pytest.mark.parametrize("label,m", [(label, m) for label, m in _MAPS if m.dim_in == 2],
+                             ids=[label for label, m in _MAPS if m.dim_in == 2])
+    def test_calmness_estimate_2d_over_seeds(self, label, m):
+        # one norm per sample, as the loop took it: norm(X, axis=1) differs in
+        # the last bit on some 2-d rows, which moves kappa when it is the max
+        for seed in range(20):
+            for xbar in ([0.0, 0.0], [1.0, 1.0], [-1.0, -1.0], [0.3, -0.7]):
+                ybar = m.eval(xbar).points[0]
+                for u_radius, v_radius in ((0.5, 1.0), (0.01, 0.1)):
+                    kappa, vacuous = reference_calmness(m, xbar, ybar, u_radius, v_radius, 65, seed, "halton")
+                    res = calmness_estimate(m, xbar, ybar, u_radius, v_radius, samples=65, seed=seed,
+                                            scheme="halton")
+                    assert (res.kappa_hat, res.vacuous) == (kappa, vacuous)

@@ -228,6 +228,15 @@ class TestDistanceTrace:
         assert verdict.link_out_of_range  # witness norms sit far above 1e-2
         assert verdict.link_ok
 
+    def test_link_audit_skips_witnesses_without_an_iterate(self):
+        trace = make_synthetic_trace([[0.5]], witnesses=[(1, [0.1]), (-1, [0.1]), (0, [0.1])],
+                                     xi_values=[0.1, 0.1, 0.1])
+        curve = ModulusCurve(map_name="line", base_point=np.array([0.0]), window=None,
+                             radii=np.array([0.05, 1.0]), rho_hat=np.array([0.05, 1.0]),
+                             sample_counts=[1, 1], seed=0, scheme="grid")
+        verdict = distance_trace(trace, S0, 1e-6, modulus=curve)
+        assert (verdict.link_checked, verdict.link_violations, verdict.link_out_of_range) == (1, [0], [])
+
     def test_empty_region_rejected(self, ppa_abs):
         with pytest.raises(ValueError):
             Region.from_points([])
@@ -295,9 +304,12 @@ def reference_rho_at(curve, r):
 
 
 def reference_link_audit(trace, distances, curve):
-    """``(checked, violations, out_of_range)``, as ``distance_trace`` looped."""
+    """``(checked, violations, out_of_range)``, as ``distance_trace`` looped,
+    skipping witnesses whose index names no iterate."""
     checked, violations, out_of_range = 0, [], []
     for k, w in zip(trace.witness_indices.tolist(), list(trace.witness_points)):
+        if not 0 <= k < len(distances):
+            continue
         bound = reference_rho_at(curve, float(np.linalg.norm(w)))
         if bound is None:
             out_of_range.append(k)
@@ -431,13 +443,8 @@ class TestArrayChecksMatchReference:
                              sample_counts=[1] * len(radii), seed=0, scheme="grid")
         region = Region.from_points([[0.0] * trace.dim])
         distances = distance_trace(trace, region, 1e-6).distances
-        try:
-            expected = reference_link_audit(trace, distances, curve)
-        except IndexError:  # an audited witness indexed past the last iterate
-            with pytest.raises(IndexError):
-                distance_trace(trace, region, 1e-6, modulus=curve)
-            return
         verdict = distance_trace(trace, region, 1e-6, modulus=curve)
+        expected = reference_link_audit(trace, distances, curve)
         assert (verdict.link_checked, verdict.link_violations, verdict.link_out_of_range) == expected
 
     @_CASES

@@ -364,9 +364,12 @@ class TestCsvFormat:
 # pipeline (all six artifacts), a 2-d trace and a Lojasiewicz fit, recorded
 # before distances became row-wise, and a 2-d pipeline whose witness norms feed
 # the modulus-link audit (41 checked, 6 out of range), recorded before traces
-# became arrays.  An entry's ``kind`` defaults to certify.
+# became arrays, and four modulus sweeps (the 2-d halton solve, the log branch,
+# the two- and four-root branches, a windowed forward map), recorded before map
+# evaluation became row-wise.  An entry's ``kind`` defaults to certify.
 # A change to any of these bytes is a change of the artifact contract, not a
 # refactor.
+_RADII_5 = {"start": 1e-4, "stop": 1e-1, "count": 5}
 GOLDEN = {
     "ppa": (
         {"operator": "abs-subdiff", "algorithm": {"name": "ppa", "gamma": 0.3, "x0": [1.0]},
@@ -456,6 +459,36 @@ GOLDEN = {
          "certificates.json": "d20b076c976857dcb6692b25f33d00e4d9af421e2da348442c6fdd7b6033ce60",
          "distance.json": "a91d712d28d28a434a46162475b0f4ec36c15e422a2dbb352b4437dda45ea99b",
          "report.json": "1a61f20c5a657f43814c6daf9df9d8179f79b19cafa0cce58875fb99efeba168"},
+    ),
+    "quad2-inverse-modulus": (
+        {"kind": "modulus", "operator": "quad2",
+         "analysis": {"target": "inverse", "xbar": [0.0, 0.0], "radii": _RADII_5,
+                      "samples_per_radius": 64, "scheme": "halton"}},
+        {"modulus.csv": "941637e6ddab110b204050275adff6a6294cb099fd94c0ac45505bc19ee7a2b8",
+         "holder_fit.json": "1a882b2ad56f394f902ba2254304bd901328232b873c263cbea95eb40bf8a6d5",
+         "report.json": "718726925a1911d6b1a848ae80836c4dcbe3146feb0a5a2ddb25f5f1b338f0d1"},
+    ),
+    "flat-exp-inverse-modulus": (
+        {"kind": "modulus", "operator": "flat-exp",
+         "analysis": {"target": "inverse", "xbar": [0.0], "radii": _RADII_5, "samples_per_radius": 64}},
+        {"modulus.csv": "bc772d01b8c5f9b803140e15bf63a90da78d06658c3572503452b947f00cfbc3",
+         "holder_fit.json": "7a46e1b74b8cf5a05c3d8558dcc1109c3a007bcddf7bc3b677c486058c678a44",
+         "report.json": "ec2a21141845770269756a0c5751282869b2815994ef993e9ca4924568a0784d"},
+    ),
+    "double-well-inverse-modulus": (
+        {"kind": "modulus", "operator": "double-well",
+         "analysis": {"target": "inverse", "xbar": [0.0], "radii": _RADII_5, "samples_per_radius": 64}},
+        {"modulus.csv": "3b2aaa644a6d328bbb61ec7900414c67ada9658fe994fc7e7027c07e4c87d398",
+         "holder_fit.json": "70471f7000a0c95bf0b19a72d09ae7fc4e654c541abd3abb407e3ccf363b1865",
+         "report.json": "40fc8f042f8456e27328cc90ac714877a637511728c32f15ed5abbb43dfa3752"},
+    ),
+    "rm1-forward-modulus": (
+        {"kind": "modulus", "operator": "rm1",
+         "analysis": {"target": "forward", "xbar": [1.0], "radii": _RADII_5, "samples_per_radius": 64,
+                      "window": {"kind": "box", "center": [0.0], "extent": [5.0]}}},
+        {"modulus.csv": "620c7618f522d9057a972146a219392892c2e211a6d864a2db6f14f992b5034f",
+         "holder_fit.json": "0fa45aeb44a843f51ebe89fcbc4066f7298e416d74d02856fd106c6d9e7723c8",
+         "report.json": "4620e632b8a40f986b063072ef29a4897cb056958dca6463f5f8167572b661cd"},
     ),
     "square-loja": (
         {"kind": "lojasiewicz", "operator": "square",

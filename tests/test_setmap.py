@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcontinuity import (
     CatalogError,
+    DimensionMismatchError,
     MissingOracleError,
     PointSet,
     SetValuedMap,
@@ -14,6 +17,7 @@ from rcontinuity import (
     catalog_lookup,
     catalog_names,
     invert,
+    pointwise,
     sample_window,
 )
 
@@ -190,10 +194,300 @@ class TestUserDefinedMap:
         assert m.resolution is not None
 
     def test_member_dist_falls_back_to_eval(self):
-        m = SetValuedMap("pair", 1, 1, lambda x, w: np.array([[0.0], [2.0]]))
+        m = SetValuedMap("pair", 1, 1, pointwise(lambda x, w: np.array([[0.0], [2.0]])))
         assert m.member_dist([0.0], [1.2]) == pytest.approx(0.8)
 
     def test_dimension_checked(self):
         m = catalog_lookup("quad2").forward
         with pytest.raises(Exception):
             m.eval([1.0])
+
+
+# --- row-wise evaluation against the per-point formulas ------------------------
+#
+# The per-point evaluators every catalog map had before evaluation became
+# row-wise, kept here as the reference ``eval_rows`` must reproduce bit for bit.
+
+def _ref_rows(*vals):
+    return np.array([[float(v)] for v in vals])
+
+
+def _ref_interval_rows(lo, hi, n=257):
+    if hi < lo:
+        return np.empty((0, 1))
+    if hi == lo:
+        return _ref_rows(lo)
+    return np.linspace(lo, hi, n).reshape(-1, 1)
+
+
+def _ref_window_interval(window, default_lo, default_hi):
+    lo, hi = default_lo, default_hi
+    if window is not None:
+        c = float(window.center[0])
+        e = float(window.extent[0])
+        lo, hi = max(lo, c - e), min(hi, c + e)
+    return lo, hi
+
+
+def _ref_rm1(x, window):
+    v = float(x[0])
+    if v == 0.0:
+        return _ref_rows(0.0)
+    return _ref_rows(v, 1.0 / v)
+
+
+def _ref_flat_exp_f(x):
+    v = float(np.asarray(x).reshape(-1)[0])
+    if v == 0.0:
+        return 0.0
+    return float(np.exp(-1.0 / (v * v)))
+
+
+def _ref_flat_exp_grad(x):
+    v = float(np.asarray(x).reshape(-1)[0])
+    if v == 0.0:
+        return np.array([0.0])
+    return np.array([2.0 * np.exp(-1.0 / (v * v)) / v ** 3])
+
+
+def _ref_flat_exp_inverse(y, window):
+    w = float(y[0])
+    if w == 0.0:
+        return _ref_rows(0.0)
+    if 0.0 < w < 1.0:
+        r = math.sqrt(-1.0 / math.log(w))
+        return _ref_rows(-r, r)
+    return np.empty((0, 1))
+
+
+def _ref_square_inverse(y, window):
+    w = float(y[0])
+    if w < 0.0:
+        return np.empty((0, 1))
+    if w == 0.0:
+        return _ref_rows(0.0)
+    r = math.sqrt(w)
+    return _ref_rows(-r, r)
+
+
+def _ref_dw_f(x):
+    v = float(np.asarray(x).reshape(-1)[0])
+    return (v * (v - 1.0)) ** 2
+
+
+def _ref_dw_grad(x):
+    v = float(np.asarray(x).reshape(-1)[0])
+    return np.array([2.0 * v * (v - 1.0) * (2.0 * v - 1.0)])
+
+
+def _ref_double_well_inverse(y, window):
+    w = float(y[0])
+    if w < 0.0:
+        return np.empty((0, 1))
+    if w == 0.0:
+        return _ref_rows(0.0, 1.0)
+    s = math.sqrt(w)
+    roots = []
+    roots += [(1.0 + math.sqrt(1.0 + 4.0 * s)) / 2.0, (1.0 - math.sqrt(1.0 + 4.0 * s)) / 2.0]
+    if 1.0 - 4.0 * s >= 0.0:
+        roots += [(1.0 + math.sqrt(1.0 - 4.0 * s)) / 2.0, (1.0 - math.sqrt(1.0 - 4.0 * s)) / 2.0]
+    return _ref_rows(*roots)
+
+
+def _ref_abs_subdiff(x, window):
+    v = float(x[0])
+    if v > 0.0:
+        return _ref_rows(1.0)
+    if v < 0.0:
+        return _ref_rows(-1.0)
+    lo, hi = _ref_window_interval(window, -1.0, 1.0)
+    return _ref_interval_rows(lo, hi)
+
+
+def _ref_abs_subdiff_inverse(y, window):
+    w = float(y[0])
+    if abs(w) > 1.0:
+        return np.empty((0, 1))
+    if abs(w) < 1.0:
+        return _ref_rows(0.0)
+    if w == 1.0:
+        lo, hi = _ref_window_interval(window, 0.0, math.inf)
+        return _ref_interval_rows(lo, hi)
+    lo, hi = _ref_window_interval(window, -math.inf, 0.0)
+    return _ref_interval_rows(lo, hi)
+
+
+_Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+_B = np.array([1.0, -0.5])
+
+reference_evaluators = {
+    "rm1": _ref_rm1,
+    "flat-exp": lambda x, w: _ref_rows(_ref_flat_exp_f(x)),
+    "flat-exp-inverse": _ref_flat_exp_inverse,
+    "flat-exp-grad": lambda x, w: _ref_flat_exp_grad(x).reshape(1, 1),
+    "square": lambda x, w: _ref_rows(float(x[0]) ** 2),
+    "square-inverse": _ref_square_inverse,
+    "square-grad": lambda x, w: np.array([2.0 * float(x[0])]).reshape(1, 1),
+    "square-grad-inverse": lambda y, w: _ref_rows(float(y[0]) / 2.0),
+    "double-well": lambda x, w: _ref_rows(_ref_dw_f(x)),
+    "double-well-inverse": _ref_double_well_inverse,
+    "double-well-grad": lambda x, w: _ref_dw_grad(x).reshape(1, 1),
+    "abs-subdiff": _ref_abs_subdiff,
+    "abs-subdiff-inverse": _ref_abs_subdiff_inverse,
+    "quad": lambda x, w: _ref_rows(float(x[0])),
+    "quad-inverse": lambda y, w: _ref_rows(float(y[0])),
+    "quad-grad-inverse": lambda y, w: _ref_rows(float(y[0])),
+    "quad2": lambda x, w: (_Q @ x - _B).reshape(1, 2),
+    "quad2-inverse": lambda y, w: np.linalg.solve(_Q, y + _B).reshape(1, 2),
+    "quad2-grad-inverse": lambda y, w: np.linalg.solve(_Q, y + _B).reshape(1, 2),
+    "linear-neg": lambda x, w: _ref_rows(-2.0 * float(x[0])),
+    "linear-neg-inverse": lambda y, w: _ref_rows(-0.5 * float(y[0])),
+    "dc-quad": lambda x, w: _ref_rows(0.5 * float(x[0])),
+    "dc-quad-inverse": lambda y, w: _ref_rows(2.0 * float(y[0])),
+    "dc-quad-grad-inverse": lambda y, w: _ref_rows(2.0 * float(y[0])),
+}
+
+
+def catalog_maps():
+    """Every map of the catalog, by name."""
+    maps = {}
+    for name in catalog_names():
+        entry = catalog_lookup(name)
+        for m in (entry.forward, entry.inverse, entry.subgrad, entry.grad_inverse):
+            if m is not None:
+                maps[m.name] = m
+    return maps
+
+
+def stacked_reference(m, X, window):
+    """``(points, owner)`` from the per-point reference, one row at a time.
+
+    Where ``v * v`` underflows to 0 for a nonzero ``v``, the per-point
+    ``exp(-1/v**2)`` and its derivative divided by zero; the row-wise maps
+    give the limit 0 there.
+    """
+    blocks, owner = [], []
+    for i, x in enumerate(X):
+        try:
+            raw = reference_evaluators[m.name](x.copy(), window)
+        except ZeroDivisionError:
+            assert m.name.startswith("flat-exp") and x[0] != 0.0 and x[0] * x[0] == 0.0
+            raw = [[0.0]]
+        vals = np.asarray(raw, dtype=float).reshape(-1, m.dim_out)
+        if window is not None:
+            vals = vals[window.contains_rows(vals)]
+        blocks.append(vals)
+        owner += [i] * len(vals)
+    return PointSet(np.concatenate(blocks) if blocks else np.empty((0, m.dim_out))).points, owner
+
+
+# branch points of the catalog (0, +-1, the double-well's 1 - 4 sqrt(y) = 0 at
+# y = 1/16, ...), numbers whose square underflows, and points far outside
+# every window below
+_BRANCH_POINTS = [0.0, -0.0, 1.0, -1.0, 1.0 / 16.0, 0.25, 0.5, -0.5, 2.0, 1e-200, -5e-324, 40.0]
+_COORDS = st.one_of(st.sampled_from(_BRANCH_POINTS), st.floats(-3.0, 3.0), st.floats(-1e3, 1e3))
+_WINDOWS = {
+    1: [None, Window.box([0.0], [2.0]), Window.ball([0.5], 1.0), Window.box([1.0], [0.25])],
+    2: [None, Window.box([0.0, 0.0], [2.0, 2.0]), Window.ball([0.5, 0.0], 1.0),
+        Window.box([1.0, -1.0], [0.25, 0.25])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(catalog_maps()))
+class TestEvalRows:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_stacked_per_point_evaluator(self, name, data):
+        m = catalog_maps()[name]
+        X = np.array(data.draw(st.lists(st.lists(_COORDS, min_size=m.dim_in, max_size=m.dim_in),
+                                        max_size=12)), dtype=float).reshape(-1, m.dim_in)
+        window = data.draw(st.sampled_from(_WINDOWS[m.dim_out]))
+        if window is None and m.window_required:
+            with pytest.raises(WindowRequiredError):
+                m.eval_rows(X, window)
+            return
+        try:
+            want, want_owner = stacked_reference(m, X, window)
+        except ValueError:  # a non-finite value the window does not drop
+            with pytest.raises(ValueError, match="finite"):
+                m.eval_rows(X, window)
+            return
+        got, owner = m.eval_rows(X, window)
+        assert got.points.shape == want.shape
+        assert got.points.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+        assert owner.tolist() == want_owner
+
+    def test_matches_on_a_dense_sample(self, name):
+        # Hypothesis favours short mantissas, on which numpy and Python round
+        # alike; last-bit differences of **, log and solve show on random ones
+        m = catalog_maps()[name]
+        rng = np.random.default_rng(5)
+        signs = rng.choice([-1.0, 1.0], (600, m.dim_in))
+        X = np.concatenate([rng.uniform(-3.0, 3.0, (600, m.dim_in)), rng.uniform(0.0, 1.0, (4000, m.dim_in)),
+                            signs * 10.0 ** rng.uniform(-8, 1, (600, m.dim_in))])
+        for window in _WINDOWS[m.dim_out][int(m.window_required):2]:
+            want, want_owner = stacked_reference(m, X, window)
+            got, owner = m.eval_rows(X, window)
+            assert got.points.tobytes() == want.tobytes()
+            assert owner.tolist() == want_owner
+
+    def test_eval_is_the_one_row_form(self, name):
+        m = catalog_maps()[name]
+        window = _WINDOWS[m.dim_out][1]
+        for x in [[0.0] * m.dim_in, [1.0] * m.dim_in, [0.3] * m.dim_in]:
+            got, owner = m.eval_rows(np.array([x]), window)
+            assert np.array_equal(m.eval(x, window).points, got.points)
+            assert not owner.any()
+
+    def test_has_a_reference(self, name):
+        assert name in reference_evaluators
+
+
+class TestEvalRowsContract:
+    def test_rows_are_validated(self):
+        m = catalog_lookup("quad2").forward
+        with pytest.raises(DimensionMismatchError):
+            m.eval_rows(np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            m.eval_rows(np.array([[0.0, np.nan]]))
+
+    def test_window_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            catalog_lookup("quad").forward.eval_rows(np.zeros((2, 1)), Window.box([0.0, 0.0], [1.0, 1.0]))
+
+    def test_no_rows_give_no_values(self):
+        for m in catalog_maps().values():
+            window = _WINDOWS[m.dim_out][1]
+            got, owner = m.eval_rows(np.empty((0, m.dim_in)), window)
+            assert got.points.shape == (0, m.dim_out) and owner.size == 0
+
+    def test_values_ordered_by_owner_stably(self):
+        def ev(X, window):
+            return np.array([[3.0], [1.0], [2.0], [0.0]]), np.array([1, 0, 1, 0])
+        got, owner = SetValuedMap("shuffled", 1, 1, ev).eval_rows(np.zeros((2, 1)))
+        assert got.points.ravel().tolist() == [1.0, 0.0, 3.0, 2.0]
+        assert owner.tolist() == [0, 0, 1, 1]
+
+    def test_window_filters_after_ordering(self):
+        def ev(X, window):
+            return np.array([[3.0], [0.5], [np.inf]]), np.array([0, 1, 1])
+        m = SetValuedMap("filtered", 1, 1, ev)
+        got, owner = m.eval_rows(np.zeros((2, 1)), Window.box([0.0], [1.0]))
+        assert got.points.ravel().tolist() == [0.5] and owner.tolist() == [1]
+        with pytest.raises(ValueError, match="finite"):
+            m.eval_rows(np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("owner", [[0, 1], [0, 2], [-1]])
+    def test_bad_owners_rejected(self, owner):
+        m = SetValuedMap("bad", 1, 1, lambda X, w: (np.array([[1.0]]), np.array(owner)))
+        with pytest.raises(ValueError, match="owner"):
+            m.eval_rows(np.zeros((2, 1)))
+
+    def test_pointwise_lifts_a_per_point_evaluator(self):
+        lifted = SetValuedMap("ref", 1, 1, pointwise(_ref_double_well_inverse))
+        X = np.array([[-1.0], [0.0], [0.01], [1.0 / 16.0], [0.5]])
+        got, owner = lifted.eval_rows(X, Window.box([0.0], [2.0]))
+        want, want_owner = catalog_lookup("double-well").inverse.eval_rows(X, Window.box([0.0], [2.0]))
+        assert got.points.tobytes() == want.points.tobytes()
+        assert owner.tolist() == want_owner.tolist()
+        assert set(owner.tolist()) == {1, 2, 3, 4}  # y = -1 has no root
