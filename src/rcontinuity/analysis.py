@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Window, as_point, excess, sample_window, unit_directions
+from .geometry import PointSet, Window, as_point, excess, sample_window, unit_directions
 from .setmap import MissingOracleError, OperatorEntry, SetValuedMap, WindowRequiredError
 
 
@@ -106,14 +106,9 @@ def estimate_modulus(
         raise ValueError("radii must be positive and strictly increasing")
     if samples_per_radius < 1:
         raise ValueError("samples_per_radius must be >= 1")
-    if m.window_required:
-        if k is None:
-            raise WindowRequiredError(
-                f"map {m.name!r} requires a window for modulus estimation"
-            )
-        reference = m.eval(xb, k.scaled(10.0))
-    else:
-        reference = m.eval(xb, None)
+    if m.window_required and k is None:
+        raise WindowRequiredError(f"map {m.name!r} requires a window for modulus estimation")
+    reference = _base_value(m, xb, k)
     if reference.is_empty:
         raise ValueError(f"map {m.name!r} is empty at the base point")
 
@@ -142,6 +137,12 @@ def estimate_modulus(
         scheme=scheme,
         divergent=divergent,
     )
+
+
+def _base_value(m: SetValuedMap, xb: np.ndarray, k: Optional[Window]) -> PointSet:
+    """The base value ``A(xbar)`` that excesses are measured against:
+    unwindowed, or in ``k`` scaled ten times when the map requires a window."""
+    return m.eval(xb, k.scaled(10.0) if m.window_required else None)
 
 
 def fit_holder(curve: ModulusCurve) -> HolderFit:
@@ -290,7 +291,7 @@ def lojasiewicz_fit(
     if entry.f is None:
         raise MissingOracleError(f"entry {entry.name!r} has no scalar function")
     region = entry.solution_set
-    if not any(k.contains(p) for p in region.reference_points()):
+    if not k.contains_rows(region.reference_points()).any():
         raise ValueError("the solution set does not meet the window")
 
     def grid_eval(n: int):
@@ -385,7 +386,7 @@ def check_plk_exponent(
     """
     if entry.f is None:
         raise MissingOracleError(f"entry {entry.name!r} has no scalar function")
-    if entry.subgrad is None and entry.subgrad_witness is None:
+    if entry.subgrad is None:
         raise MissingOracleError(f"entry {entry.name!r} has no subgradient oracle")
     xb = as_point(xbar, entry.dim_in)
     fbar = entry.f(xb)
@@ -395,9 +396,7 @@ def check_plk_exponent(
     if not band:
         return PlkResult("inconclusive", [], 0, None)
     zero = np.zeros(entry.dim_out)
-    if entry.subgrad is None:
-        slopes = [float(np.linalg.norm(entry.subgrad_witness(pts[i]))) for i in band]
-    elif entry.subgrad.value_dist is not None:
+    if entry.subgrad.value_dist is not None:
         slopes = [entry.subgrad.member_dist(pts[i], zero) for i in band]
     else:
         # d(0, subgrad f(x)) per band point: the nearest value, inf for none
@@ -459,8 +458,9 @@ def certify_inverse_lipschitz(
     if entry.dim_out < entry.dim_in:
         raise ValueError("the range dimension must be at least the domain dimension")
     region = entry.solution_set
-    anchors = [p for p in region.sample(s_samples, seed).points if k.contains(p)]
-    if not anchors:
+    samples = region.sample(s_samples, seed).points
+    anchors = samples[k.contains_rows(samples)]
+    if not len(anchors):
         raise ValueError("no solution-set samples inside the window")
     c_hat = math.inf
     for u in anchors:
@@ -509,10 +509,7 @@ def calmness_estimate(
     vwin = Window.ball(yb, v_radius)
     if m.member_dist(xb, yb, vwin) > 1e-9:
         raise ValueError("the base output is not a value of the map at the base point")
-    if m.window_required:
-        reference = m.eval(xb, vwin.scaled(10.0))
-    else:
-        reference = m.eval(xb, None)
+    reference = _base_value(m, xb, vwin)
     xs = sample_window(Window.ball(xb, u_radius), scheme, samples, seed).points
     vals, owner = m.eval_rows(xs, vwin)
     # per sample, the excess of its values over the reference

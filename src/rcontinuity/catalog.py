@@ -110,14 +110,14 @@ def _rm1() -> OperatorEntry:
 
 def _flat_exp_f(x) -> float:
     v = float(np.asarray(x).reshape(-1)[0])
-    if v == 0.0:
+    if v * v == 0.0:  # the limit 0, also where v * v underflows
         return 0.0
     return float(np.exp(-1.0 / (v * v)))
 
 
 def _flat_exp_grad(x) -> np.ndarray:
     v = float(np.asarray(x).reshape(-1)[0])
-    if v == 0.0:
+    if v ** 3 == 0.0:  # the limit 0, also where v ** 3 underflows
         return np.array([0.0])
     return np.array([2.0 * np.exp(-1.0 / (v * v)) / v ** 3])
 
@@ -130,10 +130,11 @@ def _flat_exp() -> OperatorEntry:
 
     def grad_ev(X, window):
         v = X[:, 0]
+        cube = _pow(v, 3)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            g = 2.0 * np.exp(-1.0 / (v * v)) / _pow(v, 3)
-        # the limit 0 where v * v is 0 (v = 0, or its square underflows)
-        return _column(np.where(v * v == 0.0, 0.0, g))
+            g = 2.0 * np.exp(-1.0 / (v * v)) / cube
+        # the limit 0 where v ** 3 is 0 (v = 0, or its cube underflows)
+        return _column(np.where(cube == 0.0, 0.0, g))
 
     def inv_ev(Y, window):
         w = Y[:, 0]
@@ -151,7 +152,6 @@ def _flat_exp() -> OperatorEntry:
         description="smooth non-analytic function, flat to all orders at 0",
         inverse=inv,
         subgrad=SetValuedMap("flat-exp-grad", 1, 1, grad_ev),
-        subgrad_witness=_flat_exp_grad,
         f=_flat_exp_f,
         grad=_flat_exp_grad,
         jac=lambda x: _flat_exp_grad(x).reshape(1, 1),
@@ -173,7 +173,6 @@ def _square() -> OperatorEntry:
         r = np.sqrt(w[pos])
         return _branches((np.zeros(zero.size), zero), (-r, pos), (r, pos))
 
-    grad = lambda x: np.array([2.0 * float(x[0])])
     return OperatorEntry(
         name="square",
         forward=SetValuedMap("square", 1, 1, ev),
@@ -181,10 +180,9 @@ def _square() -> OperatorEntry:
         description="scalar quadratic equation map",
         inverse=SetValuedMap("square-inverse", 1, 1, inv_ev),
         subgrad=SetValuedMap("square-grad", 1, 1, lambda X, w: _column(2.0 * X[:, 0])),
-        subgrad_witness=grad,
         grad_inverse=SetValuedMap("square-grad-inverse", 1, 1, lambda Y, w: _column(Y[:, 0] / 2.0)),
         f=lambda x: float(x[0]) ** 2,
-        grad=grad,
+        grad=lambda x: np.array([2.0 * float(x[0])]),
         jac=lambda x: np.array([[2.0 * float(x[0])]]),
         monotone=False,
         inf_f=0.0,
@@ -234,7 +232,6 @@ def _double_well() -> OperatorEntry:
         description="quartic with two zeros",
         inverse=SetValuedMap("double-well-inverse", 1, 1, inv_ev),
         subgrad=SetValuedMap("double-well-grad", 1, 1, grad_ev),
-        subgrad_witness=_dw_grad,
         f=_dw_f,
         grad=_dw_grad,
         jac=lambda x: _dw_grad(x).reshape(1, 1),
@@ -284,10 +281,7 @@ def _abs_subdiff() -> OperatorEntry:
         v = float(np.asarray(y).reshape(-1)[0])
         return np.array([math.copysign(max(abs(v) - gamma, 0.0), v)])
 
-    fwd = SetValuedMap(
-        "abs-subdiff", 1, 1, ev,
-        resolution=_INTERVAL_RESOLUTION, value_dist=vdist,
-    )
+    fwd = SetValuedMap("abs-subdiff", 1, 1, ev, value_dist=vdist)
     return OperatorEntry(
         name="abs-subdiff",
         forward=fwd,
@@ -295,11 +289,10 @@ def _abs_subdiff() -> OperatorEntry:
         description="subdifferential of the absolute value; prox is the soft threshold",
         inverse=SetValuedMap(
             "abs-subdiff-inverse", 1, 1, inv_ev,
-            window_required=True, resolution=_INTERVAL_RESOLUTION, value_dist=inv_vdist,
+            window_required=True, value_dist=inv_vdist,
         ),
         prox=ProxOracle(shrink, note="soft threshold, all gamma > 0"),
         subgrad=fwd,
-        subgrad_witness=lambda x: np.array([math.copysign(1.0, float(x[0]))]) if float(x[0]) != 0 else np.array([0.0]),
         f=lambda x: abs(float(x[0])),
         monotone=True,
         inf_f=0.0,
@@ -322,7 +315,6 @@ def _quad() -> OperatorEntry:
         inverse=SetValuedMap("quad-inverse", 1, 1, _identity),
         prox=ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma)),
         subgrad=fwd,
-        subgrad_witness=lambda x: np.array([float(x[0])]),
         grad_inverse=SetValuedMap("quad-grad-inverse", 1, 1, _identity),
         f=lambda x: 0.5 * float(x[0]) ** 2,
         grad=lambda x: np.array([float(x[0])]),
@@ -365,7 +357,6 @@ def _quad2() -> OperatorEntry:
         inverse=SetValuedMap("quad2-inverse", 2, 2, inv_ev),
         prox=ProxOracle(prox_rule),
         subgrad=fwd,
-        subgrad_witness=lambda x: Q @ x - b,
         grad_inverse=SetValuedMap("quad2-grad-inverse", 2, 2, inv_ev),
         f=fval,
         grad=lambda x: Q @ x - b,
@@ -398,7 +389,6 @@ def _linear_neg() -> OperatorEntry:
             note="single-valued for gamma != 1/2",
         ),
         subgrad=fwd,
-        subgrad_witness=lambda x: np.array([-2.0 * float(x[0])]),
         f=lambda x: -float(x[0]) ** 2,
         grad=lambda x: np.array([-2.0 * float(x[0])]),
         jac=lambda x: np.array([[-2.0]]),
@@ -424,7 +414,6 @@ def _dc_quad() -> OperatorEntry:
         inverse=SetValuedMap("dc-quad-inverse", 1, 1, inv_ev),
         prox=ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + 0.5 * gamma)),
         subgrad=fwd,
-        subgrad_witness=lambda x: np.array([0.5 * float(x[0])]),
         grad_inverse=SetValuedMap("dc-quad-grad-inverse", 1, 1, inv_ev),
         f=lambda x: 0.25 * float(x[0]) ** 2,
         grad=lambda x: np.array([0.5 * float(x[0])]),

@@ -29,6 +29,9 @@ _KINDS = ("modulus", "lojasiewicz", "plk", "solve", "certify", "full-pipeline")
 
 #: Largest ``analysis.radii.count``: validation builds the whole radius grid.
 _MAX_RADII = 10_000
+#: Largest ``analysis.samples_per_radius`` and ``analysis.grid_count``: the
+#: estimators allocate all of a radius's or grid's sample points at once.
+_MAX_SAMPLES = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -55,9 +58,10 @@ def _positive(value, path: str) -> float:
     return float(value)
 
 
-def _int(value, path: str, minimum: int) -> int:
+def _int(value, path: str, minimum: int, maximum: float = float("inf")) -> int:
     _require(_number(value, path).is_integer(), path, "must be an integer")
     _require(value >= minimum, path, f"must be >= {minimum}")
+    _require(value <= maximum, path, f"must be <= {maximum}")
     return int(value)
 
 
@@ -83,8 +87,7 @@ def _radii_list(spec, path: str) -> List[float]:
             _require(key in spec, f"{path}.{key}", "missing")
         start = _positive(spec["start"], f"{path}.start")
         stop = _positive(spec["stop"], f"{path}.stop")
-        count = _int(spec["count"], f"{path}.count", 2)
-        _require(count <= _MAX_RADII, f"{path}.count", f"must be <= {_MAX_RADII}")
+        count = _int(spec["count"], f"{path}.count", 2, _MAX_RADII)
         _require(count >= 2 and stop > start, path, "needs count >= 2 and stop > start")
         return [float(r) for r in np.geomspace(start, stop, count)]
     _require(isinstance(spec, list) and len(spec) >= 1, path, "must be a list or {start, stop, count}")
@@ -236,7 +239,7 @@ class ExperimentConfig:
             _require(entry.f is not None, "operator", "needs a scalar function for this experiment")
         if self.kind == "lojasiewicz":
             self._window(True, entry.dim_in)
-            _int(self.analysis.setdefault("grid_count", 2001), "analysis.grid_count", 1)
+            _int(self.analysis.setdefault("grid_count", 2001), "analysis.grid_count", 1, _MAX_SAMPLES)
         if self.kind == "plk":
             _require("plk" in self.analysis, "analysis.plk", "missing PLK parameters")
             plk = _object(self.analysis["plk"], "analysis.plk", _PLK_FIELDS)
@@ -245,7 +248,7 @@ class ExperimentConfig:
             q = _number(plk.get("q_exp"), "analysis.plk.q_exp")
             _require(0 <= q < 1, "analysis.plk.q_exp", "must lie in [0, 1)")
             _vector(self.analysis.setdefault("xbar", [0.0] * entry.dim_in), "analysis.xbar", entry.dim_in)
-            _int(self.analysis.setdefault("grid_count", 257), "analysis.grid_count", 1)
+            _int(self.analysis.setdefault("grid_count", 257), "analysis.grid_count", 1, _MAX_SAMPLES)
         if self.kind == "certify":
             _require(bool(self.certificates), "certificates", "at least one certificate is required")
         for i, cert in enumerate(self.certificates):
@@ -299,7 +302,7 @@ class ExperimentConfig:
         _vector(self.analysis.setdefault("xbar", [0.0] * m.dim_in), "analysis.xbar", m.dim_in)
         radii = self.analysis.get("radii", {"start": 1e-4, "stop": 1e-1, "count": 13})
         self.analysis["radii"] = _radii_list(radii, "analysis.radii")
-        _int(self.analysis.setdefault("samples_per_radius", 64), "analysis.samples_per_radius", 1)
+        _int(self.analysis.setdefault("samples_per_radius", 64), "analysis.samples_per_radius", 1, _MAX_SAMPLES)
         scheme = self.analysis.setdefault("scheme", "grid")
         _require(scheme in ("grid", "halton"), "analysis.scheme", "must be 'grid' or 'halton'")
         self._window(m.window_required, m.dim_out)

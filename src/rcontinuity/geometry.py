@@ -15,9 +15,6 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-#: Default tolerance for set-membership decisions.
-MEMBERSHIP_TOL = 1e-9
-
 
 class DimensionMismatchError(ValueError):
     """Operands live in different ambient dimensions."""
@@ -66,18 +63,6 @@ class PointSet:
     @classmethod
     def empty(cls, dim: int) -> "PointSet":
         return cls(np.empty((0, dim)))
-
-    @classmethod
-    def from_points(cls, points: Sequence, dim: Optional[int] = None) -> "PointSet":
-        rows = [as_point(p, dim) for p in points]
-        if not rows:
-            if dim is None:
-                raise ValueError("cannot build an empty PointSet without a dimension")
-            return cls.empty(dim)
-        d = rows[0].size
-        if any(r.size != d for r in rows):
-            raise DimensionMismatchError("points have mixed dimensions")
-        return cls(np.vstack(rows))
 
     @property
     def dim(self) -> int:
@@ -165,14 +150,10 @@ class Window:
     def dim(self) -> int:
         return self.center.size
 
-    def contains(self, x) -> bool:
-        p = as_point(x, self.dim)
-        if self.kind == "box":
-            return bool(np.all(np.abs(p - self.center) <= self.extent))
-        return bool(np.linalg.norm(p - self.center) <= self.extent[0])
-
     def contains_rows(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized containment test for an (n, dim) array."""
+        if pts.shape[1] != self.dim:
+            raise DimensionMismatchError(f"expected dimension {self.dim}, got {pts.shape[1]}")
         if self.kind == "box":
             return np.all(np.abs(pts - self.center) <= self.extent, axis=1)
         return np.linalg.norm(pts - self.center, axis=1) <= self.extent[0]
@@ -202,7 +183,7 @@ class Region:
     Supported kinds: a finite point list, an axis-aligned box, an affine
     subspace (anchor plus orthonormal basis columns), and a closed ball.
     ``distance_rows`` (and ``distance``, its one-point form) is exact for
-    every kind; ``contains`` applies the membership tolerance.
+    every kind.
     """
 
     kind: str  # "points" | "box" | "affine" | "ball"
@@ -250,7 +231,7 @@ class Region:
 
     @classmethod
     def from_points(cls, points: Sequence) -> "Region":
-        return cls("points", points=PointSet.from_points(points).points)
+        return cls("points", points=points)
 
     @classmethod
     def box(cls, center, halfwidths) -> "Region":
@@ -304,9 +285,6 @@ class Region:
                 return p.copy()
             return self.center + (p - self.center) * (self.radius / d)
         return self.anchor + self.basis @ (self.basis.T @ (p - self.anchor))
-
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.distance(x) <= tol
 
     def sample(self, count: int, seed: int = 0, span: float = 1.0) -> PointSet:
         """Deterministic representative points of the region.

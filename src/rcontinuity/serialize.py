@@ -18,27 +18,13 @@ from .analysis import ModulusCurve
 from .solvers import IterateTrace
 
 
-def fmt(value) -> str:
-    """Shortest round-trip rendering of a scalar; None becomes the empty cell."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    _write_lines(path, header, (",".join(fmt(v) for v in row) for row in rows))
-
-
 def _write_lines(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
     Path(path).write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8", newline="")
 
 
 def _cells(values: Iterable) -> Iterator[str]:
-    """``fmt`` of a float column whose cells are Python floats or None."""
+    """Cells of a float column whose entries are Python floats or None: the
+    shortest round-trip ``repr``, or the empty cell."""
     return ("" if v is None else repr(v) for v in values)
 
 
@@ -55,11 +41,8 @@ def sha256_file(path: Path) -> str:
 
 
 def modulus_to_csv(curve: ModulusCurve, path: Path) -> None:
-    rows = [
-        (sigma, rho, count)
-        for sigma, rho, count in zip(curve.radii, curve.rho_hat, curve.sample_counts)
-    ]
-    write_csv(path, ["sigma", "rho_hat", "samples"], rows)
+    cells = [_cells(curve.radii.tolist()), _cells(curve.rho_hat.tolist()), map(str, curve.sample_counts)]
+    _write_lines(path, ["sigma", "rho_hat", "samples"], map(",".join, zip(*cells)))
 
 
 def trace_to_csv(trace: IterateTrace, path: Path, distances: Optional[List[float]] = None) -> None:

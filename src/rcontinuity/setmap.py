@@ -12,9 +12,8 @@ its one-row form.  :func:`pointwise` lifts a per-point evaluator
 
 Maps whose values may be unbounded declare ``window_required`` and refuse
 unwindowed evaluation instead of silently truncating.  Maps whose values
-contain continua (intervals, half-lines) return a finite sample at a declared
-resolution and may carry a closed-form ``value_dist`` oracle so that
-membership tests stay exact.
+contain continua (intervals, half-lines) return a finite sample and may carry
+a closed-form ``value_dist`` oracle so that membership tests stay exact.
 
 Maps and operator entries are immutable after construction; evaluation is
 reentrant and thread-safe.
@@ -84,7 +83,6 @@ class SetValuedMap:
     dim_out: int
     evaluator: Evaluator
     window_required: bool = False
-    resolution: Optional[int] = None
     value_dist: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
     def eval_rows(self, X, window: Optional[Window] = None) -> Tuple[PointSet, np.ndarray]:
@@ -176,7 +174,6 @@ class OperatorEntry:
     inverse: Optional[SetValuedMap] = None
     prox: Optional[ProxOracle] = None
     subgrad: Optional[SetValuedMap] = None
-    subgrad_witness: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad_inverse: Optional[SetValuedMap] = None
     f: Optional[Callable[[np.ndarray], float]] = None
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -193,16 +190,6 @@ class OperatorEntry:
     @property
     def dim_out(self) -> int:
         return self.forward.dim_out
-
-    def witness_map(self, which: str) -> SetValuedMap:
-        """Resolve a witness-map name recorded on a trace."""
-        if which == "forward":
-            return self.forward
-        if which == "subgrad":
-            if self.subgrad is None:
-                raise MissingOracleError(f"entry {self.name!r} has no subgradient map")
-            return self.subgrad
-        raise ValueError(f"unknown witness map {which!r}")
 
     def oracle_flags(self) -> dict:
         return {

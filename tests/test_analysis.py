@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rcontinuity import (
+    DimensionMismatchError,
     ModulusCurve,
     PlkConfig,
     Region,
@@ -188,6 +189,10 @@ class TestLojasiewiczFit:
         with pytest.raises(ValueError):
             lojasiewicz_fit(catalog_lookup("square"), Window.box([5.0], [1.0]), 101)
 
+    def test_window_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            lojasiewicz_fit(catalog_lookup("quad2"), Window.box([0.0], [2.0]), 101)
+
     def test_identically_zero_rejected(self):
         zero_entry = OperatorEntry(
             name="zero",
@@ -270,6 +275,11 @@ class TestInverseLipschitz:
         assert res.full_rank
         assert res.c_hat == pytest.approx(expected, rel=1e-12)
         assert not res.bound_violations
+
+    def test_window_dimension_checked(self):
+        # a 1-d window against 2-d anchors must not broadcast into a verdict
+        with pytest.raises(DimensionMismatchError):
+            certify_inverse_lipschitz(catalog_lookup("quad2"), Window.box([0.0], [2.0]))
 
 
 class TestCalmness:
@@ -381,10 +391,7 @@ def reference_plk(entry, xbar, cfg, grid_count, seed):
         if not (fbar < fx < fbar + cfg.eta):
             continue
         checked += 1
-        if entry.subgrad is not None:
-            slope = entry.subgrad.member_dist(p, zero)
-        else:
-            slope = float(np.linalg.norm(entry.subgrad_witness(p)))
+        slope = entry.subgrad.member_dist(p, zero)
         product = cfg.phi_prime(fx - fbar) * slope
         if min_product is None or product < min_product:
             min_product = product
@@ -482,8 +489,7 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
 
     @pytest.mark.parametrize("name", [n for n in catalog_names()
                                       if catalog_lookup(n).f is not None
-                                      and (catalog_lookup(n).subgrad is not None
-                                           or catalog_lookup(n).subgrad_witness is not None)])
+                                      and catalog_lookup(n).subgrad is not None])
     def test_check_plk_exponent(self, name):
         entry = catalog_lookup(name)
         for xbar in ([0.0] * entry.dim_in, [0.5] * entry.dim_in):
@@ -501,7 +507,7 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
             pytest.skip("no bound to check")
         for tube_radius, tol in ((0.1, 1e-8), (1.0, -0.5)):  # tol < 0: every point off S violates
             res = certify_inverse_lipschitz(entry, k, test_samples=60, tol=tol, tube_radius=tube_radius)
-            anchors = [p for p in entry.solution_set.sample(25, 0).points if k.contains(p)]
+            anchors = [p for p in entry.solution_set.sample(25, 0).points if np.all(np.abs(p) <= 2.0)]
             per_anchor = max(1, 60 // len(anchors))
             xs = np.vstack([u + sample_window(Window.ball(np.zeros(entry.dim_in), tube_radius), "halton",
                                               per_anchor, i).points for i, u in enumerate(anchors)])

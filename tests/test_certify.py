@@ -27,7 +27,7 @@ from rcontinuity import (
     run_ppa,
     run_qpower_prox,
 )
-from rcontinuity.serialize import trace_to_csv, write_csv
+from rcontinuity.serialize import modulus_to_csv, trace_to_csv
 
 S0 = Region.from_points([[0.0]])
 
@@ -342,6 +342,23 @@ def reference_trace_rows(trace, distances):
     return rows
 
 
+def fmt(value) -> str:
+    """Shortest round-trip rendering of a scalar; None becomes the empty cell."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_csv(path, header, rows):
+    """The reference CSV writer: a header line, then one ``fmt`` cell per value."""
+    lines = [",".join(header), *(",".join(fmt(v) for v in row) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+
+
 def _off_threshold(triples):
     """True when every ``(index, lhs, rhs)`` comparison is clear of its threshold
     by more than 1e-9 relative: numpy's ``**`` and Python's ``pow`` may round
@@ -382,6 +399,9 @@ def _same(cert, reference):
 
 
 _PARAMS = st.floats(0.1, 4.0)
+# positive floats from 1e-300 to about 1e300, with short and long mantissas
+_MANTISSA = st.one_of(st.integers(1, 99).map(str), st.floats(1.0, 10.0).map(repr))
+_MAGNITUDE = st.builds(lambda m, e: float(f"{m}e{e}"), _MANTISSA, st.integers(-300, 298))
 _CASES = settings(derandomize=True, max_examples=150, deadline=None)
 
 
@@ -460,4 +480,20 @@ class TestArrayChecksMatchReference:
             got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
             trace_to_csv(trace, got, distances=distances)
             write_csv(want, header, reference_trace_rows(trace, distances))
+            assert got.read_bytes() == want.read_bytes()
+
+    @_CASES
+    @given(st.data())
+    def test_modulus_csv_bytes(self, data):
+        radii = sorted(data.draw(st.lists(_MAGNITUDE, min_size=1, max_size=12, unique=True)))
+        n = len(radii)
+        rho = data.draw(st.lists(st.just(0.0) | _MAGNITUDE, min_size=n, max_size=n))
+        counts = data.draw(st.lists(st.integers(0, 10 ** 12), min_size=n, max_size=n))
+        curve = ModulusCurve(map_name="drawn", base_point=np.zeros(1), window=None, radii=np.array(radii),
+                             rho_hat=np.array(rho), sample_counts=counts, seed=0, scheme="grid")
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            modulus_to_csv(curve, got)
+            write_csv(want, ["sigma", "rho_hat", "samples"],
+                      zip(curve.radii, curve.rho_hat, curve.sample_counts))
             assert got.read_bytes() == want.read_bytes()

@@ -67,8 +67,11 @@ REJECTED = [
               "analysis.radii.count"),
     _rejected("samples-bool", ["modulus", "--set", "operator=square", "--set", "analysis.samples_per_radius=true"],
               "analysis.samples_per_radius"),
+    _rejected("samples-huge", ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse", "--set",
+                               "analysis.samples_per_radius=1000000000000"], "analysis.samples_per_radius"),
     _rejected("window-dimension", ["modulus", "--set", "operator=quad2", "--set", _WINDOW_1D], "analysis.window"),
     _rejected("grid_count-fraction", _LOJA + ["--set", "analysis.grid_count=10.5"], "analysis.grid_count"),
+    _rejected("grid_count-huge", _LOJA + ["--set", "analysis.grid_count=1000000000000"], "analysis.grid_count"),
     _rejected("unknown-top-level", _SOLVE + ["--set", "tolerence=5"], "tolerence"),
     _rejected("unknown-stop", _SOLVE + ["--set", "stop.max_iters=5"], "stop.max_iters"),
     _rejected("unknown-algorithm", _SOLVE + ["--set", "algorithm.stpe=3"], "algorithm.stpe"),

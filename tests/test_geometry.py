@@ -20,7 +20,7 @@ from conftest import refine_brute_distance
 
 
 def ps(*vals):
-    return PointSet.from_points([[float(v)] for v in vals])
+    return PointSet(np.array(vals, dtype=float))
 
 
 class TestDistanceToSet:
@@ -123,11 +123,6 @@ class TestRegionDistance:
             free = lambda grid: grid  # the zoom window stays inside the box
         brute = refine_brute_distance(free, x, lo, hi)
         assert region.distance(x) == pytest.approx(brute, abs=1e-9)
-
-    def test_contains_uses_tolerance(self):
-        r = Region.from_points([[0.0]])
-        assert r.contains([1e-10])
-        assert not r.contains([1e-3])
 
     def test_affine_sampling_stays_on_subspace(self):
         plane = Region.affine([1.0, 0.0, 0.0], np.eye(3)[:, 1:])
@@ -284,9 +279,10 @@ class TestWindow:
 
     def test_ball_contains(self):
         w = Window.ball([0.0, 0.0], 1.0)
-        assert w.contains([0.6, 0.8])
-        assert not w.contains([0.61, 0.8])
+        assert w.contains_rows(np.array([[0.6, 0.8], [0.61, 0.8]])).tolist() == [True, False]
+        with pytest.raises(DimensionMismatchError):
+            w.contains_rows(np.array([[0.6]]))
 
     def test_round_trip_dict(self):
         w = Window.ball([0.5], 2.0)
-        assert Window.from_dict(w.to_dict()).contains([2.4])
+        assert Window.from_dict(w.to_dict()).contains_rows(np.array([[2.4]]))[0]

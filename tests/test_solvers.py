@@ -24,7 +24,7 @@ def scalar_iterates(trace):
 
 def witness_member_errors(trace, entry):
     """Distance of every recorded witness to the map it claims to belong to."""
-    m = entry.witness_map(trace.witness_map)
+    m = getattr(entry, trace.witness_map)
     big = Window.box([0.0] * m.dim_out, [1e6] * m.dim_out)
     errs = []
     for k, w in zip(trace.witness_indices, trace.witness_points):

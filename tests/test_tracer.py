@@ -1,0 +1,49 @@
+"""The benchmark's per-layer tracer (``perfbench/tracer.py``) patches names of
+the package by hand; these tests fail when one of them is deleted or moved,
+and check that ``uninstall`` puts every original back."""
+
+from pathlib import Path
+
+import pytest
+
+from rcontinuity import analysis, catalog, certify, cli, geometry, serialize, setmap, solvers
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_OWNERS = (analysis, catalog, certify, cli, geometry, serialize, setmap, solvers,
+           geometry.Region, setmap.SetValuedMap, setmap.ProxOracle, cli.ExperimentConfig)
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    t = Tracer()
+    before = {owner: dict(owner.__dict__) for owner in _OWNERS}
+    t.install()
+    try:
+        yield t
+    finally:
+        t.uninstall()
+    for owner, attrs in before.items():
+        now = dict(owner.__dict__)
+        assert now.keys() == attrs.keys()
+        assert all(now[name] is attrs[name] for name in attrs), owner
+
+
+def test_install_wraps_every_patched_name(tracer):
+    assert tracer._patches
+    for owner, name, original in tracer._patches:
+        assert owner in _OWNERS
+        assert owner.__dict__[name] is not original
+
+
+def test_traced_run_counts_the_writers_and_oracles(tracer, tmp_path):
+    argv = ["modulus", "--set", "operator=square", "--set", "analysis.samples_per_radius=4",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert tracer.calls["serialize.json_csv"] >= 2  # modulus.csv and the JSON summary
+    assert tracer.calls["setmap.eval"] >= 1
+    assert tracer.counts["serialize.bytes_written"] > 0
+    catalog.catalog_lookup("quad").f([1.0])
+    assert tracer.calls["catalog.oracle"] == 1
