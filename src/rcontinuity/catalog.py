@@ -10,6 +10,16 @@ rows at once and returns its branches as ``(values, rows)`` parts, which
 arithmetic, element by element, so every value is the one a per-point
 formula gives; where numpy rounds differently from Python's scalar ``**``
 and ``math.log``, the scalar functions are applied per element.
+
+Each 1-d closed form of ``flat-exp``, ``square``, ``double-well`` and the
+linear maps is written once, as a function of one coordinate that gives the
+same bits on a Python float and on a numpy column.  Two adapters derive the
+rest from it: :func:`_lift`, the column lift, makes the single-valued
+row-wise map (``forward``, ``subgrad``), and :func:`_scalar`, the scalar view
+at ``x[0]``, makes the ``f``, ``grad`` and ``jac`` oracles.  :func:`_pow` is
+the one place that applies Python's ``**``.  The three functions are made by
+:func:`_smooth`, and the linear maps ``quad``, ``dc-quad`` and
+``linear-neg`` by :func:`_linear`.
 """
 
 from __future__ import annotations
@@ -38,19 +48,60 @@ def _branches(*parts):
     return values.reshape(-1, 1), rows
 
 
-def _column(values):
-    """One value per row."""
-    return _branches((values, np.arange(len(values))))
-
-
 def _each(values: np.ndarray, rows: np.ndarray):
     """The same values for every row in ``rows``, as a branch part."""
     return np.tile(values, rows.size), np.repeat(rows, values.size)
 
 
-def _pow(values: np.ndarray, exponent: float) -> np.ndarray:
-    """Python's float ``**`` per element: numpy's power rounds differently."""
-    return np.array([v ** exponent for v in values.tolist()], dtype=float)
+def _pow(v, exponent: float):
+    """Python's float ``**`` on a float, and per element on an array (numpy's
+    power rounds differently), with the IEEE limit where ``**`` overflows."""
+    if type(v) is not float:
+        return np.array([_pow(t, exponent) for t in v.tolist()], dtype=float)
+    try:
+        return v ** exponent
+    except OverflowError:  # Python raises where IEEE arithmetic gives +-inf
+        with np.errstate(over="ignore"):
+            return float(np.power(v, exponent))
+
+
+def _lift(name: str, form) -> SetValuedMap:
+    """The column lift: the single-valued map ``x -> {form(x[0])}``, row-wise.
+    An overflow gives +-inf without a warning, as Python's float ``*`` and
+    ``/`` do."""
+
+    def evaluator(X, window):
+        with np.errstate(over="ignore"):
+            return form(X[:, 0]), np.arange(X.shape[0])
+
+    return SetValuedMap(name, 1, 1, evaluator)
+
+
+def _scalar(f, grad) -> dict:
+    """The scalar view at ``x[0]``: the ``f``, ``grad`` and ``jac`` oracles of a
+    1-d entry from its closed forms ``f`` and ``grad``."""
+    return {
+        "f": lambda x: float(f(float(x[0]))),
+        "grad": lambda x: np.array([grad(float(x[0]))]),
+        "jac": lambda x: np.array([[grad(float(x[0]))]]),
+    }
+
+
+def _smooth(name: str, f, grad, inverse, zeros, description: str, **extra) -> OperatorEntry:
+    """A 1-d function ``f >= 0`` vanishing exactly on ``zeros``: the map
+    ``x -> {f(x)}`` with ``inverse`` as its row-wise inverse evaluator, the
+    derivative ``grad`` as ``subgrad``, and the scalar view of both."""
+    return OperatorEntry(
+        name=name,
+        forward=_lift(name, f),
+        solution_set=Region.from_points(zeros),
+        description=description,
+        inverse=SetValuedMap(f"{name}-inverse", 1, 1, inverse),
+        subgrad=_lift(f"{name}-grad", grad),
+        **_scalar(f, grad),
+        inf_f=0.0,
+        **extra,
+    )
 
 
 def _interval(lo: float, hi: float, n: int = _INTERVAL_RESOLUTION) -> np.ndarray:
@@ -108,34 +159,21 @@ def _rm1() -> OperatorEntry:
 
 # --- flat-exp: f(x) = exp(-1/x^2), f(0) = 0 ----------------------------------
 
-def _flat_exp_f(x) -> float:
-    v = float(np.asarray(x).reshape(-1)[0])
-    if v * v == 0.0:  # the limit 0, also where v * v underflows
-        return 0.0
-    return float(np.exp(-1.0 / (v * v)))
+def _flat_exp_f(v):
+    # exp(-1/v^2), and its limit 0 where v * v is 0 (v = 0, or its square
+    # underflows): there the divisor is 1 (vv + True) and the factor 0
+    vv = v * v
+    return np.exp(-1.0 / (vv + (vv == 0.0))) * (vv != 0.0)
 
 
-def _flat_exp_grad(x) -> np.ndarray:
-    v = float(np.asarray(x).reshape(-1)[0])
-    if v ** 3 == 0.0:  # the limit 0, also where v ** 3 underflows
-        return np.array([0.0])
-    return np.array([2.0 * np.exp(-1.0 / (v * v)) / v ** 3])
+def _flat_exp_grad(v):
+    # f(v) / v ** 3 tends to 0; where v ** 3 is 0 (v = 0, or its cube
+    # underflows) f(v) is 0 as well, so dividing by 1 there gives that limit
+    cube = _pow(v, 3)
+    return 2.0 * _flat_exp_f(v) / (cube + (cube == 0.0))
 
 
 def _flat_exp() -> OperatorEntry:
-    def ev(X, window):
-        v = X[:, 0]
-        with np.errstate(divide="ignore", over="ignore"):  # exp(-inf) = 0 at v = 0
-            return _column(np.exp(-1.0 / (v * v)))
-
-    def grad_ev(X, window):
-        v = X[:, 0]
-        cube = _pow(v, 3)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            g = 2.0 * np.exp(-1.0 / (v * v)) / cube
-        # the limit 0 where v ** 3 is 0 (v = 0, or its cube underflows)
-        return _column(np.where(cube == 0.0, 0.0, g))
-
     def inv_ev(Y, window):
         w = Y[:, 0]
         zero = np.flatnonzero(w == 0.0)
@@ -143,29 +181,13 @@ def _flat_exp() -> OperatorEntry:
         r = np.sqrt(-1.0 / np.array([math.log(t) for t in w[inside].tolist()], dtype=float))
         return _branches((np.zeros(zero.size), zero), (-r, inside), (r, inside))
 
-    fwd = SetValuedMap("flat-exp", 1, 1, ev)
-    inv = SetValuedMap("flat-exp-inverse", 1, 1, inv_ev)
-    return OperatorEntry(
-        name="flat-exp",
-        forward=fwd,
-        solution_set=Region.from_points([[0.0]]),
-        description="smooth non-analytic function, flat to all orders at 0",
-        inverse=inv,
-        subgrad=SetValuedMap("flat-exp-grad", 1, 1, grad_ev),
-        f=_flat_exp_f,
-        grad=_flat_exp_grad,
-        jac=lambda x: _flat_exp_grad(x).reshape(1, 1),
-        monotone=False,
-        inf_f=0.0,
-    )
+    return _smooth("flat-exp", _flat_exp_f, _flat_exp_grad, inv_ev, [[0.0]],
+                   "smooth non-analytic function, flat to all orders at 0")
 
 
 # --- square: f(x) = x^2 -------------------------------------------------------
 
 def _square() -> OperatorEntry:
-    def ev(X, window):
-        return _column(_pow(X[:, 0], 2))
-
     def inv_ev(Y, window):
         w = Y[:, 0]
         zero = np.flatnonzero(w == 0.0)
@@ -173,43 +195,22 @@ def _square() -> OperatorEntry:
         r = np.sqrt(w[pos])
         return _branches((np.zeros(zero.size), zero), (-r, pos), (r, pos))
 
-    return OperatorEntry(
-        name="square",
-        forward=SetValuedMap("square", 1, 1, ev),
-        solution_set=Region.from_points([[0.0]]),
-        description="scalar quadratic equation map",
-        inverse=SetValuedMap("square-inverse", 1, 1, inv_ev),
-        subgrad=SetValuedMap("square-grad", 1, 1, lambda X, w: _column(2.0 * X[:, 0])),
-        grad_inverse=SetValuedMap("square-grad-inverse", 1, 1, lambda Y, w: _column(Y[:, 0] / 2.0)),
-        f=lambda x: float(x[0]) ** 2,
-        grad=lambda x: np.array([2.0 * float(x[0])]),
-        jac=lambda x: np.array([[2.0 * float(x[0])]]),
-        monotone=False,
-        inf_f=0.0,
-    )
+    return _smooth("square", lambda v: _pow(v, 2), lambda v: 2.0 * v, inv_ev, [[0.0]],
+                   "scalar quadratic equation map",
+                   grad_inverse=_lift("square-grad-inverse", lambda w: w / 2.0))
 
 
 # --- double-well: f(x) = x^2 (x-1)^2, S = {0, 1} ------------------------------
 
-def _dw_f(x) -> float:
-    v = float(np.asarray(x).reshape(-1)[0])
-    return (v * (v - 1.0)) ** 2
+def _dw_f(v):
+    return _pow(v * (v - 1.0), 2)
 
 
-def _dw_grad(x) -> np.ndarray:
-    v = float(np.asarray(x).reshape(-1)[0])
-    return np.array([2.0 * v * (v - 1.0) * (2.0 * v - 1.0)])
+def _dw_grad(v):
+    return 2.0 * v * (v - 1.0) * (2.0 * v - 1.0)
 
 
 def _double_well() -> OperatorEntry:
-    def ev(X, window):
-        v = X[:, 0]
-        return _column(_pow(v * (v - 1.0), 2))
-
-    def grad_ev(X, window):
-        v = X[:, 0]
-        return _column(2.0 * v * (v - 1.0) * (2.0 * v - 1.0))
-
     def inv_ev(Y, window):
         w = Y[:, 0]
         zero = np.flatnonzero(w == 0.0)
@@ -225,19 +226,7 @@ def _double_well() -> OperatorEntry:
             ((1.0 + inner) / 2.0, inner_rows), ((1.0 - inner) / 2.0, inner_rows),
         )
 
-    return OperatorEntry(
-        name="double-well",
-        forward=SetValuedMap("double-well", 1, 1, ev),
-        solution_set=Region.from_points([[0.0], [1.0]]),
-        description="quartic with two zeros",
-        inverse=SetValuedMap("double-well-inverse", 1, 1, inv_ev),
-        subgrad=SetValuedMap("double-well-grad", 1, 1, grad_ev),
-        f=_dw_f,
-        grad=_dw_grad,
-        jac=lambda x: _dw_grad(x).reshape(1, 1),
-        monotone=False,
-        inf_f=0.0,
-    )
+    return _smooth("double-well", _dw_f, _dw_grad, inv_ev, [[0.0], [1.0]], "quartic with two zeros")
 
 
 # --- abs-subdiff: A(x) = subdifferential of |x| -------------------------------
@@ -299,29 +288,39 @@ def _abs_subdiff() -> OperatorEntry:
     )
 
 
-# --- quad: f(x) = x^2 / 2, A(x) = x (1-d identity gradient) -------------------
+# --- linear maps: A(x) = a x, the gradient of f(x) = a x^2 / 2 ---------------
 
-def _identity(X, window):
-    return _column(X[:, 0])
+def _linear(name: str, a: float, description: str, **extra) -> OperatorEntry:
+    """``A(x) = a x`` with its inverse ``y / a``, resolvent ``y / (1 + γa)`` and
+    Jacobian ``[[a]]``.  For ``a > 0`` it is monotone, the quadratic form
+    ``(a, 0)`` with ``inf f = 0``, and its inverse is also ``grad_inverse``;
+    for ``a < 0`` the resolvent is single-valued only for ``γ != -1/a``."""
+    half = 0.5 * a
 
+    def grad(v):
+        return a * v
 
-def _quad() -> OperatorEntry:
-    fwd = SetValuedMap("quad", 1, 1, _identity)
+    fwd = _lift(name, grad)
+    inv = _lift(f"{name}-inverse", lambda w: w / a)
+    prox = ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma * a))
+    if a < 0:
+        prox = ProxOracle(prox.rule, valid_gamma=lambda g: g > 0 and abs(g + 1.0 / a) > 1e-12,
+                          note=f"single-valued for gamma != 1/{-a:g}")
+    else:
+        extra.update(grad_inverse=inv, quad_form=(np.array([[a]]), np.array([0.0])), inf_f=0.0)
+    oracles = _scalar(lambda v: half * _pow(v, 2), grad)
+    oracles["jac"] = lambda x: np.array([[a]])  # the Jacobian of A, constant
     return OperatorEntry(
-        name="quad",
+        name=name,
         forward=fwd,
         solution_set=Region.from_points([[0.0]]),
-        description="gradient map of x^2/2 with a linear resolvent",
-        inverse=SetValuedMap("quad-inverse", 1, 1, _identity),
-        prox=ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma)),
+        description=description,
+        inverse=inv,
+        prox=prox,
         subgrad=fwd,
-        grad_inverse=SetValuedMap("quad-grad-inverse", 1, 1, _identity),
-        f=lambda x: 0.5 * float(x[0]) ** 2,
-        grad=lambda x: np.array([float(x[0])]),
-        jac=lambda x: np.array([[1.0]]),
-        quad_form=(np.array([[1.0]]), np.array([0.0])),
-        monotone=True,
-        inf_f=0.0,
+        **oracles,
+        monotone=a > 0,
+        **extra,
     )
 
 
@@ -348,16 +347,17 @@ def _quad2() -> OperatorEntry:
         return np.linalg.solve(np.eye(2) + gamma * Q, np.asarray(y, dtype=float) + gamma * b)
 
     fwd = SetValuedMap("quad2", 2, 2, ev)
+    inv = SetValuedMap("quad2-inverse", 2, 2, inv_ev)
     fval = lambda x: float(0.5 * x @ Q @ x - b @ x)
     return OperatorEntry(
         name="quad2",
         forward=fwd,
         solution_set=Region.from_points([_QUAD2_SOL]),
         description="two-dimensional SPD quadratic",
-        inverse=SetValuedMap("quad2-inverse", 2, 2, inv_ev),
+        inverse=inv,
         prox=ProxOracle(prox_rule),
         subgrad=fwd,
-        grad_inverse=SetValuedMap("quad2-grad-inverse", 2, 2, inv_ev),
+        grad_inverse=inv,
         f=fval,
         grad=lambda x: Q @ x - b,
         jac=lambda x: Q.copy(),
@@ -367,77 +367,21 @@ def _quad2() -> OperatorEntry:
     )
 
 
-# --- linear-neg: A(x) = -2x (not monotone) ------------------------------------
-
-def _linear_neg() -> OperatorEntry:
-    def ev(X, window):
-        return _column(-2.0 * X[:, 0])
-
-    def prox_rule(gamma, y):
-        return np.asarray(y, dtype=float) / (1.0 - 2.0 * gamma)
-
-    fwd = SetValuedMap("linear-neg", 1, 1, ev)
-    return OperatorEntry(
-        name="linear-neg",
-        forward=fwd,
-        solution_set=Region.from_points([[0.0]]),
-        description="nonmonotone linear map; resolvent single-valued away from gamma = 1/2",
-        inverse=SetValuedMap("linear-neg-inverse", 1, 1, lambda Y, w: _column(-0.5 * Y[:, 0])),
-        prox=ProxOracle(
-            prox_rule,
-            valid_gamma=lambda g: g > 0 and abs(g - 0.5) > 1e-12,
-            note="single-valued for gamma != 1/2",
-        ),
-        subgrad=fwd,
-        f=lambda x: -float(x[0]) ** 2,
-        grad=lambda x: np.array([-2.0 * float(x[0])]),
-        jac=lambda x: np.array([[-2.0]]),
-        monotone=False,
-    )
-
-
-# --- dc-quad: g = x^2/2, h = x^2/4, f = g - h = x^2/4 --------------------------
-
-def _dc_quad() -> OperatorEntry:
-    def ev(X, window):
-        return _column(0.5 * X[:, 0])
-
-    def inv_ev(Y, window):
-        return _column(2.0 * Y[:, 0])
-
-    fwd = SetValuedMap("dc-quad", 1, 1, ev)
-    return OperatorEntry(
-        name="dc-quad",
-        forward=fwd,
-        solution_set=Region.from_points([[0.0]]),
-        description="difference of two quadratics",
-        inverse=SetValuedMap("dc-quad-inverse", 1, 1, inv_ev),
-        prox=ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + 0.5 * gamma)),
-        subgrad=fwd,
-        grad_inverse=SetValuedMap("dc-quad-grad-inverse", 1, 1, inv_ev),
-        f=lambda x: 0.25 * float(x[0]) ** 2,
-        grad=lambda x: np.array([0.5 * float(x[0])]),
-        jac=lambda x: np.array([[0.5]]),
-        quad_form=(np.array([[0.5]]), np.array([0.0])),
-        dc=DcSplit(
-            g_prox=ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma)),
-            h_grad=lambda x: 0.5 * np.asarray(x, dtype=float),
-        ),
-        monotone=True,
-        inf_f=0.0,
-    )
-
-
 _BUILDERS = {
     "rm1": _rm1,
     "flat-exp": _flat_exp,
     "square": _square,
     "double-well": _double_well,
     "abs-subdiff": _abs_subdiff,
-    "quad": _quad,
+    "quad": lambda: _linear("quad", 1.0, "gradient map of x^2/2 with a linear resolvent"),
     "quad2": _quad2,
-    "linear-neg": _linear_neg,
-    "dc-quad": _dc_quad,
+    "linear-neg": lambda: _linear(
+        "linear-neg", -2.0, "nonmonotone linear map; resolvent single-valued away from gamma = 1/2"),
+    # g = x^2/2, h = x^2/4, f = g - h = x^2/4
+    "dc-quad": lambda: _linear("dc-quad", 0.5, "difference of two quadratics", dc=DcSplit(
+        g_prox=ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma)),
+        h_grad=lambda x: 0.5 * np.asarray(x, dtype=float),
+    )),
 }
 
 _CATALOG: Dict[str, OperatorEntry] = {name: build() for name, build in sorted(_BUILDERS.items())}

@@ -470,13 +470,14 @@ _SUBCOMMAND_KIND = {
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rcontinuity", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_SUBCOMMAND_KIND) + ["catalog"]:
+    for name in _SUBCOMMAND_KIND:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, help="JSON configuration file")
         p.add_argument("--out", type=Path, help="output directory")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="PATH=VALUE", help="override a config field")
+    sub.add_parser("catalog").add_argument("--out", type=Path, help="output directory")
     return parser
 
 

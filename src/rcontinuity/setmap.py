@@ -140,11 +140,15 @@ class ProxOracle:
     note: str = "valid for all gamma > 0"
 
     def resolve(self, gamma: float, y) -> np.ndarray:
+        """``J_{γA}(y)`` as a 1-d float vector.  Coordinates are not checked for
+        finiteness, in ``y`` or in the result: an overflow inside a solver run
+        reaches the solver loop, whose finiteness rule ends the run as divergence."""
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         if not self.valid_gamma(gamma):
             raise ValueError(f"gamma={gamma} outside the oracle's single-valued range ({self.note})")
-        return as_point(self.rule(gamma, as_point(y)))
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        return np.atleast_1d(np.asarray(self.rule(gamma, y), dtype=float))
 
 
 @dataclass(frozen=True)

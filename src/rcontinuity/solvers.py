@@ -279,10 +279,11 @@ def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
         raise MissingOracleError(f"entry {entry.name!r} has no dc split (g prox, grad h)")
     g_prox, h_grad = entry.dc.g_prox, entry.dc.h_grad
 
+    # not as_point: an overflow must reach _iterate, which ends the run as divergence
     def step(x):
-        hx = as_point(h_grad(x), entry.dim_in)
+        hx = np.asarray(h_grad(x), dtype=float)
         xn = g_prox.resolve(gamma, x + gamma * hx)
-        return xn, hx - as_point(h_grad(xn), entry.dim_in) - (xn - x) / gamma
+        return xn, hx - np.asarray(h_grad(xn), dtype=float) - (xn - x) / gamma
 
     return _iterate(entry, x0, stop, step, "dca", "next", "subgrad")
 

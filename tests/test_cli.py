@@ -284,6 +284,23 @@ class TestRunExperiment:
         cells = [float(c) for row in rows[1:] for c in row.split(",") if c]
         assert cells and np.isfinite(cells).all()
 
+    @pytest.mark.parametrize("operator, algorithm", [
+        # f = x^2/2 overflows in Python's ** while the run records f values
+        ("quad", {"name": "gdm", "step": 0.5, "x0": [1e200]}),
+        # the resolvent y / (1 - 2 gamma) overflows
+        ("linear-neg", {"name": "ppa", "gamma": 0.4999, "x0": [1e305]}),
+        # the resolvent's input x + gamma grad h(x) overflows
+        ("dc-quad", {"name": "dca", "gamma": 1e300, "x0": [1e10]}),
+    ], ids=["gdm-f", "ppa-resolvent", "dca-input"])
+    def test_overflow_inside_a_run_diverges(self, operator, algorithm, tmp_path, capsys):
+        argv = ["solve", "--set", f"operator={operator}", "--set", f"algorithm={json.dumps(algorithm)}",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"]["diverged"] is True
+        rows = [row.split(",") for row in (tmp_path / "trace.csv").read_text().strip().split("\n")]
+        iterates = [float(row[rows[0].index("x0")]) for row in rows[1:]]
+        assert iterates and np.isfinite(iterates).all()
+
     def test_shifted_run_records_ledger_column(self, tmp_out):
         cfg = ExperimentConfig.from_dict({
             "kind": "solve",
@@ -339,6 +356,13 @@ class TestMainExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert any(item["name"] == "rm1" for item in out)
 
+    @pytest.mark.parametrize("flags", [["--set", "operator=nope"], ["--seed", "5"], ["--config", "cfg.json"]],
+                             ids=["set", "seed", "config"])
+    def test_catalog_takes_only_out(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", *flags])
+        assert exc.value.code == 2
+
     def test_set_override_parses_json_scalars(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(pipeline_config()))
@@ -369,10 +393,16 @@ class TestCsvFormat:
 # the modulus-link audit (41 checked, 6 out of range), recorded before traces
 # became arrays, and four modulus sweeps (the 2-d halton solve, the log branch,
 # the two- and four-root branches, a windowed forward map), recorded before map
-# evaluation became row-wise.  An entry's ``kind`` defaults to certify.
+# evaluation became row-wise, and one short run of each entry whose closed
+# forms were then rewritten once for both the maps and the scalar oracles (the
+# linear maps' resolvents, GDM on square and flat-exp, the Lojasiewicz fit and
+# PLK check), plus the catalog listing, recorded before that rewrite.  An
+# entry's ``kind`` defaults to certify; an entry without a config is the
+# ``catalog`` subcommand.
 # A change to any of these bytes is a change of the artifact contract, not a
 # refactor.
 _RADII_5 = {"start": 1e-4, "stop": 1e-1, "count": 5}
+_PLK_1 = {"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0}
 GOLDEN = {
     "ppa": (
         {"operator": "abs-subdiff", "algorithm": {"name": "ppa", "gamma": 0.3, "x0": [1.0]},
@@ -499,6 +529,45 @@ GOLDEN = {
         {"loja_fit.json": "91132f5ccdb5a843f1291fba2fc05926986783f50925cb711f12bcf5f5e2ab09",
          "report.json": "8161bcdd20cee4e0cbd3363aa43d0aaa034cff5f0632972645a0120e54204190"},
     ),
+    "linear-neg-ppa": (
+        {"kind": "solve", "operator": "linear-neg", "algorithm": {"name": "ppa", "gamma": 2.0, "x0": [1.0]}},
+        {"trace.csv": "a418b21821abefccb109a324036acc829808d4f3777bbc21153102d3a254bfd8",
+         "report.json": "da30797fa94c2433fec861ec2863bf6c1562241e047bdd74feb4c029abf72d47"},
+    ),
+    "dc-quad-ppa": (
+        {"kind": "solve", "operator": "dc-quad", "algorithm": {"name": "ppa", "gamma": 1.0, "x0": [1.0]}},
+        {"trace.csv": "be2361256208e4f0f1585bc54183b35cd1526a7169586a20726768d24004cc7f",
+         "report.json": "9e9490949fb9b57e654d80d7c70b0109f25a66a49418feac3e878e78dc04ddc3"},
+    ),
+    "square-gdm": (
+        {"kind": "solve", "operator": "square", "algorithm": {"name": "gdm", "step": 0.1, "x0": [1.0]},
+         "stop": {"max_iter": 200}},
+        {"trace.csv": "0f754fdb4b67a2abf824a9d748793c7da2bb5e00ad1457c41b84325d1de528d9",
+         "report.json": "3a7f042489059f7476bb696ca3f06b59185ebd6b594f035a2e224ed55c214202"},
+    ),
+    "flat-exp-gdm": (
+        {"kind": "solve", "operator": "flat-exp", "algorithm": {"name": "gdm", "step": 0.5, "x0": [0.5]},
+         "stop": {"max_iter": 200}},
+        {"trace.csv": "62db4547987f5f18706aefbc160b70048d913ddec5688aa3a5d4e2090f716bbe",
+         "report.json": "8c4337305a1b18a8aaf55e51c4e4775f4518e94849a03e6d320ba6f72c17a71b"},
+    ),
+    "double-well-loja": (
+        {"kind": "lojasiewicz", "operator": "double-well",
+         "analysis": {"window": {"kind": "box", "center": [0.5], "extent": [1.0]}, "grid_count": 257}},
+        {"loja_fit.json": "4142375ae2ecb351000047ed46ef45d1f70fd2c0576d1884eef75f2b80833999",
+         "report.json": "aeaf3808c305402aa962bcff985746755c6c4ae167a203105d25323ed77581fc"},
+    ),
+    "square-plk": (
+        {"kind": "plk", "operator": "square", "analysis": {"plk": _PLK_1}},
+        {"plk.json": "ed242bd896fd2fec911539cdc1a7aea2f896e8026b4646f61b5640abee46f177",
+         "report.json": "86a123b3c72434ac52d6f1af5a309cc866e6f6c40b04f0961f76b226290eaf21"},
+    ),
+    "double-well-plk": (
+        {"kind": "plk", "operator": "double-well", "analysis": {"xbar": [1.0], "plk": _PLK_1}},
+        {"plk.json": "7e9d956357e84863cbbda43a99a9c9387ee482499d27da8cff24c68928f24f0d",
+         "report.json": "ae5d805d66b4210d8c208dde09bfea569990d6349e955802b4dcce2f34739345"},
+    ),
+    "catalog": (None, {"catalog.json": "9776e1b7534ea2944ee694dbcea5bd01088b8e01e76e3884aaffb409ebe73969"}),
 }
 
 
@@ -506,6 +575,9 @@ GOLDEN = {
 def test_golden_artifact_digests(name, tmp_out):
     import hashlib
     raw, expected = GOLDEN[name]
-    run_experiment(ExperimentConfig.from_dict({"kind": "certify", **raw}), out_dir=tmp_out)
+    if raw is None:
+        assert main(["catalog", "--out", str(tmp_out)]) == 0
+    else:
+        run_experiment(ExperimentConfig.from_dict({"kind": "certify", **raw}), out_dir=tmp_out)
     got = {name: hashlib.sha256((tmp_out / name).read_bytes()).hexdigest() for name in expected}
     assert got == expected

@@ -89,6 +89,12 @@ class TestCatalog:
         with pytest.raises(MissingOracleError):
             invert(catalog_lookup("rm1"))
 
+    @pytest.mark.parametrize("name", ["quad", "dc-quad", "quad2"])
+    def test_gradient_map_shares_the_inverse(self, name):
+        # where subgrad is forward, grad_inverse is the inverse map itself
+        entry = catalog_lookup(name)
+        assert entry.subgrad is entry.forward and entry.grad_inverse is entry.inverse
+
     def test_flat_exp_inverse_closed_form(self):
         inv = invert(catalog_lookup("flat-exp"))
         y = 0.2
@@ -341,15 +347,12 @@ reference_evaluators = {
     "abs-subdiff-inverse": _ref_abs_subdiff_inverse,
     "quad": lambda x, w: _ref_rows(float(x[0])),
     "quad-inverse": lambda y, w: _ref_rows(float(y[0])),
-    "quad-grad-inverse": lambda y, w: _ref_rows(float(y[0])),
     "quad2": lambda x, w: (_Q @ x - _B).reshape(1, 2),
     "quad2-inverse": lambda y, w: np.linalg.solve(_Q, y + _B).reshape(1, 2),
-    "quad2-grad-inverse": lambda y, w: np.linalg.solve(_Q, y + _B).reshape(1, 2),
     "linear-neg": lambda x, w: _ref_rows(-2.0 * float(x[0])),
     "linear-neg-inverse": lambda y, w: _ref_rows(-0.5 * float(y[0])),
     "dc-quad": lambda x, w: _ref_rows(0.5 * float(x[0])),
     "dc-quad-inverse": lambda y, w: _ref_rows(2.0 * float(y[0])),
-    "dc-quad-grad-inverse": lambda y, w: _ref_rows(2.0 * float(y[0])),
 }
 
 
@@ -445,6 +448,47 @@ class TestEvalRows:
 
     def test_has_a_reference(self, name):
         assert name in reference_evaluators
+
+
+#: 1-d entries whose forward map is the function ``f`` itself, so that ``f``,
+#: ``forward`` and ``jac`` share one closed form
+_FUNCTIONS = ("flat-exp", "square", "double-well")
+
+
+def assert_scalar_oracles_match_maps(entry, X):
+    """Bit for bit, per row ``x`` of ``X``: ``grad(x)`` is the one value of
+    ``subgrad(x)``, and for the 1-d functions ``f(x)`` is the one value of
+    ``forward(x)`` and ``jac(x)`` is ``grad(x)``."""
+    grads, owner = entry.subgrad.eval_rows(X)
+    assert owner.tolist() == list(range(len(X)))
+    values = entry.forward.eval_rows(X)[0].points if entry.name in _FUNCTIONS else None
+    for i, x in enumerate(X):
+        g = entry.grad(x)
+        assert g.tobytes() == grads.points[i].tobytes(), x
+        if values is not None:
+            assert np.float64(entry.f(x)).tobytes() == values[i].tobytes(), x
+            assert entry.jac(x).ravel().tobytes() == g.tobytes(), x
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_lookup(n).grad is not None])
+class TestScalarOraclesMatchMaps:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_on_drawn_points(self, name, data):
+        entry = catalog_lookup(name)
+        x = data.draw(st.lists(_COORDS, min_size=entry.dim_in, max_size=entry.dim_in))
+        assert_scalar_oracles_match_maps(entry, np.array([x]))
+
+    def test_on_a_dense_sample(self, name):
+        # random mantissas, and magnitudes down to where squares and cubes underflow
+        entry = catalog_lookup(name)
+        rng = np.random.default_rng(7)
+        n, d = 3000, entry.dim_in
+        signs = rng.choice([-1.0, 1.0], (2 * n, d))
+        X = np.concatenate([rng.uniform(-3.0, 3.0, (n, d)), rng.uniform(0.0, 1.0, (n, d)),
+                            signs * 10.0 ** rng.uniform(-200.0, 50.0, (2 * n, d)),
+                            np.repeat(np.array(_BRANCH_POINTS)[:, None], d, axis=1)])
+        assert_scalar_oracles_match_maps(entry, X)
 
 
 class TestEvalRowsContract:
