@@ -133,7 +133,8 @@ def check_h4(
         index_of = np.arange(n)
     dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     np.fill_diagonal(dmat, np.inf)
-    kth = np.sort(dmat, axis=1)[:, min(neighborhood, pts.shape[0] - 1) - 1]
+    k = min(neighborhood, pts.shape[0] - 1) - 1
+    kth = np.partition(dmat, k, axis=1)[:, k]  # the k-th smallest per row, as a full sort gives it
     best = int(np.argmin(kth))
     if kth[best] > cluster_radius:
         return _collect("H4", {}, [0], [False], note="no cluster point found")

@@ -128,6 +128,13 @@ class SetValuedMap:
         return distance_to_set(y, vals)
 
 
+def _vector(a) -> np.ndarray:
+    """``np.atleast_1d(np.asarray(a, dtype=float))`` at a third of its cost:
+    a float array of at least one dimension, ``a`` itself when it already is one."""
+    a = np.asarray(a, dtype=float)
+    return a if a.ndim else a.reshape(1)
+
+
 @dataclass(frozen=True)
 class ProxOracle:
     """Closed-form resolvent ``J_{γA}(y) = (γA + I)^{-1}(y)``.
@@ -147,8 +154,7 @@ class ProxOracle:
             raise ValueError("gamma must be positive")
         if not self.valid_gamma(gamma):
             raise ValueError(f"gamma={gamma} outside the oracle's single-valued range ({self.note})")
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return np.atleast_1d(np.asarray(self.rule(gamma, y), dtype=float))
+        return _vector(self.rule(gamma, _vector(y)))
 
 
 @dataclass(frozen=True)

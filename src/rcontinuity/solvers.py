@@ -4,6 +4,19 @@ Every runner records the iterates, step norms, first-order witnesses with
 their explicit iterate index, and the vanishing sequence value paired with
 each witness, so the certificate checks never have to guess an index
 convention.  Runs are strictly sequential; distinct runs are independent.
+
+The step loop is lean on purpose:
+
+- the start point is validated once; after that :func:`_iterate` checks only
+  that each step keeps the iterate's shape, and its finiteness rule turns a
+  non-finite step (an overflowing gradient, resolvent or DCA input) into
+  divergence;
+- every vector norm is :func:`_norm`, the fast path numpy's ``norm`` takes
+  for a real 1-d vector, so norms match ``np.linalg.norm`` bit for bit
+  wherever numpy's is finite;
+- a value the previous step computed at ``x_{k+1}`` (DCA's ``∇h``, the
+  shifted-PPA ledger's ``||x_{k+1} - xbar||``) is reused when the driver
+  passes that same array back as ``x_k``, never recomputed.
 """
 
 from __future__ import annotations
@@ -17,6 +30,25 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .geometry import as_point
 from .setmap import MissingOracleError, OperatorEntry
+
+
+def _norm(v: np.ndarray) -> float:
+    """``||v||`` of a real 1-d vector: ``np.linalg.norm(v)`` bit for bit
+    wherever that is finite.
+
+    numpy's ``norm`` computes a real 1-d vector's norm as ``sqrt(v.dot(v))``,
+    and both square roots are correctly rounded; this is that path without
+    the argument handling, at about a third of the cost.  Where ``v.dot(v)``
+    overflows (coordinates above about 1.3e154) but ``v`` is finite, numpy
+    returns ``inf``; the scaled form ``m * ||v / m||`` with ``m = max|v|``
+    keeps a finite vector's norm finite.
+    """
+    r = math.sqrt(v.dot(v))
+    if r == math.inf and np.isfinite(v).all():
+        m = float(np.abs(v).max())
+        u = v / m
+        return m * math.sqrt(u.dot(u))
+    return r
 
 
 @dataclass(frozen=True)
@@ -79,7 +111,7 @@ class IterateTrace:
         # another way and differs in the last bit for 2-d witnesses (1,110 of the
         # 10,946 of a 2-d shifted-PPA run, numpy 2.4 on x86-64), and these norms
         # are written to trace.csv.
-        self.witness_norms = np.array([float(np.linalg.norm(w)) for w in self.witness_points])
+        self.witness_norms = np.array([_norm(w) for w in self.witness_points])
 
     def __len__(self) -> int:
         return len(self.iterates)
@@ -105,14 +137,20 @@ def _iterate(
 ) -> IterateTrace:
     """The loop every runner shares: ``x_{k+1}, w = step(x_k)``.
 
-    Each step records the iterate, its step norm Δ_k, and the witness ``w``
-    at index k+1 (``witness_side="next"``) or k (``"current"``), paired with
-    xi = Δ_k.  A step with a non-finite Δ_k is not recorded and ends the run
-    as divergence; otherwise it stops on the divergence guard, then on the step
-    tolerance, then on ``max_iter``.  ``ledger(x_k, x_{k+1}, Δ_k)``, when
-    given, adds one value per step to the trace's ``fejer_ledger``.
+    ``x0`` is validated once.  Each step must return ``x_{k+1}`` as an array
+    of ``x_k``'s shape (else ``ValueError``); that is the one check per step.
+    ``x_{k+1}`` is passed back to ``step`` as the same array object, so a step
+    may reuse what it computed there.  Each step records the iterate, its step
+    norm Δ_k, and the witness ``w`` at index k+1 (``witness_side="next"``) or
+    k (``"current"``), paired with xi = Δ_k.  A step with a non-finite Δ_k is
+    not recorded and ends the run as divergence; otherwise it stops on the
+    divergence guard, then on the step tolerance, then on ``max_iter``.
+    ``ledger(x_k, x_{k+1}, Δ_k)``, when given, adds one value per step to the
+    trace's ``fejer_ledger``.
     """
     x = as_point(x0, entry.dim_in)
+    shape = x.shape
+    guard, tol = stop.divergence_guard, stop.step_tol
     iterates = [x]
     steps: List[float] = []
     w_pts: List[np.ndarray] = []
@@ -120,7 +158,9 @@ def _iterate(
     termination = "max_iter"
     for _ in range(stop.max_iter):
         xn, w = step(x)
-        delta = float(np.linalg.norm(xn - x))
+        if xn.shape != shape:
+            raise ValueError(f"{algorithm} step returned shape {xn.shape}, expected {shape}")
+        delta = _norm(xn - x)
         if not math.isfinite(delta):
             termination = "divergence"
             break
@@ -130,10 +170,10 @@ def _iterate(
         steps.append(delta)
         w_pts.append(w)
         x = xn
-        if float(np.linalg.norm(xn)) > stop.divergence_guard:
+        if _norm(xn) > guard:
             termination = "divergence"
             break
-        if delta <= stop.step_tol:
+        if delta <= tol:
             termination = "tolerance"
             break
     first = 1 if witness_side == "next" else 0
@@ -184,8 +224,11 @@ def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) 
     if entry.grad is None:
         raise MissingOracleError(f"entry {entry.name!r} has no gradient oracle")
 
+    grad = entry.grad
+
+    # not as_point: an overflow must reach _iterate, which ends the run as divergence
     def descend(x):
-        g = as_point(entry.grad(x), entry.dim_in)
+        g = np.asarray(grad(x), dtype=float)
         return x - step * g, g
 
     return _iterate(entry, x0, stop, descend, "gdm", "current", "subgrad")
@@ -259,7 +302,7 @@ def run_qpower_prox(
 
     def step(x):
         xn = _qpower_subproblem(entry, gamma, q, x)
-        delta = float(np.linalg.norm(xn - x))
+        delta = _norm(xn - x)
         w = -gamma * q * delta ** (q - 2.0) * (xn - x) if delta > 0 else np.zeros_like(x)
         return xn, w
 
@@ -271,7 +314,8 @@ def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
 
     The witness at index k+1 is
     ``∇h(x_k) - ∇h(x_{k+1}) - (x_{k+1} - x_k)/γ``, a first-order residual of
-    the combined objective at the new iterate.
+    the combined objective at the new iterate.  ``∇h`` is evaluated once per
+    iterate: step k's ``∇h(x_{k+1})`` is step k+1's ``∇h(x_k)``.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -279,11 +323,15 @@ def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
         raise MissingOracleError(f"entry {entry.name!r} has no dc split (g prox, grad h)")
     g_prox, h_grad = entry.dc.g_prox, entry.dc.h_grad
 
+    last_xn = last_hn = None  # the previous step's x_{k+1} and ∇h(x_{k+1})
+
     # not as_point: an overflow must reach _iterate, which ends the run as divergence
     def step(x):
-        hx = np.asarray(h_grad(x), dtype=float)
+        nonlocal last_xn, last_hn
+        hx = last_hn if x is last_xn else np.asarray(h_grad(x), dtype=float)
         xn = g_prox.resolve(gamma, x + gamma * hx)
-        return xn, hx - np.asarray(h_grad(xn), dtype=float) - (xn - x) / gamma
+        last_xn, last_hn = xn, np.asarray(h_grad(xn), dtype=float)
+        return xn, hx - last_hn - (xn - x) / gamma
 
     return _iterate(entry, x0, stop, step, "dca", "next", "subgrad")
 
@@ -324,8 +372,15 @@ def run_shifted_ppa(
     xb = entry.solution_set.project(x) if xbar is None else as_point(xbar, entry.dim_in)
     coeff = 1.0 - 2.0 * kappa / gamma
 
+    last_xn = last_sq = None  # the previous step's x_{k+1} and ||x_{k+1} - xbar||**2
+
+    # np.float64 squares: the same bits as np.linalg.norm(...) ** 2 and as
+    # Python's delta ** 2, but inf past 1.3e154 where Python's ** raises
     def ledger(x, xn, delta):
-        return float(np.linalg.norm(xn - xb) ** 2 - np.linalg.norm(x - xb) ** 2 + coeff * delta ** 2)
+        nonlocal last_xn, last_sq
+        sq = last_sq if x is last_xn else np.float64(_norm(x - xb)) ** 2
+        last_xn, last_sq = xn, np.float64(_norm(xn - xb)) ** 2
+        return float(last_sq - sq + coeff * np.float64(delta) ** 2)
 
     return _iterate(entry, x, stop, step, "shifted-ppa", "next", "forward", ledger)
 
@@ -342,7 +397,8 @@ def make_synthetic_trace(
     return IterateTrace(
         algorithm=algorithm,
         iterates=iterates,
-        step_norms=[float(np.linalg.norm(np.subtract(b, a))) for a, b in zip(iterates[:-1], iterates[1:])],
+        step_norms=[_norm(np.asarray(np.subtract(b, a), dtype=float))
+                    for a, b in zip(iterates[:-1], iterates[1:])],
         stop=stop,
         termination="max_iter",
         f_values=f_values,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rcontinuity import (
@@ -132,6 +132,63 @@ class TestH4:
         cert = check_h4(trace, catalog_lookup("quad"))
         assert cert.vacuous
         assert not cert.passed
+
+
+def reference_check_h4(trace, entry, tol=1e-8, cluster_radius=1e-2, neighborhood=10):
+    """``(cluster, (index, ok) pairs, note)`` as ``check_h4`` found them with a
+    full sort of each distance row."""
+    n = len(trace)
+    pts, index_of = trace.iterates, np.arange(n)
+    if n > 2000:
+        index_of = np.arange(0, n, int(math.ceil(n / 2000)))
+        pts = pts[index_of]
+    dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(dmat, np.inf)
+    kth = np.sort(dmat, axis=1)[:, min(neighborhood, len(pts) - 1) - 1]
+    best = int(np.argmin(kth))
+    if kth[best] > cluster_radius:
+        return {}, [(0, False)], "no cluster point found"
+    xb = pts[best]
+    fb = float(entry.f(xb))
+    order = np.argsort(np.linalg.norm(pts - xb, axis=1))[:neighborhood]
+    pairs = []
+    for j in np.sort(index_of[order]):
+        fj = trace.f_values[j] if trace.f_values is not None else float(entry.f(trace.iterates[j]))
+        pairs.append((int(j), abs(fj - fb) <= tol * (1.0 + abs(fb))))
+    return {"cluster": [float(v) for v in xb]}, pairs, ""
+
+
+@st.composite
+def h4_traces(draw):
+    """A 1-d or 2-d trace of 20 to 2,500 iterates that contracts toward a
+    point, plus noise; some draws leave out the recorded function values."""
+    dim = draw(st.integers(1, 2))
+    n = draw(st.integers(20, 2500))
+    rate = draw(st.sampled_from([0.5, 0.9, 0.99, 0.999, 1.0]))
+    noise = draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    start = rng.normal(size=dim)
+    iterates = start * rate ** np.arange(n)[:, None] + noise * rng.normal(size=(n, dim))
+    entry = catalog_lookup("quad" if dim == 1 else "quad2")
+    f_values = [float(entry.f(x)) for x in iterates] if draw(st.booleans()) else None
+    trace = make_synthetic_trace(list(iterates), witnesses=[], xi_values=[], f_values=f_values)
+    return trace, entry
+
+
+class TestH4MatchesFullSort:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(h4_traces())
+    @example((make_synthetic_trace([[0.2], [0.8]] * 1001, witnesses=[], xi_values=[]),
+              catalog_lookup("double-well")))
+    @example((make_synthetic_trace([[0.001 * k, 0.0] for k in range(2500)], witnesses=[], xi_values=[]),
+              catalog_lookup("quad2")))
+    def test_certificate(self, case):
+        trace, entry = case
+        cert = check_h4(trace, entry)
+        params, pairs, note = reference_check_h4(trace, entry)
+        assert cert.params == params
+        assert cert.note == note
+        _same(cert, reference_collect(pairs))
 
 
 class TestRclass:

@@ -291,7 +291,9 @@ class TestRunExperiment:
         ("linear-neg", {"name": "ppa", "gamma": 0.4999, "x0": [1e305]}),
         # the resolvent's input x + gamma grad h(x) overflows
         ("dc-quad", {"name": "dca", "gamma": 1e300, "x0": [1e10]}),
-    ], ids=["gdm-f", "ppa-resolvent", "dca-input"])
+        # the gradient 2v(v - 1)(2v - 1) overflows
+        ("double-well", {"name": "gdm", "step": 0.01, "x0": [1e110]}),
+    ], ids=["gdm-f", "ppa-resolvent", "dca-input", "gdm-grad"])
     def test_overflow_inside_a_run_diverges(self, operator, algorithm, tmp_path, capsys):
         argv = ["solve", "--set", f"operator={operator}", "--set", f"algorithm={json.dumps(algorithm)}",
                 "--out", str(tmp_path)]
@@ -300,6 +302,16 @@ class TestRunExperiment:
         rows = [row.split(",") for row in (tmp_path / "trace.csv").read_text().strip().split("\n")]
         iterates = [float(row[rows[0].index("x0")]) for row in rows[1:]]
         assert iterates and np.isfinite(iterates).all()
+
+    def test_finite_step_past_the_dot_overflow_is_recorded(self, tmp_path, capsys):
+        # ||1e200 - 5e199|| squares past the float range; the step is finite
+        gdm = 'algorithm={"name": "gdm", "step": 0.5, "x0": [1e200]}'
+        assert main(["solve", "--set", "operator=quad", "--set", gdm, "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"]["termination"] == "divergence"
+        rows = [row.split(",") for row in (tmp_path / "trace.csv").read_text().strip().split("\n")]
+        header, rows = rows[0], rows[1:]
+        assert [float(row[header.index("x0")]) for row in rows] == [1e200, 5e199]
+        assert float(rows[0][header.index("delta")]) == 5e199
 
     def test_shifted_run_records_ledger_column(self, tmp_out):
         cfg = ExperimentConfig.from_dict({

@@ -1,9 +1,14 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rcontinuity import (
+    IterateTrace,
     MissingOracleError,
     StopRule,
     Window,
@@ -16,6 +21,8 @@ from rcontinuity import (
     run_qpower_prox,
     run_shifted_ppa,
 )
+from rcontinuity.serialize import trace_to_csv
+from rcontinuity.solvers import _norm
 
 
 def scalar_iterates(trace):
@@ -123,6 +130,23 @@ class TestGdm:
         assert scalar_iterates(trace) == [1e10]
         assert np.isfinite(trace.iterates).all()
 
+    def test_finite_step_past_the_dot_overflow_is_recorded(self):
+        # ||1e200 - 5e199|| squares past the float range; the step is still finite
+        trace = run_gdm(catalog_lookup("quad"), 0.5, [1e200])
+        assert scalar_iterates(trace) == [1e200, 5e199]
+        assert trace.step_norms.tolist() == [5e199]
+        assert trace.termination == "divergence"
+
+    def test_overflowing_gradient_diverges_unrecorded(self):
+        trace = run_gdm(catalog_lookup("double-well"), 0.01, [1e110])
+        assert trace.diverged
+        assert scalar_iterates(trace) == [1e110]
+
+    def test_step_of_another_shape_is_rejected(self):
+        entry = dataclasses.replace(catalog_lookup("quad"), grad=lambda x: np.array([x[0], x[0]]))
+        with pytest.raises(ValueError, match="shape"):
+            run_gdm(entry, 0.5, [1.0])
+
     def test_requires_gradient(self):
         with pytest.raises(MissingOracleError):
             run_gdm(catalog_lookup("abs-subdiff"), 0.5, [1.0])
@@ -186,6 +210,21 @@ class TestDca:
         with pytest.raises(ValueError):
             run_dca(catalog_lookup("dc-quad"), -0.5, [1.0])
 
+    @pytest.mark.parametrize("gamma, x0", [(1.0, [1.0]), (0.002, [1.0]), (3.0, [-7.5])])
+    def test_grad_h_once_per_iterate(self, gamma, x0):
+        entry = catalog_lookup("dc-quad")
+        calls = []
+
+        def h_grad(x):
+            calls.append(x)
+            return entry.dc.h_grad(x)
+
+        counted = dataclasses.replace(entry, dc=dataclasses.replace(entry.dc, h_grad=h_grad))
+        trace = run_dca(counted, gamma, x0)
+        assert trace.termination == "tolerance"
+        assert len(calls) == (len(trace) - 1) + 1  # iterations + 1
+        assert [float(x[0]) for x in calls] == scalar_iterates(trace)
+
 
 class TestShiftedPpa:
     def test_tight_ledger_case(self):
@@ -248,3 +287,127 @@ class TestTraceBookkeeping:
         trace = run_gdm(catalog_lookup("quad"), 0.5, [1.0], StopRule(max_iter=3))
         assert trace.termination == "max_iter"
         assert len(trace) == 4
+
+
+# -- the lean step against the loop it replaced --------------------------------
+
+# signed zeros, subnormals, and magnitudes up to 1e150 (squares stay finite)
+_NORM_COORD = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e150, -1e150]),
+)
+
+
+class TestNorm:
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(st.lists(_NORM_COORD, min_size=1, max_size=2))
+    @example([-0.0, -0.0])
+    @example([5e-324, -5e-324])
+    def test_bit_for_bit_numpy_norm(self, coords):
+        v = np.array(coords)
+        assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
+
+    def test_finite_past_the_dot_overflow(self):
+        with np.errstate(over="ignore"):
+            assert math.isinf(float(np.linalg.norm(np.array([1e200]))))
+            assert _norm(np.array([1e200])) == 1e200
+            assert _norm(np.array([-3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+            assert _norm(np.array([1.7e308, 1.7e308])) == pytest.approx(1.7e308 * math.sqrt(2.0), rel=1e-15)
+
+    def test_non_finite_vectors(self):
+        with np.errstate(invalid="ignore"):
+            assert _norm(np.array([math.inf, 1.0])) == math.inf
+            assert _norm(np.array([-math.inf])) == math.inf
+            assert math.isnan(_norm(np.array([math.nan, 1.0])))
+
+
+def reference_iterate(entry, x0, stop, step, algorithm, witness_side, witness_map, ledger=None):
+    """The driver loop as it was before the lean step: ``np.linalg.norm`` for
+    every norm and no shape check."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    iterates, steps, w_pts = [x], [], []
+    entries = None if ledger is None else []
+    termination = "max_iter"
+    for _ in range(stop.max_iter):
+        xn, w = step(x)
+        delta = float(np.linalg.norm(xn - x))
+        if not math.isfinite(delta):
+            termination = "divergence"
+            break
+        if ledger is not None:
+            entries.append(ledger(x, xn, delta))
+        iterates.append(xn)
+        steps.append(delta)
+        w_pts.append(w)
+        x = xn
+        if float(np.linalg.norm(xn)) > stop.divergence_guard:
+            termination = "divergence"
+            break
+        if delta <= stop.step_tol:
+            termination = "tolerance"
+            break
+    first = 1 if witness_side == "next" else 0
+    return IterateTrace(
+        algorithm=algorithm, iterates=iterates, step_norms=steps, stop=stop, termination=termination,
+        f_values=[float(entry.f(p)) for p in iterates], witness_indices=range(first, first + len(steps)),
+        witness_points=w_pts, xi_values=steps, witness_side=witness_side, witness_map=witness_map,
+        fejer_ledger=entries,
+    )
+
+
+def reference_run_dca(entry, gamma, x0, stop):
+    """DCA that evaluates ``∇h(x_k)`` afresh at every step."""
+    g_prox, h_grad = entry.dc.g_prox, entry.dc.h_grad
+
+    def step(x):
+        hx = np.asarray(h_grad(x), dtype=float)
+        xn = g_prox.resolve(gamma, x + gamma * hx)
+        return xn, hx - np.asarray(h_grad(xn), dtype=float) - (xn - x) / gamma
+
+    return reference_iterate(entry, x0, stop, step, "dca", "next", "subgrad")
+
+
+def reference_run_shifted_ppa(entry, kappa, gamma, x0, stop):
+    """Shifted PPA whose ledger computes ``||x_k - xbar||`` afresh at every step."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    xb = entry.solution_set.project(x)
+    coeff = 1.0 - 2.0 * kappa / gamma
+
+    def step(x):
+        xn = entry.prox.resolve(gamma, x)
+        return xn, (x - xn) / gamma
+
+    def ledger(x, xn, delta):
+        return float(np.linalg.norm(xn - xb) ** 2 - np.linalg.norm(x - xb) ** 2 + coeff * delta ** 2)
+
+    return reference_iterate(entry, x, stop, step, "shifted-ppa", "next", "forward", ledger)
+
+
+def _same_trace(got, want, tmp_path: Path):
+    assert got.termination == want.termination
+    assert got.fejer_ledger is None or got.fejer_ledger.tobytes() == want.fejer_ledger.tobytes()
+    trace_to_csv(got, tmp_path / "got.csv")
+    trace_to_csv(want, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestLeanStepMatchesReference:
+    @pytest.mark.parametrize("gamma, x0, max_iter", [
+        (0.002, [1.0], 100_000), (1.0, [1.0], 100_000), (0.7, [-3.5], 100_000), (5.0, [2.0], 7),
+    ])
+    def test_dca(self, gamma, x0, max_iter, tmp_path):
+        entry, stop = catalog_lookup("dc-quad"), StopRule(max_iter=max_iter)
+        _same_trace(run_dca(entry, gamma, x0, stop), reference_run_dca(entry, gamma, x0, stop), tmp_path)
+
+    @pytest.mark.parametrize("operator, kappa, gamma, x0, condition", [
+        ("dc-quad", 0.1, 0.5, [3.0], "derived"),
+        ("quad2", 5e-4, 0.002, [2.0, 2.0], "derived"),
+        ("quad2", 0.2, 0.9, [-1.0, 3.0], "derived"),
+        ("linear-neg", 0.5, 2.0, [1.0], "derived"),
+        ("linear-neg", 0.5, 0.25, [1.0], "reciprocal"),
+    ])
+    def test_shifted_ppa(self, operator, kappa, gamma, x0, condition, tmp_path):
+        entry, stop = catalog_lookup(operator), StopRule()
+        got = run_shifted_ppa(entry, kappa, gamma, x0, stop, step_condition=condition)
+        _same_trace(got, reference_run_shifted_ppa(entry, kappa, gamma, x0, stop), tmp_path)
+        assert len(got.fejer_ledger) == len(got) - 1

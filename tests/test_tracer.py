@@ -2,6 +2,7 @@
 the package by hand; these tests fail when one of them is deleted or moved,
 and check that ``uninstall`` puts every original back."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,20 @@ def test_traced_run_counts_the_writers_and_oracles(tracer, tmp_path):
     assert tracer.counts["serialize.bytes_written"] > 0
     catalog.catalog_lookup("quad").f([1.0])
     assert tracer.calls["catalog.oracle"] == 1
+
+
+@pytest.mark.parametrize("operator, algorithm", [
+    ("quad", {"name": "ppa", "gamma": 0.5, "x0": [1.0]}),
+    ("quad2", {"name": "shifted-ppa", "gamma": 0.5, "kappa": 0.1, "x0": [2.0, 2.0]}),
+    ("dc-quad", {"name": "dca", "gamma": 0.5, "x0": [1.0]}),
+], ids=["ppa", "shifted-ppa", "dca"])
+def test_traced_solver_run_counts_every_resolvent(tracer, tmp_path, operator, algorithm):
+    argv = ["certify", "--set", f"operator={operator}", "--set", f"algorithm={json.dumps(algorithm)}",
+            "--set", 'certificates=[{"hypothesis": "H1", "alpha": 0.1}]', "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    name = algorithm["name"]
+    iterations = tracer.counts[f"solvers.{name}.iterations"]
+    assert tracer.calls[f"solvers.{name}"] == 1
+    assert iterations > 0
+    # one resolvent per recorded step, each through ProxOracle.resolve
+    assert tracer.calls["setmap.prox"] == iterations
