@@ -308,7 +308,7 @@ def lojasiewicz_fit(
 
     level_exponents: List[float] = []
     for level in range(levels):
-        pts, d, f = grid_eval(grid_count * (2 ** level))
+        _, d, f = grid_eval(grid_count * (2 ** level)) if level else (pts0, d0, f0)
         band = d_max * 4.0 ** (-level)
         mask = (f != 0.0) & (d > 0.0) & (d <= band)
         if int(mask.sum()) < 5:
@@ -376,7 +376,6 @@ def check_plk_exponent(
     xbar,
     cfg: PlkConfig,
     grid_count: int = 257,
-    seed: int = 0,
 ) -> PlkResult:
     """Test ``phi'(f(x) - f(xbar)) * d(0, subgrad f(x)) >= 1`` on the band.
 
@@ -390,7 +389,7 @@ def check_plk_exponent(
         raise MissingOracleError(f"entry {entry.name!r} has no subgradient oracle")
     xb = as_point(xbar, entry.dim_in)
     fbar = entry.f(xb)
-    pts = sample_window(Window.ball(xb, cfg.neighborhood_radius), "grid", grid_count, seed).points
+    pts = sample_window(Window.ball(xb, cfg.neighborhood_radius), "grid", grid_count).points
     fvals = [entry.f(p) for p in pts]
     band = [i for i, fx in enumerate(fvals) if fbar < fx < fbar + cfg.eta]
     if not band:
@@ -458,7 +457,7 @@ def certify_inverse_lipschitz(
     if entry.dim_out < entry.dim_in:
         raise ValueError("the range dimension must be at least the domain dimension")
     region = entry.solution_set
-    samples = region.sample(s_samples, seed).points
+    samples = region.sample(s_samples).points
     anchors = samples[k.contains_rows(samples)]
     if not len(anchors):
         raise ValueError("no solution-set samples inside the window")

@@ -17,13 +17,13 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from . import analysis, catalog, certify, serialize, solvers
 from .geometry import Window
-from .setmap import OperatorEntry
+from .setmap import MissingOracleError, OperatorEntry
 
 _KINDS = ("modulus", "lojasiewicz", "plk", "solve", "certify", "full-pipeline")
 
@@ -58,11 +58,19 @@ def _positive(value, path: str) -> float:
     return float(value)
 
 
-def _int(value, path: str, minimum: int, maximum: float = float("inf")) -> int:
+def _integer(value, path: str) -> int:
     _require(_number(value, path).is_integer(), path, "must be an integer")
-    _require(value >= minimum, path, f"must be >= {minimum}")
+    return int(value)
+
+
+def _int(value, path: str, minimum: int, maximum: float = float("inf")) -> int:
+    _require(_integer(value, path) >= minimum, path, f"must be >= {minimum}")
     _require(value <= maximum, path, f"must be <= {maximum}")
     return int(value)
+
+
+#: The reader of each annotated type of a solver or stop-rule parameter.
+_READ = {"float": _number, "int": _integer, "str": lambda value, path: value}
 
 
 def _vector(value, path: str, dim: int) -> List[float]:
@@ -96,54 +104,6 @@ def _radii_list(spec, path: str) -> List[float]:
     return radii
 
 
-def _step_condition(value, path: str) -> str:
-    _require(value in ("derived", "reciprocal"), path, "must be 'derived' or 'reciprocal'")
-    return value
-
-
-def _qpower_supported(entry: OperatorEntry, alg: dict) -> None:
-    """Power-penalty subproblems have a closed form on quadratics at q = 2
-    and a bracketed scalar solve on 1-d entries with a scalar function."""
-    _require(alg["q"] > 1, "algorithm.q", "must exceed 1")
-    if entry.quad_form is not None and alg["q"] == 2.0:
-        return
-    path = "algorithm.q" if entry.quad_form is not None else "algorithm.name"
-    _require(entry.dim_in == 1, path, "power-penalty subproblems are 1-d only, except on quadratics with q = 2")
-    _require(entry.f is not None, "algorithm.name", f"entry {entry.name!r} has no scalar function")
-
-
-def _shifted_step_condition(entry: OperatorEntry, alg: dict) -> None:
-    gamma, kappa = float(alg["gamma"]), float(alg["kappa"])
-    if alg["step_condition"] == "derived":
-        _require(gamma > 2 * kappa, "algorithm.gamma", "derived step condition needs gamma > 2 * kappa")
-    else:
-        _require(gamma < 1 / (2 * kappa), "algorithm.gamma", "reciprocal step condition needs gamma < 1 / (2 * kappa)")
-
-
-class _Algorithm(NamedTuple):
-    """How the CLI validates and runs one solver.  ``runner`` names a function
-    of :mod:`solvers`, looked up when the run starts (so a patched module
-    attribute is the one that runs); ``params`` maps each config field it is
-    passed by name to the reader that validates it."""
-
-    runner: str
-    params: Dict[str, Callable]
-    witness: str  # the map its witnesses belong to: "forward" | "subgrad"
-    oracle: Optional[str] = None  # entry field the runner cannot do without
-    check: Optional[Callable[[OperatorEntry, dict], None]] = None  # cross-field precondition
-
-
-_ALGORITHMS = {
-    "ppa": _Algorithm("run_ppa", {"gamma": _positive}, "forward", "prox"),
-    "gdm": _Algorithm("run_gdm", {"step": _positive}, "subgrad", "grad"),
-    "qpower": _Algorithm("run_qpower_prox", {"gamma": _positive, "q": _number}, "subgrad",
-                         check=_qpower_supported),
-    "dca": _Algorithm("run_dca", {"gamma": _positive}, "subgrad", "dc"),
-    "shifted-ppa": _Algorithm(
-        "run_shifted_ppa", {"gamma": _positive, "kappa": _positive, "step_condition": _step_condition},
-        "forward", "prox", _shifted_step_condition),
-}
-
 #: Certificate hypotheses: their positive request fields, and the check to run
 #: as ``(trace, entry, request) -> Certificate``, resolved from :mod:`certify`
 #: at call time.
@@ -158,12 +118,22 @@ _CHECKS = {
 #: The fields each config section may hold.  ``algorithm`` and a certificate
 #: start from the union over all algorithms or hypotheses and are narrowed to
 #: the named one when it is validated.
-_STOP_FIELDS = [f.name for f in fields(solvers.StopRule)]
-_ALGORITHM_FIELDS = {"name", "x0"}.union(*(spec.params for spec in _ALGORITHMS.values()))
+_STOP_FIELDS = fields(solvers.StopRule)
+_ALGORITHM_FIELDS = {"name", "x0"}.union(*(spec.params for spec in solvers.ALGORITHMS.values()))
 _ANALYSIS_FIELDS = ("target", "xbar", "radii", "samples_per_radius", "scheme", "window", "grid_count", "plk")
 _PLK_FIELDS = [f.name for f in fields(analysis.PlkConfig)]
 _WINDOW_FIELDS = [f.name for f in fields(Window)]
 _CERTIFICATE_FIELDS = {"hypothesis"}.union(*(keys for keys, _ in _CHECKS.values()))
+
+
+def _solver_rule(section: str, rule: Callable, *args, **params) -> None:
+    """Call ``rule`` and report a parameter it rejects by its path in ``section``."""
+    try:
+        rule(*args, **params)
+    except solvers.ParamError as exc:
+        raise ConfigError(f"{section}.{exc.param}", str(exc)) from None
+    except MissingOracleError as exc:
+        raise ConfigError(f"{section}.name", str(exc)) from None
 
 
 @dataclass
@@ -198,12 +168,9 @@ class ExperimentConfig:
         out_dir = raw.get("out_dir")
         _require(out_dir is None or isinstance(out_dir, str), "out_dir", "must be a path string")
 
-        stop_raw = _object(raw.get("stop", {}), "stop", _STOP_FIELDS)
-        stop = {
-            "step_tol": _positive(stop_raw.get("step_tol", 1e-10), "stop.step_tol"),
-            "max_iter": _int(stop_raw.get("max_iter", 100_000), "stop.max_iter", 1),
-            "divergence_guard": _positive(stop_raw.get("divergence_guard", 1e12), "stop.divergence_guard"),
-        }
+        stop_raw = _object(raw.get("stop", {}), "stop", [f.name for f in _STOP_FIELDS])
+        stop = {f.name: _READ[f.type](stop_raw.get(f.name, f.default), f"stop.{f.name}") for f in _STOP_FIELDS}
+        _solver_rule("stop", solvers.StopRule, **stop)
 
         algorithm = _object(raw.get("algorithm", {}), "algorithm", _ALGORITHM_FIELDS)
         analysis_cfg = _object(raw.get("analysis", {}), "analysis", _ANALYSIS_FIELDS)
@@ -262,32 +229,25 @@ class ExperimentConfig:
     def _validate_algorithm(self, entry: OperatorEntry) -> None:
         alg = self.algorithm
         name = alg.get("name")
-        _require(isinstance(name, str) and name in _ALGORITHMS, "algorithm.name",
-                 f"must be one of {', '.join(_ALGORITHMS)}")
-        spec = _ALGORITHMS[name]
+        _require(isinstance(name, str) and name in solvers.ALGORITHMS, "algorithm.name",
+                 f"must be one of {', '.join(solvers.ALGORITHMS)}")
+        spec = solvers.ALGORITHMS[name]
         _object(alg, "algorithm", ("name", "x0", *spec.params))
         _require(alg.get("x0") is not None, "algorithm.x0", "missing starting point")
         alg["x0"] = _vector(alg["x0"], "algorithm.x0", entry.dim_in)
-        if spec.oracle is not None:
-            _require(getattr(entry, spec.oracle) is not None, "algorithm.name",
-                     f"entry {entry.name!r} has no {spec.oracle} oracle")
-        if "step_condition" in spec.params:
-            alg.setdefault("step_condition", "derived")
-        for key, read in spec.params.items():
+        for key, param in spec.params.items():
+            if param.default is not param.empty:
+                alg.setdefault(key, param.default)
             _require(key in alg, f"algorithm.{key}", "missing")
-            read(alg[key], f"algorithm.{key}")
-        if spec.oracle == "prox":
-            _require(entry.prox.valid_gamma(float(alg["gamma"])), "algorithm.gamma",
-                     f"outside the resolvent's range ({entry.prox.note})")
-        if spec.check is not None:
-            spec.check(entry, alg)
+            _READ[param.annotation](alg[key], f"algorithm.{key}")
+        _solver_rule("algorithm", solvers.check, name, entry, **{key: alg[key] for key in spec.params})
 
     def _modulus_map(self, entry: OperatorEntry):
         target = self.analysis.setdefault("target", "forward" if self.kind == "modulus" else "auto")
         if self.kind == "full-pipeline":
             # The curve must bound distances via the witnesses the solver
             # records, so it is estimated on the inverse of the witness map.
-            side = _ALGORITHMS[self.algorithm["name"]].witness
+            side = solvers.ALGORITHMS[self.algorithm["name"]].witness_map
             m = entry.inverse if side == "forward" else entry.grad_inverse
             _require(m is not None, "operator", "no closed-form inverse of the witness map is registered")
             return m
@@ -334,7 +294,7 @@ class RunReport:
 
 def _run_algorithm(entry: OperatorEntry, cfg: ExperimentConfig) -> solvers.IterateTrace:
     alg = cfg.algorithm
-    spec = _ALGORITHMS[alg["name"]]
+    spec = solvers.ALGORITHMS[alg["name"]]
     run = getattr(solvers, spec.runner)
     stop = solvers.StopRule(**cfg.stop)
     return run(entry, x0=alg["x0"], stop=stop, **{key: alg[key] for key in spec.params})
@@ -397,7 +357,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
             cfg.analysis["xbar"],
             analysis.PlkConfig(**cfg.analysis["plk"]),
             grid_count=cfg.analysis["grid_count"],
-            seed=cfg.seed,
         )
         emit("plk.json", lambda p: serialize.write_json(p, result.to_json_dict()))
         verdicts["plk"] = result.verdict

@@ -100,12 +100,29 @@ def as_rows(pts, dim: int) -> np.ndarray:
 _PAIR_BLOCK = 1 << 16
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=-1)``, bit for bit where that is finite.  It
+    squares the coordinates, so it reads ``inf`` for finite vectors of norm
+    above about 1.3e154; those are recomputed scaled by an exact power of two."""
+    r = np.linalg.norm(v, axis=-1)
+    over = np.isinf(r)
+    if over.any():
+        r[over] = np.linalg.norm(v[over] * 2.0 ** -600, axis=-1) * 2.0 ** 600
+    return r
+
+
 def _nearest(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from each row of ``rows`` to its nearest row of ``points``."""
     step = max(1, _PAIR_BLOCK // points.shape[0])
     blocks = [np.linalg.norm(rows[i:i + step, None, :] - points[None, :, :], axis=2).min(axis=1)
               for i in range(0, rows.shape[0], step)]
-    return np.concatenate(blocks) if blocks else np.empty(0)
+    d = np.concatenate(blocks) if blocks else np.empty(0)
+    # a row's minimum reads inf only where all of its norms overflowed; only
+    # those rows are recomputed, so the common case does no per-pair work
+    over = np.isinf(d)
+    if over.any():
+        d[over] = _norms(rows[over, None, :] - points[None, :, :]).min(axis=1)
+    return d
 
 
 @dataclass(frozen=True)
@@ -260,12 +277,11 @@ class Region:
         if self.kind == "points":
             return _nearest(rows, self.points)
         if self.kind == "box":
-            gap = np.maximum(np.abs(rows - self.center) - self.halfwidths, 0.0)
-            return np.linalg.norm(gap, axis=1)
+            return _norms(np.maximum(np.abs(rows - self.center) - self.halfwidths, 0.0))
         if self.kind == "ball":
-            return np.maximum(0.0, np.linalg.norm(rows - self.center, axis=1) - self.radius)
+            return np.maximum(0.0, _norms(rows - self.center) - self.radius)
         r = rows - self.anchor
-        return np.linalg.norm(r - (r @ self.basis) @ self.basis.T, axis=1)
+        return _norms(r - (r @ self.basis) @ self.basis.T)
 
     def distance(self, x) -> float:
         """Exact Euclidean distance from the point ``x`` to the region."""
@@ -286,11 +302,11 @@ class Region:
             return self.center + (p - self.center) * (self.radius / d)
         return self.anchor + self.basis @ (self.basis.T @ (p - self.anchor))
 
-    def sample(self, count: int, seed: int = 0, span: float = 1.0) -> PointSet:
+    def sample(self, count: int) -> PointSet:
         """Deterministic representative points of the region.
 
         For point lists the list is cycled; for boxes/balls a grid sample is
-        used; for affine subspaces coefficients range over ``[-span, span]``.
+        used; for affine subspaces coefficients range over ``[-1, 1]``.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -300,14 +316,14 @@ class Region:
         if self.kind == "box":
             h = np.where(self.halfwidths > 0, self.halfwidths, 1e-300)
             w = Window.box(self.center, h)
-            pts = sample_window(w, "grid", count, seed).points
+            pts = sample_window(w, "grid", count).points
             return PointSet(np.where(self.halfwidths > 0, pts, self.center))
         if self.kind == "ball":
             if self.radius == 0:
                 return PointSet(np.tile(self.center, (count, 1)))
-            return sample_window(Window.ball(self.center, self.radius), "grid", count, seed)
+            return sample_window(Window.ball(self.center, self.radius), "grid", count)
         k = self.basis.shape[1]
-        coeff = sample_window(Window.box(np.zeros(k), span), "grid", count, seed).points
+        coeff = sample_window(Window.box(np.zeros(k), 1.0), "grid", count).points
         return PointSet(self.anchor + coeff @ self.basis.T)
 
     def reference_points(self) -> np.ndarray:

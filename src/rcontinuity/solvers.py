@@ -5,6 +5,11 @@ their explicit iterate index, and the vanishing sequence value paired with
 each witness, so the certificate checks never have to guess an index
 convention.  Runs are strictly sequential; distinct runs are independent.
 
+Each runner's contract is stated once: :data:`ALGORITHMS` is the table of
+runners, parameters, witness conventions and oracles, and :func:`check` holds
+every range, oracle and step-condition rule.  Each runner calls ``check``
+first, and the CLI validates a config by calling the same ``check``.
+
 The step loop is lean on purpose:
 
 - the start point is validated once; after that :func:`_iterate` checks only
@@ -21,9 +26,10 @@ The step loop is lean on purpose:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -51,6 +57,14 @@ def _norm(v: np.ndarray) -> float:
     return r
 
 
+class ParamError(ValueError):
+    """A solver or stop-rule parameter outside its range; ``param`` names it."""
+
+    def __init__(self, param: str, message: str):
+        self.param = param
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class StopRule:
     """Step-size stopping with an iteration cap and a divergence guard."""
@@ -60,10 +74,11 @@ class StopRule:
     divergence_guard: float = 1e12
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.step_tol <= 0 or self.divergence_guard <= 0:
-            raise ValueError("thresholds must be positive")
+        if not self.max_iter >= 1:
+            raise ParamError("max_iter", "max_iter must be >= 1")
+        for name in ("step_tol", "divergence_guard"):
+            if not getattr(self, name) > 0:
+                raise ParamError(name, f"{name} must be positive")
 
 
 @dataclass
@@ -131,8 +146,6 @@ def _iterate(
     stop: StopRule,
     step: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     algorithm: str,
-    witness_side: str,
-    witness_map: str,
     ledger: Optional[Callable[[np.ndarray, np.ndarray, float], float]] = None,
 ) -> IterateTrace:
     """The loop every runner shares: ``x_{k+1}, w = step(x_k)``.
@@ -141,8 +154,8 @@ def _iterate(
     of ``x_k``'s shape (else ``ValueError``); that is the one check per step.
     ``x_{k+1}`` is passed back to ``step`` as the same array object, so a step
     may reuse what it computed there.  Each step records the iterate, its step
-    norm Δ_k, and the witness ``w`` at index k+1 (``witness_side="next"``) or
-    k (``"current"``), paired with xi = Δ_k.  A step with a non-finite Δ_k is
+    norm Δ_k, and the witness ``w`` at index k+1 or k (the algorithm's
+    ``witness_side``), paired with xi = Δ_k.  A step with a non-finite Δ_k is
     not recorded and ends the run as divergence; otherwise it stops on the
     divergence guard, then on the step tolerance, then on ``max_iter``.
     ``ledger(x_k, x_{k+1}, Δ_k)``, when given, adds one value per step to the
@@ -176,7 +189,8 @@ def _iterate(
         if delta <= tol:
             termination = "tolerance"
             break
-    first = 1 if witness_side == "next" else 0
+    spec = ALGORITHMS[algorithm]
+    first = 1 if spec.witness_side == "next" else 0
     return IterateTrace(
         algorithm=algorithm,
         iterates=iterates,
@@ -187,16 +201,14 @@ def _iterate(
         witness_indices=range(first, first + len(steps)),
         witness_points=w_pts,
         xi_values=steps,
-        witness_side=witness_side,
-        witness_map=witness_map,
+        witness_side=spec.witness_side,
+        witness_map=spec.witness_map,
         fejer_ledger=entries,
     )
 
 
 def _proximal_step(entry: OperatorEntry, gamma: float):
     """``x -> (J_{γA}(x), (x - J_{γA}(x)) / γ)``: the resolvent step and its witness."""
-    if entry.prox is None:
-        raise MissingOracleError(f"entry {entry.name!r} has no prox oracle")
 
     def step(x):
         xn = entry.prox.resolve(gamma, x)
@@ -212,18 +224,13 @@ def run_ppa(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
     ``A(x_{k+1})`` by the resolvent identity; its paired vanishing value is
     the step norm just taken.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return _iterate(entry, x0, stop, _proximal_step(entry, gamma), "ppa", "next", "forward")
+    check("ppa", entry, gamma=gamma)
+    return _iterate(entry, x0, stop, _proximal_step(entry, gamma), "ppa")
 
 
 def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
     """Fixed-step gradient descent with gradient witnesses at the current point."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if entry.grad is None:
-        raise MissingOracleError(f"entry {entry.name!r} has no gradient oracle")
-
+    check("gdm", entry, step=step)
     grad = entry.grad
 
     # not as_point: an overflow must reach _iterate, which ends the run as divergence
@@ -231,7 +238,7 @@ def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) 
         g = np.asarray(grad(x), dtype=float)
         return x - step * g, g
 
-    return _iterate(entry, x0, stop, descend, "gdm", "current", "subgrad")
+    return _iterate(entry, x0, stop, descend, "gdm")
 
 
 def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float, center: np.ndarray) -> np.ndarray:
@@ -242,15 +249,13 @@ def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float, center: np.
         Q = np.atleast_2d(Q)
         b = np.atleast_1d(b)
         return np.linalg.solve(Q + 2.0 * gamma * np.eye(Q.shape[0]), b + 2.0 * gamma * center)
-    if entry.dim_in != 1:
-        raise ValueError("power-penalty subproblems beyond quadratics are 1-d only")
-    if entry.f is None:
-        raise MissingOracleError(f"entry {entry.name!r} has no scalar function")
     c = float(center[0])
     if entry.inf_f is not None:
         span = ((entry.f(center) - entry.inf_f) / gamma) ** (1.0 / q) + 1e-6
     else:
         span = 10.0 * (1.0 + abs(c))
+    if not math.isfinite(span):  # f(center) overflowed: a non-finite step, which ends the run as divergence
+        return np.array([span])
     res = minimize_scalar(
         lambda t: entry.f(np.array([t])) + gamma * abs(t - c) ** q,
         bounds=(c - span, c + span),
@@ -289,16 +294,13 @@ def _polish_stationarity(entry, gamma: float, q: float, c: float, t: float, span
 def run_qpower_prox(
     entry: OperatorEntry, gamma: float, q: float, x0, stop: StopRule = StopRule()
 ) -> IterateTrace:
-    """Power-penalty proximal iteration with exponent q > 1.
+    """Power-penalty proximal iteration with exponent q.
 
     The stationarity witness at index k+1 is
     ``-γ q ||Δ||**(q-2) (x_{k+1} - x_k)``, of norm ``γ q Δ**(q-1)``; a zero
     step gives the zero witness.
     """
-    if q <= 1:
-        raise ValueError("q must exceed 1")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check("qpower", entry, gamma=gamma, q=q)
 
     def step(x):
         xn = _qpower_subproblem(entry, gamma, q, x)
@@ -306,7 +308,7 @@ def run_qpower_prox(
         w = -gamma * q * delta ** (q - 2.0) * (xn - x) if delta > 0 else np.zeros_like(x)
         return xn, w
 
-    return _iterate(entry, x0, stop, step, "qpower", "next", "subgrad")
+    return _iterate(entry, x0, stop, step, "qpower")
 
 
 def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -317,10 +319,7 @@ def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
     the combined objective at the new iterate.  ``∇h`` is evaluated once per
     iterate: step k's ``∇h(x_{k+1})`` is step k+1's ``∇h(x_k)``.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if entry.dc is None:
-        raise MissingOracleError(f"entry {entry.name!r} has no dc split (g prox, grad h)")
+    check("dca", entry, gamma=gamma)
     g_prox, h_grad = entry.dc.g_prox, entry.dc.h_grad
 
     last_xn = last_hn = None  # the previous step's x_{k+1} and ∇h(x_{k+1})
@@ -333,7 +332,7 @@ def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
         last_xn, last_hn = xn, np.asarray(h_grad(xn), dtype=float)
         return xn, hx - last_hn - (xn - x) / gamma
 
-    return _iterate(entry, x0, stop, step, "dca", "next", "subgrad")
+    return _iterate(entry, x0, stop, step, "dca")
 
 
 def run_shifted_ppa(
@@ -343,46 +342,95 @@ def run_shifted_ppa(
     x0,
     stop: StopRule = StopRule(),
     step_condition: str = "derived",
-    xbar=None,
 ) -> IterateTrace:
     """Proximal point iteration under a shifted-monotonicity assumption.
 
     The per-step ledger records
-    ``||x_{k+1} - xbar||^2 - ||x_k - xbar||^2 + (1 - 2 kappa / gamma) Δ_k^2``,
-    which is nonpositive exactly when the contraction argument goes through.
-    ``step_condition="derived"`` enforces ``gamma > 2 kappa`` (the range under
-    which the ledger inequality is valid); ``"reciprocal"`` instead admits the
-    reciprocal bound ``gamma < 1 / (2 kappa)`` and still records the ledger,
-    so divergence inside that range shows up in the diagnostics.
+    ``||x_{k+1} - xbar||^2 - ||x_k - xbar||^2 + (1 - 2 kappa / gamma) Δ_k^2``
+    for ``xbar`` the solution nearest ``x0``; it is nonpositive exactly when
+    the contraction argument goes through.  ``step_condition`` names the range
+    of ``gamma`` that :func:`check` admits.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if step_condition == "derived":
-        if gamma <= 2.0 * kappa:
-            raise ValueError("derived step condition requires gamma > 2 * kappa")
-    elif step_condition == "reciprocal":
-        if gamma >= 1.0 / (2.0 * kappa):
-            raise ValueError("reciprocal step condition requires gamma < 1 / (2 * kappa)")
-    else:
-        raise ValueError(f"unknown step_condition {step_condition!r}")
+    check("shifted-ppa", entry, kappa=kappa, gamma=gamma, step_condition=step_condition)
     step = _proximal_step(entry, gamma)
-    x = as_point(x0, entry.dim_in)
-    xb = entry.solution_set.project(x) if xbar is None else as_point(xbar, entry.dim_in)
+    xb = entry.solution_set.project(x0)
     coeff = 1.0 - 2.0 * kappa / gamma
 
-    last_xn = last_sq = None  # the previous step's x_{k+1} and ||x_{k+1} - xbar||**2
+    last_xn = last_dist = None  # the previous step's x_{k+1} and ||x_{k+1} - xbar||
 
     # np.float64 squares: the same bits as np.linalg.norm(...) ** 2 and as
-    # Python's delta ** 2, but inf past 1.3e154 where Python's ** raises
+    # Python's delta ** 2, but inf past 1.3e154 where Python's ** raises.
+    # Where a square overflows, the entry is recomputed scaled by the largest
+    # of the three norms, so it is finite wherever its true value is.
     def ledger(x, xn, delta):
-        nonlocal last_xn, last_sq
-        sq = last_sq if x is last_xn else np.float64(_norm(x - xb)) ** 2
-        last_xn, last_sq = xn, np.float64(_norm(xn - xb)) ** 2
-        return float(last_sq - sq + coeff * np.float64(delta) ** 2)
+        nonlocal last_xn, last_dist
+        b = last_dist if x is last_xn else _norm(x - xb)
+        a = last_dist = _norm(xn - xb)
+        last_xn = xn
+        value = float(np.float64(a) ** 2 - np.float64(b) ** 2 + coeff * np.float64(delta) ** 2)
+        if not math.isfinite(value):
+            m = max(a, b, delta)
+            value = m * (m * ((a / m) ** 2 - (b / m) ** 2 + coeff * (delta / m) ** 2))
+        return value
 
-    return _iterate(entry, x, stop, step, "shifted-ppa", "next", "forward", ledger)
+    return _iterate(entry, x0, stop, step, "shifted-ppa", ledger)
+
+
+class _Algorithm(NamedTuple):
+    runner: str  # the function of this module that runs it, looked up by name at run time
+    params: Dict[str, inspect.Parameter]  # the runner's own, besides entry, x0 and stop
+    witness_side: str  # "next" | "current"
+    witness_map: str  # "forward" | "subgrad"
+    oracle: Optional[str]  # the entry field it cannot run without
+
+
+def _algorithm(run, witness_side: str, witness_map: str, oracle: Optional[str] = None) -> _Algorithm:
+    params = {k: p for k, p in inspect.signature(run).parameters.items() if k not in ("entry", "x0", "stop")}
+    return _Algorithm(run.__name__, params, witness_side, witness_map, oracle)
+
+
+#: Every algorithm by name: its runner, parameters, witness convention and oracle.
+ALGORITHMS = {
+    "ppa": _algorithm(run_ppa, "next", "forward", "prox"),
+    "gdm": _algorithm(run_gdm, "current", "subgrad", "grad"),
+    "qpower": _algorithm(run_qpower_prox, "next", "subgrad"),
+    "dca": _algorithm(run_dca, "next", "subgrad", "dc"),
+    "shifted-ppa": _algorithm(run_shifted_ppa, "next", "forward", "prox"),
+}
+
+
+def check(name: str, entry: OperatorEntry, **params) -> None:
+    """Raise unless algorithm ``name`` can run on ``entry`` with ``params``,
+    its runner's parameters: ``MissingOracleError`` for an oracle the entry
+    lacks, else ``ParamError`` naming the first parameter out of range.
+
+    ``shifted-ppa``'s ``"derived"`` step condition is the range where its
+    ledger inequality is valid; under ``"reciprocal"`` the ledger is still
+    recorded, so a divergence there shows in the diagnostics.
+    """
+    spec = ALGORITHMS[name]
+    if spec.oracle is not None and getattr(entry, spec.oracle) is None:
+        raise MissingOracleError(f"entry {entry.name!r} has no {spec.oracle} oracle")
+    for key, bound in (("gamma", 0), ("step", 0), ("kappa", 0), ("q", 1)):
+        if key in params and not params[key] > bound:
+            raise ParamError(key, f"{key} must exceed {bound}")
+    gamma = params.get("gamma")
+    if spec.oracle == "prox" and not entry.prox.valid_gamma(gamma):
+        raise ParamError("gamma", f"gamma={gamma} outside the resolvent's range ({entry.prox.note})")
+    if name == "qpower" and (entry.quad_form is None or params["q"] != 2.0):  # no closed form
+        if entry.dim_in != 1:
+            raise ParamError("q" if entry.quad_form is not None else "name",
+                             "power-penalty subproblems are 1-d only, except on quadratics with q = 2")
+        if entry.f is None:
+            raise MissingOracleError(f"entry {entry.name!r} has no scalar function")
+    if name == "shifted-ppa":
+        kappa, rule = params["kappa"], params["step_condition"]
+        if rule not in ("derived", "reciprocal"):
+            raise ParamError("step_condition", "step_condition must be 'derived' or 'reciprocal'")
+        if rule == "derived" and not gamma > 2.0 * kappa:
+            raise ParamError("gamma", "derived step condition requires gamma > 2 * kappa")
+        if rule == "reciprocal" and not gamma < 1.0 / (2.0 * kappa):
+            raise ParamError("gamma", "reciprocal step condition requires gamma < 1 / (2 * kappa)")
 
 
 def make_synthetic_trace(

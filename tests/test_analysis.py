@@ -185,6 +185,15 @@ class TestLojasiewiczFit:
         assert fit.failed
         assert fit.theta_hat is None
 
+    def test_the_first_grid_is_evaluated_once(self):
+        # levels 0, 1, 2 take 101, 202 and 404 points; level 0 is the first grid
+        entry = catalog_lookup("square")
+        calls = []
+        counted = dataclasses.replace(entry, f=lambda x: calls.append(x) or entry.f(x))
+        fit = lojasiewicz_fit(counted, Window.box([0.0], [1.0]), 101)
+        assert fit.to_json_dict() == lojasiewicz_fit(entry, Window.box([0.0], [1.0]), 101).to_json_dict()
+        assert len(calls) == 101 + 202 + 404
+
     def test_window_must_meet_solution_set(self):
         with pytest.raises(ValueError):
             lojasiewicz_fit(catalog_lookup("square"), Window.box([5.0], [1.0]), 101)
@@ -507,7 +516,7 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
             pytest.skip("no bound to check")
         for tube_radius, tol in ((0.1, 1e-8), (1.0, -0.5)):  # tol < 0: every point off S violates
             res = certify_inverse_lipschitz(entry, k, test_samples=60, tol=tol, tube_radius=tube_radius)
-            anchors = [p for p in entry.solution_set.sample(25, 0).points if np.all(np.abs(p) <= 2.0)]
+            anchors = [p for p in entry.solution_set.sample(25).points if np.all(np.abs(p) <= 2.0)]
             per_anchor = max(1, 60 // len(anchors))
             xs = np.vstack([u + sample_window(Window.ball(np.zeros(entry.dim_in), tube_radius), "halton",
                                               per_anchor, i).points for i, u in enumerate(anchors)])

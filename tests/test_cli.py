@@ -1,12 +1,14 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcontinuity import catalog_listing, catalog_names
+from rcontinuity import (StopRule, catalog_listing, catalog_lookup, catalog_names, run_dca, run_gdm,
+                         run_ppa, run_qpower_prox, run_shifted_ppa, solvers)
 from rcontinuity.cli import ConfigError, ExperimentConfig, main, run_experiment
 
 
@@ -141,6 +143,20 @@ _CONFIGS = _section(
 )
 
 
+#: Each algorithm's runner and its numeric parameters.
+_RUNNERS = {
+    "ppa": (run_ppa, ("gamma",)),
+    "gdm": (run_gdm, ("step",)),
+    "qpower": (run_qpower_prox, ("gamma", "q")),
+    "dca": (run_dca, ("gamma",)),
+    "shifted-ppa": (run_shifted_ppa, ("kappa", "gamma")),
+}
+
+
+class _FirstStep(Exception):
+    """Raised in place of a runner's first step."""
+
+
 class TestValidation:
     @pytest.mark.parametrize("config, argv, path", REJECTED)
     def test_rejected_input_exits_2_naming_the_field(self, config, argv, path, tmp_path, capsys):
@@ -187,6 +203,49 @@ class TestValidation:
             ExperimentConfig.from_dict(config)
         except ConfigError as exc:
             assert exc.path
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(operator=st.sampled_from(catalog_names()), name=st.sampled_from(sorted(_RUNNERS)),
+           values=st.fixed_dictionaries({key: st.sampled_from([-1.0, 0.0, 1e-3, 0.5, 1.0, 2.0, 10.0])
+                                         for key in ("gamma", "step", "q", "kappa")}),
+           step_condition=st.sampled_from(["derived", "reciprocal"]))
+    def test_the_cli_accepts_exactly_what_the_runners_accept(self, operator, name, values, step_condition):
+        run, keys = _RUNNERS[name]
+        params = {key: values[key] for key in keys}
+        if name == "shifted-ppa":
+            params["step_condition"] = step_condition
+        entry = catalog_lookup(operator)
+        x0 = [1.0] * entry.dim_in
+        try:
+            ExperimentConfig.from_dict({"kind": "solve", "operator": operator,
+                                        "algorithm": {"name": name, "x0": x0, **params}})
+            path = None
+        except ConfigError as exc:
+            path = exc.path
+        # the runner's checks are the ones made before its first step
+        with mock.patch.object(solvers, "_iterate", side_effect=_FirstStep):
+            try:
+                run(entry, x0=x0, stop=StopRule(max_iter=1), **params)
+            except _FirstStep:
+                runner_rejects = False
+            except ValueError:
+                runner_rejects = True
+        assert (path is not None) == runner_rejects, (path, params)
+        assert path is None or path in {"algorithm.name", *(f"algorithm.{key}" for key in params)}
+
+    @pytest.mark.parametrize("key, value", [("max_iter", 0), ("step_tol", 0.0), ("divergence_guard", -1.0)])
+    def test_stop_rule_out_of_range_names_the_field(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"kind": "solve", "operator": "quad", "stop": {key: value},
+                                        "algorithm": {"name": "gdm", "step": 0.5, "x0": [1.0]}})
+        assert err.value.path == f"stop.{key}"
+
+    def test_stop_echo_keeps_its_types(self):
+        cfg = ExperimentConfig.from_dict({"kind": "solve", "operator": "quad", "stop": {"step_tol": 1, "max_iter": 5.0},
+                                          "algorithm": {"name": "gdm", "step": 0.5, "x0": [1.0]}})
+        stop = cfg.resolved["stop"]
+        assert stop == {"step_tol": 1.0, "max_iter": 5, "divergence_guard": 1e12}
+        assert [type(v) for v in stop.values()] == [float, int, float]
 
     def test_defaults_are_resolved_into_the_echo(self):
         cfg = ExperimentConfig.from_dict(pipeline_config())
@@ -312,6 +371,19 @@ class TestRunExperiment:
         header, rows = rows[0], rows[1:]
         assert [float(row[header.index("x0")]) for row in rows] == [1e200, 5e199]
         assert float(rows[0][header.index("delta")]) == 5e199
+
+    def test_distance_column_past_the_dot_overflow_is_finite(self, tmp_path, capsys):
+        # the squares of 1e200 and 5e199 overflow; their distances to {0} do not
+        gdm = 'algorithm={"name": "gdm", "step": 0.5, "x0": [1e200]}'
+        assert main(["solve", "--set", "operator=quad", "--set", gdm, "--out", str(tmp_path)]) == 0
+        rows = [row.split(",") for row in (tmp_path / "trace.csv").read_text().strip().split("\n")]
+        assert [row[rows[0].index("distance")] for row in rows[1:]] == ["1e+200", "5e+199"]
+
+    def test_qpower_whose_f_overflows_diverges(self, tmp_path, capsys):
+        # f(1e160) overflows, and with it the bracket of the scalar subproblem
+        qpower = 'algorithm={"name": "qpower", "gamma": 1.0, "q": 3, "x0": [1e160]}'
+        assert main(["solve", "--set", "operator=quad", "--set", qpower, "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"]["termination"] == "divergence"
 
     def test_shifted_run_records_ledger_column(self, tmp_out):
         cfg = ExperimentConfig.from_dict({

@@ -124,9 +124,19 @@ class TestRegionDistance:
         brute = refine_brute_distance(free, x, lo, hi)
         assert region.distance(x) == pytest.approx(brute, abs=1e-9)
 
+    @pytest.mark.parametrize("region, rows, expected", [
+        (Region.box([0.0], [1.0]), [[1e200]], [1e200]),
+        (Region.ball([0.0], 1.0), [[-1e200]], [1e200]),
+        (Region.affine([0.0, 0.0], [[1.0], [0.0]]), [[3.0, 1e200]], [1e200]),
+        (Region.from_points([[0.0], [1.0]]), [[1e200], [5e199], [3.0]], [1e200, 5e199, 2.0]),
+    ], ids=["box", "ball", "affine", "points"])
+    def test_finite_distance_past_the_square_overflow_stays_finite(self, region, rows, expected):
+        # the squares of these coordinates overflow; the distances do not
+        assert region.distance_rows(rows).tolist() == expected
+
     def test_affine_sampling_stays_on_subspace(self):
         plane = Region.affine([1.0, 0.0, 0.0], np.eye(3)[:, 1:])
-        for p in plane.sample(16, seed=2):
+        for p in plane.sample(16):
             assert plane.distance(p) <= 1e-12
 
 

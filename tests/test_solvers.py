@@ -73,7 +73,7 @@ class TestPpa:
             entry = catalog_lookup(name)
             x0 = [1.3] * entry.dim_in
             trace = run_ppa(entry, 0.7, x0, StopRule(max_iter=200))
-            for xb in entry.solution_set.sample(5, seed=0):
+            for xb in entry.solution_set.sample(5):
                 dists = [np.linalg.norm(x - xb) for x in trace.iterates]
                 assert all(b <= a + 1e-12 for a, b in zip(dists[:-1], dists[1:])), name
 
@@ -179,6 +179,14 @@ class TestQpower:
         trace = run_qpower_prox(catalog_lookup("quad2"), 1.0, 2.0, [1.0, 1.0], StopRule(max_iter=200))
         assert trace.termination == "tolerance"
 
+    @pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("x0", [1e160, 1e200, 1e300])
+    def test_overflowing_f_diverges_unrecorded(self, q, x0):
+        # f(x0) overflows, so the subproblem's bracket has no finite bound
+        trace = run_qpower_prox(catalog_lookup("quad"), 1.0, q, [x0])
+        assert trace.diverged
+        assert scalar_iterates(trace) == [x0]
+
     def test_multidim_nonquadratic_rejected(self):
         entry = catalog_lookup("quad2")
         with pytest.raises(ValueError):
@@ -256,6 +264,15 @@ class TestShiftedPpa:
         with pytest.raises(ValueError):
             run_shifted_ppa(catalog_lookup("linear-neg"), 0.2, 0.5, [1.0],
                             step_condition="reciprocal")
+
+    def test_ledger_past_the_square_overflow(self):
+        # ||x - xbar||**2 overflows at both starts; the true entry -(2/3) x0**2
+        # is below the float range at 1e200 and representable at 1.5e154
+        entry = catalog_lookup("quad")
+        assert run_shifted_ppa(entry, 0.5, 2.0, [1e200]).fejer_ledger.tolist() == [-math.inf]
+        ledger = run_shifted_ppa(entry, 0.5, 2.0, [1.5e154]).fejer_ledger
+        assert len(ledger) == 1
+        assert ledger[0] == pytest.approx(-1.5e308, rel=1e-12)
 
     def test_witness_membership(self):
         entry = catalog_lookup("linear-neg")
