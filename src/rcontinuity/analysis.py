@@ -17,8 +17,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import PointSet, Window, as_point, excess, sample_window, unit_directions
-from .setmap import MissingOracleError, OperatorEntry, SetValuedMap, WindowRequiredError
+from .geometry import SCHEMES, PointSet, Window, as_point, excess, sample_window, unit_directions
+from .setmap import (MissingOracleError, OperatorEntry, ParamError, SetValuedMap, WindowDimensionError,
+                     WindowRequiredError)
 
 
 @dataclass(frozen=True)
@@ -100,43 +101,47 @@ def estimate_modulus(
     points fill the ball around the base point and the worst excess is
     recorded; a running maximum enforces monotonicity in the radius.
     """
+    reference = check_modulus(m, xbar, k, radii, samples_per_radius, scheme)
     xb = as_point(xbar, m.dim_in)
     radii = np.asarray(list(radii), dtype=float)
-    if radii.size == 0 or radii[0] <= 0 or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be positive and strictly increasing")
-    if samples_per_radius < 1:
-        raise ValueError("samples_per_radius must be >= 1")
-    if m.window_required and k is None:
-        raise WindowRequiredError(f"map {m.name!r} requires a window for modulus estimation")
-    reference = _base_value(m, xb, k)
-    if reference.is_empty:
-        raise ValueError(f"map {m.name!r} is empty at the base point")
-
     offsets = sample_window(Window.ball(np.zeros(m.dim_in), 1.0), scheme, samples_per_radius, seed).points
     rho: List[float] = []
-    counts: List[int] = []
-    divergent = False
     running = 0.0
     for r in radii:
         # the worst excess over the samples is the excess of all their values
-        vals, _ = m.eval_rows(xb + r * offsets, k)
-        worst = excess(vals, reference)
-        if math.isinf(worst):
-            divergent = True
-        running = max(running, worst)
+        running = max(running, excess(m.eval_rows(xb + r * offsets, k)[0], reference))
         rho.append(running)
-        counts.append(len(offsets))
-    return ModulusCurve(
-        map_name=m.name,
-        base_point=xb,
-        window=k,
-        radii=radii,
-        rho_hat=np.asarray(rho),
-        sample_counts=counts,
-        seed=seed,
-        scheme=scheme,
-        divergent=divergent,
-    )
+    # an infinite excess at any radius stays in the running maximum
+    return ModulusCurve(m.name, xb, k, radii, np.asarray(rho), [len(offsets)] * len(radii), seed, scheme,
+                        divergent=math.isinf(running))
+
+
+def check_modulus(m: SetValuedMap, xbar, k: Optional[Window], radii: Sequence[float],
+                  samples_per_radius: int, scheme: str) -> PointSet:
+    """Raise ``ParamError`` naming the argument unless :func:`estimate_modulus`
+    can run (positive, strictly increasing radii, a sample per radius, a known
+    scheme, a window ``m`` accepts, a nonempty base value); return the base value."""
+    r = np.asarray(list(radii), dtype=float)
+    bad = np.flatnonzero(~(r > 0))
+    if bad.size:
+        raise ParamError(f"radii[{bad[0]}]", "radii must be positive")
+    if r.size == 0 or np.any(np.diff(r) <= 0):
+        raise ParamError("radii", "radii must be a nonempty, strictly increasing list")
+    if not samples_per_radius >= 1:
+        raise ParamError("samples_per_radius", "samples_per_radius must be >= 1")
+    if scheme not in SCHEMES:
+        raise ParamError("scheme", f"scheme must be one of {', '.join(SCHEMES)}")
+    m.check_window(k)
+    reference = _base_value(m, as_point(xbar, m.dim_in), k)
+    if reference.is_empty:
+        raise ParamError("xbar", f"map {m.name!r} is empty at the base point")
+    return reference
+
+
+def _need(entry: OperatorEntry, *oracles: str) -> None:
+    for name in oracles:
+        if getattr(entry, name) is None:
+            raise MissingOracleError(f"entry {entry.name!r} has no {name} oracle")
 
 
 def _base_value(m: SetValuedMap, xb: np.ndarray, k: Optional[Window]) -> PointSet:
@@ -207,19 +212,16 @@ def closed_graph_test(
     steps = np.ldexp(start_radius, -np.arange(depth + 1))  # start_radius * 2**-j, exactly
     for d in dirs:
         vals, owner = m.eval_rows(xb + steps[:, None] * d, k)
-        values_along = np.split(vals.points, np.searchsorted(owner, np.arange(1, depth + 1)))
-        for y0 in values_along[0][:max_chains_per_sequence]:
+        first, *rest = np.split(vals.points, np.searchsorted(owner, np.arange(1, depth + 1)))
+        starts = first[:max_chains_per_sequence]
+        if any(len(pts) == 0 for pts in rest):  # an empty value breaks every chain
+            chains_total += len(starts)
+            continue
+        for y0 in starts:
             chains_total += 1
             chain = [y0]
-            broken = False
-            for pts in values_along[1:]:
-                if pts.shape[0] == 0:
-                    broken = True
-                    break
-                idx = int(np.argmin(np.linalg.norm(pts - chain[-1], axis=1)))
-                chain.append(pts[idx])
-            if broken:
-                continue
+            for pts in rest:
+                chain.append(pts[int(np.argmin(np.linalg.norm(pts - chain[-1], axis=1)))])
             gaps = np.linalg.norm(np.diff(np.asarray(chain), axis=0), axis=1)
             if not _chain_converged(gaps, limit_tol):
                 continue
@@ -235,22 +237,15 @@ def closed_graph_test(
 def _chain_converged(gaps: np.ndarray, limit_tol: float) -> bool:
     """Accept chains whose tail gaps decay at a sub-unit ratio with a small
     projected remainder, plus exactly stationary chains."""
-    if gaps.size == 0:
-        return True
-    if float(gaps[-1]) == 0.0:
+    if gaps.size == 0 or gaps[-1] == 0.0:
         return True
     tail = gaps[-6:]
-    ratios = []
-    for a, b in zip(tail[:-1], tail[1:]):
-        if a > 0:
-            ratios.append(b / a)
-    if not ratios:
+    moved = tail[:-1] > 0
+    ratios = tail[1:][moved] / tail[:-1][moved]
+    if not ratios.size:
         return True
     rate = float(np.median(ratios))
-    if rate >= 0.97:
-        return False
-    remaining = float(gaps[-1]) * rate / (1.0 - rate)
-    return remaining <= limit_tol
+    return rate < 0.97 and float(gaps[-1]) * rate / (1.0 - rate) <= limit_tol
 
 
 @dataclass(frozen=True)
@@ -288,11 +283,8 @@ def lojasiewicz_fit(
     failure flag (no finite exponent works).  On success the scale is the
     exact envelope maximum of ``d**theta / |f|`` over the full grid.
     """
-    if entry.f is None:
-        raise MissingOracleError(f"entry {entry.name!r} has no scalar function")
+    check_lojasiewicz(entry, k)
     region = entry.solution_set
-    if not k.contains_rows(region.reference_points()).any():
-        raise ValueError("the solution set does not meet the window")
 
     def grid_eval(n: int):
         pts = sample_window(k, "grid", n, seed=0).points
@@ -325,13 +317,27 @@ def lojasiewicz_fit(
     return LojFit(float(theta), float(ratios.max()), k, False, level_exponents, diag)
 
 
+def check_lojasiewicz(entry: OperatorEntry, k: Optional[Window]) -> None:
+    """Raise unless :func:`lojasiewicz_fit` can run: ``MissingOracleError`` without
+    ``f``, ``ParamError`` for a window that is missing, not of the domain's
+    dimension or disjoint from the solution set."""
+    _need(entry, "f")
+    if k is None:
+        raise WindowRequiredError("window", "the Lojasiewicz fit needs a compact window")
+    if k.dim != entry.dim_in:
+        raise WindowDimensionError("window", f"window must have dimension {entry.dim_in}")
+    if not k.contains_rows(entry.solution_set.reference_points()).any():
+        raise ParamError("window", "the solution set does not meet the window")
+
+
 @dataclass(frozen=True)
 class PlkConfig:
     """Power-law desingularization parameters ``phi(t) = M * t**(1 - q)``.
 
-    The constructor enforces the shape constraints (positive scale, exponent
-    in [0, 1), positive band height and neighborhood radius), so the
-    desingularizing function is valid by construction.
+    The constructor enforces the shape constraints (positive scale, band
+    height and neighborhood radius, exponent in [0, 1)) and names the first
+    field that breaks one in a ``ParamError``, so the desingularizing function
+    is valid by construction.
     """
 
     M: float
@@ -340,12 +346,11 @@ class PlkConfig:
     neighborhood_radius: float
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise ValueError("M must be positive")
+        for name in ("M", "eta", "neighborhood_radius"):
+            if not getattr(self, name) > 0:
+                raise ParamError(name, f"{name} must be positive")
         if not 0.0 <= self.q_exp < 1.0:
-            raise ValueError("q_exp must lie in [0, 1)")
-        if self.eta <= 0 or self.neighborhood_radius <= 0:
-            raise ValueError("eta and neighborhood_radius must be positive")
+            raise ParamError("q_exp", "q_exp must lie in [0, 1)")
 
     def phi_prime(self, t: float) -> float:
         return self.M * (1.0 - self.q_exp) * t ** (-self.q_exp)
@@ -383,10 +388,7 @@ def check_plk_exponent(
     ``f(xbar) < f(x) < f(xbar) + eta`` (strictly).  An empty band yields an
     inconclusive verdict, never a pass.
     """
-    if entry.f is None:
-        raise MissingOracleError(f"entry {entry.name!r} has no scalar function")
-    if entry.subgrad is None:
-        raise MissingOracleError(f"entry {entry.name!r} has no subgradient oracle")
+    check_plk(entry)
     xb = as_point(xbar, entry.dim_in)
     fbar = entry.f(xb)
     pts = sample_window(Window.ball(xb, cfg.neighborhood_radius), "grid", grid_count).points
@@ -403,16 +405,14 @@ def check_plk_exponent(
         nearest = np.full(len(band), math.inf)
         np.minimum.at(nearest, owner, np.linalg.norm(zero - vals.points, axis=1))
         slopes = nearest.tolist()
-    violations: List[np.ndarray] = []
-    min_product = None
-    for i, slope in zip(band, slopes):
-        p, fx = pts[i], fvals[i]
-        product = cfg.phi_prime(fx - fbar) * slope
-        if min_product is None or product < min_product:
-            min_product = product
-        if product < 1.0 - 1e-12:
-            violations.append(p)
-    return PlkResult("fail" if violations else "pass", violations, len(band), min_product)
+    products = [cfg.phi_prime(fvals[i] - fbar) * slope for i, slope in zip(band, slopes)]
+    violations = [pts[i] for i, product in zip(band, products) if product < 1.0 - 1e-12]
+    return PlkResult("fail" if violations else "pass", violations, len(band), min(products))
+
+
+def check_plk(entry: OperatorEntry) -> None:
+    """Raise ``MissingOracleError`` unless :func:`check_plk_exponent` has its oracles."""
+    _need(entry, "f", "subgrad")
 
 
 @dataclass(frozen=True)
@@ -516,11 +516,8 @@ def calmness_estimate(
     if len(vals):
         gaps = np.full(len(vals), math.inf) if reference.is_empty else reference.distance_rows(vals.points)
         np.maximum.at(worst, owner, gaps)
-    kappa = 0.0
-    any_nonempty = False
-    for x, e, nonempty in zip(xs, worst.tolist(), np.bincount(owner, minlength=len(xs)) > 0):
-        dx = float(np.linalg.norm(x - xb))
-        if nonempty and dx > 0.0:  # at dx = 0 the 0/0 convention: contributes nothing
-            any_nonempty = True
-            kappa = max(kappa, e / dx)
-    return CalmnessResult(kappa_hat=kappa, vacuous=not any_nonempty)
+    dxs = [float(np.linalg.norm(x - xb)) for x in xs]
+    # at dx = 0 the 0/0 convention: the sample contributes nothing
+    ratios = [e / dx for e, dx, nonempty in zip(worst.tolist(), dxs, np.bincount(owner, minlength=len(xs)) > 0)
+              if nonempty and dx > 0.0]
+    return CalmnessResult(kappa_hat=max([0.0] + ratios), vacuous=not ratios)

@@ -134,23 +134,14 @@ def _rm1() -> OperatorEntry:
         return _branches((np.where(v == 0.0, 0.0, v), np.arange(v.size)), (far, nz))
 
     def vdist(x, y):
-        v = float(x[0])
-        w = float(y[0])
+        v, w = float(x[0]), float(y[0])
         if v == 0.0:
             return abs(w)
         return min(abs(w - v), abs(w - 1.0 / v))
 
-    fwd = SetValuedMap(
-        name="rm1",
-        dim_in=1,
-        dim_out=1,
-        evaluator=ev,
-        window_required=True,
-        value_dist=vdist,
-    )
     return OperatorEntry(
         name="rm1",
-        forward=fwd,
+        forward=SetValuedMap("rm1", 1, 1, ev, window_required=True, value_dist=vdist),
         solution_set=Region.from_points([[0.0]]),
         description="window-restricted Lipschitz behavior, unbounded without a window",
         monotone=False,
@@ -239,8 +230,7 @@ def _abs_subdiff() -> OperatorEntry:
                          _each(_interval(*_window_interval(window, -1.0, 1.0)), zero))
 
     def vdist(x, y):
-        v = float(x[0])
-        w = float(y[0])
+        v, w = float(x[0]), float(y[0])
         if v > 0.0:
             return abs(w - 1.0)
         if v < 0.0:
@@ -256,8 +246,7 @@ def _abs_subdiff() -> OperatorEntry:
                          _each(up, np.flatnonzero(w == 1.0)), _each(down, np.flatnonzero(w == -1.0)))
 
     def inv_vdist(y, x):
-        w = float(y[0])
-        v = float(x[0])
+        w, v = float(y[0]), float(x[0])
         if abs(w) > 1.0:
             return math.inf
         if abs(w) < 1.0:
@@ -308,7 +297,14 @@ def _linear(name: str, a: float, description: str, **extra) -> OperatorEntry:
                           note=f"single-valued for gamma != 1/{-a:g}")
     else:
         extra.update(grad_inverse=inv, quad_form=(np.array([[a]]), np.array([0.0])), inf_f=0.0)
-    oracles = _scalar(lambda v: half * _pow(v, 2), grad)
+
+    # a v^2 / 2; only where the square overflows and the product does not is it
+    # (half * v) * v, whose last bit differs from this form's elsewhere
+    def f(v):
+        value = half * _pow(v, 2)
+        return (half * v) * v if math.isinf(value) and math.isfinite(v) else value
+
+    oracles = _scalar(f, grad)
     oracles["jac"] = lambda x: np.array([[a]])  # the Jacobian of A, constant
     return OperatorEntry(
         name=name,

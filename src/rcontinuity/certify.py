@@ -4,19 +4,23 @@ plus the distance-to-solution verdict.
 All checks are pure functions over immutable traces.  A certificate passes
 only when every applicable step passes and at least one step was applicable;
 empty applicable sets are reported as vacuous, never as passes.
+
+:data:`HYPOTHESES` (checks, request parameters, witness conventions) and
+:func:`check` (their rules) state each hypothesis's contract once; the checks
+and the CLI both call ``check``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .analysis import ModulusCurve
 from .geometry import Region
-from .setmap import OperatorEntry
+from .setmap import OperatorEntry, ParamError
 from .solvers import IterateTrace
 
 _ATOL = 1e-12
@@ -60,10 +64,39 @@ def _collect(hypothesis, params, indices, oks, vacuous=False, tail_ok=True, note
     )
 
 
+class _Hypothesis(NamedTuple):
+    check: str  # the function of this module that certifies it, looked up by name at call time
+    params: Tuple[str, ...]  # the positive parameters a request gives it
+    witness_side: Optional[str] = None  # the witness convention it needs: "next" | "current"
+    takes_entry: bool = False  # whether the check also takes the operator entry
+
+
+#: Every hypothesis by name: its check, request parameters and witness convention.
+HYPOTHESES = {
+    "H1": _Hypothesis("check_h1", ("alpha",)),
+    "H2": _Hypothesis("check_h2", ("beta",), "next"),
+    "H3": _Hypothesis("check_h3", ("beta",), "current"),
+    "H4": _Hypothesis("check_h4", (), takes_entry=True),
+    "RCLASS": _Hypothesis("check_rclass", ("alpha", "beta")),
+}
+
+
+def check(hypothesis: str, witness_side: Optional[str], **params) -> None:
+    """Raise ``ParamError`` naming the first request parameter that is not
+    positive, or ``hypothesis`` when a trace whose witnesses attach to the
+    ``witness_side`` iterate (``None``: unknown) has the wrong convention."""
+    for key, value in params.items():
+        if not value > 0:
+            raise ParamError(key, f"{key} must be positive")
+    side = HYPOTHESES[hypothesis].witness_side
+    if side is not None and witness_side is not None and witness_side != side:
+        raise ParamError("hypothesis", f"trace witnesses attach to the {witness_side!r} iterate; "
+                                       f"{hypothesis} needs the {side!r} convention")
+
+
 def check_h1(trace: IterateTrace, alpha: float, tol: float = _ATOL) -> Certificate:
     """Sufficient decrease: ``f(x_k) - f(x_{k+1}) >= alpha * step_k**2``."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check("H1", trace.witness_side, alpha=alpha)
     if trace.f_values is None:
         raise ValueError("the trace has no recorded function values")
     drops = trace.f_values[:-1] - trace.f_values[1:]
@@ -71,23 +104,14 @@ def check_h1(trace: IterateTrace, alpha: float, tol: float = _ATOL) -> Certifica
     return _collect("H1", {"alpha": alpha}, np.arange(len(trace) - 1), oks)
 
 
-def _relative_error(hypothesis: str, side: str, trace: IterateTrace, beta: float, tol: float) -> Certificate:
-    """``||w|| <= beta * step`` for every witness, under an index convention.
-
-    ``side="next"`` pairs a witness at k with the step that produced iterate
-    k; ``side="current"`` pairs it with the step leaving iterate k.
+def _relative_error(hypothesis: str, trace: IterateTrace, beta: float, tol: float) -> Certificate:
+    """``||w|| <= beta * step`` for every witness, under the hypothesis's index
+    convention: ``"next"`` pairs a witness at k with the step that produced
+    iterate k, ``"current"`` with the step leaving iterate k.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if not len(trace.witness_points):
-        raise ValueError("the trace carries no witnesses")
-    if trace.witness_side is not None and trace.witness_side != side:
-        raise ValueError(
-            f"trace witnesses attach to the {trace.witness_side!r} iterate; "
-            f"this check needs the {side!r} convention"
-        )
+    check(hypothesis, trace.witness_side, beta=beta)
     indices = trace.witness_indices
-    steps = indices - 1 if side == "next" else indices
+    steps = indices - 1 if HYPOTHESES[hypothesis].witness_side == "next" else indices
     paired = (steps >= 0) & (steps <= len(trace) - 2)  # witnesses without a step are skipped
     oks = trace.witness_norms[paired] <= beta * trace.step_norms[steps[paired]] + tol
     return _collect(hypothesis, {"beta": beta}, indices[paired], oks)
@@ -96,13 +120,13 @@ def _relative_error(hypothesis: str, side: str, trace: IterateTrace, beta: float
 def check_h2(trace: IterateTrace, beta: float, tol: float = _ATOL) -> Certificate:
     """Relative error with the witness at the new iterate:
     ``||w_{k+1}|| <= beta * step_k``."""
-    return _relative_error("H2", "next", trace, beta, tol)
+    return _relative_error("H2", trace, beta, tol)
 
 
 def check_h3(trace: IterateTrace, beta: float, tol: float = _ATOL) -> Certificate:
     """Relative error with the witness at the current iterate:
     ``||w_k|| <= beta * step_k``."""
-    return _relative_error("H3", "current", trace, beta, tol)
+    return _relative_error("H3", trace, beta, tol)
 
 
 def check_h4(
@@ -142,12 +166,8 @@ def check_h4(
     fb = float(entry.f(xb))
     order = np.argsort(np.linalg.norm(pts - xb, axis=1))[:neighborhood]
     sub = np.sort(index_of[order])
-    indices, oks = [], []
-    for j in sub:
-        fj = trace.f_values[j] if trace.f_values is not None else float(entry.f(trace.iterates[j]))
-        indices.append(int(j))
-        oks.append(abs(fj - fb) <= tol * (1.0 + abs(fb)))
-    return _collect("H4", {"cluster": [float(v) for v in xb]}, indices, oks)
+    fs = trace.f_values[sub] if trace.f_values is not None else np.array([entry.f(trace.iterates[j]) for j in sub])
+    return _collect("H4", {"cluster": [float(v) for v in xb]}, sub, np.abs(fs - fb) <= tol * (1.0 + abs(fb)))
 
 
 def check_rclass(trace: IterateTrace, alpha: float, beta: float, tol: float = _ATOL) -> Certificate:
@@ -157,14 +177,11 @@ def check_rclass(trace: IterateTrace, alpha: float, beta: float, tol: float = _A
     requires the last recorded xi values to be nonincreasing and the final one
     to sit below ten times the trace's step tolerance.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    if not len(trace.xi_values):
-        raise ValueError("the trace carries no xi values")
+    check("RCLASS", trace.witness_side, alpha=alpha, beta=beta)
     oks = trace.witness_norms <= alpha * trace.xi_values ** beta + tol
     tail = trace.xi_values[-10:]
     nonincreasing = (tail[1:] <= tail[:-1] + 1e-15).all()
-    tail_ok = bool(nonincreasing and tail[-1] <= 10.0 * trace.stop.step_tol)
+    tail_ok = bool(nonincreasing and (tail[-1:] <= 10.0 * trace.stop.step_tol).all())  # no xi: vacuous anyway
     note = "" if tail_ok else "xi tail does not vanish"
     return _collect("RCLASS", {"alpha": alpha, "beta": beta}, trace.witness_indices, oks,
                     tail_ok=tail_ok, note=note)

@@ -12,7 +12,9 @@ certificate or verdict failed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import analysis, catalog, certify, serialize, solvers
 from .geometry import Window
-from .setmap import MissingOracleError, OperatorEntry
+from .setmap import MissingOracleError, OperatorEntry, ParamError
 
 _KINDS = ("modulus", "lojasiewicz", "plk", "solve", "certify", "full-pipeline")
 
@@ -63,7 +65,7 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
-def _int(value, path: str, minimum: int, maximum: float = float("inf")) -> int:
+def _int(value, path: str, minimum: float = -math.inf, maximum: float = math.inf) -> int:
     _require(_integer(value, path) >= minimum, path, f"must be >= {minimum}")
     _require(value <= maximum, path, f"must be <= {maximum}")
     return int(value)
@@ -96,24 +98,16 @@ def _radii_list(spec, path: str) -> List[float]:
         start = _positive(spec["start"], f"{path}.start")
         stop = _positive(spec["stop"], f"{path}.stop")
         count = _int(spec["count"], f"{path}.count", 2, _MAX_RADII)
-        _require(count >= 2 and stop > start, path, "needs count >= 2 and stop > start")
+        _require(stop > start, path, "needs stop > start")
         return [float(r) for r in np.geomspace(start, stop, count)]
-    _require(isinstance(spec, list) and len(spec) >= 1, path, "must be a list or {start, stop, count}")
-    radii = [_positive(r, f"{path}[{i}]") for i, r in enumerate(spec)]
-    _require(all(b > a for a, b in zip(radii[:-1], radii[1:])), path, "must be strictly increasing")
-    return radii
+    _require(isinstance(spec, list), path, "must be a list or {start, stop, count}")
+    return [_number(r, f"{path}[{i}]") for i, r in enumerate(spec)]
 
 
-#: Certificate hypotheses: their positive request fields, and the check to run
-#: as ``(trace, entry, request) -> Certificate``, resolved from :mod:`certify`
-#: at call time.
-_CHECKS = {
-    "H1": (("alpha",), lambda trace, entry, r: certify.check_h1(trace, r["alpha"])),
-    "H2": (("beta",), lambda trace, entry, r: certify.check_h2(trace, r["beta"])),
-    "H3": (("beta",), lambda trace, entry, r: certify.check_h3(trace, r["beta"])),
-    "H4": ((), lambda trace, entry, r: certify.check_h4(trace, entry)),
-    "RCLASS": (("alpha", "beta"), lambda trace, entry, r: certify.check_rclass(trace, r["alpha"], r["beta"])),
-}
+#: The analysis defaults, read from the signatures of the estimators they feed.
+_MODULUS, _LOJA, _PLK = ({key: p.default for key, p in inspect.signature(estimator).parameters.items()}
+                         for estimator in (analysis.estimate_modulus, analysis.lojasiewicz_fit,
+                                           analysis.check_plk_exponent))
 
 #: The fields each config section may hold.  ``algorithm`` and a certificate
 #: start from the union over all algorithms or hypotheses and are narrowed to
@@ -121,19 +115,21 @@ _CHECKS = {
 _STOP_FIELDS = fields(solvers.StopRule)
 _ALGORITHM_FIELDS = {"name", "x0"}.union(*(spec.params for spec in solvers.ALGORITHMS.values()))
 _ANALYSIS_FIELDS = ("target", "xbar", "radii", "samples_per_radius", "scheme", "window", "grid_count", "plk")
-_PLK_FIELDS = [f.name for f in fields(analysis.PlkConfig)]
+_PLK_FIELDS = fields(analysis.PlkConfig)
 _WINDOW_FIELDS = [f.name for f in fields(Window)]
-_CERTIFICATE_FIELDS = {"hypothesis"}.union(*(keys for keys, _ in _CHECKS.values()))
+_CERTIFICATE_FIELDS = {"hypothesis"}.union(*(spec.params for spec in certify.HYPOTHESES.values()))
 
 
-def _solver_rule(section: str, rule: Callable, *args, **params) -> None:
-    """Call ``rule`` and report a parameter it rejects by its path in ``section``."""
+def _rule(section: str, rule: Callable, *args, **params) -> None:
+    """Call ``rule``, the check of a stage, and report what it rejects by its
+    path: a ``ParamError`` as ``<section>.<param>``, a missing oracle as
+    ``algorithm.name`` in the algorithm and as ``operator`` elsewhere."""
     try:
         rule(*args, **params)
-    except solvers.ParamError as exc:
+    except ParamError as exc:
         raise ConfigError(f"{section}.{exc.param}", str(exc)) from None
     except MissingOracleError as exc:
-        raise ConfigError(f"{section}.name", str(exc)) from None
+        raise ConfigError("algorithm.name" if section == "algorithm" else "operator", str(exc)) from None
 
 
 @dataclass
@@ -170,7 +166,7 @@ class ExperimentConfig:
 
         stop_raw = _object(raw.get("stop", {}), "stop", [f.name for f in _STOP_FIELDS])
         stop = {f.name: _READ[f.type](stop_raw.get(f.name, f.default), f"stop.{f.name}") for f in _STOP_FIELDS}
-        _solver_rule("stop", solvers.StopRule, **stop)
+        _rule("stop", solvers.StopRule, **stop)
 
         algorithm = _object(raw.get("algorithm", {}), "algorithm", _ALGORITHM_FIELDS)
         analysis_cfg = _object(raw.get("analysis", {}), "analysis", _ANALYSIS_FIELDS)
@@ -178,17 +174,7 @@ class ExperimentConfig:
         _require(isinstance(requests, list), "certificates", "must be a list")
         certificates = [_object(c, f"certificates[{i}]", _CERTIFICATE_FIELDS) for i, c in enumerate(requests)]
 
-        cfg = cls(
-            kind=kind,
-            operator=operator,
-            seed=seed,
-            tolerance=tolerance,
-            out_dir=out_dir,
-            algorithm=algorithm,
-            analysis=analysis_cfg,
-            stop=stop,
-            certificates=certificates,
-        )
+        cfg = cls(kind, operator, seed, tolerance, out_dir, algorithm, analysis_cfg, stop, certificates)
         cfg._validate(entry)
         cfg.resolved = {name: getattr(cfg, name) for name in names}
         return cfg
@@ -197,34 +183,36 @@ class ExperimentConfig:
 
     def _validate(self, entry: OperatorEntry) -> None:
         needs_solver = self.kind in ("solve", "certify", "full-pipeline")
-        needs_modulus = self.kind in ("modulus", "full-pipeline")
+        a, window = self.analysis, self._window()
         if needs_solver:
             self._validate_algorithm(entry)
-        if needs_modulus:
-            self._validate_modulus(entry)
-        if self.kind in ("lojasiewicz", "plk"):
-            _require(entry.f is not None, "operator", "needs a scalar function for this experiment")
+        if self.kind in ("modulus", "full-pipeline"):
+            self._validate_modulus(entry, window)
         if self.kind == "lojasiewicz":
-            self._window(True, entry.dim_in)
-            _int(self.analysis.setdefault("grid_count", 2001), "analysis.grid_count", 1, _MAX_SAMPLES)
+            _int(a.setdefault("grid_count", _LOJA["grid_count"]), "analysis.grid_count", 1, _MAX_SAMPLES)
+            _rule("analysis", analysis.check_lojasiewicz, entry, window)
         if self.kind == "plk":
-            _require("plk" in self.analysis, "analysis.plk", "missing PLK parameters")
-            plk = _object(self.analysis["plk"], "analysis.plk", _PLK_FIELDS)
-            for key in ("M", "eta", "neighborhood_radius"):
-                _positive(plk.get(key, 0), f"analysis.plk.{key}")
-            q = _number(plk.get("q_exp"), "analysis.plk.q_exp")
-            _require(0 <= q < 1, "analysis.plk.q_exp", "must lie in [0, 1)")
-            _vector(self.analysis.setdefault("xbar", [0.0] * entry.dim_in), "analysis.xbar", entry.dim_in)
-            _int(self.analysis.setdefault("grid_count", 257), "analysis.grid_count", 1, _MAX_SAMPLES)
+            _require("plk" in a, "analysis.plk", "missing PLK parameters")
+            plk = _object(a["plk"], "analysis.plk", [f.name for f in _PLK_FIELDS])
+            for f in _PLK_FIELDS:
+                _READ[f.type](plk.get(f.name), f"analysis.plk.{f.name}")
+            _rule("analysis.plk", analysis.PlkConfig, **plk)
+            _vector(a.setdefault("xbar", [0.0] * entry.dim_in), "analysis.xbar", entry.dim_in)
+            _int(a.setdefault("grid_count", _PLK["grid_count"]), "analysis.grid_count", 1, _MAX_SAMPLES)
+            _rule("analysis", analysis.check_plk, entry)
         if self.kind == "certify":
             _require(bool(self.certificates), "certificates", "at least one certificate is required")
+        side = solvers.ALGORITHMS[self.algorithm["name"]].witness_side if needs_solver else None
         for i, cert in enumerate(self.certificates):
-            hyp = cert.get("hypothesis")
-            _require(isinstance(hyp, str) and hyp in _CHECKS, f"certificates[{i}].hypothesis",
-                     f"must be one of {', '.join(_CHECKS)}")
-            _object(cert, f"certificates[{i}]", ("hypothesis",) + _CHECKS[hyp][0])
-            for key in _CHECKS[hyp][0]:
-                _positive(cert.get(key, 0), f"certificates[{i}].{key}")
+            path, hyp = f"certificates[{i}]", cert.get("hypothesis")
+            _require(isinstance(hyp, str) and hyp in certify.HYPOTHESES, f"{path}.hypothesis",
+                     f"must be one of {', '.join(certify.HYPOTHESES)}")
+            keys = certify.HYPOTHESES[hyp].params
+            _object(cert, path, ("hypothesis",) + keys)
+            for key in keys:
+                _require(key in cert, f"{path}.{key}", "missing")
+                _number(cert[key], f"{path}.{key}")
+            _rule(path, certify.check, hyp, side, **{key: cert[key] for key in keys})
 
     def _validate_algorithm(self, entry: OperatorEntry) -> None:
         alg = self.algorithm
@@ -240,7 +228,7 @@ class ExperimentConfig:
                 alg.setdefault(key, param.default)
             _require(key in alg, f"algorithm.{key}", "missing")
             _READ[param.annotation](alg[key], f"algorithm.{key}")
-        _solver_rule("algorithm", solvers.check, name, entry, **{key: alg[key] for key in spec.params})
+        _rule("algorithm", solvers.check, name, entry, **{key: alg[key] for key in spec.params})
 
     def _modulus_map(self, entry: OperatorEntry):
         target = self.analysis.setdefault("target", "forward" if self.kind == "modulus" else "auto")
@@ -257,27 +245,25 @@ class ExperimentConfig:
         _require(target == "forward", "analysis.target", "must be 'forward' or 'inverse'")
         return entry.forward
 
-    def _validate_modulus(self, entry: OperatorEntry) -> None:
-        m = self._modulus_map(entry)
-        _vector(self.analysis.setdefault("xbar", [0.0] * m.dim_in), "analysis.xbar", m.dim_in)
-        radii = self.analysis.get("radii", {"start": 1e-4, "stop": 1e-1, "count": 13})
-        self.analysis["radii"] = _radii_list(radii, "analysis.radii")
-        _int(self.analysis.setdefault("samples_per_radius", 64), "analysis.samples_per_radius", 1, _MAX_SAMPLES)
-        scheme = self.analysis.setdefault("scheme", "grid")
-        _require(scheme in ("grid", "halton"), "analysis.scheme", "must be 'grid' or 'halton'")
-        self._window(m.window_required, m.dim_out)
+    def _validate_modulus(self, entry: OperatorEntry, window: Optional[Window]) -> None:
+        m, a = self._modulus_map(entry), self.analysis
+        _vector(a.setdefault("xbar", [0.0] * m.dim_in), "analysis.xbar", m.dim_in)
+        a["radii"] = _radii_list(a.get("radii", {"start": 1e-4, "stop": 1e-1, "count": 13}), "analysis.radii")
+        _int(a.setdefault("samples_per_radius", _MODULUS["samples_per_radius"]), "analysis.samples_per_radius",
+             maximum=_MAX_SAMPLES)
+        a.setdefault("scheme", _MODULUS["scheme"])
+        _rule("analysis", analysis.check_modulus, m, a["xbar"], window, a["radii"],
+              a["samples_per_radius"], a["scheme"])
 
-    def _window(self, required: bool, dim: int) -> None:
+    def _window(self) -> Optional[Window]:
         raw = self.analysis.get("window")
         if raw is None:
-            _require(not required, "analysis.window", "a compact window is required for this experiment")
-            return
+            return None
         _object(raw, "analysis.window", _WINDOW_FIELDS)
         try:
-            window = Window.from_dict(raw)
+            return Window.from_dict(raw)
         except Exception as exc:
             raise ConfigError("analysis.window", str(exc)) from None
-        _require(window.dim == dim, "analysis.window", f"must have dimension {dim}")
 
 
 @dataclass
@@ -300,6 +286,13 @@ def _run_algorithm(entry: OperatorEntry, cfg: ExperimentConfig) -> solvers.Itera
     return run(entry, x0=alg["x0"], stop=stop, **{key: alg[key] for key in spec.params})
 
 
+def _run_certificate(trace: solvers.IterateTrace, entry: OperatorEntry, request: dict) -> certify.Certificate:
+    spec = certify.HYPOTHESES[request["hypothesis"]]
+    run = getattr(certify, spec.check)
+    params = {key: request[key] for key in spec.params}
+    return run(trace, entry, **params) if spec.takes_entry else run(trace, **params)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
     """Execute the configured experiment and write its artifacts.
 
@@ -319,21 +312,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
         writer(path)
         manifest[name] = serialize.sha256_file(path)
 
-    window = None
-    if cfg.analysis.get("window") is not None:
-        window = Window.from_dict(cfg.analysis["window"])
-
+    a = cfg.analysis
     if cfg.kind in ("modulus", "full-pipeline"):
-        m = cfg._modulus_map(entry)
-        curve = analysis.estimate_modulus(
-            m,
-            cfg.analysis["xbar"],
-            window,
-            cfg.analysis["radii"],
-            samples_per_radius=cfg.analysis["samples_per_radius"],
-            seed=cfg.seed,
-            scheme=cfg.analysis["scheme"],
-        )
+        curve = analysis.estimate_modulus(cfg._modulus_map(entry), a["xbar"], cfg._window(), a["radii"],
+                                          samples_per_radius=a["samples_per_radius"], seed=cfg.seed,
+                                          scheme=a["scheme"])
         emit("modulus.csv", lambda p: serialize.modulus_to_csv(curve, p))
         if curve.divergent:
             fit_dict = {"L_hat": None, "theta_hat": None, "residual": None,
@@ -347,17 +330,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
         curve = None
 
     if cfg.kind == "lojasiewicz":
-        fit = analysis.lojasiewicz_fit(entry, window, grid_count=cfg.analysis["grid_count"])
+        fit = analysis.lojasiewicz_fit(entry, cfg._window(), grid_count=a["grid_count"])
         emit("loja_fit.json", lambda p: serialize.write_json(p, fit.to_json_dict()))
         verdicts["lojasiewicz"] = fit.to_json_dict()
 
     if cfg.kind == "plk":
-        result = analysis.check_plk_exponent(
-            entry,
-            cfg.analysis["xbar"],
-            analysis.PlkConfig(**cfg.analysis["plk"]),
-            grid_count=cfg.analysis["grid_count"],
-        )
+        result = analysis.check_plk_exponent(entry, a["xbar"], analysis.PlkConfig(**a["plk"]),
+                                             grid_count=a["grid_count"])
         emit("plk.json", lambda p: serialize.write_json(p, result.to_json_dict()))
         verdicts["plk"] = result.verdict
         if result.verdict == "fail":
@@ -372,7 +351,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
             verdicts["diverged"] = True
 
         if cfg.certificates:
-            certs = [_CHECKS[req["hypothesis"]][1](trace, entry, req) for req in cfg.certificates]
+            certs = [_run_certificate(trace, entry, req) for req in cfg.certificates]
             records = [c.to_json_dict() for c in certs]
             emit("certificates.json", lambda p: serialize.write_json(p, records))
             verdicts["certificates"] = records
@@ -382,9 +361,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
         if cfg.kind == "full-pipeline":
             emit("distance.json", lambda p: serialize.write_json(p, dv.to_json_dict()))
             verdicts["distance"] = dv.to_json_dict()
-            if not dv.converged and not trace.diverged:
-                verdicts["failed"] = True
-            if not dv.link_ok:
+            if (not dv.converged and not trace.diverged) or not dv.link_ok:
                 verdicts["failed"] = True
 
     timings["total_s"] = time.perf_counter() - t0

@@ -386,6 +386,10 @@ def _halton_unit(count: int, dim: int, seed: int) -> np.ndarray:
     return sampler.random(count)
 
 
+#: The sampling schemes of :func:`sample_window`.
+SCHEMES = ("grid", "halton")
+
+
 def sample_window(w: Window, scheme: str, count: int, seed: int = 0) -> PointSet:
     """Deterministic sample of ``count`` points inside a window.
 
@@ -396,7 +400,7 @@ def sample_window(w: Window, scheme: str, count: int, seed: int = 0) -> PointSet
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if scheme not in ("grid", "halton"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown sampling scheme {scheme!r}")
     d = w.dim
     if scheme == "grid":

@@ -4,10 +4,10 @@ A :class:`SetValuedMap` wraps a deterministic row-wise evaluator
 ``(X, window) -> (points, owner)``: ``X`` is an ``(n, dim_in)`` array of
 arguments, ``points`` an ``(N, dim_out)`` array of values, and ``owner[j]`` the
 row of ``X`` that produced ``points[j]``.  :meth:`SetValuedMap.eval_rows` is
-the one place that validates the rows and the window, coerces and checks the
-values, orders them by owner (stably, so each row keeps its evaluator's
-order) and keeps only those inside the window; :meth:`SetValuedMap.eval` is
-its one-row form.  :func:`pointwise` lifts a per-point evaluator
+the one place that validates the rows and (by :meth:`~SetValuedMap.check_window`)
+the window, coerces and checks the values, orders them by owner (stably) and
+keeps only those inside the window; :meth:`SetValuedMap.eval` is its one-row
+form.  :func:`pointwise` lifts a per-point evaluator
 ``(x, window) -> points`` into this contract by a loop over the rows.
 
 Maps whose values may be unbounded declare ``window_required`` and refuse
@@ -37,8 +37,20 @@ from .geometry import (
 )
 
 
-class WindowRequiredError(ValueError):
+class ParamError(ValueError):
+    """An argument outside its range; ``param`` names it."""
+
+    def __init__(self, param: str, message: str):
+        self.param = param
+        super().__init__(message)
+
+
+class WindowRequiredError(ParamError):
     """Unwindowed evaluation requested on a map with unbounded values."""
+
+
+class WindowDimensionError(ParamError, DimensionMismatchError):
+    """A window whose dimension is not that of the space it restricts."""
 
 
 class MissingOracleError(ValueError):
@@ -94,12 +106,7 @@ class SetValuedMap:
         may have none.
         """
         rows = as_rows(X, self.dim_in)
-        if window is None and self.window_required:
-            raise WindowRequiredError(
-                f"map {self.name!r} has unbounded values; supply a compact window"
-            )
-        if window is not None and window.dim != self.dim_out:
-            raise DimensionMismatchError("window dimension differs from the map's range")
+        self.check_window(window)
         raw, owner = self.evaluator(rows, window)
         pts = np.asarray(raw, dtype=float).reshape(-1, self.dim_out)
         owner = np.asarray(owner, dtype=np.intp).reshape(-1)
@@ -113,6 +120,14 @@ class SetValuedMap:
             keep = window.contains_rows(pts)
             pts, owner = pts[keep], owner[keep]
         return PointSet(pts), owner
+
+    def check_window(self, window: Optional[Window]) -> None:
+        """Raise unless ``window`` may restrict this map's values: it is required
+        when they are unbounded, and must have the range's dimension."""
+        if window is None and self.window_required:
+            raise WindowRequiredError("window", f"map {self.name!r} has unbounded values; supply a compact window")
+        if window is not None and window.dim != self.dim_out:
+            raise WindowDimensionError("window", "window dimension differs from the map's range")
 
     def eval(self, x, window: Optional[Window] = None) -> PointSet:
         """Evaluate ``A(x)`` or ``A(x) ∩ window``; the result may be empty."""

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .geometry import as_point
-from .setmap import MissingOracleError, OperatorEntry
+from .setmap import MissingOracleError, OperatorEntry, ParamError
 
 
 def _norm(v: np.ndarray) -> float:
@@ -55,14 +55,6 @@ def _norm(v: np.ndarray) -> float:
         u = v / m
         return m * math.sqrt(u.dot(u))
     return r
-
-
-class ParamError(ValueError):
-    """A solver or stop-rule parameter outside its range; ``param`` names it."""
-
-    def __init__(self, param: str, message: str):
-        self.param = param
-        super().__init__(message)
 
 
 @dataclass(frozen=True)

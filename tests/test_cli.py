@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 from pathlib import Path
 from unittest import mock
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcontinuity import (StopRule, catalog_listing, catalog_lookup, catalog_names, run_dca, run_gdm,
-                         run_ppa, run_qpower_prox, run_shifted_ppa, solvers)
+from rcontinuity import (PlkConfig, StopRule, catalog_listing, catalog_lookup, catalog_names, check_h1, check_h2,
+                         check_h3, check_h4, check_plk_exponent, check_rclass, estimate_modulus, lojasiewicz_fit,
+                         run_dca, run_gdm, run_ppa, run_qpower_prox, run_shifted_ppa, solvers)
 from rcontinuity.cli import ConfigError, ExperimentConfig, main, run_experiment
 
 
@@ -67,6 +70,10 @@ REJECTED = [
     _rejected("radii-count-huge", ["modulus", "--set", "operator=square", "--set",
                                    'analysis.radii={"start": 1e-4, "stop": 0.1, "count": 10000000000}'],
               "analysis.radii.count"),
+    # np.geomspace repeats a radius when start and stop are one ulp apart
+    _rejected("radii-expansion-repeats", ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse",
+                                          "--set", 'analysis.radii={"start": 1.0, "stop": 1.0000000000000002, '
+                                                   '"count": 100}'], "analysis.radii"),
     _rejected("samples-bool", ["modulus", "--set", "operator=square", "--set", "analysis.samples_per_radius=true"],
               "analysis.samples_per_radius"),
     _rejected("samples-huge", ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse", "--set",
@@ -88,6 +95,19 @@ REJECTED = [
               "certificates[0].beta"),
     _rejected("other-hypothesis-param", _CERTIFY + ["--set", 'certificates=[{"hypothesis": "H1", "beta": 2.0}]'],
               "certificates[0].beta"),
+    # GDM's witnesses attach to the current iterate, PPA's to the next one
+    _rejected("h2-after-gdm", _CERTIFY + ["--set", 'certificates=[{"hypothesis": "H2", "beta": 2.0}]'],
+              "certificates[0].hypothesis"),
+    _rejected("h3-after-ppa", ["certify", "--set", "operator=quad", "--set",
+                               'algorithm={"name": "ppa", "gamma": 0.5, "x0": [1.0]}',
+                               "--set", 'certificates=[{"hypothesis": "H3", "beta": 2.0}]'],
+              "certificates[0].hypothesis"),
+    _rejected("loja-window-misses-zeros", ["loja", "--set", "operator=square", "--set",
+                                           'analysis.window={"kind": "box", "center": [5.0], "extent": [1.0]}'],
+              "analysis.window"),
+    _rejected("window-malformed-in-solve", _SOLVE + ["--set", 'analysis.window={"kind": "box"}'], "analysis.window"),
+    _rejected("modulus-empty-base-value", ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse",
+                                           "--set", "analysis.xbar=[-1.0]"], "analysis.xbar"),
 ]
 
 
@@ -155,6 +175,28 @@ _RUNNERS = {
 
 class _FirstStep(Exception):
     """Raised in place of a runner's first step."""
+
+
+#: An operator every algorithm runs on, with a scalar function for H1 and H4,
+#: and parameters each algorithm accepts there.
+_EVERY_ALGORITHM = "dc-quad"
+_ACCEPTED = {"ppa": {"gamma": 0.5}, "gdm": {"step": 0.5}, "qpower": {"gamma": 1.0, "q": 2.0},
+             "dca": {"gamma": 0.5}, "shifted-ppa": {"kappa": 0.25, "gamma": 1.0}}
+#: Each hypothesis's check, called as the library documents it, and its parameters.
+_CERTIFICATE_CHECKS = {
+    "H1": (lambda trace, entry, p: check_h1(trace, p["alpha"]), ("alpha",)),
+    "H2": (lambda trace, entry, p: check_h2(trace, p["beta"]), ("beta",)),
+    "H3": (lambda trace, entry, p: check_h3(trace, p["beta"]), ("beta",)),
+    "H4": (lambda trace, entry, p: check_h4(trace, entry), ()),
+    "RCLASS": (lambda trace, entry, p: check_rclass(trace, p["alpha"], p["beta"]), ("alpha", "beta")),
+}
+_STOP_5 = {"max_iter": 5}
+
+
+@functools.lru_cache(maxsize=None)
+def _short_trace(name):
+    run, _ = _RUNNERS[name]
+    return run(catalog_lookup(_EVERY_ALGORITHM), x0=[1.0], stop=StopRule(**_STOP_5), **_ACCEPTED[name])
 
 
 class TestValidation:
@@ -232,6 +274,62 @@ class TestValidation:
                 runner_rejects = True
         assert (path is not None) == runner_rejects, (path, params)
         assert path is None or path in {"algorithm.name", *(f"algorithm.{key}" for key in params)}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(hypothesis=st.sampled_from(sorted(_CERTIFICATE_CHECKS)), name=st.sampled_from(sorted(_ACCEPTED)),
+           values=st.fixed_dictionaries({key: st.sampled_from([-1.0, 0.0, 1e-3, 0.5, 2.0])
+                                         for key in ("alpha", "beta")}))
+    def test_the_cli_accepts_exactly_what_the_certificates_accept(self, hypothesis, name, values):
+        check, keys = _CERTIFICATE_CHECKS[hypothesis]
+        params = {key: values[key] for key in keys}
+        try:
+            ExperimentConfig.from_dict({"kind": "certify", "operator": _EVERY_ALGORITHM, "stop": _STOP_5,
+                                        "algorithm": {"name": name, "x0": [1.0], **_ACCEPTED[name]},
+                                        "certificates": [{"hypothesis": hypothesis, **params}]})
+            path = None
+        except ConfigError as exc:
+            path = exc.path
+        try:
+            check(_short_trace(name), catalog_lookup(_EVERY_ALGORITHM), params)
+            check_rejects = False
+        except ValueError:
+            check_rejects = True
+        assert (path is not None) == check_rejects, (path, params)
+        nonpositive = {f"certificates[0].{key}" for key in keys if values[key] <= 0}
+        assert path is None or path in nonpositive or (not nonpositive and path == "certificates[0].hypothesis")
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(values=st.fixed_dictionaries({key: st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+                                         for key in ("M", "q_exp", "eta", "neighborhood_radius")}))
+    def test_the_cli_accepts_exactly_what_plk_config_accepts(self, values):
+        try:
+            ExperimentConfig.from_dict({"kind": "plk", "operator": "square", "analysis": {"plk": values}})
+            path = None
+        except ConfigError as exc:
+            path = exc.path
+        try:
+            PlkConfig(**values)
+            config_rejects = False
+        except ValueError:
+            config_rejects = True
+        assert (path is not None) == config_rejects, (path, values)
+        out_of_range = {key for key in ("M", "eta", "neighborhood_radius") if values[key] <= 0}
+        out_of_range |= set() if 0 <= values["q_exp"] < 1 else {"q_exp"}
+        assert path is None if not out_of_range else path in {f"analysis.plk.{key}" for key in out_of_range}
+
+    @pytest.mark.parametrize("kind, estimator, expected", [
+        ("modulus", estimate_modulus, {"samples_per_radius": 64, "scheme": "grid"}),
+        ("lojasiewicz", lojasiewicz_fit, {"grid_count": 2001}),
+        ("plk", check_plk_exponent, {"grid_count": 257}),
+    ])
+    def test_analysis_defaults_are_the_estimators(self, kind, estimator, expected):
+        analysis = {"modulus": {"target": "inverse"}, "lojasiewicz": {"window": {"kind": "box", "center": [0.0],
+                                                                                 "extent": [1.0]}},
+                    "plk": {"plk": _PLK_1}}[kind]
+        echo = ExperimentConfig.from_dict({"kind": kind, "operator": "square", "analysis": analysis}).resolved
+        signature = inspect.signature(estimator).parameters
+        assert {key: echo["analysis"][key] for key in expected} == expected
+        assert {key: signature[key].default for key in expected} == expected
 
     @pytest.mark.parametrize("key, value", [("max_iter", 0), ("step_tol", 0.0), ("divergence_guard", -1.0)])
     def test_stop_rule_out_of_range_names_the_field(self, key, value):
@@ -378,6 +476,24 @@ class TestRunExperiment:
         assert main(["solve", "--set", "operator=quad", "--set", gdm, "--out", str(tmp_path)]) == 0
         rows = [row.split(",") for row in (tmp_path / "trace.csv").read_text().strip().split("\n")]
         assert [row[rows[0].index("distance")] for row in rows[1:]] == ["1e+200", "5e+199"]
+
+    @pytest.mark.parametrize("side, cert_request", [
+        ("next", {"hypothesis": "H1", "alpha": 1.0}),
+        ("next", {"hypothesis": "H2", "beta": 2.0}),
+        ("current", {"hypothesis": "H3", "beta": 2.0}),
+        ("current", {"hypothesis": "H4"}),
+        ("current", {"hypothesis": "RCLASS", "alpha": 1.0, "beta": 2.0}),
+    ], ids=["H1", "H2", "H3", "H4", "RCLASS"])
+    def test_certificates_on_a_trace_without_steps_are_vacuous(self, side, cert_request, tmp_path, capsys):
+        # each run's first step overflows, so its trace holds x0 and no witness
+        algorithm = {"current": {"name": "gdm", "step": 1e300, "x0": [1e10]},
+                     "next": {"name": "qpower", "gamma": 1.0, "q": 3, "x0": [1e160]}}[side]
+        argv = ["certify", "--set", "operator=quad", "--set", f"algorithm={json.dumps(algorithm)}",
+                "--set", f"certificates={json.dumps([cert_request])}", "--out", str(tmp_path)]
+        assert main(argv) == 4
+        [cert] = json.loads(capsys.readouterr().out)["verdicts"]["certificates"]
+        assert cert["vacuous"] is True and cert["pass"] is False
+        assert (tmp_path / "trace.csv").read_text().count("\n") == 2  # the header and x0
 
     def test_qpower_whose_f_overflows_diverges(self, tmp_path, capsys):
         # f(1e160) overflows, and with it the bracket of the scalar subproblem

@@ -104,6 +104,20 @@ class TestCatalog:
         assert inv.eval([-0.5]).is_empty
         assert inv.eval([1.5]).is_empty
 
+    @pytest.mark.parametrize("name, v, expected", [
+        # x^2 overflows past about 1.34e154; a x^2 / 2 does not for these
+        ("quad", 1.5e154, (0.5 * 1.5e154) * 1.5e154),
+        ("quad", -1.8e154, (0.5 * -1.8e154) * -1.8e154),
+        ("dc-quad", 2e154, (0.25 * 2e154) * 2e154),
+        # -x^2 overflows as well: the limit stays
+        ("linear-neg", 1.5e154, -math.inf),
+        ("quad", 1e200, math.inf),
+        # finite squares keep Python's ** bits, which differ from v * v here
+        ("quad", -3.185143532292248e-132, 0.5 * (-3.185143532292248e-132) ** 2),
+    ])
+    def test_linear_f_overflows_only_where_its_value_does(self, name, v, expected):
+        assert catalog_lookup(name).f([v]) == expected
+
     @pytest.mark.parametrize("v", [1e-170, -1e-170, 1e-155, -1e-155, 1e-110, -1e-110])
     def test_flat_exp_oracles_take_the_limit_where_powers_underflow(self, v):
         # v * v underflows below about 1.5e-162 and v ** 3 below about 1.7e-108
