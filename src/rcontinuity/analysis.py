@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import SCHEMES, PointSet, Window, as_point, excess, sample_window, unit_directions
+from .geometry import PointSet, Window, as_point, check_sample, excess, sample_window, unit_directions
 from .setmap import (MissingOracleError, OperatorEntry, ParamError, SetValuedMap, WindowDimensionError,
                      WindowRequiredError)
 
@@ -102,6 +102,13 @@ def estimate_modulus(
     recorded; a running maximum enforces monotonicity in the radius.
     """
     reference = check_modulus(m, xbar, k, radii, samples_per_radius, scheme)
+    return _modulus_curve(m, xbar, k, radii, samples_per_radius, seed, scheme, reference)
+
+
+def _modulus_curve(m: SetValuedMap, xbar, k: Optional[Window], radii: Sequence[float], samples_per_radius: int,
+                   seed: int, scheme: str, reference: PointSet) -> ModulusCurve:
+    """:func:`estimate_modulus` on arguments :func:`check_modulus` accepted,
+    against the base value ``reference`` it returned."""
     xb = as_point(xbar, m.dim_in)
     radii = np.asarray(list(radii), dtype=float)
     offsets = sample_window(Window.ball(np.zeros(m.dim_in), 1.0), scheme, samples_per_radius, seed).points
@@ -127,10 +134,7 @@ def check_modulus(m: SetValuedMap, xbar, k: Optional[Window], radii: Sequence[fl
         raise ParamError(f"radii[{bad[0]}]", "radii must be positive")
     if r.size == 0 or np.any(np.diff(r) <= 0):
         raise ParamError("radii", "radii must be a nonempty, strictly increasing list")
-    if not samples_per_radius >= 1:
-        raise ParamError("samples_per_radius", "samples_per_radius must be >= 1")
-    if scheme not in SCHEMES:
-        raise ParamError("scheme", f"scheme must be one of {', '.join(SCHEMES)}")
+    check_sample(scheme, samples_per_radius, "samples_per_radius")
     m.check_window(k)
     reference = _base_value(m, as_point(xbar, m.dim_in), k)
     if reference.is_empty:
@@ -280,10 +284,12 @@ def lojasiewicz_fit(
 
     The exponent is estimated on shrinking bands around the zero set over
     refining grids; blow-up past ``exponent_cap`` at any level sets the
-    failure flag (no finite exponent works).  On success the scale is the
-    exact envelope maximum of ``d**theta / |f|`` over the full grid.
+    failure flag (no finite exponent works), as do too few band points at every
+    level and an ``f`` that reads 0 off the zero set (it underflows on tiny
+    windows).  On success the scale is the exact envelope maximum of
+    ``d**theta / |f|`` over the full grid.
     """
-    check_lojasiewicz(entry, k)
+    pts0, d0 = check_lojasiewicz(entry, k, grid_count)
     region = entry.solution_set
 
     def grid_eval(n: int):
@@ -292,10 +298,10 @@ def lojasiewicz_fit(
         f = np.array([entry.f(p) for p in pts])
         return pts, d, f
 
-    pts0, d0, f0 = grid_eval(grid_count)
+    f0 = np.array([entry.f(p) for p in pts0])
     mask0 = (f0 != 0.0) & (d0 > 0.0)
     if not mask0.any():
-        raise ValueError("the function vanishes on the whole grid")
+        return LojFit(None, None, k, True, [], [])
     d_max = float(d0[mask0].max())
 
     level_exponents: List[float] = []
@@ -317,10 +323,14 @@ def lojasiewicz_fit(
     return LojFit(float(theta), float(ratios.max()), k, False, level_exponents, diag)
 
 
-def check_lojasiewicz(entry: OperatorEntry, k: Optional[Window]) -> None:
-    """Raise unless :func:`lojasiewicz_fit` can run: ``MissingOracleError`` without
-    ``f``, ``ParamError`` for a window that is missing, not of the domain's
-    dimension or disjoint from the solution set."""
+def check_lojasiewicz(entry: OperatorEntry, k: Optional[Window], grid_count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Raise unless :func:`lojasiewicz_fit` can run: ``ParamError`` for a
+    ``grid_count`` below 1, ``MissingOracleError`` without ``f``, ``ParamError``
+    for a window that is missing, not of the domain's dimension, disjoint from
+    the solution set, or whose first grid has no point at a positive distance
+    from it (a window inside the set, or one so small that the distances
+    underflow to 0).  Return that grid's points and their distances."""
+    check_sample("grid", grid_count, "grid_count")
     _need(entry, "f")
     if k is None:
         raise WindowRequiredError("window", "the Lojasiewicz fit needs a compact window")
@@ -328,6 +338,12 @@ def check_lojasiewicz(entry: OperatorEntry, k: Optional[Window]) -> None:
         raise WindowDimensionError("window", f"window must have dimension {entry.dim_in}")
     if not k.contains_rows(entry.solution_set.reference_points()).any():
         raise ParamError("window", "the solution set does not meet the window")
+    pts = sample_window(k, "grid", grid_count, seed=0).points
+    d = entry.solution_set.distance_rows(pts)
+    if not (d > 0.0).any():
+        raise ParamError("window", "no grid point is at a positive distance from the solution set "
+                                   "(the window lies in it, or the distances underflow): nothing to fit")
+    return pts, d
 
 
 @dataclass(frozen=True)
@@ -388,7 +404,7 @@ def check_plk_exponent(
     ``f(xbar) < f(x) < f(xbar) + eta`` (strictly).  An empty band yields an
     inconclusive verdict, never a pass.
     """
-    check_plk(entry)
+    check_plk(entry, grid_count)
     xb = as_point(xbar, entry.dim_in)
     fbar = entry.f(xb)
     pts = sample_window(Window.ball(xb, cfg.neighborhood_radius), "grid", grid_count).points
@@ -410,8 +426,10 @@ def check_plk_exponent(
     return PlkResult("fail" if violations else "pass", violations, len(band), min(products))
 
 
-def check_plk(entry: OperatorEntry) -> None:
-    """Raise ``MissingOracleError`` unless :func:`check_plk_exponent` has its oracles."""
+def check_plk(entry: OperatorEntry, grid_count: int) -> None:
+    """Raise unless :func:`check_plk_exponent` can run: ``ParamError`` for a
+    ``grid_count`` below 1, ``MissingOracleError`` without its oracles."""
+    check_sample("grid", grid_count, "grid_count")
     _need(entry, "f", "subgrad")
 
 

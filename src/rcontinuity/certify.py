@@ -231,8 +231,7 @@ def distance_trace(
     reported out of range rather than failed.  A witness whose index names no
     iterate (outside ``[0, n)``) is skipped and counts in neither.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    check_distance(tolerance)
     distances = s.distance_rows(trace.iterates)
     converged = bool((distances[-10:] < tolerance).all()
                      or (trace.termination == "tolerance" and distances[-1] < tolerance))
@@ -257,3 +256,9 @@ def distance_trace(
         link_violations=violations,
         link_out_of_range=out_of_range,
     )
+
+
+def check_distance(tolerance: float) -> None:
+    """Raise ``ParamError`` unless :func:`distance_trace`, and so the CLI, accepts ``tolerance``."""
+    if not tolerance > 0:
+        raise ParamError("tolerance", "tolerance must be positive")

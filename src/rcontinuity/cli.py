@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import analysis, catalog, certify, serialize, solvers
-from .geometry import Window
+from .geometry import PointSet, Window
 from .setmap import MissingOracleError, OperatorEntry, ParamError
 
 _KINDS = ("modulus", "lojasiewicz", "plk", "solve", "certify", "full-pipeline")
@@ -120,14 +120,15 @@ _WINDOW_FIELDS = [f.name for f in fields(Window)]
 _CERTIFICATE_FIELDS = {"hypothesis"}.union(*(spec.params for spec in certify.HYPOTHESES.values()))
 
 
-def _rule(section: str, rule: Callable, *args, **params) -> None:
-    """Call ``rule``, the check of a stage, and report what it rejects by its
-    path: a ``ParamError`` as ``<section>.<param>``, a missing oracle as
+def _rule(section: str, rule: Callable, *args, **params):
+    """Return what ``rule``, the check of a stage, returns, and report what it
+    rejects by its path: a ``ParamError`` as ``<section>.<param>`` (the bare
+    param in the top-level section ``""``), a missing oracle as
     ``algorithm.name`` in the algorithm and as ``operator`` elsewhere."""
     try:
-        rule(*args, **params)
+        return rule(*args, **params)
     except ParamError as exc:
-        raise ConfigError(f"{section}.{exc.param}", str(exc)) from None
+        raise ConfigError(f"{section}.{exc.param}" if section else exc.param, str(exc)) from None
     except MissingOracleError as exc:
         raise ConfigError("algorithm.name" if section == "algorithm" else "operator", str(exc)) from None
 
@@ -146,10 +147,12 @@ class ExperimentConfig:
     stop: dict
     certificates: List[dict]
     resolved: dict = field(repr=False, default_factory=dict)
+    #: The base value ``analysis.check_modulus`` evaluated; the modulus run measures against it.
+    base_value: Optional[PointSet] = field(repr=False, compare=False, default=None)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        names = [f.name for f in fields(cls) if f.name != "resolved"]
+        names = [f.name for f in fields(cls) if f.name not in ("resolved", "base_value")]
         _object(raw, "", names)
         kind = raw.get("kind")
         _require(kind in _KINDS, "kind", f"must be one of {', '.join(_KINDS)}")
@@ -160,7 +163,8 @@ class ExperimentConfig:
         except catalog.CatalogError as exc:
             raise ConfigError("operator", str(exc)) from None
         seed = _int(raw.get("seed", 0), "seed", 0)
-        tolerance = _positive(raw.get("tolerance", 1e-6), "tolerance")
+        tolerance = _number(raw.get("tolerance", 1e-6), "tolerance")
+        _rule("", certify.check_distance, tolerance)
         out_dir = raw.get("out_dir")
         _require(out_dir is None or isinstance(out_dir, str), "out_dir", "must be a path string")
 
@@ -189,8 +193,8 @@ class ExperimentConfig:
         if self.kind in ("modulus", "full-pipeline"):
             self._validate_modulus(entry, window)
         if self.kind == "lojasiewicz":
-            _int(a.setdefault("grid_count", _LOJA["grid_count"]), "analysis.grid_count", 1, _MAX_SAMPLES)
-            _rule("analysis", analysis.check_lojasiewicz, entry, window)
+            _int(a.setdefault("grid_count", _LOJA["grid_count"]), "analysis.grid_count", maximum=_MAX_SAMPLES)
+            _rule("analysis", analysis.check_lojasiewicz, entry, window, a["grid_count"])
         if self.kind == "plk":
             _require("plk" in a, "analysis.plk", "missing PLK parameters")
             plk = _object(a["plk"], "analysis.plk", [f.name for f in _PLK_FIELDS])
@@ -198,8 +202,8 @@ class ExperimentConfig:
                 _READ[f.type](plk.get(f.name), f"analysis.plk.{f.name}")
             _rule("analysis.plk", analysis.PlkConfig, **plk)
             _vector(a.setdefault("xbar", [0.0] * entry.dim_in), "analysis.xbar", entry.dim_in)
-            _int(a.setdefault("grid_count", _PLK["grid_count"]), "analysis.grid_count", 1, _MAX_SAMPLES)
-            _rule("analysis", analysis.check_plk, entry)
+            _int(a.setdefault("grid_count", _PLK["grid_count"]), "analysis.grid_count", maximum=_MAX_SAMPLES)
+            _rule("analysis", analysis.check_plk, entry, a["grid_count"])
         if self.kind == "certify":
             _require(bool(self.certificates), "certificates", "at least one certificate is required")
         side = solvers.ALGORITHMS[self.algorithm["name"]].witness_side if needs_solver else None
@@ -252,8 +256,8 @@ class ExperimentConfig:
         _int(a.setdefault("samples_per_radius", _MODULUS["samples_per_radius"]), "analysis.samples_per_radius",
              maximum=_MAX_SAMPLES)
         a.setdefault("scheme", _MODULUS["scheme"])
-        _rule("analysis", analysis.check_modulus, m, a["xbar"], window, a["radii"],
-              a["samples_per_radius"], a["scheme"])
+        self.base_value = _rule("analysis", analysis.check_modulus, m, a["xbar"], window, a["radii"],
+                                a["samples_per_radius"], a["scheme"])
 
     def _window(self) -> Optional[Window]:
         raw = self.analysis.get("window")
@@ -314,9 +318,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
 
     a = cfg.analysis
     if cfg.kind in ("modulus", "full-pipeline"):
-        curve = analysis.estimate_modulus(cfg._modulus_map(entry), a["xbar"], cfg._window(), a["radii"],
-                                          samples_per_radius=a["samples_per_radius"], seed=cfg.seed,
-                                          scheme=a["scheme"])
+        # estimate_modulus without its check, which validation made: A(xbar) is evaluated once
+        curve = analysis._modulus_curve(cfg._modulus_map(entry), a["xbar"], cfg._window(), a["radii"],
+                                        a["samples_per_radius"], cfg.seed, a["scheme"], cfg.base_value)
         emit("modulus.csv", lambda p: serialize.modulus_to_csv(curve, p))
         if curve.divergent:
             fit_dict = {"L_hat": None, "theta_hat": None, "residual": None,

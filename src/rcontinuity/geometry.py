@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 
 class DimensionMismatchError(ValueError):
@@ -22,6 +20,14 @@ class DimensionMismatchError(ValueError):
 
 class EmptyTargetError(ValueError):
     """Distance queried against an empty target set."""
+
+
+class ParamError(ValueError):
+    """An argument outside its range; ``param`` names it."""
+
+    def __init__(self, param: str, message: str):
+        self.param = param
+        super().__init__(message)
 
 
 def as_point(x, dim: Optional[int] = None) -> np.ndarray:
@@ -308,8 +314,7 @@ class Region:
         For point lists the list is cycled; for boxes/balls a grid sample is
         used; for affine subspaces coefficients range over ``[-1, 1]``.
         """
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        check_sample("grid", count)
         if self.kind == "points":
             idx = np.arange(count) % self.points.shape[0]
             return PointSet(self.points[idx])
@@ -381,13 +386,26 @@ def _unit_grid(count: int, dim: int) -> np.ndarray:
     return lattice[:count]
 
 
-def _halton_unit(count: int, dim: int, seed: int) -> np.ndarray:
-    sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
-    return sampler.random(count)
+def _halton(dim: int, seed: int):
+    """A scrambled Halton sampler.  ``scipy.stats`` is imported here, so only
+    the runs that sample Halton points pay for loading it."""
+    from scipy.stats import qmc
+
+    return qmc.Halton(d=dim, scramble=True, seed=seed)
 
 
 #: The sampling schemes of :func:`sample_window`.
 SCHEMES = ("grid", "halton")
+
+
+def check_sample(scheme: str, count: int, count_name: str = "count") -> None:
+    """Raise ``ParamError`` unless :func:`sample_window` can draw ``count``
+    points by ``scheme``; ``count_name`` names the argument ``count`` came in
+    as (an estimator's ``grid_count``, say)."""
+    if not count >= 1:
+        raise ParamError(count_name, f"{count_name} must be >= 1")
+    if scheme not in SCHEMES:
+        raise ParamError("scheme", f"scheme must be one of {', '.join(SCHEMES)}")
 
 
 def sample_window(w: Window, scheme: str, count: int, seed: int = 0) -> PointSet:
@@ -398,10 +416,7 @@ def sample_window(w: Window, scheme: str, count: int, seed: int = 0) -> PointSet
     fixed seed).  Grid sampling of a ball in dimension >= 2 grids the inscribed
     box so that containment stays exact.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown sampling scheme {scheme!r}")
+    check_sample(scheme, count)
     d = w.dim
     if scheme == "grid":
         unit = _unit_grid(count, d)
@@ -413,11 +428,11 @@ def sample_window(w: Window, scheme: str, count: int, seed: int = 0) -> PointSet
             pts = w.center + unit * (w.extent[0] / math.sqrt(d))
         return PointSet(pts)
     if w.kind == "box":
-        u = _halton_unit(count, d, seed)
+        u = _halton(d, seed).random(count)
         return PointSet(w.center + (2.0 * u - 1.0) * w.extent)
     # Ball + Halton: consume the sequence in order, rejecting points outside
     # the ball, so the accepted set is a deterministic function of the seed.
-    sampler = qmc.Halton(d=d, scramble=True, seed=seed)
+    sampler = _halton(d, seed)
     rows = []
     guard = 0
     while len(rows) < count:
@@ -436,7 +451,9 @@ def unit_directions(count: int, dim: int, seed: int = 0) -> np.ndarray:
     Gaussian directions otherwise."""
     if dim == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
-    u = _halton_unit(count, dim, seed)
+    from scipy.special import ndtri
+
+    u = _halton(dim, seed).random(count)
     z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

@@ -28,6 +28,7 @@ import numpy as np
 
 from .geometry import (
     DimensionMismatchError,
+    ParamError,
     PointSet,
     Region,
     Window,
@@ -35,14 +36,6 @@ from .geometry import (
     as_rows,
     distance_to_set,
 )
-
-
-class ParamError(ValueError):
-    """An argument outside its range; ``param`` names it."""
-
-    def __init__(self, param: str, message: str):
-        self.param = param
-        super().__init__(message)
 
 
 class WindowRequiredError(ParamError):

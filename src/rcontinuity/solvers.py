@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .geometry import as_point
 from .setmap import MissingOracleError, OperatorEntry, ParamError
@@ -233,37 +232,43 @@ def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) 
     return _iterate(entry, x0, stop, descend, "gdm")
 
 
-def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float, center: np.ndarray) -> np.ndarray:
-    """Minimize ``f(x) + γ ||x - c||**q``: closed form for quadratics with
-    q = 2, bracketed scalar minimization in 1-d otherwise."""
+def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Callable[[np.ndarray], np.ndarray]:
+    """``c -> argmin f(x) + γ ||x - c||**q``: closed form for quadratics with
+    q = 2, bracketed scalar minimization in 1-d otherwise.  Only the latter
+    needs ``scipy.optimize``, which is imported here, once per run."""
     if entry.quad_form is not None and q == 2.0:
         Q, b = entry.quad_form
         Q = np.atleast_2d(Q)
         b = np.atleast_1d(b)
-        return np.linalg.solve(Q + 2.0 * gamma * np.eye(Q.shape[0]), b + 2.0 * gamma * center)
-    c = float(center[0])
-    if entry.inf_f is not None:
-        span = ((entry.f(center) - entry.inf_f) / gamma) ** (1.0 / q) + 1e-6
-    else:
-        span = 10.0 * (1.0 + abs(c))
-    if not math.isfinite(span):  # f(center) overflowed: a non-finite step, which ends the run as divergence
-        return np.array([span])
-    res = minimize_scalar(
-        lambda t: entry.f(np.array([t])) + gamma * abs(t - c) ** q,
-        bounds=(c - span, c + span),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    t = float(res.x)
-    if entry.grad is not None:
-        t = _polish_stationarity(entry, gamma, q, c, t, span)
-    return np.array([t])
+        return lambda center: np.linalg.solve(Q + 2.0 * gamma * np.eye(Q.shape[0]), b + 2.0 * gamma * center)
+    from scipy.optimize import brentq, minimize_scalar
+
+    def solve(center: np.ndarray) -> np.ndarray:
+        c = float(center[0])
+        if entry.inf_f is not None:
+            span = ((entry.f(center) - entry.inf_f) / gamma) ** (1.0 / q) + 1e-6
+        else:
+            span = 10.0 * (1.0 + abs(c))
+        if not math.isfinite(span):  # f(center) overflowed: a non-finite step, which ends the run as divergence
+            return np.array([span])
+        res = minimize_scalar(
+            lambda t: entry.f(np.array([t])) + gamma * abs(t - c) ** q,
+            bounds=(c - span, c + span),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        t = float(res.x)
+        if entry.grad is not None:
+            t = _polish_stationarity(entry, gamma, q, c, t, span, brentq)
+        return np.array([t])
+
+    return solve
 
 
-def _polish_stationarity(entry, gamma: float, q: float, c: float, t: float, span: float) -> float:
+def _polish_stationarity(entry, gamma: float, q: float, c: float, t: float, span: float, brentq) -> float:
     """Sharpen the bounded minimizer by bracketing the stationarity equation
-    ``f'(t) + γ q |t - c|**(q-1) sign(t - c) = 0``; falls back to the
-    unpolished point when no sign change brackets it."""
+    ``f'(t) + γ q |t - c|**(q-1) sign(t - c) = 0`` with ``brentq``; falls back
+    to the unpolished point when no sign change brackets it."""
 
     def slope(u: float) -> float:
         pen = gamma * q * abs(u - c) ** (q - 1.0) * math.copysign(1.0, u - c) if u != c else 0.0
@@ -293,9 +298,10 @@ def run_qpower_prox(
     step gives the zero witness.
     """
     check("qpower", entry, gamma=gamma, q=q)
+    subproblem = _qpower_subproblem(entry, gamma, q)
 
     def step(x):
-        xn = _qpower_subproblem(entry, gamma, q, x)
+        xn = subproblem(x)
         delta = _norm(xn - x)
         w = -gamma * q * delta ** (q - 2.0) * (xn - x) if delta > 0 else np.zeros_like(x)
         return xn, w

@@ -1,6 +1,7 @@
 import functools
 import inspect
 import json
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcontinuity import (PlkConfig, StopRule, catalog_listing, catalog_lookup, catalog_names, check_h1, check_h2,
-                         check_h3, check_h4, check_plk_exponent, check_rclass, estimate_modulus, lojasiewicz_fit,
-                         run_dca, run_gdm, run_ppa, run_qpower_prox, run_shifted_ppa, solvers)
+from rcontinuity import (PlkConfig, StopRule, Window, analysis, catalog_listing, catalog_lookup, catalog_names,
+                         check_h1, check_h2, check_h3, check_h4, check_plk_exponent, check_rclass, distance_trace,
+                         estimate_modulus, lojasiewicz_fit, run_dca, run_gdm, run_ppa, run_qpower_prox,
+                         run_shifted_ppa, solvers)
 from rcontinuity.cli import ConfigError, ExperimentConfig, main, run_experiment
 
 
@@ -41,6 +43,7 @@ _WINDOW_1D = 'analysis.window={"kind": "box", "center": [0.0], "extent": [1.0]}'
 _LOJA = ["loja", "--set", "operator=square", "--set", _WINDOW_1D]
 _PLK = 'analysis.plk={"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0, "m": 1.0}'
 _CERTIFY = ["certify", "--set", "operator=quad", "--set", _GDM]
+_PLK_1 = {"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0}
 
 
 def _rejected(name, argv, path, config=None):
@@ -108,6 +111,23 @@ REJECTED = [
     _rejected("window-malformed-in-solve", _SOLVE + ["--set", 'analysis.window={"kind": "box"}'], "analysis.window"),
     _rejected("modulus-empty-base-value", ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse",
                                            "--set", "analysis.xbar=[-1.0]"], "analysis.xbar"),
+    _rejected("tolerance-zero", _SOLVE + ["--set", "tolerance=0"], "tolerance"),
+    _rejected("tolerance-zero-in-modulus", ["modulus", "--set", "operator=square", "--set", "tolerance=-1"],
+              "tolerance"),
+    _rejected("grid_count-zero", _LOJA + ["--set", "analysis.grid_count=0"], "analysis.grid_count"),
+    _rejected("plk-grid_count-zero", ["plk", "--set", "operator=square", "--set", f"analysis.plk={json.dumps(_PLK_1)}",
+                                      "--set", "analysis.grid_count=0"], "analysis.grid_count"),
+    # the grid's distances to {0} underflow to 0 (numpy's norm squares them)
+    _rejected("loja-window-underflows", ["loja", "--set", "operator=square", "--set",
+                                         'analysis.window={"kind": "box", "center": [0.0], "extent": [1e-300]}'],
+              "analysis.window"),
+    _rejected("loja-window-underflows-1e-170", ["loja", "--set", "operator=square", "--set",
+                                                'analysis.window={"kind": "box", "center": [0.0], '
+                                                '"extent": [1e-170]}'], "analysis.window"),
+    # 1 + 1e-300 rounds to 1, a zero of double-well: every grid point is a solution
+    _rejected("loja-grid-in-solution-set", ["loja", "--set", "operator=double-well", "--set",
+                                            'analysis.window={"kind": "box", "center": [1.0], "extent": [1e-300]}'],
+              "analysis.window"),
 ]
 
 
@@ -316,6 +336,89 @@ class TestValidation:
         out_of_range = {key for key in ("M", "eta", "neighborhood_radius") if values[key] <= 0}
         out_of_range |= set() if 0 <= values["q_exp"] < 1 else {"q_exp"}
         assert path is None if not out_of_range else path in {f"analysis.plk.{key}" for key in out_of_range}
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(tolerance=st.sampled_from([-1.0, 0.0, 5e-324, 1e-6, 1.0]),
+           kind=st.sampled_from(["modulus", "solve", "full-pipeline"]))
+    def test_the_cli_accepts_exactly_what_the_distance_verdict_accepts(self, tolerance, kind):
+        raw = {"kind": kind, "operator": "quad", "tolerance": tolerance,
+               "algorithm": {"name": "gdm", "step": 0.5, "x0": [1.0]}}
+        if kind == "modulus":
+            del raw["algorithm"]
+        try:
+            ExperimentConfig.from_dict(raw)
+            path = None
+        except ConfigError as exc:
+            path = exc.path
+        trace = _short_trace("gdm")
+        try:
+            distance_trace(trace, catalog_lookup(_EVERY_ALGORITHM).solution_set, tolerance)
+            verdict_rejects = False
+        except ValueError:
+            verdict_rejects = True
+        assert (path is not None) == verdict_rejects, (path, tolerance)
+        assert path in (None, "tolerance")
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(grid_count=st.sampled_from([-3, 0, 1, 2, 9]), kind=st.sampled_from(["lojasiewicz", "plk"]),
+           operator=st.sampled_from(["square", "double-well", "rm1"]))
+    def test_the_cli_accepts_exactly_what_the_grid_estimators_accept(self, grid_count, kind, operator):
+        window = {"kind": "box", "center": [0.0], "extent": [1.0]}
+        analysis_cfg = {"grid_count": grid_count, **({"window": window} if kind == "lojasiewicz" else {"plk": _PLK_1})}
+        try:
+            ExperimentConfig.from_dict({"kind": kind, "operator": operator, "analysis": analysis_cfg})
+            path = None
+        except ConfigError as exc:
+            path = exc.path
+        entry = catalog_lookup(operator)
+        try:
+            if kind == "lojasiewicz":
+                lojasiewicz_fit(entry, Window.from_dict(window), grid_count)
+            else:
+                check_plk_exponent(entry, [0.0], PlkConfig(**_PLK_1), grid_count)
+            estimator_rejects = False
+        except ValueError as exc:
+            estimator_rejects = True
+            named = getattr(exc, "param", None)
+        assert (path is not None) == estimator_rejects, (path, grid_count)
+        if grid_count < 1:
+            assert path == "analysis.grid_count" and named == "grid_count"
+        elif path is not None:
+            assert path in ("operator", f"analysis.{named}")
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(operator=st.sampled_from(["square", "abs-subdiff", "flat-exp", "double-well", "quad", "quad2"]),
+           extent=st.floats(5e-324, 1.0, allow_subnormal=True) | st.sampled_from([5e-324, 1e-300, 1e-170, 1e-160]),
+           grid_count=st.sampled_from([2, 9, 65]))
+    def test_a_lojasiewicz_window_of_any_extent_fits_fails_or_is_rejected(self, operator, extent, grid_count):
+        # f and the distances to the zero set underflow on small enough windows
+        entry = catalog_lookup(operator)
+        center = [float(v) for v in entry.solution_set.reference_points()[0]]
+        window = {"kind": "box", "center": center, "extent": [extent] * entry.dim_in}
+        try:
+            cfg = ExperimentConfig.from_dict({"kind": "lojasiewicz", "operator": operator,
+                                              "analysis": {"window": window, "grid_count": grid_count}})
+        except ConfigError as exc:
+            assert exc.path == "analysis.window"
+            return
+        with tempfile.TemporaryDirectory() as out:
+            fit = run_experiment(cfg, out_dir=Path(out)).verdicts["lojasiewicz"]
+        assert fit["failed"] or all(np.isfinite([fit["theta_hat"], fit["c_hat"]]))
+
+    def test_a_lojasiewicz_fit_on_an_underflowing_function_fails(self, tmp_path, capsys):
+        # exp(-1/x^2) reads 0 on the whole window, off the zero set {0} as well
+        window = 'analysis.window={"kind": "box", "center": [0.0], "extent": [0.01]}'
+        assert main(["loja", "--set", "operator=flat-exp", "--set", window, "--out", str(tmp_path)]) == 0
+        fit = json.loads(capsys.readouterr().out)["verdicts"]["lojasiewicz"]
+        assert fit["failed"] is True and fit["theta_hat"] is None and fit["level_exponents"] == []
+
+    def test_a_modulus_run_evaluates_the_base_value_once(self, tmp_path):
+        for kind, extra in (("modulus", {"analysis": {"target": "inverse"}}),
+                            ("full-pipeline", {"algorithm": {"name": "gdm", "step": 0.5, "x0": [1.0]}})):
+            with mock.patch.object(analysis, "_base_value", wraps=analysis._base_value) as base_value:
+                run_experiment(ExperimentConfig.from_dict({"kind": kind, "operator": "quad", **extra}),
+                               out_dir=tmp_path / kind)
+            assert base_value.call_count == 1, kind
 
     @pytest.mark.parametrize("kind, estimator, expected", [
         ("modulus", estimate_modulus, {"samples_per_radius": 64, "scheme": "grid"}),
@@ -602,7 +705,6 @@ class TestCsvFormat:
 # A change to any of these bytes is a change of the artifact contract, not a
 # refactor.
 _RADII_5 = {"start": 1e-4, "stop": 1e-1, "count": 5}
-_PLK_1 = {"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0}
 GOLDEN = {
     "ppa": (
         {"operator": "abs-subdiff", "algorithm": {"name": "ppa", "gamma": 0.3, "x0": [1.0]},

@@ -1,0 +1,118 @@
+"""Start-up cost: scipy is loaded only by the runs that use it.
+
+Importing ``scipy.stats`` alone takes longer than most CLI runs, so every
+scipy import in the package sits in the function that needs it: the scrambled
+Halton sampler, the Gaussian directions in dimension >= 2 and the qpower
+subproblem.  These tests keep it that way.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _module_level_imports(tree: ast.Module):
+    """The import statements a module runs when it is imported: everything
+    outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _scipy_names(node) -> list:
+    if isinstance(node, ast.ImportFrom):
+        return [node.module] if node.module and node.module.split(".")[0] == "scipy" else []
+    return [alias.name for alias in node.names if alias.name.split(".")[0] == "scipy"]
+
+
+def test_no_module_level_scipy_import():
+    offenders = []
+    for path in sorted((SRC / "rcontinuity").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno} {name}"
+                      for node in _module_level_imports(tree) for name in _scipy_names(node)]
+    assert not offenders
+
+
+def test_the_lint_sees_module_level_imports():
+    tree = ast.parse("import numpy, scipy.stats\nif True:\n    from scipy import optimize\n"
+                     "class C:\n    import scipy.special\n"
+                     "def f():\n    from scipy.stats import qmc\n")
+    found = sorted(name for node in _module_level_imports(tree) for name in _scipy_names(node))
+    assert found == ["scipy", "scipy.special", "scipy.stats"]
+
+
+_PROBE = """
+import json, sys
+from rcontinuity.cli import main
+run = json.loads(sys.argv[1])
+code = main(run) if isinstance(run, list) else exec(run or "")
+print(json.dumps([code or 0, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+_WINDOW = '{"kind": "box", "center": [0.0], "extent": [1.0]}'
+_PLK = '{"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0}'
+
+
+def _scipy_after(run, out: Path):
+    """Exit code and loaded scipy modules of a fresh interpreter that imports
+    ``rcontinuity.cli`` and then runs ``main(run)`` for a list, ``exec(run)``
+    for a string, or nothing for None."""
+    if isinstance(run, list):
+        run = run + ["--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(run)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    return code, modules
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["catalog"],
+    ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse"],
+    ["pipeline", "--set", "operator=quad", "--set", 'algorithm={"name": "gdm", "step": 0.5, "x0": [1.0]}'],
+    ["modulus", "--set", "operator=quad2", "--set", "analysis.target=inverse", "--set", "analysis.xbar=[0.0, 0.0]"],
+    ["loja", "--set", "operator=square", "--set", f"analysis.window={_WINDOW}"],
+    ["plk", "--set", "operator=square", "--set", f"analysis.plk={_PLK}"],
+    ["solve", "--set", "operator=abs-subdiff", "--set", 'algorithm={"name": "ppa", "gamma": 0.3, "x0": [1.0]}'],
+    ["solve", "--set", "operator=dc-quad", "--set", 'algorithm={"name": "dca", "gamma": 0.5, "x0": [1.0]}'],
+    ["solve", "--set", "operator=quad", "--set",
+     'algorithm={"name": "shifted-ppa", "kappa": 0.25, "gamma": 1.0, "x0": [1.0]}'],
+    # qpower on a quadratic with q = 2 has a closed form
+    ["solve", "--set", "operator=quad2", "--set", 'algorithm={"name": "qpower", "gamma": 1.0, "q": 2, "x0": [1.0, 1.0]}'],
+    "from rcontinuity import catalog_lookup, closed_graph_test, Window\n"
+    "closed_graph_test(catalog_lookup('rm1').forward, [0.0], Window.box([0.0], [5.0]))",
+], ids=["import", "catalog", "grid-modulus", "gdm-pipeline", "grid-modulus-2d", "loja", "plk", "ppa", "dca",
+        "shifted-ppa", "qpower-closed-form", "closed-graph-1d"])
+def test_runs_that_need_no_scipy_do_not_load_it(argv, tmp_path):
+    code, modules = _scipy_after(argv, tmp_path / "out")
+    assert code in (0, 4)
+    assert modules == []
+
+
+@pytest.mark.parametrize("argv, module", [
+    (["modulus", "--set", "operator=square", "--set", "analysis.target=inverse", "--set", "analysis.scheme=halton"],
+     "scipy.stats"),
+    (["solve", "--set", "operator=double-well", "--set",
+      'algorithm={"name": "qpower", "gamma": 1.0, "q": 1.5, "x0": [2.0]}', "--set", "stop.max_iter=5"],
+     "scipy.optimize"),
+    ("from rcontinuity.geometry import unit_directions\nunit_directions(4, 2)", "scipy.special"),
+], ids=["halton-modulus", "qpower", "directions-2d"])
+def test_runs_that_need_scipy_load_it(argv, module, tmp_path):
+    # the probe sees the modules a run loads, so an empty list above means something
+    code, modules = _scipy_after(argv, tmp_path / "out")
+    assert code in (0, 4)
+    assert module in modules
