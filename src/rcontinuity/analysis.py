@@ -4,9 +4,11 @@ closed-graph probing, Lojasiewicz-exponent fitting, desingularization
 calmness estimator for comparison.
 
 All estimators are deterministic for fixed seeds.  Map values are evaluated
-in one ``SetValuedMap.eval_rows`` batch per radius, sequence or sample set,
-and reduced per sample in sample order, so every result equals that of a
-loop evaluating one sample at a time, bit for bit.
+in one ``SetValuedMap.eval_rows`` batch per radius or sample set, and every
+closed-graph sequence in one batch whose chains advance together; they are
+reduced per sample in sample order, so every result equals that of a loop
+evaluating one sample at a time, bit for bit.  Grid callers of a scalar
+function take it row-wise, by ``OperatorEntry.f_values``.
 """
 
 from __future__ import annotations
@@ -210,32 +212,44 @@ def closed_graph_test(
     """
     xb = as_point(xbar, m.dim_in)
     limit_tol = 0.1 * tol
-    dirs = unit_directions(n_sequences, m.dim_in, seed)
-    chains_total = 0
-    chains_converged = 0
+    dirs = unit_directions(n_sequences, m.dim_in, seed).reshape(-1, m.dim_in)
     steps = np.ldexp(start_radius, -np.arange(depth + 1))  # start_radius * 2**-j, exactly
-    for d in dirs:
-        vals, owner = m.eval_rows(xb + steps[:, None] * d, k)
-        first, *rest = np.split(vals.points, np.searchsorted(owner, np.arange(1, depth + 1)))
-        starts = first[:max_chains_per_sequence]
-        if any(len(pts) == 0 for pts in rest):  # an empty value breaks every chain
-            chains_total += len(starts)
+    # row (s, j) of the batch is the j-th point of sequence s
+    vals, owner = m.eval_rows((xb + steps[None, :, None] * dirs[:, None, :]).reshape(-1, m.dim_in), k)
+    pts = vals.points
+    counts = np.bincount(owner, minlength=dirs.shape[0] * (depth + 1)).reshape(-1, depth + 1)
+    offsets = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+    starts = np.minimum(counts[:, 0], max_chains_per_sequence)
+    live = (counts[:, 1:] > 0).all(axis=1)  # an empty value breaks every chain of its sequence
+    seq = np.repeat(np.flatnonzero(live), starts[live])  # the sequence of each chain
+    chains = np.empty((seq.size, depth + 1, pts.shape[1]))
+    chains[:, 0] = pts[_ranges(offsets[live, 0], starts[live])[0]]
+    for j in range(1, depth + 1):
+        # each chain takes the nearest in its segment of cand, the first on ties as argmin does
+        n = counts[seq, j]
+        cand, first = _ranges(offsets[seq, j], n)
+        d = np.linalg.norm(pts[cand] - np.repeat(chains[:, j - 1], n, axis=0), axis=1)
+        hits = np.flatnonzero(d == np.repeat(np.minimum.reduceat(d, first), n))
+        chains[:, j] = pts[cand[hits[np.searchsorted(hits, first)]]]
+    gaps = np.linalg.norm(np.diff(chains, axis=1), axis=2)
+    # chains are tested in sequence order up to the first failure, which counts
+    # the chains before it: the live ones and those of broken sequences
+    broken = np.cumsum(np.where(live, 0, starts))
+    chains_converged = 0
+    for c, s in enumerate(seq.tolist()):
+        if not _chain_converged(gaps[c], limit_tol):
             continue
-        for y0 in starts:
-            chains_total += 1
-            chain = [y0]
-            for pts in rest:
-                chain.append(pts[int(np.argmin(np.linalg.norm(pts - chain[-1], axis=1)))])
-            gaps = np.linalg.norm(np.diff(np.asarray(chain), axis=0), axis=1)
-            if not _chain_converged(gaps, limit_tol):
-                continue
-            chains_converged += 1
-            limit = chain[-1]
-            if m.member_dist(xb, limit, k) > tol:
-                return GraphTestResult("fail", limit, chains_converged, chains_total)
-    if chains_converged == 0:
-        return GraphTestResult("inconclusive", None, 0, chains_total)
-    return GraphTestResult("pass", None, chains_converged, chains_total)
+        chains_converged += 1
+        if m.member_dist(xb, chains[c, -1], k) > tol:
+            return GraphTestResult("fail", chains[c, -1], chains_converged, c + 1 + int(broken[s]))
+    return GraphTestResult("pass" if chains_converged else "inconclusive", None, chains_converged, int(starts.sum()))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The index ranges ``starts[i] .. starts[i] + lengths[i] - 1``, concatenated,
+    and the position in the result where each range begins."""
+    first = np.cumsum(lengths) - lengths
+    return np.repeat(starts - first, lengths) + np.arange(lengths.sum()), first
 
 
 def _chain_converged(gaps: np.ndarray, limit_tol: float) -> bool:
@@ -286,29 +300,26 @@ def lojasiewicz_fit(
     refining grids; blow-up past ``exponent_cap`` at any level sets the
     failure flag (no finite exponent works), as do too few band points at every
     level and an ``f`` that reads 0 off the zero set (it underflows on tiny
-    windows).  On success the scale is the exact envelope maximum of
-    ``d**theta / |f|`` over the full grid.
+    windows).  Points where ``f`` is not finite (it overflows on huge windows)
+    join no band, as zeros of ``f`` do.  On success the scale is the exact
+    envelope maximum of ``d**theta / |f|`` over the full grid; a maximum that
+    overflows fails the fit too.
     """
     pts0, d0 = check_lojasiewicz(entry, k, grid_count)
-    region = entry.solution_set
-
-    def grid_eval(n: int):
-        pts = sample_window(k, "grid", n, seed=0).points
-        d = region.distance_rows(pts)
-        f = np.array([entry.f(p) for p in pts])
-        return pts, d, f
-
-    f0 = np.array([entry.f(p) for p in pts0])
-    mask0 = (f0 != 0.0) & (d0 > 0.0)
+    f0 = entry.f_values(pts0)
+    # a point carries log-log information where f is finite and nonzero and
+    # the distance positive (and finite: it overflows past about 1.8e308)
+    mask0 = np.isfinite(f0) & (f0 != 0.0) & np.isfinite(d0) & (d0 > 0.0)
     if not mask0.any():
         return LojFit(None, None, k, True, [], [])
     d_max = float(d0[mask0].max())
 
     level_exponents: List[float] = []
     for level in range(levels):
-        _, d, f = grid_eval(grid_count * (2 ** level)) if level else (pts0, d0, f0)
+        pts = sample_window(k, "grid", grid_count * (2 ** level), seed=0).points if level else pts0
+        d, f = (entry.solution_set.distance_rows(pts), entry.f_values(pts)) if level else (d0, f0)
         band = d_max * 4.0 ** (-level)
-        mask = (f != 0.0) & (d > 0.0) & (d <= band)
+        mask = np.isfinite(f) & (f != 0.0) & (d > 0.0) & (d <= band)
         if int(mask.sum()) < 5:
             continue
         slope = float(np.polyfit(np.log(d[mask]), np.log(np.abs(f[mask])), 1)[0])
@@ -317,7 +328,12 @@ def lojasiewicz_fit(
         return LojFit(None, None, k, True, level_exponents, [])
 
     theta = level_exponents[-1]
-    ratios = d0[mask0] ** theta / np.abs(f0[mask0])
+    d, f = d0[mask0], np.abs(f0[mask0])
+    with np.errstate(over="ignore"):  # where d**theta overflows the ratio need not: take it in logs
+        ratios = d ** theta / f
+        ratios = np.where(np.isinf(ratios), np.exp(theta * np.log(d) - np.log(f)), ratios)
+    if np.isinf(ratios.max()):  # no finite scale
+        return LojFit(None, None, k, True, level_exponents, [])
     order = np.argsort(ratios)[::-1][:3]
     diag = [(float(np.linalg.norm(pts0[mask0][i])), float(ratios[i])) for i in order]
     return LojFit(float(theta), float(ratios.max()), k, False, level_exponents, diag)
@@ -408,7 +424,7 @@ def check_plk_exponent(
     xb = as_point(xbar, entry.dim_in)
     fbar = entry.f(xb)
     pts = sample_window(Window.ball(xb, cfg.neighborhood_radius), "grid", grid_count).points
-    fvals = [entry.f(p) for p in pts]
+    fvals = entry.f_values(pts).tolist()  # Python floats: phi_prime's ** is Python's
     band = [i for i, fx in enumerate(fvals) if fbar < fx < fbar + cfg.eta]
     if not band:
         return PlkResult("inconclusive", [], 0, None)
@@ -479,10 +495,9 @@ def certify_inverse_lipschitz(
     anchors = samples[k.contains_rows(samples)]
     if not len(anchors):
         raise ValueError("no solution-set samples inside the window")
-    c_hat = math.inf
-    for u in anchors:
-        svals = np.linalg.svd(np.atleast_2d(entry.jac(u)), compute_uv=False)
-        c_hat = min(c_hat, float(svals[-1]))
+    # one stacked SVD: LAPACK runs per matrix, so each anchor's values are its own
+    jacs = np.stack([np.atleast_2d(entry.jac(u)) for u in anchors])
+    c_hat = float(np.linalg.svd(jacs, compute_uv=False)[:, -1].min())
     if c_hat <= tol:
         return InverseLipschitzResult(c_hat, "rank-deficient", [], 0)
 

@@ -65,23 +65,27 @@ def _pow(v, exponent: float):
             return float(np.power(v, exponent))
 
 
-def _lift(name: str, form) -> SetValuedMap:
-    """The column lift: the single-valued map ``x -> {form(x[0])}``, row-wise.
-    An overflow gives +-inf without a warning, as Python's float ``*`` and
-    ``/`` do."""
-
-    def evaluator(X, window):
+def _column(form):
+    """The column form ``X -> form(X[:, 0])`` of a 1-d closed form.  An overflow
+    gives +-inf without a warning, as Python's float ``*`` and ``/`` do."""
+    def column(X):
         with np.errstate(over="ignore"):
-            return form(X[:, 0]), np.arange(X.shape[0])
+            return form(X[:, 0])
+    return column
 
-    return SetValuedMap(name, 1, 1, evaluator)
+
+def _lift(name: str, form) -> SetValuedMap:
+    """The column lift: the single-valued map ``x -> {form(x[0])}``, row-wise."""
+    column = _column(form)
+    return SetValuedMap(name, 1, 1, lambda X, window: (column(X), np.arange(X.shape[0])))
 
 
 def _scalar(f, grad) -> dict:
     """The scalar view at ``x[0]``: the ``f``, ``grad`` and ``jac`` oracles of a
-    1-d entry from its closed forms ``f`` and ``grad``."""
+    1-d entry from its closed forms ``f`` and ``grad``, and ``f`` on the column."""
     return {
         "f": lambda x: float(f(float(x[0]))),
+        "f_rows": _column(f),
         "grad": lambda x: np.array([grad(float(x[0]))]),
         "jac": lambda x: np.array([[grad(float(x[0]))]]),
     }
@@ -272,6 +276,7 @@ def _abs_subdiff() -> OperatorEntry:
         prox=ProxOracle(shrink, note="soft threshold, all gamma > 0"),
         subgrad=fwd,
         f=lambda x: abs(float(x[0])),
+        f_rows=_column(abs),
         monotone=True,
         inf_f=0.0,
     )
@@ -298,9 +303,11 @@ def _linear(name: str, a: float, description: str, **extra) -> OperatorEntry:
     else:
         extra.update(grad_inverse=inv, quad_form=(np.array([[a]]), np.array([0.0])), inf_f=0.0)
 
-    # a v^2 / 2; only where the square overflows and the product does not is it
-    # (half * v) * v, whose last bit differs from this form's elsewhere
+    # a v^2 / 2, per value as _pow is; only where the square overflows and the
+    # product does not is it (half * v) * v, whose last bit differs elsewhere
     def f(v):
+        if type(v) is not float:
+            return np.array([f(t) for t in v.tolist()], dtype=float)
         value = half * _pow(v, 2)
         return (half * v) * v if math.isinf(value) and math.isfinite(v) else value
 

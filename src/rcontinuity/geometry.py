@@ -118,7 +118,15 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _nearest(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Distance from each row of ``rows`` to its nearest row of ``points``."""
+    """Distance from each row of ``rows`` to its nearest row of ``points``.
+    In 1-d with two points or more, only the row's neighbours in the sorted
+    points are measured (rounding is monotone, so one of them has the least
+    difference, and the same bits); one point is faster to broadcast."""
+    if points.shape[1] == 1 and points.shape[0] > 1:
+        p, x = np.sort(points[:, 0]), rows[:, 0]
+        i = np.searchsorted(p, x)
+        below, above = p[np.maximum(i - 1, 0)], p[np.minimum(i, p.size - 1)]
+        return _norms(np.minimum(np.abs(x - below), np.abs(x - above))[:, None])
     step = max(1, _PAIR_BLOCK // points.shape[0])
     blocks = [np.linalg.norm(rows[i:i + step, None, :] - points[None, :, :], axis=2).min(axis=1)
               for i in range(0, rows.shape[0], step)]

@@ -182,7 +182,8 @@ class OperatorEntry:
     ``forward`` when the entry itself is a subdifferential); ``grad_inverse``
     is its closed-form inverse when registered.  ``quad_form = (Q, b)`` marks
     entries whose objective is ``x'Qx/2 - b'x``, unlocking closed-form
-    power-penalty subproblems.
+    power-penalty subproblems.  ``f_rows``, where registered, is ``f`` row-wise
+    with the same bits, ``(n, dim_in) -> (n,)``; see :meth:`f_values`.
     """
 
     name: str
@@ -194,6 +195,7 @@ class OperatorEntry:
     subgrad: Optional[SetValuedMap] = None
     grad_inverse: Optional[SetValuedMap] = None
     f: Optional[Callable[[np.ndarray], float]] = None
+    f_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     quad_form: Optional[tuple] = None
@@ -208,6 +210,12 @@ class OperatorEntry:
     @property
     def dim_out(self) -> int:
         return self.forward.dim_out
+
+    def f_values(self, X: np.ndarray) -> np.ndarray:
+        """``f`` at each row of an ``(n, dim_in)`` array, by ``f_rows`` or else row by row."""
+        if self.f_rows is not None:
+            return self.f_rows(X)
+        return np.array([self.f(x) for x in X], dtype=float)
 
     def oracle_flags(self) -> dict:
         return {

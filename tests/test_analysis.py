@@ -142,6 +142,26 @@ JUMP = SetValuedMap(
     pointwise(lambda x, w: np.array([[0.0]]) if float(x[0]) != 0 else np.array([[1.0]])),
 )
 
+#: Rows away from 0 have the values {1, -1}, equally far from the start value
+#: 0: the first on the tie, 1, is the one value at 0, and -1 would fail
+TIES = SetValuedMap(
+    "ties", 1, 1,
+    pointwise(lambda x, w: np.array([[0.0], [2.0]]) if abs(float(x[0])) >= 0.5
+              else np.array([[1.0], [-1.0]]) if float(x[0]) != 0 else np.array([[1.0]])),
+)
+
+
+def holed(at_zero):
+    """The identity, but empty on (0, 0.5) and ``{at_zero}`` at 0: a sequence
+    from 0 along +1 starts at 0.5 and breaks at its next row, one along -1
+    lives and converges to 0."""
+    return SetValuedMap("holed", 1, 1, pointwise(
+        lambda x, w: np.empty((0, 1)) if 0.0 < float(x[0]) < 0.5
+        else np.array([[at_zero if float(x[0]) == 0.0 else float(x[0])]])))
+
+
+BROKEN, BROKEN_JUMP = holed(0.0), holed(1.0)
+
 
 class TestClosedGraph:
     def test_rm1_passes(self):
@@ -186,13 +206,14 @@ class TestLojasiewiczFit:
         assert fit.theta_hat is None
 
     def test_the_first_grid_is_evaluated_once(self):
-        # levels 0, 1, 2 take 101, 202 and 404 points; level 0 is the first grid
+        # levels 0, 1, 2 take 101, 202 and 404 points; level 0 is the first grid.
+        # The rows are counted where they reach the row-wise oracle
         entry = catalog_lookup("square")
-        calls = []
-        counted = dataclasses.replace(entry, f=lambda x: calls.append(x) or entry.f(x))
+        rows = []
+        counted = dataclasses.replace(entry, f_rows=lambda X: rows.append(len(X)) or entry.f_rows(X))
         fit = lojasiewicz_fit(counted, Window.box([0.0], [1.0]), 101)
         assert fit.to_json_dict() == lojasiewicz_fit(entry, Window.box([0.0], [1.0]), 101).to_json_dict()
-        assert len(calls) == 101 + 202 + 404
+        assert rows == [101, 202, 404]
 
     def test_window_must_meet_solution_set(self):
         with pytest.raises(ValueError):
@@ -211,6 +232,17 @@ class TestLojasiewiczFit:
         )
         with pytest.raises(ValueError):
             lojasiewicz_fit(zero_entry, Window.box([0.0], [1.0]), 101)
+
+    def test_a_scale_that_overflows_fails_the_fit(self):
+        # x^2 fits theta = 2 on the inner bands, but |f(0.5)| = 5e-324 makes
+        # d**2 / |f| there about 5e322, past the largest float even in logs
+        def f(x):
+            return 5e-324 if float(x[0]) == 0.5 else float(x[0]) ** 2
+        entry = OperatorEntry(name="spike", forward=catalog_lookup("square").forward,
+                              solution_set=Region.from_points([[0.0]]), f=f)
+        fit = lojasiewicz_fit(entry, Window.box([0.0], [1.0]), 101)
+        assert fit.level_exponents[-1] == pytest.approx(2.0)
+        assert fit.failed and fit.c_hat is None and fit.theta_hat is None
 
 
 class TestPlk:
@@ -496,6 +528,47 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
                 if witness is not None:
                     assert res.witness.tobytes() == witness.tobytes()
 
+    @pytest.mark.parametrize("label,m,xbar,n_sequences", [pytest.param(*case, id=case[0]) for case in [
+        # rows at 1 give rm1 the two equal values {1, 1}, rows at 0 the one value 0
+        ("rm1-ragged", catalog_lookup("rm1").forward, [0.5], 4),
+        # the first row of the + sequences is 0: an interval, more start values than the cap
+        ("abs-subdiff-at-0", catalog_lookup("abs-subdiff").forward, [-0.5], 4),
+        # + sequences are empty from the first row, - sequences live
+        ("abs-subdiff-inverse-empty", catalog_lookup("abs-subdiff").inverse, [1.0], 4),
+        # + sequences break after their first row, between live - sequences
+        ("broken", BROKEN, [0.0], 5),
+        # the first failure comes after a broken sequence
+        ("broken-jump", BROKEN_JUMP, [0.0], 5),
+        ("abs-subdiff-inverse-interval", catalog_lookup("abs-subdiff").inverse, [0.5], 3),
+        ("double-well-inverse-64", catalog_lookup("double-well").inverse, [0.0], 64),
+        ("quad2-64", catalog_lookup("quad2").forward, [0.0, 0.0], 64),
+        ("quad2-inverse", catalog_lookup("quad2").inverse, [1.0, -1.0], 8),
+        ("ties", TIES, [0.0], 2),
+        ("jump", JUMP, [0.0], 4),
+    ]])
+    @pytest.mark.parametrize("depth", [0, 1, 60])
+    def test_closed_graph_on_ragged_and_broken_sequences(self, label, m, xbar, n_sequences, depth):
+        for tol, cap in ((1e-6, 8), (1e-1, 3)):
+            verdict, witness, converged, total = reference_closed_graph(
+                m, xbar, _window(m), n_sequences, tol, 5, depth=depth, max_chains_per_sequence=cap)
+            res = closed_graph_test(m, xbar, _window(m), n_sequences=n_sequences, tol=tol, seed=5, depth=depth,
+                                    max_chains_per_sequence=cap)
+            assert (res.verdict, res.chains_converged, res.chains_total) == (verdict, converged, total)
+            assert (res.witness is None) == (witness is None)
+            if witness is not None:
+                assert res.witness.tobytes() == witness.tobytes()
+
+    def test_closed_graph_cases_reach_what_they_name(self):
+        # the first sequence of abs-subdiff at -0.5 starts on an interval of
+        # 257 values, so the cap binds; TIES passes only by the first tie
+        res = closed_graph_test(catalog_lookup("abs-subdiff").forward, [-0.5], K10, n_sequences=1)
+        assert res.chains_total == 8
+        assert closed_graph_test(TIES, [0.0], K10, n_sequences=2).verdict == "pass"
+        broken = closed_graph_test(BROKEN, [0.0], K10, n_sequences=5)
+        assert (broken.verdict, broken.chains_total, broken.chains_converged) == ("pass", 5, 2)
+        jump = closed_graph_test(BROKEN_JUMP, [0.0], K10, n_sequences=5)
+        assert (jump.verdict, jump.chains_total, jump.chains_converged) == ("fail", 2, 1)
+
     @pytest.mark.parametrize("name", [n for n in catalog_names()
                                       if catalog_lookup(n).f is not None
                                       and catalog_lookup(n).subgrad is not None])
@@ -523,6 +596,21 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
             assert res.checked == len(xs)
             assert _same_points(res.bound_violations,
                                 reference_inverse_lipschitz_violations(entry, xs, res.c_hat, tol))
+
+    @pytest.mark.parametrize("jac", [
+        lambda u: np.array([[1.0 + u[0] ** 2, u[1]], [0.3 * u[0], 2.0 + math.sin(u[1])]]),
+        lambda u: np.array([[u[0], 1.0], [u[1] ** 3, -u[0]], [0.5, u[0] * u[1]]]),
+    ], ids=["square", "tall"])
+    def test_c_hat_is_the_per_anchor_minimum(self, jac):
+        # the per-anchor loop the stacked SVD replaced: one SVD per anchor, the
+        # least last singular value
+        entry = OperatorEntry(name="varying", forward=catalog_lookup("quad2").forward,
+                              solution_set=Region.box([0.1, -0.2], [0.7, 0.9]), jac=jac)
+        k = Window.box([0.0, 0.0], [2.0, 2.0])
+        anchors = [u for u in entry.solution_set.sample(25).points if np.all(np.abs(u) <= 2.0)]
+        want = min(float(np.linalg.svd(np.atleast_2d(jac(u)), compute_uv=False)[-1]) for u in anchors)
+        got = certify_inverse_lipschitz(entry, k, tol=-1.0, test_samples=4).c_hat
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_certify_inverse_lipschitz_rejects_multivalued_forward(self):
         entry = OperatorEntry(

@@ -219,6 +219,13 @@ def _short_trace(name):
     return run(catalog_lookup(_EVERY_ALGORITHM), x0=[1.0], stop=StopRule(**_STOP_5), **_ACCEPTED[name])
 
 
+def _strict_json(text):
+    """``json.loads`` that raises on ``NaN``, ``Infinity`` and ``-Infinity``."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestValidation:
     @pytest.mark.parametrize("config, argv, path", REJECTED)
     def test_rejected_input_exits_2_naming_the_field(self, config, argv, path, tmp_path, capsys):
@@ -411,6 +418,40 @@ class TestValidation:
         assert main(["loja", "--set", "operator=flat-exp", "--set", window, "--out", str(tmp_path)]) == 0
         fit = json.loads(capsys.readouterr().out)["verdicts"]["lojasiewicz"]
         assert fit["failed"] is True and fit["theta_hat"] is None and fit["level_exponents"] == []
+
+    @pytest.mark.parametrize("operator, extent", [("square", [1e200]), ("quad2", [1.7e308, 1.7e308])])
+    def test_a_lojasiewicz_fit_on_a_huge_window_writes_strict_json(self, operator, extent, tmp_path, capsys):
+        # f overflows on most of the grid; such points join no band, as zeros of f do
+        window = json.dumps({"kind": "box", "center": [0.0] * len(extent), "extent": extent})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["loja", "--set", f"operator={operator}", "--set", f"analysis.window={window}",
+                         "--out", str(tmp_path)])
+        out = capsys.readouterr()
+        if code == 2:
+            assert "analysis.window" in out.err
+            return
+        assert code == 0
+        fit = _strict_json(out.out)["verdicts"]["lojasiewicz"]
+        assert fit == _strict_json((tmp_path / "loja_fit.json").read_text())
+        assert fit["failed"] is True and fit["theta_hat"] is None and fit["level_exponents"] == []
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(operator=st.sampled_from(["square", "abs-subdiff", "flat-exp", "double-well", "quad", "quad2"]),
+           extent=st.floats(1.0, 1.7e308) | st.sampled_from([1e150, 1.3e154, 1e155, 1e200, 1e300, 1.7e308]))
+    def test_a_lojasiewicz_fit_on_a_window_of_any_size_writes_finite_numbers(self, operator, extent):
+        entry = catalog_lookup(operator)
+        center = [float(v) for v in entry.solution_set.reference_points()[0]]
+        window = {"kind": "box", "center": center, "extent": [extent] * entry.dim_in}
+        try:
+            cfg = ExperimentConfig.from_dict({"kind": "lojasiewicz", "operator": operator,
+                                              "analysis": {"window": window, "grid_count": 65}})
+        except ConfigError as exc:
+            assert exc.path == "analysis.window"
+            return
+        with tempfile.TemporaryDirectory() as out, np.errstate(over="ignore", invalid="ignore"):
+            run_experiment(cfg, out_dir=Path(out))
+            fit = _strict_json((Path(out) / "loja_fit.json").read_text())
+        assert fit["failed"] or all(np.isfinite([fit["theta_hat"], fit["c_hat"], *fit["level_exponents"]]))
 
     def test_a_modulus_run_evaluates_the_base_value_once(self, tmp_path):
         for kind, extra in (("modulus", {"analysis": {"target": "inverse"}}),

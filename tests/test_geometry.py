@@ -16,6 +16,7 @@ from rcontinuity import (
     excess,
     sample_window,
 )
+from rcontinuity.geometry import _nearest, _norms
 from conftest import refine_brute_distance
 
 
@@ -237,6 +238,58 @@ class TestDistanceRows:
     def test_empty_point_set_is_an_error(self, rows):
         with pytest.raises(EmptyTargetError):
             PointSet.empty(2).distance_rows(rows)
+
+
+def broadcast_nearest(rows, points):
+    """The broadcast form of ``_nearest``: every row-point norm, the least per
+    row, and the scaled norms for rows whose norms all overflow."""
+    d = np.linalg.norm(rows[:, None, :] - points[None, :, :], axis=2).min(axis=1)
+    over = np.isinf(d)
+    if over.any():
+        d[over] = _norms(rows[over, None, :] - points[None, :, :]).min(axis=1)
+    return d
+
+
+#: 1-d coordinates from 1e-300 to 1e300: where squares underflow (below about
+#: 1.5e-162) or overflow (above about 1.3e154), and subnormals
+_MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e-200, 1.5e-162, 1e-150, 1.0, 1.3e154, -1.4e154, 1e200,
+                     -1e300, 1e300]),
+    st.floats(-1e300, 1e300), st.floats(-1e-150, 1e-150), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def sorted_nearest_cases(draw):
+    """Unsorted 1-d targets of at least two points, with duplicates, and rows
+    among which are target points and exact midpoints (ties)."""
+    targets = draw(st.lists(_MAGNITUDES, min_size=2, max_size=12))
+    targets += draw(st.lists(st.sampled_from(targets), max_size=3))
+    midpoints = [a / 2.0 + b / 2.0 for a, b in zip(targets, targets[1:])]
+    rows = draw(st.lists(st.one_of(_MAGNITUDES, st.sampled_from(targets), st.sampled_from(midpoints)),
+                         max_size=16))
+    return np.array(rows, dtype=float).reshape(-1, 1), np.array(targets).reshape(-1, 1)
+
+
+class TestSortedNearest:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(sorted_nearest_cases())
+    def test_matches_the_broadcast_form_bit_for_bit(self, case):
+        rows, targets = case
+        with np.errstate(over="ignore"):
+            assert _nearest(rows, targets).tobytes() == broadcast_nearest(rows, targets).tobytes()
+
+    def test_a_dense_sample_matches_the_broadcast_form(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n, m = rng.integers(0, 50), rng.integers(2, 40)
+            scale = 10.0 ** rng.uniform(-300.0, 300.0)
+            targets = rng.standard_normal((m, 1)) * scale * 10.0 ** rng.uniform(-5.0, 5.0, (m, 1))
+            rows = np.concatenate([rng.standard_normal((n, 1)) * scale, targets[: n // 4]])
+            with np.errstate(over="ignore"):
+                assert _nearest(rows, targets).tobytes() == broadcast_nearest(rows, targets).tobytes()
+
+    def test_no_rows_give_no_distances(self):
+        assert _nearest(np.empty((0, 1)), np.array([[1.0], [0.0]])).shape == (0,)
 
 
 class TestSampleWindow:

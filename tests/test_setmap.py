@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -503,6 +504,51 @@ class TestScalarOraclesMatchMaps:
                             signs * 10.0 ** rng.uniform(-200.0, 50.0, (2 * n, d)),
                             np.repeat(np.array(_BRANCH_POINTS)[:, None], d, axis=1)])
         assert_scalar_oracles_match_maps(entry, X)
+
+
+#: Coordinates where the closed forms change regime: ``flat-exp``'s square and
+#: cube underflow (below about 1.5e-162 and 1.7e-108) and ``quad``'s square
+#: overflows while its half does not (1.3e154 to 1.9e154), then both do
+_F_POINTS = _BRANCH_POINTS + [1e-170, -1e-155, 1e-110, -1.7e-108, 1e-103, 1.3e154, -1.4e154, 1.5e154,
+                              1.9e154, -2e154, 1e200, -1e300, 1.7e308]
+
+
+def assert_f_values_match_f(entry, X):
+    """Bit for bit, per row ``x`` of ``X``: ``f_values(X)`` holds ``f(x)``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = entry.f_values(X)
+        want = np.array([entry.f(x) for x in X], dtype=float)
+    assert got.shape == (len(X),) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_lookup(n).f is not None])
+class TestRowWiseF:
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_on_drawn_rows(self, name, data):
+        entry = catalog_lookup(name)
+        coord = st.one_of(_COORDS, st.sampled_from(_F_POINTS), st.floats(-1e300, 1e300))
+        X = data.draw(st.lists(st.lists(coord, min_size=entry.dim_in, max_size=entry.dim_in), max_size=12))
+        assert_f_values_match_f(entry, np.array(X, dtype=float).reshape(-1, entry.dim_in))
+
+    def test_on_a_dense_sample(self, name):
+        entry = catalog_lookup(name)
+        rng = np.random.default_rng(11)
+        n, d = 3000, entry.dim_in
+        signs = rng.choice([-1.0, 1.0], (n, d))
+        X = np.concatenate([rng.uniform(-3.0, 3.0, (n, d)), signs * 10.0 ** rng.uniform(-320.0, 308.0, (n, d)),
+                            np.repeat(np.array(_F_POINTS)[:, None], d, axis=1)])
+        assert_f_values_match_f(entry, X)
+
+
+def test_f_values_loops_over_f_without_a_row_wise_form():
+    entry = catalog_lookup("quad2")
+    assert entry.f_rows is None  # x @ Q @ x is a BLAS dot per row
+    calls = []
+    square = dataclasses.replace(catalog_lookup("square"), f_rows=None, f=lambda x: calls.append(x) or x[0] ** 2)
+    assert square.f_values(np.array([[3.0], [-2.0]])).tolist() == [9.0, 4.0]
+    assert len(calls) == 2
 
 
 class TestEvalRowsContract:
