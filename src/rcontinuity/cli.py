@@ -5,6 +5,10 @@ override scalar fields with ``--set path.to.field=value``.  Each run writes
 its artifacts into one output directory and reruns of the same configuration
 produce byte-identical files (timings are reported on stderr only).
 
+``_KINDS`` is the stage table: each kind's subcommand and its stages, in
+order (``solve``, ``modulus``, ``lojasiewicz``, ``plk``).  ``run_experiment``
+runs them, then writes the distances of a trace, to a curve if one was made.
+
 Exit codes: 0 success, 2 validation error, 3 runtime error, 4 a requested
 certificate or verdict failed.
 """
@@ -24,10 +28,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import analysis, catalog, certify, serialize, solvers
-from .geometry import PointSet, Window
+from .geometry import Window
 from .setmap import MissingOracleError, OperatorEntry, ParamError
-
-_KINDS = ("modulus", "lojasiewicz", "plk", "solve", "certify", "full-pipeline")
 
 #: Largest ``analysis.radii.count``: validation builds the whole radius grid.
 _MAX_RADII = 10_000
@@ -109,15 +111,13 @@ _MODULUS, _LOJA, _PLK = ({key: p.default for key, p in inspect.signature(estimat
                          for estimator in (analysis.estimate_modulus, analysis.lojasiewicz_fit,
                                            analysis.check_plk_exponent))
 
-#: The fields each config section may hold.  ``algorithm`` and a certificate
-#: start from the union over all algorithms or hypotheses and are narrowed to
-#: the named one when it is validated.
+#: The fields each config section may hold.  ``algorithm`` starts from the
+#: union over all algorithms and is narrowed to the named one by its stage.
 _STOP_FIELDS = fields(solvers.StopRule)
 _ALGORITHM_FIELDS = {"name", "x0"}.union(*(spec.params for spec in solvers.ALGORITHMS.values()))
 _ANALYSIS_FIELDS = ("target", "xbar", "radii", "samples_per_radius", "scheme", "window", "grid_count", "plk")
 _PLK_FIELDS = fields(analysis.PlkConfig)
 _WINDOW_FIELDS = [f.name for f in fields(Window)]
-_CERTIFICATE_FIELDS = {"hypothesis"}.union(*(spec.params for spec in certify.HYPOTHESES.values()))
 
 
 def _rule(section: str, rule: Callable, *args, **params):
@@ -133,6 +133,147 @@ def _rule(section: str, rule: Callable, *args, **params):
         raise ConfigError("algorithm.name" if section == "algorithm" else "operator", str(exc)) from None
 
 
+# -- stages ---------------------------------------------------------------------
+# A stage validates the sections it reads and returns its run, which writes its
+# artifacts through ``emit(name, writer)``, records its verdicts and returns
+# what it made; it looks the library's functions up when it runs.
+
+def _solve(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[Window]) -> Callable:
+    """The algorithm, its stop rule and the certificates; the run returns the trace."""
+    alg = cfg.algorithm
+    name = alg.get("name")
+    _require(isinstance(name, str) and name in solvers.ALGORITHMS, "algorithm.name",
+             f"must be one of {', '.join(solvers.ALGORITHMS)}")
+    spec = solvers.ALGORITHMS[name]
+    _object(alg, "algorithm", ("name", "x0", *spec.params))
+    _require(alg.get("x0") is not None, "algorithm.x0", "missing starting point")
+    alg["x0"] = _vector(alg["x0"], "algorithm.x0", entry.dim_in)
+    for key, param in spec.params.items():
+        if param.default is not param.empty:
+            alg.setdefault(key, param.default)
+        _require(key in alg, f"algorithm.{key}", "missing")
+        _READ[param.annotation](alg[key], f"algorithm.{key}")
+    params = {key: alg[key] for key in spec.params}
+    _rule("algorithm", solvers.check, name, entry, **params)
+    stop = solvers.StopRule(**cfg.stop)
+    _require(isinstance(cfg.certificates, list), "certificates", "must be a list")
+    if cfg.kind == "certify":
+        _require(bool(cfg.certificates), "certificates", "at least one certificate is required")
+    requests = []
+    for i, cert in enumerate(cfg.certificates):
+        path = f"certificates[{i}]"
+        _require(isinstance(cert, dict), path, "must be a JSON object")
+        hyp = cert.get("hypothesis")
+        _require(isinstance(hyp, str) and hyp in certify.HYPOTHESES, f"{path}.hypothesis",
+                 f"must be one of {', '.join(certify.HYPOTHESES)}")
+        hypothesis = certify.HYPOTHESES[hyp]
+        _object(cert, path, ("hypothesis",) + hypothesis.params)
+        for key in hypothesis.params:
+            _require(key in cert, f"{path}.{key}", "missing")
+            _number(cert[key], f"{path}.{key}")
+        request = {key: cert[key] for key in hypothesis.params}
+        _rule(path, certify.check, hyp, spec.witness_side, **request)
+        requests.append((hypothesis, request))
+
+    def run(emit, verdicts) -> solvers.IterateTrace:
+        trace = getattr(solvers, spec.runner)(entry, x0=alg["x0"], stop=stop, **params)
+        verdicts["termination"] = trace.termination
+        if trace.diverged:
+            verdicts["diverged"] = True
+        if requests:
+            records = [getattr(certify, h.check)(*((trace, entry) if h.takes_entry else (trace,)), **request)
+                       .to_json_dict() for h, request in requests]
+            emit("certificates.json", lambda p: serialize.write_json(p, records))
+            verdicts["certificates"] = records
+            if not all(record["pass"] for record in records):
+                verdicts["failed"] = True
+        return trace
+    return run
+
+
+def _modulus(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[Window]) -> Callable:
+    """The map, base point, radii and samples of the modulus; the run returns the curve."""
+    a = cfg.analysis
+    if cfg.kind == "full-pipeline":
+        # The curve must bound distances via the witnesses the solver
+        # records, so it is estimated on the inverse of the witness map.
+        _require(a.setdefault("target", "auto") == "auto", "analysis.target",
+                 "must be 'auto': the pipeline estimates on the inverse of its algorithm's witness map")
+        witness_map = solvers.ALGORITHMS[cfg.algorithm["name"]].witness_map
+        m = entry.inverse if witness_map == "forward" else entry.grad_inverse
+        _require(m is not None, "operator", "no closed-form inverse of the witness map is registered")
+    else:
+        target = a.setdefault("target", "forward")
+        _require(target in ("forward", "inverse"), "analysis.target", "must be 'forward' or 'inverse'")
+        m = entry.forward if target == "forward" else entry.inverse
+        _require(m is not None, "analysis.target", f"entry {entry.name!r} has no inverse")
+    xbar = _vector(a.setdefault("xbar", [0.0] * m.dim_in), "analysis.xbar", m.dim_in)
+    radii = a["radii"] = _radii_list(a.get("radii", {"start": 1e-4, "stop": 1e-1, "count": 13}), "analysis.radii")
+    samples = _int(a.setdefault("samples_per_radius", _MODULUS["samples_per_radius"]), "analysis.samples_per_radius",
+                   maximum=_MAX_SAMPLES)
+    scheme = a.setdefault("scheme", _MODULUS["scheme"])
+    base_value = _rule("analysis", analysis.check_modulus, m, xbar, window, radii, samples, scheme)
+
+    def run(emit, verdicts) -> analysis.ModulusCurve:
+        # estimate_modulus without its check, which validation made: A(xbar) is evaluated once
+        curve = analysis._modulus_curve(m, xbar, window, radii, samples, cfg.seed, scheme, base_value)
+        emit("modulus.csv", lambda p: serialize.modulus_to_csv(curve, p))
+        if curve.divergent:
+            fit = {"L_hat": None, "theta_hat": None, "residual": None, "degenerate": None, "divergent": True}
+        else:
+            fit = {**analysis.fit_holder(curve).to_json_dict(), "divergent": False}
+        emit("holder_fit.json", lambda p: serialize.write_json(p, fit))
+        verdicts["holder_fit"] = fit
+        return curve
+    return run
+
+
+def _lojasiewicz(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[Window]) -> Callable:
+    """The window and grid of the Łojasiewicz fit; the run writes the fit."""
+    grid_count = _int(cfg.analysis.setdefault("grid_count", _LOJA["grid_count"]), "analysis.grid_count",
+                      maximum=_MAX_SAMPLES)
+    _rule("analysis", analysis.check_lojasiewicz, entry, window, grid_count)
+
+    def run(emit, verdicts) -> None:
+        fit = analysis.lojasiewicz_fit(entry, window, grid_count=grid_count).to_json_dict()
+        emit("loja_fit.json", lambda p: serialize.write_json(p, fit))
+        verdicts["lojasiewicz"] = fit
+    return run
+
+
+def _plk(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[Window]) -> Callable:
+    """The PLK parameters, base point and grid; the run writes the verdict."""
+    a = cfg.analysis
+    _require("plk" in a, "analysis.plk", "missing PLK parameters")
+    plk = _object(a["plk"], "analysis.plk", [f.name for f in _PLK_FIELDS])
+    for f in _PLK_FIELDS:
+        _READ[f.type](plk.get(f.name), f"analysis.plk.{f.name}")
+    plk_config = _rule("analysis.plk", analysis.PlkConfig, **plk)
+    xbar = _vector(a.setdefault("xbar", [0.0] * entry.dim_in), "analysis.xbar", entry.dim_in)
+    grid_count = _int(a.setdefault("grid_count", _PLK["grid_count"]), "analysis.grid_count", maximum=_MAX_SAMPLES)
+    _rule("analysis", analysis.check_plk, entry, grid_count)
+
+    def run(emit, verdicts) -> None:
+        result = analysis.check_plk_exponent(entry, xbar, plk_config, grid_count=grid_count)
+        emit("plk.json", lambda p: serialize.write_json(p, result.to_json_dict()))
+        verdicts["plk"] = result.verdict
+        if result.verdict == "fail":
+            verdicts["failed"] = True
+    return run
+
+
+#: Each kind of experiment: its subcommand and the stages it runs, in order.
+#: The pipeline's algorithm is validated before its modulus map, which it needs.
+_KINDS = {
+    "modulus": ("modulus", (_modulus,)),
+    "lojasiewicz": ("loja", (_lojasiewicz,)),
+    "plk": ("plk", (_plk,)),
+    "solve": ("solve", (_solve,)),
+    "certify": ("certify", (_solve,)),
+    "full-pipeline": ("pipeline", (_solve, _modulus)),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description with all defaults resolved."""
@@ -146,16 +287,18 @@ class ExperimentConfig:
     analysis: dict
     stop: dict
     certificates: List[dict]
-    resolved: dict = field(repr=False, default_factory=dict)
-    #: The base value ``analysis.check_modulus`` evaluated; the modulus run measures against it.
-    base_value: Optional[PointSet] = field(repr=False, compare=False, default=None)
+    resolved: dict = field(init=False, repr=False, default_factory=dict)
+    #: The catalog entry, and each stage's run, that validation made.
+    entry: Optional[OperatorEntry] = field(init=False, repr=False, compare=False, default=None)
+    runs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        names = [f.name for f in fields(cls) if f.name not in ("resolved", "base_value")]
+        names = [f.name for f in fields(cls) if f.init]
         _object(raw, "", names)
         kind = raw.get("kind")
-        _require(kind in _KINDS, "kind", f"must be one of {', '.join(_KINDS)}")
+        _require(isinstance(kind, str) and kind in _KINDS, "kind", f"must be one of {', '.join(_KINDS)}")
+        stages = _KINDS[kind][1]
         operator = raw.get("operator")
         _require(isinstance(operator, str) and operator, "operator", "must name a catalog entry")
         try:
@@ -174,100 +317,21 @@ class ExperimentConfig:
 
         algorithm = _object(raw.get("algorithm", {}), "algorithm", _ALGORITHM_FIELDS)
         analysis_cfg = _object(raw.get("analysis", {}), "analysis", _ANALYSIS_FIELDS)
-        requests = raw.get("certificates", [])
-        _require(isinstance(requests, list), "certificates", "must be a list")
-        certificates = [_object(c, f"certificates[{i}]", _CERTIFICATE_FIELDS) for i, c in enumerate(requests)]
+        certificates = raw.get("certificates", [])
+        _require(_solve in stages or certificates == [], "certificates", f"a {kind} run has no solver trace to certify")
 
+        window = analysis_cfg.get("window")
+        if window is not None:
+            _object(window, "analysis.window", _WINDOW_FIELDS)
+            try:
+                window = Window.from_dict(window)
+            except Exception as exc:
+                raise ConfigError("analysis.window", str(exc)) from None
         cfg = cls(kind, operator, seed, tolerance, out_dir, algorithm, analysis_cfg, stop, certificates)
-        cfg._validate(entry)
+        cfg.entry = entry
+        cfg.runs = {stage: stage(cfg, entry, window) for stage in stages}
         cfg.resolved = {name: getattr(cfg, name) for name in names}
         return cfg
-
-    # -- validation ---------------------------------------------------------
-
-    def _validate(self, entry: OperatorEntry) -> None:
-        needs_solver = self.kind in ("solve", "certify", "full-pipeline")
-        a, window = self.analysis, self._window()
-        if needs_solver:
-            self._validate_algorithm(entry)
-        if self.kind in ("modulus", "full-pipeline"):
-            self._validate_modulus(entry, window)
-        if self.kind == "lojasiewicz":
-            _int(a.setdefault("grid_count", _LOJA["grid_count"]), "analysis.grid_count", maximum=_MAX_SAMPLES)
-            _rule("analysis", analysis.check_lojasiewicz, entry, window, a["grid_count"])
-        if self.kind == "plk":
-            _require("plk" in a, "analysis.plk", "missing PLK parameters")
-            plk = _object(a["plk"], "analysis.plk", [f.name for f in _PLK_FIELDS])
-            for f in _PLK_FIELDS:
-                _READ[f.type](plk.get(f.name), f"analysis.plk.{f.name}")
-            _rule("analysis.plk", analysis.PlkConfig, **plk)
-            _vector(a.setdefault("xbar", [0.0] * entry.dim_in), "analysis.xbar", entry.dim_in)
-            _int(a.setdefault("grid_count", _PLK["grid_count"]), "analysis.grid_count", maximum=_MAX_SAMPLES)
-            _rule("analysis", analysis.check_plk, entry, a["grid_count"])
-        if self.kind == "certify":
-            _require(bool(self.certificates), "certificates", "at least one certificate is required")
-        side = solvers.ALGORITHMS[self.algorithm["name"]].witness_side if needs_solver else None
-        for i, cert in enumerate(self.certificates):
-            path, hyp = f"certificates[{i}]", cert.get("hypothesis")
-            _require(isinstance(hyp, str) and hyp in certify.HYPOTHESES, f"{path}.hypothesis",
-                     f"must be one of {', '.join(certify.HYPOTHESES)}")
-            keys = certify.HYPOTHESES[hyp].params
-            _object(cert, path, ("hypothesis",) + keys)
-            for key in keys:
-                _require(key in cert, f"{path}.{key}", "missing")
-                _number(cert[key], f"{path}.{key}")
-            _rule(path, certify.check, hyp, side, **{key: cert[key] for key in keys})
-
-    def _validate_algorithm(self, entry: OperatorEntry) -> None:
-        alg = self.algorithm
-        name = alg.get("name")
-        _require(isinstance(name, str) and name in solvers.ALGORITHMS, "algorithm.name",
-                 f"must be one of {', '.join(solvers.ALGORITHMS)}")
-        spec = solvers.ALGORITHMS[name]
-        _object(alg, "algorithm", ("name", "x0", *spec.params))
-        _require(alg.get("x0") is not None, "algorithm.x0", "missing starting point")
-        alg["x0"] = _vector(alg["x0"], "algorithm.x0", entry.dim_in)
-        for key, param in spec.params.items():
-            if param.default is not param.empty:
-                alg.setdefault(key, param.default)
-            _require(key in alg, f"algorithm.{key}", "missing")
-            _READ[param.annotation](alg[key], f"algorithm.{key}")
-        _rule("algorithm", solvers.check, name, entry, **{key: alg[key] for key in spec.params})
-
-    def _modulus_map(self, entry: OperatorEntry):
-        target = self.analysis.setdefault("target", "forward" if self.kind == "modulus" else "auto")
-        if self.kind == "full-pipeline":
-            # The curve must bound distances via the witnesses the solver
-            # records, so it is estimated on the inverse of the witness map.
-            side = solvers.ALGORITHMS[self.algorithm["name"]].witness_map
-            m = entry.inverse if side == "forward" else entry.grad_inverse
-            _require(m is not None, "operator", "no closed-form inverse of the witness map is registered")
-            return m
-        if target == "inverse":
-            _require(entry.inverse is not None, "analysis.target", f"entry {entry.name!r} has no inverse")
-            return entry.inverse
-        _require(target == "forward", "analysis.target", "must be 'forward' or 'inverse'")
-        return entry.forward
-
-    def _validate_modulus(self, entry: OperatorEntry, window: Optional[Window]) -> None:
-        m, a = self._modulus_map(entry), self.analysis
-        _vector(a.setdefault("xbar", [0.0] * m.dim_in), "analysis.xbar", m.dim_in)
-        a["radii"] = _radii_list(a.get("radii", {"start": 1e-4, "stop": 1e-1, "count": 13}), "analysis.radii")
-        _int(a.setdefault("samples_per_radius", _MODULUS["samples_per_radius"]), "analysis.samples_per_radius",
-             maximum=_MAX_SAMPLES)
-        a.setdefault("scheme", _MODULUS["scheme"])
-        self.base_value = _rule("analysis", analysis.check_modulus, m, a["xbar"], window, a["radii"],
-                                a["samples_per_radius"], a["scheme"])
-
-    def _window(self) -> Optional[Window]:
-        raw = self.analysis.get("window")
-        if raw is None:
-            return None
-        _object(raw, "analysis.window", _WINDOW_FIELDS)
-        try:
-            return Window.from_dict(raw)
-        except Exception as exc:
-            raise ConfigError("analysis.window", str(exc)) from None
 
 
 @dataclass
@@ -282,21 +346,6 @@ class RunReport:
         return bool(self.verdicts.get("failed"))
 
 
-def _run_algorithm(entry: OperatorEntry, cfg: ExperimentConfig) -> solvers.IterateTrace:
-    alg = cfg.algorithm
-    spec = solvers.ALGORITHMS[alg["name"]]
-    run = getattr(solvers, spec.runner)
-    stop = solvers.StopRule(**cfg.stop)
-    return run(entry, x0=alg["x0"], stop=stop, **{key: alg[key] for key in spec.params})
-
-
-def _run_certificate(trace: solvers.IterateTrace, entry: OperatorEntry, request: dict) -> certify.Certificate:
-    spec = certify.HYPOTHESES[request["hypothesis"]]
-    run = getattr(certify, spec.check)
-    params = {key: request[key] for key in spec.params}
-    return run(trace, entry, **params) if spec.takes_entry else run(trace, **params)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
     """Execute the configured experiment and write its artifacts.
 
@@ -305,10 +354,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
     """
     out = Path(out_dir if out_dir is not None else (cfg.out_dir or "out"))
     out.mkdir(parents=True, exist_ok=True)
-    entry = catalog.catalog_lookup(cfg.operator)
     manifest: dict = {}
     verdicts: dict = {"failed": False}
-    timings: dict = {}
     t0 = time.perf_counter()
 
     def emit(name: str, writer) -> None:
@@ -316,66 +363,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
         writer(path)
         manifest[name] = serialize.sha256_file(path)
 
-    a = cfg.analysis
-    if cfg.kind in ("modulus", "full-pipeline"):
-        # estimate_modulus without its check, which validation made: A(xbar) is evaluated once
-        curve = analysis._modulus_curve(cfg._modulus_map(entry), a["xbar"], cfg._window(), a["radii"],
-                                        a["samples_per_radius"], cfg.seed, a["scheme"], cfg.base_value)
-        emit("modulus.csv", lambda p: serialize.modulus_to_csv(curve, p))
-        if curve.divergent:
-            fit_dict = {"L_hat": None, "theta_hat": None, "residual": None,
-                        "degenerate": None, "divergent": True}
-        else:
-            fit_dict = analysis.fit_holder(curve).to_json_dict()
-            fit_dict["divergent"] = False
-        emit("holder_fit.json", lambda p: serialize.write_json(p, fit_dict))
-        verdicts["holder_fit"] = fit_dict
-    else:
-        curve = None
-
-    if cfg.kind == "lojasiewicz":
-        fit = analysis.lojasiewicz_fit(entry, cfg._window(), grid_count=a["grid_count"])
-        emit("loja_fit.json", lambda p: serialize.write_json(p, fit.to_json_dict()))
-        verdicts["lojasiewicz"] = fit.to_json_dict()
-
-    if cfg.kind == "plk":
-        result = analysis.check_plk_exponent(entry, a["xbar"], analysis.PlkConfig(**a["plk"]),
-                                             grid_count=a["grid_count"])
-        emit("plk.json", lambda p: serialize.write_json(p, result.to_json_dict()))
-        verdicts["plk"] = result.verdict
-        if result.verdict == "fail":
-            verdicts["failed"] = True
-
-    if cfg.kind in ("solve", "certify", "full-pipeline"):
-        trace = _run_algorithm(entry, cfg)
-        dv = certify.distance_trace(trace, entry.solution_set, cfg.tolerance, modulus=curve)
+    made = {stage: run(emit, verdicts) for stage, run in cfg.runs.items()}
+    trace, curve = made.get(_solve), made.get(_modulus)
+    if trace is not None:
+        dv = certify.distance_trace(trace, cfg.entry.solution_set, cfg.tolerance, modulus=curve)
         emit("trace.csv", lambda p: serialize.trace_to_csv(trace, p, distances=dv.distances))
-        verdicts["termination"] = trace.termination
-        if trace.diverged:
-            verdicts["diverged"] = True
-
-        if cfg.certificates:
-            certs = [_run_certificate(trace, entry, req) for req in cfg.certificates]
-            records = [c.to_json_dict() for c in certs]
-            emit("certificates.json", lambda p: serialize.write_json(p, records))
-            verdicts["certificates"] = records
-            if any(not c.passed for c in certs):
-                verdicts["failed"] = True
-
-        if cfg.kind == "full-pipeline":
+        if curve is not None:
             emit("distance.json", lambda p: serialize.write_json(p, dv.to_json_dict()))
             verdicts["distance"] = dv.to_json_dict()
             if (not dv.converged and not trace.diverged) or not dv.link_ok:
                 verdicts["failed"] = True
 
-    timings["total_s"] = time.perf_counter() - t0
-    report = RunReport(config=cfg.resolved, manifest=manifest, verdicts=verdicts, timings=timings)
-    serialize.write_json(out / "report.json", {
-        "config": report.config,
-        "manifest": report.manifest,
-        "verdicts": report.verdicts,
-    })
-    return report
+    timings = {"total_s": time.perf_counter() - t0}
+    serialize.write_json(out / "report.json", {"config": cfg.resolved, "manifest": manifest, "verdicts": verdicts})
+    return RunReport(config=cfg.resolved, manifest=manifest, verdicts=verdicts, timings=timings)
 
 
 # -- command line -------------------------------------------------------------
@@ -397,21 +398,12 @@ def _apply_override(config: dict, assignment: str) -> None:
     node[keys[-1]] = value
 
 
-_SUBCOMMAND_KIND = {
-    "modulus": "modulus",
-    "loja": "lojasiewicz",
-    "plk": "plk",
-    "solve": "solve",
-    "certify": "certify",
-    "pipeline": "full-pipeline",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rcontinuity", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_KIND:
+    for kind, (name, _) in _KINDS.items():
         p = sub.add_parser(name)
+        p.set_defaults(kind=kind)
         p.add_argument("--config", type=Path, help="JSON configuration file")
         p.add_argument("--out", type=Path, help="output directory")
         p.add_argument("--seed", type=int, help="seed override")
@@ -431,11 +423,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 serialize.write_json(args.out / "catalog.json", listing)
             print(json.dumps(listing, indent=2, sort_keys=True))
             return 0
-        raw: dict = {}
-        if args.config:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            _require(isinstance(raw, dict), "--config", "configuration must be a JSON object")
-        raw["kind"] = _SUBCOMMAND_KIND[args.command]
+        try:
+            raw = json.loads(args.config.read_text(encoding="utf-8")) if args.config else {}
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise ConfigError("--config", str(exc)) from None
+        _require(isinstance(raw, dict), "--config", "configuration must be a JSON object")
+        raw["kind"] = args.kind
         if args.seed is not None:
             raw["seed"] = args.seed
         for assignment in args.overrides:

@@ -182,13 +182,14 @@ def _iterate(
             break
     spec = ALGORITHMS[algorithm]
     first = 1 if spec.witness_side == "next" else 0
+    iterates = np.array(iterates)
     return IterateTrace(
         algorithm=algorithm,
         iterates=iterates,
         step_norms=steps,
         stop=stop,
         termination=termination,
-        f_values=None if entry.f is None else [float(entry.f(p)) for p in iterates],
+        f_values=None if entry.f is None else entry.f_values(iterates),
         witness_indices=range(first, first + len(steps)),
         witness_points=w_pts,
         xi_values=steps,

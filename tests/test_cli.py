@@ -1,6 +1,8 @@
+import argparse
 import functools
 import inspect
 import json
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -10,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcontinuity import (PlkConfig, StopRule, Window, analysis, catalog_listing, catalog_lookup, catalog_names,
+from rcontinuity import (PlkConfig, StopRule, Window, analysis, catalog, catalog_listing, catalog_lookup, catalog_names,
                          check_h1, check_h2, check_h3, check_h4, check_plk_exponent, check_rclass, distance_trace,
                          estimate_modulus, lojasiewicz_fit, run_dca, run_gdm, run_ppa, run_qpower_prox,
                          run_shifted_ppa, solvers)
-from rcontinuity.cli import ConfigError, ExperimentConfig, main, run_experiment
+from rcontinuity.cli import _KINDS, ConfigError, ExperimentConfig, _build_parser, main, run_experiment
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def pipeline_config(out=None):
@@ -44,11 +48,12 @@ _LOJA = ["loja", "--set", "operator=square", "--set", _WINDOW_1D]
 _PLK = 'analysis.plk={"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0, "m": 1.0}'
 _CERTIFY = ["certify", "--set", "operator=quad", "--set", _GDM]
 _PLK_1 = {"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0}
+_CERTIFICATES = 'certificates=[{"hypothesis": "H1", "alpha": 1}]'
 
 
 def _rejected(name, argv, path, config=None):
     """An input the CLI must refuse with exit 2, naming ``path``; ``config``
-    is the text of a config file passed with ``--config``."""
+    is the text (or the bytes) of a config file passed with ``--config``."""
     return pytest.param(config, argv, path, id=name)
 
 
@@ -63,6 +68,8 @@ REJECTED = [
     _rejected("step-overflow", _SOLVE + ["--set", "algorithm.step=1e400"], "algorithm.step"),
     _rejected("stop-not-object", _SOLVE + ["--set", "stop=[1]"], "stop"),
     _rejected("config-list", ["solve"], "--config", config="[1, 2]"),
+    _rejected("config-not-json", ["solve"], "--config", config='{"operator": "quad",'),
+    _rejected("config-not-utf8", ["solve"], "--config", config='{"operator": "quad\xe9"}'.encode("latin-1")),
     _rejected("qpower-quad2-q", ["solve", "--set", "operator=quad2", "--set", _QPOWER % "[1.0, 1.0]"],
               "algorithm.q"),
     _rejected("qpower-missing-q", ["solve", "--set", "operator=square", "--set",
@@ -108,6 +115,17 @@ REJECTED = [
     _rejected("loja-window-misses-zeros", ["loja", "--set", "operator=square", "--set",
                                            'analysis.window={"kind": "box", "center": [5.0], "extent": [1.0]}'],
               "analysis.window"),
+    # only a solver's trace has steps to certify
+    _rejected("certificates-in-modulus", ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse",
+                                          "--set", _CERTIFICATES], "certificates"),
+    _rejected("certificates-in-loja", _LOJA + ["--set", _CERTIFICATES], "certificates"),
+    _rejected("certificates-in-plk", ["plk", "--set", "operator=square", "--set", f"analysis.plk={json.dumps(_PLK_1)}",
+                                      "--set", _CERTIFICATES], "certificates"),
+    # the pipeline's curve is always on the inverse of its algorithm's witness map
+    _rejected("pipeline-target", ["pipeline", "--set", "operator=quad", "--set", _GDM,
+                                  "--set", "analysis.target=bogus"], "analysis.target"),
+    _rejected("pipeline-target-forward", ["pipeline", "--set", "operator=quad", "--set", _GDM,
+                                          "--set", "analysis.target=forward"], "analysis.target"),
     _rejected("window-malformed-in-solve", _SOLVE + ["--set", 'analysis.window={"kind": "box"}'], "analysis.window"),
     _rejected("modulus-empty-base-value", ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse",
                                            "--set", "analysis.xbar=[-1.0]"], "analysis.xbar"),
@@ -230,7 +248,7 @@ class TestValidation:
     @pytest.mark.parametrize("config, argv, path", REJECTED)
     def test_rejected_input_exits_2_naming_the_field(self, config, argv, path, tmp_path, capsys):
         if config is not None:
-            (tmp_path / "cfg.json").write_text(config)
+            (tmp_path / "cfg.json").write_bytes(config if isinstance(config, bytes) else config.encode())
             argv = argv + ["--config", str(tmp_path / "cfg.json")]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
@@ -715,6 +733,82 @@ class TestMainExitCodes:
             "--set", "algorithm.gamma=0.3", "--set", "tolerance=1e-6",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_an_unreadable_config_exits_2(self, name, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path / name), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: --config: ")
+
+
+_H1 = '{"hypothesis": "H1", "alpha": 0.1}'
+_MODULUS_4 = ["--set", "analysis.samples_per_radius=4"]
+
+
+def _subcommands(parser):
+    """The subcommands of an ``argparse`` parser, in order."""
+    [sub] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+class TestStageTable:
+    """``cli._KINDS``: each subcommand's kind and stages, and what they write."""
+
+    @pytest.mark.parametrize("argv, artifacts", [
+        (["modulus", "--set", "operator=square", *_MODULUS_4], {"modulus.csv", "holder_fit.json"}),
+        (_LOJA, {"loja_fit.json"}),
+        (["plk", "--set", "operator=square", "--set", f"analysis.plk={json.dumps(_PLK_1)}"], {"plk.json"}),
+        (_SOLVE, {"trace.csv"}),
+        (_SOLVE + ["--set", f"certificates=[{_H1}]"], {"trace.csv", "certificates.json"}),
+        (_CERTIFY + ["--set", f"certificates=[{_H1}]"], {"trace.csv", "certificates.json"}),
+        (["pipeline", "--set", "operator=quad", "--set", _GDM, *_MODULUS_4],
+         {"trace.csv", "modulus.csv", "holder_fit.json", "distance.json"}),
+        (["pipeline", "--set", "operator=quad", "--set", _GDM, *_MODULUS_4, "--set", f"certificates=[{_H1}]"],
+         {"trace.csv", "modulus.csv", "holder_fit.json", "certificates.json", "distance.json"}),
+    ], ids=["modulus", "loja", "plk", "solve", "solve-certificates", "certify", "pipeline", "pipeline-certificates"])
+    def test_each_kind_writes_exactly_its_artifacts(self, argv, artifacts, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) in (0, 4)
+        assert set(json.loads(capsys.readouterr().out)["manifest"]) == artifacts
+        assert {p.name for p in tmp_path.iterdir()} == artifacts | {"report.json"}
+
+    def test_the_subcommands_are_the_tables(self):
+        parser = _build_parser()
+        assert _subcommands(parser) == [name for name, _ in _KINDS.values()] + ["catalog"]
+        for kind, (name, _) in _KINDS.items():
+            assert parser.parse_args([name]).kind == kind
+
+    def test_the_readme_lists_the_subcommands_kinds_and_stages(self):
+        text = README.read_text(encoding="utf-8")
+        listed = re.search(r"Subcommands:(.*?)\.\n", text, re.S).group(1)
+        assert re.findall(r"`([a-z-]+)`", listed) == _subcommands(_build_parser())
+        rows = re.findall(r"^\| `([a-z-]+)` \| `([a-z-]+)` \| ([a-z, ]+) \|", text, re.M)
+        assert rows == [(name, kind, ", ".join(stage.__name__.lstrip("_") for stage in stages))
+                        for kind, (name, stages) in _KINDS.items()]
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("lojasiewicz", {"analysis": {"window": {"kind": "box", "center": [0.0], "extent": [1.0]}}}),
+        ("full-pipeline", {"algorithm": {"name": "ppa", "gamma": 0.3, "x0": [1.0]},
+                           "analysis": {"window": {"kind": "box", "center": [0.0], "extent": [10.0]},
+                                        "samples_per_radius": 4}}),
+    ])
+    def test_the_catalog_and_the_window_are_read_once(self, kind, extra, tmp_path):
+        with mock.patch.object(catalog, "catalog_lookup", wraps=catalog.catalog_lookup) as lookup, \
+                mock.patch.object(Window, "from_dict", wraps=Window.from_dict) as window:
+            run_experiment(ExperimentConfig.from_dict({"kind": kind, "operator": "abs-subdiff", **extra}),
+                           out_dir=tmp_path)
+        assert (lookup.call_count, window.call_count) == (1, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["modulus", "--set", "operator=square", "--set", "analysis.samples_per_radius=%s"],
+        _LOJA + ["--set", "analysis.grid_count=%s"],
+        ["plk", "--set", "operator=square", "--set", f"analysis.plk={json.dumps(_PLK_1)}",
+         "--set", "analysis.grid_count=%s"],
+    ], ids=["modulus", "loja", "plk"])
+    def test_an_integral_float_count_runs_as_its_integer(self, argv, tmp_path, capsys):
+        manifests = []
+        for count in ("9", "9.0"):
+            assert main([arg.replace("%s", count) for arg in argv] + ["--out", str(tmp_path / count)]) == 0
+            manifests.append(json.loads(capsys.readouterr().out)["manifest"])
+        assert manifests[0] == manifests[1]
 
 
 class TestCsvFormat:

@@ -305,6 +305,21 @@ class TestTraceBookkeeping:
         assert trace.termination == "max_iter"
         assert len(trace) == 4
 
+    @pytest.mark.parametrize("operator, run", [
+        ("quad", lambda entry: run_gdm(entry, 0.5, [1e200])),  # f overflows at x0
+        ("quad2", lambda entry: run_gdm(entry, 0.1, [3.0, -2.0])),  # no row-wise f
+        ("flat-exp", lambda entry: run_gdm(entry, 0.5, [0.5], StopRule(max_iter=200))),  # f underflows
+        ("double-well", lambda entry: run_qpower_prox(entry, 1.0, 1.5, [2.0], StopRule(max_iter=50))),
+        ("dc-quad", lambda entry: run_dca(entry, 0.5, [1.0])),
+        ("abs-subdiff", lambda entry: run_ppa(entry, 0.3, [1.0])),
+        ("linear-neg", lambda entry: run_shifted_ppa(entry, 0.5, 2.0, [1.0])),
+    ], ids=["quad", "quad2", "flat-exp", "double-well", "dc-quad", "abs-subdiff", "linear-neg"])
+    def test_f_values_are_the_scalar_f_at_each_iterate(self, operator, run):
+        entry = catalog_lookup(operator)
+        trace = run(entry)
+        assert len(trace) > 1
+        assert trace.f_values.tobytes() == np.array([float(entry.f(x)) for x in trace.iterates]).tobytes()
+
 
 # -- the lean step against the loop it replaced --------------------------------
 
