@@ -432,10 +432,11 @@ def check_plk_exponent(
     if entry.subgrad.value_dist is not None:
         slopes = [entry.subgrad.member_dist(pts[i], zero) for i in band]
     else:
-        # d(0, subgrad f(x)) per band point: the nearest value, inf for none
+        # d(0, subgrad f(x)) per band point: the nearest value, inf for none,
+        # measured as member_dist measures it
         vals, owner = entry.subgrad.eval_rows(pts[band])
         nearest = np.full(len(band), math.inf)
-        np.minimum.at(nearest, owner, np.linalg.norm(zero - vals.points, axis=1))
+        np.minimum.at(nearest, owner, PointSet(zero[None, :]).distance_rows(vals.points))
         slopes = nearest.tolist()
     products = [cfg.phi_prime(fvals[i] - fbar) * slope for i, slope in zip(band, slopes)]
     violations = [pts[i] for i, product in zip(band, products) if product < 1.0 - 1e-12]

@@ -16,10 +16,10 @@ linear maps is written once, as a function of one coordinate that gives the
 same bits on a Python float and on a numpy column.  Two adapters derive the
 rest from it: :func:`_lift`, the column lift, makes the single-valued
 row-wise map (``forward``, ``subgrad``), and :func:`_scalar`, the scalar view
-at ``x[0]``, makes the ``f``, ``grad`` and ``jac`` oracles.  :func:`_pow` is
-the one place that applies Python's ``**``.  The three functions are made by
-:func:`_smooth`, and the linear maps ``quad``, ``dc-quad`` and
-``linear-neg`` by :func:`_linear`.
+at ``x[0]``, makes the ``f``, ``grad`` and ``jac`` oracles and registers the
+forms as ``scalar_forms``.  :func:`_pow` is the one place that applies
+Python's ``**``.  The three functions are made by :func:`_smooth`, and the
+linear maps ``quad``, ``dc-quad`` and ``linear-neg`` by :func:`_linear`.
 """
 
 from __future__ import annotations
@@ -82,12 +82,14 @@ def _lift(name: str, form) -> SetValuedMap:
 
 def _scalar(f, grad) -> dict:
     """The scalar view at ``x[0]``: the ``f``, ``grad`` and ``jac`` oracles of a
-    1-d entry from its closed forms ``f`` and ``grad``, and ``f`` on the column."""
+    1-d entry from its closed forms ``f`` and ``grad``, ``f`` on the column, and
+    the two forms themselves."""
     return {
         "f": lambda x: float(f(float(x[0]))),
         "f_rows": _column(f),
         "grad": lambda x: np.array([grad(float(x[0]))]),
         "jac": lambda x: np.array([[grad(float(x[0]))]]),
+        "scalar_forms": (f, grad),
     }
 
 
@@ -277,6 +279,7 @@ def _abs_subdiff() -> OperatorEntry:
         subgrad=fwd,
         f=lambda x: abs(float(x[0])),
         f_rows=_column(abs),
+        scalar_forms=(abs, None),
         monotone=True,
         inf_f=0.0,
     )

@@ -184,6 +184,10 @@ class OperatorEntry:
     entries whose objective is ``x'Qx/2 - b'x``, unlocking closed-form
     power-penalty subproblems.  ``f_rows``, where registered, is ``f`` row-wise
     with the same bits, ``(n, dim_in) -> (n,)``; see :meth:`f_values`.
+    ``scalar_forms = (f, grad)``, where registered, are the closed forms behind
+    a 1-d entry's ``f`` and ``grad`` as functions of one Python float, with the
+    same bits (``grad`` is None where the entry has none); the power-penalty
+    subproblem calls them in place of the one-element-array oracles.
     """
 
     name: str
@@ -202,6 +206,7 @@ class OperatorEntry:
     dc: Optional[DcSplit] = None
     monotone: bool = False
     inf_f: Optional[float] = None
+    scalar_forms: Optional[Tuple[Callable[[float], float], Optional[Callable[[float], float]]]] = None
 
     @property
     def dim_in(self) -> int:

@@ -21,7 +21,11 @@ The step loop is lean on purpose:
   wherever numpy's is finite;
 - a value the previous step computed at ``x_{k+1}`` (DCA's ``∇h``, the
   shifted-PPA ledger's ``||x_{k+1} - xbar||``) is reused when the driver
-  passes that same array back as ``x_k``, never recomputed.
+  passes that same array back as ``x_k``, never recomputed;
+- the 1-d power-penalty subproblem runs on Python floats: :func:`_fminbound`
+  reproduces scipy's bounded Brent minimizer bit for bit, on the entry's
+  ``scalar_forms`` where registered, and only its polish calls scipy
+  (``brentq``).
 """
 
 from __future__ import annotations
@@ -233,47 +237,149 @@ def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) 
     return _iterate(entry, x0, stop, descend, "gdm")
 
 
+#: The constants of scipy's bounded Brent minimizer: ``sqrt(2.2e-16)`` and the
+#: golden-section fraction ``(3 - sqrt(5)) / 2``, both correctly rounded.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _unit(v: float) -> float:
+    """scipy's ``np.sign(v) + (v == 0)``: -1.0 below 0, 1.0 at or above 0, NaN at NaN."""
+    return -1.0 if v < 0.0 else 1.0 if v >= 0.0 else v
+
+
+def _fminbound(func: Callable[[float], float], a: float, b: float, xatol: float = 1e-12,
+               maxfun: int = 500) -> float:
+    """The ``x`` of ``scipy.optimize.minimize_scalar(func, bounds=(a, b),
+    method="bounded", options={"xatol": xatol})``, bit for bit: Brent's bounded
+    minimizer (Brent 1973, ``fminbound``), a line-for-line port of scipy
+    1.17.1's ``_minimize_scalar_bounded`` on Python floats.
+
+    scipy's numpy scalars round as Python floats do; only their calls cost more.
+    ``max(abs(rat), tol1)`` keeps ``np.maximum``'s NaN where ``rat`` is NaN
+    (``tol1`` is NaN only once ``xf`` is, which ends the loop first), and
+    :func:`_unit` is scipy's ``np.sign(v) + (v == 0)``.  ``func`` is evaluated
+    at most ``maxfun`` times, scipy's default ``maxiter``.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _unit(xm - xf)
+            else:
+                golden = True
+        if golden:  # a golden-section step
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        x = xf + _unit(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf
+
+
 def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Callable[[np.ndarray], np.ndarray]:
     """``c -> argmin f(x) + γ ||x - c||**q``: closed form for quadratics with
-    q = 2, bracketed scalar minimization in 1-d otherwise.  Only the latter
-    needs ``scipy.optimize``, which is imported here, once per run."""
+    q = 2, bracketed scalar minimization in 1-d otherwise.
+
+    The scalar minimization runs on Python floats: :func:`_fminbound`, then a
+    stationarity polish where the entry has ``grad``.  ``f`` and ``grad`` are
+    the entry's ``scalar_forms`` where registered, else its oracles on a
+    one-element array.  Only the polish's ``brentq`` needs ``scipy.optimize``,
+    which is imported here, once per run."""
     if entry.quad_form is not None and q == 2.0:
         Q, b = entry.quad_form
         Q = np.atleast_2d(Q)
         b = np.atleast_1d(b)
         return lambda center: np.linalg.solve(Q + 2.0 * gamma * np.eye(Q.shape[0]), b + 2.0 * gamma * center)
-    from scipy.optimize import brentq, minimize_scalar
+    from scipy.optimize import brentq
+
+    gamma, q = float(gamma), float(q)  # so that the bracket and the penalty are Python floats
+    if entry.scalar_forms is not None:
+        f, grad = entry.scalar_forms
+    else:
+        f = lambda t: entry.f(np.array([t]))
+        grad = None if entry.grad is None else lambda t: entry.grad(np.array([t]))[0]
 
     def solve(center: np.ndarray) -> np.ndarray:
         c = float(center[0])
         if entry.inf_f is not None:
-            span = ((entry.f(center) - entry.inf_f) / gamma) ** (1.0 / q) + 1e-6
+            span = ((f(c) - entry.inf_f) / gamma) ** (1.0 / q) + 1e-6
         else:
             span = 10.0 * (1.0 + abs(c))
         if not math.isfinite(span):  # f(center) overflowed: a non-finite step, which ends the run as divergence
             return np.array([span])
-        res = minimize_scalar(
-            lambda t: entry.f(np.array([t])) + gamma * abs(t - c) ** q,
-            bounds=(c - span, c + span),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        t = float(res.x)
-        if entry.grad is not None:
-            t = _polish_stationarity(entry, gamma, q, c, t, span, brentq)
+
+        def objective(t: float) -> float:
+            try:
+                pen = abs(t - c) ** q
+            except OverflowError:  # inf, as on the numpy scalars that scipy passed
+                pen = math.inf
+            return f(t) + gamma * pen
+
+        t = float(_fminbound(objective, c - span, c + span))
+        if grad is not None:
+            t = _polish_stationarity(grad, gamma, q, c, t, span, brentq)
         return np.array([t])
 
     return solve
 
 
-def _polish_stationarity(entry, gamma: float, q: float, c: float, t: float, span: float, brentq) -> float:
+def _polish_stationarity(grad, gamma: float, q: float, c: float, t: float, span: float, brentq) -> float:
     """Sharpen the bounded minimizer by bracketing the stationarity equation
     ``f'(t) + γ q |t - c|**(q-1) sign(t - c) = 0`` with ``brentq``; falls back
-    to the unpolished point when no sign change brackets it."""
+    to the unpolished point when no sign change brackets it.  ``grad`` is the
+    scalar derivative ``t -> f'(t)``."""
 
     def slope(u: float) -> float:
         pen = gamma * q * abs(u - c) ** (q - 1.0) * math.copysign(1.0, u - c) if u != c else 0.0
-        return float(entry.grad(np.array([u]))[0]) + pen
+        return float(grad(u)) + pen
 
     h = 1e-9 * (1.0 + abs(c))
     while h <= span:
@@ -414,8 +520,9 @@ def check(name: str, entry: OperatorEntry, **params) -> None:
         if key in params and not params[key] > bound:
             raise ParamError(key, f"{key} must exceed {bound}")
     gamma = params.get("gamma")
-    if spec.oracle == "prox" and not entry.prox.valid_gamma(gamma):
-        raise ParamError("gamma", f"gamma={gamma} outside the resolvent's range ({entry.prox.note})")
+    resolvent = entry.prox if spec.oracle == "prox" else entry.dc.g_prox if spec.oracle == "dc" else None
+    if resolvent is not None and not resolvent.valid_gamma(gamma):
+        raise ParamError("gamma", f"gamma={gamma} outside the resolvent's range ({resolvent.note})")
     if name == "qpower" and (entry.quad_form is None or params["q"] != 2.0):  # no closed form
         if entry.dim_in != 1:
             raise ParamError("q" if entry.quad_form is not None else "name",

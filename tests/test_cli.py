@@ -135,13 +135,6 @@ REJECTED = [
     _rejected("grid_count-zero", _LOJA + ["--set", "analysis.grid_count=0"], "analysis.grid_count"),
     _rejected("plk-grid_count-zero", ["plk", "--set", "operator=square", "--set", f"analysis.plk={json.dumps(_PLK_1)}",
                                       "--set", "analysis.grid_count=0"], "analysis.grid_count"),
-    # the grid's distances to {0} underflow to 0 (numpy's norm squares them)
-    _rejected("loja-window-underflows", ["loja", "--set", "operator=square", "--set",
-                                         'analysis.window={"kind": "box", "center": [0.0], "extent": [1e-300]}'],
-              "analysis.window"),
-    _rejected("loja-window-underflows-1e-170", ["loja", "--set", "operator=square", "--set",
-                                                'analysis.window={"kind": "box", "center": [0.0], '
-                                                '"extent": [1e-170]}'], "analysis.window"),
     # 1 + 1e-300 rounds to 1, a zero of double-well: every grid point is a solution
     _rejected("loja-grid-in-solution-set", ["loja", "--set", "operator=double-well", "--set",
                                             'analysis.window={"kind": "box", "center": [1.0], "extent": [1e-300]}'],
@@ -436,6 +429,23 @@ class TestValidation:
         assert main(["loja", "--set", "operator=flat-exp", "--set", window, "--out", str(tmp_path)]) == 0
         fit = json.loads(capsys.readouterr().out)["verdicts"]["lojasiewicz"]
         assert fit["failed"] is True and fit["theta_hat"] is None and fit["level_exponents"] == []
+
+    @pytest.mark.parametrize("extent", ["1e-300", "1e-170"])
+    def test_a_lojasiewicz_fit_where_the_square_underflows_fails(self, extent, tmp_path, capsys):
+        # x^2 reads 0 on the whole window, but the distances to {0} are |x| and
+        # do not underflow, so the window is valid and the fit fails
+        window = f'analysis.window={{"kind": "box", "center": [0.0], "extent": [{extent}]}}'
+        assert main(["loja", "--set", "operator=square", "--set", window, "--out", str(tmp_path)]) == 0
+        fit = json.loads(capsys.readouterr().out)["verdicts"]["lojasiewicz"]
+        assert fit["failed"] is True and fit["theta_hat"] is None and fit["level_exponents"] == []
+
+    def test_a_lojasiewicz_fit_below_the_square_underflow(self, tmp_path, capsys):
+        # |x| on a window of 1e-200: its distances to {0} are |x| itself, so the
+        # fit finds theta = 1, where a squaring norm read every distance as 0
+        window = 'analysis.window={"kind": "box", "center": [0.0], "extent": [1e-200]}'
+        assert main(["loja", "--set", "operator=abs-subdiff", "--set", window, "--out", str(tmp_path)]) == 0
+        fit = json.loads(capsys.readouterr().out)["verdicts"]["lojasiewicz"]
+        assert fit["failed"] is False and fit["theta_hat"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("operator, extent", [("square", [1e200]), ("quad2", [1.7e308, 1.7e308])])
     def test_a_lojasiewicz_fit_on_a_huge_window_writes_strict_json(self, operator, extent, tmp_path, capsys):
@@ -871,6 +881,18 @@ GOLDEN = {
         {"trace.csv": "9d14ee4ad225d2647629b3e83cc21e2ba87feef8a86c382c41bb7083dcbae792",
          "certificates.json": "be6c0f049f4016c53df8fad18c3e7be53ead373d930fd7c43a3b62aca6ea1acd",
          "report.json": "6d294b07c98d622389520d453bf871f552137bbe3626f4417b255690b9902023"},
+    ),
+    # the benchmark's long-trace qpower job at seed 0 (digests as recorded in
+    # perfbench/reference_digests.json): 3000 subproblems, capped
+    "qpower-3000": (
+        {"operator": "double-well", "seed": 0,
+         "algorithm": {"name": "qpower", "gamma": 1.0, "q": 1.5, "x0": [2.0]},
+         "certificates": [{"hypothesis": "H1", "alpha": 0.1},
+                          {"hypothesis": "RCLASS", "alpha": 10.0, "beta": 0.5}],
+         "stop": {"max_iter": 3000}},
+        {"trace.csv": "4f5598336f3e44afc2d380433498a164326ef1e51f63f9831ef694d2c6ea3920",
+         "certificates.json": "d4639115212d858881f507ad75938c7f5f1487846c42e0c2f847112dd3f0edd3",
+         "report.json": "ff06ae66504382b74245456be7f6abe9e3a34e185904d1eac0e27b94fc9142fc"},
     ),
     "dca": (
         {"operator": "dc-quad", "algorithm": {"name": "dca", "gamma": 0.5, "x0": [1.0]},

@@ -135,6 +135,13 @@ class TestRegionDistance:
         # the squares of these coordinates overflow; the distances do not
         assert region.distance_rows(rows).tolist() == expected
 
+    @pytest.mark.parametrize("target", [[[0.0]], [[0.0], [1.0], [-3.0]]], ids=["one-point", "three-points"])
+    def test_a_1d_distance_below_the_square_underflow_is_exact(self, target):
+        # 1e-200 squared underflows to 0; the 1-d distance is |x - p| itself
+        rows = [[1e-200], [-5e-324], [1e-161], [-2.5e-170]]
+        assert Region.from_points(target).distance_rows(rows).tolist() == [1e-200, 5e-324, 1e-161, 2.5e-170]
+        assert PointSet(target).distance_rows([[1e-200]]).tolist() == [1e-200]
+
     def test_affine_sampling_stays_on_subspace(self):
         plane = Region.affine([1.0, 0.0, 0.0], np.eye(3)[:, 1:])
         for p in plane.sample(16):
@@ -142,9 +149,12 @@ class TestRegionDistance:
 
 
 def reference_distance(target, x) -> float:
-    """The per-point distance formulas that preceded ``distance_rows``."""
+    """The per-point distance formulas that preceded ``distance_rows``, except
+    that a 1-d point distance is ``|x - p|``, which no squaring underflows."""
     p = np.asarray(x, dtype=float)
     if isinstance(target, PointSet) or target.kind == "points":
+        if p.size == 1:
+            return float(np.min(np.abs(target.points[:, 0] - p[0])))
         return float(np.min(np.linalg.norm(target.points - p, axis=1)))
     if target.kind == "box":
         return float(np.linalg.norm(np.maximum(np.abs(p - target.center) - target.halfwidths, 0.0)))
@@ -241,8 +251,11 @@ class TestDistanceRows:
 
 
 def broadcast_nearest(rows, points):
-    """The broadcast form of ``_nearest``: every row-point norm, the least per
-    row, and the scaled norms for rows whose norms all overflow."""
+    """The broadcast form of ``_nearest``: every row-point distance, the least
+    per row, and the scaled norms for rows whose norms all overflow.  In 1-d
+    the distance is ``|x - p|``."""
+    if points.shape[1] == 1:
+        return np.abs(rows - points.T).min(axis=1)
     d = np.linalg.norm(rows[:, None, :] - points[None, :, :], axis=2).min(axis=1)
     over = np.isinf(d)
     if over.any():

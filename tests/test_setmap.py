@@ -542,6 +542,21 @@ class TestRowWiseF:
         assert_f_values_match_f(entry, X)
 
 
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_lookup(n).scalar_forms is not None])
+def test_scalar_forms_are_f_and_grad_on_a_float(name):
+    entry = catalog_lookup(name)
+    f, grad = entry.scalar_forms
+    assert entry.dim_in == 1 and (grad is None) == (entry.grad is None)
+    rng = np.random.default_rng(13)
+    values = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-320.0, 308.0, 3000)
+    for v in [*_F_POINTS, *rng.uniform(-3.0, 3.0, 3000).tolist(), *values.tolist()]:
+        x = np.array([v])
+        assert np.float64(f(v)).tobytes() == np.float64(entry.f(x)).tobytes(), v
+        if grad is not None:
+            with np.errstate(over="ignore"):
+                assert np.float64(grad(v)).tobytes() == entry.grad(x).tobytes(), v
+
+
 def test_f_values_loops_over_f_without_a_row_wise_form():
     entry = catalog_lookup("quad2")
     assert entry.f_rows is None  # x @ Q @ x is a BLAS dot per row

@@ -22,7 +22,8 @@ from rcontinuity import (
     run_shifted_ppa,
 )
 from rcontinuity.serialize import trace_to_csv
-from rcontinuity.solvers import _norm
+from rcontinuity.setmap import ParamError, ProxOracle
+from rcontinuity.solvers import _fminbound, _norm, check
 
 
 def scalar_iterates(trace):
@@ -217,6 +218,19 @@ class TestDca:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             run_dca(catalog_lookup("dc-quad"), -0.5, [1.0])
+
+    def test_gamma_outside_the_resolvent_range_is_refused_up_front(self):
+        # g's resolvent is single-valued only for gamma < 1: check refuses gamma = 2
+        # before the first step, as it does for the prox algorithms
+        entry = catalog_lookup("dc-quad")
+        g_prox = ProxOracle(entry.dc.g_prox.rule, valid_gamma=lambda g: 0 < g < 1, note="gamma < 1")
+        narrow = dataclasses.replace(entry, dc=dataclasses.replace(entry.dc, g_prox=g_prox))
+        with pytest.raises(ParamError, match="resolvent's range") as info:
+            check("dca", narrow, gamma=2.0)
+        assert info.value.param == "gamma"
+        with pytest.raises(ParamError, match="resolvent's range"):
+            run_dca(narrow, 2.0, [1.0])
+        assert run_dca(narrow, 0.5, [1.0]).termination == "tolerance"
 
     @pytest.mark.parametrize("gamma, x0", [(1.0, [1.0]), (0.002, [1.0]), (3.0, [-7.5])])
     def test_grad_h_once_per_iterate(self, gamma, x0):
@@ -443,3 +457,158 @@ class TestLeanStepMatchesReference:
         got = run_shifted_ppa(entry, kappa, gamma, x0, stop, step_condition=condition)
         _same_trace(got, reference_run_shifted_ppa(entry, kappa, gamma, x0, stop), tmp_path)
         assert len(got.fejer_ledger) == len(got) - 1
+
+
+# -- the bounded Brent port against scipy --------------------------------------
+
+_ONE_D_WITH_F = ["square", "double-well", "flat-exp", "abs-subdiff", "quad", "dc-quad", "linear-neg"]
+
+
+def scipy_bounded(func, lo, hi):
+    """scipy's bounded Brent minimizer, with the options the qpower subproblem used."""
+    from scipy.optimize import minimize_scalar
+
+    return float(minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}).x)
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Float ``==`` that also tells signed zeros apart and takes NaN as equal to NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _penalized(entry, gamma, q, c):
+    """``f(t) + γ|t - c|**q`` on the entry's array oracle, for a Python float or a numpy scalar."""
+    return lambda t: entry.f(np.array([t])) + gamma * abs(t - c) ** q
+
+
+def _brackets(seed: int, count: int):
+    """Seeded ``(c, gamma, q, span)`` draws: centres from 1e-3 to 1e3 of either sign."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        c = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
+        yield (c, float(10.0 ** rng.uniform(-2, 1)), float(rng.choice([1.01, 1.25, 1.5, 2.0, 3.0, 4.5])),
+               float(10.0 ** rng.uniform(-6, 1)) * (1.0 + abs(c)))
+
+
+class TestBoundedBrentPort:
+    @pytest.mark.parametrize("operator", _ONE_D_WITH_F)
+    def test_catalog_f_plus_power_penalty(self, operator):
+        entry = catalog_lookup(operator)
+        for c, gamma, q, span in _brackets(sum(map(ord, operator)), 60):
+            obj = _penalized(entry, gamma, q, c)
+            got, want = _fminbound(obj, c - span, c + span), scipy_bounded(obj, c - span, c + span)
+            assert _same_float(got, want), (c, gamma, q, span, got, want)
+
+    @pytest.mark.parametrize("func, lo, hi", [
+        (lambda t: 1.0, -2.0, 3.0),  # constant
+        (lambda t: 0.0, 0.0, 1e-300),  # constant on a subnormal-sized bracket
+        (abs, -1.0, 2.0),
+        (abs, -3.0, -1.0),  # the minimum at the bracket's end
+        (lambda t: math.inf if t > 0.3 else (t - 0.1) ** 2, -1.0, 1.0),
+        (lambda t: math.inf if t < 0.5 else t, -4.0, 1.0),
+        (lambda t: math.nan if t < 0.0 else t * t, -1.0, 1.0),
+        (lambda t: math.nan, -1.0, 1.0),
+        (lambda t: -math.inf if abs(t) < 1e-3 else t * t, -1.0, 1.0),
+        (lambda t: (t - 1e6) ** 2, 0.0, 1e7),
+        (lambda t: math.cos(t), -10.0, 10.0),
+        # plateaus: a golden step of exactly 0 moves by +tol1 (scipy's sign(0) + 1)
+        (lambda t: round((float(t) - 0.5) ** 2, 3), 0.0, 1.0),
+        # a parabolic step that lands exactly on its acceptance bound is refused
+        (lambda t: t ** 4 - t ** 2, -1.0, 2.2228839570394894),
+        (abs, -1e308, 1.7e308),  # finite bounds whose width overflows
+    ], ids=["constant", "constant-tiny", "abs", "abs-edge", "inf-above", "inf-below", "nan-below",
+            "nan", "minus-inf", "far", "cos", "plateaus", "parabola-bound", "overflowing-width"])
+    def test_objective(self, func, lo, hi):
+        got, want = _fminbound(func, lo, hi), scipy_bounded(func, lo, hi)
+        assert _same_float(got, want), (got, want)
+
+    def test_the_500_evaluation_cap(self):
+        calls = {"port": 0, "scipy": 0}
+
+        def counted(side):
+            def func(t):
+                calls[side] += 1
+                return abs(t)
+            return func
+
+        # a bracket of 1e300 around 0: far more golden sections than 500 evaluations
+        got, want = _fminbound(counted("port"), -1e300, 7e299), scipy_bounded(counted("scipy"), -1e300, 7e299)
+        assert calls == {"port": 500, "scipy": 500}
+        assert _same_float(got, want)
+
+    def test_unbounded_brackets_are_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            _fminbound(abs, -math.inf, 1.0)
+
+
+def reference_qpower_subproblem(entry, gamma, q):
+    """The 1-d power-penalty subproblem on scipy's ``minimize_scalar`` and the
+    entry's one-element-array oracles, as it was before the float port."""
+    from scipy.optimize import brentq, minimize_scalar
+
+    def slope(c, u):
+        pen = gamma * q * abs(u - c) ** (q - 1.0) * math.copysign(1.0, u - c) if u != c else 0.0
+        return float(entry.grad(np.array([u]))[0]) + pen
+
+    def polish(c, t, span):
+        h = 1e-9 * (1.0 + abs(c))
+        while h <= span:
+            a, b = t - h, t + h
+            fa, fb = slope(c, a), slope(c, b)
+            if fa == 0.0:
+                return a
+            if fb == 0.0:
+                return b
+            if fa * fb < 0.0:
+                return float(brentq(lambda u: slope(c, u), a, b, xtol=1e-15, rtol=1e-15))
+            h *= 8.0
+        return t
+
+    def solve(center):
+        c = float(center[0])
+        if entry.inf_f is not None:
+            span = ((entry.f(center) - entry.inf_f) / gamma) ** (1.0 / q) + 1e-6
+        else:
+            span = 10.0 * (1.0 + abs(c))
+        if not math.isfinite(span):
+            return np.array([span])
+        res = minimize_scalar(lambda t: entry.f(np.array([t])) + gamma * abs(t - c) ** q,
+                              bounds=(c - span, c + span), method="bounded", options={"xatol": 1e-12})
+        t = float(res.x)
+        if entry.grad is not None:
+            t = polish(c, t, span)
+        return np.array([t])
+
+    return solve
+
+
+class TestQpowerPortMatchesScipy:
+    @pytest.mark.parametrize("operator, gamma, q, x0, max_iter", [
+        ("square", 1.0, 1.5, [0.8], 200),
+        ("square", 0.3, 3.0, [-2.0], 200),
+        ("double-well", 1.0, 1.5, [2.0], 300),
+        ("double-well", 2.0, 2.5, [-0.7], 200),
+        ("flat-exp", 1.0, 1.5, [0.5], 200),
+        ("abs-subdiff", 1.0, 1.5, [1.0], 200),  # no grad, so no polish
+        ("abs-subdiff", 0.5, 3, [-4.0], 200),
+        ("quad", 1.0, 1.5, [1.0], 200),
+        ("quad", 0.7, 3, [5.0], 200),
+        ("dc-quad", 1.0, 2.5, [1.0], 200),
+        ("linear-neg", 1.0, 1.5, [1.0], 40),  # no inf f: the bracket is 10 (1 + |c|)
+        ("linear-neg", 1.0, 3.0, [0.3], 200),
+        ("linear-neg", 1.0, 3.0, [1e103], 3),  # the penalty overflows on most of the bracket
+    ])
+    def test_trace_bytes(self, operator, gamma, q, x0, max_iter, tmp_path, monkeypatch):
+        from rcontinuity import solvers
+
+        entry, stop = catalog_lookup(operator), StopRule(max_iter=max_iter)
+        got = run_qpower_prox(entry, gamma, q, x0, stop)
+        # a hand-built entry without scalar forms takes the array oracles through the same minimizer
+        arrays = run_qpower_prox(dataclasses.replace(entry, scalar_forms=None), gamma, q, x0, stop)
+        monkeypatch.setattr(solvers, "_qpower_subproblem", reference_qpower_subproblem)
+        want = run_qpower_prox(entry, gamma, q, x0, stop)
+        assert len(got) > 1
+        _same_trace(got, want, tmp_path)
+        _same_trace(arrays, want, tmp_path)

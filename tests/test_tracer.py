@@ -68,6 +68,7 @@ def test_traced_solver_run_counts_every_resolvent(tracer, tmp_path, operator, al
 
 
 _GDM = '{"name": "gdm", "step": 0.5, "x0": [1.0]}'
+_QPOWER = '{"name": "qpower", "gamma": 1.0, "q": 1.5, "x0": [2.0]}'
 _H1_H4 = '[{"hypothesis": "H1", "alpha": 0.1}, {"hypothesis": "H4"}]'
 _PLK = '{"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0}'
 _WINDOW = '{"kind": "box", "center": [0.0], "extent": [1.0]}'
@@ -79,13 +80,15 @@ _WINDOW = '{"kind": "box", "center": [0.0], "extent": [1.0]}'
     (["loja", "--set", f"analysis.window={_WINDOW}"], ["analysis.lojasiewicz"]),
     (["plk", "--set", f"analysis.plk={_PLK}"], ["analysis.plk"]),
     (["solve", "--set", f"algorithm={_GDM}"], ["solvers.gdm", "certify.distance_trace", "serialize.trace_csv"]),
+    (["solve", "--set", f"algorithm={_QPOWER}", "--set", "stop.max_iter=5"],
+     ["solvers.qpower", "certify.distance_trace", "serialize.trace_csv"]),
     (["certify", "--set", f"algorithm={_GDM}", "--set", f"certificates={_H1_H4}"],
      ["solvers.gdm", "certify.checks", "certify.h4", "certify.distance_trace", "serialize.trace_csv"]),
     (["pipeline", "--set", f"algorithm={_GDM}", "--set", "analysis.samples_per_radius=4",
       "--set", f"certificates={_H1_H4}"],
      ["solvers.gdm", "certify.checks", "certify.h4", "geometry.excess", "analysis.fit_holder",
       "certify.distance_trace", "serialize.trace_csv"]),
-], ids=["modulus", "loja", "plk", "solve", "certify", "pipeline"])
+], ids=["modulus", "loja", "plk", "solve", "solve-qpower", "certify", "pipeline"])
 def test_a_traced_run_of_each_kind_books_its_layers(tracer, tmp_path, argv, booked):
     argv = [argv[0], "--set", "operator=square", *argv[1:], "--out", str(tmp_path / "out")]
     assert cli.main(argv) in (0, 4)
