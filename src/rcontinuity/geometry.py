@@ -109,7 +109,10 @@ _PAIR_BLOCK = 1 << 16
 def _norms(v: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(v, axis=-1)``, bit for bit where that is finite.  It
     squares the coordinates, so it reads ``inf`` for finite vectors of norm
-    above about 1.3e154; those are recomputed scaled by an exact power of two."""
+    above about 1.3e154; those are recomputed scaled by an exact power of two.
+    In 1-d the norm is ``|v|`` itself, which no square underflows."""
+    if v.shape[-1] == 1:
+        return np.abs(v[..., 0])
     r = np.linalg.norm(v, axis=-1)
     over = np.isinf(r)
     if over.any():

@@ -187,7 +187,9 @@ class OperatorEntry:
     ``scalar_forms = (f, grad)``, where registered, are the closed forms behind
     a 1-d entry's ``f`` and ``grad`` as functions of one Python float, with the
     same bits (``grad`` is None where the entry has none); the power-penalty
-    subproblem calls them in place of the one-element-array oracles.
+    subproblem calls them in place of the one-element-array oracles, so an
+    entry whose ``f`` or ``grad`` is replaced needs its ``scalar_forms``
+    replaced (or set to None) as well.
     """
 
     name: str

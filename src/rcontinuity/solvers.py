@@ -238,9 +238,13 @@ def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) 
 
 
 #: The constants of scipy's bounded Brent minimizer: ``sqrt(2.2e-16)`` and the
-#: golden-section fraction ``(3 - sqrt(5)) / 2``, both correctly rounded.
+#: golden-section fraction ``(3 - sqrt(5)) / 2``, both correctly rounded; the
+#: qpower subproblem's ``xatol``; and scipy's default ``maxiter``, the cap on
+#: evaluations of the objective.
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_XATOL = 1e-12
+_MAXFUN = 500
 
 
 def _unit(v: float) -> float:
@@ -248,10 +252,9 @@ def _unit(v: float) -> float:
     return -1.0 if v < 0.0 else 1.0 if v >= 0.0 else v
 
 
-def _fminbound(func: Callable[[float], float], a: float, b: float, xatol: float = 1e-12,
-               maxfun: int = 500) -> float:
+def _fminbound(func: Callable[[float], float], a: float, b: float) -> float:
     """The ``x`` of ``scipy.optimize.minimize_scalar(func, bounds=(a, b),
-    method="bounded", options={"xatol": xatol})``, bit for bit: Brent's bounded
+    method="bounded", options={"xatol": 1e-12})``, bit for bit: Brent's bounded
     minimizer (Brent 1973, ``fminbound``), a line-for-line port of scipy
     1.17.1's ``_minimize_scalar_bounded`` on Python floats.
 
@@ -259,7 +262,7 @@ def _fminbound(func: Callable[[float], float], a: float, b: float, xatol: float 
     ``max(abs(rat), tol1)`` keeps ``np.maximum``'s NaN where ``rat`` is NaN
     (``tol1`` is NaN only once ``xf`` is, which ends the loop first), and
     :func:`_unit` is scipy's ``np.sign(v) + (v == 0)``.  ``func`` is evaluated
-    at most ``maxfun`` times, scipy's default ``maxiter``.
+    at most ``_MAXFUN`` times.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("Optimization bounds must be finite scalars.")
@@ -270,7 +273,7 @@ def _fminbound(func: Callable[[float], float], a: float, b: float, xatol: float 
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
     tol2 = 2.0 * tol1
     while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
         golden = True
@@ -317,9 +320,9 @@ def _fminbound(func: Callable[[float], float], a: float, b: float, xatol: float 
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxfun:
+        if num >= _MAXFUN:
             break
     return xf
 

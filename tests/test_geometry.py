@@ -142,6 +142,14 @@ class TestRegionDistance:
         assert Region.from_points(target).distance_rows(rows).tolist() == [1e-200, 5e-324, 1e-161, 2.5e-170]
         assert PointSet(target).distance_rows([[1e-200]]).tolist() == [1e-200]
 
+    @pytest.mark.parametrize("region, expected", [
+        (Region.box([0.0], [1e-250]), [1e-200, 1e-200]),
+        (Region.ball([1e-200], 1e-250), [0.0, 2e-200]),
+    ], ids=["box", "ball"])
+    def test_a_1d_region_distance_below_the_square_underflow_is_exact(self, region, expected):
+        # the squares of these gaps underflow to 0; the 1-d norm is |gap| itself
+        assert region.distance_rows([[1e-200], [-1e-200]]).tolist() == expected
+
     def test_affine_sampling_stays_on_subspace(self):
         plane = Region.affine([1.0, 0.0, 0.0], np.eye(3)[:, 1:])
         for p in plane.sample(16):
