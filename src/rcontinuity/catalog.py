@@ -15,9 +15,10 @@ Each 1-d closed form of ``flat-exp``, ``square``, ``double-well`` and the
 linear maps is written once, as a function of one coordinate that gives the
 same bits on a Python float and on a numpy column.  Two adapters derive the
 rest from it: :func:`_lift`, the column lift, makes the single-valued
-row-wise map (``forward``, ``subgrad``), and :func:`_scalar`, the scalar view
-at ``x[0]``, makes the ``f``, ``grad`` and ``jac`` oracles and registers the
-forms as ``scalar_forms``.  :func:`_pow` is the one place that applies
+row-wise map (``forward``, ``subgrad``), and :func:`_scalar` makes the ``f``,
+``grad`` and ``jac`` oracles, each a :class:`~rcontinuity.setmap.ScalarForm`
+that carries the form itself (the qpower subproblem's view) and its column
+(the grids' view).  :func:`_pow` is the one place that applies
 Python's ``**``.  The three functions are made by :func:`_smooth`, and the
 linear maps ``quad``, ``dc-quad`` and ``linear-neg`` by :func:`_linear`.
 """
@@ -30,7 +31,7 @@ from typing import Dict, List
 import numpy as np
 
 from .geometry import Region
-from .setmap import DcSplit, OperatorEntry, ProxOracle, SetValuedMap
+from .setmap import DcSplit, OperatorEntry, ProxOracle, ScalarForm, SetValuedMap
 
 #: Sample count for continuum-valued branches (intervals, half-lines).
 _INTERVAL_RESOLUTION = 257
@@ -65,32 +66,16 @@ def _pow(v, exponent: float):
             return float(np.power(v, exponent))
 
 
-def _column(form):
-    """The column form ``X -> form(X[:, 0])`` of a 1-d closed form.  An overflow
-    gives +-inf without a warning, as Python's float ``*`` and ``/`` do."""
-    def column(X):
-        with np.errstate(over="ignore"):
-            return form(X[:, 0])
-    return column
-
-
 def _lift(name: str, form) -> SetValuedMap:
     """The column lift: the single-valued map ``x -> {form(x[0])}``, row-wise."""
-    column = _column(form)
+    column = ScalarForm(form).rows
     return SetValuedMap(name, 1, 1, lambda X, window: (column(X), np.arange(X.shape[0])))
 
 
 def _scalar(f, grad) -> dict:
-    """The scalar view at ``x[0]``: the ``f``, ``grad`` and ``jac`` oracles of a
-    1-d entry from its closed forms ``f`` and ``grad``, ``f`` on the column, and
-    the two forms themselves."""
-    return {
-        "f": lambda x: float(f(float(x[0]))),
-        "f_rows": _column(f),
-        "grad": lambda x: np.array([grad(float(x[0]))]),
-        "jac": lambda x: np.array([[grad(float(x[0]))]]),
-        "scalar_forms": (f, grad),
-    }
+    """The ``f``, ``grad`` and ``jac`` oracles of a 1-d entry from its closed
+    forms ``f`` and ``grad``."""
+    return {"f": ScalarForm(f), "grad": ScalarForm(grad, (1,)), "jac": ScalarForm(grad, (1, 1))}
 
 
 def _smooth(name: str, f, grad, inverse, zeros, description: str, **extra) -> OperatorEntry:
@@ -277,9 +262,7 @@ def _abs_subdiff() -> OperatorEntry:
         ),
         prox=ProxOracle(shrink, note="soft threshold, all gamma > 0"),
         subgrad=fwd,
-        f=lambda x: abs(float(x[0])),
-        f_rows=_column(abs),
-        scalar_forms=(abs, None),
+        f=ScalarForm(abs),
         monotone=True,
         inf_f=0.0,
     )

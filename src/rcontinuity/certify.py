@@ -166,7 +166,7 @@ def check_h4(
     fb = float(entry.f(xb))
     order = np.argsort(np.linalg.norm(pts - xb, axis=1))[:neighborhood]
     sub = np.sort(index_of[order])
-    fs = trace.f_values[sub] if trace.f_values is not None else np.array([entry.f(trace.iterates[j]) for j in sub])
+    fs = trace.f_values[sub] if trace.f_values is not None else entry.f_values(trace.iterates[sub])
     return _collect("H4", {"cluster": [float(v) for v in xb]}, sub, np.abs(fs - fb) <= tol * (1.0 + abs(fb)))
 
 

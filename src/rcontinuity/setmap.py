@@ -174,6 +174,29 @@ class DcSplit:
 
 
 @dataclass(frozen=True)
+class ScalarForm:
+    """A 1-d closed form as the oracle ``x -> form(x[0])``: a float for
+    ``shape = ()`` (``f``), else an array of ``shape`` (``(1,)`` for ``grad``,
+    ``(1, 1)`` for ``jac``).  ``form`` takes one Python float, and gives the
+    same bits per element on the numpy column that :meth:`rows` passes it."""
+
+    form: Callable[[float], float]
+    shape: Tuple[int, ...] = ()
+
+    def __call__(self, x):
+        v = self.form(float(x[0]))
+        if not self.shape:
+            return float(v)
+        return np.array([v]) if len(self.shape) == 1 else np.array([[v]])
+
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """``form(X[:, 0])``; an overflow gives +-inf without a warning, as
+        Python's float ``*`` and ``/`` do."""
+        with np.errstate(over="ignore"):
+            return self.form(X[:, 0])
+
+
+@dataclass(frozen=True)
 class OperatorEntry:
     """A catalog operator: forward map plus whatever closed-form oracles exist.
 
@@ -182,14 +205,10 @@ class OperatorEntry:
     ``forward`` when the entry itself is a subdifferential); ``grad_inverse``
     is its closed-form inverse when registered.  ``quad_form = (Q, b)`` marks
     entries whose objective is ``x'Qx/2 - b'x``, unlocking closed-form
-    power-penalty subproblems.  ``f_rows``, where registered, is ``f`` row-wise
-    with the same bits, ``(n, dim_in) -> (n,)``; see :meth:`f_values`.
-    ``scalar_forms = (f, grad)``, where registered, are the closed forms behind
-    a 1-d entry's ``f`` and ``grad`` as functions of one Python float, with the
-    same bits (``grad`` is None where the entry has none); the power-penalty
-    subproblem calls them in place of the one-element-array oracles, so an
-    entry whose ``f`` or ``grad`` is replaced needs its ``scalar_forms``
-    replaced (or set to None) as well.
+    power-penalty subproblems.  A 1-d entry's ``f``, ``grad`` and ``jac`` may be
+    :class:`ScalarForm` oracles, whose float and column views
+    :meth:`f_values` and the power-penalty subproblem use; replacing an
+    oracle replaces its views with it.
     """
 
     name: str
@@ -201,14 +220,12 @@ class OperatorEntry:
     subgrad: Optional[SetValuedMap] = None
     grad_inverse: Optional[SetValuedMap] = None
     f: Optional[Callable[[np.ndarray], float]] = None
-    f_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     quad_form: Optional[tuple] = None
     dc: Optional[DcSplit] = None
     monotone: bool = False
     inf_f: Optional[float] = None
-    scalar_forms: Optional[Tuple[Callable[[float], float], Optional[Callable[[float], float]]]] = None
 
     @property
     def dim_in(self) -> int:
@@ -219,9 +236,9 @@ class OperatorEntry:
         return self.forward.dim_out
 
     def f_values(self, X: np.ndarray) -> np.ndarray:
-        """``f`` at each row of an ``(n, dim_in)`` array, by ``f_rows`` or else row by row."""
-        if self.f_rows is not None:
-            return self.f_rows(X)
+        """``f`` at each row of an ``(n, dim_in)`` array, by a :class:`ScalarForm`'s ``rows`` or else row by row."""
+        if isinstance(self.f, ScalarForm):
+            return self.f.rows(X)
         return np.array([self.f(x) for x in X], dtype=float)
 
     def oracle_flags(self) -> dict:

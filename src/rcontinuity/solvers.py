@@ -23,9 +23,9 @@ The step loop is lean on purpose:
   shifted-PPA ledger's ``||x_{k+1} - xbar||``) is reused when the driver
   passes that same array back as ``x_k``, never recomputed;
 - the 1-d power-penalty subproblem runs on Python floats: :func:`_fminbound`
-  reproduces scipy's bounded Brent minimizer bit for bit, on the entry's
-  ``scalar_forms`` where registered, and only its polish calls scipy
-  (``brentq``).
+  reproduces scipy's bounded Brent minimizer bit for bit, on the float view
+  of the entry's :class:`~rcontinuity.setmap.ScalarForm` oracles where it has
+  them, and only its polish calls scipy (``brentq``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .geometry import as_point
-from .setmap import MissingOracleError, OperatorEntry, ParamError
+from .setmap import MissingOracleError, OperatorEntry, ParamError, ScalarForm
 
 
 def _norm(v: np.ndarray) -> float:
@@ -333,8 +333,8 @@ def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Callable
 
     The scalar minimization runs on Python floats: :func:`_fminbound`, then a
     stationarity polish where the entry has ``grad``.  ``f`` and ``grad`` are
-    the entry's ``scalar_forms`` where registered, else its oracles on a
-    one-element array.  Only the polish's ``brentq`` needs ``scipy.optimize``,
+    the closed forms of the entry's :class:`ScalarForm` oracles, else its
+    oracles on a one-element array.  Only the polish's ``brentq`` needs ``scipy.optimize``,
     which is imported here, once per run."""
     if entry.quad_form is not None and q == 2.0:
         Q, b = entry.quad_form
@@ -344,11 +344,9 @@ def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Callable
     from scipy.optimize import brentq
 
     gamma, q = float(gamma), float(q)  # so that the bracket and the penalty are Python floats
-    if entry.scalar_forms is not None:
-        f, grad = entry.scalar_forms
-    else:
-        f = lambda t: entry.f(np.array([t]))
-        grad = None if entry.grad is None else lambda t: entry.grad(np.array([t]))[0]
+    f = entry.f.form if isinstance(entry.f, ScalarForm) else lambda t: entry.f(np.array([t]))
+    grad = entry.grad.form if isinstance(entry.grad, ScalarForm) else (
+        None if entry.grad is None else lambda t: entry.grad(np.array([t]))[0])
 
     def solve(center: np.ndarray) -> np.ndarray:
         c = float(center[0])
@@ -381,7 +379,10 @@ def _polish_stationarity(grad, gamma: float, q: float, c: float, t: float, span:
     scalar derivative ``t -> f'(t)``."""
 
     def slope(u: float) -> float:
-        pen = gamma * q * abs(u - c) ** (q - 1.0) * math.copysign(1.0, u - c) if u != c else 0.0
+        try:
+            pen = gamma * q * abs(u - c) ** (q - 1.0) * math.copysign(1.0, u - c) if u != c else 0.0
+        except OverflowError:  # +-inf, as the objective reads an overflowing penalty
+            pen = math.copysign(math.inf, u - c)
         return float(grad(u)) + pen
 
     h = 1e-9 * (1.0 + abs(c))
@@ -405,7 +406,8 @@ def run_qpower_prox(
 
     The stationarity witness at index k+1 is
     ``-γ q ||Δ||**(q-2) (x_{k+1} - x_k)``, of norm ``γ q Δ**(q-1)``; a zero
-    step gives the zero witness.
+    step gives the zero witness.  A step whose witness overflows is returned
+    as a non-finite step, which ends the run as divergence.
     """
     check("qpower", entry, gamma=gamma, q=q)
     subproblem = _qpower_subproblem(entry, gamma, q)
@@ -413,8 +415,15 @@ def run_qpower_prox(
     def step(x):
         xn = subproblem(x)
         delta = _norm(xn - x)
-        w = -gamma * q * delta ** (q - 2.0) * (xn - x) if delta > 0 else np.zeros_like(x)
-        return xn, w
+        if not delta > 0:
+            return xn, np.zeros_like(x)
+        try:
+            scale = -gamma * q * delta ** (q - 2.0)
+        except OverflowError:
+            scale = -math.inf
+        if math.isinf(scale * delta):  # the witness norm overflows
+            return np.full_like(x, math.inf), None
+        return xn, scale * (xn - x)
 
     return _iterate(entry, x0, stop, step, "qpower")
 

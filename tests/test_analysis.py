@@ -31,6 +31,7 @@ from rcontinuity import (
 )
 from rcontinuity.analysis import _chain_converged
 from rcontinuity.geometry import unit_directions
+from rcontinuity.setmap import ScalarForm
 from conftest import brute_force_modulus, curves_agree
 
 K10 = Window.box([0.0], [10.0])
@@ -207,10 +208,16 @@ class TestLojasiewiczFit:
 
     def test_the_first_grid_is_evaluated_once(self):
         # levels 0, 1, 2 take 101, 202 and 404 points; level 0 is the first grid.
-        # The rows are counted where they reach the row-wise oracle
+        # The rows are counted where they reach the closed form's column view
         entry = catalog_lookup("square")
         rows = []
-        counted = dataclasses.replace(entry, f_rows=lambda X: rows.append(len(X)) or entry.f_rows(X))
+
+        def form(v):
+            if type(v) is not float:
+                rows.append(len(v))
+            return entry.f.form(v)
+
+        counted = dataclasses.replace(entry, f=ScalarForm(form))
         fit = lojasiewicz_fit(counted, Window.box([0.0], [1.0]), 101)
         assert fit.to_json_dict() == lojasiewicz_fit(entry, Window.box([0.0], [1.0]), 101).to_json_dict()
         assert rows == [101, 202, 404]

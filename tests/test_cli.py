@@ -622,7 +622,9 @@ class TestRunExperiment:
         ("dc-quad", {"name": "dca", "gamma": 1e300, "x0": [1e10]}),
         # the gradient 2v(v - 1)(2v - 1) overflows
         ("double-well", {"name": "gdm", "step": 0.01, "x0": [1e110]}),
-    ], ids=["gdm-f", "ppa-resolvent", "dca-input", "gdm-grad"])
+        # the polish's penalty |u - c| ** 3 and the witness 4 delta ** 2 (x_1 - x_0) overflow
+        ("linear-neg", {"name": "qpower", "gamma": 1.0, "q": 4, "x0": [1e103]}),
+    ], ids=["gdm-f", "ppa-resolvent", "dca-input", "gdm-grad", "qpower-witness"])
     def test_overflow_inside_a_run_diverges(self, operator, algorithm, tmp_path, capsys):
         argv = ["solve", "--set", f"operator={operator}", "--set", f"algorithm={json.dumps(algorithm)}",
                 "--out", str(tmp_path)]

@@ -21,6 +21,7 @@ from rcontinuity import (
     pointwise,
     sample_window,
 )
+from rcontinuity.setmap import ScalarForm
 
 K10 = Window.box([0.0], [10.0])
 REQUIRED = [
@@ -542,10 +543,11 @@ class TestRowWiseF:
         assert_f_values_match_f(entry, X)
 
 
-@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_lookup(n).scalar_forms is not None])
-def test_scalar_forms_are_f_and_grad_on_a_float(name):
+@pytest.mark.parametrize("name", [n for n in catalog_names() if isinstance(catalog_lookup(n).f, ScalarForm)])
+def test_scalar_form_is_f_and_grad_on_a_float(name):
     entry = catalog_lookup(name)
-    f, grad = entry.scalar_forms
+    f = entry.f.form
+    grad = entry.grad.form if isinstance(entry.grad, ScalarForm) else None
     assert entry.dim_in == 1 and (grad is None) == (entry.grad is None)
     rng = np.random.default_rng(13)
     values = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-320.0, 308.0, 3000)
@@ -559,9 +561,9 @@ def test_scalar_forms_are_f_and_grad_on_a_float(name):
 
 def test_f_values_loops_over_f_without_a_row_wise_form():
     entry = catalog_lookup("quad2")
-    assert entry.f_rows is None  # x @ Q @ x is a BLAS dot per row
+    assert not isinstance(entry.f, ScalarForm)  # x @ Q @ x is a BLAS dot per row
     calls = []
-    square = dataclasses.replace(catalog_lookup("square"), f_rows=None, f=lambda x: calls.append(x) or x[0] ** 2)
+    square = dataclasses.replace(catalog_lookup("square"), f=lambda x: calls.append(x) or x[0] ** 2)
     assert square.f_values(np.array([[3.0], [-2.0]])).tolist() == [9.0, 4.0]
     assert len(calls) == 2
 

@@ -22,7 +22,7 @@ from rcontinuity import (
     run_shifted_ppa,
 )
 from rcontinuity.serialize import trace_to_csv
-from rcontinuity.setmap import ParamError, ProxOracle
+from rcontinuity.setmap import ParamError, ProxOracle, ScalarForm
 from rcontinuity.solvers import _fminbound, _norm, check
 
 
@@ -605,10 +605,34 @@ class TestQpowerPortMatchesScipy:
 
         entry, stop = catalog_lookup(operator), StopRule(max_iter=max_iter)
         got = run_qpower_prox(entry, gamma, q, x0, stop)
-        # a hand-built entry without scalar forms takes the array oracles through the same minimizer
-        arrays = run_qpower_prox(dataclasses.replace(entry, scalar_forms=None), gamma, q, x0, stop)
+        # plain-function oracles, as a hand-built entry has, take the array path through the same minimizer
+        plain = dataclasses.replace(entry, f=lambda x: entry.f(x),
+                                    grad=None if entry.grad is None else lambda x: entry.grad(x))
+        arrays = run_qpower_prox(plain, gamma, q, x0, stop)
         monkeypatch.setattr(solvers, "_qpower_subproblem", reference_qpower_subproblem)
         want = run_qpower_prox(entry, gamma, q, x0, stop)
         assert len(got) > 1
         _same_trace(got, want, tmp_path)
         _same_trace(arrays, want, tmp_path)
+
+
+def test_replacing_an_oracle_replaces_its_views(tmp_path):
+    # square with f and grad replaced by (v - 1)^2 and 2 (v - 1): the qpower
+    # subproblem and f_values follow the new oracles, not square's forms, and
+    # a ScalarForm of the new forms gives the plain oracles' bytes
+    def g(v):
+        return (v - 1.0) * (v - 1.0)
+
+    def h(v):
+        return 2.0 * (v - 1.0)
+
+    square = catalog_lookup("square")
+    plain = dataclasses.replace(square, f=lambda x: float(g(float(x[0]))), grad=lambda x: np.array([h(float(x[0]))]))
+    forms = dataclasses.replace(square, f=ScalarForm(g), grad=ScalarForm(h, (1,)))
+    stop = StopRule(max_iter=200)
+    got, want = (run_qpower_prox(entry, 1.0, 3.0, [2.5], stop) for entry in (forms, plain))
+    assert want.termination == "tolerance" and abs(want.iterates[-1, 0] - 1.0) < 1e-6  # g's zero, not square's
+    _same_trace(got, want, tmp_path)
+    X = np.linspace(-3.0, 3.0, 61)[:, None]
+    assert plain.f_values(X).tolist() == [g(v) for v in X[:, 0].tolist()]
+    assert forms.f_values(X).tobytes() == plain.f_values(X).tobytes()

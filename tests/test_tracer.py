@@ -94,3 +94,19 @@ def test_a_traced_run_of_each_kind_books_its_layers(tracer, tmp_path, argv, book
     assert cli.main(argv) in (0, 4)
     booked = ["cli.validate", "cli.run", "serialize.json_csv", "serialize.sha256", *booked]
     assert [key for key in booked if not tracer.calls[key]] == []
+
+
+def test_a_traced_loja_run_counts_f_at_every_grid_point(tracer, tmp_path):
+    argv = ["loja", "--set", "operator=square", "--set", f"analysis.window={_WINDOW}",
+            "--set", "analysis.grid_count=101", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    # levels 0, 1 and 2 take 101, 202 and 404 grid points
+    assert tracer.calls["catalog.oracle"] >= 101 + 202 + 404
+
+
+def test_a_traced_qpower_run_counts_its_subproblem_oracles(tracer, tmp_path):
+    argv = ["solve", "--set", "operator=square", "--set", f"algorithm={_QPOWER}", "--set", "stop.max_iter=5",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    iterations = tracer.counts["solvers.qpower.iterations"]
+    assert 0 < iterations < tracer.calls["catalog.oracle"]
