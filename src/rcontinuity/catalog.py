@@ -1,6 +1,6 @@
 """Operator catalog: closed-form mappings with known solution sets.
 
-Each entry hand-codes its forward values, inverse, subgradients, prox rule,
+Each entry hand-codes its forward values, inverse, subgradients, resolvent,
 and calculus data.  No symbolic or automatic differentiation happens here;
 if a formula is not registered, the corresponding oracle is simply absent.
 
@@ -64,6 +64,11 @@ def _pow(v, exponent: float):
     except OverflowError:  # Python raises where IEEE arithmetic gives +-inf
         with np.errstate(over="ignore"):
             return float(np.power(v, exponent))
+
+
+def _divide(c: float) -> ScalarForm:
+    """The 1-d linear resolvent ``y -> y / c``, ``c`` computed once per γ."""
+    return ScalarForm(lambda t: t / c, (1,))
 
 
 def _lift(name: str, form) -> SetValuedMap:
@@ -246,9 +251,8 @@ def _abs_subdiff() -> OperatorEntry:
             return max(-v, 0.0)
         return max(v, 0.0)
 
-    def shrink(gamma, y):
-        v = float(np.asarray(y).reshape(-1)[0])
-        return np.array([math.copysign(max(abs(v) - gamma, 0.0), v)])
+    def shrink(gamma):
+        return ScalarForm(lambda v: math.copysign(max(abs(v) - gamma, 0.0), v), (1,))
 
     fwd = SetValuedMap("abs-subdiff", 1, 1, ev, value_dist=vdist)
     return OperatorEntry(
@@ -282,9 +286,9 @@ def _linear(name: str, a: float, description: str, **extra) -> OperatorEntry:
 
     fwd = _lift(name, grad)
     inv = _lift(f"{name}-inverse", lambda w: w / a)
-    prox = ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma * a))
+    prox = ProxOracle(lambda gamma: _divide(1.0 + gamma * a))
     if a < 0:
-        prox = ProxOracle(prox.rule, valid_gamma=lambda g: g > 0 and abs(g + 1.0 / a) > 1e-12,
+        prox = ProxOracle(prox.resolvent, valid_gamma=lambda g: g > 0 and abs(g + 1.0 / a) > 1e-12,
                           note=f"single-valued for gamma != 1/{-a:g}")
     else:
         extra.update(grad_inverse=inv, quad_form=(np.array([[a]]), np.array([0.0])), inf_f=0.0)
@@ -332,8 +336,9 @@ def _quad2() -> OperatorEntry:
         n = Y.shape[0]
         return np.linalg.solve(np.broadcast_to(Q, (n, 2, 2)), (Y + b)[..., None])[..., 0], np.arange(n)
 
-    def prox_rule(gamma, y):
-        return np.linalg.solve(np.eye(2) + gamma * Q, np.asarray(y, dtype=float) + gamma * b)
+    def prox_resolvent(gamma):
+        M, shift = np.eye(2) + gamma * Q, gamma * b
+        return lambda y: np.linalg.solve(M, y + shift)
 
     fwd = SetValuedMap("quad2", 2, 2, ev)
     inv = SetValuedMap("quad2-inverse", 2, 2, inv_ev)
@@ -344,7 +349,7 @@ def _quad2() -> OperatorEntry:
         solution_set=Region.from_points([_QUAD2_SOL]),
         description="two-dimensional SPD quadratic",
         inverse=inv,
-        prox=ProxOracle(prox_rule),
+        prox=ProxOracle(prox_resolvent),
         subgrad=fwd,
         grad_inverse=inv,
         f=fval,
@@ -368,8 +373,8 @@ _BUILDERS = {
         "linear-neg", -2.0, "nonmonotone linear map; resolvent single-valued away from gamma = 1/2"),
     # g = x^2/2, h = x^2/4, f = g - h = x^2/4
     "dc-quad": lambda: _linear("dc-quad", 0.5, "difference of two quadratics", dc=DcSplit(
-        g_prox=ProxOracle(lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma)),
-        h_grad=lambda x: 0.5 * np.asarray(x, dtype=float),
+        g_prox=ProxOracle(lambda gamma: _divide(1.0 + gamma)),
+        h_grad=ScalarForm(lambda t: 0.5 * t, (1,)),
     )),
 }
 

@@ -63,13 +63,16 @@ def trace_to_csv(trace: IterateTrace, path: Path, distances: Optional[List[float
     def padded(values: Optional[np.ndarray]) -> list:
         return [None] * n if values is None else values.tolist() + [None] * (n - len(values))
 
-    columns = [*trace.iterates.T.tolist(), padded(trace.step_norms), padded(trace.f_values),
-               witnessed(trace.witness_norms), witnessed(trace.xi_values)]
+    delta = list(_cells(padded(trace.step_norms)))
+    # xi = Δ by bits (-0.0 == 0.0, but not by repr): row r's xi is delta[last[r]], -1 the empty cell
+    same = np.array_equal(trace.xi_values.view(np.uint64), trace.step_norms.view(np.uint64))
+    xi_cells = np.array(delta, dtype=object)[last] if same else _cells(witnessed(trace.xi_values))
+    cells = [map(str, range(n)), *map(_cells, trace.iterates.T.tolist()), delta,
+             _cells(padded(trace.f_values)), _cells(witnessed(trace.witness_norms)), xi_cells]
     if distances is not None:
         header.append("distance")
-        columns.append(np.asarray(distances, dtype=float).tolist())
+        cells.append(_cells(np.asarray(distances, dtype=float).tolist()))
     if trace.fejer_ledger is not None:
         header.append("fejer_ledger")
-        columns.append(padded(trace.fejer_ledger))
-    cells = [map(str, range(n)), *(_cells(c) for c in columns)]
+        cells.append(_cells(padded(trace.fejer_ledger)))
     _write_lines(path, header, map(",".join, zip(*cells)))

@@ -145,29 +145,35 @@ def _vector(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProxOracle:
-    """Closed-form resolvent ``J_{γA}(y) = (γA + I)^{-1}(y)``.
+    """Closed-form resolvent ``J_{γA}(y) = (γA + I)^{-1}(y)``: ``resolvent(γ)``
+    is ``y -> J_{γA}(y)`` on 1-d float vectors, with what depends on γ alone
+    computed once, and in 1-d a :class:`ScalarForm` of shape ``(1,)`` whose
+    form is the solvers' float view.  ``valid_gamma`` declares the range of γ
+    on which it is single-valued; :meth:`bind` checks it."""
 
-    ``valid_gamma`` declares the range of γ on which the rule is single-valued.
-    """
-
-    rule: Callable[[float, np.ndarray], np.ndarray]
+    resolvent: Callable[[float], Callable[[np.ndarray], np.ndarray]]
     valid_gamma: Callable[[float], bool] = lambda gamma: gamma > 0
     note: str = "valid for all gamma > 0"
 
-    def resolve(self, gamma: float, y) -> np.ndarray:
-        """``J_{γA}(y)`` as a 1-d float vector.  Coordinates are not checked for
-        finiteness, in ``y`` or in the result: an overflow inside a solver run
+    def bind(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The resolvent ``y -> J_{γA}(y)``, after checking γ once.  Coordinates are not
+        checked for finiteness, in ``y`` or in the result: an overflow inside a solver run
         reaches the solver loop, whose finiteness rule ends the run as divergence."""
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         if not self.valid_gamma(gamma):
             raise ValueError(f"gamma={gamma} outside the oracle's single-valued range ({self.note})")
-        return _vector(self.rule(gamma, _vector(y)))
+        return self.resolvent(gamma)
+
+    def resolve(self, gamma: float, y) -> np.ndarray:
+        """``J_{γA}(y)`` as a 1-d float vector: ``bind(gamma)(y)``."""
+        return _vector(self.bind(gamma)(_vector(y)))
 
 
 @dataclass(frozen=True)
 class DcSplit:
-    """Convex split ``f = g - h`` with a prox oracle for g and a smooth h."""
+    """Convex split ``f = g - h`` with a prox oracle for g and a smooth h; a 1-d
+    ``h_grad`` that is a :class:`ScalarForm` of shape ``(1,)`` has a float view."""
 
     g_prox: ProxOracle
     h_grad: Callable[[np.ndarray], np.ndarray]

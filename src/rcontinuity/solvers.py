@@ -10,22 +10,23 @@ runners, parameters, witness conventions and oracles, and :func:`check` holds
 every range, oracle and step-condition rule.  Each runner calls ``check``
 first, and the CLI validates a config by calling the same ``check``.
 
-The step loop is lean on purpose:
+The step loop is lean on purpose.  :func:`_iterate` is the one loop, and
+each runner writes its step once, in operations that Python floats and numpy
+arrays share; only the oracle views and the norm are picked, once per run:
 
-- the start point is validated once; after that :func:`_iterate` checks only
-  that each step keeps the iterate's shape, and its finiteness rule turns a
-  non-finite step (an overflowing gradient, resolvent or DCA input) into
-  divergence;
-- every vector norm is :func:`_norm`, the fast path numpy's ``norm`` takes
-  for a real 1-d vector, so norms match ``np.linalg.norm`` bit for bit
-  wherever numpy's is finite;
+- a 1-d run whose step oracles all have float views (:func:`_views`) carries
+  a Python float and :func:`_norm1`, any other run an array and :func:`_norm`
+  (numpy's ``norm`` fast path); both match ``np.linalg.norm`` bit for bit
+  where it is finite, as ``+ - * /`` and ``sqrt`` round correctly on both;
+- resolvents are bound and the start point validated once per run; then the
+  array loop checks only that each step keeps the iterate's shape, and the
+  finiteness rule turns a non-finite step (an overflowing gradient, resolvent
+  or DCA input) into divergence, without an overflow warning;
 - a value the previous step computed at ``x_{k+1}`` (DCA's ``∇h``, the
   shifted-PPA ledger's ``||x_{k+1} - xbar||``) is reused when the driver
-  passes that same array back as ``x_k``, never recomputed;
-- the 1-d power-penalty subproblem runs on Python floats: :func:`_fminbound`
-  reproduces scipy's bounded Brent minimizer bit for bit, on the float view
-  of the entry's :class:`~rcontinuity.setmap.ScalarForm` oracles where it has
-  them, and only its polish calls scipy (``brentq``).
+  passes that same object back as ``x_k``, never recomputed;
+- the 1-d power-penalty subproblem runs on floats: :func:`_fminbound` is
+  scipy's bounded Brent minimizer bit for bit, and only its polish calls scipy.
 """
 
 from __future__ import annotations
@@ -58,6 +59,21 @@ def _norm(v: np.ndarray) -> float:
         u = v / m
         return m * math.sqrt(u.dot(u))
     return r
+
+
+def _norm1(d: float) -> float:
+    """:func:`_norm` of the one-element vector ``[d]`` on a Python float:
+    ``sqrt(d * d)``, and ``|d|`` where the square overflows."""
+    r = math.sqrt(d * d)
+    return abs(d) if r == math.inf else r
+
+
+def _views(entry: OperatorEntry, *oracles) -> Tuple[bool, list]:
+    """``(scalar, views)``: in 1-d, where every oracle is a :class:`ScalarForm` of shape
+    ``(1,)``, ``t -> float(form(t))`` (a form takes Python floats); else arrays."""
+    if entry.dim_in == 1 and all(isinstance(o, ScalarForm) and o.shape == (1,) for o in oracles):
+        return True, [lambda t, form=o.form: float(form(t)) for o in oracles]
+    return False, [lambda x, o=o: np.asarray(o(x), dtype=float) for o in oracles]
 
 
 @dataclass(frozen=True)
@@ -117,11 +133,16 @@ class IterateTrace:
             raise ValueError("witness bookkeeping lists must run in parallel")
         if self.f_values is not None and len(self.f_values) != len(self.iterates):
             raise ValueError("f_values must align with iterates")
-        # One norm per row, not norm(W, axis=1): the axis form reduces the squares
-        # another way and differs in the last bit for 2-d witnesses (1,110 of the
-        # 10,946 of a 2-d shifted-PPA run, numpy 2.4 on x86-64), and these norms
-        # are written to trace.csv.
-        self.witness_norms = np.array([_norm(w) for w in self.witness_points])
+        W = self.witness_points
+        if self.dim == 1:  # _norm1 as one column operation
+            with np.errstate(over="ignore"):
+                norms = np.sqrt(W[:, 0] * W[:, 0])
+            self.witness_norms = np.where(np.isinf(norms), np.abs(W[:, 0]), norms)
+        else:
+            # One norm per row, not norm(W, axis=1): the axis form reduces the squares another
+            # way and differs in the last bit for 2-d witnesses (1,110 of the 10,946 of a 2-d
+            # shifted-PPA run, numpy 2.4 on x86-64), and these norms are written to trace.csv.
+            self.witness_norms = np.array([_norm(w) for w in W])
 
     def __len__(self) -> int:
         return len(self.iterates)
@@ -135,82 +156,81 @@ class IterateTrace:
         return self.termination == "divergence"
 
 
-def _iterate(
-    entry: OperatorEntry,
-    x0,
-    stop: StopRule,
-    step: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
-    algorithm: str,
-    ledger: Optional[Callable[[np.ndarray, np.ndarray, float], float]] = None,
-) -> IterateTrace:
+def _iterate(entry: OperatorEntry, x0, stop: StopRule, step: Callable, algorithm: str,
+             ledger: Optional[Callable] = None, scalar: bool = False) -> IterateTrace:
     """The loop every runner shares: ``x_{k+1}, w = step(x_k)``.
 
-    ``x0`` is validated once.  Each step must return ``x_{k+1}`` as an array
-    of ``x_k``'s shape (else ``ValueError``); that is the one check per step.
-    ``x_{k+1}`` is passed back to ``step`` as the same array object, so a step
-    may reuse what it computed there.  Each step records the iterate, its step
-    norm Δ_k, and the witness ``w`` at index k+1 or k (the algorithm's
-    ``witness_side``), paired with xi = Δ_k.  A step with a non-finite Δ_k is
-    not recorded and ends the run as divergence; otherwise it stops on the
-    divergence guard, then on the step tolerance, then on ``max_iter``.
-    ``ledger(x_k, x_{k+1}, Δ_k)``, when given, adds one value per step to the
-    trace's ``fejer_ledger``.
+    ``x0`` is validated once.  The point is a Python float where ``scalar``,
+    else an array, and then each step must return ``x_{k+1}`` in ``x_k``'s
+    shape (else ``ValueError``); that is the one check per step.  ``x_{k+1}``
+    is passed back to ``step`` as the same object, so a step may reuse what it
+    computed there.  Each step records the iterate, its step norm Δ_k, and the
+    witness ``w`` at index k+1 or k (the algorithm's ``witness_side``), paired
+    with xi = Δ_k.  A step with a non-finite Δ_k is not recorded and ends the
+    run as divergence; otherwise it stops on the divergence guard, then on the
+    step tolerance, then on ``max_iter``.  ``ledger(x_k, x_{k+1}, Δ_k)``, when
+    given, adds one value per step to the trace's ``fejer_ledger``.
     """
     x = as_point(x0, entry.dim_in)
     shape = x.shape
+    x, norm = (float(x[0]), _norm1) if scalar else (x, _norm)
     guard, tol = stop.divergence_guard, stop.step_tol
     iterates = [x]
     steps: List[float] = []
-    w_pts: List[np.ndarray] = []
+    w_pts: list = []
     entries: Optional[List[float]] = None if ledger is None else []
     termination = "max_iter"
-    for _ in range(stop.max_iter):
-        xn, w = step(x)
-        if xn.shape != shape:
-            raise ValueError(f"{algorithm} step returned shape {xn.shape}, expected {shape}")
-        delta = _norm(xn - x)
-        if not math.isfinite(delta):
-            termination = "divergence"
-            break
-        if ledger is not None:
-            entries.append(ledger(x, xn, delta))
-        iterates.append(xn)
-        steps.append(delta)
-        w_pts.append(w)
-        x = xn
-        if _norm(xn) > guard:
-            termination = "divergence"
-            break
-        if delta <= tol:
-            termination = "tolerance"
-            break
-    spec = ALGORITHMS[algorithm]
-    first = 1 if spec.witness_side == "next" else 0
-    iterates = np.array(iterates)
-    return IterateTrace(
-        algorithm=algorithm,
-        iterates=iterates,
-        step_norms=steps,
-        stop=stop,
-        termination=termination,
-        f_values=None if entry.f is None else entry.f_values(iterates),
-        witness_indices=range(first, first + len(steps)),
-        witness_points=w_pts,
-        xi_values=steps,
-        witness_side=spec.witness_side,
-        witness_map=spec.witness_map,
-        fejer_ledger=entries,
-    )
+    # one scope per run: an overflow on the array path is a handled non-finite step, not a warning
+    with np.errstate(over="ignore"):
+        for _ in range(stop.max_iter):
+            xn, w = step(x)
+            if not scalar and xn.shape != shape:
+                raise ValueError(f"{algorithm} step returned shape {xn.shape}, expected {shape}")
+            delta = norm(xn - x)
+            if not math.isfinite(delta):
+                termination = "divergence"
+                break
+            if ledger is not None:
+                entries.append(ledger(x, xn, delta))
+            iterates.append(xn)
+            steps.append(delta)
+            w_pts.append(w)
+            x = xn
+            if norm(xn) > guard:
+                termination = "divergence"
+                break
+            if delta <= tol:
+                termination = "tolerance"
+                break
+        spec = ALGORITHMS[algorithm]
+        first = 1 if spec.witness_side == "next" else 0
+        iterates = np.array(iterates).reshape(len(iterates), -1)
+        return IterateTrace(
+            algorithm=algorithm,
+            iterates=iterates,
+            step_norms=steps,
+            stop=stop,
+            termination=termination,
+            f_values=None if entry.f is None else entry.f_values(iterates),
+            witness_indices=range(first, first + len(steps)),
+            witness_points=w_pts,
+            xi_values=steps,
+            witness_side=spec.witness_side,
+            witness_map=spec.witness_map,
+            fejer_ledger=entries,
+        )
 
 
 def _proximal_step(entry: OperatorEntry, gamma: float):
-    """``x -> (J_{γA}(x), (x - J_{γA}(x)) / γ)``: the resolvent step and its witness."""
+    """``(scalar, step)``: the resolvent step ``x -> (J_{γA}(x), (x - J_{γA}(x)) / γ)``
+    on the resolvent bound once, and the point type of its view."""
+    scalar, (resolvent,) = _views(entry, entry.prox.bind(gamma))
 
     def step(x):
-        xn = entry.prox.resolve(gamma, x)
+        xn = resolvent(x)
         return xn, (x - xn) / gamma
 
-    return step
+    return scalar, step
 
 
 def run_ppa(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -221,20 +241,22 @@ def run_ppa(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
     the step norm just taken.
     """
     check("ppa", entry, gamma=gamma)
-    return _iterate(entry, x0, stop, _proximal_step(entry, gamma), "ppa")
+    scalar, step = _proximal_step(entry, gamma)
+    return _iterate(entry, x0, stop, step, "ppa", scalar=scalar)
 
 
 def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
     """Fixed-step gradient descent with gradient witnesses at the current point."""
     check("gdm", entry, step=step)
-    grad = entry.grad
+    scalar, (grad,) = _views(entry, entry.grad)
+    step = float(step)  # so that a float x stays a Python float
 
     # not as_point: an overflow must reach _iterate, which ends the run as divergence
     def descend(x):
-        g = np.asarray(grad(x), dtype=float)
+        g = grad(x)
         return x - step * g, g
 
-    return _iterate(entry, x0, stop, descend, "gdm")
+    return _iterate(entry, x0, stop, descend, "gdm", scalar=scalar)
 
 
 #: The constants of scipy's bounded Brent minimizer: ``sqrt(2.2e-16)`` and the
@@ -327,20 +349,19 @@ def _fminbound(func: Callable[[float], float], a: float, b: float) -> float:
     return xf
 
 
-def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Callable[[np.ndarray], np.ndarray]:
-    """``c -> argmin f(x) + γ ||x - c||**q``: closed form for quadratics with
-    q = 2, bracketed scalar minimization in 1-d otherwise.
+def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Tuple[bool, Callable]:
+    """``(scalar, c -> argmin f(x) + γ ||x - c||**q)``: closed form on arrays
+    for quadratics with q = 2, bracketed scalar minimization in 1-d otherwise.
 
-    The scalar minimization runs on Python floats: :func:`_fminbound`, then a
-    stationarity polish where the entry has ``grad``.  ``f`` and ``grad`` are
+    The scalar minimization takes and returns Python floats: :func:`_fminbound`,
+    then a stationarity polish where the entry has ``grad``.  ``f`` and ``grad`` are
     the closed forms of the entry's :class:`ScalarForm` oracles, else its
     oracles on a one-element array.  Only the polish's ``brentq`` needs ``scipy.optimize``,
     which is imported here, once per run."""
     if entry.quad_form is not None and q == 2.0:
-        Q, b = entry.quad_form
-        Q = np.atleast_2d(Q)
-        b = np.atleast_1d(b)
-        return lambda center: np.linalg.solve(Q + 2.0 * gamma * np.eye(Q.shape[0]), b + 2.0 * gamma * center)
+        Q, b = np.atleast_2d(entry.quad_form[0]), np.atleast_1d(entry.quad_form[1])
+        M, g2 = Q + 2.0 * gamma * np.eye(Q.shape[0]), 2.0 * gamma
+        return False, lambda center: np.linalg.solve(M, b + g2 * center)
     from scipy.optimize import brentq
 
     gamma, q = float(gamma), float(q)  # so that the bracket and the penalty are Python floats
@@ -348,14 +369,13 @@ def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Callable
     grad = entry.grad.form if isinstance(entry.grad, ScalarForm) else (
         None if entry.grad is None else lambda t: entry.grad(np.array([t]))[0])
 
-    def solve(center: np.ndarray) -> np.ndarray:
-        c = float(center[0])
+    def solve(c: float) -> float:
         if entry.inf_f is not None:
             span = ((f(c) - entry.inf_f) / gamma) ** (1.0 / q) + 1e-6
         else:
             span = 10.0 * (1.0 + abs(c))
-        if not math.isfinite(span):  # f(center) overflowed: a non-finite step, which ends the run as divergence
-            return np.array([span])
+        if not math.isfinite(span):  # f(c) overflowed: a non-finite step, which ends the run as divergence
+            return span
 
         def objective(t: float) -> float:
             try:
@@ -367,9 +387,9 @@ def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Callable
         t = float(_fminbound(objective, c - span, c + span))
         if grad is not None:
             t = _polish_stationarity(grad, gamma, q, c, t, span, brentq)
-        return np.array([t])
+        return t
 
-    return solve
+    return True, solve
 
 
 def _polish_stationarity(grad, gamma: float, q: float, c: float, t: float, span: float, brentq) -> float:
@@ -410,22 +430,23 @@ def run_qpower_prox(
     as a non-finite step, which ends the run as divergence.
     """
     check("qpower", entry, gamma=gamma, q=q)
-    subproblem = _qpower_subproblem(entry, gamma, q)
+    scalar, subproblem = _qpower_subproblem(entry, gamma, q)
+    norm, zero = (_norm1, 0.0) if scalar else (_norm, np.zeros(entry.dim_in))
 
     def step(x):
         xn = subproblem(x)
-        delta = _norm(xn - x)
+        delta = norm(xn - x)
         if not delta > 0:
-            return xn, np.zeros_like(x)
+            return xn, zero
         try:
             scale = -gamma * q * delta ** (q - 2.0)
         except OverflowError:
             scale = -math.inf
         if math.isinf(scale * delta):  # the witness norm overflows
-            return np.full_like(x, math.inf), None
+            return x + math.inf, None
         return xn, scale * (xn - x)
 
-    return _iterate(entry, x0, stop, step, "qpower")
+    return _iterate(entry, x0, stop, step, "qpower", scalar=scalar)
 
 
 def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -437,19 +458,20 @@ def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
     iterate: step k's ``∇h(x_{k+1})`` is step k+1's ``∇h(x_k)``.
     """
     check("dca", entry, gamma=gamma)
-    g_prox, h_grad = entry.dc.g_prox, entry.dc.h_grad
+    scalar, (resolvent, h_grad) = _views(entry, entry.dc.g_prox.bind(gamma), entry.dc.h_grad)
+    gamma = float(gamma)  # so that a float x stays a Python float
 
     last_xn = last_hn = None  # the previous step's x_{k+1} and ∇h(x_{k+1})
 
     # not as_point: an overflow must reach _iterate, which ends the run as divergence
     def step(x):
         nonlocal last_xn, last_hn
-        hx = last_hn if x is last_xn else np.asarray(h_grad(x), dtype=float)
-        xn = g_prox.resolve(gamma, x + gamma * hx)
-        last_xn, last_hn = xn, np.asarray(h_grad(xn), dtype=float)
+        hx = last_hn if x is last_xn else h_grad(x)
+        xn = resolvent(x + gamma * hx)
+        last_xn, last_hn = xn, h_grad(xn)
         return xn, hx - last_hn - (xn - x) / gamma
 
-    return _iterate(entry, x0, stop, step, "dca")
+    return _iterate(entry, x0, stop, step, "dca", scalar=scalar)
 
 
 def run_shifted_ppa(
@@ -469,28 +491,32 @@ def run_shifted_ppa(
     of ``gamma`` that :func:`check` admits.
     """
     check("shifted-ppa", entry, kappa=kappa, gamma=gamma, step_condition=step_condition)
-    step = _proximal_step(entry, gamma)
+    scalar, step = _proximal_step(entry, gamma)
     xb = entry.solution_set.project(x0)
+    norm, xb = (_norm1, float(xb[0])) if scalar else (_norm, xb)
     coeff = 1.0 - 2.0 * kappa / gamma
 
     last_xn = last_dist = None  # the previous step's x_{k+1} and ||x_{k+1} - xbar||
 
-    # np.float64 squares: the same bits as np.linalg.norm(...) ** 2 and as
-    # Python's delta ** 2, but inf past 1.3e154 where Python's ** raises.
-    # Where a square overflows, the entry is recomputed scaled by the largest
-    # of the three norms, so it is finite wherever its true value is.
+    # Python's float squares: the same bits as np.linalg.norm(...) ** 2, but
+    # OverflowError past 1.3e154.  Where a square or the entry overflows, the
+    # entry is recomputed scaled by the largest of the three norms, so it is
+    # finite wherever its true value is.
     def ledger(x, xn, delta):
         nonlocal last_xn, last_dist
-        b = last_dist if x is last_xn else _norm(x - xb)
-        a = last_dist = _norm(xn - xb)
+        b = last_dist if x is last_xn else norm(x - xb)
+        a = last_dist = norm(xn - xb)
         last_xn = xn
-        value = float(np.float64(a) ** 2 - np.float64(b) ** 2 + coeff * np.float64(delta) ** 2)
+        try:
+            value = a ** 2 - b ** 2 + coeff * delta ** 2
+        except OverflowError:
+            value = math.inf
         if not math.isfinite(value):
             m = max(a, b, delta)
             value = m * (m * ((a / m) ** 2 - (b / m) ** 2 + coeff * (delta / m) ** 2))
         return value
 
-    return _iterate(entry, x0, stop, step, "shifted-ppa", ledger)
+    return _iterate(entry, x0, stop, step, "shifted-ppa", ledger, scalar)
 
 
 class _Algorithm(NamedTuple):

@@ -2,7 +2,10 @@ import argparse
 import functools
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -633,6 +636,20 @@ class TestRunExperiment:
         rows = [row.split(",") for row in (tmp_path / "trace.csv").read_text().strip().split("\n")]
         iterates = [float(row[rows[0].index("x0")]) for row in rows[1:]]
         assert iterates and np.isfinite(iterates).all()
+
+    @pytest.mark.parametrize("operator, algorithm", [
+        ("quad", '{"name":"gdm","step":0.5,"x0":[1e200]}'),  # the step norm squares past the float range
+        ("dc-quad", '{"name":"dca","gamma":1e300,"x0":[1e10]}'),  # the resolvent's input overflows
+    ], ids=["gdm-norm", "dca-input"])
+    def test_a_handled_overflow_prints_no_runtime_warning(self, operator, algorithm, tmp_path):
+        # a fresh interpreter, so that numpy's warnings reach stderr as a user sees them
+        argv = [sys.executable, "-m", "rcontinuity", "solve", "--set", f"operator={operator}",
+                "--set", f"algorithm={algorithm}", "--out", str(tmp_path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(README.parent / "src")})
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["verdicts"]["diverged"] is True
+        assert "Warning" not in proc.stderr
 
     def test_finite_step_past_the_dot_overflow_is_recorded(self, tmp_path, capsys):
         # ||1e200 - 5e199|| squares past the float range; the step is finite

@@ -206,6 +206,33 @@ class TestCatalogConsistency:
                                   entry.forward.eval(x, None).points)
 
 
+# The resolvents as ``rule(gamma, y)`` before ProxOracle.bind, and where
+# ProxOracle.resolve refused gamma: not positive, or outside the valid range.
+_Q2, _B2 = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -0.5])
+_PARENT_RULES = {
+    "abs-subdiff": lambda gamma, y: (lambda v: np.array([math.copysign(max(abs(v) - gamma, 0.0), v)]))(
+        float(np.asarray(y).reshape(-1)[0])),
+    "quad": lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma * 1.0),
+    "linear-neg": lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma * -2.0),
+    "dc-quad": lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma * 0.5),
+    "dc-quad.g_prox": lambda gamma, y: np.asarray(y, dtype=float) / (1.0 + gamma),
+    "quad2": lambda gamma, y: np.linalg.solve(np.eye(2) + gamma * _Q2, np.asarray(y, dtype=float) + gamma * _B2),
+}
+
+
+def _prox_oracle(oracle: str):
+    """The catalog's ProxOracle named ``entry`` or ``entry.g_prox``, its rule
+    before ``bind``, and the gammas that ``resolve`` refused."""
+    name, _, field = oracle.partition(".")
+    entry = catalog_lookup(name)
+    prox = entry.dc.g_prox if field else entry.prox
+
+    def refused(gamma):
+        return not gamma > 0 or (name == "linear-neg" and not abs(gamma - 0.5) > 1e-12)
+
+    return prox, _PARENT_RULES[oracle], refused
+
+
 class TestProxOracle:
     def test_gamma_domain_enforced(self):
         entry = catalog_lookup("linear-neg")
@@ -217,6 +244,34 @@ class TestProxOracle:
         entry = catalog_lookup("quad")
         with pytest.raises(ValueError):
             entry.prox.resolve(-1.0, [1.0])
+
+    @pytest.mark.parametrize("oracle", sorted(_PARENT_RULES))
+    def test_bind_gives_the_rule_it_replaced_bit_for_bit(self, oracle):
+        prox, rule, _ = _prox_oracle(oracle)
+        rng = np.random.default_rng(sum(map(ord, oracle)))
+        dim = catalog_lookup(oracle.split(".")[0]).dim_in
+        for gamma in 10.0 ** rng.uniform(-3.0, 3.0, 20):
+            gamma = float(gamma)
+            if not prox.valid_gamma(gamma):
+                continue
+            bound = prox.bind(gamma)
+            for y in rng.standard_normal((10, dim)) * 10.0 ** rng.uniform(-5.0, 5.0, (10, 1)):
+                want = rule(gamma, y)
+                assert bound(y).tobytes() == want.tobytes()
+                assert prox.resolve(gamma, y).tobytes() == want.tobytes()
+                assert prox.resolve(gamma, y.tolist()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("oracle", sorted(_PARENT_RULES))
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, 1e-300, 0.25, 0.5, 0.5 - 1e-13, 0.5 + 2e-12, 1.0, 1e300])
+    def test_bind_refuses_gamma_where_resolve_did(self, oracle, gamma):
+        prox, _, refused = _prox_oracle(oracle)
+        if refused(gamma):
+            with pytest.raises(ValueError):
+                prox.bind(gamma)
+            with pytest.raises(ValueError):
+                prox.resolve(gamma, [1.0] * catalog_lookup(oracle.split(".")[0]).dim_in)
+        else:
+            prox.bind(gamma)
 
 
 class TestUserDefinedMap:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,10 @@ from rcontinuity import (
     run_shifted_ppa,
 )
 from rcontinuity.serialize import trace_to_csv
+from rcontinuity import catalog, solvers
+from rcontinuity.setmap import MissingOracleError as NoOracle
 from rcontinuity.setmap import ParamError, ProxOracle, ScalarForm
-from rcontinuity.solvers import _fminbound, _norm, check
+from rcontinuity.solvers import _fminbound, _norm, _norm1, check
 
 
 def scalar_iterates(trace):
@@ -223,7 +226,7 @@ class TestDca:
         # g's resolvent is single-valued only for gamma < 1: check refuses gamma = 2
         # before the first step, as it does for the prox algorithms
         entry = catalog_lookup("dc-quad")
-        g_prox = ProxOracle(entry.dc.g_prox.rule, valid_gamma=lambda g: 0 < g < 1, note="gamma < 1")
+        g_prox = ProxOracle(entry.dc.g_prox.resolvent, valid_gamma=lambda g: 0 < g < 1, note="gamma < 1")
         narrow = dataclasses.replace(entry, dc=dataclasses.replace(entry.dc, g_prox=g_prox))
         with pytest.raises(ParamError, match="resolvent's range") as info:
             check("dca", narrow, gamma=2.0)
@@ -359,6 +362,34 @@ class TestNorm:
             assert _norm(np.array([1e200])) == 1e200
             assert _norm(np.array([-3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
             assert _norm(np.array([1.7e308, 1.7e308])) == pytest.approx(1.7e308 * math.sqrt(2.0), rel=1e-15)
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(1.3e154)
+    @example(-1.7976931348623157e308)
+    @example(1e-170)
+    def test_norm1_is_the_one_element_norm(self, d):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _norm(np.array([d]))
+        assert _norm1(d).hex() == want.hex()
+
+    def test_a_2d_norm_past_the_dot_overflow_is_finite_and_silent_in_a_run(self):
+        # a run scopes errstate(over="ignore") once around its loop, not per norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert _norm(np.array([1e200, 1e200])) == pytest.approx(1e200 * math.sqrt(2.0), rel=1e-15)
+            trace = run_gdm(catalog_lookup("quad2"), 0.5, [1e200, 1e200])
+        assert trace.diverged and len(trace) == 2
+        assert trace.step_norms[0] == pytest.approx(1e200 * math.sqrt(1.25 ** 2 + 0.75 ** 2), rel=1e-15)
+        assert np.isfinite(trace.witness_norms).all()
+
+    @pytest.mark.parametrize("w", [0.0, -0.0, 5e-324, 1e-160, -2.5, 1.3e154, -1e200, 1.7976931348623157e308])
+    def test_1d_witness_norms_are_the_per_row_norms(self, w):
+        trace = make_synthetic_trace([[0.0], [1.0]], witnesses=[(1, [w]), (0, [-w])], xi_values=[1.0, 1.0])
+        with np.errstate(over="ignore"):
+            want = np.array([_norm(np.array([w])), _norm(np.array([-w]))])
+        assert trace.witness_norms.tobytes() == want.tobytes()
 
     def test_non_finite_vectors(self):
         with np.errstate(invalid="ignore"):
@@ -609,7 +640,8 @@ class TestQpowerPortMatchesScipy:
         plain = dataclasses.replace(entry, f=lambda x: entry.f(x),
                                     grad=None if entry.grad is None else lambda x: entry.grad(x))
         arrays = run_qpower_prox(plain, gamma, q, x0, stop)
-        monkeypatch.setattr(solvers, "_qpower_subproblem", reference_qpower_subproblem)
+        # the reference runs on one-element arrays: the loop's array path
+        monkeypatch.setattr(solvers, "_qpower_subproblem", lambda *args: (False, reference_qpower_subproblem(*args)))
         want = run_qpower_prox(entry, gamma, q, x0, stop)
         assert len(got) > 1
         _same_trace(got, want, tmp_path)
@@ -636,3 +668,120 @@ def test_replacing_an_oracle_replaces_its_views(tmp_path):
     X = np.linspace(-3.0, 3.0, 61)[:, None]
     assert plain.f_values(X).tolist() == [g(v) for v in X[:, 0].tolist()]
     assert forms.f_values(X).tobytes() == plain.f_values(X).tobytes()
+
+
+# -- the float path against the array path --------------------------------------
+
+def _plain(entry):
+    """``entry`` with every oracle a plain function, as the benchmark's tracer
+    wraps them: a run on it takes the array path."""
+    def plain(oracle):
+        return None if oracle is None else lambda *args: oracle(*args)
+
+    def plain_prox(prox):
+        return dataclasses.replace(prox, resolvent=lambda gamma: plain(prox.resolvent(gamma)))
+
+    changes = {name: plain(getattr(entry, name)) for name in ("f", "grad", "jac")}
+    if entry.prox is not None:
+        changes["prox"] = plain_prox(entry.prox)
+    if entry.dc is not None:
+        changes["dc"] = dataclasses.replace(entry.dc, g_prox=plain_prox(entry.dc.g_prox), h_grad=plain(entry.dc.h_grad))
+    return dataclasses.replace(entry, **changes)
+
+
+_ALGORITHM_PARAMS = {
+    "ppa": {"gamma": 0.3},
+    "gdm": {"step": 0.1},
+    "qpower": {"gamma": 1.0, "q": 1.5},
+    "dca": {"gamma": 0.5},
+    "shifted-ppa": {"kappa": 0.1, "gamma": 0.6},
+}
+
+
+def _path_cases():
+    """Every 1-d catalog entry with every algorithm it admits, then the
+    overflow, underflow and divergence repros."""
+    cases = [(op, {"name": alg, **params}, [1.5]) for op in catalog.catalog_names()
+             if catalog_lookup(op).dim_in == 1 for alg, params in _ALGORITHM_PARAMS.items()
+             if _admitted(op, alg, params)]
+    return cases + [
+        ("quad", {"name": "gdm", "step": 0.5}, [1e200]),  # Δ squares past the float range
+        ("quad", {"name": "gdm", "step": 1e300}, [1e10]),  # the step overflows
+        ("linear-neg", {"name": "ppa", "gamma": 0.4999}, [1e305]),  # the resolvent overflows
+        ("dc-quad", {"name": "dca", "gamma": 1e300}, [1e10]),  # the resolvent's input overflows
+        ("double-well", {"name": "gdm", "step": 0.01}, [1e110]),  # the gradient overflows
+        ("linear-neg", {"name": "qpower", "gamma": 1.0, "q": 4}, [1e103]),  # the witness overflows
+        ("linear-neg", {"name": "gdm", "step": 0.1}, [1.0]),  # diverges past the guard
+        ("flat-exp", {"name": "gdm", "step": 0.5}, [0.5]),
+        ("flat-exp", {"name": "gdm", "step": 1.0}, [0.0375]),  # f and f' are subnormal
+        ("flat-exp", {"name": "gdm", "step": 1.0}, [0.03]),  # f and f' underflow to 0
+        ("flat-exp", {"name": "gdm", "step": 1.0}, [1e-160]),  # the cube underflows
+        ("flat-exp", {"name": "qpower", "gamma": 1.0, "q": 1.5}, [0.0375]),
+        ("quad", {"name": "shifted-ppa", "kappa": 0.1, "gamma": 0.5}, [1e200]),  # the ledger's squares overflow
+        ("dc-quad", {"name": "shifted-ppa", "kappa": 0.1, "gamma": 0.5}, [-3.0]),
+        ("linear-neg", {"name": "shifted-ppa", "kappa": 0.5, "gamma": 0.25, "step_condition": "reciprocal"}, [1.0]),
+    ]
+
+
+def _admitted(operator, algorithm, params):
+    params = dict(params, step_condition="derived") if algorithm == "shifted-ppa" else params
+    try:
+        check(algorithm, catalog_lookup(operator), **params)
+    except (NoOracle, ParamError):
+        return False
+    return True
+
+
+def _run(entry, algorithm, x0):
+    params = {k: v for k, v in algorithm.items() if k != "name"}
+    runner = getattr(solvers, solvers.ALGORITHMS[algorithm["name"]].runner)
+    return runner(entry, x0=x0, stop=StopRule(max_iter=500), **params)
+
+
+class TestFloatPathMatchesArrayPath:
+    @pytest.mark.parametrize("operator, algorithm, x0", _path_cases(),
+                             ids=lambda v: v["name"] if isinstance(v, dict) else str(v))
+    def test_trace_bytes(self, operator, algorithm, x0, tmp_path):
+        entry = catalog_lookup(operator)
+        with warnings.catch_warnings():  # none from the package's own lines (numpy's norm in Region.project may warn)
+            warnings.filterwarnings("error", module="rcontinuity")
+            got = _run(entry, algorithm, x0)
+        want = _run(_plain(entry), algorithm, x0)
+        assert len(got) > 1 or got.diverged
+        assert got.iterates.tobytes() == want.iterates.tobytes()
+        assert got.witness_points.tobytes() == want.witness_points.tobytes()
+        _same_trace(got, want, tmp_path)
+
+    @pytest.mark.parametrize("operator, algorithm", [
+        ("quad", {"name": "gdm", "step": 0.5}),
+        ("quad", {"name": "ppa", "gamma": 0.5}),
+        ("dc-quad", {"name": "dca", "gamma": 0.5}),
+        ("dc-quad", {"name": "shifted-ppa", "kappa": 0.1, "gamma": 0.5}),
+    ])
+    def test_the_path_follows_the_views_not_the_name(self, operator, algorithm, monkeypatch):
+        floats = _count_float_norms(monkeypatch)
+        entry = catalog_lookup(operator)
+        _run(dataclasses.replace(entry, name="renamed"), algorithm, [1.0])
+        assert floats
+        floats.clear()
+        _run(_plain(entry), algorithm, [1.0])
+        assert floats == []
+
+    def test_the_float_path_needs_a_float_view_of_every_oracle(self, monkeypatch):
+        floats = _count_float_norms(monkeypatch)
+        entry = catalog_lookup("dc-quad")
+        plain_h = dataclasses.replace(entry, dc=dataclasses.replace(entry.dc, h_grad=_plain(entry).dc.h_grad))
+        _run(plain_h, {"name": "dca", "gamma": 0.5}, [1.0])
+        assert floats == []
+
+
+def _count_float_norms(monkeypatch) -> list:
+    """The arguments of every ``_norm1`` call from here on: a run on the float path makes some."""
+    floats = []
+
+    def norm1(d):
+        floats.append(d)
+        return _norm1(d)
+
+    monkeypatch.setattr(solvers, "_norm1", norm1)
+    return floats
