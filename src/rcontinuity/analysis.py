@@ -4,11 +4,12 @@ closed-graph probing, Lojasiewicz-exponent fitting, desingularization
 calmness estimator for comparison.
 
 All estimators are deterministic for fixed seeds.  Map values are evaluated
-in one ``SetValuedMap.eval_rows`` batch per radius or sample set, and every
-closed-graph sequence in one batch whose chains advance together; they are
-reduced per sample in sample order, so every result equals that of a loop
-evaluating one sample at a time, bit for bit.  Grid callers of a scalar
-function take it row-wise, by ``OperatorEntry.f_values``.
+in one ``SetValuedMap.eval_rows`` batch per radius or sample set, every
+closed-graph sequence in one batch whose chains advance together, and
+membership distances in one ``member_dist_rows`` call; they are reduced per
+sample in sample order, so every result equals that of a loop evaluating one
+sample at a time, bit for bit.  Grid callers of a scalar function take it
+row-wise, by ``OperatorEntry.f_values``.
 """
 
 from __future__ import annotations
@@ -232,17 +233,16 @@ def closed_graph_test(
         hits = np.flatnonzero(d == np.repeat(np.minimum.reduceat(d, first), n))
         chains[:, j] = pts[cand[hits[np.searchsorted(hits, first)]]]
     gaps = np.linalg.norm(np.diff(chains, axis=1), axis=2)
-    # chains are tested in sequence order up to the first failure, which counts
-    # the chains before it: the live ones and those of broken sequences
-    broken = np.cumsum(np.where(live, 0, starts))
-    chains_converged = 0
-    for c, s in enumerate(seq.tolist()):
-        if not _chain_converged(gaps[c], limit_tol):
-            continue
-        chains_converged += 1
-        if m.member_dist(xb, chains[c, -1], k) > tol:
-            return GraphTestResult("fail", chains[c, -1], chains_converged, c + 1 + int(broken[s]))
-    return GraphTestResult("pass" if chains_converged else "inconclusive", None, chains_converged, int(starts.sum()))
+    converged = np.flatnonzero([_chain_converged(g, limit_tol) for g in gaps])
+    ends = chains[converged, -1]
+    far = np.flatnonzero(m.member_dist_rows(np.tile(xb, (converged.size, 1)), ends, k) > tol)
+    if far.size:
+        # the first failure in chain order counts the chains up to it: the
+        # converged ones, and all before it, broken sequences' chains included
+        c = converged[far[0]]
+        broken = np.cumsum(np.where(live, 0, starts))
+        return GraphTestResult("fail", ends[far[0]], int(far[0]) + 1, int(c) + 1 + int(broken[seq[c]]))
+    return GraphTestResult("pass" if converged.size else "inconclusive", None, int(converged.size), int(starts.sum()))
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -428,16 +428,8 @@ def check_plk_exponent(
     band = [i for i, fx in enumerate(fvals) if fbar < fx < fbar + cfg.eta]
     if not band:
         return PlkResult("inconclusive", [], 0, None)
-    zero = np.zeros(entry.dim_out)
-    if entry.subgrad.value_dist is not None:
-        slopes = [entry.subgrad.member_dist(pts[i], zero) for i in band]
-    else:
-        # d(0, subgrad f(x)) per band point: the nearest value, inf for none,
-        # measured as member_dist measures it
-        vals, owner = entry.subgrad.eval_rows(pts[band])
-        nearest = np.full(len(band), math.inf)
-        np.minimum.at(nearest, owner, PointSet(zero[None, :]).distance_rows(vals.points))
-        slopes = nearest.tolist()
+    # d(0, subgrad f(x)) per band point, inf where the subgradient is empty
+    slopes = entry.subgrad.member_dist_rows(pts[band], np.zeros((len(band), entry.dim_out))).tolist()
     products = [cfg.phi_prime(fvals[i] - fbar) * slope for i, slope in zip(band, slopes)]
     violations = [pts[i] for i, product in zip(band, products) if product < 1.0 - 1e-12]
     return PlkResult("fail" if violations else "pass", violations, len(band), min(products))

@@ -129,11 +129,13 @@ def _rm1() -> OperatorEntry:
         # A(0) = {0}, also at v = -0.0
         return _branches((np.where(v == 0.0, 0.0, v), np.arange(v.size)), (far, nz))
 
-    def vdist(x, y):
-        v, w = float(x[0]), float(y[0])
-        if v == 0.0:
-            return abs(w)
-        return min(abs(w - v), abs(w - 1.0 / v))
+    def vdist(X, Y):
+        # min(|w - v|, |w - 1/v|), Python's min; at v = 0, 1/v is +-inf and
+        # the minimum is |w|, the distance to A(0) = {0}
+        v, w = X[:, 0], Y[:, 0]
+        with np.errstate(divide="ignore", over="ignore"):
+            near, far = np.abs(w - v), np.abs(w - 1.0 / v)
+        return np.where(far < near, far, near)
 
     return OperatorEntry(
         name="rm1",
@@ -225,13 +227,10 @@ def _abs_subdiff() -> OperatorEntry:
         return _branches((np.ones(pos.size), pos), (np.full(neg.size, -1.0), neg),
                          _each(_interval(*_window_interval(window, -1.0, 1.0)), zero))
 
-    def vdist(x, y):
-        v, w = float(x[0]), float(y[0])
-        if v > 0.0:
-            return abs(w - 1.0)
-        if v < 0.0:
-            return abs(w + 1.0)
-        return max(abs(w) - 1.0, 0.0)
+    def vdist(X, Y):
+        v, w = X[:, 0], Y[:, 0]
+        gap = np.abs(w) - 1.0  # to [-1, 1], Python's max(gap, 0.0)
+        return np.select([v > 0.0, v < 0.0], [np.abs(w - 1.0), np.abs(w + 1.0)], np.where(0.0 > gap, 0.0, gap))
 
     def inv_ev(Y, window):
         w = Y[:, 0]
@@ -241,15 +240,11 @@ def _abs_subdiff() -> OperatorEntry:
         return _branches((np.zeros(inside.size), inside),
                          _each(up, np.flatnonzero(w == 1.0)), _each(down, np.flatnonzero(w == -1.0)))
 
-    def inv_vdist(y, x):
-        w, v = float(y[0]), float(x[0])
-        if abs(w) > 1.0:
-            return math.inf
-        if abs(w) < 1.0:
-            return abs(v)
-        if w == 1.0:
-            return max(-v, 0.0)
-        return max(v, 0.0)
+    def inv_vdist(Y, X):
+        w, v = Y[:, 0], X[:, 0]
+        # to [0, inf) at w = 1, (-inf, 0] at w = -1: Python's max(-v, 0.0), max(v, 0.0)
+        edge = np.where(w == 1.0, -v, v)
+        return np.select([np.abs(w) > 1.0, np.abs(w) < 1.0], [np.inf, np.abs(v)], np.where(0.0 > edge, 0.0, edge))
 
     def shrink(gamma):
         return ScalarForm(lambda v: math.copysign(max(abs(v) - gamma, 0.0), v), (1,))

@@ -14,6 +14,9 @@ Maps whose values may be unbounded declare ``window_required`` and refuse
 unwindowed evaluation instead of silently truncating.  Maps whose values
 contain continua (intervals, half-lines) return a finite sample and may carry
 a closed-form ``value_dist`` oracle so that membership tests stay exact.
+Membership distances are row-wise: :meth:`SetValuedMap.member_dist_rows`
+measures ``d(Y[i], A(X[i]))`` on paired rows, by ``value_dist`` (which takes
+paired rows too) where it exists, else by one ``eval_rows`` call.
 
 Maps and operator entries are immutable after construction; evaluation is
 reentrant and thread-safe.
@@ -32,9 +35,9 @@ from .geometry import (
     PointSet,
     Region,
     Window,
+    _norms,
     as_point,
     as_rows,
-    distance_to_set,
 )
 
 
@@ -80,7 +83,8 @@ class SetValuedMap:
     It receives validated rows and may use the window to enumerate
     continuum-valued branches; values outside the window are dropped by
     :meth:`eval_rows`, never by the evaluator's caller.  Wrap a per-point
-    formula with :func:`pointwise`.
+    formula with :func:`pointwise`.  ``value_dist(X, Y)``, when given, is the
+    exact ``d(Y[i], A(X[i]))`` on paired rows, blind to windows.
     """
 
     name: str
@@ -88,7 +92,7 @@ class SetValuedMap:
     dim_out: int
     evaluator: Evaluator
     window_required: bool = False
-    value_dist: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    value_dist: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def eval_rows(self, X, window: Optional[Window] = None) -> Tuple[PointSet, np.ndarray]:
         """Evaluate every row of an ``(n, dim_in)`` array at once.
@@ -126,14 +130,24 @@ class SetValuedMap:
         """Evaluate ``A(x)`` or ``A(x) ∩ window``; the result may be empty."""
         return self.eval_rows(as_point(x, self.dim_in)[None], window)[0]
 
-    def member_dist(self, x, y, window: Optional[Window] = None) -> float:
-        """Distance from ``y`` to ``A(x)``; exact when a value_dist oracle exists."""
+    def member_dist_rows(self, X, Y, window: Optional[Window] = None) -> np.ndarray:
+        """``d(Y[i], A(X[i]) ∩ window)`` for paired ``(n, dim_in)`` and ``(n, dim_out)``
+        rows, ``inf`` where the value set is empty: ``value_dist`` as is where it
+        exists (it ignores ``window``), else one :meth:`eval_rows` call, measured
+        per row with the bits of ``distance_to_set``."""
+        X, Y = as_rows(X, self.dim_in), as_rows(Y, self.dim_out)
+        if X.shape[0] != Y.shape[0]:
+            raise ValueError(f"member_dist_rows needs paired rows, got {X.shape[0]} and {Y.shape[0]}")
         if self.value_dist is not None:
-            return float(self.value_dist(as_point(x, self.dim_in), as_point(y, self.dim_out)))
-        vals = self.eval(x, window)
-        if vals.is_empty:
-            return float("inf")
-        return distance_to_set(y, vals)
+            return self.value_dist(X, Y)
+        vals, owner = self.eval_rows(X, window)
+        d = np.full(X.shape[0], np.inf)
+        np.minimum.at(d, owner, _norms(vals.points - Y[owner]))
+        return d
+
+    def member_dist(self, x, y, window: Optional[Window] = None) -> float:
+        """Distance from ``y`` to ``A(x)``: the one-row form of :meth:`member_dist_rows`."""
+        return float(self.member_dist_rows(as_point(x, self.dim_in)[None], as_point(y, self.dim_out)[None], window)[0])
 
 
 def _vector(a) -> np.ndarray:

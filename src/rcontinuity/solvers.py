@@ -38,27 +38,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .geometry import as_point
+from .geometry import _norm, as_point
 from .setmap import MissingOracleError, OperatorEntry, ParamError, ScalarForm
-
-
-def _norm(v: np.ndarray) -> float:
-    """``||v||`` of a real 1-d vector: ``np.linalg.norm(v)`` bit for bit
-    wherever that is finite.
-
-    numpy's ``norm`` computes a real 1-d vector's norm as ``sqrt(v.dot(v))``,
-    and both square roots are correctly rounded; this is that path without
-    the argument handling, at about a third of the cost.  Where ``v.dot(v)``
-    overflows (coordinates above about 1.3e154) but ``v`` is finite, numpy
-    returns ``inf``; the scaled form ``m * ||v / m||`` with ``m = max|v|``
-    keeps a finite vector's norm finite.
-    """
-    r = math.sqrt(v.dot(v))
-    if r == math.inf and np.isfinite(v).all():
-        m = float(np.abs(v).max())
-        u = v / m
-        return m * math.sqrt(u.dot(u))
-    return r
 
 
 def _norm1(d: float) -> float:

@@ -7,10 +7,12 @@ dense evaluation, so the tests cross-check two independent routes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from rcontinuity import ModulusCurve, excess
+from rcontinuity import ModulusCurve, distance_to_set, excess
 
 
 def refine_brute_distance(distance_free_points, x, lo, hi, levels=5, per_level=800):
@@ -70,6 +72,56 @@ def curves_agree(a, b, rel=0.1, atol=1e-12) -> bool:
     b = np.asarray(b, dtype=float)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), atol)
     return bool(np.all(np.abs(a - b) <= rel * scale + atol))
+
+
+# --- membership distances, one point at a time ---------------------------------
+#
+# The per-point ``value_dist`` closures the catalog had before membership
+# distances became row-wise, kept as the reference ``member_dist_rows`` must
+# reproduce bit for bit, by map name.
+
+def _ref_rm1_value_dist(x, y):
+    v, w = float(x[0]), float(y[0])
+    if v == 0.0:
+        return abs(w)
+    return min(abs(w - v), abs(w - 1.0 / v))
+
+
+def _ref_abs_subdiff_value_dist(x, y):
+    v, w = float(x[0]), float(y[0])
+    if v > 0.0:
+        return abs(w - 1.0)
+    if v < 0.0:
+        return abs(w + 1.0)
+    return max(abs(w) - 1.0, 0.0)
+
+
+def _ref_abs_subdiff_inverse_value_dist(y, x):
+    w, v = float(y[0]), float(x[0])
+    if abs(w) > 1.0:
+        return math.inf
+    if abs(w) < 1.0:
+        return abs(v)
+    if w == 1.0:
+        return max(-v, 0.0)
+    return max(v, 0.0)
+
+
+reference_value_dists = {
+    "rm1": _ref_rm1_value_dist,
+    "abs-subdiff": _ref_abs_subdiff_value_dist,
+    "abs-subdiff-inverse": _ref_abs_subdiff_inverse_value_dist,
+}
+
+
+def reference_member_dist(m, x, y, window=None) -> float:
+    """``d(y, A(x))`` one point at a time: the scalar closure above where the
+    map has one, else the distance from ``y`` to ``m.eval(x, window)``, ``inf``
+    where that is empty."""
+    if m.name in reference_value_dists:
+        return reference_value_dists[m.name](np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    vals = m.eval(x, window)
+    return math.inf if vals.is_empty else distance_to_set(y, vals)
 
 
 @pytest.fixture

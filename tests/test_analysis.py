@@ -32,7 +32,7 @@ from rcontinuity import (
 from rcontinuity.analysis import _chain_converged
 from rcontinuity.geometry import unit_directions
 from rcontinuity.setmap import ScalarForm
-from conftest import brute_force_modulus, curves_agree
+from conftest import brute_force_modulus, curves_agree, reference_member_dist
 
 K10 = Window.box([0.0], [10.0])
 DECADE = list(np.geomspace(1e-4, 1e-1, 13))
@@ -376,7 +376,8 @@ class TestDuality:
 #
 # The per-sample loops the estimators ran before map values were evaluated in
 # one batch, kept as references.  Each evaluates one sample at a time with
-# ``SetValuedMap.eval`` / ``member_dist`` and reduces in sample order.
+# ``SetValuedMap.eval`` and reduces in sample order; membership distances come
+# from the test-local ``reference_member_dist``, not ``member_dist``.
 
 def reference_estimate_modulus(m, xbar, k, radii, samples_per_radius, seed, scheme):
     xb = as_point(xbar, m.dim_in)
@@ -421,7 +422,7 @@ def reference_closed_graph(m, xbar, k, n_sequences, tol, seed, depth=60, start_r
             if not _chain_converged(gaps, 0.1 * tol):
                 continue
             chains_converged += 1
-            if m.member_dist(xb, chain[-1], k) > tol:
+            if reference_member_dist(m, xb, chain[-1], k) > tol:
                 return "fail", chain[-1], chains_converged, chains_total
     if chains_converged == 0:
         return "inconclusive", None, 0, chains_total
@@ -439,7 +440,7 @@ def reference_plk(entry, xbar, cfg, grid_count, seed):
         if not (fbar < fx < fbar + cfg.eta):
             continue
         checked += 1
-        slope = entry.subgrad.member_dist(p, zero)
+        slope = reference_member_dist(entry.subgrad, p, zero)
         product = cfg.phi_prime(fx - fbar) * slope
         if min_product is None or product < min_product:
             min_product = product
@@ -585,7 +586,8 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
             for cfg in (PlkConfig(2.0, 0.5, 1.0, 1.0), PlkConfig(1.0, 0.25, 0.1, 0.5)):
                 verdict, violations, checked, min_product = reference_plk(entry, xbar, cfg, 129, 0)
                 res = check_plk_exponent(entry, xbar, cfg, 129)
-                assert (res.verdict, res.checked, res.min_product) == (verdict, checked, min_product)
+                # by repr, as plk.json writes it: 0.0 == -0.0 would hide a signed zero
+                assert (res.verdict, res.checked, repr(res.min_product)) == (verdict, checked, repr(min_product))
                 assert _same_points(res.violations, violations)
 
     @pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_lookup(n).jac is not None])

@@ -640,7 +640,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("operator, algorithm", [
         ("quad", '{"name":"gdm","step":0.5,"x0":[1e200]}'),  # the step norm squares past the float range
         ("dc-quad", '{"name":"dca","gamma":1e300,"x0":[1e10]}'),  # the resolvent's input overflows
-    ], ids=["gdm-norm", "dca-input"])
+        # the projection of x0 onto the solution set measures a norm that squares past the float range
+        ("quad", '{"name":"shifted-ppa","kappa":0.1,"gamma":0.5,"x0":[1e200]}'),
+        # the distance column measures 2-d iterates whose squares overflow
+        ("quad2", '{"name":"ppa","gamma":0.5,"x0":[1e200,1e200]}'),
+    ], ids=["gdm-norm", "dca-input", "shifted-ppa-project", "ppa-2d-distance"])
     def test_a_handled_overflow_prints_no_runtime_warning(self, operator, algorithm, tmp_path):
         # a fresh interpreter, so that numpy's warnings reach stderr as a user sees them
         argv = [sys.executable, "-m", "rcontinuity", "solve", "--set", f"operator={operator}",

@@ -19,6 +19,9 @@ from rcontinuity import (
 from rcontinuity.geometry import _nearest, _norms
 from conftest import refine_brute_distance
 
+# a handled overflow must not reach the user as a numpy warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def ps(*vals):
     return PointSet(np.array(vals, dtype=float))
@@ -154,6 +157,46 @@ class TestRegionDistance:
         plane = Region.affine([1.0, 0.0, 0.0], np.eye(3)[:, 1:])
         for p in plane.sample(16):
             assert plane.distance(p) <= 1e-12
+
+
+class TestProject:
+    def test_ball_projection_past_the_square_overflow(self):
+        # ||(1e200, 1e200)|| squares past the float range; the projection is the unit diagonal
+        got = Region.ball([0.0, 0.0], 1.0).project([1e200, 1e200])
+        assert got == pytest.approx([math.sqrt(0.5)] * 2, rel=1e-15)
+        assert Region.ball([1.0], 2.0).project([-1e300]).tolist() == [-1.0]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_ball_projection_keeps_the_per_vector_bits(self, data):
+        dim = data.draw(st.integers(1, 3))
+        coord = st.floats(-1e6, 1e6)
+        c, p = (np.array(data.draw(st.lists(coord, min_size=dim, max_size=dim))) for _ in range(2))
+        r = data.draw(st.floats(0.0, 1e3))
+        d = np.linalg.norm(p - c)
+        want = p if d <= r else c + (p - c) * (r / d)
+        assert Region.ball(c, r).project(p).tobytes() == want.tobytes()
+
+    def test_points_projection_past_the_square_overflow(self):
+        # both differences square past the float range; the second point is nearer
+        region = Region.from_points([[-1e200, -1e200], [1e200, 1e200]])
+        assert region.project([5e199, 5e199]).tolist() == [1e200, 1e200]
+        assert Region.from_points([[-1e200], [1e200]]).project([5e199]).tolist() == [1e200]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_points_projection_is_the_first_nearest(self, data):
+        dim = data.draw(st.integers(1, 3))
+        pts = np.array(data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim),
+                                          min_size=1, max_size=8)))
+        p = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+        # in 1-d the gap |x - p| itself, which no square underflows
+        gaps = np.abs(pts[:, 0] - p[0]) if dim == 1 else np.linalg.norm(pts - p, axis=1)
+        assert Region.from_points(pts).project(p).tobytes() == pts[int(np.argmin(gaps))].tobytes()
+
+    def test_box_and_affine_projection(self):
+        assert Region.box([0.0, 0.0], [1.0, 2.0]).project([1e200, -3.0]).tolist() == [1.0, -2.0]
+        assert Region.affine([0.0, 1.0], [[1.0], [0.0]]).project([1e200, 1e200]).tolist() == [1e200, 1.0]
 
 
 def reference_distance(target, x) -> float:
@@ -335,7 +378,9 @@ class TestSampleWindow:
     @pytest.mark.parametrize("scheme", ["grid", "halton"])
     @pytest.mark.parametrize(
         "window",
-        [Window.box([0.5], [2.0]), Window.ball([1.0, -1.0], 1.5), Window.box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])],
+        [Window.box([0.5], [2.0]), Window.ball([1.0, -1.0], 1.5), Window.box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
+         # balls whose points' squares overflow
+         Window.ball([0.0], 1e200), Window.ball([1e199, 0.0], 1e200)],
     )
     def test_all_points_inside(self, scheme, window):
         got = sample_window(window, scheme, 40, seed=1)
@@ -366,6 +411,13 @@ class TestWindow:
         assert w.contains_rows(np.array([[0.6, 0.8], [0.61, 0.8]])).tolist() == [True, False]
         with pytest.raises(DimensionMismatchError):
             w.contains_rows(np.array([[0.6]]))
+
+    def test_ball_contains_past_the_square_overflow(self):
+        # the squares of these coordinates overflow; their norms do not
+        assert Window.ball([0.0], 1e200).contains_rows(np.array([[1e180], [-1e200], [2e200]])).tolist() == [
+            True, True, False]
+        w = Window.ball([0.0, 0.0], 1e200)
+        assert w.contains_rows(np.array([[6e199, 6e199], [8e199, 8e199]])).tolist() == [True, False]
 
     def test_round_trip_dict(self):
         w = Window.ball([0.5], 2.0)

@@ -22,6 +22,10 @@ from rcontinuity import (
     sample_window,
 )
 from rcontinuity.setmap import ScalarForm
+from conftest import reference_member_dist, reference_value_dists
+
+# a handled overflow must not reach the user as a numpy warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 K10 = Window.box([0.0], [10.0])
 REQUIRED = [
@@ -519,6 +523,118 @@ class TestEvalRows:
 
     def test_has_a_reference(self, name):
         assert name in reference_evaluators
+
+
+# --- row-wise membership distances against the per-point references ------------
+
+_VALUE_DIST_MAPS = sorted(name for name, m in catalog_maps().items() if m.value_dist is not None)
+_OTHER_MAPS = sorted(name for name, m in catalog_maps().items() if m.value_dist is None)
+# signed zeros, +-1, subnormals and huge numbers: where 1/v, |w| - 1 and
+# Python's max and min change regime or overflow
+_MEMBER_POINTS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 5e-324, -5e-324, 1e-310, 1e-200, 1e300, -1e300,
+                  1.7976931348623157e308]
+_MEMBER_COORDS = st.one_of(st.sampled_from(_MEMBER_POINTS), _COORDS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def draw_paired_rows(data, m, coords):
+    n = data.draw(st.integers(0, 12))
+    rows = [data.draw(st.lists(coords, min_size=n * dim, max_size=n * dim)) for dim in (m.dim_in, m.dim_out)]
+    return (np.array(rows[0], dtype=float).reshape(n, m.dim_in),
+            np.array(rows[1], dtype=float).reshape(n, m.dim_out))
+
+
+def per_row_reference(m, X, Y, window):
+    return np.array([reference_member_dist(m, x, y, window) for x, y in zip(X, Y)], dtype=float)
+
+
+@pytest.mark.parametrize("name", _VALUE_DIST_MAPS)
+class TestMemberDistRowsByValueDist:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_scalar_closure(self, name, data):
+        m = catalog_maps()[name]
+        X, Y = draw_paired_rows(data, m, _MEMBER_COORDS)
+        window = data.draw(st.sampled_from(_WINDOWS[m.dim_out]))  # value_dist ignores it
+        got = m.member_dist_rows(X, Y, window)
+        assert got.shape == (len(X),) and got.dtype == np.float64
+        assert got.tobytes() == per_row_reference(m, X, Y, None).tobytes()  # signed zeros included
+
+    def test_matches_on_a_dense_sample(self, name):
+        m = catalog_maps()[name]
+        rng = np.random.default_rng(17)
+        pairs = np.array([(v, w) for v in _MEMBER_POINTS for w in _MEMBER_POINTS])
+        signs = rng.choice([-1.0, 1.0], (3000, 2))
+        pairs = np.concatenate([pairs, rng.uniform(-3.0, 3.0, (3000, 2)),
+                                signs * 10.0 ** rng.uniform(-320, 308, (3000, 2)),
+                                rng.choice([-1.0, 0.0, 1.0], (300, 2))])
+        X, Y = pairs[:, :1], pairs[:, 1:]
+        assert m.member_dist_rows(X, Y).tobytes() == per_row_reference(m, X, Y, None).tobytes()
+
+
+def test_every_value_dist_has_a_reference():
+    assert set(reference_value_dists) == set(_VALUE_DIST_MAPS)
+
+
+@pytest.mark.parametrize("name", _OTHER_MAPS)
+class TestMemberDistRowsByEvaluation:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_distance_to_each_value(self, name, data):
+        m = catalog_maps()[name]
+        X, Y = draw_paired_rows(data, m, _COORDS)
+        window = data.draw(st.sampled_from(_WINDOWS[m.dim_out]))
+        if window is None and m.window_required:
+            with pytest.raises(WindowRequiredError):
+                m.member_dist_rows(X, Y, window)
+            return
+        try:
+            want = per_row_reference(m, X, Y, window)
+        except ValueError:  # a non-finite value the window does not drop
+            with pytest.raises(ValueError, match="finite"):
+                m.member_dist_rows(X, Y, window)
+            return
+        assert m.member_dist_rows(X, Y, window).tobytes() == want.tobytes()
+
+    def test_matches_on_a_dense_sample(self, name):
+        m = catalog_maps()[name]
+        rng = np.random.default_rng(19)
+        X, Y = rng.uniform(-3.0, 3.0, (400, m.dim_in)), rng.uniform(-3.0, 3.0, (400, m.dim_out))
+        for window in _WINDOWS[m.dim_out][int(m.window_required):2]:
+            assert m.member_dist_rows(X, Y, window).tobytes() == per_row_reference(m, X, Y, window).tobytes()
+
+
+class TestMemberDistRowsContract:
+    @pytest.mark.parametrize("name", ["rm1", "square-inverse", "quad2"])
+    def test_unpaired_rows_rejected(self, name):
+        m = catalog_maps()[name]
+        with pytest.raises(ValueError, match="paired"):
+            m.member_dist_rows(np.zeros((3, m.dim_in)), np.zeros((2, m.dim_out)), _WINDOWS[m.dim_out][1])
+
+    def test_rows_are_validated(self):
+        m = catalog_lookup("quad2").forward
+        with pytest.raises(DimensionMismatchError):
+            m.member_dist_rows(np.zeros((2, 2)), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            m.member_dist_rows(np.zeros((1, 2)), np.array([[0.0, np.inf]]))
+
+    def test_no_rows_give_no_distances(self):
+        for m in catalog_maps().values():
+            got = m.member_dist_rows(np.empty((0, m.dim_in)), np.empty((0, m.dim_out)), _WINDOWS[m.dim_out][1])
+            assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_an_empty_value_is_infinitely_far(self):
+        got = catalog_lookup("square").inverse.member_dist_rows([[-1.0], [4.0]], [[0.0], [1.0]])
+        assert got.tolist() == [math.inf, 1.0]
+
+    @pytest.mark.parametrize("name", sorted(catalog_maps()))
+    def test_member_dist_is_the_one_row_form(self, name):
+        m = catalog_maps()[name]
+        window = _WINDOWS[m.dim_out][1]
+        for x, y in [(0.0, 0.0), (1.0, -0.5), (0.3, 2.0), (-1.0, 1.0)]:
+            X, Y = np.full((1, m.dim_in), x), np.full((1, m.dim_out), y)
+            got = m.member_dist([x] * m.dim_in, [y] * m.dim_out, window)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == m.member_dist_rows(X, Y, window).tobytes()
 
 
 #: 1-d entries whose forward map is the function ``f`` itself, so that ``f``,
