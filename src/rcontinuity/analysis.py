@@ -20,7 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import PointSet, Window, as_point, check_sample, excess, sample_window, unit_directions
+from .geometry import (PointSet, Window, _norm_rows, _norms, as_point, check_sample, excess, sample_window,
+                       unit_directions)
 from .setmap import (MissingOracleError, OperatorEntry, ParamError, SetValuedMap, WindowDimensionError,
                      WindowRequiredError)
 
@@ -229,10 +230,10 @@ def closed_graph_test(
         # each chain takes the nearest in its segment of cand, the first on ties as argmin does
         n = counts[seq, j]
         cand, first = _ranges(offsets[seq, j], n)
-        d = np.linalg.norm(pts[cand] - np.repeat(chains[:, j - 1], n, axis=0), axis=1)
+        d = _norms(pts[cand] - np.repeat(chains[:, j - 1], n, axis=0))
         hits = np.flatnonzero(d == np.repeat(np.minimum.reduceat(d, first), n))
         chains[:, j] = pts[cand[hits[np.searchsorted(hits, first)]]]
-    gaps = np.linalg.norm(np.diff(chains, axis=1), axis=2)
+    gaps = _norms(np.diff(chains, axis=1))
     converged = np.flatnonzero([_chain_converged(g, limit_tol) for g in gaps])
     ends = chains[converged, -1]
     far = np.flatnonzero(m.member_dist_rows(np.tile(xb, (converged.size, 1)), ends, k) > tol)
@@ -298,10 +299,10 @@ def lojasiewicz_fit(
 
     The exponent is estimated on shrinking bands around the zero set over
     refining grids; blow-up past ``exponent_cap`` at any level sets the
-    failure flag (no finite exponent works), as do too few band points at every
-    level and an ``f`` that reads 0 off the zero set (it underflows on tiny
-    windows).  Points where ``f`` is not finite (it overflows on huge windows)
-    join no band, as zeros of ``f`` do.  On success the scale is the exact
+    failure flag (no finite exponent works), as do too few band points (or all
+    at one distance, so no slope) at every level and an ``f`` that reads 0 off
+    the zero set (it underflows on tiny windows).  Points where ``f`` is not
+    finite (it overflows on huge windows) join no band, as zeros of ``f`` do.  On success the scale is the exact
     envelope maximum of ``d**theta / |f|`` over the full grid; a maximum that
     overflows fails the fit too.
     """
@@ -320,7 +321,7 @@ def lojasiewicz_fit(
         d, f = (entry.solution_set.distance_rows(pts), entry.f_values(pts)) if level else (d0, f0)
         band = d_max * 4.0 ** (-level)
         mask = np.isfinite(f) & (f != 0.0) & (d > 0.0) & (d <= band)
-        if int(mask.sum()) < 5:
+        if int(mask.sum()) < 5 or d[mask].min() == d[mask].max():  # no spread in log d: no slope
             continue
         slope = float(np.polyfit(np.log(d[mask]), np.log(np.abs(f[mask])), 1)[0])
         level_exponents.append(slope)
@@ -335,7 +336,7 @@ def lojasiewicz_fit(
     if np.isinf(ratios.max()):  # no finite scale
         return LojFit(None, None, k, True, level_exponents, [])
     order = np.argsort(ratios)[::-1][:3]
-    diag = [(float(np.linalg.norm(pts0[mask0][i])), float(ratios[i])) for i in order]
+    diag = list(zip(_norm_rows(pts0[mask0][order]).tolist(), ratios[order].tolist()))
     return LojFit(float(theta), float(ratios.max()), k, False, level_exponents, diag)
 
 
@@ -453,14 +454,6 @@ class InverseLipschitzResult:
     def full_rank(self) -> bool:
         return self.verdict == "full-rank"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "c_hat": self.c_hat,
-            "verdict": self.verdict,
-            "checked": self.checked,
-            "bound_violations": [[float(v) for v in p] for p in self.bound_violations[:10]],
-        }
-
 
 def certify_inverse_lipschitz(
     entry: OperatorEntry,
@@ -502,8 +495,7 @@ def certify_inverse_lipschitz(
     vals, owner = entry.forward.eval_rows(xs)
     if not (np.bincount(owner, minlength=len(xs)) == 1).all():
         raise ValueError("the certificate needs a single-valued forward map")
-    violations = [x for x, d, fx in zip(xs, region.distance_rows(xs), vals.points)
-                  if d > (1.0 + tol) * float(np.linalg.norm(fx)) / c_hat]
+    violations = list(xs[region.distance_rows(xs) > (1.0 + tol) * _norm_rows(vals.points) / c_hat])
     return InverseLipschitzResult(c_hat, "full-rank", violations, len(xs))
 
 
@@ -542,8 +534,8 @@ def calmness_estimate(
     if len(vals):
         gaps = np.full(len(vals), math.inf) if reference.is_empty else reference.distance_rows(vals.points)
         np.maximum.at(worst, owner, gaps)
-    dxs = [float(np.linalg.norm(x - xb)) for x in xs]
+    dxs = _norm_rows(xs - xb)
     # at dx = 0 the 0/0 convention: the sample contributes nothing
-    ratios = [e / dx for e, dx, nonempty in zip(worst.tolist(), dxs, np.bincount(owner, minlength=len(xs)) > 0)
-              if nonempty and dx > 0.0]
+    keep = (np.bincount(owner, minlength=len(xs)) > 0) & (dxs > 0.0)
+    ratios = (worst[keep] / dxs[keep]).tolist()
     return CalmnessResult(kappa_hat=max([0.0] + ratios), vacuous=not ratios)

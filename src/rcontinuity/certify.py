@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .analysis import ModulusCurve
-from .geometry import Region
+from .geometry import Region, _norms
 from .setmap import OperatorEntry, ParamError
 from .solvers import IterateTrace
 
@@ -155,7 +155,7 @@ def check_h4(
         index_of = sel
     else:
         index_of = np.arange(n)
-    dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    dmat = _norms(pts[:, None, :] - pts[None, :, :])
     np.fill_diagonal(dmat, np.inf)
     k = min(neighborhood, pts.shape[0] - 1) - 1
     kth = np.partition(dmat, k, axis=1)[:, k]  # the k-th smallest per row, as a full sort gives it
@@ -164,7 +164,7 @@ def check_h4(
         return _collect("H4", {}, [0], [False], note="no cluster point found")
     xb = pts[best]
     fb = float(entry.f(xb))
-    order = np.argsort(np.linalg.norm(pts - xb, axis=1))[:neighborhood]
+    order = np.argsort(_norms(pts - xb))[:neighborhood]
     sub = np.sort(index_of[order])
     fs = trace.f_values[sub] if trace.f_values is not None else entry.f_values(trace.iterates[sub])
     return _collect("H4", {"cluster": [float(v) for v in xb]}, sub, np.abs(fs - fb) <= tol * (1.0 + abs(fb)))

@@ -120,29 +120,55 @@ def _norm(v: np.ndarray) -> float:
     return r
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(v, axis=-1)``, bit for bit where that is finite.  It
-    squares the coordinates, so it reads ``inf`` for finite vectors of norm
-    above about 1.3e154; those are recomputed scaled by an exact power of two,
-    without an overflow warning.  In 1-d the norm is ``|v|`` itself, which no
-    square underflows."""
-    if v.shape[-1] == 1:
-        return np.abs(v[..., 0])
+def _norm1(d: float) -> float:
+    """:func:`_norm` of the one-element vector ``[d]`` on a Python float:
+    ``sqrt(d * d)``, and ``|d|`` where the square overflows."""
+    r = math.sqrt(d * d)
+    return abs(d) if r == math.inf else r
+
+
+def _norm_rows(v: np.ndarray) -> np.ndarray:
+    """:func:`_norm` of each row of an ``(n, dim)`` array, bit for bit, in one
+    array operation: a stacked ``matmul`` takes each row's dot product as
+    ``v.dot(v)`` does.  ``norm(v, axis=1)`` sums the squares another way and
+    differs in the last bit (for 1,110 of the 10,946 witnesses of a 2-d
+    shifted-PPA run, numpy 2.4 on x86-64), and step and witness norms are
+    written to ``trace.csv``.  Finite rows whose square overflows are rescaled
+    as :func:`_norm` does it, without a warning; like ``_norm``, no row is
+    rescaled where its square underflows."""
     with np.errstate(over="ignore"):
-        r = np.linalg.norm(v, axis=-1)
+        r = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
         over = np.isinf(r)
         if over.any():
-            r[over] = np.linalg.norm(v[over] * 2.0 ** -600, axis=-1) * 2.0 ** 600
+            over &= np.isfinite(v).all(axis=1)
+            m = np.abs(v[over]).max(axis=1)
+            r[over] = m * _norm_rows(v[over] / m[:, None])
+    return r
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=-1)``, bit for bit where that is finite and at
+    least ``2**-511``.  It squares the coordinates, so the sum of squares
+    overflows for finite vectors of norm above about 1.3e154 and is subnormal
+    or 0 below ``2**-511``; those norms are taken on ``v`` scaled by an exact
+    power of two, without an overflow warning (Blue, ACM TOMS 1978, scales the
+    same way).  In 1-d the norm is ``|v|`` itself, which squares nothing."""
+    if v.shape[-1] == 1:
+        return np.abs(v[..., 0])
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf, as numpy's does
+        r = np.linalg.norm(v, axis=-1)
+        if r.size and not 2.0 ** -511 <= r.min() <= r.max() < math.inf:  # the common case builds no mask
+            for off, scale in ((np.isinf(r), 2.0 ** -600), (r < 2.0 ** -511, 2.0 ** 600)):
+                if off.any():
+                    r[off] = np.linalg.norm(v[off] * scale, axis=-1) / scale
     return r
 
 
 def _nearest(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Distance from each row of ``rows`` to its nearest row of ``points``.
-
-    In 1-d the distance is ``|x - p|`` itself, not a norm that squares it (and
-    so underflows below about 1.5e-162); elsewhere the two agree bit for bit.
-    With two points or more, only the row's neighbours in the sorted points are
-    measured (rounding is monotone, so one of them has the least difference)."""
+    """Distance from each row of ``rows`` to its nearest row of ``points``, by
+    :func:`_norms`.  In 1-d it is ``|x - p|``; with two points or more, only
+    the row's neighbours in the sorted points are measured (rounding is
+    monotone, so one of them has the least difference)."""
     if points.shape[1] == 1:
         x, p = rows[:, 0], points[:, 0]
         if p.size == 1:
@@ -151,16 +177,9 @@ def _nearest(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
         i = np.searchsorted(p, x)
         return np.minimum(np.abs(x - p[np.maximum(i - 1, 0)]), np.abs(x - p[np.minimum(i, p.size - 1)]))
     step = max(1, _PAIR_BLOCK // points.shape[0])
-    with np.errstate(over="ignore"):  # an overflowing square reads inf, recomputed below
-        blocks = [np.linalg.norm(rows[i:i + step, None, :] - points[None, :, :], axis=2).min(axis=1)
-                  for i in range(0, rows.shape[0], step)]
-    d = np.concatenate(blocks) if blocks else np.empty(0)
-    # a row's minimum reads inf only where all of its norms overflowed; only
-    # those rows are recomputed, so the common case does no per-pair work
-    over = np.isinf(d)
-    if over.any():
-        d[over] = _norms(rows[over, None, :] - points[None, :, :]).min(axis=1)
-    return d
+    blocks = [_norms(rows[i:i + step, None, :] - points[None, :, :]).min(axis=1)
+              for i in range(0, rows.shape[0], step)]
+    return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -486,6 +505,6 @@ def unit_directions(count: int, dim: int, seed: int = 0) -> np.ndarray:
 
     u = _halton(dim, seed).random(count)
     z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    norms = _norms(z)
     norms[norms == 0] = 1.0
-    return z / norms
+    return z / norms[:, None]

@@ -259,7 +259,8 @@ class OperatorEntry:
         """``f`` at each row of an ``(n, dim_in)`` array, by a :class:`ScalarForm`'s ``rows`` or else row by row."""
         if isinstance(self.f, ScalarForm):
             return self.f.rows(X)
-        return np.array([self.f(x) for x in X], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan, as in rows
+            return np.array([self.f(x) for x in X], dtype=float)
 
     def oracle_flags(self) -> dict:
         return {

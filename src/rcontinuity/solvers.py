@@ -16,8 +16,8 @@ arrays share; only the oracle views and the norm are picked, once per run:
 
 - a 1-d run whose step oracles all have float views (:func:`_views`) carries
   a Python float and :func:`_norm1`, any other run an array and :func:`_norm`
-  (numpy's ``norm`` fast path); both match ``np.linalg.norm`` bit for bit
-  where it is finite, as ``+ - * /`` and ``sqrt`` round correctly on both;
+  (numpy's ``norm`` fast path); both match that ``norm`` bit for bit where
+  it is finite, as ``+ - * /`` and ``sqrt`` round correctly on both;
 - resolvents are bound and the start point validated once per run; then the
   array loop checks only that each step keeps the iterate's shape, and the
   finiteness rule turns a non-finite step (an overflowing gradient, resolvent
@@ -38,15 +38,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .geometry import _norm, as_point
+from .geometry import _norm, _norm1, _norm_rows, as_point
 from .setmap import MissingOracleError, OperatorEntry, ParamError, ScalarForm
-
-
-def _norm1(d: float) -> float:
-    """:func:`_norm` of the one-element vector ``[d]`` on a Python float:
-    ``sqrt(d * d)``, and ``|d|`` where the square overflows."""
-    r = math.sqrt(d * d)
-    return abs(d) if r == math.inf else r
 
 
 def _views(entry: OperatorEntry, *oracles) -> Tuple[bool, list]:
@@ -114,16 +107,7 @@ class IterateTrace:
             raise ValueError("witness bookkeeping lists must run in parallel")
         if self.f_values is not None and len(self.f_values) != len(self.iterates):
             raise ValueError("f_values must align with iterates")
-        W = self.witness_points
-        if self.dim == 1:  # _norm1 as one column operation
-            with np.errstate(over="ignore"):
-                norms = np.sqrt(W[:, 0] * W[:, 0])
-            self.witness_norms = np.where(np.isinf(norms), np.abs(W[:, 0]), norms)
-        else:
-            # One norm per row, not norm(W, axis=1): the axis form reduces the squares another
-            # way and differs in the last bit for 2-d witnesses (1,110 of the 10,946 of a 2-d
-            # shifted-PPA run, numpy 2.4 on x86-64), and these norms are written to trace.csv.
-            self.witness_norms = np.array([_norm(w) for w in W])
+        self.witness_norms = _norm_rows(self.witness_points)
 
     def __len__(self) -> int:
         return len(self.iterates)
@@ -479,7 +463,7 @@ def run_shifted_ppa(
 
     last_xn = last_dist = None  # the previous step's x_{k+1} and ||x_{k+1} - xbar||
 
-    # Python's float squares: the same bits as np.linalg.norm(...) ** 2, but
+    # Python's float squares: the same bits as numpy's norm(...) ** 2, but
     # OverflowError past 1.3e154.  Where a square or the entry overflows, the
     # entry is recomputed scaled by the largest of the three norms, so it is
     # finite wherever its true value is.
@@ -567,11 +551,11 @@ def make_synthetic_trace(
     algorithm: str = "synthetic",
 ) -> IterateTrace:
     """Assemble a trace from raw sequences, mainly for tests and examples."""
+    xs = np.asarray(iterates, dtype=float).reshape(len(iterates), -1)
     return IterateTrace(
         algorithm=algorithm,
-        iterates=iterates,
-        step_norms=[_norm(np.asarray(np.subtract(b, a), dtype=float))
-                    for a, b in zip(iterates[:-1], iterates[1:])],
+        iterates=xs,
+        step_norms=_norm_rows(np.diff(xs, axis=0)),
         stop=stop,
         termination="max_iter",
         f_values=f_values,

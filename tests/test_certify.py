@@ -471,6 +471,8 @@ class TestArrayChecksMatchReference:
         trace, witnesses = case
         expected = [float(np.linalg.norm(np.asarray(w, dtype=float))) for _, w in witnesses]
         assert np.array_equal(trace.witness_norms, expected)
+        steps = [float(np.linalg.norm(b - a)) for a, b in zip(trace.iterates[:-1], trace.iterates[1:])]
+        assert np.array_equal(trace.step_norms, steps)
         assert trace.witness_points.shape == (len(witnesses), trace.dim)
 
     @_CASES

@@ -655,6 +655,21 @@ class TestRunExperiment:
         assert json.loads(proc.stdout)["verdicts"]["diverged"] is True
         assert "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize("operator, window", [
+        # every band point sits at d = 5e-324, so log d has no spread to fit a slope on
+        ("abs-subdiff", '{"kind":"box","center":[0.0],"extent":[5e-324]}'),
+        # f = x'Qx/2 - b'x overflows on the grid; a non-finite f joins no band
+        ("quad2", '{"kind":"box","center":[0.0,0.0],"extent":[1.7e308,1.7e308]}'),
+    ], ids=["no-distance-spread", "f-overflow"])
+    def test_a_handled_loja_extreme_prints_no_warning(self, operator, window, tmp_path):
+        argv = [sys.executable, "-m", "rcontinuity", "loja", "--set", f"operator={operator}",
+                "--set", f"analysis.window={window}", "--out", str(tmp_path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(README.parent / "src")})
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["verdicts"]["lojasiewicz"]["failed"] is True
+        assert "Warning" not in proc.stderr
+
     def test_finite_step_past_the_dot_overflow_is_recorded(self, tmp_path, capsys):
         # ||1e200 - 5e199|| squares past the float range; the step is finite
         gdm = 'algorithm={"name": "gdm", "step": 0.5, "x0": [1e200]}'

@@ -16,7 +16,7 @@ from rcontinuity import (
     excess,
     sample_window,
 )
-from rcontinuity.geometry import _nearest, _norms
+from rcontinuity.geometry import _nearest, _norm, _norm_rows, _norms
 from conftest import refine_brute_distance
 
 # a handled overflow must not reach the user as a numpy warning
@@ -153,6 +153,16 @@ class TestRegionDistance:
         # the squares of these gaps underflow to 0; the 1-d norm is |gap| itself
         assert region.distance_rows([[1e-200], [-1e-200]]).tolist() == expected
 
+    @pytest.mark.parametrize("target, rows, expected", [
+        (Region.from_points([[0.0, 0.0]]), [[1e-200, 0.0]], [1e-200]),
+        (Region.box([0.0, 0.0], [1e-250, 1e-250]), [[1e-200, 0.0]], [1e-200]),
+        (Region.from_points([[0.0, 0.0]]), [[3e-160, 4e-160]], [5e-160]),
+        (PointSet([[0.0, 0.0], [1.0, 1.0]]), [[-3e-200, 4e-200]], [5e-200]),
+    ], ids=["point", "box", "partial-underflow", "point-set"])
+    def test_a_distance_below_the_square_underflow_is_exact_in_2d(self, target, rows, expected):
+        # the squares of these gaps are subnormal or 0; the distances are not
+        assert target.distance_rows(rows).tolist() == expected
+
     def test_affine_sampling_stays_on_subspace(self):
         plane = Region.affine([1.0, 0.0, 0.0], np.eye(3)[:, 1:])
         for p in plane.sample(16):
@@ -199,14 +209,25 @@ class TestProject:
         assert Region.affine([0.0, 1.0], [[1.0], [0.0]]).project([1e200, 1e200]).tolist() == [1e200, 1.0]
 
 
+def scaled_row_norms(v) -> np.ndarray:
+    """``np.linalg.norm(v, axis=1)``, except below ``2**-511``, where the sum of
+    squares is subnormal or 0: there the norm of ``v * 2**600``, times ``2**-600``
+    (both scalings are exact)."""
+    r = np.linalg.norm(v, axis=1)
+    small = r < 2.0 ** -511
+    r[small] = np.linalg.norm(v[small] * 2.0 ** 600, axis=1) * 2.0 ** -600
+    return r
+
+
 def reference_distance(target, x) -> float:
     """The per-point distance formulas that preceded ``distance_rows``, except
-    that a 1-d point distance is ``|x - p|``, which no squaring underflows."""
+    that a point distance squares no coordinate below the square underflow: in
+    1-d it is ``|x - p|``, elsewhere :func:`scaled_row_norms`."""
     p = np.asarray(x, dtype=float)
     if isinstance(target, PointSet) or target.kind == "points":
         if p.size == 1:
             return float(np.min(np.abs(target.points[:, 0] - p[0])))
-        return float(np.min(np.linalg.norm(target.points - p, axis=1)))
+        return float(np.min(scaled_row_norms(target.points - p)))
     if target.kind == "box":
         return float(np.linalg.norm(np.maximum(np.abs(p - target.center) - target.halfwidths, 0.0)))
     if target.kind == "ball":
@@ -354,6 +375,34 @@ class TestSortedNearest:
 
     def test_no_rows_give_no_distances(self):
         assert _nearest(np.empty((0, 1)), np.array([[1.0], [0.0]])).shape == (0,)
+
+
+# finite coordinates, with signed zeros, subnormals, and magnitudes whose squares underflow or overflow
+_EXTREME = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([0.0, -0.0, 5e-324, -2.2e-310, 1e-200, -1e-200, 1.3e154, -1.3e154, 1e300]))
+
+
+@st.composite
+def extreme_rows(draw):
+    dim = draw(st.integers(1, 4))
+    return draw(st.integers(0, 8).flatmap(lambda n: arrays(np.float64, (n, dim), elements=_EXTREME)))
+
+
+class TestNormPrimitives:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(extreme_rows())
+    def test_norm_rows_are_the_per_vector_norms_byte_for_byte(self, rows):
+        with np.errstate(over="ignore"):  # _norm rescales an overflowing square; its warning is the caller's
+            expected = np.array([_norm(v) for v in rows], dtype=float)
+        assert _norm_rows(rows).tobytes() == expected.tobytes()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(extreme_rows())
+    def test_norms_keep_numpy_bits_where_its_norm_is_normal(self, rows):
+        with np.errstate(over="ignore", under="ignore"):
+            expected = np.linalg.norm(rows, axis=-1)
+        normal = np.isfinite(expected) & (expected >= 2.0 ** -511)
+        assert _norms(rows)[normal].tobytes() == expected[normal].tobytes()
 
 
 class TestSampleWindow:

@@ -391,6 +391,17 @@ class TestNorm:
             want = np.array([_norm(np.array([w])), _norm(np.array([-w]))])
         assert trace.witness_norms.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("w", [0.0, -0.0, 5e-324, 1e-160, -2.5, 1.3e154, -1e200, 1.7976931348623157e308])
+    def test_2d_witness_and_step_norms_are_the_per_row_norms(self, w):
+        iterates = [[0.0, 0.0], [w, 2.5], [w, w]]
+        witnesses = [(1, [w, 2.5]), (0, [-w, w]), (2, [1e-200, w])]
+        trace = make_synthetic_trace(iterates, witnesses=witnesses, xi_values=[1.0, 1.0, 1.0])
+        with np.errstate(over="ignore"):
+            steps = np.array([_norm(np.subtract(b, a)) for a, b in zip(iterates[:-1], iterates[1:])])
+            norms = np.array([_norm(np.array(v)) for _, v in witnesses])
+        assert trace.step_norms.tobytes() == steps.tobytes()
+        assert trace.witness_norms.tobytes() == norms.tobytes()
+
     def test_non_finite_vectors(self):
         with np.errstate(invalid="ignore"):
             assert _norm(np.array([math.inf, 1.0])) == math.inf

@@ -3,7 +3,8 @@
 Importing ``scipy.stats`` alone takes longer than most CLI runs, so every
 scipy import in the package sits in the function that needs it: the scrambled
 Halton sampler, the Gaussian directions in dimension >= 2 and the qpower
-subproblem.  These tests keep it that way.
+subproblem.  These tests keep it that way, and keep every norm in
+``geometry.py``.
 """
 
 import ast
@@ -43,6 +44,14 @@ def test_no_module_level_scipy_import():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         offenders += [f"{path.name}:{node.lineno} {name}"
                       for node in _module_level_imports(tree) for name in _scipy_names(node)]
+    assert not offenders
+
+
+def test_only_geometry_takes_a_norm():
+    # which bits a norm has reaches the artifacts, so one module picks them (geometry's
+    # _norm, _norm1, _norm_rows and _norms); nothing else calls numpy's norm itself
+    offenders = [f"{path.name}:{i}" for path in sorted((SRC / "rcontinuity").glob("*.py")) if path.name != "geometry.py"
+                 for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if "linalg.norm" in line]
     assert not offenders
 
 
