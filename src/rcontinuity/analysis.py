@@ -15,15 +15,14 @@ row-wise, by ``OperatorEntry.f_values``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import (PointSet, Window, _norm_rows, _norms, as_point, check_sample, excess, sample_window,
                        unit_directions)
-from .setmap import (MissingOracleError, OperatorEntry, ParamError, SetValuedMap, WindowDimensionError,
-                     WindowRequiredError)
+from .setmap import OperatorEntry, ParamError, SetValuedMap, WindowDimensionError, WindowRequiredError
 
 
 @dataclass(frozen=True)
@@ -77,16 +76,11 @@ class HolderFit:
 
     L_hat: Optional[float]
     theta_hat: Optional[float]
-    residual: float
-    degenerate: bool
+    residual: Optional[float]
+    degenerate: Optional[bool]
 
     def to_json_dict(self) -> dict:
-        return {
-            "L_hat": self.L_hat,
-            "theta_hat": self.theta_hat,
-            "residual": self.residual,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def estimate_modulus(
@@ -144,12 +138,6 @@ def check_modulus(m: SetValuedMap, xbar, k: Optional[Window], radii: Sequence[fl
     if reference.is_empty:
         raise ParamError("xbar", f"map {m.name!r} is empty at the base point")
     return reference
-
-
-def _need(entry: OperatorEntry, *oracles: str) -> None:
-    for name in oracles:
-        if getattr(entry, name) is None:
-            raise MissingOracleError(f"entry {entry.name!r} has no {name} oracle")
 
 
 def _base_value(m: SetValuedMap, xb: np.ndarray, k: Optional[Window]) -> PointSet:
@@ -348,7 +336,7 @@ def check_lojasiewicz(entry: OperatorEntry, k: Optional[Window], grid_count: int
     from it (a window inside the set, or one so small that the distances
     underflow to 0).  Return that grid's points and their distances."""
     check_sample("grid", grid_count, "grid_count")
-    _need(entry, "f")
+    entry.need("f")
     if k is None:
         raise WindowRequiredError("window", "the Lojasiewicz fit needs a compact window")
     if k.dim != entry.dim_in:
@@ -440,7 +428,7 @@ def check_plk(entry: OperatorEntry, grid_count: int) -> None:
     """Raise unless :func:`check_plk_exponent` can run: ``ParamError`` for a
     ``grid_count`` below 1, ``MissingOracleError`` without its oracles."""
     check_sample("grid", grid_count, "grid_count")
-    _need(entry, "f", "subgrad")
+    entry.need("f", "subgrad")
 
 
 @dataclass(frozen=True)
@@ -472,8 +460,7 @@ def certify_inverse_lipschitz(
     the solution set, where ``F`` is the entry's forward map (the map whose
     zero set is the solution set and whose Jacobian is registered).
     """
-    if entry.jac is None:
-        raise MissingOracleError(f"entry {entry.name!r} lacks a Jacobian oracle")
+    entry.need("jac")
     if entry.dim_out < entry.dim_in:
         raise ValueError("the range dimension must be at least the domain dimension")
     region = entry.solution_set

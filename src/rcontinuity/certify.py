@@ -143,8 +143,7 @@ def check_h4(
     the check.  Along the ten iterates nearest the cluster (in index order)
     the function values must approach the cluster value.
     """
-    if entry.f is None:
-        raise ValueError("H4 needs a scalar function on the entry")
+    entry.need("f")
     n = len(trace)
     if n < 20:
         return _collect("H4", {}, [], [], vacuous=True, note="fewer than 20 iterates")

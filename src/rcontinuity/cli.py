@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, List, Optional
 
@@ -83,11 +83,11 @@ def _vector(value, path: str, dim: int) -> List[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(items)]
 
 
-def _object(value, path: str, allowed) -> dict:
-    """A copy of a JSON object whose keys are all among ``allowed``."""
+def _object(value, path: str, allowed, refusal: str = "unknown field") -> dict:
+    """A copy of a JSON object whose keys are all among ``allowed``; another key is refused by path."""
     _require(isinstance(value, dict), path, "must be a JSON object")
     for key in value:
-        _require(key in allowed, f"{path}.{key}" if path else key or repr(key), "unknown field")
+        _require(key in allowed, f"{path}.{key}" if path else key or repr(key), refusal)
     return dict(value)
 
 
@@ -111,13 +111,8 @@ _MODULUS, _LOJA, _PLK = ({key: p.default for key, p in inspect.signature(estimat
                          for estimator in (analysis.estimate_modulus, analysis.lojasiewicz_fit,
                                            analysis.check_plk_exponent))
 
-#: The fields each config section may hold.  ``algorithm`` starts from the
-#: union over all algorithms and is narrowed to the named one by its stage.
 _STOP_FIELDS = fields(solvers.StopRule)
-_ALGORITHM_FIELDS = {"name", "x0"}.union(*(spec.params for spec in solvers.ALGORITHMS.values()))
-_ANALYSIS_FIELDS = ("target", "xbar", "radii", "samples_per_radius", "scheme", "window", "grid_count", "plk")
 _PLK_FIELDS = fields(analysis.PlkConfig)
-_WINDOW_FIELDS = [f.name for f in fields(Window)]
 
 
 def _rule(section: str, rule: Callable, *args, **params):
@@ -133,19 +128,34 @@ def _rule(section: str, rule: Callable, *args, **params):
         raise ConfigError("algorithm.name" if section == "algorithm" else "operator", str(exc)) from None
 
 
-# -- stages ---------------------------------------------------------------------
-# A stage validates the sections it reads and returns its run, which writes its
-# artifacts through ``emit(name, writer)``, records its verdicts and returns
-# what it made; it looks the library's functions up when it runs.
+def _window(a: dict) -> Optional[Window]:
+    """``analysis.window``, parsed, or ``None`` where it is absent."""
+    if a.get("window") is None:
+        return None
+    _object(a["window"], "analysis.window", [f.name for f in fields(Window)])
+    try:
+        return Window.from_dict(a["window"])
+    except Exception as exc:
+        raise ConfigError("analysis.window", str(exc)) from None
 
-def _solve(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[Window]) -> Callable:
-    """The algorithm, its stop rule and the certificates; the run returns the trace."""
-    alg = cfg.algorithm
-    name = alg.get("name")
+
+# -- stages ---------------------------------------------------------------------
+# A stage is the one reader of the sections it uses: it validates them, resolves
+# their defaults into the echo, and returns its run, which writes its artifacts
+# through ``emit(name, writer)``, records its verdicts and returns what it made;
+# it looks the library's functions up when it runs.
+
+def _solve(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
+    """The stop rule, the algorithm and the certificates; the run returns the trace."""
+    stop_raw = _object(cfg.stop, "stop", [f.name for f in _STOP_FIELDS])
+    cfg.stop = {f.name: _READ[f.type](stop_raw.get(f.name, f.default), f"stop.{f.name}") for f in _STOP_FIELDS}
+    stop = _rule("stop", solvers.StopRule, **cfg.stop)
+    _require(isinstance(cfg.algorithm, dict), "algorithm", "must be a JSON object")
+    name = cfg.algorithm.get("name")
     _require(isinstance(name, str) and name in solvers.ALGORITHMS, "algorithm.name",
              f"must be one of {', '.join(solvers.ALGORITHMS)}")
     spec = solvers.ALGORITHMS[name]
-    _object(alg, "algorithm", ("name", "x0", *spec.params))
+    alg = cfg.algorithm = _object(cfg.algorithm, "algorithm", ("name", "x0", *spec.params))
     _require(alg.get("x0") is not None, "algorithm.x0", "missing starting point")
     alg["x0"] = _vector(alg["x0"], "algorithm.x0", entry.dim_in)
     for key, param in spec.params.items():
@@ -155,10 +165,8 @@ def _solve(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[Window]
         _READ[param.annotation](alg[key], f"algorithm.{key}")
     params = {key: alg[key] for key in spec.params}
     _rule("algorithm", solvers.check, name, entry, **params)
-    stop = solvers.StopRule(**cfg.stop)
     _require(isinstance(cfg.certificates, list), "certificates", "must be a list")
-    if cfg.kind == "certify":
-        _require(bool(cfg.certificates), "certificates", "at least one certificate is required")
+    _require(cfg.kind != "certify" or bool(cfg.certificates), "certificates", "at least one certificate is required")
     requests = []
     for i, cert in enumerate(cfg.certificates):
         path = f"certificates[{i}]"
@@ -191,12 +199,12 @@ def _solve(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[Window]
     return run
 
 
-def _modulus(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[Window]) -> Callable:
-    """The map, base point, radii and samples of the modulus; the run returns the curve."""
+def _modulus(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
+    """The map, base point, window, radii and samples of the modulus; the run returns the curve."""
     a = cfg.analysis
+    window = _window(a)
     if cfg.kind == "full-pipeline":
-        # The curve must bound distances via the witnesses the solver
-        # records, so it is estimated on the inverse of the witness map.
+        # the curve bounds distances via the solver's witnesses, so it is on the inverse of their map
         _require(a.setdefault("target", "auto") == "auto", "analysis.target",
                  "must be 'auto': the pipeline estimates on the inverse of its algorithm's witness map")
         witness_map = solvers.ALGORITHMS[cfg.algorithm["name"]].witness_map
@@ -218,18 +226,17 @@ def _modulus(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[Windo
         # estimate_modulus without its check, which validation made: A(xbar) is evaluated once
         curve = analysis._modulus_curve(m, xbar, window, radii, samples, cfg.seed, scheme, base_value)
         emit("modulus.csv", lambda p: serialize.modulus_to_csv(curve, p))
-        if curve.divergent:
-            fit = {"L_hat": None, "theta_hat": None, "residual": None, "degenerate": None, "divergent": True}
-        else:
-            fit = {**analysis.fit_holder(curve).to_json_dict(), "divergent": False}
+        holder = analysis.HolderFit(None, None, None, None) if curve.divergent else analysis.fit_holder(curve)
+        fit = {**holder.to_json_dict(), "divergent": curve.divergent}
         emit("holder_fit.json", lambda p: serialize.write_json(p, fit))
         verdicts["holder_fit"] = fit
         return curve
     return run
 
 
-def _lojasiewicz(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[Window]) -> Callable:
+def _lojasiewicz(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
     """The window and grid of the Łojasiewicz fit; the run writes the fit."""
+    window = _window(cfg.analysis)
     grid_count = _int(cfg.analysis.setdefault("grid_count", _LOJA["grid_count"]), "analysis.grid_count",
                       maximum=_MAX_SAMPLES)
     _rule("analysis", analysis.check_lojasiewicz, entry, window, grid_count)
@@ -241,7 +248,7 @@ def _lojasiewicz(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[W
     return run
 
 
-def _plk(cfg: ExperimentConfig, entry: OperatorEntry, window: Optional[Window]) -> Callable:
+def _plk(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
     """The PLK parameters, base point and grid; the run writes the verdict."""
     a = cfg.analysis
     _require("plk" in a, "analysis.plk", "missing PLK parameters")
@@ -272,6 +279,9 @@ _KINDS = {
     "certify": ("certify", (_solve,)),
     "full-pipeline": ("pipeline", (_solve, _modulus)),
 }
+#: The analysis fields each stage reads; a kind accepts those of its stages.
+_READS = {_modulus: ("target", "xbar", "radii", "samples_per_radius", "scheme", "window"),
+          _lojasiewicz: ("window", "grid_count"), _plk: ("plk", "xbar", "grid_count"), _solve: ()}
 
 
 @dataclass
@@ -310,26 +320,17 @@ class ExperimentConfig:
         _rule("", certify.check_distance, tolerance)
         out_dir = raw.get("out_dir")
         _require(out_dir is None or isinstance(out_dir, str), "out_dir", "must be a path string")
-
-        stop_raw = _object(raw.get("stop", {}), "stop", [f.name for f in _STOP_FIELDS])
-        stop = {f.name: _READ[f.type](stop_raw.get(f.name, f.default), f"stop.{f.name}") for f in _STOP_FIELDS}
-        _rule("stop", solvers.StopRule, **stop)
-
-        algorithm = _object(raw.get("algorithm", {}), "algorithm", _ALGORITHM_FIELDS)
-        analysis_cfg = _object(raw.get("analysis", {}), "analysis", _ANALYSIS_FIELDS)
-        certificates = raw.get("certificates", [])
-        _require(_solve in stages or certificates == [], "certificates", f"a {kind} run has no solver trace to certify")
-
-        window = analysis_cfg.get("window")
-        if window is not None:
-            _object(window, "analysis.window", _WINDOW_FIELDS)
-            try:
-                window = Window.from_dict(window)
-            except Exception as exc:
-                raise ConfigError("analysis.window", str(exc)) from None
-        cfg = cls(kind, operator, seed, tolerance, out_dir, algorithm, analysis_cfg, stop, certificates)
+        reads = [key for stage in stages for key in _READS[stage]]
+        analysis_cfg = _object(raw.get("analysis", {}), "analysis", reads, f"no stage of a {kind} run reads it")
+        # only _solve reads these: a kind without it takes each only empty or as it echoes it
+        solver = {"stop": asdict(solvers.StopRule()), "algorithm": {}, "certificates": []}
+        for key, echo in solver.items():
+            given = raw.get(key, echo)
+            _require(_solve in stages or given in (echo, type(echo)()), key, f"a {kind} run has no solver to read it")
+            solver[key] = given if _solve in stages else echo
+        cfg = cls(kind, operator, seed, tolerance, out_dir, analysis=analysis_cfg, **solver)
         cfg.entry = entry
-        cfg.runs = {stage: stage(cfg, entry, window) for stage in stages}
+        cfg.runs = {stage: stage(cfg, entry) for stage in stages}
         cfg.resolved = {name: getattr(cfg, name) for name in names}
         return cfg
 
@@ -435,8 +436,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _apply_override(raw, assignment)
         cfg = ExperimentConfig.from_dict(raw)
         report = run_experiment(cfg, out_dir=args.out)
-        print(json.dumps({"manifest": report.manifest, "verdicts": report.verdicts},
-                         indent=2, sort_keys=True))
+        print(json.dumps({"manifest": report.manifest, "verdicts": report.verdicts}, indent=2, sort_keys=True))
         print(f"elapsed: {report.timings['total_s']:.3f}s", file=sys.stderr)
         return 4 if report.any_verdict_failed else 0
     except ConfigError as exc:

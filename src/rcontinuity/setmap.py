@@ -150,13 +150,6 @@ class SetValuedMap:
         return float(self.member_dist_rows(as_point(x, self.dim_in)[None], as_point(y, self.dim_out)[None], window)[0])
 
 
-def _vector(a) -> np.ndarray:
-    """``np.atleast_1d(np.asarray(a, dtype=float))`` at a third of its cost:
-    a float array of at least one dimension, ``a`` itself when it already is one."""
-    a = np.asarray(a, dtype=float)
-    return a if a.ndim else a.reshape(1)
-
-
 @dataclass(frozen=True)
 class ProxOracle:
     """Closed-form resolvent ``J_{γA}(y) = (γA + I)^{-1}(y)``: ``resolvent(γ)``
@@ -181,7 +174,8 @@ class ProxOracle:
 
     def resolve(self, gamma: float, y) -> np.ndarray:
         """``J_{γA}(y)`` as a 1-d float vector: ``bind(gamma)(y)``."""
-        return _vector(self.bind(gamma)(_vector(y)))
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        return np.atleast_1d(np.asarray(self.bind(gamma)(y), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -255,6 +249,12 @@ class OperatorEntry:
     def dim_out(self) -> int:
         return self.forward.dim_out
 
+    def need(self, *names: str) -> None:
+        """Raise ``MissingOracleError`` for the first of the oracles ``names`` that is not registered."""
+        for name in names:
+            if getattr(self, name) is None:
+                raise MissingOracleError(f"entry {self.name!r} has no {name} oracle")
+
     def f_values(self, X: np.ndarray) -> np.ndarray:
         """``f`` at each row of an ``(n, dim_in)`` array, by a :class:`ScalarForm`'s ``rows`` or else row by row."""
         if isinstance(self.f, ScalarForm):
@@ -277,6 +277,5 @@ class OperatorEntry:
 
 def invert(entry: OperatorEntry) -> SetValuedMap:
     """The registered closed-form inverse map of an entry."""
-    if entry.inverse is None:
-        raise MissingOracleError(f"entry {entry.name!r} has no registered closed-form inverse")
+    entry.need("inverse")
     return entry.inverse

@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .geometry import _norm, _norm1, _norm_rows, as_point
-from .setmap import MissingOracleError, OperatorEntry, ParamError, ScalarForm
+from .setmap import OperatorEntry, ParamError, ScalarForm
 
 
 def _views(entry: OperatorEntry, *oracles) -> Tuple[bool, list]:
@@ -517,8 +517,8 @@ def check(name: str, entry: OperatorEntry, **params) -> None:
     recorded, so a divergence there shows in the diagnostics.
     """
     spec = ALGORITHMS[name]
-    if spec.oracle is not None and getattr(entry, spec.oracle) is None:
-        raise MissingOracleError(f"entry {entry.name!r} has no {spec.oracle} oracle")
+    if spec.oracle is not None:
+        entry.need(spec.oracle)
     for key, bound in (("gamma", 0), ("step", 0), ("kappa", 0), ("q", 1)):
         if key in params and not params[key] > bound:
             raise ParamError(key, f"{key} must exceed {bound}")
@@ -530,8 +530,7 @@ def check(name: str, entry: OperatorEntry, **params) -> None:
         if entry.dim_in != 1:
             raise ParamError("q" if entry.quad_form is not None else "name",
                              "power-penalty subproblems are 1-d only, except on quadratics with q = 2")
-        if entry.f is None:
-            raise MissingOracleError(f"entry {entry.name!r} has no scalar function")
+        entry.need("f")
     if name == "shifted-ppa":
         kappa, rule = params["kappa"], params["step_condition"]
         if rule not in ("derived", "reciprocal"):

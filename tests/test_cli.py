@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ from rcontinuity import (PlkConfig, StopRule, Window, analysis, catalog, catalog
                          check_h1, check_h2, check_h3, check_h4, check_plk_exponent, check_rclass, distance_trace,
                          estimate_modulus, lojasiewicz_fit, run_dca, run_gdm, run_ppa, run_qpower_prox,
                          run_shifted_ppa, solvers)
-from rcontinuity.cli import _KINDS, ConfigError, ExperimentConfig, _build_parser, main, run_experiment
+from rcontinuity.cli import _KINDS, _READS, ConfigError, ExperimentConfig, _build_parser, main, run_experiment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,6 +53,7 @@ _PLK = 'analysis.plk={"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius":
 _CERTIFY = ["certify", "--set", "operator=quad", "--set", _GDM]
 _PLK_1 = {"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0}
 _CERTIFICATES = 'certificates=[{"hypothesis": "H1", "alpha": 1}]'
+_MODULUS = ["modulus", "--set", "operator=square", "--set", "analysis.samples_per_radius=4"]
 
 
 def _rejected(name, argv, path, config=None):
@@ -142,6 +144,17 @@ REJECTED = [
     _rejected("loja-grid-in-solution-set", ["loja", "--set", "operator=double-well", "--set",
                                             'analysis.window={"kind": "box", "center": [1.0], "extent": [1e-300]}'],
               "analysis.window"),
+    # a kind accepts only the fields its stages read, and the solver's sections
+    # only where a solver runs, else empty or as they are echoed
+    _rejected("algorithm-in-modulus", _MODULUS + ["--set", 'algorithm={"name": "ppa"}'], "algorithm"),
+    _rejected("stop-in-modulus", _MODULUS + ["--set", "stop.max_iter=7"], "stop"),
+    _rejected("grid_count-in-modulus", _MODULUS + ["--set", "analysis.grid_count=5"], "analysis.grid_count"),
+    _rejected("plk-in-modulus", _MODULUS + ["--set", "analysis.plk={}"], "analysis.plk"),
+    _rejected("target-in-loja", _LOJA + ["--set", "analysis.target=bogus"], "analysis.target"),
+    _rejected("samples-in-loja", _LOJA + ["--set", "analysis.samples_per_radius=-3"], "analysis.samples_per_radius"),
+    _rejected("window-in-plk", ["plk", "--set", "operator=square", "--set", f"analysis.plk={json.dumps(_PLK_1)}",
+                                "--set", _WINDOW_1D], "analysis.window"),
+    _rejected("xbar-in-solve", _SOLVE + ["--set", "analysis.xbar=[0.0]"], "analysis.xbar"),
 ]
 
 
@@ -545,12 +558,22 @@ class TestRunExperiment:
         for name in r1.manifest:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_config_round_trip(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(pipeline_config())
-        r1 = run_experiment(cfg, out_dir=tmp_path / "a")
-        echoed = ExperimentConfig.from_dict(json.loads(json.dumps(r1.config)))
-        r2 = run_experiment(echoed, out_dir=tmp_path / "b")
+    @pytest.mark.parametrize("kind", list(_KINDS))
+    def test_config_round_trip(self, kind, tmp_path):
+        raw = {"modulus": {"analysis": {"target": "inverse", "samples_per_radius": 16}},
+               "lojasiewicz": {"analysis": {"window": {"kind": "box", "center": [0.0], "extent": [1.0]}}},
+               "plk": {"analysis": {"plk": _PLK_1}},
+               "solve": {"algorithm": {"name": "gdm", "step": 0.5, "x0": [1.0]}},
+               "certify": {"algorithm": {"name": "gdm", "step": 0.5, "x0": [1.0]},
+                           "certificates": [{"hypothesis": "H1", "alpha": 1.0}]},
+               "full-pipeline": pipeline_config()}[kind]
+        r1 = run_experiment(ExperimentConfig.from_dict({"kind": kind, "operator": "square", **raw}),
+                            out_dir=tmp_path / "a")
+        echoed = json.loads((tmp_path / "a" / "report.json").read_text())["config"]
+        r2 = run_experiment(ExperimentConfig.from_dict(echoed), out_dir=tmp_path / "b")
         assert r1.manifest == r2.manifest
+        if kind == "modulus":
+            assert (echoed["stop"], echoed["algorithm"], echoed["certificates"]) == (asdict(StopRule()), {}, [])
 
     def test_manifest_digests_match_files(self, tmp_out):
         import hashlib
@@ -828,8 +851,9 @@ class TestStageTable:
         text = README.read_text(encoding="utf-8")
         listed = re.search(r"Subcommands:(.*?)\.\n", text, re.S).group(1)
         assert re.findall(r"`([a-z-]+)`", listed) == _subcommands(_build_parser())
-        rows = re.findall(r"^\| `([a-z-]+)` \| `([a-z-]+)` \| ([a-z, ]+) \|", text, re.M)
-        assert rows == [(name, kind, ", ".join(stage.__name__.lstrip("_") for stage in stages))
+        rows = re.findall(r"^\| `([a-z-]+)` \| `([a-z-]+)` \| ([a-z, ]+) \| ([^|]+) \|", text, re.M)
+        assert rows == [(name, kind, ", ".join(stage.__name__.lstrip("_") for stage in stages),
+                         ", ".join(f"`{key}`" for key in dict.fromkeys(k for s in stages for k in _READS[s])) or "none")
                         for kind, (name, stages) in _KINDS.items()]
 
     @pytest.mark.parametrize("kind, extra", [

@@ -507,10 +507,12 @@ _ONE_D_WITH_F = ["square", "double-well", "flat-exp", "abs-subdiff", "quad", "dc
 
 
 def scipy_bounded(func, lo, hi):
-    """scipy's bounded Brent minimizer, with the options the qpower subproblem used."""
+    """scipy's bounded Brent minimizer, with the options the qpower subproblem used.
+    Its own steps overflow on extreme objectives; ``errstate`` silences that and changes no value."""
     from scipy.optimize import minimize_scalar
 
-    return float(minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}).x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}).x)
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -616,8 +618,9 @@ def reference_qpower_subproblem(entry, gamma, q):
             span = 10.0 * (1.0 + abs(c))
         if not math.isfinite(span):
             return np.array([span])
-        res = minimize_scalar(lambda t: entry.f(np.array([t])) + gamma * abs(t - c) ** q,
-                              bounds=(c - span, c + span), method="bounded", options={"xatol": 1e-12})
+        with np.errstate(over="ignore", invalid="ignore"):  # scipy's own steps, as in scipy_bounded
+            res = minimize_scalar(lambda t: entry.f(np.array([t])) + gamma * abs(t - c) ** q,
+                                  bounds=(c - span, c + span), method="bounded", options={"xatol": 1e-12})
         t = float(res.x)
         if entry.grad is not None:
             t = polish(c, t, span)
