@@ -45,14 +45,13 @@ class ModulusCurve:
     divergent: bool = False
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
+        r = _radius_grid(self.radii)
         v = np.asarray(self.rho_hat, dtype=float)
-        if r.ndim != 1 or v.shape != r.shape:
+        if v.shape != r.shape:
             raise ValueError("radii and rho_hat must be matching 1-d arrays")
-        if r.size == 0 or r[0] <= 0 or np.any(np.diff(r) <= 0):
-            raise ValueError("radii must be strictly increasing and positive")
-        if np.any(v < 0):
-            raise ValueError("modulus values must be nonnegative")
+        bad = np.flatnonzero(~(v >= 0))  # NaN too; inf marks a divergent curve
+        if bad.size:
+            raise ParamError(f"rho_hat[{bad[0]}]", "modulus values must be nonnegative")
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "rho_hat", v)
 
@@ -108,7 +107,6 @@ def _modulus_curve(m: SetValuedMap, xbar, k: Optional[Window], radii: Sequence[f
     """:func:`estimate_modulus` on arguments :func:`check_modulus` accepted,
     against the base value ``reference`` it returned."""
     xb = as_point(xbar, m.dim_in)
-    radii = np.asarray(list(radii), dtype=float)
     offsets = sample_window(Window.ball(np.zeros(m.dim_in), 1.0), scheme, samples_per_radius, seed).points
     rho: List[float] = []
     running = 0.0
@@ -126,18 +124,25 @@ def check_modulus(m: SetValuedMap, xbar, k: Optional[Window], radii: Sequence[fl
     """Raise ``ParamError`` naming the argument unless :func:`estimate_modulus`
     can run (positive, strictly increasing radii, a sample per radius, a known
     scheme, a window ``m`` accepts, a nonempty base value); return the base value."""
-    r = np.asarray(list(radii), dtype=float)
-    bad = np.flatnonzero(~(r > 0))
-    if bad.size:
-        raise ParamError(f"radii[{bad[0]}]", "radii must be positive")
-    if r.size == 0 or np.any(np.diff(r) <= 0):
-        raise ParamError("radii", "radii must be a nonempty, strictly increasing list")
+    _radius_grid(radii)
     check_sample(scheme, samples_per_radius, "samples_per_radius")
     m.check_window(k)
     reference = _base_value(m, as_point(xbar, m.dim_in), k)
     if reference.is_empty:
         raise ParamError("xbar", f"map {m.name!r} is empty at the base point")
     return reference
+
+
+def _radius_grid(radii) -> np.ndarray:
+    """``radii`` as a float array, else ``ParamError`` naming the first ``radii[i]`` that is not
+    positive (NaN included), or ``radii`` unless they are nonempty, 1-d and strictly increasing."""
+    r = np.asarray(radii, dtype=float)
+    bad = np.flatnonzero(~(r > 0))
+    if bad.size:
+        raise ParamError(f"radii[{bad[0]}]", "radii must be positive")
+    if r.ndim != 1 or r.size == 0 or np.any(np.diff(r) <= 0):
+        raise ParamError("radii", "radii must be a nonempty, strictly increasing list")
+    return r
 
 
 def _base_value(m: SetValuedMap, xb: np.ndarray, k: Optional[Window]) -> PointSet:
@@ -180,6 +185,9 @@ class GraphTestResult:
         return self.verdict == "pass"
 
 
+_START_RADIUS = 0.5
+
+
 def closed_graph_test(
     m: SetValuedMap,
     xbar,
@@ -188,13 +196,12 @@ def closed_graph_test(
     tol: float = 1e-6,
     seed: int = 0,
     depth: int = 60,
-    start_radius: float = 0.5,
     max_chains_per_sequence: int = 8,
 ) -> GraphTestResult:
     """Probe whether limits of convergent selections stay inside the base value.
 
-    Sequences approach the base point along seeded directions with
-    geometrically shrinking radii.  Selections are built by nearest-neighbor
+    Sequences approach the base point along seeded directions at the radii
+    ``_START_RADIUS * 2**-j``, ``j <= depth``.  Selections are built by nearest-neighbor
     chaining; a chain counts as convergent when its gaps vanish with a
     geometric-type ratio and the projected remaining motion is below the
     acceptance slack.  Failure reports the violating limit; no convergent
@@ -203,7 +210,7 @@ def closed_graph_test(
     xb = as_point(xbar, m.dim_in)
     limit_tol = 0.1 * tol
     dirs = unit_directions(n_sequences, m.dim_in, seed).reshape(-1, m.dim_in)
-    steps = np.ldexp(start_radius, -np.arange(depth + 1))  # start_radius * 2**-j, exactly
+    steps = np.ldexp(_START_RADIUS, -np.arange(depth + 1))  # _START_RADIUS * 2**-j, exactly
     # row (s, j) of the batch is the j-th point of sequence s
     vals, owner = m.eval_rows((xb + steps[None, :, None] * dirs[:, None, :]).reshape(-1, m.dim_in), k)
     pts = vals.points
@@ -276,17 +283,15 @@ class LojFit:
         }
 
 
-def lojasiewicz_fit(
-    entry: OperatorEntry,
-    k: Window,
-    grid_count: int = 2001,
-    levels: int = 3,
-    exponent_cap: float = 100.0,
-) -> LojFit:
+_LOJA_LEVELS = 3
+_LOJA_EXPONENT_CAP = 100.0
+
+
+def lojasiewicz_fit(entry: OperatorEntry, k: Window, grid_count: int = 2001) -> LojFit:
     """Fit the distance-to-zero-set power inequality for a scalar function.
 
-    The exponent is estimated on shrinking bands around the zero set over
-    refining grids; blow-up past ``exponent_cap`` at any level sets the
+    The exponent is estimated on ``_LOJA_LEVELS`` shrinking bands around the
+    zero set over refining grids; blow-up past ``_LOJA_EXPONENT_CAP`` at any level sets the
     failure flag (no finite exponent works), as do too few band points (or all
     at one distance, so no slope) at every level and an ``f`` that reads 0 off
     the zero set (it underflows on tiny windows).  Points where ``f`` is not
@@ -304,7 +309,7 @@ def lojasiewicz_fit(
     d_max = float(d0[mask0].max())
 
     level_exponents: List[float] = []
-    for level in range(levels):
+    for level in range(_LOJA_LEVELS):
         pts = sample_window(k, "grid", grid_count * (2 ** level), seed=0).points if level else pts0
         d, f = (entry.solution_set.distance_rows(pts), entry.f_values(pts)) if level else (d0, f0)
         band = d_max * 4.0 ** (-level)
@@ -313,7 +318,7 @@ def lojasiewicz_fit(
             continue
         slope = float(np.polyfit(np.log(d[mask]), np.log(np.abs(f[mask])), 1)[0])
         level_exponents.append(slope)
-    if not level_exponents or any(not np.isfinite(t) or t > exponent_cap for t in level_exponents):
+    if not level_exponents or any(not np.isfinite(t) or t > _LOJA_EXPONENT_CAP for t in level_exponents):
         return LojFit(None, None, k, True, level_exponents, [])
 
     theta = level_exponents[-1]
@@ -443,19 +448,15 @@ class InverseLipschitzResult:
         return self.verdict == "full-rank"
 
 
-def certify_inverse_lipschitz(
-    entry: OperatorEntry,
-    k: Window,
-    s_samples: int = 25,
-    test_samples: int = 50,
-    tol: float = 1e-8,
-    seed: int = 0,
-    tube_radius: float = 0.1,
-) -> InverseLipschitzResult:
+_S_SAMPLES = 25
+
+
+def certify_inverse_lipschitz(entry: OperatorEntry, k: Window, test_samples: int = 50, tol: float = 1e-8,
+                              seed: int = 0, tube_radius: float = 0.1) -> InverseLipschitzResult:
     """Smallest-singular-value certificate for the inverse of a smooth map.
 
-    ``c_hat`` is the minimum singular value of the Jacobian over samples of
-    the solution set inside the window.  With full rank, the linearized bound
+    ``c_hat`` is the minimum singular value of the Jacobian over those of the
+    ``_S_SAMPLES`` solution-set samples that lie in the window.  With full rank,
     ``d(x, S) <= (1 + tol) * ||F(x)|| / c_hat`` is spot-checked on points near
     the solution set, where ``F`` is the entry's forward map (the map whose
     zero set is the solution set and whose Jacobian is registered).
@@ -464,7 +465,7 @@ def certify_inverse_lipschitz(
     if entry.dim_out < entry.dim_in:
         raise ValueError("the range dimension must be at least the domain dimension")
     region = entry.solution_set
-    samples = region.sample(s_samples).points
+    samples = region.sample(_S_SAMPLES).points
     anchors = samples[k.contains_rows(samples)]
     if not len(anchors):
         raise ValueError("no solution-set samples inside the window")

@@ -94,18 +94,18 @@ def check(hypothesis: str, witness_side: Optional[str], **params) -> None:
                                        f"{hypothesis} needs the {side!r} convention")
 
 
-def check_h1(trace: IterateTrace, alpha: float, tol: float = _ATOL) -> Certificate:
-    """Sufficient decrease: ``f(x_k) - f(x_{k+1}) >= alpha * step_k**2``."""
+def check_h1(trace: IterateTrace, alpha: float) -> Certificate:
+    """Sufficient decrease: ``f(x_k) - f(x_{k+1}) >= alpha * step_k**2 - _ATOL``."""
     check("H1", trace.witness_side, alpha=alpha)
     if trace.f_values is None:
         raise ValueError("the trace has no recorded function values")
     drops = trace.f_values[:-1] - trace.f_values[1:]
-    oks = drops >= alpha * trace.step_norms ** 2 - tol
+    oks = drops >= alpha * trace.step_norms ** 2 - _ATOL
     return _collect("H1", {"alpha": alpha}, np.arange(len(trace) - 1), oks)
 
 
-def _relative_error(hypothesis: str, trace: IterateTrace, beta: float, tol: float) -> Certificate:
-    """``||w|| <= beta * step`` for every witness, under the hypothesis's index
+def _relative_error(hypothesis: str, trace: IterateTrace, beta: float) -> Certificate:
+    """``||w|| <= beta * step + _ATOL`` for every witness, under the hypothesis's index
     convention: ``"next"`` pairs a witness at k with the step that produced
     iterate k, ``"current"`` with the step leaving iterate k.
     """
@@ -113,71 +113,65 @@ def _relative_error(hypothesis: str, trace: IterateTrace, beta: float, tol: floa
     indices = trace.witness_indices
     steps = indices - 1 if HYPOTHESES[hypothesis].witness_side == "next" else indices
     paired = (steps >= 0) & (steps <= len(trace) - 2)  # witnesses without a step are skipped
-    oks = trace.witness_norms[paired] <= beta * trace.step_norms[steps[paired]] + tol
+    oks = trace.witness_norms[paired] <= beta * trace.step_norms[steps[paired]] + _ATOL
     return _collect(hypothesis, {"beta": beta}, indices[paired], oks)
 
 
-def check_h2(trace: IterateTrace, beta: float, tol: float = _ATOL) -> Certificate:
+def check_h2(trace: IterateTrace, beta: float) -> Certificate:
     """Relative error with the witness at the new iterate:
     ``||w_{k+1}|| <= beta * step_k``."""
-    return _relative_error("H2", trace, beta, tol)
+    return _relative_error("H2", trace, beta)
 
 
-def check_h3(trace: IterateTrace, beta: float, tol: float = _ATOL) -> Certificate:
+def check_h3(trace: IterateTrace, beta: float) -> Certificate:
     """Relative error with the witness at the current iterate:
     ``||w_k|| <= beta * step_k``."""
-    return _relative_error("H3", trace, beta, tol)
+    return _relative_error("H3", trace, beta)
 
 
-def check_h4(
-    trace: IterateTrace,
-    entry: OperatorEntry,
-    tol: float = 1e-8,
-    cluster_radius: float = 1e-2,
-    neighborhood: int = 10,
-) -> Certificate:
+_H4_TOL = 1e-8
+_H4_CLUSTER_RADIUS = 1e-2
+_H4_NEIGHBORHOOD = 10
+
+
+def check_h4(trace: IterateTrace, entry: OperatorEntry) -> Certificate:
     """Continuity condition at a detected cluster point.
 
-    The cluster is the iterate whose 10th-nearest-neighbor radius is smallest;
-    no iterate with a tight neighborhood means no cluster point, which fails
-    the check.  Along the ten iterates nearest the cluster (in index order)
-    the function values must approach the cluster value.
+    The cluster is the iterate whose ``_H4_NEIGHBORHOOD``-th-nearest-neighbor radius is
+    smallest; none within ``_H4_CLUSTER_RADIUS`` means no cluster point, which fails the
+    check.  Along the ``_H4_NEIGHBORHOOD`` iterates nearest the cluster (in index order)
+    ``f`` must approach the cluster value, within ``_H4_TOL * (1 + |f(cluster)|)``.
     """
     entry.need("f")
     n = len(trace)
     if n < 20:
         return _collect("H4", {}, [], [], vacuous=True, note="fewer than 20 iterates")
-    pts = trace.iterates
-    if n > 2000:  # keep the pairwise scan quadratic in a bounded count
-        sel = np.arange(0, n, int(math.ceil(n / 2000)))
-        pts = pts[sel]
-        index_of = sel
-    else:
-        index_of = np.arange(n)
+    index_of = np.arange(0, n, math.ceil(n / 2000))  # a stride past 2000: the pairwise scan stays bounded
+    pts = trace.iterates[index_of]
     dmat = _norms(pts[:, None, :] - pts[None, :, :])
     np.fill_diagonal(dmat, np.inf)
-    k = min(neighborhood, pts.shape[0] - 1) - 1
+    k = min(_H4_NEIGHBORHOOD, pts.shape[0] - 1) - 1
     kth = np.partition(dmat, k, axis=1)[:, k]  # the k-th smallest per row, as a full sort gives it
     best = int(np.argmin(kth))
-    if kth[best] > cluster_radius:
+    if kth[best] > _H4_CLUSTER_RADIUS:
         return _collect("H4", {}, [0], [False], note="no cluster point found")
     xb = pts[best]
     fb = float(entry.f(xb))
-    order = np.argsort(_norms(pts - xb))[:neighborhood]
+    order = np.argsort(_norms(pts - xb))[:_H4_NEIGHBORHOOD]
     sub = np.sort(index_of[order])
     fs = trace.f_values[sub] if trace.f_values is not None else entry.f_values(trace.iterates[sub])
-    return _collect("H4", {"cluster": [float(v) for v in xb]}, sub, np.abs(fs - fb) <= tol * (1.0 + abs(fb)))
+    return _collect("H4", {"cluster": [float(v) for v in xb]}, sub, np.abs(fs - fb) <= _H4_TOL * (1.0 + abs(fb)))
 
 
-def check_rclass(trace: IterateTrace, alpha: float, beta: float, tol: float = _ATOL) -> Certificate:
-    """R-class membership: ``||w_k|| <= alpha * xi(k)**beta`` with vanishing xi.
+def check_rclass(trace: IterateTrace, alpha: float, beta: float) -> Certificate:
+    """R-class membership: ``||w_k|| <= alpha * xi(k)**beta + _ATOL`` with vanishing xi.
 
     Each witness is tested against its own paired xi value.  The tail check
     requires the last recorded xi values to be nonincreasing and the final one
     to sit below ten times the trace's step tolerance.
     """
     check("RCLASS", trace.witness_side, alpha=alpha, beta=beta)
-    oks = trace.witness_norms <= alpha * trace.xi_values ** beta + tol
+    oks = trace.witness_norms <= alpha * trace.xi_values ** beta + _ATOL
     tail = trace.xi_values[-10:]
     nonincreasing = (tail[1:] <= tail[:-1] + 1e-15).all()
     tail_ok = bool(nonincreasing and (tail[-1:] <= 10.0 * trace.stop.step_tol).all())  # no xi: vacuous anyway

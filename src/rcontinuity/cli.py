@@ -208,13 +208,15 @@ def _modulus(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
         _require(a.setdefault("target", "auto") == "auto", "analysis.target",
                  "must be 'auto': the pipeline estimates on the inverse of its algorithm's witness map")
         witness_map = solvers.ALGORITHMS[cfg.algorithm["name"]].witness_map
-        m = entry.inverse if witness_map == "forward" else entry.grad_inverse
-        _require(m is not None, "operator", "no closed-form inverse of the witness map is registered")
+        path, oracle = "operator", "inverse" if witness_map == "forward" else "grad_inverse"
     else:
-        target = a.setdefault("target", "forward")
-        _require(target in ("forward", "inverse"), "analysis.target", "must be 'forward' or 'inverse'")
-        m = entry.forward if target == "forward" else entry.inverse
-        _require(m is not None, "analysis.target", f"entry {entry.name!r} has no inverse")
+        path, oracle = "analysis.target", a.setdefault("target", "forward")
+        _require(oracle in ("forward", "inverse"), path, "must be 'forward' or 'inverse'")
+    try:
+        entry.need(oracle)
+    except MissingOracleError as exc:
+        raise ConfigError(path, str(exc)) from None
+    m = getattr(entry, oracle)
     xbar = _vector(a.setdefault("xbar", [0.0] * m.dim_in), "analysis.xbar", m.dim_in)
     radii = a["radii"] = _radii_list(a.get("radii", {"start": 1e-4, "stop": 1e-1, "count": 13}), "analysis.radii")
     samples = _int(a.setdefault("samples_per_radius", _MODULUS["samples_per_radius"]), "analysis.samples_per_radius",
@@ -254,7 +256,8 @@ def _plk(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
     _require("plk" in a, "analysis.plk", "missing PLK parameters")
     plk = _object(a["plk"], "analysis.plk", [f.name for f in _PLK_FIELDS])
     for f in _PLK_FIELDS:
-        _READ[f.type](plk.get(f.name), f"analysis.plk.{f.name}")
+        _require(f.name in plk, f"analysis.plk.{f.name}", "missing")
+        _READ[f.type](plk[f.name], f"analysis.plk.{f.name}")
     plk_config = _rule("analysis.plk", analysis.PlkConfig, **plk)
     xbar = _vector(a.setdefault("xbar", [0.0] * entry.dim_in), "analysis.xbar", entry.dim_in)
     grid_count = _int(a.setdefault("grid_count", _PLK["grid_count"]), "analysis.grid_count", maximum=_MAX_SAMPLES)

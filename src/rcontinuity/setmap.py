@@ -163,13 +163,11 @@ class ProxOracle:
     note: str = "valid for all gamma > 0"
 
     def bind(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The resolvent ``y -> J_{γA}(y)``, after checking γ once.  Coordinates are not
-        checked for finiteness, in ``y`` or in the result: an overflow inside a solver run
-        reaches the solver loop, whose finiteness rule ends the run as divergence."""
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if not self.valid_gamma(gamma):
-            raise ValueError(f"gamma={gamma} outside the oracle's single-valued range ({self.note})")
+        """The resolvent ``y -> J_{γA}(y)``, or a ``ParamError`` naming ``gamma`` unless γ > 0 passes
+        ``valid_gamma``.  Coordinates are not checked for finiteness, in ``y`` or in the result: an
+        overflow in a solver run reaches the solver loop, whose finiteness rule ends it as divergence."""
+        if not (gamma > 0 and self.valid_gamma(gamma)):
+            raise ParamError("gamma", f"gamma={gamma} outside the resolvent's range ({self.note})")
         return self.resolvent(gamma)
 
     def resolve(self, gamma: float, y) -> np.ndarray:

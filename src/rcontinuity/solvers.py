@@ -7,8 +7,8 @@ convention.  Runs are strictly sequential; distinct runs are independent.
 
 Each runner's contract is stated once: :data:`ALGORITHMS` is the table of
 runners, parameters, witness conventions and oracles, and :func:`check` holds
-every range, oracle and step-condition rule.  Each runner calls ``check``
-first, and the CLI validates a config by calling the same ``check``.
+every range (a resolvent's γ range by ``ProxOracle.bind``), oracle and step-condition
+rule.  Each runner calls ``check`` first, and the CLI validates a config by calling it.
 
 The step loop is lean on purpose.  :func:`_iterate` is the one loop, and
 each runner writes its step once, in operations that Python floats and numpy
@@ -523,9 +523,8 @@ def check(name: str, entry: OperatorEntry, **params) -> None:
         if key in params and not params[key] > bound:
             raise ParamError(key, f"{key} must exceed {bound}")
     gamma = params.get("gamma")
-    resolvent = entry.prox if spec.oracle == "prox" else entry.dc.g_prox if spec.oracle == "dc" else None
-    if resolvent is not None and not resolvent.valid_gamma(gamma):
-        raise ParamError("gamma", f"gamma={gamma} outside the resolvent's range ({resolvent.note})")
+    if spec.oracle in ("prox", "dc"):
+        (entry.prox if spec.oracle == "prox" else entry.dc.g_prox).bind(gamma)
     if name == "qpower" and (entry.quad_form is None or params["q"] != 2.0):  # no closed form
         if entry.dim_in != 1:
             raise ParamError("q" if entry.quad_form is not None else "name",
@@ -541,18 +540,20 @@ def check(name: str, entry: OperatorEntry, **params) -> None:
             raise ParamError("gamma", "reciprocal step condition requires gamma < 1 / (2 * kappa)")
 
 
+_SYNTHETIC = "synthetic"
+
+
 def make_synthetic_trace(
     iterates: List,
     witnesses: List[tuple],
     xi_values: List[float],
     f_values: Optional[List[float]] = None,
     stop: StopRule = StopRule(step_tol=1e-2),
-    algorithm: str = "synthetic",
 ) -> IterateTrace:
-    """Assemble a trace from raw sequences, mainly for tests and examples."""
+    """Assemble a trace of algorithm ``_SYNTHETIC`` from raw sequences, mainly for tests and examples."""
     xs = np.asarray(iterates, dtype=float).reshape(len(iterates), -1)
     return IterateTrace(
-        algorithm=algorithm,
+        algorithm=_SYNTHETIC,
         iterates=xs,
         step_norms=_norm_rows(np.diff(xs, axis=0)),
         stop=stop,

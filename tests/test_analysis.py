@@ -29,9 +29,9 @@ from rcontinuity import (
     pointwise,
     sample_window,
 )
-from rcontinuity.analysis import _chain_converged
+from rcontinuity.analysis import _chain_converged, check_modulus
 from rcontinuity.geometry import unit_directions
-from rcontinuity.setmap import ScalarForm
+from rcontinuity.setmap import ParamError, ScalarForm
 from conftest import brute_force_modulus, curves_agree, reference_member_dist
 
 K10 = Window.box([0.0], [10.0])
@@ -136,6 +136,25 @@ class TestFitHolder:
         assert curve.rho_at(1.5) == pytest.approx(2.0)
         assert curve.rho_at(0.5) == pytest.approx(1.0)  # clamped below the grid
         assert curve.rho_at(2.5) is None
+
+    @pytest.mark.parametrize("radii, rho_hat, param", [
+        ([math.nan, 1.0], [0.0, 1.0], "radii[0]"),
+        ([0.5, -1.0], [0.0, 1.0], "radii[1]"),
+        ([1.0, 1.0], [0.0, 1.0], "radii"),
+        ([], [], "radii"),
+        ([0.5, 1.0], [math.nan, 1.0], "rho_hat[0]"),
+        ([0.5, 1.0], [0.0, -1.0], "rho_hat[1]"),
+    ])
+    def test_a_curve_refuses_a_grid_or_value_the_estimator_would_not_make(self, radii, rho_hat, param):
+        # a NaN curve would pass every link audit: NaN bounds fail no comparison
+        with pytest.raises(ParamError) as info:
+            ModulusCurve(map_name="x", base_point=np.array([0.0]), window=None, radii=radii, rho_hat=rho_hat,
+                         sample_counts=[4] * len(radii), seed=0, scheme="grid")
+        assert info.value.param == param
+        if param.startswith("radii"):  # one grid rule: check_modulus names the same radius
+            with pytest.raises(ParamError) as info:
+                check_modulus(catalog_lookup("quad").forward, [0.0], None, radii, 4, "grid")
+            assert info.value.param == param
 
 
 JUMP = SetValuedMap(

@@ -155,6 +155,15 @@ REJECTED = [
     _rejected("window-in-plk", ["plk", "--set", "operator=square", "--set", f"analysis.plk={json.dumps(_PLK_1)}",
                                 "--set", _WINDOW_1D], "analysis.window"),
     _rejected("xbar-in-solve", _SOLVE + ["--set", "analysis.xbar=[0.0]"], "analysis.xbar"),
+    _rejected("set-without-value", _SOLVE + ["--set", "operator"], "--set"),
+    _rejected("set-through-a-number", _SOLVE + ["--set", "algorithm=3", "--set", "algorithm.x0=1"], "algorithm.x0"),
+    _rejected("radii-negative", _MODULUS + ["--set", "analysis.radii=[0.1, -0.2]"], "analysis.radii[1]"),
+    _rejected("step-condition-unknown", ["solve", "--set", "operator=quad", "--set",
+                                         'algorithm={"name": "shifted-ppa", "kappa": 0.25, "gamma": 1.0, '
+                                         '"x0": [1.0], "step_condition": "other"}'], "algorithm.step_condition"),
+    _rejected("plk-missing-field", ["plk", "--set", "operator=square", "--set",
+                                    'analysis.plk={"M": 2.0, "q_exp": 0.5, "eta": 1.0}'],
+              "analysis.plk.neighborhood_radius"),
 ]
 
 
@@ -783,6 +792,30 @@ class TestMainExitCodes:
         cfg_path.write_text(json.dumps(cfg))
         code = main(["certify", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 4
+
+    def test_an_unconverged_pipeline_is_4(self, tmp_path, capsys):
+        # 50 steps of 0.001 leave quad's iterate near 0.95: the distance verdict fails
+        assert main(["pipeline", "--set", "operator=quad", "--set",
+                     'algorithm={"name": "gdm", "step": 0.001, "x0": [1.0]}', "--set", "stop.max_iter=50",
+                     "--out", str(tmp_path)]) == 4
+        assert json.loads(capsys.readouterr().out)["verdicts"]["distance"]["converged"] is False
+
+    def test_the_seed_flag_is_echoed(self, tmp_path, capsys):
+        assert main(_SOLVE + ["--seed", "7", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["seed"] == 7
+
+    @pytest.mark.parametrize("argv, message", [
+        (["modulus", "--set", "operator=rm1", "--set", "analysis.target=inverse"],
+         "analysis.target: entry 'rm1' has no inverse oracle"),
+        (["pipeline", "--set", "operator=double-well", "--set",
+          'algorithm={"name": "gdm", "step": 0.01, "x0": [2.0]}'],
+         "operator: entry 'double-well' has no grad_inverse oracle"),
+        (["plk", "--set", "operator=square", "--set", 'analysis.plk={"M": 2.0, "q_exp": 0.5, "eta": 1.0}'],
+         "analysis.plk.neighborhood_radius: missing"),
+    ], ids=["modulus-inverse", "pipeline-grad-inverse", "plk-field"])
+    def test_what_is_missing_is_named_missing(self, argv, message, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_catalog_subcommand(self, capsys):
         assert main(["catalog"]) == 0

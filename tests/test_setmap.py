@@ -21,7 +21,7 @@ from rcontinuity import (
     pointwise,
     sample_window,
 )
-from rcontinuity.setmap import ScalarForm
+from rcontinuity.setmap import ParamError, ScalarForm
 from conftest import reference_member_dist, reference_value_dists
 
 # a handled overflow must not reach the user as a numpy warning
@@ -270,10 +270,11 @@ class TestProxOracle:
     def test_bind_refuses_gamma_where_resolve_did(self, oracle, gamma):
         prox, _, refused = _prox_oracle(oracle)
         if refused(gamma):
-            with pytest.raises(ValueError):
+            with pytest.raises(ParamError, match="outside the resolvent's range") as bound:
                 prox.bind(gamma)
-            with pytest.raises(ValueError):
+            with pytest.raises(ParamError) as resolved:
                 prox.resolve(gamma, [1.0] * catalog_lookup(oracle.split(".")[0]).dim_in)
+            assert bound.value.param == resolved.value.param == "gamma"
         else:
             prox.bind(gamma)
 

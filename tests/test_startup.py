@@ -3,12 +3,14 @@
 Importing ``scipy.stats`` alone takes longer than most CLI runs, so every
 scipy import in the package sits in the function that needs it: the scrambled
 Halton sampler, the Gaussian directions in dimension >= 2 and the qpower
-subproblem.  These tests keep it that way, and keep every norm in
-``geometry.py``.
+subproblem.  These tests keep it that way, keep every norm in
+``geometry.py``, and keep every public default one that some call overrides.
 """
 
 import ast
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +18,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import rcontinuity
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _module_level_imports(tree: ast.Module):
@@ -53,6 +58,49 @@ def test_only_geometry_takes_a_norm():
     offenders = [f"{path.name}:{i}" for path in sorted((SRC / "rcontinuity").glob("*.py")) if path.name != "geometry.py"
                  for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if "linalg.norm" in line]
     assert not offenders
+
+
+def _calls(paths):
+    """Per called name (a plain name or an attribute), each call's positional
+    count (unbounded with a ``*`` argument) and keyword names."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                positional = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+                calls.setdefault(name, []).append((positional, {k.arg for k in node.keywords}))
+    return calls
+
+
+def _unpassed(calls) -> list:
+    """``function.param`` for each defaulted parameter of a public function that no call passes."""
+    unpassed = []
+    for name in rcontinuity.__all__:
+        function = getattr(rcontinuity, name)
+        if not inspect.isfunction(function):
+            continue
+        for i, p in enumerate(inspect.signature(function).parameters.values()):
+            if p.default is not p.empty and not any(
+                    p.name in keywords or (positional > i and p.kind is p.POSITIONAL_OR_KEYWORD)
+                    for positional, keywords in calls.get(name, [])):
+                unpassed.append(f"{name}.{p.name}")
+    return unpassed
+
+
+def test_every_public_default_is_overridden_somewhere():
+    # a default no call changes is a constant: it belongs beside its function, not in its signature
+    paths = [path for folder in ("src", "tests", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert _unpassed(_calls(paths)) == []
+
+
+def test_the_default_scan_counts_positional_and_keyword_arguments(tmp_path):
+    (tmp_path / "calls.py").write_text("rc.estimate_modulus(m, x, k, r, 8)\nlojasiewicz_fit(e, k, grid_count=5)\n"
+                                       "check_plk_exponent(*args)\n", encoding="utf-8")
+    found = _unpassed(_calls([tmp_path / "calls.py"]))
+    assert "estimate_modulus.samples_per_radius" not in found and "estimate_modulus.seed" in found
+    assert "lojasiewicz_fit.grid_count" not in found and "check_plk_exponent.grid_count" not in found
+    assert "calmness_estimate.samples" in found
 
 
 def test_the_lint_sees_module_level_imports():
