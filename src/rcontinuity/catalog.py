@@ -31,7 +31,7 @@ from typing import Dict, List
 import numpy as np
 
 from .geometry import Region
-from .setmap import DcSplit, OperatorEntry, ProxOracle, ScalarForm, SetValuedMap
+from .setmap import DcSplit, OperatorEntry, ProxOracle, RowForm, ScalarForm, SetValuedMap
 
 #: Sample count for continuum-valued branches (intervals, half-lines).
 _INTERVAL_RESOLUTION = 257
@@ -335,9 +335,14 @@ def _quad2() -> OperatorEntry:
         M, shift = np.eye(2) + gamma * Q, gamma * b
         return lambda y: np.linalg.solve(M, y + shift)
 
+    def f_rows(X):
+        # 0.5 * x @ Q @ x - b @ x per row: a stacked matmul runs, per row, the
+        # kernels of the single products (gemv, then dot), so its bits are theirs
+        col = X[:, :, None]
+        return ((0.5 * X)[:, None, :] @ Q @ col)[:, 0, 0] - (b @ col)[:, 0]
+
     fwd = SetValuedMap("quad2", 2, 2, ev)
     inv = SetValuedMap("quad2-inverse", 2, 2, inv_ev)
-    fval = lambda x: float(0.5 * x @ Q @ x - b @ x)
     return OperatorEntry(
         name="quad2",
         forward=fwd,
@@ -347,7 +352,7 @@ def _quad2() -> OperatorEntry:
         prox=ProxOracle(prox_resolvent),
         subgrad=fwd,
         grad_inverse=inv,
-        f=fval,
+        f=RowForm(f_rows),
         grad=lambda x: Q @ x - b,
         jac=lambda x: Q.copy(),
         quad_form=(Q, b),

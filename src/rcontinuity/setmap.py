@@ -209,6 +209,18 @@ class ScalarForm:
 
 
 @dataclass(frozen=True)
+class RowForm:
+    """An ``f`` oracle given row-wise: ``rows(X)`` is ``f`` at each row of an
+    ``(n, d)`` array, and the per-point oracle ``x -> f(x)`` is its one-row
+    case, so the two views give the same bits."""
+
+    rows: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x) -> float:
+        return float(self.rows(np.asarray(x, dtype=float)[None])[0])
+
+
+@dataclass(frozen=True)
 class OperatorEntry:
     """A catalog operator: forward map plus whatever closed-form oracles exist.
 
@@ -219,8 +231,9 @@ class OperatorEntry:
     entries whose objective is ``x'Qx/2 - b'x``, unlocking closed-form
     power-penalty subproblems.  A 1-d entry's ``f``, ``grad`` and ``jac`` may be
     :class:`ScalarForm` oracles, whose float and column views
-    :meth:`f_values` and the power-penalty subproblem use; replacing an
-    oracle replaces its views with it.
+    :meth:`f_values` and the power-penalty subproblem use, and an entry's
+    ``f`` may be a :class:`RowForm`, whose row view :meth:`f_values` uses;
+    replacing an oracle replaces its views with it.
     """
 
     name: str
@@ -254,10 +267,11 @@ class OperatorEntry:
                 raise MissingOracleError(f"entry {self.name!r} has no {name} oracle")
 
     def f_values(self, X: np.ndarray) -> np.ndarray:
-        """``f`` at each row of an ``(n, dim_in)`` array, by a :class:`ScalarForm`'s ``rows`` or else row by row."""
-        if isinstance(self.f, ScalarForm):
-            return self.f.rows(X)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan, as in rows
+        """``f`` at each row of an ``(n, dim_in)`` array, by the ``rows`` of a
+        :class:`ScalarForm` or :class:`RowForm`, or else row by row."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan, without a warning
+            if isinstance(self.f, (ScalarForm, RowForm)):
+                return self.f.rows(X)
             return np.array([self.f(x) for x in X], dtype=float)
 
     def oracle_flags(self) -> dict:

@@ -731,9 +731,50 @@ def test_scalar_form_is_f_and_grad_on_a_float(name):
                 assert np.float64(grad(v)).tobytes() == entry.grad(x).tobytes(), v
 
 
+def reference_quad2_f(x) -> float:
+    """``quad2``'s ``f`` as it was before its row form: one ``x @ Q @ x`` and one ``b @ x`` per point."""
+    Q, b = catalog_lookup("quad2").quad_form
+    return float(0.5 * x @ Q @ x - b @ x)
+
+
+_QUAD2_SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-320, -1e-320, 1e-170, 1e154, -1e154, 1e200, -1e200,
+                  1.7e308, -1.7e308, math.inf, -math.inf, math.nan, 5e-324]
+
+
+class TestQuad2RowForm:
+    """``quad2``'s ``f_values`` and per-point ``f`` against :func:`reference_quad2_f`, bit for bit,
+    NaN signs included; ``f_values`` raises no ``RuntimeWarning`` (the module turns one into an error)."""
+
+    @staticmethod
+    def assert_matches_reference(X):
+        entry = catalog_lookup("quad2")
+        got = entry.f_values(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.array([reference_quad2_f(x) for x in X], dtype=float)
+            points = np.array([entry.f(x) for x in X], dtype=float)
+        assert got.shape == (len(X),)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert points.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_special_value_grid(self):
+        X = np.array([[u, v] for u in _QUAD2_SPECIAL for v in _QUAD2_SPECIAL])
+        assert len(X) == 289
+        self.assert_matches_reference(X)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e50, 1e100, 1e160])
+    def test_random_rows(self, scale):
+        X = np.random.default_rng(17).normal(size=(2000, 2)) * scale
+        self.assert_matches_reference(X)
+        self.assert_matches_reference(np.asfortranarray(X))
+        self.assert_matches_reference(X[::3])
+
+    def test_no_rows(self):
+        assert catalog_lookup("quad2").f_values(np.empty((0, 2))).shape == (0,)
+
+
 def test_f_values_loops_over_f_without_a_row_wise_form():
     entry = catalog_lookup("quad2")
-    assert not isinstance(entry.f, ScalarForm)  # x @ Q @ x is a BLAS dot per row
+    assert not isinstance(entry.f, ScalarForm)  # a RowForm: its rows, not a loop over f
     calls = []
     square = dataclasses.replace(catalog_lookup("square"), f=lambda x: calls.append(x) or x[0] ** 2)
     assert square.f_values(np.array([[3.0], [-2.0]])).tolist() == [9.0, 4.0]
