@@ -29,6 +29,10 @@ import math
 from typing import Dict, List
 
 import numpy as np
+# np.linalg.solve's LAPACK gufunc, which the quad2 resolvent calls per step without
+# solve's costlier argument handling, for the same bits.  I + γQ is SPD for γ > 0, so
+# solve's singular-matrix error cannot occur; a successful solve clears the FP flags.
+from numpy.linalg import _umath_linalg
 
 from .geometry import Region
 from .setmap import DcSplit, OperatorEntry, ProxOracle, RowForm, ScalarForm, SetValuedMap
@@ -333,7 +337,7 @@ def _quad2() -> OperatorEntry:
 
     def prox_resolvent(gamma):
         M, shift = np.eye(2) + gamma * Q, gamma * b
-        return lambda y: np.linalg.solve(M, y + shift)
+        return lambda y: _umath_linalg.solve1(M, y + shift)  # float64 operands: its "dd->d" loop
 
     def f_rows(X):
         # 0.5 * x @ Q @ x - b @ x per row: a stacked matmul runs, per row, the

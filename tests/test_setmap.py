@@ -265,6 +265,23 @@ class TestProxOracle:
                 assert prox.resolve(gamma, y).tobytes() == want.tobytes()
                 assert prox.resolve(gamma, y.tolist()).tobytes() == want.tobytes()
 
+    def test_quad2_resolvent_is_linalg_solve(self):
+        # the bound resolvent calls LAPACK's gufunc without np.linalg.solve's wrapper; a numpy
+        # whose private gufunc rounds or warns differently fails here
+        prox, rule, _ = _prox_oracle("quad2")
+        rng = np.random.default_rng(23)
+        for gamma in 10.0 ** rng.uniform(-6.0, 6.0, 200):
+            bound = prox.bind(float(gamma))
+            for y in rng.standard_normal((10, 2)) * 10.0 ** rng.uniform(-300.0, 300.0, (10, 1)):
+                assert bound(y).tobytes() == rule(float(gamma), y).tobytes()
+
+    @pytest.mark.parametrize("y", [[math.inf, math.inf], [math.nan, 0.0], [-math.inf, 1.0], [1e308, 1e308]])
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e307])
+    def test_quad2_resolvent_at_extreme_y_is_linalg_solve(self, y, gamma):
+        prox, rule, _ = _prox_oracle("quad2")
+        assert prox.bind(gamma)(np.array(y)).tobytes() == rule(gamma, y).tobytes()
+        assert prox.resolve(gamma, y).tobytes() == rule(gamma, y).tobytes()
+
     @pytest.mark.parametrize("oracle", sorted(_PARENT_RULES))
     @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, 1e-300, 0.25, 0.5, 0.5 - 1e-13, 0.5 + 2e-12, 1.0, 1e300])
     def test_bind_refuses_gamma_where_resolve_did(self, oracle, gamma):
