@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,10 +23,17 @@ def _write_lines(path: Path, header: Sequence[str], lines: Iterable[str]) -> Non
     Path(path).write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8", newline="")
 
 
-def _cells(values: Iterable) -> Iterator[str]:
-    """Cells of a float column whose entries are Python floats or None: the
-    shortest round-trip ``repr``, or the empty cell."""
-    return ("" if v is None else repr(v) for v in values)
+def _float_cells(*columns: np.ndarray) -> List[list]:
+    """The cells of float columns: each value's shortest round-trip ``repr``.
+
+    ``repr`` runs once per distinct value of all the columns together, and
+    values are told apart by their bits, not by float equality: ``-0.0 == 0.0``
+    though their reprs differ, and a NaN equals nothing, itself included."""
+    values = np.concatenate([np.asarray(c, dtype=float) for c in columns])
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    cells = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)[inverse].tolist()
+    ends = list(accumulate(len(c) for c in columns))
+    return [cells[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def write_json(path: Path, obj) -> None:
@@ -41,7 +49,7 @@ def sha256_file(path: Path) -> str:
 
 
 def modulus_to_csv(curve: ModulusCurve, path: Path) -> None:
-    cells = [_cells(curve.radii.tolist()), _cells(curve.rho_hat.tolist()), map(str, curve.sample_counts)]
+    cells = [*_float_cells(curve.radii, curve.rho_hat), map(str, curve.sample_counts)]
     _write_lines(path, ["sigma", "rho_hat", "samples"], map(",".join, zip(*cells)))
 
 
@@ -54,25 +62,24 @@ def trace_to_csv(trace: IterateTrace, path: Path, distances: Optional[List[float
     header += ["delta", "f_value", "witness_norm", "xi"]
     indices = trace.witness_indices
     inside = (indices >= 0) & (indices < n)
-    last = np.full(n, -1)  # -1, a row without a witness, picks the trailing None below
+    last = np.full(n, -1)  # -1, a row without a witness, picks the trailing empty cell below
     np.maximum.at(last, indices[inside], np.flatnonzero(inside))
 
-    def witnessed(values: np.ndarray) -> np.ndarray:
-        return np.array(values.tolist() + [None], dtype=object)[last]
+    def padded(cells: list) -> list:
+        return cells + [""] * (n - len(cells))
 
-    def padded(values: Optional[np.ndarray]) -> list:
-        return [None] * n if values is None else values.tolist() + [None] * (n - len(values))
+    def witnessed(cells: list) -> list:
+        return np.array(cells + [""], dtype=object)[last].tolist()
 
-    delta = list(_cells(padded(trace.step_norms)))
-    # xi = Δ by bits (-0.0 == 0.0, but not by repr): row r's xi is delta[last[r]], -1 the empty cell
-    same = np.array_equal(trace.xi_values.view(np.uint64), trace.step_norms.view(np.uint64))
-    xi_cells = np.array(delta, dtype=object)[last] if same else _cells(witnessed(trace.xi_values))
-    cells = [map(str, range(n)), *map(_cells, trace.iterates.T.tolist()), delta,
-             _cells(padded(trace.f_values)), _cells(witnessed(trace.witness_norms)), xi_cells]
+    f_values = np.empty(0) if trace.f_values is None else trace.f_values
+    columns = [*((padded, x) for x in trace.iterates.T), (padded, trace.step_norms), (padded, f_values),
+               (witnessed, trace.witness_norms), (witnessed, trace.xi_values)]
     if distances is not None:
         header.append("distance")
-        cells.append(_cells(np.asarray(distances, dtype=float).tolist()))
+        columns.append((padded, np.asarray(distances, dtype=float)))
     if trace.fejer_ledger is not None:
         header.append("fejer_ledger")
-        cells.append(_cells(padded(trace.fejer_ledger)))
+        columns.append((padded, trace.fejer_ledger))
+    rendered = _float_cells(*(values for _, values in columns))
+    cells = [map(str, range(n)), *(shape(c) for (shape, _), c in zip(columns, rendered))]
     _write_lines(path, header, map(",".join, zip(*cells)))

@@ -1,6 +1,6 @@
 """``trace_to_csv`` against the writer it replaced, which rendered every cell
-with its own ``repr``; the writer now takes the ``xi`` cells from the
-``delta`` cells where ``xi`` and the step norms have the same bits."""
+with its own ``repr``; the writer now calls ``repr`` once per distinct bit
+pattern of all its float columns."""
 
 import math
 from pathlib import Path
@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcontinuity import (IterateTrace, Region, catalog_lookup, distance_trace, make_synthetic_trace, run_dca,
-                         run_gdm, run_ppa, run_qpower_prox, run_shifted_ppa)
-from rcontinuity.serialize import trace_to_csv
+from rcontinuity import (IterateTrace, ModulusCurve, Region, catalog_lookup, distance_trace, make_synthetic_trace,
+                         run_dca, run_gdm, run_ppa, run_qpower_prox, run_shifted_ppa)
+from rcontinuity.serialize import modulus_to_csv, trace_to_csv
 from rcontinuity.solvers import StopRule
 
 
@@ -92,3 +92,30 @@ def test_nan_step_norms_and_unordered_witnesses(tmp_path):
                         stop=StopRule(), termination="max_iter", witness_indices=[1, 0],
                         witness_points=[[1.0], [2.0]], xi_values=[math.nan, -0.0])
     _same_bytes(same, tmp_path)
+
+
+def test_signed_zeros_nan_and_inf_shared_across_columns(tmp_path):
+    # 0.0 and -0.0 in both coordinates, and the same values again in every other column
+    trace = IterateTrace(algorithm="synthetic", iterates=[[0.0, -0.0], [-0.0, 0.0], [0.5, -0.5], [0.5, 1e-320]],
+                         step_norms=[-0.0, 0.5, math.inf], stop=StopRule(), termination="max_iter",
+                         f_values=[math.nan, -0.0, 0.5, -math.inf], witness_indices=[0, 3, 3, 1],
+                         witness_points=[[-0.0, 0.0], [0.5, 0.0], [0.0, -0.5], [1e-320, 0.0]],
+                         xi_values=[-math.nan, 0.0, 0.5, -0.0], fejer_ledger=[0.0, -0.0])
+    _same_bytes(trace, tmp_path)
+    _same_bytes(trace, tmp_path, distances=[0.5, -0.0, math.nan, math.inf])
+
+
+def test_one_iterate_traces(tmp_path):
+    _same_bytes(make_synthetic_trace([[2.5]], witnesses=[], xi_values=[]), tmp_path)
+    trace = IterateTrace(algorithm="synthetic", iterates=[[-0.0, 2.5]], step_norms=[], stop=StopRule(),
+                         termination="max_iter", f_values=[-0.0], witness_indices=[0], witness_points=[[2.5, -0.0]],
+                         xi_values=[2.5], fejer_ledger=[])
+    _same_bytes(trace, tmp_path)
+    _same_bytes(trace, tmp_path, distances=[-0.0])
+
+
+def test_modulus_csv_shares_reprs_across_columns(tmp_path):
+    curve = ModulusCurve(map_name="shared", base_point=np.zeros(1), window=None, radii=np.array([0.25, 0.5, 1.0]),
+                         rho_hat=np.array([0.0, 0.5, math.inf]), sample_counts=[3, 0, 7], seed=0, scheme="grid")
+    modulus_to_csv(curve, tmp_path / "modulus.csv")
+    assert (tmp_path / "modulus.csv").read_text() == "sigma,rho_hat,samples\n0.25,0.0,3\n0.5,0.5,0\n1.0,inf,7\n"
