@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from rcontinuity import (
     run_gdm,
     run_ppa,
     run_qpower_prox,
+    run_shifted_ppa,
 )
 from rcontinuity.serialize import modulus_to_csv, trace_to_csv
 
@@ -190,6 +192,42 @@ class TestH4MatchesFullSort:
         assert cert.params == params
         assert cert.note == note
         _same(cert, reference_collect(pairs))
+
+
+def _contracting_trace(n: int, dim: int):
+    """``n`` iterates contracting toward a point, plus noise, without recorded function values."""
+    rng = np.random.default_rng(n * dim)
+    iterates = rng.normal(size=dim) * 0.995 ** np.arange(n)[:, None] + 1e-3 * rng.normal(size=(n, dim))
+    return make_synthetic_trace(list(iterates), witnesses=[], xi_values=[]), catalog_lookup("quad" if dim == 1 else "quad2")
+
+
+class TestH4RowBlocks:
+    # 256 iterates fill one block of the pairwise scan and 257 take two; past 2,000 the stride starts
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [255, 256, 257, 1999, 2000, 2001, 4000, 4001])
+    def test_matches_full_sort_across_block_and_stride_boundaries(self, n, dim):
+        trace, entry = _contracting_trace(n, dim)
+        cert = check_h4(trace, entry)
+        params, pairs, note = reference_check_h4(trace, entry)
+        assert params and (cert.params, cert.note) == (params, note)
+        _same(cert, reference_collect(pairs))
+
+    @pytest.mark.parametrize("run, n", [
+        (lambda: run_gdm(catalog_lookup("quad"), 1e-3, [1.0]), 16113),
+        (lambda: run_shifted_ppa(catalog_lookup("quad2"), 5e-4, 0.002, [2.0, 2.0]), 10947),
+    ], ids=["gdm-quad", "shifted-ppa-quad2"])
+    def test_traced_peak_stays_below_8_mib(self, run, n):
+        # a full 2,000 x 2,000 distance matrix (x d differences) would take 49 MiB in 1-d, 152 MiB in 2-d
+        trace = run()
+        assert len(trace) == n
+        entry = catalog_lookup("quad" if trace.dim == 1 else "quad2")
+        tracemalloc.start()
+        try:
+            check_h4(trace, entry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestRclass:
