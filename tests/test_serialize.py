@@ -1,15 +1,16 @@
-"""``trace_to_csv`` against the writer it replaced, which rendered every cell
-with its own ``repr``; the writer now calls ``repr`` once per distinct bit
-pattern of all its float columns."""
+"""The CSV writers against ``repr``: the vectorized renderer byte for byte
+on every kind of double, and ``trace_to_csv`` against the writer it
+replaced, which rendered every cell with its own ``repr``."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rcontinuity import (IterateTrace, ModulusCurve, Region, catalog_lookup, distance_trace, make_synthetic_trace,
-                         run_dca, run_gdm, run_ppa, run_qpower_prox, run_shifted_ppa)
+                         run_dca, run_gdm, run_ppa, run_qpower_prox, run_shifted_ppa, serialize)
 from rcontinuity.serialize import modulus_to_csv, trace_to_csv
 from rcontinuity.solvers import StopRule
 
@@ -119,3 +120,129 @@ def test_modulus_csv_shares_reprs_across_columns(tmp_path):
                          rho_hat=np.array([0.0, 0.5, math.inf]), sample_counts=[3, 0, 7], seed=0, scheme="grid")
     modulus_to_csv(curve, tmp_path / "modulus.csv")
     assert (tmp_path / "modulus.csv").read_text() == "sigma,rho_hat,samples\n0.25,0.0,3\n0.5,0.5,0\n1.0,inf,7\n"
+
+
+def _assert_renders_as_repr(values, want=None) -> None:
+    """``serialize._float_cells`` gives each value's ``repr`` (``want``), byte for byte."""
+    values = np.asarray(values, dtype=float)
+    cells = np.zeros((len(values), serialize._CELL), np.uint8)
+    serialize._float_cells(values, cells)
+    want = [repr(v) for v in values.tolist()] if want is None else want
+    shown = cells != 0
+    if shown.sum(axis=1).tolist() != [len(w) for w in want] or cells[shown].tobytes() != "".join(want).encode():
+        got = [bytes(row[row != 0]).decode() for row in cells]
+        assert [(w, g) for w, g in zip(want, got) if w != g][:5] == []
+
+
+def _neighbours(values, ulps=3):
+    """Each value and the doubles up to ``ulps`` steps below and above it."""
+    bits = np.asarray(values, dtype=float).view(np.int64)[:, None] + np.arange(-ulps, ulps + 1)
+    return bits.ravel().view(np.float64)
+
+
+def _signed(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+_RNG = np.random.default_rng(20)
+_SEVENTEEN = [v for v in _RNG.random(4000).tolist() if len(repr(v).lstrip("0.").replace(".", "")) == 17]
+_CASES = {
+    "specials": [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                 *np.array([0x7FF0000000000001, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)],
+    "powers-of-two": _signed(np.ldexp(1.0, np.arange(-1074, 1024))),
+    # the largest subnormals, the smallest normals and 5e-324
+    "subnormal-boundary": _signed(_neighbours([2.2250738585072014e-308], 40).tolist() + [5e-324, 1e-320, 1e-310]),
+    "around-2**53": _signed(np.concatenate([2.0 ** 53 + np.arange(-600, 601), 2.0 ** 54 + np.arange(-600, 601)])),
+    "powers-of-ten": _signed(_neighbours([float(f"1e{k}") for k in range(-307, 309)], 1).tolist()
+                             + [float(f"1e{k}") for k in range(-323, -307)]),
+    # fixed below decpt = -4 and above 16, exponent form else
+    "format-switches": _signed(_neighbours([1e-5, 1e-4, 9999999999999998.0, 1e16, 0.001, 1e15, 123456789012345680.0])),
+    "one-digit": _signed([d * 10.0 ** k for d in range(1, 10) for k in range(-25, 26)]),
+    "seventeen-digits": _signed(_SEVENTEEN + [0.1 + 0.2, 1 / 3, 2 / 3, 1.7976931348623157e308]),
+    "random-normals": _RNG.standard_normal(3000) * 10.0 ** _RNG.integers(-300, 300, 3000),
+}
+
+
+@pytest.mark.parametrize("vector_min, block", [(None, None), (0, None), (0, 7), (10 ** 9, None)],
+                         ids=["as-set", "kernel", "kernel-in-blocks-of-7", "repr"])
+@pytest.mark.parametrize("case", list(_CASES))
+def test_renderer_matches_repr(case, vector_min, block, monkeypatch):
+    # each case whole, on both sides of _VECTOR_MIN and of the value block
+    if vector_min is not None:
+        monkeypatch.setattr(serialize, "_VECTOR_MIN", vector_min)
+    if block is not None:
+        monkeypatch.setattr(serialize, "_VALUE_BLOCK", block)
+    _assert_renders_as_repr(_CASES[case])
+
+
+@pytest.fixture(scope="module")
+def random_bits():
+    """A million uniform bit patterns, NaNs, infinities and subnormals among
+    them, and their reprs (about 3 s: most have exponents far from 0)."""
+    values = np.random.default_rng(7).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64)
+    return values, [repr(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize("block", [None, 999], ids=["as-set", "blocks-of-999"])
+def test_renderer_matches_repr_on_random_bits(block, random_bits, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(serialize, "_VALUE_BLOCK", block)
+    _assert_renders_as_repr(*random_bits)
+
+
+@pytest.mark.parametrize("extra, kernel_calls", [(-1, 0), (0, 1), (serialize._VALUE_BLOCK - serialize._VECTOR_MIN, 1),
+                                                 (serialize._VALUE_BLOCK - serialize._VECTOR_MIN + 1, 2)],
+                         ids=["below-vector-min", "at-vector-min", "one-block", "one-block-and-one"])
+def test_the_kernel_runs_from_vector_min_normal_values_in_blocks(extra, kernel_calls, monkeypatch):
+    calls = []
+    layout = serialize._layout
+    monkeypatch.setattr(serialize, "_layout", lambda bits: calls.append(len(bits)) or layout(bits))
+    values = np.concatenate([np.arange(1, serialize._VECTOR_MIN + extra + 1) / 7, [0.0, -0.0, math.inf, math.nan, 5e-324]])
+    _assert_renders_as_repr(values)
+    assert len(calls) == kernel_calls  # zeros, infinities, NaNs and subnormals do not count
+
+
+def _random_trace(n: int, seed: int) -> IterateTrace:
+    """A 2-d trace with a ledger whose columns mix every kind of double."""
+    rng = np.random.default_rng(seed)
+
+    def column(size):
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+        values[rng.random(size) < 0.05] = rng.choice([0.0, -0.0, math.inf, math.nan, 5e-324, 1e16, 1e-5], 1)
+        return values
+
+    witnesses = np.sort(rng.integers(-1, n + 1, n // 2))
+    return IterateTrace(algorithm="synthetic", iterates=rng.standard_normal((n, 2)) * 1e3, step_norms=column(n - 1),
+                        stop=StopRule(), termination="max_iter", f_values=column(n), witness_indices=witnesses,
+                        witness_points=rng.standard_normal((len(witnesses), 2)), xi_values=column(len(witnesses)),
+                        fejer_ledger=column(n - 1))
+
+
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4097])
+def test_row_blocks(n, tmp_path):
+    # on both sides of the 2,048-row block
+    trace = _random_trace(n, n)
+    _same_bytes(trace, tmp_path)
+    _same_bytes(trace, tmp_path, distances=np.random.default_rng(n).random(n))
+
+
+@pytest.mark.parametrize("run, distances", [
+    # the full-pipeline job's trace: 16,113 rows with the distance column
+    (lambda: run_gdm(catalog_lookup("quad"), 1e-3, [1.0]), True),
+    # the shifted-PPA job's trace: 10,947 rows of two coordinates and the ledger
+    (lambda: run_shifted_ppa(catalog_lookup("quad2"), 5e-4, 0.002, [2.0, 2.0]), False),
+], ids=["gdm", "shifted-ppa"])
+def test_the_writer_stays_within_12_mib(run, distances, tmp_path):
+    # the parent's string writer peaked at 10.0 MiB on GDM; one byte matrix for
+    # the whole file instead of row blocks peaks at 13.3 MiB there
+    trace = run()
+    assert len(trace) in (16113, 10947)
+    d = distance_trace(trace, catalog_lookup("quad").solution_set, 1e-6).distances if distances else None
+    tracemalloc.start()
+    try:
+        trace_to_csv(trace, tmp_path / "trace.csv", distances=d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20

@@ -173,3 +173,16 @@ def test_runs_that_need_scipy_load_it(argv, module, tmp_path):
     code, modules = _scipy_after(argv, tmp_path / "out")
     assert code in (0, 4)
     assert module in modules
+
+
+def test_importing_the_package_builds_no_renderer_table():
+    # the CSV renderer's lookup tables take milliseconds to build: that is paid
+    # at the first CSV that needs them, never at start-up
+    probe = ("import rcontinuity.cli, rcontinuity.serialize as s\n"
+             "tables = [f for f in vars(s).values() if hasattr(f, 'cache_info')]\n"
+             "print(len(tables), sum(f.cache_info().currsize for f in tables))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    tables, built = map(int, proc.stdout.split())
+    assert tables >= 3 and built == 0
