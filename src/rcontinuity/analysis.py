@@ -22,7 +22,8 @@ import numpy as np
 
 from .geometry import (PointSet, Window, _norm_rows, _norms, as_point, check_sample, excess, sample_window,
                        unit_directions)
-from .setmap import OperatorEntry, ParamError, SetValuedMap, WindowDimensionError, WindowRequiredError
+from .setmap import (OperatorEntry, ParamError, SetValuedMap, ValueOverflowError, WindowDimensionError,
+                     WindowRequiredError)
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,10 @@ def _modulus_curve(m: SetValuedMap, xbar, k: Optional[Window], radii: Sequence[f
     running = 0.0
     for r in radii:
         # the worst excess over the samples is the excess of all their values
-        running = max(running, excess(m.eval_rows(xb + r * offsets, k)[0], reference))
+        try:
+            running = max(running, excess(m.eval_rows(xb + r * offsets, k)[0], reference))
+        except ValueOverflowError:  # a value at infinite distance from the reference
+            running = math.inf
         rho.append(running)
     # an infinite excess at any radius stays in the running maximum
     return ModulusCurve(m.name, xb, k, radii, np.asarray(rho), [len(offsets)] * len(radii), seed, scheme,

@@ -53,6 +53,11 @@ class MissingOracleError(ValueError):
     """A closed-form oracle (inverse, prox, gradient, ...) is not registered."""
 
 
+class ValueOverflowError(ValueError):
+    """A map value with an infinite coordinate (and none NaN), as where ``x²``
+    overflows: it lies at infinite distance from every finite set."""
+
+
 Evaluator = Callable[[np.ndarray, Optional[Window]], Tuple[np.ndarray, np.ndarray]]
 
 
@@ -116,7 +121,12 @@ class SetValuedMap:
         if window is not None:
             keep = window.contains_rows(pts)
             pts, owner = pts[keep], owner[keep]
-        return PointSet(pts), owner
+        try:
+            return PointSet(pts), owner
+        except ValueError:
+            if np.isinf(pts).any() and not np.isnan(pts).any():
+                raise ValueOverflowError(f"map {self.name!r} has a value with an infinite coordinate") from None
+            raise
 
     def check_window(self, window: Optional[Window]) -> None:
         """Raise unless ``window`` may restrict this map's values: it is required

@@ -56,6 +56,18 @@ class TestEstimateModulus:
         curve = estimate_modulus(constant_map(), [0.0], None, DECADE, 16, seed=0)
         assert curve.rho_hat == pytest.approx([0.0] * len(DECADE), abs=0.0)
 
+    def test_an_overflowing_value_makes_the_curve_divergent(self):
+        # square's value at 1e200 is x² = inf: that sample lies infinitely far from A(0) = {0}
+        curve = estimate_modulus(catalog_lookup("square").forward, [0.0], None, [1.0, 1e200, 1e300], 8, seed=0)
+        assert curve.rho_hat.tolist() == [1.0, math.inf, math.inf]
+        assert curve.divergent
+
+    def test_a_nan_value_is_still_an_error(self):
+        # a NaN value is no overflow: its distance to the base value is undefined
+        nan_away = SetValuedMap("nan-away", 1, 1, pointwise(lambda x, w: np.array([[0.0 if x[0] == 0 else math.nan]])))
+        with pytest.raises(ValueError, match="all coordinates must be finite"):
+            estimate_modulus(nan_away, [0.0], None, [1.0], 8, seed=0)
+
     def test_window_required_propagates(self):
         with pytest.raises(WindowRequiredError):
             estimate_modulus(catalog_lookup("rm1").forward, [0.0], None, DECADE, 8, seed=0)

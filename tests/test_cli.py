@@ -800,6 +800,14 @@ class TestMainExitCodes:
                      "--out", str(tmp_path)]) == 4
         assert json.loads(capsys.readouterr().out)["verdicts"]["distance"]["converged"] is False
 
+    @pytest.mark.parametrize("operator", ["square", "double-well"])
+    def test_an_overflowing_modulus_value_gives_a_divergent_curve(self, operator, tmp_path, capsys):
+        # the values at radii 1e200 and 1e300 overflow to inf, an unbounded excess
+        assert main(["modulus", "--set", f"operator={operator}", "--set", "analysis.radii=[1e200, 1e300]",
+                     "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "holder_fit.json").read_text())["divergent"] is True
+        assert (tmp_path / "modulus.csv").read_text() == "sigma,rho_hat,samples\n1e+200,inf,64\n1e+300,inf,64\n"
+
     def test_the_seed_flag_is_echoed(self, tmp_path, capsys):
         assert main(_SOLVE + ["--seed", "7", "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "report.json").read_text())["config"]["seed"] == 7
