@@ -34,14 +34,16 @@ _M32 = 0xFFFFFFFF
 _M63 = (1 << 63) - 1
 _K_MIN, _K_MAX = -324, 292  # Schubfach's decimal exponent k over all normal doubles
 _LETTERS = "ABCDEFGHIJKLMNOPQ"  # the digits d1..d17 in a layout's text
+_FIXED = range(-3, 17)  # the decpt of a value 0.d1d2... * 10**decpt that repr writes without an exponent
 _DIGIT = 7  # the byte of digit d1 in the rows of _digits, and of the first slot of a cell's body
 
 
 @functools.lru_cache(maxsize=None)
 def _ascii4() -> np.ndarray:
     """The four ASCII digits of 0000..9999, each packed into one uint32."""
-    i = np.arange(10000)[:, None]
-    return ((i // np.array([1000, 100, 10, 1]) % 10) + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    i = np.arange(10000)
+    digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
+    return digits.astype(np.uint8).view(np.uint32).ravel()
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,7 +68,7 @@ def _text(n: int, decpt: int) -> str:
     it out, without the sign and the exponent, and with the letters
     ``_LETTERS`` for the digits."""
     d = _LETTERS[:n]
-    if decpt <= -4 or decpt > 16:
+    if decpt not in _FIXED:
         return d[0] + ("." + d[1:] if n > 1 else "")
     if decpt <= 0:
         return "0." + "0" * -decpt + d
@@ -88,22 +90,21 @@ def _templates() -> tuple:
     those that show the digit one byte to their left, and the fixed
     characters (NUL for none).  Then the exponent suffixes ``e±dd[d]`` at
     25, by decpt - _K_MIN - 16, empty in fixed form."""
-    left, right, fixed = (np.zeros((17 * 22, _CELL), np.uint8) for _ in range(3))
-    for key, (n, decpt) in enumerate((n, decpt) for n in range(1, 18) for decpt in range(-4, 18)):
-        text = _text(n, decpt)
-        prefix = text[:2 - decpt] if -4 < decpt <= 0 else ""
-        fixed[key, 1:1 + len(prefix)] = np.frombuffer(prefix.encode(), np.uint8)
-        for slot, c in enumerate(text[len(prefix):], _DIGIT):
-            if c not in _LETTERS:
-                fixed[key, slot] = ord(c)
-            else:
-                (left if slot == _DIGIT + _LETTERS.index(c) else right)[key, slot] = 0xFF
-    suffixes = np.zeros((_K_MAX - _K_MIN + 2, _CELL), np.uint8)
-    for row, decpt in enumerate(range(_K_MIN + 16, _K_MAX + 18)):
-        if decpt <= -4 or decpt > 16:
-            suffix = f"e{decpt - 1:+03d}".encode()
-            suffixes[row, _DIGIT + 18:_DIGIT + 18 + len(suffix)] = np.frombuffer(suffix, np.uint8)
-    return left, right, fixed, suffixes
+    cells = []
+    for n in range(1, 18):
+        for decpt in range(-4, 18):
+            text = _text(n, decpt)
+            prefix = text[:2 - decpt] if decpt in _FIXED and decpt <= 0 else ""
+            cells.append("\0" + prefix.ljust(_DIGIT - 1, "\0") + text[len(prefix):])
+    cells = np.array(cells, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+    letter = (cells >= ord(_LETTERS[0])) & (cells <= ord(_LETTERS[-1]))
+    digit = cells.astype(np.intp) - ord(_LETTERS[0]) + _DIGIT  # the byte of the digit a letter stands for
+    left = (letter & (digit == np.arange(_CELL))) * np.uint8(0xFF)
+    right = (letter & (digit == np.arange(_CELL) - 1)) * np.uint8(0xFF)
+    fixed = np.where(letter, 0, cells).astype(np.uint8)
+    suffixes = ["" if decpt in _FIXED else f"e{decpt - 1:+03d}" for decpt in range(_K_MIN + 16, _K_MAX + 18)]
+    suffixes = np.array(["\0" * (_DIGIT + 18) + x for x in suffixes], dtype=f"S{_CELL}").view(np.uint8)
+    return left, right, fixed, suffixes.reshape(-1, _CELL)
 
 
 def _mulhi(alo, ahi, blo, bhi):
