@@ -9,7 +9,10 @@ array at once: ``_shortest`` is Schubfach's ``toDecimal`` (R. Giulietti, "The
 Schubfach way to render doubles", 2020, as in the JDK 19 ``DoubleToDecimal``)
 on numpy ``uint64``, and ``_layout`` places its digits in Python's ``'r'``
 format.  Zeros, subnormals, infinities and NaNs, and every table with fewer
-than ``_VECTOR_MIN`` normal values, are rendered by ``repr`` itself.
+than ``_VECTOR_MIN`` normal values, are rendered by ``repr`` itself; so are
+integer columns shorter than that, and longer ones by the same digit table.
+Rows are assembled as NUL-padded bytes, ``_ROW_BLOCK`` rows at a time, and
+written without the NULs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+from itertools import accumulate
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -26,7 +30,7 @@ from .analysis import ModulusCurve
 from .solvers import IterateTrace
 
 _VECTOR_MIN = 224  # the measured crossover: below it, repr beats the kernel's fixed cost of about 0.2 ms
-_VALUE_BLOCK = 4096  # values per kernel pass: its uint64 temporaries stay in a 48 KiB L1 cache
+_VALUE_BLOCK = 4096  # values per kernel pass, the fastest of 2048 to 32768 on a Xeon with a 48 KiB L1 cache
 _ROW_BLOCK = 2048  # CSV rows assembled and written at a time
 _CELL = 32  # bytes of a rendered cell, the writer's comma included: see _templates
 
@@ -41,9 +45,11 @@ _DIGIT = 7  # the byte of digit d1 in the rows of _digits, and of the first slot
 @functools.lru_cache(maxsize=None)
 def _ascii4() -> np.ndarray:
     """The four ASCII digits of 0000..9999, each packed into one uint32."""
-    i = np.arange(10000)
-    digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
-    return digits.astype(np.uint8).view(np.uint32).ravel()
+    i = np.arange(10000, dtype=np.uint16)
+    digits = np.empty((10000, 4), np.uint8)
+    for column, power in enumerate((1000, 100, 10, 1)):
+        digits[:, column] = i // power % 10 + ord("0")
+    return digits.view(np.uint32).ravel()
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,11 +119,11 @@ def _mulhi(alo, ahi, blo, bhi):
     return ahi * bhi + (t >> 32) + ((alo * bhi + (t & _M32)) >> 32)
 
 
-def _rop(y1, y0, x1):
-    """The JDK's ``rop``, about g * cp / 2**127 rounded to odd, from
-    ``g1 * cp = y1 * 2**64 + y0`` and ``x1 = floor(g0 * cp / 2**64)``."""
-    z = (y0 >> 1) + x1
-    return y1 + (z >> 63) | ((z & _M63) != 0)
+def _rop(g1, g0, cp):
+    """The JDK's ``rop(g1, g0, cp)``: about g * cp / 2**127, rounded to odd."""
+    clo, chi = cp & _M32, cp >> 32
+    z = ((g1 * cp) >> 1) + _mulhi(g0 & _M32, g0 >> 32, clo, chi)
+    return _mulhi(g1 & _M32, g1 >> 32, clo, chi) + (z >> 63) | ((z & _M63) != 0)
 
 
 def _shortest(bits: np.ndarray):
@@ -126,9 +132,7 @@ def _shortest(bits: np.ndarray):
     those, and the one with even f if two are as close; 10**15 <= f < 10**17.
 
     This is Schubfach's ``toDecimal(q, c)`` without its fast path for
-    integers, which gives the same digits.  The three ``rop`` calls share
-    their products: ``(cb ± d) << h`` differs from ``cb << h`` by
-    ``d << h``, d = 1 or 2, so each product differs by g shifted left."""
+    integers, which gives the same digits."""
     biased = (bits >> 52).astype(np.int64)
     t = bits & ((1 << 52) - 1)
     c, q = t | (1 << 52), biased - 1075
@@ -136,20 +140,8 @@ def _shortest(bits: np.ndarray):
     k = (q * 661971961083 - irregular * 274743187321) >> 41
     h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
     g1, g0 = (column.take(k - _K_MIN) for column in _g_table())
-    cp = c << (h + 2)
-    clo, chi = cp & _M32, cp >> 32
-    y1, y0 = _mulhi(g1 & _M32, g1 >> 32, clo, chi), g1 * cp
-    x1, x0 = _mulhi(g0 & _M32, g0 >> 32, clo, chi), g0 * cp
-
-    def rop_above(shift):  # rop(g, cp + 2**shift)
-        y0s, x0s = y0 + (g1 << shift), x0 + (g0 << shift)
-        return _rop(y1 + (g1 >> (64 - shift)) + (y0s < y0), y0s, x1 + (g0 >> (64 - shift)) + (x0s < x0))
-
-    def rop_below(shift):  # rop(g, cp - 2**shift)
-        y0s, x0s = y0 - (g1 << shift), x0 - (g0 << shift)
-        return _rop(y1 - (g1 >> (64 - shift)) - (y0s > y0), y0s, x1 - (g0 >> (64 - shift)) - (x0s > x0))
-
-    vb, vbl, vbr = _rop(y1, y0, x1), rop_below(h + 1 - irregular), rop_above(h + 1)
+    cb = c << 2
+    vb, vbl, vbr = (_rop(g1, g0, cp << h) for cp in (cb, cb - 2 + irregular, cb + 2))
     out = c & 1  # 1: the interval's ends round to the neighbours, so they are left out
     s = vb >> 2
     sp10 = s // 10 * 10
@@ -199,24 +191,33 @@ def _layout(bits: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _repr_cells(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each value, Python's own, one NUL-padded row of 24 bytes
+    each (the longest float is -2.2250738585072014e-308)."""
+    return np.array([repr(v) for v in values.tolist()], dtype="S24").view(np.uint8).reshape(len(values), 24)
+
+
 def _float_cells(values: np.ndarray, out: np.ndarray) -> None:
     """Write ``repr(v)`` of each float64 into the rows of ``out``, NUL-padded."""
     bits = values.view(np.uint64)
     biased = (bits >> 52) & 0x7FF
     normal = (biased != 0) & (biased != 0x7FF)
     if np.count_nonzero(normal) < _VECTOR_MIN:
-        normal[:] = False
-    normal, rest = np.flatnonzero(normal), np.flatnonzero(~normal)
-    for start in range(0, len(normal), _VALUE_BLOCK):
-        rows = normal[start:start + _VALUE_BLOCK]
-        out[rows] = _layout(bits[rows])
-    reprs = np.array([repr(v) for v in values[rest].tolist()], dtype="S24")  # the longest: -2.2250738585072014e-308
-    out[rest, :24] = reprs.view(np.uint8).reshape(len(rest), 24)
+        out[:, :24] = _repr_cells(values)
+        return
+    rows = np.flatnonzero(normal)
+    for start in range(0, len(rows), _VALUE_BLOCK):
+        block = rows[start:start + _VALUE_BLOCK]
+        out[block] = _layout(bits[block])
+    rest = np.flatnonzero(~normal)
+    out[rest, :24] = _repr_cells(values[rest])
 
 
 def _int_cells(values: np.ndarray) -> np.ndarray:
-    """``str(i)`` of each nonnegative integer below 10**17, one NUL-padded row of 17 bytes each."""
+    """``str(i)`` of each nonnegative integer below 10**17, one NUL-padded row each."""
     values = np.asarray(values, dtype=np.uint64)
+    if len(values) < _VECTOR_MIN:
+        return _repr_cells(values)
     width = np.searchsorted(10 ** np.arange(1, 17, dtype=np.uint64), values, side="right") + 1
     masks = (np.arange(17) >= 17 - np.arange(18)[:, None]).astype(np.uint8) * np.uint8(0xFF)
     return _digits(values)[:, _DIGIT:_DIGIT + 17] & masks.take(width, axis=0)
@@ -237,7 +238,8 @@ def _distinct(*columns: np.ndarray):
     np.not_equal(bits[1:], bits[:-1], out=new[1:])
     inverse = np.empty(len(bits), np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return bits[new].view(np.float64), np.split(inverse, np.cumsum([len(c) for c in columns])[:-1])
+    ends = list(accumulate(len(c) for c in columns))
+    return bits[new].view(np.float64), [inverse[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _write_csv(path: Path, header: Sequence[str], ints: np.ndarray, floats: np.ndarray, index: np.ndarray) -> None:
@@ -245,7 +247,8 @@ def _write_csv(path: Path, header: Sequence[str], ints: np.ndarray, floats: np.n
     pick cells: ``str`` of ``ints[i]`` for i < len(ints), then ``repr`` of
     each of ``floats``, then the empty cell.  Each float is rendered once."""
     table = np.zeros((len(ints) + len(floats) + 1, _CELL), np.uint8)
-    table[:len(ints), :17] = _int_cells(ints)
+    cells = _int_cells(ints)
+    table[:len(ints), :cells.shape[1]] = cells
     _float_cells(floats, table[len(ints):-1])
     table[:, -1] = ord(",")
     with open(path, "wb") as out:
