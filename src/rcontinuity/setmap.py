@@ -105,7 +105,8 @@ class SetValuedMap:
         Returns the values as one :class:`PointSet` and, per value, the index
         of its row.  Values are grouped by row in row order, each row's in its
         evaluator's order, and only values inside ``window`` are kept; a row
-        may have none.
+        may have none.  A kept value with an infinite coordinate, and none
+        NaN, raises :class:`ValueOverflowError`.
         """
         rows = as_rows(X, self.dim_in)
         self.check_window(window)
