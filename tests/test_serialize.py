@@ -156,7 +156,7 @@ _CASES = {
     "around-2**53": _signed(np.concatenate([2.0 ** 53 + np.arange(-600, 601), 2.0 ** 54 + np.arange(-600, 601)])),
     "powers-of-ten": _signed(_neighbours([float(f"1e{k}") for k in range(-307, 309)], 1).tolist()
                              + [float(f"1e{k}") for k in range(-323, -307)]),
-    # fixed below decpt = -4 and above 16, exponent form else
+    # repr writes 0.0001 but 1e-05, and 9999999999999998.0 but 1e+16
     "format-switches": _signed(_neighbours([1e-5, 1e-4, 9999999999999998.0, 1e16, 0.001, 1e15, 123456789012345680.0])),
     "one-digit": _signed([d * 10.0 ** k for d in range(1, 10) for k in range(-25, 26)]),
     "seventeen-digits": _signed(_SEVENTEEN + [0.1 + 0.2, 1 / 3, 2 / 3, 1.7976931348623157e308]),
@@ -209,7 +209,8 @@ def _random_trace(n: int, seed: int) -> IterateTrace:
 
     def column(size):
         values = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
-        values[rng.random(size) < 0.05] = rng.choice([0.0, -0.0, math.inf, math.nan, 5e-324, 1e16, 1e-5], 1)
+        special = rng.random(size) < 0.05
+        values[special] = rng.choice([0.0, -0.0, math.inf, -math.nan, 5e-324, 1e16, 1e-5], special.sum())
         return values
 
     witnesses = np.sort(rng.integers(-1, n + 1, n // 2))
@@ -227,17 +228,17 @@ def test_row_blocks(n, tmp_path):
     _same_bytes(trace, tmp_path, distances=np.random.default_rng(n).random(n))
 
 
-@pytest.mark.parametrize("run, distances", [
-    # the full-pipeline job's trace: 16,113 rows with the distance column
-    (lambda: run_gdm(catalog_lookup("quad"), 1e-3, [1.0]), True),
-    # the shifted-PPA job's trace: 10,947 rows of two coordinates and the ledger
-    (lambda: run_shifted_ppa(catalog_lookup("quad2"), 5e-4, 0.002, [2.0, 2.0]), False),
+@pytest.mark.parametrize("run, n, distances", [
+    # the benchmark's full-pipeline trace, with the distance column
+    (lambda: run_gdm(catalog_lookup("quad"), 1e-3, [1.0]), 16113, True),
+    # the benchmark's shifted-PPA trace: two coordinates and the ledger
+    (lambda: run_shifted_ppa(catalog_lookup("quad2"), 5e-4, 0.002, [2.0, 2.0]), 10947, False),
 ], ids=["gdm", "shifted-ppa"])
-def test_the_writer_stays_within_12_mib(run, distances, tmp_path):
-    # the parent's string writer peaked at 10.0 MiB on GDM; one byte matrix for
-    # the whole file instead of row blocks peaks at 13.3 MiB there
+def test_the_writer_stays_within_12_mib(run, n, distances, tmp_path):
+    # the string writer this one replaced peaked at 10.0 MiB on GDM; one byte
+    # matrix for the whole file instead of row blocks peaks at 13.3 MiB there
     trace = run()
-    assert len(trace) in (16113, 10947)
+    assert len(trace) == n
     d = distance_trace(trace, catalog_lookup("quad").solution_set, 1e-6).distances if distances else None
     tracemalloc.start()
     try:
