@@ -50,6 +50,8 @@ class ModulusCurve:
         v = np.asarray(self.rho_hat, dtype=float)
         if v.shape != r.shape:
             raise ValueError("radii and rho_hat must be matching 1-d arrays")
+        if len(self.sample_counts) != r.size:
+            raise ParamError("sample_counts", "sample_counts must have one entry per radius")
         bad = np.flatnonzero(~(v >= 0))  # NaN too; inf marks a divergent curve
         if bad.size:
             raise ParamError(f"rho_hat[{bad[0]}]", "modulus values must be nonnegative")
@@ -342,21 +344,21 @@ def check_lojasiewicz(entry: OperatorEntry, k: Optional[Window], grid_count: int
     ``grid_count`` below 1, ``MissingOracleError`` without ``f``, ``ParamError``
     for a window that is missing, not of the domain's dimension, disjoint from
     the solution set, or whose first grid has no point at a positive distance
-    from it (a window inside the set, or one so small that the distances
-    underflow to 0).  Return that grid's points and their distances."""
+    from it (every grid point is a solution, or the distances underflow to 0).
+    Return that grid's points and their distances."""
     check_sample("grid", grid_count, "grid_count")
     entry.need("f")
     if k is None:
         raise WindowRequiredError("window", "the Lojasiewicz fit needs a compact window")
     if k.dim != entry.dim_in:
         raise WindowDimensionError("window", f"window must have dimension {entry.dim_in}")
-    if not k.contains_rows(entry.solution_set.reference_points()).any():
+    if not k.contains_rows(entry.solution_set.points).any():
         raise ParamError("window", "the solution set does not meet the window")
     pts = sample_window(k, "grid", grid_count, seed=0).points
     d = entry.solution_set.distance_rows(pts)
     if not (d > 0.0).any():
         raise ParamError("window", "no grid point is at a positive distance from the solution set "
-                                   "(the window lies in it, or the distances underflow): nothing to fit")
+                                   "(every grid point is a solution, or the distances underflow): nothing to fit")
     return pts, d
 
 

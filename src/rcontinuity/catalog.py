@@ -94,7 +94,7 @@ def _smooth(name: str, f, grad, inverse, zeros, description: str, **extra) -> Op
     return OperatorEntry(
         name=name,
         forward=_lift(name, f),
-        solution_set=Region.from_points(zeros),
+        solution_set=Region(zeros),
         description=description,
         inverse=SetValuedMap(f"{name}-inverse", 1, 1, inverse),
         subgrad=_lift(f"{name}-grad", grad),
@@ -144,7 +144,7 @@ def _rm1() -> OperatorEntry:
     return OperatorEntry(
         name="rm1",
         forward=SetValuedMap("rm1", 1, 1, ev, window_required=True, value_dist=vdist),
-        solution_set=Region.from_points([[0.0]]),
+        solution_set=Region([[0.0]]),
         description="window-restricted Lipschitz behavior, unbounded without a window",
         monotone=False,
     )
@@ -257,7 +257,7 @@ def _abs_subdiff() -> OperatorEntry:
     return OperatorEntry(
         name="abs-subdiff",
         forward=fwd,
-        solution_set=Region.from_points([[0.0]]),
+        solution_set=Region([[0.0]]),
         description="subdifferential of the absolute value; prox is the soft threshold",
         inverse=SetValuedMap(
             "abs-subdiff-inverse", 1, 1, inv_ev,
@@ -305,7 +305,7 @@ def _linear(name: str, a: float, description: str, **extra) -> OperatorEntry:
     return OperatorEntry(
         name=name,
         forward=fwd,
-        solution_set=Region.from_points([[0.0]]),
+        solution_set=Region([[0.0]]),
         description=description,
         inverse=inv,
         prox=prox,
@@ -350,7 +350,7 @@ def _quad2() -> OperatorEntry:
     return OperatorEntry(
         name="quad2",
         forward=fwd,
-        solution_set=Region.from_points([_QUAD2_SOL]),
+        solution_set=Region([_QUAD2_SOL]),
         description="two-dimensional SPD quadratic",
         inverse=inv,
         prox=ProxOracle(prox_resolvent),

@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .analysis import ModulusCurve
-from .geometry import _PAIR_BLOCK, Region, _norms
+from .geometry import Region, _kth_nearest, _norms
 from .setmap import OperatorEntry, ParamError
 from .solvers import IterateTrace
 
@@ -148,15 +148,7 @@ def check_h4(trace: IterateTrace, entry: OperatorEntry) -> Certificate:
         return _collect("H4", {}, [], [], vacuous=True, note="fewer than 20 iterates")
     index_of = np.arange(0, n, math.ceil(n / 2000))  # a stride past 2000: the pairwise scan stays bounded
     pts = trace.iterates[index_of]
-    m = pts.shape[0]
-    k = min(_H4_NEIGHBORHOOD, m - 1) - 1
-    step = max(1, _PAIR_BLOCK // m)  # rows per block: the distance block holds about _PAIR_BLOCK entries
-    kth = np.empty(m)
-    for i in range(0, m, step):
-        block = _norms(pts[i:i + step, None, :] - pts[None, :, :])
-        rows = np.arange(block.shape[0])
-        block[rows, i + rows] = np.inf  # an iterate is not its own neighbour
-        kth[i:i + step] = np.partition(block, k, axis=1)[:, k]  # the k-th smallest per row, as a full sort gives it
+    kth = _kth_nearest(pts, min(_H4_NEIGHBORHOOD, len(pts) - 1) - 1)
     best = int(np.argmin(kth))
     if kth[best] > _H4_CLUSTER_RADIUS:
         return _collect("H4", {}, [0], [False], note="no cluster point found")

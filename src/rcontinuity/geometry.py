@@ -1,5 +1,5 @@
 """Finite-dimensional vector geometry: distances, one-sided excess, compact
-windows, solution regions, and deterministic samplers.
+windows, solution sets, and deterministic samplers.
 
 Everything here is a pure function of its inputs (no shared mutable state),
 so concurrent use is safe.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -101,8 +101,9 @@ def as_rows(pts, dim: int) -> np.ndarray:
     return rows
 
 
-#: Row-point pairs per block in :func:`_nearest`, so that its temporaries stay
-#: near 0.5 MB however many rows a batched evaluation produces.
+#: Row-point pairs per block in :func:`_pair_blocks`, so that the temporaries of
+#: :func:`_nearest` and :func:`_kth_nearest` stay near 0.5 MB per coordinate
+#: however many rows a batched evaluation or a trace produces.
 _PAIR_BLOCK = 1 << 16
 
 
@@ -164,6 +165,16 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return r
 
 
+def _pair_blocks(rows: np.ndarray, points: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """The :func:`_norms` distances from every row of ``rows`` to every row of
+    ``points``, as ``(i, block)`` with ``block[j, l]`` the distance from
+    ``rows[i + j]`` to ``points[l]``; a block holds about ``_PAIR_BLOCK``
+    distances."""
+    step = max(1, _PAIR_BLOCK // points.shape[0])
+    for i in range(0, rows.shape[0], step):
+        yield i, _norms(rows[i:i + step, None, :] - points[None, :, :])
+
+
 def _nearest(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from each row of ``rows`` to its nearest row of ``points``, by
     :func:`_norms`.  In 1-d it is ``|x - p|``; with two points or more, only
@@ -176,10 +187,20 @@ def _nearest(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
         p = np.sort(p)
         i = np.searchsorted(p, x)
         return np.minimum(np.abs(x - p[np.maximum(i - 1, 0)]), np.abs(x - p[np.minimum(i, p.size - 1)]))
-    step = max(1, _PAIR_BLOCK // points.shape[0])
-    blocks = [_norms(rows[i:i + step, None, :] - points[None, :, :]).min(axis=1)
-              for i in range(0, rows.shape[0], step)]
+    blocks = [block.min(axis=1) for _, block in _pair_blocks(rows, points)]
     return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _kth_nearest(pts: np.ndarray, k: int) -> np.ndarray:
+    """For each row of ``pts``, the distance to its ``k``-th nearest other row
+    (``k = 0`` is the nearest), as a full sort of its :func:`_norms` to the
+    other rows gives it."""
+    kth = np.empty(pts.shape[0])
+    for i, block in _pair_blocks(pts, pts):
+        rows = np.arange(block.shape[0])
+        block[rows, i + rows] = np.inf  # a point is not its own neighbour
+        kth[i:i + rows.size] = np.partition(block, k, axis=1)[:, k]
+    return kth
 
 
 @dataclass(frozen=True)
@@ -199,14 +220,14 @@ class Window:
         if self.kind not in ("box", "ball"):
             raise ValueError(f"unknown window kind {self.kind!r}")
         c = as_point(self.center)
+        e = np.asarray(self.extent, dtype=float).reshape(-1)
         if self.kind == "box":
-            e = np.atleast_1d(np.asarray(self.extent, dtype=float))
             if e.size == 1:
                 e = np.full(c.size, float(e[0]))
             if e.size != c.size:
                 raise DimensionMismatchError("extent and center dimensions differ")
-        else:
-            e = np.atleast_1d(float(np.asarray(self.extent).reshape(-1)[0]))
+        elif e.size != 1:
+            raise ValueError(f"a ball's extent is one radius, got {e.size} values")
         if not np.all(np.isfinite(e)) or np.any(e <= 0):
             raise ValueError("window extents must be strictly positive and finite")
         object.__setattr__(self, "center", c)
@@ -251,159 +272,41 @@ class Window:
 
 
 @dataclass(frozen=True)
-class Region:
-    """An exact solution-set descriptor with a closed-form distance oracle.
+class Region(PointSet):
+    """A solution set: a nonempty finite point list.
 
-    Supported kinds: a finite point list, an axis-aligned box, an affine
-    subspace (anchor plus orthonormal basis columns), and a closed ball.
-    ``distance_rows`` (and ``distance``, its one-point form) is exact for
-    every kind.
+    It is a :class:`PointSet`, so ``distance_rows`` (and ``distance``, its
+    one-point form) is the exact distance to the nearest point.
     """
 
-    kind: str  # "points" | "box" | "affine" | "ball"
-    points: Optional[np.ndarray] = None
-    center: Optional[np.ndarray] = None
-    halfwidths: Optional[np.ndarray] = None
-    radius: Optional[float] = None
-    anchor: Optional[np.ndarray] = None
-    basis: Optional[np.ndarray] = None  # (dim, k), orthonormal columns
-
     def __post_init__(self):
-        if self.kind == "points":
-            ps = PointSet(self.points if self.points is not None else np.empty((0, 1)))
-            if ps.is_empty:
-                raise ValueError("a point-list region must be nonempty")
-            object.__setattr__(self, "points", ps.points)
-        elif self.kind == "box":
-            c = as_point(self.center)
-            h = np.atleast_1d(np.asarray(self.halfwidths, dtype=float))
-            if h.size == 1:
-                h = np.full(c.size, float(h[0]))
-            if h.size != c.size or np.any(h < 0):
-                raise ValueError("box halfwidths must be nonnegative and match the center")
-            object.__setattr__(self, "center", c)
-            object.__setattr__(self, "halfwidths", h)
-        elif self.kind == "ball":
-            c = as_point(self.center)
-            r = float(self.radius)
-            if r < 0:
-                raise ValueError("ball radius must be nonnegative")
-            object.__setattr__(self, "center", c)
-            object.__setattr__(self, "radius", r)
-        elif self.kind == "affine":
-            a = as_point(self.anchor)
-            b = np.asarray(self.basis, dtype=float)
-            if b.ndim != 2 or b.shape[0] != a.size or b.shape[1] == 0:
-                raise ValueError("affine basis must be a (dim, k) matrix")
-            gram = b.T @ b
-            if not np.allclose(gram, np.eye(b.shape[1]), atol=1e-12):
-                raise ValueError("affine basis columns must be orthonormal (tol 1e-12)")
-            object.__setattr__(self, "anchor", a)
-            object.__setattr__(self, "basis", b)
-        else:
-            raise ValueError(f"unknown region kind {self.kind!r}")
-
-    @classmethod
-    def from_points(cls, points: Sequence) -> "Region":
-        return cls("points", points=points)
-
-    @classmethod
-    def box(cls, center, halfwidths) -> "Region":
-        return cls("box", center=as_point(center), halfwidths=halfwidths)
-
-    @classmethod
-    def ball(cls, center, radius: float) -> "Region":
-        return cls("ball", center=as_point(center), radius=radius)
-
-    @classmethod
-    def affine(cls, anchor, basis) -> "Region":
-        return cls("affine", anchor=as_point(anchor), basis=np.asarray(basis, dtype=float))
-
-    @property
-    def dim(self) -> int:
-        if self.kind == "points":
-            return self.points.shape[1]
-        if self.kind == "affine":
-            return self.anchor.size
-        return self.center.size
-
-    def distance_rows(self, pts) -> np.ndarray:
-        """Exact Euclidean distance from each row of an ``(n, dim)`` array to
-        the region."""
-        rows = as_rows(pts, self.dim)
-        if self.kind == "points":
-            return _nearest(rows, self.points)
-        if self.kind == "box":
-            return _norms(np.maximum(np.abs(rows - self.center) - self.halfwidths, 0.0))
-        if self.kind == "ball":
-            return np.maximum(0.0, _norms(rows - self.center) - self.radius)
-        r = rows - self.anchor
-        return _norms(r - (r @ self.basis) @ self.basis.T)
+        super().__post_init__()
+        if self.is_empty:
+            raise ValueError("a solution set must be nonempty")
 
     def distance(self, x) -> float:
-        """Exact Euclidean distance from the point ``x`` to the region."""
+        """Exact Euclidean distance from the point ``x`` to the set."""
         return distance_to_set(x, self)
 
     def project(self, x) -> np.ndarray:
-        """A nearest point of the region to ``x``."""
+        """The first of the points of the set nearest to ``x``."""
         p = as_point(x, self.dim)
-        if self.kind == "points":
-            return self.points[int(np.argmin(_norms(self.points - p)))].copy()
-        if self.kind == "box":
-            return np.clip(p, self.center - self.halfwidths, self.center + self.halfwidths)
-        if self.kind == "ball":
-            with np.errstate(over="ignore"):  # _norm rescales a square that overflows
-                d = _norm(p - self.center)
-            if d <= self.radius:
-                return p.copy()
-            return self.center + (p - self.center) * (self.radius / d)
-        return self.anchor + self.basis @ (self.basis.T @ (p - self.anchor))
+        return self.points[int(np.argmin(_norms(self.points - p)))].copy()
 
     def sample(self, count: int) -> PointSet:
-        """Deterministic representative points of the region.
-
-        For point lists the list is cycled; for boxes/balls a grid sample is
-        used; for affine subspaces coefficients range over ``[-1, 1]``.
-        """
+        """``count`` points of the set: the list, cycled."""
         check_sample("grid", count)
-        if self.kind == "points":
-            idx = np.arange(count) % self.points.shape[0]
-            return PointSet(self.points[idx])
-        if self.kind == "box":
-            h = np.where(self.halfwidths > 0, self.halfwidths, 1e-300)
-            w = Window.box(self.center, h)
-            pts = sample_window(w, "grid", count).points
-            return PointSet(np.where(self.halfwidths > 0, pts, self.center))
-        if self.kind == "ball":
-            if self.radius == 0:
-                return PointSet(np.tile(self.center, (count, 1)))
-            return sample_window(Window.ball(self.center, self.radius), "grid", count)
-        k = self.basis.shape[1]
-        coeff = sample_window(Window.box(np.zeros(k), 1.0), "grid", count).points
-        return PointSet(self.anchor + coeff @ self.basis.T)
-
-    def reference_points(self) -> np.ndarray:
-        """A few exact members, used for nonemptiness checks."""
-        if self.kind == "points":
-            return self.points
-        if self.kind == "affine":
-            return self.anchor.reshape(1, -1)
-        return self.center.reshape(1, -1)
+        return PointSet(self.points[np.arange(count) % len(self)])
 
 
-TargetSet = Union[PointSet, Region]
-
-
-def distance_to_set(x, target: TargetSet) -> float:
-    """Euclidean distance from a point to a point set or region.
-
-    Exact minimum for a finite :class:`PointSet`, closed form for every
-    :class:`Region` kind.  An empty point-set target is an error.
+def distance_to_set(x, target: PointSet) -> float:
+    """Exact Euclidean distance from a point to a finite point set (a
+    :class:`Region` among them).  An empty target is an error.
     """
     return float(target.distance_rows(as_point(x)[None, :])[0])
 
 
-def excess(a: PointSet, b: TargetSet) -> float:
+def excess(a: PointSet, b: PointSet) -> float:
     """One-sided excess ``sup_{p in a} d(p, b)``.
 
     Empty ``a`` gives 0 (the empty set lies inside everything).  Nonempty
@@ -412,7 +315,7 @@ def excess(a: PointSet, b: TargetSet) -> float:
     """
     if a.is_empty:
         return 0.0
-    if isinstance(b, PointSet) and b.is_empty:
+    if b.is_empty:
         return math.inf
     return float(b.distance_rows(a.points).max())
 
@@ -473,8 +376,6 @@ def sample_window(w: Window, scheme: str, count: int, seed: int = 0) -> PointSet
         unit = _unit_grid(count, d)
         if w.kind == "box":
             pts = w.center + unit * w.extent
-        elif d == 1:
-            pts = w.center + unit * w.extent[0]
         else:
             pts = w.center + unit * (w.extent[0] / math.sqrt(d))
         return PointSet(pts)

@@ -273,10 +273,10 @@ def sha256_file(path: Path) -> str:
 
 
 def modulus_to_csv(curve: ModulusCurve, path: Path) -> None:
-    n = min(len(curve.radii), len(curve.sample_counts))
-    floats, (radii, rho_hat) = _distinct(curve.radii[:n], curve.rho_hat[:n])
+    n = len(curve.radii)
+    floats, (radii, rho_hat) = _distinct(curve.radii, curve.rho_hat)
     index = np.column_stack([radii + n, rho_hat + n, np.arange(n)])
-    _write_csv(path, ["sigma", "rho_hat", "samples"], np.asarray(curve.sample_counts[:n]), floats, index)
+    _write_csv(path, ["sigma", "rho_hat", "samples"], np.asarray(curve.sample_counts), floats, index)
 
 
 def trace_to_csv(trace: IterateTrace, path: Path, distances: Optional[List[float]] = None) -> None:

@@ -41,7 +41,7 @@ _SUITE_START = time.perf_counter()
 
 K10 = Window.box([0.0], [10.0])
 DECADE = list(np.geomspace(1e-4, 1e-1, 13))
-S0 = Region.from_points([[0.0]])
+S0 = Region([[0.0]])
 
 
 def report(n, text):

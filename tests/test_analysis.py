@@ -168,6 +168,13 @@ class TestFitHolder:
                 check_modulus(catalog_lookup("quad").forward, [0.0], None, radii, 4, "grid")
             assert info.value.param == param
 
+    def test_a_curve_refuses_sample_counts_of_another_length(self):
+        # modulus.csv would have one row per sample count and drop the other radii
+        with pytest.raises(ParamError) as info:
+            ModulusCurve(map_name="m", base_point=np.zeros(1), window=None, radii=np.array([0.1, 0.2, 0.4]),
+                         rho_hat=np.array([1.0, 2.0, 3.0]), sample_counts=[4], seed=0, scheme="grid")
+        assert info.value.param == "sample_counts"
+
 
 JUMP = SetValuedMap(
     "jump", 1, 1,
@@ -262,14 +269,26 @@ class TestLojasiewiczFit:
             lojasiewicz_fit(catalog_lookup("quad2"), Window.box([0.0], [2.0]), 101)
 
     def test_identically_zero_rejected(self):
+        # the zero set holds every grid point: no distance is positive, nothing to fit
+        window = Window.box([0.0], [1.0])
         zero_entry = OperatorEntry(
             name="zero",
             forward=SetValuedMap("zero", 1, 1, pointwise(lambda x, w: np.array([[0.0]]))),
-            solution_set=Region.box([0.0], [10.0]),
+            solution_set=Region(sample_window(window, "grid", 101).points),
             f=lambda x: 0.0,
         )
-        with pytest.raises(ValueError):
-            lojasiewicz_fit(zero_entry, Window.box([0.0], [1.0]), 101)
+        with pytest.raises(ParamError, match="positive distance"):
+            lojasiewicz_fit(zero_entry, window, 101)
+
+    @pytest.mark.parametrize("center, meets", [(1.0, True), (0.5, False)], ids=["around-one-zero", "between-zeros"])
+    def test_a_point_list_meets_a_window_exactly_when_it_holds_one_of_the_points(self, center, meets):
+        # double-well's zeros are 0 and 1: a window around 1 alone meets the set, one between them does not
+        entry, window = catalog_lookup("double-well"), Window.box([center], [0.25])
+        if meets:
+            assert not lojasiewicz_fit(entry, window, 101).failed
+        else:
+            with pytest.raises(ParamError, match="does not meet"):
+                lojasiewicz_fit(entry, window, 101)
 
     def test_a_scale_that_overflows_fails_the_fit(self):
         # x^2 fits theta = 2 on the inner bands, but |f(0.5)| = 5e-324 makes
@@ -277,7 +296,7 @@ class TestLojasiewiczFit:
         def f(x):
             return 5e-324 if float(x[0]) == 0.5 else float(x[0]) ** 2
         entry = OperatorEntry(name="spike", forward=catalog_lookup("square").forward,
-                              solution_set=Region.from_points([[0.0]]), f=f)
+                              solution_set=Region([[0.0]]), f=f)
         fit = lojasiewicz_fit(entry, Window.box([0.0], [1.0]), 101)
         assert fit.level_exponents[-1] == pytest.approx(2.0)
         assert fit.failed and fit.c_hat is None and fit.theta_hat is None
@@ -315,7 +334,7 @@ class TestInverseLipschitz:
         entry = OperatorEntry(
             name="lin-2x",
             forward=SetValuedMap("lin-2x", 1, 1, pointwise(lambda x, w: np.array([[2.0 * float(x[0])]]))),
-            solution_set=Region.from_points([[0.0]]),
+            solution_set=Region([[0.0]]),
             jac=lambda x: np.array([[2.0]]),
         )
         res = certify_inverse_lipschitz(entry, Window.box([0.0], [1.0]))
@@ -331,7 +350,7 @@ class TestInverseLipschitz:
         entry = OperatorEntry(
             name="dup",
             forward=SetValuedMap("dup", 1, 2, pointwise(lambda x, w: np.array([[float(x[0]), float(x[0])]]))),
-            solution_set=Region.from_points([[0.0]]),
+            solution_set=Region([[0.0]]),
             jac=lambda x: np.array([[1.0], [1.0]]),
         )
         res = certify_inverse_lipschitz(entry, Window.box([0.0], [1.0]))
@@ -342,7 +361,7 @@ class TestInverseLipschitz:
         entry = OperatorEntry(
             name="wide",
             forward=SetValuedMap("wide", 2, 1, pointwise(lambda x, w: np.array([[float(x[0])]]))),
-            solution_set=Region.from_points([[0.0, 0.0]]),
+            solution_set=Region([[0.0, 0.0]]),
             jac=lambda x: np.array([[1.0, 0.0]]),
         )
         with pytest.raises(ValueError):
@@ -644,8 +663,9 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
     def test_c_hat_is_the_per_anchor_minimum(self, jac):
         # the per-anchor loop the stacked SVD replaced: one SVD per anchor, the
         # least last singular value
+        grid = sample_window(Window.box([0.1, -0.2], [0.7, 0.9]), "grid", 25).points
         entry = OperatorEntry(name="varying", forward=catalog_lookup("quad2").forward,
-                              solution_set=Region.box([0.1, -0.2], [0.7, 0.9]), jac=jac)
+                              solution_set=Region(grid), jac=jac)
         k = Window.box([0.0, 0.0], [2.0, 2.0])
         anchors = [u for u in entry.solution_set.sample(25).points if np.all(np.abs(u) <= 2.0)]
         want = min(float(np.linalg.svd(np.atleast_2d(jac(u)), compute_uv=False)[-1]) for u in anchors)
@@ -655,7 +675,7 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
     def test_certify_inverse_lipschitz_rejects_multivalued_forward(self):
         entry = OperatorEntry(
             name="two-valued", forward=catalog_lookup("rm1").forward,
-            solution_set=Region.from_points([[0.0]]), jac=lambda x: np.array([[1.0]]),
+            solution_set=Region([[0.0]]), jac=lambda x: np.array([[1.0]]),
         )
         wide = dataclasses.replace(entry, forward=SetValuedMap(
             "two-valued", 1, 1, pointwise(lambda x, w: np.array([[float(x[0])], [2.0 * float(x[0])]]))))

@@ -31,7 +31,7 @@ from rcontinuity import (
 )
 from rcontinuity.serialize import modulus_to_csv, trace_to_csv
 
-S0 = Region.from_points([[0.0]])
+S0 = Region([[0.0]])
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +336,7 @@ class TestDistanceTrace:
 
     def test_empty_region_rejected(self, ppa_abs):
         with pytest.raises(ValueError):
-            Region.from_points([])
+            Region([])
 
 
 class TestCertificateRecord:
@@ -560,7 +560,7 @@ class TestArrayChecksMatchReference:
         curve = ModulusCurve(map_name="drawn", base_point=np.zeros(trace.dim), window=None,
                              radii=np.array(radii), rho_hat=np.array(rho),
                              sample_counts=[1] * len(radii), seed=0, scheme="grid")
-        region = Region.from_points([[0.0] * trace.dim])
+        region = Region([[0.0] * trace.dim])
         distances = distance_trace(trace, region, 1e-6).distances
         verdict = distance_trace(trace, region, 1e-6, modulus=curve)
         expected = reference_link_audit(trace, distances, curve)
@@ -570,7 +570,7 @@ class TestArrayChecksMatchReference:
     @given(synthetic_traces())
     def test_trace_csv_bytes(self, case):
         trace, _ = case
-        distances = distance_trace(trace, Region.from_points([[0.0] * trace.dim]), 1e-6).distances
+        distances = distance_trace(trace, Region([[0.0] * trace.dim]), 1e-6).distances
         header = ["k"] + [f"x{i}" for i in range(trace.dim)] + ["delta", "f_value", "witness_norm", "xi",
                                                                  "distance"]
         if trace.fejer_ledger is not None:

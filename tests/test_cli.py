@@ -117,6 +117,10 @@ REJECTED = [
                                'algorithm={"name": "ppa", "gamma": 0.5, "x0": [1.0]}',
                                "--set", 'certificates=[{"hypothesis": "H3", "beta": 2.0}]'],
               "certificates[0].hypothesis"),
+    # a ball's extent is its one radius: a second entry would be dropped
+    _rejected("ball-window-two-extents", ["loja", "--set", "operator=quad2", "--set",
+                                          'analysis.window={"kind": "ball", "center": [0.5, -0.5], '
+                                          '"extent": [1.0, 7.0]}'], "analysis.window"),
     _rejected("loja-window-misses-zeros", ["loja", "--set", "operator=square", "--set",
                                            'analysis.window={"kind": "box", "center": [5.0], "extent": [1.0]}'],
               "analysis.window"),
@@ -436,7 +440,7 @@ class TestValidation:
     def test_a_lojasiewicz_window_of_any_extent_fits_fails_or_is_rejected(self, operator, extent, grid_count):
         # f and the distances to the zero set underflow on small enough windows
         entry = catalog_lookup(operator)
-        center = [float(v) for v in entry.solution_set.reference_points()[0]]
+        center = [float(v) for v in entry.solution_set.points[0]]
         window = {"kind": "box", "center": center, "extent": [extent] * entry.dim_in}
         try:
             cfg = ExperimentConfig.from_dict({"kind": "lojasiewicz", "operator": operator,
@@ -493,7 +497,7 @@ class TestValidation:
            extent=st.floats(1.0, 1.7e308) | st.sampled_from([1e150, 1.3e154, 1e155, 1e200, 1e300, 1.7e308]))
     def test_a_lojasiewicz_fit_on_a_window_of_any_size_writes_finite_numbers(self, operator, extent):
         entry = catalog_lookup(operator)
-        center = [float(v) for v in entry.solution_set.reference_points()[0]]
+        center = [float(v) for v in entry.solution_set.points[0]]
         window = {"kind": "box", "center": center, "extent": [extent] * entry.dim_in}
         try:
             cfg = ExperimentConfig.from_dict({"kind": "lojasiewicz", "operator": operator,

@@ -65,7 +65,7 @@ def _same_bytes(trace, tmp_path: Path, distances=None) -> None:
 def test_solver_traces(run, tmp_path):
     trace = run()
     assert trace.xi_values.tobytes() == trace.step_norms.tobytes()
-    distances = distance_trace(trace, Region.from_points([[0.0] * trace.dim]), 1e-6).distances
+    distances = distance_trace(trace, Region([[0.0] * trace.dim]), 1e-6).distances
     _same_bytes(trace, tmp_path)
     _same_bytes(trace, tmp_path, distances)
 
