@@ -74,6 +74,11 @@ class TestExcess:
         ends = Region([[0.0], [1.0]])
         assert excess(ps(0.5, 3.0), ends) == 2.0
 
+    def test_a_region_on_either_side(self):
+        # a solution set is a point set, so it is also the set whose excess is taken
+        assert excess(Region([[0.0], [1e200]]), ps(-1e200)) == 2e200
+        assert excess(ps(1e200, -1e300), Region([[0.0], [1.0]])) == 1e300
+
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=6),
         st.lists(st.floats(-50, 50), min_size=1, max_size=6),
@@ -105,19 +110,44 @@ class TestRegion:
         with pytest.raises(ValueError):
             Region([[0.0]]).sample(0)
 
+    def test_refuses_an_empty_or_non_finite_list(self):
+        for points in (np.empty((0, 2)), [[0.0, math.nan]], [[math.inf]], [[[0.0]]]):
+            with pytest.raises(ValueError):
+                Region(points)
+        with pytest.raises(ValueError, match="nonempty"):
+            Region(np.empty((0, 2)))
+
+    def test_distance_and_project_refuse_another_dimension(self):
+        region = Region([[0.0, 0.0], [1.0, 1.0]])
+        for query in (region.distance, region.project, region.distance_rows):
+            with pytest.raises(DimensionMismatchError):
+                query([[1.0, 2.0, 3.0]] if query is region.distance_rows else [1.0, 2.0, 3.0])
+
 
 class TestRegionDistance:
-    def test_matches_refined_brute_force(self):
-        region = Region([[0.0], [1.0]])
+    @pytest.mark.parametrize(
+        "region,x,lo,hi",
+        [
+            (Region([[0.0], [1.0]]), [0.4], [0.0], [1.0]),
+            (Region([[-1.0], [0.5]]), [2.5], [-1.0], [1.0]),
+            (Region([[-1.0, 0.0], [2.0, 0.0], [0.0, 3.0]]), [0.5, 0.5], [-1.0, 0.0], [2.0, 3.0]),
+            (Region([[0.5, -0.5]]), [3.0, 4.0], [-0.5, -2.5], [1.5, 1.5]),
+        ],
+    )
+    def test_matches_refined_brute_force(self, region, x, lo, hi):
         free = lambda grid: np.array([region.project(g) for g in grid])
-        brute = refine_brute_distance(free, [0.4], [0.0], [1.0])
-        assert region.distance([0.4]) == pytest.approx(brute, abs=1e-9)
+        brute = refine_brute_distance(free, x, lo, hi)
+        assert region.distance(x) == pytest.approx(brute, abs=1e-9)
 
-    def test_finite_distance_past_the_square_overflow_stays_finite(self):
+    @pytest.mark.parametrize("target, rows, expected", [
+        (Region([[0.0], [1.0]]), [[1e200], [5e199], [3.0]], [1e200, 5e199, 2.0]),
+        (Region([[0.0, 0.0]]), [[3.0, 1e200]], [1e200]),
+        (Region([[-1e200, -1e200], [1e200, 1e200]]), [[5e199, 5e199]], [math.hypot(5e199, 5e199)]),
+        (PointSet([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), [[1e300, 0.0, 0.0], [2e200, -3e200, 6e200]], [1e300, 7e200]),
+    ], ids=["points", "2d-point", "2d-points", "3d-point-set"])
+    def test_finite_distance_past_the_square_overflow_stays_finite(self, target, rows, expected):
         # the squares of these coordinates overflow; the distances do not
-        region = Region([[0.0], [1.0]])
-        assert region.distance_rows([[1e200], [5e199], [3.0]]).tolist() == [1e200, 5e199, 2.0]
-        assert Region([[0.0, 0.0]]).distance_rows([[3.0, 1e200]]).tolist() == [1e200]
+        assert target.distance_rows(rows).tolist() == expected
 
     @pytest.mark.parametrize("target", [[[0.0]], [[0.0], [1.0], [-3.0]]], ids=["one-point", "three-points"])
     def test_a_1d_distance_below_the_square_underflow_is_exact(self, target):
@@ -130,10 +160,16 @@ class TestRegionDistance:
         (Region([[0.0, 0.0]]), [[1e-200, 0.0]], [1e-200]),
         (Region([[0.0, 0.0]]), [[3e-160, 4e-160]], [5e-160]),
         (PointSet([[0.0, 0.0], [1.0, 1.0]]), [[-3e-200, 4e-200]], [5e-200]),
-    ], ids=["point", "partial-underflow", "point-set"])
+        (Region([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), [[2e-200, -3e-200, 6e-200]], [7e-200]),
+    ], ids=["point", "partial-underflow", "point-set", "3d-points"])
     def test_a_distance_below_the_square_underflow_is_exact_in_2d(self, target, rows, expected):
         # the squares of these gaps are subnormal or 0; the distances are not
         assert target.distance_rows(rows).tolist() == expected
+
+    @given(st.data(), st.integers(1, 12))
+    def test_sampling_stays_on_the_set(self, data, count):
+        region = Region(data.draw(_rows(data.draw(st.integers(1, 3)))))
+        assert region.distance_rows(region.sample(count).points).tolist() == [0.0] * count
 
 
 class TestProject:
