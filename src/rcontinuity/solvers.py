@@ -11,8 +11,10 @@ every range (a resolvent's γ range by ``ProxOracle.bind``), oracle and step-con
 rule.  Each runner calls ``check`` first, and the CLI validates a config by calling it.
 
 The step loop is lean on purpose.  :func:`_iterate` is the one loop, and
-each runner writes its step once, in operations that Python floats and numpy
-arrays share; only the oracle views and the norm are picked, once per run:
+it does only the work that picks the next step: the step, its norm, the
+finiteness rule, the divergence guard and the tolerance.  Each runner writes
+its step once, in operations that Python floats and numpy arrays share; only
+the oracle views and the norm are picked, once per run:
 
 - a 1-d run whose step oracles all have float views (:func:`_views`) carries
   a Python float and :func:`_norm1`, any other run an array and :func:`_norm`
@@ -22,11 +24,15 @@ arrays share; only the oracle views and the norm are picked, once per run:
   array loop checks only that each step keeps the iterate's shape, and the
   finiteness rule turns a non-finite step (an overflowing gradient, resolvent
   or DCA input) into divergence, without an overflow warning;
-- a value the previous step computed at ``x_{k+1}`` (DCA's ``∇h``, the
-  shifted-PPA ledger's ``||x_{k+1} - xbar||``) is reused when the driver
-  passes that same object back as ``x_k``, never recomputed;
-- the 1-d power-penalty subproblem runs on floats: :func:`_fminbound` is
-  scipy's bounded Brent minimizer bit for bit, and only its polish calls scipy.
+- a value the previous step computed at ``x_{k+1}`` (DCA's ``∇h``) is
+  reused when the driver passes that same object back as ``x_k``, never
+  recomputed;
+- what a trace only records is built once after the loop from the stacked
+  iterates: the proximal witnesses ``(x_k - x_{k+1}) / γ`` and the
+  shifted-PPA Fejér ledger, with the bits the per-step forms had;
+- the 1-d power-penalty subproblem runs on floats and imports nothing:
+  :func:`_fminbound` and :func:`_brentq` are scipy's bounded Brent minimizer
+  and Brent zero finder, bit for bit.
 """
 
 from __future__ import annotations
@@ -122,19 +128,20 @@ class IterateTrace:
 
 
 def _iterate(entry: OperatorEntry, x0, stop: StopRule, step: Callable, algorithm: str,
-             ledger: Optional[Callable] = None, scalar: bool = False) -> IterateTrace:
-    """The loop every runner shares: ``x_{k+1}, w = step(x_k)``.
+             witnesses: Callable, scalar: bool = False) -> IterateTrace:
+    """The loop every runner shares: ``x_{k+1} = step(x_k)``.
 
     ``x0`` is validated once.  The point is a Python float where ``scalar``,
     else an array, and then each step must return ``x_{k+1}`` in ``x_k``'s
     shape (else ``ValueError``); that is the one check per step.  ``x_{k+1}``
     is passed back to ``step`` as the same object, so a step may reuse what it
-    computed there.  Each step records the iterate, its step norm Δ_k, and the
-    witness ``w`` at index k+1 or k (the algorithm's ``witness_side``), paired
-    with xi = Δ_k.  A step with a non-finite Δ_k is not recorded and ends the
-    run as divergence; otherwise it stops on the divergence guard, then on the
-    step tolerance, then on ``max_iter``.  ``ledger(x_k, x_{k+1}, Δ_k)``, when
-    given, adds one value per step to the trace's ``fejer_ledger``.
+    computed there.  Each step records the iterate and its step norm Δ_k.  A
+    step with a non-finite Δ_k is not recorded and ends the run as divergence;
+    otherwise it stops on the divergence guard, then on the step tolerance,
+    then on ``max_iter``.  After the loop, ``witnesses(X)`` gives the witnesses
+    from the stacked iterates ``X`` (or those the steps recorded); the first
+    one per recorded step is kept, at index k+1 or k (the algorithm's
+    ``witness_side``) and paired with xi = Δ_k.
     """
     x = as_point(x0, entry.dim_in)
     shape = x.shape
@@ -142,24 +149,19 @@ def _iterate(entry: OperatorEntry, x0, stop: StopRule, step: Callable, algorithm
     guard, tol = stop.divergence_guard, stop.step_tol
     iterates = [x]
     steps: List[float] = []
-    w_pts: list = []
-    entries: Optional[List[float]] = None if ledger is None else []
     termination = "max_iter"
     # one scope per run: an overflow on the array path is a handled non-finite step, not a warning
     with np.errstate(over="ignore"):
         for _ in range(stop.max_iter):
-            xn, w = step(x)
+            xn = step(x)
             if not scalar and xn.shape != shape:
                 raise ValueError(f"{algorithm} step returned shape {xn.shape}, expected {shape}")
             delta = norm(xn - x)
             if not math.isfinite(delta):
                 termination = "divergence"
                 break
-            if ledger is not None:
-                entries.append(ledger(x, xn, delta))
             iterates.append(xn)
             steps.append(delta)
-            w_pts.append(w)
             x = xn
             if norm(xn) > guard:
                 termination = "divergence"
@@ -178,24 +180,20 @@ def _iterate(entry: OperatorEntry, x0, stop: StopRule, step: Callable, algorithm
             termination=termination,
             f_values=None if entry.f is None else entry.f_values(iterates),
             witness_indices=range(first, first + len(steps)),
-            witness_points=w_pts,
+            witness_points=witnesses(iterates)[:len(steps)],
             xi_values=steps,
             witness_side=spec.witness_side,
             witness_map=spec.witness_map,
-            fejer_ledger=entries,
         )
 
 
-def _proximal_step(entry: OperatorEntry, gamma: float):
-    """``(scalar, step)``: the resolvent step ``x -> (J_{γA}(x), (x - J_{γA}(x)) / γ)``
-    on the resolvent bound once, and the point type of its view."""
+def _proximal(entry: OperatorEntry, gamma: float) -> Tuple[bool, Callable, Callable]:
+    """``(scalar, resolvent, witnesses)``: the step ``x -> J_{γA}(x)`` on the
+    resolvent bound once, the point type of its view, and the witnesses
+    ``(x_k - x_{k+1}) / γ`` of the stacked iterates, which have the per-step
+    form's bits (elementwise ``-`` and ``/`` round alike on floats and arrays)."""
     scalar, (resolvent,) = _views(entry, entry.prox.bind(gamma))
-
-    def step(x):
-        xn = resolvent(x)
-        return xn, (x - xn) / gamma
-
-    return scalar, step
+    return scalar, resolvent, lambda X: (X[:-1] - X[1:]) / gamma
 
 
 def run_ppa(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -206,8 +204,8 @@ def run_ppa(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
     the step norm just taken.
     """
     check("ppa", entry, gamma=gamma)
-    scalar, step = _proximal_step(entry, gamma)
-    return _iterate(entry, x0, stop, step, "ppa", scalar=scalar)
+    scalar, resolvent, witnesses = _proximal(entry, gamma)
+    return _iterate(entry, x0, stop, resolvent, "ppa", witnesses, scalar)
 
 
 def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -215,13 +213,15 @@ def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) 
     check("gdm", entry, step=step)
     scalar, (grad,) = _views(entry, entry.grad)
     step = float(step)  # so that a float x stays a Python float
+    grads: list = []
 
     # not as_point: an overflow must reach _iterate, which ends the run as divergence
     def descend(x):
         g = grad(x)
-        return x - step * g, g
+        grads.append(g)
+        return x - step * g
 
-    return _iterate(entry, x0, stop, descend, "gdm", scalar=scalar)
+    return _iterate(entry, x0, stop, descend, "gdm", lambda _: grads, scalar)
 
 
 #: The constants of scipy's bounded Brent minimizer: ``sqrt(2.2e-16)`` and the
@@ -314,6 +314,76 @@ def _fminbound(func: Callable[[float], float], a: float, b: float) -> float:
     return xf
 
 
+#: The polish's ``brentq`` settings: ``xtol = rtol`` and scipy's default ``maxiter``.
+_ROOT_TOL = 1e-15
+_ROOT_MAXITER = 100
+
+
+def _brentq(func: Callable[[float], float], xa: float, xb: float) -> Tuple[float, bool]:
+    """``(x, converged)``: the root of ``func`` bracketed by ``[xa, xb]`` that
+    ``scipy.optimize.brentq(func, xa, xb, xtol=1e-15, rtol=1e-15)`` returns, bit
+    for bit, or, unconverged after ``_ROOT_MAXITER`` iterations, the last
+    iterate (where scipy raises ``RuntimeError``).  A line-for-line port of
+    scipy 1.17.1's C ``brentq`` (Brent 1973, ch. 3-4) on Python floats.
+
+    As in C, signs are compared by sign bit, ``MIN(a, b)`` is
+    ``a if a < b else b``, and a division by zero gives a step that fails the
+    short-step test (C's ``inf`` or ``NaN``), so it bisects.  Like scipy's
+    wrapper, a NaN value raises ``ValueError``, as does a bracket without a
+    sign change."""
+
+    def value(x: float) -> float:
+        fx = func(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, True
+    if fcur == 0.0:
+        return xcur, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_TOL + _ROOT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    return xcur, False
+
+
 def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Tuple[bool, Callable]:
     """``(scalar, c -> argmin f(x) + γ ||x - c||**q)``: closed form on arrays
     for quadratics with q = 2, bracketed scalar minimization in 1-d otherwise.
@@ -321,14 +391,11 @@ def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Tuple[bo
     The scalar minimization takes and returns Python floats: :func:`_fminbound`,
     then a stationarity polish where the entry has ``grad``.  ``f`` and ``grad`` are
     the closed forms of the entry's :class:`ScalarForm` oracles, else its
-    oracles on a one-element array.  Only the polish's ``brentq`` needs ``scipy.optimize``,
-    which is imported here, once per run."""
+    oracles on a one-element array."""
     if entry.quad_form is not None and q == 2.0:
         Q, b = np.atleast_2d(entry.quad_form[0]), np.atleast_1d(entry.quad_form[1])
         M, g2 = Q + 2.0 * gamma * np.eye(Q.shape[0]), 2.0 * gamma
         return False, lambda center: np.linalg.solve(M, b + g2 * center)
-    from scipy.optimize import brentq
-
     gamma, q = float(gamma), float(q)  # so that the bracket and the penalty are Python floats
     f = entry.f.form if isinstance(entry.f, ScalarForm) else lambda t: entry.f(np.array([t]))
     grad = entry.grad.form if isinstance(entry.grad, ScalarForm) else (
@@ -351,17 +418,17 @@ def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Tuple[bo
 
         t = float(_fminbound(objective, c - span, c + span))
         if grad is not None:
-            t = _polish_stationarity(grad, gamma, q, c, t, span, brentq)
+            t = _polish_stationarity(grad, gamma, q, c, t, span)
         return t
 
     return True, solve
 
 
-def _polish_stationarity(grad, gamma: float, q: float, c: float, t: float, span: float, brentq) -> float:
+def _polish_stationarity(grad, gamma: float, q: float, c: float, t: float, span: float) -> float:
     """Sharpen the bounded minimizer by bracketing the stationarity equation
-    ``f'(t) + γ q |t - c|**(q-1) sign(t - c) = 0`` with ``brentq``; falls back
-    to the unpolished point when no sign change brackets it.  ``grad`` is the
-    scalar derivative ``t -> f'(t)``."""
+    ``f'(t) + γ q |t - c|**(q-1) sign(t - c) = 0`` with :func:`_brentq`; falls
+    back to the unpolished point when no sign change brackets it or the root
+    finder does not converge.  ``grad`` is the scalar derivative ``t -> f'(t)``."""
 
     def slope(u: float) -> float:
         try:
@@ -379,7 +446,8 @@ def _polish_stationarity(grad, gamma: float, q: float, c: float, t: float, span:
         if fb == 0.0:
             return b
         if fa * fb < 0.0:
-            return float(brentq(slope, a, b, xtol=1e-15, rtol=1e-15))
+            root, converged = _brentq(slope, a, b)
+            return root if converged else t
         h *= 8.0
     return t
 
@@ -397,21 +465,24 @@ def run_qpower_prox(
     check("qpower", entry, gamma=gamma, q=q)
     scalar, subproblem = _qpower_subproblem(entry, gamma, q)
     norm, zero = (_norm1, 0.0) if scalar else (_norm, np.zeros(entry.dim_in))
+    ws: list = []
 
     def step(x):
         xn = subproblem(x)
         delta = norm(xn - x)
         if not delta > 0:
-            return xn, zero
+            ws.append(zero)
+            return xn
         try:
             scale = -gamma * q * delta ** (q - 2.0)
         except OverflowError:
             scale = -math.inf
         if math.isinf(scale * delta):  # the witness norm overflows
-            return x + math.inf, None
-        return xn, scale * (xn - x)
+            return x + math.inf
+        ws.append(scale * (xn - x))
+        return xn
 
-    return _iterate(entry, x0, stop, step, "qpower", scalar=scalar)
+    return _iterate(entry, x0, stop, step, "qpower", lambda _: ws, scalar)
 
 
 def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -427,6 +498,7 @@ def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
     gamma = float(gamma)  # so that a float x stays a Python float
 
     last_xn = last_hn = None  # the previous step's x_{k+1} and ∇h(x_{k+1})
+    ws: list = []
 
     # not as_point: an overflow must reach _iterate, which ends the run as divergence
     def step(x):
@@ -434,9 +506,10 @@ def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
         hx = last_hn if x is last_xn else h_grad(x)
         xn = resolvent(x + gamma * hx)
         last_xn, last_hn = xn, h_grad(xn)
-        return xn, hx - last_hn - (xn - x) / gamma
+        ws.append(hx - last_hn - (xn - x) / gamma)
+        return xn
 
-    return _iterate(entry, x0, stop, step, "dca", scalar=scalar)
+    return _iterate(entry, x0, stop, step, "dca", lambda _: ws, scalar)
 
 
 def run_shifted_ppa(
@@ -449,29 +522,34 @@ def run_shifted_ppa(
 ) -> IterateTrace:
     """Proximal point iteration under a shifted-monotonicity assumption.
 
-    The per-step ledger records
+    The ledger records, per step,
     ``||x_{k+1} - xbar||^2 - ||x_k - xbar||^2 + (1 - 2 kappa / gamma) Δ_k^2``
     for ``xbar`` the solution nearest ``x0``; it is nonpositive exactly when
-    the contraction argument goes through.  ``step_condition`` names the range
+    the contraction argument goes through.  It is built once after the loop,
+    from the distances of the stacked iterates to ``xbar`` (:func:`_norm_rows`,
+    the per-step norm's bits).  ``step_condition`` names the range
     of ``gamma`` that :func:`check` admits.
     """
     check("shifted-ppa", entry, kappa=kappa, gamma=gamma, step_condition=step_condition)
-    scalar, step = _proximal_step(entry, gamma)
+    scalar, resolvent, witnesses = _proximal(entry, gamma)
     xb = entry.solution_set.project(x0)
-    norm, xb = (_norm1, float(xb[0])) if scalar else (_norm, xb)
-    coeff = 1.0 - 2.0 * kappa / gamma
+    trace = _iterate(entry, x0, stop, resolvent, "shifted-ppa", witnesses, scalar)
+    with np.errstate(over="ignore"):  # a distance past the float range reads inf, as the per-step norm did
+        dist = _norm_rows(trace.iterates - xb).tolist()
+    trace.fejer_ledger = np.array(_fejer_ledger(dist, trace.step_norms.tolist(), 1.0 - 2.0 * kappa / gamma))
+    return trace
 
-    last_xn = last_dist = None  # the previous step's x_{k+1} and ||x_{k+1} - xbar||
 
-    # Python's float squares: the same bits as numpy's norm(...) ** 2, but
-    # OverflowError past 1.3e154.  Where a square or the entry overflows, the
-    # entry is recomputed scaled by the largest of the three norms, so it is
-    # finite wherever its true value is.
-    def ledger(x, xn, delta):
-        nonlocal last_xn, last_dist
-        b = last_dist if x is last_xn else norm(x - xb)
-        a = last_dist = norm(xn - xb)
-        last_xn = xn
+def _fejer_ledger(dist: List[float], steps: List[float], coeff: float) -> List[float]:
+    """``a**2 - b**2 + coeff * Δ_k**2`` per step, for ``a, b`` the distances
+    ``||x_{k+1} - xbar||`` and ``||x_k - xbar||`` in ``dist`` and ``Δ_k`` in ``steps``.
+
+    The squares are Python's ``**`` on floats (numpy's square rounds some of
+    them differently): ``OverflowError`` past 1.3e154.  Where a square or the
+    entry overflows, the entry is recomputed scaled by the largest of the
+    three norms, so it is finite wherever its true value is."""
+    entries = []
+    for a, b, delta in zip(dist[1:], dist, steps):
         try:
             value = a ** 2 - b ** 2 + coeff * delta ** 2
         except OverflowError:
@@ -479,9 +557,8 @@ def run_shifted_ppa(
         if not math.isfinite(value):
             m = max(a, b, delta)
             value = m * (m * ((a / m) ** 2 - (b / m) ** 2 + coeff * (delta / m) ** 2))
-        return value
-
-    return _iterate(entry, x0, stop, step, "shifted-ppa", ledger, scalar)
+        entries.append(value)
+    return entries
 
 
 class _Algorithm(NamedTuple):

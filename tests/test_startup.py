@@ -2,8 +2,8 @@
 
 Importing ``scipy.stats`` alone takes longer than most CLI runs, so every
 scipy import in the package sits in the function that needs it: the scrambled
-Halton sampler, the Gaussian directions in dimension >= 2 and the qpower
-subproblem.  These tests keep it that way, keep every norm in
+Halton sampler and the Gaussian directions in dimension >= 2.  No solver run
+loads scipy.  These tests keep it that way, keep every norm in
 ``geometry.py``, and keep every public default one that some call overrides.
 """
 
@@ -150,10 +150,13 @@ def _scipy_after(run, out: Path):
      'algorithm={"name": "shifted-ppa", "kappa": 0.25, "gamma": 1.0, "x0": [1.0]}'],
     # qpower on a quadratic with q = 2 has a closed form
     ["solve", "--set", "operator=quad2", "--set", 'algorithm={"name": "qpower", "gamma": 1.0, "q": 2, "x0": [1.0, 1.0]}'],
+    # and elsewhere its scalar subproblem runs on the float ports of scipy's Brent routines
+    ["solve", "--set", "operator=double-well", "--set",
+     'algorithm={"name": "qpower", "gamma": 1.0, "q": 1.5, "x0": [2.0]}', "--set", "stop.max_iter=5"],
     "from rcontinuity import catalog_lookup, closed_graph_test, Window\n"
     "closed_graph_test(catalog_lookup('rm1').forward, [0.0], Window.box([0.0], [5.0]))",
 ], ids=["import", "catalog", "grid-modulus", "gdm-pipeline", "grid-modulus-2d", "loja", "plk", "ppa", "dca",
-        "shifted-ppa", "qpower-closed-form", "closed-graph-1d"])
+        "shifted-ppa", "qpower-closed-form", "qpower", "closed-graph-1d"])
 def test_runs_that_need_no_scipy_do_not_load_it(argv, tmp_path):
     code, modules = _scipy_after(argv, tmp_path / "out")
     assert code in (0, 4)
@@ -163,11 +166,8 @@ def test_runs_that_need_no_scipy_do_not_load_it(argv, tmp_path):
 @pytest.mark.parametrize("argv, module", [
     (["modulus", "--set", "operator=square", "--set", "analysis.target=inverse", "--set", "analysis.scheme=halton"],
      "scipy.stats"),
-    (["solve", "--set", "operator=double-well", "--set",
-      'algorithm={"name": "qpower", "gamma": 1.0, "q": 1.5, "x0": [2.0]}', "--set", "stop.max_iter=5"],
-     "scipy.optimize"),
     ("from rcontinuity.geometry import unit_directions\nunit_directions(4, 2)", "scipy.special"),
-], ids=["halton-modulus", "qpower", "directions-2d"])
+], ids=["halton-modulus", "directions-2d"])
 def test_runs_that_need_scipy_load_it(argv, module, tmp_path):
     # the probe sees the modules a run loads, so an empty list above means something
     code, modules = _scipy_after(argv, tmp_path / "out")
