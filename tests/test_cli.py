@@ -747,6 +747,15 @@ class TestRunExperiment:
         assert main(["solve", "--set", "operator=quad", "--set", qpower, "--out", str(tmp_path)]) == 0
         assert json.loads(capsys.readouterr().out)["verdicts"]["termination"] == "divergence"
 
+    @pytest.mark.parametrize("x0", ["1e250", "1e280", "1e290", "1e300"])
+    def test_qpower_whose_polish_does_not_converge_keeps_the_unpolished_point(self, x0, tmp_path, capsys):
+        # the stationarity root finder does not converge in 100 iterations on the first
+        # subproblem; the step keeps the bounded minimizer's point, past the guard
+        qpower = f'algorithm={{"name":"qpower","gamma":1.0,"q":1.5,"x0":[{x0}]}}'
+        assert main(["solve", "--set", "operator=linear-neg", "--set", qpower, "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"]["termination"] == "divergence"
+        assert (tmp_path / "trace.csv").read_text().count("\n") == 3  # the header, x0 and x1
+
     def test_shifted_run_records_ledger_column(self, tmp_out):
         cfg = ExperimentConfig.from_dict({
             "kind": "solve",

@@ -26,7 +26,7 @@ from rcontinuity.serialize import trace_to_csv
 from rcontinuity import catalog, solvers
 from rcontinuity.setmap import MissingOracleError as NoOracle
 from rcontinuity.setmap import ParamError, ProxOracle, ScalarForm
-from rcontinuity.solvers import _fminbound, _norm, _norm1, check
+from rcontinuity.solvers import _brentq, _fminbound, _norm, _norm1, check
 
 
 def scalar_iterates(trace):
@@ -409,16 +409,29 @@ class TestNorm:
             assert math.isnan(_norm(np.array([math.nan, 1.0])))
 
 
+def reference_norm(v):
+    """``np.linalg.norm(v)``, and ``m * norm(v / m)`` for ``m = max|v|`` where a
+    finite ``v``'s squares overflow."""
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(v))
+    if r == math.inf and np.isfinite(v).all():
+        m = float(np.abs(v).max())
+        return m * float(np.linalg.norm(v / m))
+    return r
+
+
 def reference_iterate(entry, x0, stop, step, algorithm, witness_side, witness_map, ledger=None):
-    """The driver loop as it was before the lean step: ``np.linalg.norm`` for
-    every norm and no shape check."""
+    """The driver loop as it was before the lean step: every norm on
+    ``np.linalg.norm`` (:func:`reference_norm`), every witness and ledger entry
+    taken per step, and no shape check."""
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     iterates, steps, w_pts = [x], [], []
     entries = None if ledger is None else []
     termination = "max_iter"
     for _ in range(stop.max_iter):
         xn, w = step(x)
-        delta = float(np.linalg.norm(xn - x))
+        with np.errstate(over="ignore"):
+            delta = reference_norm(xn - x)
         if not math.isfinite(delta):
             termination = "divergence"
             break
@@ -428,16 +441,18 @@ def reference_iterate(entry, x0, stop, step, algorithm, witness_side, witness_ma
         steps.append(delta)
         w_pts.append(w)
         x = xn
-        if float(np.linalg.norm(xn)) > stop.divergence_guard:
+        if reference_norm(xn) > stop.divergence_guard:
             termination = "divergence"
             break
         if delta <= stop.step_tol:
             termination = "tolerance"
             break
     first = 1 if witness_side == "next" else 0
+    with np.errstate(over="ignore"):
+        f_values = [float(entry.f(p)) for p in iterates]
     return IterateTrace(
         algorithm=algorithm, iterates=iterates, step_norms=steps, stop=stop, termination=termination,
-        f_values=[float(entry.f(p)) for p in iterates], witness_indices=range(first, first + len(steps)),
+        f_values=f_values, witness_indices=range(first, first + len(steps)),
         witness_points=w_pts, xi_values=steps, witness_side=witness_side, witness_map=witness_map,
         fejer_ledger=entries,
     )
@@ -455,19 +470,40 @@ def reference_run_dca(entry, gamma, x0, stop):
     return reference_iterate(entry, x0, stop, step, "dca", "next", "subgrad")
 
 
+def reference_proximal_step(entry, gamma):
+    """The resolvent step with its witness ``(x_k - x_{k+1}) / γ`` taken at every step."""
+    def step(x):
+        with np.errstate(over="ignore"):
+            xn = entry.prox.resolve(gamma, x)
+            return xn, (x - xn) / gamma
+
+    return step
+
+
+def reference_run_ppa(entry, gamma, x0, stop):
+    """PPA whose witness is taken at every step."""
+    return reference_iterate(entry, x0, stop, reference_proximal_step(entry, gamma), "ppa", "next", "forward")
+
+
 def reference_run_shifted_ppa(entry, kappa, gamma, x0, stop):
-    """Shifted PPA whose ledger computes ``||x_k - xbar||`` afresh at every step."""
+    """Shifted PPA whose witness and ledger entry are taken at every step, with
+    ``||x_k - xbar||`` computed afresh each time."""
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     xb = entry.solution_set.project(x)
     coeff = 1.0 - 2.0 * kappa / gamma
 
-    def step(x):
-        xn = entry.prox.resolve(gamma, x)
-        return xn, (x - xn) / gamma
-
     def ledger(x, xn, delta):
-        return float(np.linalg.norm(xn - xb) ** 2 - np.linalg.norm(x - xb) ** 2 + coeff * delta ** 2)
+        a, b = reference_norm(xn - xb), reference_norm(x - xb)
+        try:
+            value = a ** 2 - b ** 2 + coeff * delta ** 2
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):  # recomputed scaled by the largest norm
+            m = max(a, b, delta)
+            value = m * (m * ((a / m) ** 2 - (b / m) ** 2 + coeff * (delta / m) ** 2))
+        return value
 
+    step = reference_proximal_step(entry, gamma)
     return reference_iterate(entry, x, stop, step, "shifted-ppa", "next", "forward", ledger)
 
 
@@ -480,6 +516,22 @@ def _same_trace(got, want, tmp_path: Path):
 
 
 class TestLeanStepMatchesReference:
+    @pytest.mark.parametrize("operator, gamma, x0", [
+        ("abs-subdiff", 0.3, [1.0]),  # finite termination at the kink
+        ("quad", 0.5, [1.0]),
+        ("quad", 0.5, [1e200]),  # Δ squares past the float range
+        ("quad2", 0.5, [2.0, -1.0]),  # the array path
+        ("quad2", 0.002, [2.0, 2.0]),
+        ("linear-neg", 0.4, [1.0]),  # diverges past the guard
+        ("linear-neg", 0.4999, [1e305]),  # the resolvent overflows: a non-finite step, unrecorded
+    ])
+    def test_ppa(self, operator, gamma, x0, tmp_path):
+        entry, stop = catalog_lookup(operator), StopRule()
+        got = run_ppa(entry, gamma, x0, stop)
+        want = reference_run_ppa(entry, gamma, x0, stop)
+        assert got.witness_points.tobytes() == want.witness_points.tobytes()
+        _same_trace(got, want, tmp_path)
+
     @pytest.mark.parametrize("gamma, x0, max_iter", [
         (0.002, [1.0], 100_000), (1.0, [1.0], 100_000), (0.7, [-3.5], 100_000), (5.0, [2.0], 7),
     ])
@@ -493,11 +545,17 @@ class TestLeanStepMatchesReference:
         ("quad2", 0.2, 0.9, [-1.0, 3.0], "derived"),
         ("linear-neg", 0.5, 2.0, [1.0], "derived"),
         ("linear-neg", 0.5, 0.25, [1.0], "reciprocal"),
+        ("quad", 0.5, 2.0, [1e200], "derived"),  # the ledger's squares overflow: the scaled recompute
+        ("quad", 0.5, 2.0, [1.5e154], "derived"),  # ... and its entry is finite
+        ("linear-neg", 0.5, 0.4999, [1.0], "reciprocal"),  # diverges past the guard
+        ("linear-neg", 0.5, 0.4999, [1e305], "reciprocal"),  # a non-finite step, unrecorded
     ])
     def test_shifted_ppa(self, operator, kappa, gamma, x0, condition, tmp_path):
         entry, stop = catalog_lookup(operator), StopRule()
         got = run_shifted_ppa(entry, kappa, gamma, x0, stop, step_condition=condition)
-        _same_trace(got, reference_run_shifted_ppa(entry, kappa, gamma, x0, stop), tmp_path)
+        want = reference_run_shifted_ppa(entry, kappa, gamma, x0, stop)
+        assert got.witness_points.tobytes() == want.witness_points.tobytes()
+        _same_trace(got, want, tmp_path)
         assert len(got.fejer_ledger) == len(got) - 1
 
 
@@ -585,6 +643,112 @@ class TestBoundedBrentPort:
     def test_unbounded_brackets_are_refused(self):
         with pytest.raises(ValueError, match="finite"):
             _fminbound(abs, -math.inf, 1.0)
+
+
+def scipy_brentq(func, lo, hi):
+    """``(x, converged)`` of scipy's ``brentq`` with the polish's tolerances; ``x``
+    is the last iterate where it does not converge."""
+    from scipy.optimize import brentq
+
+    x, result = brentq(func, lo, hi, xtol=1e-15, rtol=1e-15, full_output=True, disp=False)
+    return x, result.converged
+
+
+#: Families of functions with a root near ``c``.
+_ROOT_FAMILIES = {
+    "cubic": lambda c: lambda x: x ** 3 - c ** 3,
+    "exp": lambda c: lambda x: math.exp(x) - math.exp(c),
+    "sin": lambda c: lambda x: math.sin(x) - math.sin(c),
+    "steep": lambda c: lambda x: math.atan(1e6 * (x - c)),
+    "cusp": lambda c: lambda x: math.copysign(abs(x - c) ** 0.3, x - c),
+    "step": lambda c: lambda x: -1.0 if x < c else 1.0,
+    # products of two values underflow to -0.0: signs are compared by sign bit
+    "tiny": lambda c: lambda x: 1e-200 * (x - c),
+    # the values read -inf and +inf away from the root: interpolation gives NaN, so it bisects
+    "infinite": lambda c: lambda x: math.copysign(math.inf, x - c) if abs(x - c) > 1e-3 else x - c,
+}
+
+
+def _sign_changes(func, lo, hi) -> bool:
+    flo, fhi = func(lo), func(hi)
+    return flo != 0.0 and fhi != 0.0 and math.copysign(1.0, flo) != math.copysign(1.0, fhi)
+
+
+class TestBrentqPort:
+    @pytest.mark.parametrize("family", sorted(_ROOT_FAMILIES))
+    def test_random_brackets(self, family):
+        rng = np.random.default_rng(sum(map(ord, family)))
+        checked = 0
+        for _ in range(400):
+            c = float(rng.uniform(-2.0, 2.0))
+            lo, hi = c - float(10.0 ** rng.uniform(-8, 1)), c + float(10.0 ** rng.uniform(-8, 1))
+            if rng.random() < 0.5:
+                lo, hi = hi, lo
+            func = _ROOT_FAMILIES[family](c)
+            if not _sign_changes(func, lo, hi):
+                continue
+            got, want = _brentq(func, lo, hi), scipy_brentq(func, lo, hi)
+            assert _same_float(got[0], want[0]) and got[1] == want[1], (c, lo, hi, got, want)
+            checked += 1
+        assert checked >= 200
+
+    @pytest.mark.parametrize("operator", [op for op in _ONE_D_WITH_F if catalog_lookup(op).grad is not None])
+    def test_the_polish_slopes(self, operator):
+        # the stationarity equation of the qpower subproblem, on the entry's array oracle
+        grad = catalog_lookup(operator).grad
+        checked = 0
+        for c, gamma, q, span in _brackets(sum(map(ord, operator)), 60):
+            def slope(u, c=c, gamma=gamma, q=q):
+                pen = gamma * q * abs(u - c) ** (q - 1.0) * math.copysign(1.0, u - c) if u != c else 0.0
+                return float(grad(np.array([u]))[0]) + pen
+
+            if not _sign_changes(slope, c - span, c + span):
+                continue
+            got, want = _brentq(slope, c - span, c + span), scipy_brentq(slope, c - span, c + span)
+            assert _same_float(got[0], want[0]) and got[1] == want[1], (c, gamma, q, span, got, want)
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("func, lo, hi", [
+        (lambda x: x - 1.0, 1.0, 3.0),  # a root at the first end
+        (lambda x: x - 1.0, -2.0, 1.0),  # a root at the second end
+        (lambda x: x, -0.0, 1.0),  # a root at -0.0, returned with its sign
+        (lambda x: x, -1.0, 2.0),
+        (lambda x: 2.0 - x ** 3, 0.0, 3.0),
+    ], ids=["at-a", "at-b", "at-minus-zero", "through-zero", "cube-root"])
+    def test_exact_roots(self, func, lo, hi):
+        got, want = _brentq(func, lo, hi), scipy_brentq(func, lo, hi)
+        assert got[1] and _same_float(got[0], want[0])
+
+    @pytest.mark.parametrize("func, lo, hi", [
+        (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0),  # NaN at the second end
+        (lambda x: math.nan if 0.3 < x < 0.6 else x - 0.45, 0.0, 1.0),  # NaN inside the bracket
+        (lambda x: x * x + 1.0, -1.0, 1.0),  # no sign change
+    ], ids=["nan-end", "nan-inside", "same-sign"])
+    def test_refusals_match_scipy(self, func, lo, hi):
+        from scipy.optimize import brentq
+
+        with pytest.raises(ValueError) as want:
+            brentq(func, lo, hi, xtol=1e-15, rtol=1e-15)
+        with pytest.raises(ValueError) as got:
+            _brentq(func, lo, hi)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("func, lo, hi", [
+        # a step over a bracket of 3e300: interpolation only bisects, and 100
+        # halvings leave the bracket far wider than the tolerance at the root, 0
+        (lambda x: math.copysign(1.0, x), -1e300, 2e300),
+        # a triple root at 0: the values vanish long before the absolute tolerance is met
+        (lambda x: -x ** 3, -3.0, 0.5),
+    ], ids=["step", "triple-root"])
+    def test_a_bracket_that_does_not_converge_in_100_iterations(self, func, lo, hi):
+        from scipy.optimize import brentq
+
+        with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+            brentq(func, lo, hi, xtol=1e-15, rtol=1e-15)
+        got, want = _brentq(func, lo, hi), scipy_brentq(func, lo, hi)
+        assert got[1] is False and want[1] is False
+        assert _same_float(got[0], want[0])
 
 
 def reference_qpower_subproblem(entry, gamma, q):
