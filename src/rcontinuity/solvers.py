@@ -138,9 +138,10 @@ def _iterate(entry: OperatorEntry, x0, stop: StopRule, step: Callable, algorithm
     computed there.  Each step records the iterate and its step norm Δ_k.  A
     step with a non-finite Δ_k is not recorded and ends the run as divergence;
     otherwise it stops on the divergence guard, then on the step tolerance,
-    then on ``max_iter``.  After the loop, ``witnesses(X)`` gives the witnesses
-    from the stacked iterates ``X`` (or those the steps recorded); the first
-    one per recorded step is kept, at index k+1 or k (the algorithm's
+    then on ``max_iter``.  After the loop, ``witnesses(X)`` gives the witnesses,
+    built from the stacked iterates ``X`` or recorded by the steps; the first
+    ``len(X) - 1`` are kept (a step that ended the run unrecorded may have
+    recorded one more), the k-th at index k+1 or k (the algorithm's
     ``witness_side``) and paired with xi = Δ_k.
     """
     x = as_point(x0, entry.dim_in)
