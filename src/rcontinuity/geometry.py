@@ -340,12 +340,129 @@ def _unit_grid(count: int, dim: int) -> np.ndarray:
     return lattice[:count]
 
 
-def _halton(dim: int, seed: int):
-    """A scrambled Halton sampler.  ``scipy.stats`` is imported here, so only
-    the runs that sample Halton points pay for loading it."""
-    from scipy.stats import qmc
+def _primes(count: int) -> list:
+    """The first ``count`` primes."""
+    primes: list = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
-    return qmc.Halton(d=dim, scramble=True, seed=seed)
+
+class _Halton:
+    """The scrambled Halton sequence (Owen 2017, arXiv:1706.02808) that scipy
+    1.17.1's ``qmc.Halton(d=dim, scramble=True, seed=seed)`` draws, bit for bit;
+    successive :meth:`random` calls continue it.
+
+    Coordinate ``k`` of point ``i`` is a base-``b`` radical inverse of ``i``
+    (``b`` the ``k``-th prime) whose digit at level ``j`` goes through the
+    ``j``-th of ``ceil(54 / log2(b)) - 1`` seeded permutations: the sum of
+    ``perm[j][digit_j] * b**-(j+1)`` added from level 0 up, as scipy's kernel
+    adds its ``remainder * b2r`` products."""
+
+    def __init__(self, dim: int, seed: int):
+        rng = np.random.default_rng(seed)
+        self._terms = []  # per prime, the (levels, b) array of perm[j][r] * b**-(j+1)
+        for b in _primes(dim):
+            perm = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+            rng.permuted(perm, axis=1, out=perm)  # draws what scipy's per-row shuffle draws
+            scale = np.full(len(perm), float(b))
+            scale[0] = 1.0 / b
+            np.divide.accumulate(scale, out=scale)  # 1/b, then each level's divided by b
+            self._terms.append(perm * scale[:, None])
+        self._drawn = 0
+
+    def random(self, n: int) -> np.ndarray:
+        """The next ``n`` points, an ``(n, dim)`` array in [0, 1)."""
+        first, self._drawn = self._drawn, self._drawn + n
+        index = np.arange(first, first + n)
+        out = np.empty((n, len(self._terms)))
+        for k, terms in enumerate(self._terms):
+            b, levels = terms.shape[1], len(terms)
+            # table[m]: the sum over the levels below j of an index whose residue mod `size` is m,
+            # one outer sum per level (IEEE + commutes, so terms[j][t] + table[m] is the kernel's sum)
+            table, size, j = terms[0], b, 1
+            while size * b <= n and j < levels:
+                table = (terms[j][:, None] + table).ravel()
+                size, j = size * b, j + 1
+            q, r = np.divmod(index, size)
+            acc = table[r]
+            while first + n > size and j < levels:  # some index has a digit at level j
+                q, r = np.divmod(q, b)
+                acc += terms[j][r]
+                size, j = size * b, j + 1
+            for t in terms[j:, 0].tolist():  # digit 0 at every index from here on
+                if t:  # adding +0.0 to a nonnegative sum changes no bit
+                    acc += t
+            out[:, k] = acc
+        return out
+
+
+#: Cephes ``ndtri``'s rational approximations (Moshier, Cephes Math Library;
+#: scipy's ``special.ndtri``): P0/Q0 on ``exp(-2) < y < 1 - exp(-2)``, then in
+#: the tails P1/Q1 where ``sqrt(-2 log y) < 8`` and P2/Q2 beyond.  The Q
+#: polynomials have a leading 1, left out.
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+             1.39312609387279679503E1, -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242E0
+
+
+def _polevl(x, coef):
+    """Cephes ``polevl``: Horner's rule, one product and one sum per step."""
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _p1evl(x, coef):
+    """Cephes ``p1evl``: :func:`_polevl` after a leading coefficient 1."""
+    return _polevl(x, (x + coef[0],) + coef[1:])
+
+
+def _ndtri_tail(y: float) -> float:
+    """``-ndtri(y)`` for ``0 < y <= exp(-2)``, on Python floats."""
+    s = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / s
+    p, q = (_NDTRI_P1, _NDTRI_Q1) if s < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    return s - math.log(s) / s - z * _polevl(z, p) / _p1evl(z, q)
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """Cephes ``ndtri``, the standard normal quantile, on values in (0, 1):
+    ``scipy.special.ndtri(y)`` bit for bit.  The central range runs on numpy,
+    whose ``+ - * /`` round as C's do; the tails run on Python floats, since
+    ``np.log`` and libm's ``log``, which ``math.log`` calls, differ in the
+    last bit."""
+    flip = y > 1.0 - _EXP_M2
+    y = np.where(flip, 1.0 - y, y)
+    x = np.empty_like(y)
+    mid = y > _EXP_M2
+    v = y[mid] - 0.5
+    v2 = v * v
+    x[mid] = (v + v * (v2 * _polevl(v2, _NDTRI_P0) / _p1evl(v2, _NDTRI_Q0))) * _SQRT_2PI
+    tail = ~mid
+    t = np.array([_ndtri_tail(u) for u in y[tail].tolist()])
+    x[tail] = np.where(flip[tail], t, -t)
+    return x
 
 
 #: The sampling schemes of :func:`sample_window`.
@@ -379,22 +496,21 @@ def sample_window(w: Window, scheme: str, count: int, seed: int = 0) -> PointSet
         else:
             pts = w.center + unit * (w.extent[0] / math.sqrt(d))
         return PointSet(pts)
+    sampler = _Halton(d, seed)
     if w.kind == "box":
-        u = _halton(d, seed).random(count)
-        return PointSet(w.center + (2.0 * u - 1.0) * w.extent)
+        return PointSet(w.center + (2.0 * sampler.random(count) - 1.0) * w.extent)
     # Ball + Halton: consume the sequence in order, rejecting points outside
     # the ball, so the accepted set is a deterministic function of the seed.
-    sampler = _halton(d, seed)
-    rows = []
-    guard = 0
-    while len(rows) < count:
-        batch = sampler.random(max(count, 64))
-        cand = w.center + (2.0 * batch - 1.0) * w.extent[0]
-        rows.extend(cand[w.contains_rows(cand)])
-        guard += 1
-        if guard > 1000:
-            raise RuntimeError("ball rejection sampling failed to fill the request")
-    return PointSet(np.asarray(rows[:count]))
+    pts = np.empty((count, d))
+    filled = 0
+    for _ in range(1000):
+        cand = w.center + (2.0 * sampler.random(max(count, 64)) - 1.0) * w.extent[0]
+        inside = cand[w.contains_rows(cand)][:count - filled]
+        pts[filled:filled + len(inside)] = inside
+        filled += len(inside)
+        if filled == count:
+            return PointSet(pts)
+    raise RuntimeError("ball rejection sampling failed to fill the request")
 
 
 def unit_directions(count: int, dim: int, seed: int = 0) -> np.ndarray:
@@ -402,10 +518,8 @@ def unit_directions(count: int, dim: int, seed: int = 0) -> np.ndarray:
     Gaussian directions otherwise."""
     if dim == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
-    from scipy.special import ndtri
-
-    u = _halton(dim, seed).random(count)
-    z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    u = _Halton(dim, seed).random(count)
+    z = _ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     norms = _norms(z)
     norms[norms == 0] = 1.0
     return z / norms[:, None]

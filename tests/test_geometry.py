@@ -16,7 +16,7 @@ from rcontinuity import (
     excess,
     sample_window,
 )
-from rcontinuity.geometry import _nearest, _norm, _norm_rows, _norms
+from rcontinuity.geometry import _Halton, _ndtri, _nearest, _norm, _norm_rows, _norms, unit_directions
 from conftest import refine_brute_distance
 
 # a handled overflow must not reach the user as a numpy warning
@@ -190,8 +190,9 @@ class TestProject:
         pts = np.array(data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim),
                                           min_size=1, max_size=8)))
         p = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
-        # in 1-d the gap |x - p| itself, which no square underflows
-        gaps = np.abs(pts[:, 0] - p[0]) if dim == 1 else np.linalg.norm(pts - p, axis=1)
+        # in 1-d the gap |x - p| itself, and elsewhere the norm rescaled where its squares underflow, as
+        # project's norms are: numpy's reads 0 for a gap of 1e-220, so its argmin would pick a farther point
+        gaps = np.abs(pts[:, 0] - p[0]) if dim == 1 else scaled_row_norms(pts - p)
         assert Region(pts).project(p).tobytes() == pts[int(np.argmin(gaps))].tobytes()
 
 
@@ -404,6 +405,114 @@ class TestSampleWindow:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             sample_window(Window.box([0.0], [1.0]), "sobolish", 4)
+
+
+# -- the samplers against scipy, byte for byte ---------------------------------
+
+
+def scipy_halton(dim, seed):
+    from scipy.stats import qmc
+
+    return qmc.Halton(d=dim, scramble=True, seed=seed)
+
+
+def scipy_ball(w, count, seed):
+    """Ball + Halton rejection sampling on scipy's sampler, as a list of rows."""
+    sampler, rows = scipy_halton(w.dim, seed), []
+    while len(rows) < count:
+        cand = w.center + (2.0 * sampler.random(max(count, 64)) - 1.0) * w.extent[0]
+        rows.extend(cand[w.contains_rows(cand)])
+    return np.asarray(rows[:count])
+
+
+def scipy_directions(count, dim, seed):
+    """``unit_directions`` in dimension >= 2 on scipy's sampler and ``ndtri``."""
+    from scipy.special import ndtri
+
+    z = ndtri(np.clip(scipy_halton(dim, seed).random(count), 1e-12, 1 - 1e-12))
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0] = 1.0
+    return z / norms[:, None]
+
+
+#: Successive draw sizes whose start indices (0, 1, 64, 128, 1152, 4152, 4153,
+#: 4396) cross powers of 2, 3, 5, 7 and 11.
+_DRAWS = (1, 63, 64, 1024, 3000, 1, 243, 2)
+
+
+class TestHaltonMatchesScipy:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_successive_draws(self, dim):
+        for seed in range(8):
+            ours, theirs = _Halton(dim, seed), scipy_halton(dim, seed)
+            for n in _DRAWS:
+                assert ours.random(n).tobytes() == theirs.random(n).tobytes(), (seed, n)
+
+    @pytest.mark.parametrize("power", [2 ** 10, 3 ** 6, 5 ** 4, 7 ** 3, 11 ** 3])
+    def test_draws_whose_size_or_last_index_is_a_power_of_a_base(self, power):
+        # `power` points end just below the power; `power + 1` points, or one more point after
+        # `power`, end at the power itself, the first index with a digit at one more level
+        for seed, draws in ((0, (power, 1)), (5, (power + 1, 2))):
+            ours, theirs = _Halton(5, seed), scipy_halton(5, seed)
+            for n in draws:
+                assert ours.random(n).tobytes() == theirs.random(n).tobytes(), (seed, n)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.lists(st.integers(1, 700), min_size=1, max_size=6))
+    def test_any_seed_and_draw_sizes(self, seed, dim, draws):
+        ours, theirs = _Halton(dim, seed), scipy_halton(dim, seed)
+        for n in draws:
+            assert ours.random(n).tobytes() == theirs.random(n).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("count", [1, 63, 64, 1024])
+    def test_ball_rejection(self, dim, count):
+        # in 5-d a ball fills 16% of its box, so a 1024-point draw takes several batches
+        for seed in (0, 3):
+            w = Window.ball(np.linspace(-1.0, 2.0, dim), 0.7)
+            assert sample_window(w, "halton", count, seed).points.tobytes() == scipy_ball(w, count, seed).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_box(self, dim):
+        w = Window.box(np.linspace(-1.0, 2.0, dim), np.linspace(0.5, 3.0, dim))
+        want = w.center + (2.0 * scipy_halton(dim, 11).random(3000) - 1.0) * w.extent
+        assert sample_window(w, "halton", 3000, 11).points.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("count", [1, 64, 1024])
+    def test_unit_directions(self, dim, count):
+        for seed in (0, 7):
+            assert unit_directions(count, dim, seed).tobytes() == scipy_directions(count, dim, seed).tobytes()
+
+
+def _around(y, ulps=4):
+    """``y`` and the ``ulps`` doubles on either side of it."""
+    out, up, down = [y], y, y
+    for _ in range(ulps):
+        up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
+        out += [up, down]
+    return np.array(out)
+
+
+_RNG = np.random.default_rng(2024)
+_EXP_M2 = math.exp(-2.0)
+
+
+@pytest.mark.parametrize("y", [
+    _RNG.uniform(_EXP_M2, 1.0 - _EXP_M2, 20_000),
+    np.exp(-_RNG.uniform(2.0, 745.0, 20_000)),  # the lower tail, down to the subnormals
+    1.0 - np.exp(-_RNG.uniform(2.0, 36.0, 20_000)),  # the upper tail, to 1 - 2**-52
+    np.concatenate([_around(_EXP_M2), _around(1.0 - _EXP_M2)]),  # the branch points
+    # sqrt(-2 log y) = 8 at y = exp(-32) exactly: the switch from P1/Q1 to P2/Q2
+    np.concatenate([_around(math.exp(-32.0), 8), np.exp(-_RNG.uniform(31.9, 32.1, 2000))]),
+    np.concatenate([_around(1e-12), _around(1.0 - 1e-12)]),
+    np.array([5e-324, 1e-323, 1e-320, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-300, 1e-200]),
+    _RNG.random((64, 3)),  # the shape of a direction block
+], ids=["central", "lower-tail", "upper-tail", "exp-2", "exp-32", "clip-bounds", "tiny-and-subnormal", "2d"])
+def test_ndtri_matches_scipy(y):
+    from scipy.special import ndtri
+
+    assert _ndtri(y).tobytes() == ndtri(y).tobytes()
 
 
 class TestWindow:

@@ -1,10 +1,11 @@
-"""Start-up cost: scipy is loaded only by the runs that use it.
+"""Start-up cost: no run loads scipy.
 
-Importing ``scipy.stats`` alone takes longer than most CLI runs, so every
-scipy import in the package sits in the function that needs it: the scrambled
-Halton sampler and the Gaussian directions in dimension >= 2.  No solver run
-loads scipy.  These tests keep it that way, keep every norm in
-``geometry.py``, and keep every public default one that some call overrides.
+Importing ``scipy.stats`` alone takes longer than most CLI runs, so the
+package imports scipy nowhere: the scrambled Halton sampler, the Gaussian
+directions and the solvers' scalar routines are numpy and float ports whose
+tests compare bytes against scipy.  These tests keep it that way, keep every
+norm in ``geometry.py``, and keep every public default one that some call
+overrides.
 """
 
 import ast
@@ -24,31 +25,23 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def _module_level_imports(tree: ast.Module):
-    """The import statements a module runs when it is imported: everything
-    outside function bodies."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
+def _scipy_imports(tree: ast.Module) -> list:
+    """The scipy modules a module's import statements name, at any depth:
+    module level, class bodies and function bodies alike."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names += [node.module]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    return [name for name in names if name.split(".")[0] == "scipy"]
 
 
-def _scipy_names(node) -> list:
-    if isinstance(node, ast.ImportFrom):
-        return [node.module] if node.module and node.module.split(".")[0] == "scipy" else []
-    return [alias.name for alias in node.names if alias.name.split(".")[0] == "scipy"]
-
-
-def test_no_module_level_scipy_import():
+def test_no_scipy_import_in_the_package():
     offenders = []
     for path in sorted((SRC / "rcontinuity").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        offenders += [f"{path.name}:{node.lineno} {name}"
-                      for node in _module_level_imports(tree) for name in _scipy_names(node)]
+        offenders += [f"{path.name}: {name}" for name in _scipy_imports(tree)]
     assert not offenders
 
 
@@ -103,12 +96,13 @@ def test_the_default_scan_counts_positional_and_keyword_arguments(tmp_path):
     assert "calmness_estimate.samples" in found
 
 
-def test_the_lint_sees_module_level_imports():
+def test_the_lint_sees_every_scipy_import():
     tree = ast.parse("import numpy, scipy.stats\nif True:\n    from scipy import optimize\n"
                      "class C:\n    import scipy.special\n"
-                     "def f():\n    from scipy.stats import qmc\n")
-    found = sorted(name for node in _module_level_imports(tree) for name in _scipy_names(node))
-    assert found == ["scipy", "scipy.special", "scipy.stats"]
+                     "def f():\n    from scipy.stats import qmc\n"
+                     "    def g():\n        import scipy as sp\n"
+                     "from . import scipyish\n")
+    assert sorted(_scipy_imports(tree)) == ["scipy", "scipy", "scipy.special", "scipy.stats", "scipy.stats"]
 
 
 _PROBE = """
@@ -155,24 +149,26 @@ def _scipy_after(run, out: Path):
      'algorithm={"name": "qpower", "gamma": 1.0, "q": 1.5, "x0": [2.0]}', "--set", "stop.max_iter=5"],
     "from rcontinuity import catalog_lookup, closed_graph_test, Window\n"
     "closed_graph_test(catalog_lookup('rm1').forward, [0.0], Window.box([0.0], [5.0]))",
+    # the scrambled Halton sampler and the Gaussian directions are numpy and float ports
+    ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse", "--set", "analysis.scheme=halton"],
+    "from rcontinuity.geometry import unit_directions\nunit_directions(4, 2)",
+    "from rcontinuity import catalog_lookup, closed_graph_test, Window\n"
+    "closed_graph_test(catalog_lookup('quad2').forward, [0.0, 0.0], Window.box([0.0, 0.0], [10.0, 10.0]))",
+    "from rcontinuity import catalog_lookup, certify_inverse_lipschitz, Window\n"
+    "certify_inverse_lipschitz(catalog_lookup('quad2'), Window.box([0.0, 0.0], [2.0, 2.0]), test_samples=200)",
 ], ids=["import", "catalog", "grid-modulus", "gdm-pipeline", "grid-modulus-2d", "loja", "plk", "ppa", "dca",
-        "shifted-ppa", "qpower-closed-form", "qpower", "closed-graph-1d"])
+        "shifted-ppa", "qpower-closed-form", "qpower", "closed-graph-1d", "halton-modulus", "directions-2d",
+        "closed-graph-2d", "inverse-lipschitz"])
 def test_runs_that_need_no_scipy_do_not_load_it(argv, tmp_path):
     code, modules = _scipy_after(argv, tmp_path / "out")
     assert code in (0, 4)
     assert modules == []
 
 
-@pytest.mark.parametrize("argv, module", [
-    (["modulus", "--set", "operator=square", "--set", "analysis.target=inverse", "--set", "analysis.scheme=halton"],
-     "scipy.stats"),
-    ("from rcontinuity.geometry import unit_directions\nunit_directions(4, 2)", "scipy.special"),
-], ids=["halton-modulus", "directions-2d"])
-def test_runs_that_need_scipy_load_it(argv, module, tmp_path):
-    # the probe sees the modules a run loads, so an empty list above means something
-    code, modules = _scipy_after(argv, tmp_path / "out")
-    assert code in (0, 4)
-    assert module in modules
+def test_the_probe_sees_a_scipy_import(tmp_path):
+    # so that the empty lists above mean something
+    code, modules = _scipy_after("import scipy.special", tmp_path / "out")
+    assert code == 0 and "scipy.special" in modules
 
 
 def test_importing_the_package_builds_no_renderer_table():
