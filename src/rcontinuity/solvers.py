@@ -320,28 +320,29 @@ _ROOT_TOL = 1e-15
 _ROOT_MAXITER = 100
 
 
-def _brentq(func: Callable[[float], float], xa: float, xb: float) -> Tuple[float, bool]:
+def _brentq(func: Callable[[float], float], xa: float, xb: float, fa: float, fb: float) -> Tuple[float, bool]:
     """``(x, converged)``: the root of ``func`` bracketed by ``[xa, xb]`` that
     ``scipy.optimize.brentq(func, xa, xb, xtol=1e-15, rtol=1e-15)`` returns, bit
     for bit, or, unconverged after ``_ROOT_MAXITER`` iterations, the last
     iterate (where scipy raises ``RuntimeError``).  A line-for-line port of
-    scipy 1.17.1's C ``brentq`` (Brent 1973, ch. 3-4) on Python floats.
+    scipy 1.17.1's C ``brentq`` (Brent 1973, ch. 3-4) on Python floats, except
+    that the caller passes the end values ``fa = func(xa)`` and ``fb = func(xb)``,
+    which scipy evaluates first.
 
     As in C, signs are compared by sign bit, ``MIN(a, b)`` is
     ``a if a < b else b``, and a division by zero gives a step that fails the
     short-step test (C's ``inf`` or ``NaN``), so it bisects.  Like scipy's
-    wrapper, a NaN value raises ``ValueError``, as does a bracket without a
-    sign change."""
+    wrapper, a NaN value (an end value passed in among them) raises
+    ``ValueError``, as does a bracket without a sign change."""
 
-    def value(x: float) -> float:
-        fx = func(x)
+    def value(x: float, fx: float) -> float:
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xa, fa), value(xb, fb)
     if fpre == 0.0:
         return xpre, True
     if fcur == 0.0:
@@ -381,7 +382,7 @@ def _brentq(func: Callable[[float], float], xa: float, xb: float) -> Tuple[float
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = value(xcur, func(xcur))
     return xcur, False
 
 
@@ -447,7 +448,7 @@ def _polish_stationarity(grad, gamma: float, q: float, c: float, t: float, span:
         if fb == 0.0:
             return b
         if fa * fb < 0.0:
-            root, converged = _brentq(slope, a, b)
+            root, converged = _brentq(slope, a, b, fa, fb)
             return root if converged else t
         h *= 8.0
     return t

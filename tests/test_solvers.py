@@ -645,6 +645,11 @@ class TestBoundedBrentPort:
             _fminbound(abs, -math.inf, 1.0)
 
 
+def port_brentq(func, lo, hi):
+    """``_brentq`` as the polish calls it, on the end values evaluated first."""
+    return _brentq(func, lo, hi, func(lo), func(hi))
+
+
 def scipy_brentq(func, lo, hi):
     """``(x, converged)`` of scipy's ``brentq`` with the polish's tolerances; ``x``
     is the last iterate where it does not converge."""
@@ -687,7 +692,7 @@ class TestBrentqPort:
             func = _ROOT_FAMILIES[family](c)
             if not _sign_changes(func, lo, hi):
                 continue
-            got, want = _brentq(func, lo, hi), scipy_brentq(func, lo, hi)
+            got, want = port_brentq(func, lo, hi), scipy_brentq(func, lo, hi)
             assert _same_float(got[0], want[0]) and got[1] == want[1], (c, lo, hi, got, want)
             checked += 1
         assert checked >= 200
@@ -704,7 +709,7 @@ class TestBrentqPort:
 
             if not _sign_changes(slope, c - span, c + span):
                 continue
-            got, want = _brentq(slope, c - span, c + span), scipy_brentq(slope, c - span, c + span)
+            got, want = port_brentq(slope, c - span, c + span), scipy_brentq(slope, c - span, c + span)
             assert _same_float(got[0], want[0]) and got[1] == want[1], (c, gamma, q, span, got, want)
             checked += 1
         assert checked >= 10
@@ -717,8 +722,22 @@ class TestBrentqPort:
         (lambda x: 2.0 - x ** 3, 0.0, 3.0),
     ], ids=["at-a", "at-b", "at-minus-zero", "through-zero", "cube-root"])
     def test_exact_roots(self, func, lo, hi):
-        got, want = _brentq(func, lo, hi), scipy_brentq(func, lo, hi)
+        got, want = port_brentq(func, lo, hi), scipy_brentq(func, lo, hi)
         assert got[1] and _same_float(got[0], want[0])
+
+    @pytest.mark.parametrize("family", sorted(_ROOT_FAMILIES))
+    def test_the_end_values_passed_in_are_not_evaluated_again(self, family):
+        # scipy evaluates both ends first; the port takes those two values from its caller
+        func, lo, hi = _ROOT_FAMILIES[family](0.3), -1.0, 2.0
+        calls = {"port": [], "scipy": []}
+
+        def counted(who):
+            return lambda x: calls[who].append(x) or func(x)
+
+        got = _brentq(counted("port"), lo, hi, func(lo), func(hi))
+        want = scipy_brentq(counted("scipy"), lo, hi)
+        assert calls["scipy"][:2] == [lo, hi] and calls["port"] == calls["scipy"][2:]
+        assert _same_float(got[0], want[0]) and got[1] == want[1]
 
     @pytest.mark.parametrize("func, lo, hi", [
         (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0),  # NaN at the second end
@@ -731,7 +750,7 @@ class TestBrentqPort:
         with pytest.raises(ValueError) as want:
             brentq(func, lo, hi, xtol=1e-15, rtol=1e-15)
         with pytest.raises(ValueError) as got:
-            _brentq(func, lo, hi)
+            port_brentq(func, lo, hi)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("func, lo, hi", [
@@ -746,7 +765,7 @@ class TestBrentqPort:
 
         with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
             brentq(func, lo, hi, xtol=1e-15, rtol=1e-15)
-        got, want = _brentq(func, lo, hi), scipy_brentq(func, lo, hi)
+        got, want = port_brentq(func, lo, hi), scipy_brentq(func, lo, hi)
         assert got[1] is False and want[1] is False
         assert _same_float(got[0], want[0])
 
