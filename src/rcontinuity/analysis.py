@@ -462,19 +462,20 @@ def certify_inverse_lipschitz(entry: OperatorEntry, k: Window, test_samples: int
     """Smallest-singular-value certificate for the inverse of a smooth map.
 
     ``c_hat`` is the minimum singular value of the Jacobian over those of the
-    ``_S_SAMPLES`` solution-set samples that lie in the window.  With full rank,
-    ``d(x, S) <= (1 + tol) * ||F(x)|| / c_hat`` is spot-checked on points near
-    the solution set, where ``F`` is the entry's forward map (the map whose
+    first ``_S_SAMPLES`` solution-set points that lie in the window.  With full
+    rank, ``d(x, S) <= (1 + tol) * ||F(x)|| / c_hat`` is spot-checked on one
+    Halton tube of ``test_samples // len(anchors)`` points (at least one) laid
+    around each of them, where ``F`` is the entry's forward map (the map whose
     zero set is the solution set and whose Jacobian is registered).
     """
     entry.need("jac")
     if entry.dim_out < entry.dim_in:
         raise ValueError("the range dimension must be at least the domain dimension")
     region = entry.solution_set
-    samples = region.sample(_S_SAMPLES).points
-    anchors = samples[k.contains_rows(samples)]
+    anchors = region.points[:_S_SAMPLES]
+    anchors = anchors[k.contains_rows(anchors)]
     if not len(anchors):
-        raise ValueError("no solution-set samples inside the window")
+        raise ValueError("no solution point inside the window")
     # one stacked SVD: LAPACK runs per matrix, so each anchor's values are its own
     jacs = np.stack([np.atleast_2d(entry.jac(u)) for u in anchors])
     c_hat = float(np.linalg.svd(jacs, compute_uv=False)[:, -1].min())
@@ -482,10 +483,8 @@ def certify_inverse_lipschitz(entry: OperatorEntry, k: Window, test_samples: int
         return InverseLipschitzResult(c_hat, "rank-deficient", [], 0)
 
     per_anchor = max(1, test_samples // len(anchors))
-    xs = np.vstack([
-        u + sample_window(Window.ball(np.zeros(entry.dim_in), tube_radius), "halton", per_anchor, seed + i).points
-        for i, u in enumerate(anchors)
-    ])
+    tube = sample_window(Window.ball(np.zeros(entry.dim_in), tube_radius), "halton", per_anchor, seed).points
+    xs = (anchors[:, None, :] + tube).reshape(-1, entry.dim_in)
     vals, owner = entry.forward.eval_rows(xs)
     if not (np.bincount(owner, minlength=len(xs)) == 1).all():
         raise ValueError("the certificate needs a single-valued forward map")

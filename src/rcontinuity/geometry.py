@@ -293,11 +293,6 @@ class Region(PointSet):
         p = as_point(x, self.dim)
         return self.points[int(np.argmin(_norms(self.points - p)))].copy()
 
-    def sample(self, count: int) -> PointSet:
-        """``count`` points of the set: the list, cycled."""
-        check_sample("grid", count)
-        return PointSet(self.points[np.arange(count) % len(self)])
-
 
 def distance_to_set(x, target: PointSet) -> float:
     """Exact Euclidean distance from a point to a finite point set (a
@@ -400,71 +395,6 @@ class _Halton:
         return out
 
 
-#: Cephes ``ndtri``'s rational approximations (Moshier, Cephes Math Library;
-#: scipy's ``special.ndtri``): P0/Q0 on ``exp(-2) < y < 1 - exp(-2)``, then in
-#: the tails P1/Q1 where ``sqrt(-2 log y) < 8`` and P2/Q2 beyond.  The Q
-#: polynomials have a leading 1, left out.
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-             1.39312609387279679503E1, -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
-_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
-             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
-             2.89247864745380683936E-6, 6.79019408009981274425E-9)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_SQRT_2PI = 2.50662827463100050242E0
-
-
-def _polevl(x, coef):
-    """Cephes ``polevl``: Horner's rule, one product and one sum per step."""
-    acc = coef[0]
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _p1evl(x, coef):
-    """Cephes ``p1evl``: :func:`_polevl` after a leading coefficient 1."""
-    return _polevl(x, (x + coef[0],) + coef[1:])
-
-
-def _ndtri_tail(y: float) -> float:
-    """``-ndtri(y)`` for ``0 < y <= exp(-2)``, on Python floats."""
-    s = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / s
-    p, q = (_NDTRI_P1, _NDTRI_Q1) if s < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    return s - math.log(s) / s - z * _polevl(z, p) / _p1evl(z, q)
-
-
-def _ndtri(y: np.ndarray) -> np.ndarray:
-    """Cephes ``ndtri``, the standard normal quantile, on values in (0, 1):
-    ``scipy.special.ndtri(y)`` bit for bit.  The central range runs on numpy,
-    whose ``+ - * /`` round as C's do; the tails run on Python floats, since
-    ``np.log`` and libm's ``log``, which ``math.log`` calls, differ in the
-    last bit."""
-    flip = y > 1.0 - _EXP_M2
-    y = np.where(flip, 1.0 - y, y)
-    x = np.empty_like(y)
-    mid = y > _EXP_M2
-    v = y[mid] - 0.5
-    v2 = v * v
-    x[mid] = (v + v * (v2 * _polevl(v2, _NDTRI_P0) / _p1evl(v2, _NDTRI_Q0))) * _SQRT_2PI
-    tail = ~mid
-    t = np.array([_ndtri_tail(u) for u in y[tail].tolist()])
-    x[tail] = np.where(flip[tail], t, -t)
-    return x
-
-
 #: The sampling schemes of :func:`sample_window`.
 SCHEMES = ("grid", "halton")
 
@@ -514,12 +444,13 @@ def sample_window(w: Window, scheme: str, count: int, seed: int = 0) -> PointSet
 
 
 def unit_directions(count: int, dim: int, seed: int = 0) -> np.ndarray:
-    """Deterministic unit vectors; alternating signs in 1-d, Halton-derived
-    Gaussian directions otherwise."""
+    """Deterministic unit vectors: alternating signs in 1-d, otherwise the
+    Halton points of the box ``[-1, 1]^dim`` (:func:`sample_window`), each
+    divided by its norm."""
     if dim == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
-    u = _Halton(dim, seed).random(count)
-    z = _ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    # sample_window draws one point at least, so no direction is an empty slice of one
+    z = sample_window(Window.box(np.zeros(dim), 1.0), "halton", max(count, 1), seed).points[:count]
     norms = _norms(z)
     norms[norms == 0] = 1.0
     return z / norms[:, None]

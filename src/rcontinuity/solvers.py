@@ -93,7 +93,6 @@ class IterateTrace:
     witness_points: np.ndarray = field(default_factory=list)
     xi_values: np.ndarray = field(default_factory=list)
     witness_side: Optional[str] = None  # "next" | "current"
-    witness_map: Optional[str] = None  # "forward" | "subgrad"
     fejer_ledger: Optional[np.ndarray] = None
     witness_norms: np.ndarray = field(init=False, repr=False)
 
@@ -184,7 +183,6 @@ def _iterate(entry: OperatorEntry, x0, stop: StopRule, step: Callable, algorithm
             witness_points=witnesses(iterates)[:len(steps)],
             xi_values=steps,
             witness_side=spec.witness_side,
-            witness_map=spec.witness_map,
         )
 
 

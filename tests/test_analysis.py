@@ -215,6 +215,18 @@ class TestClosedGraph:
         lin = SetValuedMap("times2", 1, 1, pointwise(lambda x, w: np.array([[2.0 * float(x[0])]])))
         assert closed_graph_test(lin, [0.0], K10).passed
 
+    def test_linear_map_passes_in_20d(self):
+        # the directions come from any dimension's Halton box, so the probe runs wherever the map does
+        a = np.diag(np.linspace(1.0, 3.0, 20)) + 0.1
+        lin = SetValuedMap("lin20", 20, 20, lambda X, w: (X @ a.T, np.arange(len(X))))
+        res = closed_graph_test(lin, np.zeros(20), Window.box(np.zeros(20), 10.0))
+        assert (res.verdict, res.chains_converged, res.chains_total) == ("pass", 8, 8)
+
+    def test_no_sequence_is_inconclusive(self):
+        for m, xbar in ((catalog_lookup("abs-subdiff").forward, [0.0]), (catalog_lookup("quad2").forward, [0.0, 0.0])):
+            res = closed_graph_test(m, xbar, Window.box(np.zeros(len(xbar)), 10.0), n_sequences=0)
+            assert (res.verdict, res.chains_converged, res.chains_total) == ("inconclusive", 0, 0)
+
     def test_slow_selection_is_inconclusive(self):
         # values shrink like 1/log(1/x): convergent but far from geometric
         res = closed_graph_test(invert(catalog_lookup("flat-exp")), [0.0], K10)
@@ -373,6 +385,41 @@ class TestInverseLipschitz:
         assert res.full_rank
         assert res.c_hat == pytest.approx(expected, rel=1e-12)
         assert not res.bound_violations
+
+    @staticmethod
+    def _lin(points, jac):
+        return OperatorEntry(
+            name="lin", forward=SetValuedMap("lin", 1, 1, lambda X, w: (X, np.arange(len(X)))),
+            solution_set=Region(points), jac=jac,
+        )
+
+    @staticmethod
+    def _tubes(anchors, per_anchor):
+        tube = sample_window(Window.ball([0.0], 0.1), "halton", per_anchor, 0).points
+        return [u + p for u in anchors for p in tube]
+
+    def test_each_solution_point_anchors_one_tube(self):
+        # tol = -1: every point off S violates, so the violations are the points checked
+        entry = self._lin([[-0.5], [0.5]], lambda u: np.array([[1.0]]))
+        for test_samples in (7, 50):
+            res = certify_inverse_lipschitz(entry, Window.box([0.0], [1.0]), test_samples=test_samples, tol=-1.0)
+            assert res.checked == 2 * (test_samples // 2)
+            assert _same_points(res.bound_violations, self._tubes([[-0.5], [0.5]], test_samples // 2))
+
+    def test_the_first_25_solution_points_anchor(self):
+        points = np.arange(30.0)[:, None] / 30.0
+        # the singular value falls along the list, so c_hat names the last anchor
+        entry = self._lin(points, lambda u: np.array([[2.0 - u[0]]]))
+        res = certify_inverse_lipschitz(entry, Window.box([0.0], [1.0]), test_samples=100, tol=-1.0)
+        assert res.c_hat == 2.0 - points[24, 0]
+        assert res.checked == 100
+        assert _same_points(res.bound_violations, self._tubes(points[:25], 4))
+
+    def test_quad2_checks_every_requested_point(self):
+        for seed in range(8):
+            res = certify_inverse_lipschitz(catalog_lookup("quad2"), Window.box([0.0, 0.0], [2.0, 2.0]),
+                                            test_samples=2000, seed=seed)
+            assert (res.verdict, res.checked, len(res.bound_violations)) == ("full-rank", 2000, 0), seed
 
     def test_window_dimension_checked(self):
         # a 1-d window against 2-d anchors must not broadcast into a verdict
@@ -648,10 +695,10 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
             pytest.skip("no bound to check")
         for tube_radius, tol in ((0.1, 1e-8), (1.0, -0.5)):  # tol < 0: every point off S violates
             res = certify_inverse_lipschitz(entry, k, test_samples=60, tol=tol, tube_radius=tube_radius)
-            anchors = [p for p in entry.solution_set.sample(25).points if np.all(np.abs(p) <= 2.0)]
-            per_anchor = max(1, 60 // len(anchors))
-            xs = np.vstack([u + sample_window(Window.ball(np.zeros(entry.dim_in), tube_radius), "halton",
-                                              per_anchor, i).points for i, u in enumerate(anchors)])
+            anchors = [p for p in entry.solution_set.points[:25] if np.all(np.abs(p) <= 2.0)]
+            tube = sample_window(Window.ball(np.zeros(entry.dim_in), tube_radius), "halton",
+                                 max(1, 60 // len(anchors)), 0).points
+            xs = np.vstack([u + tube for u in anchors])
             assert res.checked == len(xs)
             assert _same_points(res.bound_violations,
                                 reference_inverse_lipschitz_violations(entry, xs, res.c_hat, tol))
@@ -667,7 +714,7 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
         entry = OperatorEntry(name="varying", forward=catalog_lookup("quad2").forward,
                               solution_set=Region(grid), jac=jac)
         k = Window.box([0.0, 0.0], [2.0, 2.0])
-        anchors = [u for u in entry.solution_set.sample(25).points if np.all(np.abs(u) <= 2.0)]
+        anchors = [u for u in entry.solution_set.points[:25] if np.all(np.abs(u) <= 2.0)]
         want = min(float(np.linalg.svd(np.atleast_2d(jac(u)), compute_uv=False)[-1]) for u in anchors)
         got = certify_inverse_lipschitz(entry, k, tol=-1.0, test_samples=4).c_hat
         assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -16,7 +16,7 @@ from rcontinuity import (
     excess,
     sample_window,
 )
-from rcontinuity.geometry import _Halton, _ndtri, _nearest, _norm, _norm_rows, _norms, unit_directions
+from rcontinuity.geometry import _Halton, _nearest, _norm, _norm_rows, _norms, unit_directions
 from conftest import refine_brute_distance
 
 # a handled overflow must not reach the user as a numpy warning
@@ -105,11 +105,6 @@ class TestRegion:
         region = Region([[0.0], [1.0]])
         assert isinstance(region, PointSet) and region.dim == 1 and len(region) == 2
 
-    def test_sample_cycles_the_points(self):
-        assert Region([[0.0], [1.0], [-3.0]]).sample(5).points.ravel().tolist() == [0.0, 1.0, -3.0, 0.0, 1.0]
-        with pytest.raises(ValueError):
-            Region([[0.0]]).sample(0)
-
     def test_refuses_an_empty_or_non_finite_list(self):
         for points in (np.empty((0, 2)), [[0.0, math.nan]], [[math.inf]], [[[0.0]]]):
             with pytest.raises(ValueError):
@@ -165,11 +160,6 @@ class TestRegionDistance:
     def test_a_distance_below_the_square_underflow_is_exact_in_2d(self, target, rows, expected):
         # the squares of these gaps are subnormal or 0; the distances are not
         assert target.distance_rows(rows).tolist() == expected
-
-    @given(st.data(), st.integers(1, 12))
-    def test_sampling_stays_on_the_set(self, data, count):
-        region = Region(data.draw(_rows(data.draw(st.integers(1, 3)))))
-        assert region.distance_rows(region.sample(count).points).tolist() == [0.0] * count
 
 
 class TestProject:
@@ -425,16 +415,6 @@ def scipy_ball(w, count, seed):
     return np.asarray(rows[:count])
 
 
-def scipy_directions(count, dim, seed):
-    """``unit_directions`` in dimension >= 2 on scipy's sampler and ``ndtri``."""
-    from scipy.special import ndtri
-
-    z = ndtri(np.clip(scipy_halton(dim, seed).random(count), 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0] = 1.0
-    return z / norms[:, None]
-
-
 #: Successive draw sizes whose start indices (0, 1, 64, 128, 1152, 4152, 4153,
 #: 4396) cross powers of 2, 3, 5, 7 and 11.
 _DRAWS = (1, 63, 64, 1024, 3000, 1, 243, 2)
@@ -478,41 +458,17 @@ class TestHaltonMatchesScipy:
         want = w.center + (2.0 * scipy_halton(dim, 11).random(3000) - 1.0) * w.extent
         assert sample_window(w, "halton", 3000, 11).points.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("dim", [2, 3, 5])
-    @pytest.mark.parametrize("count", [1, 64, 1024])
-    def test_unit_directions(self, dim, count):
+
+class TestUnitDirections:
+    @pytest.mark.parametrize("dim", [2, 3, 5, 20])
+    @pytest.mark.parametrize("count", [1, 8, 64, 1024])
+    def test_normalized_box_draw(self, dim, count):
         for seed in (0, 7):
-            assert unit_directions(count, dim, seed).tobytes() == scipy_directions(count, dim, seed).tobytes()
-
-
-def _around(y, ulps=4):
-    """``y`` and the ``ulps`` doubles on either side of it."""
-    out, up, down = [y], y, y
-    for _ in range(ulps):
-        up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
-        out += [up, down]
-    return np.array(out)
-
-
-_RNG = np.random.default_rng(2024)
-_EXP_M2 = math.exp(-2.0)
-
-
-@pytest.mark.parametrize("y", [
-    _RNG.uniform(_EXP_M2, 1.0 - _EXP_M2, 20_000),
-    np.exp(-_RNG.uniform(2.0, 745.0, 20_000)),  # the lower tail, down to the subnormals
-    1.0 - np.exp(-_RNG.uniform(2.0, 36.0, 20_000)),  # the upper tail, to 1 - 2**-52
-    np.concatenate([_around(_EXP_M2), _around(1.0 - _EXP_M2)]),  # the branch points
-    # sqrt(-2 log y) = 8 at y = exp(-32) exactly: the switch from P1/Q1 to P2/Q2
-    np.concatenate([_around(math.exp(-32.0), 8), np.exp(-_RNG.uniform(31.9, 32.1, 2000))]),
-    np.concatenate([_around(1e-12), _around(1.0 - 1e-12)]),
-    np.array([5e-324, 1e-323, 1e-320, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-300, 1e-200]),
-    _RNG.random((64, 3)),  # the shape of a direction block
-], ids=["central", "lower-tail", "upper-tail", "exp-2", "exp-32", "clip-bounds", "tiny-and-subnormal", "2d"])
-def test_ndtri_matches_scipy(y):
-    from scipy.special import ndtri
-
-    assert _ndtri(y).tobytes() == ndtri(y).tobytes()
+            z = sample_window(Window.box(np.zeros(dim), 1.0), "halton", count, seed).points
+            want = z / np.linalg.norm(z, axis=1)[:, None]
+            got = unit_directions(count, dim, seed)
+            assert got.tobytes() == want.tobytes(), seed
+            assert (np.abs(np.linalg.norm(got, axis=1) - 1.0) <= 4 * np.spacing(1.0)).all(), seed
 
 
 class TestWindow:

@@ -35,7 +35,7 @@ def scalar_iterates(trace):
 
 def witness_member_errors(trace, entry):
     """Distance of every recorded witness to the map it claims to belong to."""
-    m = getattr(entry, trace.witness_map)
+    m = getattr(entry, solvers.ALGORITHMS[trace.algorithm].witness_map)
     big = Window.box([0.0] * m.dim_out, [1e6] * m.dim_out)
     errs = []
     for k, w in zip(trace.witness_indices, trace.witness_points):
@@ -77,7 +77,7 @@ class TestPpa:
             entry = catalog_lookup(name)
             x0 = [1.3] * entry.dim_in
             trace = run_ppa(entry, 0.7, x0, StopRule(max_iter=200))
-            for xb in entry.solution_set.sample(5):
+            for xb in entry.solution_set.points:
                 dists = [np.linalg.norm(x - xb) for x in trace.iterates]
                 assert all(b <= a + 1e-12 for a, b in zip(dists[:-1], dists[1:])), name
 
@@ -420,7 +420,7 @@ def reference_norm(v):
     return r
 
 
-def reference_iterate(entry, x0, stop, step, algorithm, witness_side, witness_map, ledger=None):
+def reference_iterate(entry, x0, stop, step, algorithm, witness_side, ledger=None):
     """The driver loop as it was before the lean step: every norm on
     ``np.linalg.norm`` (:func:`reference_norm`), every witness and ledger entry
     taken per step, and no shape check."""
@@ -453,7 +453,7 @@ def reference_iterate(entry, x0, stop, step, algorithm, witness_side, witness_ma
     return IterateTrace(
         algorithm=algorithm, iterates=iterates, step_norms=steps, stop=stop, termination=termination,
         f_values=f_values, witness_indices=range(first, first + len(steps)),
-        witness_points=w_pts, xi_values=steps, witness_side=witness_side, witness_map=witness_map,
+        witness_points=w_pts, xi_values=steps, witness_side=witness_side,
         fejer_ledger=entries,
     )
 
@@ -467,7 +467,7 @@ def reference_run_dca(entry, gamma, x0, stop):
         xn = g_prox.resolve(gamma, x + gamma * hx)
         return xn, hx - np.asarray(h_grad(xn), dtype=float) - (xn - x) / gamma
 
-    return reference_iterate(entry, x0, stop, step, "dca", "next", "subgrad")
+    return reference_iterate(entry, x0, stop, step, "dca", "next")
 
 
 def reference_proximal_step(entry, gamma):
@@ -482,7 +482,7 @@ def reference_proximal_step(entry, gamma):
 
 def reference_run_ppa(entry, gamma, x0, stop):
     """PPA whose witness is taken at every step."""
-    return reference_iterate(entry, x0, stop, reference_proximal_step(entry, gamma), "ppa", "next", "forward")
+    return reference_iterate(entry, x0, stop, reference_proximal_step(entry, gamma), "ppa", "next")
 
 
 def reference_run_shifted_ppa(entry, kappa, gamma, x0, stop):
@@ -504,7 +504,7 @@ def reference_run_shifted_ppa(entry, kappa, gamma, x0, stop):
         return value
 
     step = reference_proximal_step(entry, gamma)
-    return reference_iterate(entry, x, stop, step, "shifted-ppa", "next", "forward", ledger)
+    return reference_iterate(entry, x, stop, step, "shifted-ppa", "next", ledger)
 
 
 def _same_trace(got, want, tmp_path: Path):

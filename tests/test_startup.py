@@ -1,11 +1,11 @@
 """Start-up cost: no run loads scipy.
 
 Importing ``scipy.stats`` alone takes longer than most CLI runs, so the
-package imports scipy nowhere: the scrambled Halton sampler, the Gaussian
-directions and the solvers' scalar routines are numpy and float ports whose
-tests compare bytes against scipy.  These tests keep it that way, keep every
-norm in ``geometry.py``, and keep every public default one that some call
-overrides.
+package imports scipy nowhere: the scrambled Halton sampler (behind every
+Halton draw, the closed-graph directions among them) and the solvers' scalar
+routines are numpy and float ports whose tests compare bytes against scipy.
+These tests keep it that way, keep every norm in ``geometry.py``, and keep
+every public default one that some call overrides.
 """
 
 import ast
@@ -149,7 +149,7 @@ def _scipy_after(run, out: Path):
      'algorithm={"name": "qpower", "gamma": 1.0, "q": 1.5, "x0": [2.0]}', "--set", "stop.max_iter=5"],
     "from rcontinuity import catalog_lookup, closed_graph_test, Window\n"
     "closed_graph_test(catalog_lookup('rm1').forward, [0.0], Window.box([0.0], [5.0]))",
-    # the scrambled Halton sampler and the Gaussian directions are numpy and float ports
+    # the scrambled Halton sampler, and the directions drawn from it, are a numpy port
     ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse", "--set", "analysis.scheme=halton"],
     "from rcontinuity.geometry import unit_directions\nunit_directions(4, 2)",
     "from rcontinuity import catalog_lookup, closed_graph_test, Window\n"
