@@ -461,8 +461,8 @@ def certify_inverse_lipschitz(entry: OperatorEntry, k: Window, test_samples: int
                               seed: int = 0, tube_radius: float = 0.1) -> InverseLipschitzResult:
     """Smallest-singular-value certificate for the inverse of a smooth map.
 
-    ``c_hat`` is the minimum singular value of the Jacobian over those of the
-    first ``_S_SAMPLES`` solution-set points that lie in the window.  With full
+    ``c_hat`` is the minimum singular value of the Jacobian over the first
+    ``_S_SAMPLES`` solution-set points that lie in the window.  With full
     rank, ``d(x, S) <= (1 + tol) * ||F(x)|| / c_hat`` is spot-checked on one
     Halton tube of ``test_samples // len(anchors)`` points (at least one) laid
     around each of them, where ``F`` is the entry's forward map (the map whose
@@ -472,8 +472,7 @@ def certify_inverse_lipschitz(entry: OperatorEntry, k: Window, test_samples: int
     if entry.dim_out < entry.dim_in:
         raise ValueError("the range dimension must be at least the domain dimension")
     region = entry.solution_set
-    anchors = region.points[:_S_SAMPLES]
-    anchors = anchors[k.contains_rows(anchors)]
+    anchors = region.points[k.contains_rows(region.points)][:_S_SAMPLES]
     if not len(anchors):
         raise ValueError("no solution point inside the window")
     # one stacked SVD: LAPACK runs per matrix, so each anchor's values are its own

@@ -8,7 +8,6 @@ dense evaluation, so the tests cross-check two independent routes.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -16,12 +15,11 @@ from hypothesis import settings
 
 from rcontinuity import ModulusCurve, distance_to_set, excess
 
-# Every property test draws the same examples on every run unless
-# HYPOTHESIS_PROFILE=explore asks for fresh random ones; a test's own
-# ``@settings`` still sets its example count.
+# Every property test draws the same examples on every run; a test's own
+# ``@settings`` still sets its example count.  ``--hypothesis-profile=default``
+# asks for fresh random examples.
 settings.register_profile("tier1", derandomize=True, deadline=None)
-settings.register_profile("explore", deadline=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+settings.load_profile("tier1")
 
 
 def refine_brute_distance(distance_free_points, x, lo, hi, levels=5, per_level=800):

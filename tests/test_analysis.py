@@ -415,6 +415,15 @@ class TestInverseLipschitz:
         assert res.checked == 100
         assert _same_points(res.bound_violations, self._tubes(points[:25], 4))
 
+    def test_points_outside_the_window_are_skipped_before_the_cap(self):
+        # five points past the window, then 25 inside it: all 25 anchor
+        points = np.concatenate([np.arange(3.0, 3.5, 0.1), np.arange(25.0) / 25.0])[:, None]
+        entry = self._lin(points, lambda u: np.array([[2.0 - u[0]]]))
+        res = certify_inverse_lipschitz(entry, Window.box([0.0], [1.0]), test_samples=100, tol=-1.0)
+        assert res.c_hat == 2.0 - points[29, 0]
+        assert res.checked == 100
+        assert _same_points(res.bound_violations, self._tubes(points[5:], 4))
+
     def test_quad2_checks_every_requested_point(self):
         for seed in range(8):
             res = certify_inverse_lipschitz(catalog_lookup("quad2"), Window.box([0.0, 0.0], [2.0, 2.0]),
@@ -695,7 +704,7 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
             pytest.skip("no bound to check")
         for tube_radius, tol in ((0.1, 1e-8), (1.0, -0.5)):  # tol < 0: every point off S violates
             res = certify_inverse_lipschitz(entry, k, test_samples=60, tol=tol, tube_radius=tube_radius)
-            anchors = [p for p in entry.solution_set.points[:25] if np.all(np.abs(p) <= 2.0)]
+            anchors = [p for p in entry.solution_set.points if np.all(np.abs(p) <= 2.0)][:25]
             tube = sample_window(Window.ball(np.zeros(entry.dim_in), tube_radius), "halton",
                                  max(1, 60 // len(anchors)), 0).points
             xs = np.vstack([u + tube for u in anchors])
@@ -714,7 +723,7 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
         entry = OperatorEntry(name="varying", forward=catalog_lookup("quad2").forward,
                               solution_set=Region(grid), jac=jac)
         k = Window.box([0.0, 0.0], [2.0, 2.0])
-        anchors = [u for u in entry.solution_set.points[:25] if np.all(np.abs(u) <= 2.0)]
+        anchors = [u for u in entry.solution_set.points if np.all(np.abs(u) <= 2.0)][:25]
         want = min(float(np.linalg.svd(np.atleast_2d(jac(u)), compute_uv=False)[-1]) for u in anchors)
         got = certify_inverse_lipschitz(entry, k, tol=-1.0, test_samples=4).c_hat
         assert np.float64(got).tobytes() == np.float64(want).tobytes()

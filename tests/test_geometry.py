@@ -151,6 +151,11 @@ class TestRegionDistance:
         assert Region(target).distance_rows(rows).tolist() == [1e-200, 5e-324, 1e-161, 2.5e-170]
         assert PointSet(target).distance_rows([[1e-200]]).tolist() == [1e-200]
 
+    @given(st.data())
+    def test_sampling_stays_on_the_set(self, data):
+        region = Region(data.draw(_rows(data.draw(st.integers(1, 3)))))
+        assert region.distance_rows(region.points).tolist() == [0.0] * len(region)
+
     @pytest.mark.parametrize("target, rows, expected", [
         (Region([[0.0, 0.0]]), [[1e-200, 0.0]], [1e-200]),
         (Region([[0.0, 0.0]]), [[3e-160, 4e-160]], [5e-160]),
