@@ -1,6 +1,8 @@
 """Toolkit for measuring regularity of set-valued mappings and certifying
 descent-type and R-class algorithm runs on a catalog of closed-form operators."""
 
+from types import ModuleType as _ModuleType
+
 from .geometry import (
     DimensionMismatchError,
     EmptyTargetError,
@@ -8,7 +10,6 @@ from .geometry import (
     Region,
     Window,
     as_point,
-    distance_to_set,
     excess,
     sample_window,
 )
@@ -61,59 +62,7 @@ from .certify import (
     distance_trace,
 )
 
-__version__ = "0.1.0"
+# the public names are the ones imported above, in their order: listing them again would be a second copy
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
-__all__ = [
-    "DimensionMismatchError",
-    "EmptyTargetError",
-    "PointSet",
-    "Region",
-    "Window",
-    "as_point",
-    "distance_to_set",
-    "excess",
-    "sample_window",
-    "DcSplit",
-    "MissingOracleError",
-    "OperatorEntry",
-    "ProxOracle",
-    "SetValuedMap",
-    "WindowRequiredError",
-    "invert",
-    "pointwise",
-    "CatalogError",
-    "catalog_listing",
-    "catalog_lookup",
-    "catalog_names",
-    "CalmnessResult",
-    "GraphTestResult",
-    "HolderFit",
-    "InverseLipschitzResult",
-    "LojFit",
-    "ModulusCurve",
-    "PlkConfig",
-    "PlkResult",
-    "calmness_estimate",
-    "certify_inverse_lipschitz",
-    "check_plk_exponent",
-    "closed_graph_test",
-    "estimate_modulus",
-    "fit_holder",
-    "lojasiewicz_fit",
-    "IterateTrace",
-    "StopRule",
-    "make_synthetic_trace",
-    "run_dca",
-    "run_gdm",
-    "run_ppa",
-    "run_qpower_prox",
-    "run_shifted_ppa",
-    "Certificate",
-    "DistanceVerdict",
-    "check_h1",
-    "check_h2",
-    "check_h3",
-    "check_h4",
-    "check_rclass",
-    "distance_trace",
-]
+__version__ = "0.1.0"

@@ -35,14 +35,9 @@ class ModulusCurve:
     nondecreasing.  ``divergent`` marks curves that met unbounded excess.
     """
 
-    map_name: str
-    base_point: np.ndarray
-    window: Optional[Window]
     radii: np.ndarray
     rho_hat: np.ndarray
     sample_counts: List[int]
-    seed: int
-    scheme: str
     divergent: bool = False
 
     def __post_init__(self):
@@ -121,8 +116,7 @@ def _modulus_curve(m: SetValuedMap, xbar, k: Optional[Window], radii: Sequence[f
             running = math.inf
         rho.append(running)
     # an infinite excess at any radius stays in the running maximum
-    return ModulusCurve(m.name, xb, k, radii, np.asarray(rho), [len(offsets)] * len(radii), seed, scheme,
-                        divergent=math.isinf(running))
+    return ModulusCurve(radii, np.asarray(rho), [len(offsets)] * len(radii), divergent=math.isinf(running))
 
 
 def check_modulus(m: SetValuedMap, xbar, k: Optional[Window], radii: Sequence[float],

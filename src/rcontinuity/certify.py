@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .analysis import ModulusCurve
 from .geometry import Region, _kth_nearest, _norms
 from .setmap import OperatorEntry, ParamError
-from .solvers import IterateTrace
+
+if TYPE_CHECKING:
+    from .analysis import ModulusCurve
+    from .solvers import IterateTrace
 
 _ATOL = 1e-12
 

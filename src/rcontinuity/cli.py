@@ -83,20 +83,20 @@ def _vector(value, path: str, dim: int) -> List[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(items)]
 
 
-def _object(value, path: str, allowed, refusal: str = "unknown field") -> dict:
-    """A copy of a JSON object whose keys are all among ``allowed``; another key is refused by path."""
+def _object(value, path: str, allowed, refusal: str = "unknown field", complete: bool = False) -> dict:
+    """A copy of a JSON object whose keys are all among ``allowed``, and all of them if ``complete``;
+    another key is refused by path, and a missing one named by path."""
     _require(isinstance(value, dict), path, "must be a JSON object")
     for key in value:
         _require(key in allowed, f"{path}.{key}" if path else key or repr(key), refusal)
+    for key in allowed if complete else ():
+        _require(key in value, f"{path}.{key}", "missing")
     return dict(value)
 
 
 def _radii_list(spec, path: str) -> List[float]:
     if isinstance(spec, dict):
-        keys = ("start", "stop", "count")
-        _object(spec, path, keys)
-        for key in keys:
-            _require(key in spec, f"{path}.{key}", "missing")
+        _object(spec, path, ("start", "stop", "count"), complete=True)
         start = _positive(spec["start"], f"{path}.start")
         stop = _positive(spec["stop"], f"{path}.stop")
         count = _int(spec["count"], f"{path}.count", 2, _MAX_RADII)
@@ -132,7 +132,7 @@ def _window(a: dict) -> Optional[Window]:
     """``analysis.window``, parsed, or ``None`` where it is absent."""
     if a.get("window") is None:
         return None
-    _object(a["window"], "analysis.window", [f.name for f in fields(Window)])
+    _object(a["window"], "analysis.window", [f.name for f in fields(Window)], complete=True)
     try:
         return Window.from_dict(a["window"])
     except Exception as exc:

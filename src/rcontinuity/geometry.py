@@ -103,7 +103,8 @@ def as_rows(pts, dim: int) -> np.ndarray:
 
 #: Row-point pairs per block in :func:`_pair_blocks`, so that the temporaries of
 #: :func:`_nearest` and :func:`_kth_nearest` stay near 0.5 MB per coordinate
-#: however many rows a batched evaluation or a trace produces.
+#: however many rows a batched evaluation or a trace produces; also the largest
+#: batch of a Halton draw in a ball of fewer points.
 _PAIR_BLOCK = 1 << 16
 
 
@@ -286,19 +287,12 @@ class Region(PointSet):
 
     def distance(self, x) -> float:
         """Exact Euclidean distance from the point ``x`` to the set."""
-        return distance_to_set(x, self)
+        return float(self.distance_rows(as_point(x)[None, :])[0])
 
     def project(self, x) -> np.ndarray:
         """The first of the points of the set nearest to ``x``."""
         p = as_point(x, self.dim)
         return self.points[int(np.argmin(_norms(self.points - p)))].copy()
-
-
-def distance_to_set(x, target: PointSet) -> float:
-    """Exact Euclidean distance from a point to a finite point set (a
-    :class:`Region` among them).  An empty target is an error.
-    """
-    return float(target.distance_rows(as_point(x)[None, :])[0])
 
 
 def excess(a: PointSet, b: PointSet) -> float:
@@ -398,6 +392,10 @@ class _Halton:
 #: The sampling schemes of :func:`sample_window`.
 SCHEMES = ("grid", "halton")
 
+#: Halton candidates a draw in a ball may consume: about a second's work,
+#: enough for 64 points up to d = 14.
+_BALL_BUDGET = 1 << 21
+
 
 def check_sample(scheme: str, count: int, count_name: str = "count") -> None:
     """Raise ``ParamError`` unless :func:`sample_window` can draw ``count``
@@ -415,7 +413,8 @@ def sample_window(w: Window, scheme: str, count: int, seed: int = 0) -> PointSet
     Schemes: ``"grid"`` (product lattice; in 1-d evenly spaced including both
     endpoints) and ``"halton"`` (scrambled Halton sequence, reproducible for a
     fixed seed).  Grid sampling of a ball in dimension >= 2 grids the inscribed
-    box so that containment stays exact.
+    box so that containment stays exact.  A Halton draw in a ball that needs
+    more than ``_BALL_BUDGET`` candidates is refused, naming ``scheme``.
     """
     check_sample(scheme, count)
     d = w.dim
@@ -431,16 +430,22 @@ def sample_window(w: Window, scheme: str, count: int, seed: int = 0) -> PointSet
         return PointSet(w.center + (2.0 * sampler.random(count) - 1.0) * w.extent)
     # Ball + Halton: consume the sequence in order, rejecting points outside
     # the ball, so the accepted set is a deterministic function of the seed.
+    share = math.exp(d / 2 * math.log(math.pi / 4) - math.lgamma(d / 2 + 1))  # the ball's share of its box
     pts = np.empty((count, d))
-    filled = 0
-    for _ in range(1000):
-        cand = w.center + (2.0 * sampler.random(max(count, 64)) - 1.0) * w.extent[0]
+    filled = drawn = 0
+    while filled < count:
+        # refused before the first batch if the expected candidates exceed the budget, or once it is spent
+        if drawn == _BALL_BUDGET or count > _BALL_BUDGET * share:
+            raise ParamError("scheme", f"a Halton draw of {count} points in a {d}-d ball needs more than "
+                                       f"{_BALL_BUDGET} candidates; use the grid scheme")
+        # the candidates the missing points are expected to take: 64 at least, and at most
+        # _PAIR_BLOCK (or count, if larger) and what is left of the budget
+        batch = min(max(64, math.ceil((count - filled) / share)), max(count, _PAIR_BLOCK), _BALL_BUDGET - drawn)
+        cand = w.center + (2.0 * sampler.random(batch) - 1.0) * w.extent[0]
         inside = cand[w.contains_rows(cand)][:count - filled]
         pts[filled:filled + len(inside)] = inside
-        filled += len(inside)
-        if filled == count:
-            return PointSet(pts)
-    raise RuntimeError("ball rejection sampling failed to fill the request")
+        filled, drawn = filled + len(inside), drawn + batch
+    return PointSet(pts)
 
 
 def unit_directions(count: int, dim: int, seed: int = 0) -> np.ndarray:

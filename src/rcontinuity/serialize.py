@@ -22,12 +22,13 @@ import hashlib
 import json
 from itertools import accumulate
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from .analysis import ModulusCurve
-from .solvers import IterateTrace
+if TYPE_CHECKING:
+    from .analysis import ModulusCurve
+    from .solvers import IterateTrace
 
 _VECTOR_MIN = 224  # the measured crossover: below it, repr beats the kernel's fixed cost of about 0.2 ms
 _VALUE_BLOCK = 4096  # values per kernel pass, the fastest of 2048 to 32768 on a Xeon with a 48 KiB L1 cache

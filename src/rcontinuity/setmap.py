@@ -145,7 +145,7 @@ class SetValuedMap:
         """``d(Y[i], A(X[i]) ∩ window)`` for paired ``(n, dim_in)`` and ``(n, dim_out)``
         rows, ``inf`` where the value set is empty: ``value_dist`` as is where it
         exists (it ignores ``window``), else one :meth:`eval_rows` call, measured
-        per row with the bits of ``distance_to_set``."""
+        per row with the bits of ``PointSet.distance_rows``."""
         X, Y = as_rows(X, self.dim_in), as_rows(Y, self.dim_out)
         if X.shape[0] != Y.shape[0]:
             raise ValueError(f"member_dist_rows needs paired rows, got {X.shape[0]} and {Y.shape[0]}")

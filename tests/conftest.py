@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rcontinuity import ModulusCurve, distance_to_set, excess
+from rcontinuity import excess
 
 # Every property test draws the same examples on every run; a test's own
 # ``@settings`` still sets its example count.  ``--hypothesis-profile=default``
@@ -128,7 +128,7 @@ def reference_member_dist(m, x, y, window=None) -> float:
     if m.name in reference_value_dists:
         return reference_value_dists[m.name](np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     vals = m.eval(x, window)
-    return math.inf if vals.is_empty else distance_to_set(y, vals)
+    return math.inf if vals.is_empty else float(vals.distance_rows(np.atleast_1d(y)[None])[0])
 
 
 @pytest.fixture

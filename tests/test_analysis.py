@@ -131,20 +131,13 @@ class TestFitHolder:
         assert fit.L_hat is None
 
     def test_divergent_curve_refused(self):
-        curve = ModulusCurve(
-            map_name="x", base_point=np.array([0.0]), window=None,
-            radii=np.array([0.1, 0.2, 0.4]), rho_hat=np.array([1.0, 2.0, math.inf]),
-            sample_counts=[4, 4, 4], seed=0, scheme="grid", divergent=True,
-        )
+        curve = ModulusCurve(radii=np.array([0.1, 0.2, 0.4]), rho_hat=np.array([1.0, 2.0, math.inf]),
+                             sample_counts=[4, 4, 4], divergent=True)
         with pytest.raises(ValueError, match="unbounded"):
             fit_holder(curve)
 
     def test_rho_at_interpolates_and_flags_out_of_range(self):
-        curve = ModulusCurve(
-            map_name="x", base_point=np.array([0.0]), window=None,
-            radii=np.array([1.0, 2.0]), rho_hat=np.array([1.0, 3.0]),
-            sample_counts=[4, 4], seed=0, scheme="grid",
-        )
+        curve = ModulusCurve(radii=np.array([1.0, 2.0]), rho_hat=np.array([1.0, 3.0]), sample_counts=[4, 4])
         assert curve.rho_at(1.5) == pytest.approx(2.0)
         assert curve.rho_at(0.5) == pytest.approx(1.0)  # clamped below the grid
         assert curve.rho_at(2.5) is None
@@ -160,8 +153,7 @@ class TestFitHolder:
     def test_a_curve_refuses_a_grid_or_value_the_estimator_would_not_make(self, radii, rho_hat, param):
         # a NaN curve would pass every link audit: NaN bounds fail no comparison
         with pytest.raises(ParamError) as info:
-            ModulusCurve(map_name="x", base_point=np.array([0.0]), window=None, radii=radii, rho_hat=rho_hat,
-                         sample_counts=[4] * len(radii), seed=0, scheme="grid")
+            ModulusCurve(radii=radii, rho_hat=rho_hat, sample_counts=[4] * len(radii))
         assert info.value.param == param
         if param.startswith("radii"):  # one grid rule: check_modulus names the same radius
             with pytest.raises(ParamError) as info:
@@ -171,8 +163,7 @@ class TestFitHolder:
     def test_a_curve_refuses_sample_counts_of_another_length(self):
         # modulus.csv would have one row per sample count and drop the other radii
         with pytest.raises(ParamError) as info:
-            ModulusCurve(map_name="m", base_point=np.zeros(1), window=None, radii=np.array([0.1, 0.2, 0.4]),
-                         rho_hat=np.array([1.0, 2.0, 3.0]), sample_counts=[4], seed=0, scheme="grid")
+            ModulusCurve(radii=np.array([0.1, 0.2, 0.4]), rho_hat=np.array([1.0, 2.0, 3.0]), sample_counts=[4])
         assert info.value.param == "sample_counts"
 
 

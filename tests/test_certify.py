@@ -306,21 +306,13 @@ class TestDistanceTrace:
     def test_modulus_link_detects_violations(self):
         trace = run_gdm(catalog_lookup("square"), 0.25, [1.0], StopRule(max_iter=40))
         from rcontinuity import ModulusCurve
-        tiny = ModulusCurve(
-            map_name="tiny", base_point=np.array([0.0]), window=None,
-            radii=np.array([1e-13, 2.0]), rho_hat=np.array([0.0, 1e-12]),
-            sample_counts=[1, 1], seed=0, scheme="grid",
-        )
+        tiny = ModulusCurve(radii=np.array([1e-13, 2.0]), rho_hat=np.array([0.0, 1e-12]), sample_counts=[1, 1])
         verdict = distance_trace(trace, S0, 1e-6, modulus=tiny)
         assert verdict.link_violations
 
     def test_out_of_range_reported_not_failed(self, ppa_abs):
         from rcontinuity import ModulusCurve
-        short = ModulusCurve(
-            map_name="short", base_point=np.array([0.0]), window=None,
-            radii=np.array([1e-3, 1e-2]), rho_hat=np.array([1e-3, 1e-2]),
-            sample_counts=[1, 1], seed=0, scheme="grid",
-        )
+        short = ModulusCurve(radii=np.array([1e-3, 1e-2]), rho_hat=np.array([1e-3, 1e-2]), sample_counts=[1, 1])
         verdict = distance_trace(ppa_abs, S0, 1e-6, modulus=short)
         assert verdict.link_out_of_range  # witness norms sit far above 1e-2
         assert verdict.link_ok
@@ -328,9 +320,7 @@ class TestDistanceTrace:
     def test_link_audit_skips_witnesses_without_an_iterate(self):
         trace = make_synthetic_trace([[0.5]], witnesses=[(1, [0.1]), (-1, [0.1]), (0, [0.1])],
                                      xi_values=[0.1, 0.1, 0.1])
-        curve = ModulusCurve(map_name="line", base_point=np.array([0.0]), window=None,
-                             radii=np.array([0.05, 1.0]), rho_hat=np.array([0.05, 1.0]),
-                             sample_counts=[1, 1], seed=0, scheme="grid")
+        curve = ModulusCurve(radii=np.array([0.05, 1.0]), rho_hat=np.array([0.05, 1.0]), sample_counts=[1, 1])
         verdict = distance_trace(trace, S0, 1e-6, modulus=curve)
         assert (verdict.link_checked, verdict.link_violations, verdict.link_out_of_range) == (1, [0], [])
 
@@ -557,9 +547,7 @@ class TestArrayChecksMatchReference:
             radii += data.draw(st.lists(st.sampled_from(ties), max_size=2))
         radii = sorted(set(radii))
         rho = data.draw(st.lists(st.floats(0.0, 4.0), min_size=len(radii), max_size=len(radii)))
-        curve = ModulusCurve(map_name="drawn", base_point=np.zeros(trace.dim), window=None,
-                             radii=np.array(radii), rho_hat=np.array(rho),
-                             sample_counts=[1] * len(radii), seed=0, scheme="grid")
+        curve = ModulusCurve(radii=np.array(radii), rho_hat=np.array(rho), sample_counts=[1] * len(radii))
         region = Region([[0.0] * trace.dim])
         distances = distance_trace(trace, region, 1e-6).distances
         verdict = distance_trace(trace, region, 1e-6, modulus=curve)
@@ -588,8 +576,7 @@ class TestArrayChecksMatchReference:
         n = len(radii)
         rho = data.draw(st.lists(st.just(0.0) | _MAGNITUDE, min_size=n, max_size=n))
         counts = data.draw(st.lists(st.integers(0, 10 ** 12), min_size=n, max_size=n))
-        curve = ModulusCurve(map_name="drawn", base_point=np.zeros(1), window=None, radii=np.array(radii),
-                             rho_hat=np.array(rho), sample_counts=counts, seed=0, scheme="grid")
+        curve = ModulusCurve(radii=np.array(radii), rho_hat=np.array(rho), sample_counts=counts)
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
             modulus_to_csv(curve, got)

@@ -54,6 +54,7 @@ _CERTIFY = ["certify", "--set", "operator=quad", "--set", _GDM]
 _PLK_1 = {"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0}
 _CERTIFICATES = 'certificates=[{"hypothesis": "H1", "alpha": 1}]'
 _MODULUS = ["modulus", "--set", "operator=square", "--set", "analysis.samples_per_radius=4"]
+_INVERSE = ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse", "--set"]
 
 
 def _rejected(name, argv, path, config=None):
@@ -106,6 +107,12 @@ REJECTED = [
               "analysis.radii.step"),
     _rejected("unknown-plk", ["plk", "--set", "operator=square", "--set", _PLK], "analysis.plk.m"),
     _rejected("unknown-window", _LOJA + ["--set", "analysis.window.radius=1.0"], "analysis.window.radius"),
+    _rejected("window-without-kind", _INVERSE + ['analysis.window={"center": [0.0], "extent": [1.0]}'],
+              "analysis.window.kind"),
+    _rejected("window-without-center", _INVERSE + ['analysis.window={"kind": "box", "extent": [1.0]}'],
+              "analysis.window.center"),
+    _rejected("window-without-extent", _INVERSE + ['analysis.window={"kind": "box", "center": [0.0]}'],
+              "analysis.window.extent"),
     _rejected("unknown-certificate", _CERTIFY + ["--set", 'certificates=[{"hypothesis": "H4", "beta": 2.0}]'],
               "certificates[0].beta"),
     _rejected("other-hypothesis-param", _CERTIFY + ["--set", 'certificates=[{"hypothesis": "H1", "beta": 2.0}]'],

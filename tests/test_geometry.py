@@ -12,11 +12,11 @@ from rcontinuity import (
     PointSet,
     Region,
     Window,
-    distance_to_set,
     excess,
     sample_window,
 )
-from rcontinuity.geometry import _Halton, _nearest, _norm, _norm_rows, _norms, unit_directions
+from rcontinuity import geometry
+from rcontinuity.geometry import _BALL_BUDGET, ParamError, _Halton, _nearest, _norm, _norm_rows, _norms, unit_directions
 from conftest import refine_brute_distance
 
 # a handled overflow must not reach the user as a numpy warning
@@ -27,28 +27,31 @@ def ps(*vals):
     return PointSet(np.array(vals, dtype=float))
 
 
-class TestDistanceToSet:
+class TestPointDistance:
+    # Region.distance is the one-row form of distance_rows
     def test_scalar_min(self):
-        assert distance_to_set([3.0], ps(0, 1)) == 2.0
+        assert Region([[0.0], [1.0]]).distance([3.0]) == 2.0
 
     def test_membership_gives_zero(self):
         region = Region([[0.0, 0.0], [0.5, -1.5]])
-        assert distance_to_set([0.5, -1.5], region) == 0.0
+        assert region.distance([0.5, -1.5]) == 0.0
 
     def test_midpoint(self):
-        assert distance_to_set([0.5], ps(0, 1)) == 0.5
+        assert Region([[0.0], [1.0]]).distance([0.5]) == 0.5
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            distance_to_set([1.0, 2.0], ps(0, 1))
+            Region([[0.0], [1.0]]).distance([1.0, 2.0])
 
     def test_empty_target_rejected(self):
         with pytest.raises(EmptyTargetError):
-            distance_to_set([1.0], PointSet.empty(1))
+            PointSet.empty(1).distance_rows([[1.0]])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            distance_to_set([float("nan")], ps(0))
+            Region([[0.0]]).distance([float("nan")])
+        with pytest.raises(ValueError):
+            ps(0).distance_rows([[float("nan")]])
 
 
 class TestExcess:
@@ -400,6 +403,27 @@ class TestSampleWindow:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             sample_window(Window.box([0.0], [1.0]), "sobolish", 4)
+
+    @pytest.mark.parametrize("dim", [11, 12])
+    def test_halton_ball_past_ten_dimensions(self, dim):
+        # a 12-d ball fills 1/3,068 of its box, so 64 points take about 196,000 candidates
+        got = sample_window(Window.ball(np.zeros(dim), 1.0), "halton", 64, 0).points
+        box = 2.0 * _Halton(dim, 0).random(300_000) - 1.0
+        assert got.tobytes() == box[_norms(box) <= 1.0][:64].tobytes()
+
+    def test_halton_ball_beyond_the_budget_is_refused_at_once(self):
+        # a 20-d ball fills 2.5e-8 of its box: 64 points would take 2.6e9 candidates
+        with pytest.raises(ParamError, match=str(_BALL_BUDGET)) as refused:
+            sample_window(Window.ball(np.zeros(20), 1.0), "halton", 64, 0)
+        assert refused.value.param == "scheme"
+
+    def test_halton_ball_that_runs_out_of_budget_is_refused(self, monkeypatch):
+        # 785 points of a 2-d ball should take 999.5 candidates; the first 1,000 hold fewer
+        monkeypatch.setattr(geometry, "_BALL_BUDGET", 1000)
+        with pytest.raises(ParamError, match="1000 candidates") as refused:
+            sample_window(Window.ball(np.zeros(2), 1.0), "halton", 785, 0)
+        assert refused.value.param == "scheme"
+        assert len(sample_window(Window.ball(np.zeros(2), 1.0), "halton", 700, 0)) == 700
 
 
 # -- the samplers against scipy, byte for byte ---------------------------------

@@ -116,8 +116,8 @@ def test_one_iterate_traces(tmp_path):
 
 
 def test_modulus_csv_shares_reprs_across_columns(tmp_path):
-    curve = ModulusCurve(map_name="shared", base_point=np.zeros(1), window=None, radii=np.array([0.25, 0.5, 1.0]),
-                         rho_hat=np.array([0.0, 0.5, math.inf]), sample_counts=[3, 0, 7], seed=0, scheme="grid")
+    curve = ModulusCurve(radii=np.array([0.25, 0.5, 1.0]), rho_hat=np.array([0.0, 0.5, math.inf]),
+                         sample_counts=[3, 0, 7])
     modulus_to_csv(curve, tmp_path / "modulus.csv")
     assert (tmp_path / "modulus.csv").read_text() == "sigma,rho_hat,samples\n0.25,0.0,3\n0.5,0.5,0\n1.0,inf,7\n"
 

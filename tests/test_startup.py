@@ -4,8 +4,9 @@ Importing ``scipy.stats`` alone takes longer than most CLI runs, so the
 package imports scipy nowhere: the scrambled Halton sampler (behind every
 Halton draw, the closed-graph directions among them) and the solvers' scalar
 routines are numpy and float ports whose tests compare bytes against scipy.
-These tests keep it that way, keep every norm in ``geometry.py``, and keep
-every public default one that some call overrides.
+These tests keep it that way, keep every norm in ``geometry.py``, keep every
+public default one that some call overrides, keep the leaf modules importing
+only the core, and keep ``__all__`` the names the package imports.
 """
 
 import ast
@@ -16,6 +17,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -103,6 +105,71 @@ def test_the_lint_sees_every_scipy_import():
                      "    def g():\n        import scipy as sp\n"
                      "from . import scipyish\n")
     assert sorted(_scipy_imports(tree)) == ["scipy", "scipy", "scipy.special", "scipy.stats", "scipy.stats"]
+
+
+#: The package modules each module may import at run time: the core (geometry,
+#: then setmap) and the leaves, which import only the core.  Only the composers
+#: (``cli``, ``__init__``, ``__main__``) import leaves.
+_LAYERS = {
+    "geometry": set(),
+    "setmap": {"geometry"},
+    **{leaf: {"geometry", "setmap"} for leaf in ("catalog", "analysis", "solvers", "certify")},
+    "serialize": set(),
+}
+_COMPOSERS = {"cli", "__init__", "__main__"}
+
+
+def _package_imports(tree: ast.Module) -> set:
+    """The package modules a module imports at run time: its relative imports
+    at any depth, but not those under ``if TYPE_CHECKING:``."""
+    names, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            todo += node.orelse
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+        todo += ast.iter_child_nodes(node)
+    return names
+
+
+def _layering_offenders(folder: Path) -> list:
+    offenders = []
+    for path in sorted(folder.glob("*.py")):
+        if path.stem in _COMPOSERS:
+            continue
+        if path.stem not in _LAYERS:
+            offenders.append(f"{path.name} has no layer")
+            continue
+        imported = _package_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        offenders += [f"{path.name} imports {name}" for name in sorted(imported - _LAYERS[path.stem])]
+    return offenders
+
+
+def test_the_leaves_import_only_the_core():
+    assert _layering_offenders(SRC / "rcontinuity") == []
+
+
+def test_the_layering_lint_sees_a_leaf_importing_a_leaf(tmp_path):
+    (tmp_path / "certify.py").write_text(
+        "from typing import TYPE_CHECKING\nfrom .geometry import Region\nif TYPE_CHECKING:\n"
+        "    from .solvers import IterateTrace\nelse:\n    from . import serialize\nif not TYPE_CHECKING:\n"
+        "    from .catalog import catalog_lookup\n"
+        "def f():\n    from .analysis import X\n", encoding="utf-8")
+    (tmp_path / "plotting.py").write_text("import numpy\n", encoding="utf-8")
+    assert _layering_offenders(tmp_path) == ["certify.py imports analysis", "certify.py imports catalog",
+                                             "certify.py imports serialize", "plotting.py has no layer"]
+
+
+def test_the_public_names_are_the_imported_ones():
+    # __all__ is derived from the package's globals; it must be exactly the names of its
+    # `from .<module> import (...)` statements, in order, and hold no module
+    tree = ast.parse((SRC / "rcontinuity" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert rcontinuity.__all__ == imported
+    assert not any(isinstance(getattr(rcontinuity, name), ModuleType) for name in rcontinuity.__all__)
 
 
 _PROBE = """
