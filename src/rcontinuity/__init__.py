@@ -5,7 +5,6 @@ from types import ModuleType as _ModuleType
 
 from .geometry import (
     DimensionMismatchError,
-    EmptyTargetError,
     PointSet,
     Region,
     Window,

@@ -155,11 +155,11 @@ def fit_holder(curve: ModulusCurve) -> HolderFit:
     """Log-log least squares fit of a modulus curve.
 
     Zero entries carry no log-log information and are excluded; fewer than
-    three positive entries makes the fit degenerate.  Divergent curves are
-    refused outright.
+    three positive entries makes the fit degenerate.  A divergent curve has
+    no fit: every field is ``None``.
     """
     if curve.divergent:
-        raise ValueError("unbounded excess: the curve cannot be fitted")
+        return HolderFit(None, None, None, None)
     mask = curve.rho_hat > 0
     if int(mask.sum()) < 3:
         return HolderFit(L_hat=None, theta_hat=None, residual=0.0, degenerate=True)
@@ -517,9 +517,7 @@ def calmness_estimate(
     vals, owner = m.eval_rows(xs, vwin)
     # per sample, the excess of its values over the reference
     worst = np.zeros(len(xs))
-    if len(vals):
-        gaps = np.full(len(vals), math.inf) if reference.is_empty else reference.distance_rows(vals.points)
-        np.maximum.at(worst, owner, gaps)
+    np.maximum.at(worst, owner, reference.distance_rows(vals.points))
     dxs = _norm_rows(xs - xb)
     # at dx = 0 the 0/0 convention: the sample contributes nothing
     keep = (np.bincount(owner, minlength=len(xs)) > 0) & (dxs > 0.0)

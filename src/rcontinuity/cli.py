@@ -77,9 +77,10 @@ def _int(value, path: str, minimum: float = -math.inf, maximum: float = math.inf
 _READ = {"float": _number, "int": _integer, "str": lambda value, path: value}
 
 
-def _vector(value, path: str, dim: int) -> List[float]:
+def _vector(value, path: str, dim: Optional[int] = None) -> List[float]:
+    """Finite numbers, a scalar being one: ``dim`` of them, or at least one without ``dim``."""
     items = value if isinstance(value, list) else [value]
-    _require(len(items) == dim, path, f"must have dimension {dim}")
+    _require(len(items) == dim if dim else len(items) > 0, path, f"must have dimension {dim or 'at least 1'}")
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(items)]
 
 
@@ -132,10 +133,12 @@ def _window(a: dict) -> Optional[Window]:
     """``analysis.window``, parsed, or ``None`` where it is absent."""
     if a.get("window") is None:
         return None
-    _object(a["window"], "analysis.window", [f.name for f in fields(Window)], complete=True)
+    w = _object(a["window"], "analysis.window", [f.name for f in fields(Window)], complete=True)
+    _require(w["kind"] in ("box", "ball"), "analysis.window.kind", "must be 'box' or 'ball'")
+    w.update({key: _vector(w[key], f"analysis.window.{key}") for key in ("center", "extent")})
     try:
-        return Window.from_dict(a["window"])
-    except Exception as exc:
+        return Window.from_dict(w)
+    except ValueError as exc:
         raise ConfigError("analysis.window", str(exc)) from None
 
 
@@ -228,8 +231,7 @@ def _modulus(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
         # estimate_modulus without its check, which validation made: A(xbar) is evaluated once
         curve = analysis._modulus_curve(m, xbar, window, radii, samples, cfg.seed, scheme, base_value)
         emit("modulus.csv", lambda p: serialize.modulus_to_csv(curve, p))
-        holder = analysis.HolderFit(None, None, None, None) if curve.divergent else analysis.fit_holder(curve)
-        fit = {**holder.to_json_dict(), "divergent": curve.divergent}
+        fit = {**analysis.fit_holder(curve).to_json_dict(), "divergent": curve.divergent}
         emit("holder_fit.json", lambda p: serialize.write_json(p, fit))
         verdicts["holder_fit"] = fit
         return curve

@@ -18,10 +18,6 @@ class DimensionMismatchError(ValueError):
     """Operands live in different ambient dimensions."""
 
 
-class EmptyTargetError(ValueError):
-    """Distance queried against an empty target set."""
-
-
 class ParamError(ValueError):
     """An argument outside its range; ``param`` names it."""
 
@@ -86,10 +82,9 @@ class PointSet:
 
     def distance_rows(self, pts) -> np.ndarray:
         """Distance from each row of an ``(n, dim)`` array to the nearest
-        point of the set; an empty set is an error."""
-        if self.is_empty:
-            raise EmptyTargetError("distance to an empty point set is undefined")
-        return _nearest(as_rows(pts, self.dim), self.points)
+        point of the set; ``inf`` for every row when the set is empty."""
+        rows = as_rows(pts, self.dim)
+        return np.full(len(rows), math.inf) if self.is_empty else _nearest(rows, self.points)
 
 
 def as_rows(pts, dim: int) -> np.ndarray:
@@ -298,14 +293,11 @@ class Region(PointSet):
 def excess(a: PointSet, b: PointSet) -> float:
     """One-sided excess ``sup_{p in a} d(p, b)``.
 
-    Empty ``a`` gives 0 (the empty set lies inside everything).  Nonempty
-    ``a`` against an empty point set signals unbounded excess by returning
-    ``inf`` rather than raising.
+    Empty ``a`` gives 0 (the empty set lies inside everything); nonempty ``a``
+    against an empty ``b`` gives ``inf``, since every distance to it is.
     """
     if a.is_empty:
         return 0.0
-    if b.is_empty:
-        return math.inf
     return float(b.distance_rows(a.points).max())
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from rcontinuity import (
     DimensionMismatchError,
+    HolderFit,
     ModulusCurve,
     PlkConfig,
     Region,
@@ -130,11 +131,10 @@ class TestFitHolder:
         assert fit.degenerate
         assert fit.L_hat is None
 
-    def test_divergent_curve_refused(self):
+    def test_divergent_curve_has_the_empty_fit(self):
         curve = ModulusCurve(radii=np.array([0.1, 0.2, 0.4]), rho_hat=np.array([1.0, 2.0, math.inf]),
                              sample_counts=[4, 4, 4], divergent=True)
-        with pytest.raises(ValueError, match="unbounded"):
-            fit_holder(curve)
+        assert fit_holder(curve) == HolderFit(None, None, None, None)
 
     def test_rho_at_interpolates_and_flags_out_of_range(self):
         curve = ModulusCurve(radii=np.array([1.0, 2.0]), rho_hat=np.array([1.0, 3.0]), sample_counts=[4, 4])

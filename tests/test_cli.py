@@ -113,6 +113,19 @@ REJECTED = [
               "analysis.window.center"),
     _rejected("window-without-extent", _INVERSE + ['analysis.window={"kind": "box", "center": [0.0]}'],
               "analysis.window.extent"),
+    # a window's kind, center and extent are read before the window is built, each by its path
+    _rejected("window-center-string", _INVERSE + ['analysis.window={"kind": "box", "center": "a", "extent": [1.0]}'],
+              "analysis.window.center[0]"),
+    _rejected("window-kind-unknown", _INVERSE + ['analysis.window={"kind": "boxx", "center": [0.0], "extent": [1.0]}'],
+              "analysis.window.kind"),
+    _rejected("window-center-empty", _INVERSE + ['analysis.window={"kind": "box", "center": [], "extent": [1.0]}'],
+              "analysis.window.center"),
+    _rejected("window-extent-string", _INVERSE + ['analysis.window={"kind": "box", "center": [0.0], "extent": "a"}'],
+              "analysis.window.extent[0]"),
+    _rejected("window-center-bool", _INVERSE + ['analysis.window={"kind": "box", "center": [true], "extent": [1.0]}'],
+              "analysis.window.center[0]"),
+    _rejected("window-extent-bool", _INVERSE + ['analysis.window={"kind": "box", "center": [0.0], "extent": [true]}'],
+              "analysis.window.extent[0]"),
     _rejected("unknown-certificate", _CERTIFY + ["--set", 'certificates=[{"hypothesis": "H4", "beta": 2.0}]'],
               "certificates[0].beta"),
     _rejected("other-hypothesis-param", _CERTIFY + ["--set", 'certificates=[{"hypothesis": "H1", "beta": 2.0}]'],
@@ -825,7 +838,8 @@ class TestMainExitCodes:
         # the values at radii 1e200 and 1e300 overflow to inf, an unbounded excess
         assert main(["modulus", "--set", f"operator={operator}", "--set", "analysis.radii=[1e200, 1e300]",
                      "--out", str(tmp_path)]) == 0
-        assert json.loads((tmp_path / "holder_fit.json").read_text())["divergent"] is True
+        assert json.loads((tmp_path / "holder_fit.json").read_text()) == {
+            "L_hat": None, "theta_hat": None, "residual": None, "degenerate": None, "divergent": True}
         assert (tmp_path / "modulus.csv").read_text() == "sigma,rho_hat,samples\n1e+200,inf,64\n1e+300,inf,64\n"
 
     def test_the_seed_flag_is_echoed(self, tmp_path, capsys):

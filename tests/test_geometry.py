@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from rcontinuity import (
     DimensionMismatchError,
-    EmptyTargetError,
     PointSet,
     Region,
     Window,
@@ -43,9 +42,13 @@ class TestPointDistance:
         with pytest.raises(DimensionMismatchError):
             Region([[0.0], [1.0]]).distance([1.0, 2.0])
 
-    def test_empty_target_rejected(self):
-        with pytest.raises(EmptyTargetError):
-            PointSet.empty(1).distance_rows([[1.0]])
+    def test_empty_target_is_infinitely_far(self):
+        # d(x, ∅) = inf, once the rows are valid
+        assert PointSet.empty(1).distance_rows([[1.0], [-2.0]]).tolist() == [math.inf, math.inf]
+        with pytest.raises(DimensionMismatchError):
+            PointSet.empty(1).distance_rows([[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            PointSet.empty(1).distance_rows([[float("nan")]])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -64,8 +67,9 @@ class TestExcess:
     def test_empty_first_set(self):
         assert excess(PointSet.empty(1), ps(0)) == 0.0
 
-    def test_empty_second_set_is_infinite_not_raised(self):
-        assert excess(ps(0), PointSet.empty(1)) == math.inf
+    @given(st.integers(1, 3).flatmap(lambda dim: _rows(dim)))
+    def test_empty_second_set_is_infinite_not_raised(self, rows):
+        assert excess(PointSet(rows), PointSet.empty(rows.shape[1])) == math.inf
 
     def test_zero_iff_contained(self):
         a = ps(0, 1)
@@ -263,10 +267,11 @@ class TestDistanceRows:
         with pytest.raises(ValueError):
             target.distance_rows(np.float64(rows[0, 0]))
 
-    @given(_rows(2))
-    def test_empty_point_set_is_an_error(self, rows):
-        with pytest.raises(EmptyTargetError):
-            PointSet.empty(2).distance_rows(rows)
+    @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(st.just(dim), _rows(dim, min_rows=0))))
+    def test_empty_point_set_is_infinitely_far(self, case):
+        dim, rows = case
+        got = PointSet.empty(dim).distance_rows(rows)
+        assert got.shape == (len(rows),) and got.dtype == np.float64 and np.all(got == math.inf)
 
 
 def broadcast_nearest(rows, points):

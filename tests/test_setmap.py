@@ -621,6 +621,19 @@ class TestMemberDistRowsByEvaluation:
             assert m.member_dist_rows(X, Y, window).tobytes() == per_row_reference(m, X, Y, window).tobytes()
 
 
+    def test_an_empty_value_set_is_at_the_distance_of_an_empty_point_set(self, name):
+        # setmap's inf where A(x) ∩ window is empty is geometry's d(y, ∅) = inf
+        m = catalog_maps()[name]
+        rng = np.random.default_rng(23)
+        X, Y = rng.uniform(-3.0, 3.0, (200, m.dim_in)), rng.uniform(-3.0, 3.0, (200, m.dim_out))
+        for window in _WINDOWS[m.dim_out][1:]:
+            vals, owner = m.eval_rows(X, window)
+            want = np.concatenate([PointSet(vals.points[owner == i]).distance_rows(Y[i:i + 1]) for i in range(len(X))])
+            got = m.member_dist_rows(X, Y, window)
+            assert np.array_equal(np.isinf(got), np.bincount(owner, minlength=len(X)) == 0)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestMemberDistRowsContract:
     @pytest.mark.parametrize("name", ["rm1", "square-inverse", "quad2"])
     def test_unpaired_rows_rejected(self, name):

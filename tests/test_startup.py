@@ -6,10 +6,12 @@ Halton draw, the closed-graph directions among them) and the solvers' scalar
 routines are numpy and float ports whose tests compare bytes against scipy.
 These tests keep it that way, keep every norm in ``geometry.py``, keep every
 public default one that some call overrides, keep the leaf modules importing
-only the core, and keep ``__all__`` the names the package imports.
+only the core, keep ``__all__`` the names the package imports, and keep every
+exception type the package defines one that it raises.
 """
 
 import ast
+import builtins
 import inspect
 import json
 import math
@@ -170,6 +172,46 @@ def test_the_public_names_are_the_imported_ones():
                 for alias in node.names]
     assert rcontinuity.__all__ == imported
     assert not any(isinstance(getattr(rcontinuity, name), ModuleType) for name in rcontinuity.__all__)
+
+
+def _unraised_exceptions(folder: Path) -> list:
+    """The exception classes defined in ``folder``'s modules (a base is a built-in
+    exception or another such class) that no ``raise`` there names, as ``X``,
+    ``X(...)``, ``module.X`` or ``module.X(...)``."""
+    defined, raised = {}, set()
+    for path in sorted(folder.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                defined[node.name] = (path.name, {getattr(base, "id", getattr(base, "attr", None))
+                                                  for base in node.bases})
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    while True:
+        new = {name for name, (_, bases) in defined.items() if name not in exceptions and bases & exceptions}
+        if not new:
+            break
+        exceptions |= new
+    return sorted(f"{defined[name][0]}: {name}" for name in exceptions & defined.keys() - raised)
+
+
+def test_every_exception_type_is_raised():
+    # a type leaves with its last raise, rather than lingering as a name callers may catch
+    assert _unraised_exceptions(SRC / "rcontinuity") == []
+
+
+def test_the_exception_lint_sees_an_unraised_type(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Early(Late):\n    pass\nclass Late(ValueError):\n    pass\nclass Dead(Late):\n    pass\n"
+        "class Plain:\n    pass\nclass NotAnError(Plain):\n    pass\nclass Bare(KeyError):\n    pass\n"
+        "def f():\n    raise Late('x') from None\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from . import a\nclass Qualified(a.Late):\n    pass\nclass Unqualified(Exception):\n    pass\n"
+        "def g():\n    try:\n        raise a.Bare\n    except Exception:\n        raise\n"
+        "    raise a.Qualified()\n", encoding="utf-8")
+    assert _unraised_exceptions(tmp_path) == ["a.py: Dead", "a.py: Early", "b.py: Unqualified"]
 
 
 _PROBE = """
