@@ -19,7 +19,6 @@ from .setmap import (
     ProxOracle,
     SetValuedMap,
     WindowRequiredError,
-    invert,
     pointwise,
 )
 from .catalog import CatalogError, catalog_listing, catalog_lookup, catalog_names

@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (PointSet, Window, _norm_rows, _norms, as_point, check_sample, excess, sample_window,
-                       unit_directions)
+from .geometry import (PointSet, Window, _in_float_range, _norm_rows, _norms, as_point, check_sample, excess,
+                       sample_window, unit_directions)
 from .setmap import (OperatorEntry, ParamError, SetValuedMap, ValueOverflowError, WindowDimensionError,
                      WindowRequiredError)
 
@@ -52,19 +52,6 @@ class ModulusCurve:
             raise ParamError(f"rho_hat[{bad[0]}]", "modulus values must be nonnegative")
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "rho_hat", v)
-
-    def rho_at(self, r: float) -> Optional[float]:
-        """Piecewise-linear interpolation of the curve.
-
-        Below the first grid radius the first value is used (a conservative
-        bound for a nondecreasing modulus); beyond the last radius the curve
-        is not extrapolated and ``None`` is returned.
-        """
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-        if r > self.radii[-1]:
-            return None
-        return float(np.interp(r, self.radii, self.rho_hat))
 
 
 @dataclass(frozen=True)
@@ -121,13 +108,19 @@ def _modulus_curve(m: SetValuedMap, xbar, k: Optional[Window], radii: Sequence[f
 
 def check_modulus(m: SetValuedMap, xbar, k: Optional[Window], radii: Sequence[float],
                   samples_per_radius: int, scheme: str) -> PointSet:
-    """Raise ``ParamError`` naming the argument unless :func:`estimate_modulus`
-    can run (positive, strictly increasing radii, a sample per radius, a known
-    scheme, a window ``m`` accepts, a nonempty base value); return the base value."""
-    _radius_grid(radii)
+    """Raise ``ParamError`` naming the argument unless :func:`estimate_modulus` can run (positive, strictly
+    increasing radii, a sample per radius, a known scheme, a window ``m`` accepts, a sample ball and a base
+    window within the float range, a finite, nonempty base value); return the base value."""
+    r = _radius_grid(radii)
     check_sample(scheme, samples_per_radius, "samples_per_radius")
     m.check_window(k)
-    reference = _base_value(m, as_point(xbar, m.dim_in), k)
+    xb = as_point(xbar, m.dim_in)
+    if not _in_float_range(xb, r[-1:]):
+        raise ParamError("radii", "the sample ball, |xbar_i| + radii[-1], leaves the float range")
+    try:
+        reference = _base_value(m, xb, k)
+    except ValueOverflowError as exc:
+        raise ParamError("xbar", f"at the base point: {exc}") from None
     if reference.is_empty:
         raise ParamError("xbar", f"map {m.name!r} is empty at the base point")
     return reference
@@ -146,9 +139,13 @@ def _radius_grid(radii) -> np.ndarray:
 
 
 def _base_value(m: SetValuedMap, xb: np.ndarray, k: Optional[Window]) -> PointSet:
-    """The base value ``A(xbar)`` that excesses are measured against:
-    unwindowed, or in ``k`` scaled ten times when the map requires a window."""
-    return m.eval(xb, k.scaled(10.0) if m.window_required else None)
+    """The base value ``A(xbar)`` that excesses are measured against: unwindowed, or in ``k`` scaled
+    ten times when the map requires a window, a ``ParamError`` naming ``window`` if that overflows."""
+    try:
+        base_window = k.scaled(10.0) if m.window_required else None
+    except ValueError as exc:
+        raise ParamError("window", f"the tenfold base window: {exc}") from None
+    return m.eval(xb, base_window)
 
 
 def fit_holder(curve: ModulusCurve) -> HolderFit:
@@ -414,10 +411,9 @@ def check_plk_exponent(
     ``f(xbar) < f(x) < f(xbar) + eta`` (strictly).  An empty band yields an
     inconclusive verdict, never a pass.
     """
-    check_plk(entry, grid_count)
-    xb = as_point(xbar, entry.dim_in)
-    fbar = entry.f(xb)
-    pts = sample_window(Window.ball(xb, cfg.neighborhood_radius), "grid", grid_count).points
+    ball = check_plk(entry, xbar, cfg, grid_count)
+    fbar = entry.f(ball.center)
+    pts = sample_window(ball, "grid", grid_count).points
     fvals = entry.f_values(pts).tolist()  # Python floats: phi_prime's ** is Python's
     band = [i for i, fx in enumerate(fvals) if fbar < fx < fbar + cfg.eta]
     if not band:
@@ -429,11 +425,15 @@ def check_plk_exponent(
     return PlkResult("fail" if violations else "pass", violations, len(band), min(products))
 
 
-def check_plk(entry: OperatorEntry, grid_count: int) -> None:
-    """Raise unless :func:`check_plk_exponent` can run: ``ParamError`` for a
-    ``grid_count`` below 1, ``MissingOracleError`` without its oracles."""
+def check_plk(entry: OperatorEntry, xbar, cfg: PlkConfig, grid_count: int) -> Window:
+    """Raise unless :func:`check_plk_exponent` can run (``ParamError`` for a ``grid_count`` below 1 or, naming
+    ``xbar``, a ball past the float range; ``MissingOracleError`` without its oracles); return the ball."""
     check_sample("grid", grid_count, "grid_count")
     entry.need("f", "subgrad")
+    try:
+        return Window.ball(as_point(xbar, entry.dim_in), cfg.neighborhood_radius)
+    except ValueError as exc:
+        raise ParamError("xbar", f"the neighborhood ball: {exc}") from None
 
 
 @dataclass(frozen=True)

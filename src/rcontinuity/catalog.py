@@ -327,7 +327,8 @@ def _quad2() -> OperatorEntry:
     Q, b = _QUAD2_Q, _QUAD2_B
 
     def ev(X, window):
-        return X @ Q.T - b, np.arange(X.shape[0])
+        with np.errstate(over="ignore"):
+            return X @ Q.T - b, np.arange(X.shape[0])
 
     def inv_ev(Y, window):
         # a stacked solve, one 2x2 system per row: one solve with all rows as
@@ -412,7 +413,16 @@ def catalog_listing() -> List[dict]:
                 "dim_out": entry.dim_out,
                 "window_required": entry.forward.window_required,
                 "monotone": entry.monotone,
-                "oracles": entry.oracle_flags(),
+                "oracles": {
+                    "inverse": entry.inverse is not None,
+                    "prox": entry.prox is not None,
+                    "subgrad": entry.subgrad is not None,
+                    "grad_inverse": entry.grad_inverse is not None,
+                    "smooth": entry.f is not None and entry.grad is not None,
+                    "jacobian": entry.jac is not None,
+                    "dc": entry.dc is not None,
+                    "quad_form": entry.quad_form is not None,
+                },
             }
         )
     return out

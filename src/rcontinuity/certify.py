@@ -231,7 +231,7 @@ def distance_trace(
     violations: List[int] = []
     out_of_range: List[int] = []
     if modulus is not None:
-        # ModulusCurve.rho_at on every norm: np.interp clamps below the grid
+        # rho(r): linear between grid radii, rho_hat[0] below them (np.interp clamps), no bound past the last
         paired = (trace.witness_indices >= 0) & (trace.witness_indices < len(distances))
         norms, indices = trace.witness_norms[paired], trace.witness_indices[paired]
         inside = norms <= modulus.radii[-1]

@@ -263,7 +263,7 @@ def _plk(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
     plk_config = _rule("analysis.plk", analysis.PlkConfig, **plk)
     xbar = _vector(a.setdefault("xbar", [0.0] * entry.dim_in), "analysis.xbar", entry.dim_in)
     grid_count = _int(a.setdefault("grid_count", _PLK["grid_count"]), "analysis.grid_count", maximum=_MAX_SAMPLES)
-    _rule("analysis", analysis.check_plk, entry, grid_count)
+    _rule("analysis", analysis.check_plk, entry, xbar, plk_config, grid_count)
 
     def run(emit, verdicts) -> None:
         result = analysis.check_plk_exponent(entry, xbar, plk_config, grid_count=grid_count)
@@ -342,7 +342,6 @@ class ExperimentConfig:
 
 @dataclass
 class RunReport:
-    config: dict
     manifest: dict
     verdicts: dict
     timings: dict  # informational only; never written to artifacts
@@ -382,7 +381,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
 
     timings = {"total_s": time.perf_counter() - t0}
     serialize.write_json(out / "report.json", {"config": cfg.resolved, "manifest": manifest, "verdicts": verdicts})
-    return RunReport(config=cfg.resolved, manifest=manifest, verdicts=verdicts, timings=timings)
+    return RunReport(manifest=manifest, verdicts=verdicts, timings=timings)
 
 
 # -- command line -------------------------------------------------------------

@@ -199,6 +199,13 @@ def _kth_nearest(pts: np.ndarray, k: int) -> np.ndarray:
     return kth
 
 
+def _in_float_range(center: np.ndarray, extent: np.ndarray) -> bool:
+    """Whether ``center ± extent`` is finite on every axis, ``extent`` being one half-width per axis or one
+    for all: ``|center_i| + extent_i`` in Python floats, which overflow to inf without a warning."""
+    c, e = center.tolist(), extent.tolist()
+    return all(math.isfinite(abs(x) + h) for x, h in zip(c, e * (len(c) // len(e))))
+
+
 @dataclass(frozen=True)
 class Window:
     """A compact axis-aligned box or closed ball.
@@ -224,8 +231,8 @@ class Window:
                 raise DimensionMismatchError("extent and center dimensions differ")
         elif e.size != 1:
             raise ValueError(f"a ball's extent is one radius, got {e.size} values")
-        if not np.all(np.isfinite(e)) or np.any(e <= 0):
-            raise ValueError("window extents must be strictly positive and finite")
+        if not (np.all(e > 0) and _in_float_range(c, e)):
+            raise ValueError("window extents must be strictly positive, and center ± extent finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "extent", e)
 
@@ -253,7 +260,8 @@ class Window:
         """Same center, extents multiplied by ``factor``."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return Window(self.kind, self.center, self.extent * factor)
+        with np.errstate(over="ignore"):  # an extent past the float range is refused as inf
+            return Window(self.kind, self.center, self.extent * factor)
 
     def to_dict(self) -> dict:
         return {

@@ -284,21 +284,3 @@ class OperatorEntry:
             if isinstance(self.f, (ScalarForm, RowForm)):
                 return self.f.rows(X)
             return np.array([self.f(x) for x in X], dtype=float)
-
-    def oracle_flags(self) -> dict:
-        return {
-            "inverse": self.inverse is not None,
-            "prox": self.prox is not None,
-            "subgrad": self.subgrad is not None,
-            "grad_inverse": self.grad_inverse is not None,
-            "smooth": self.f is not None and self.grad is not None,
-            "jacobian": self.jac is not None,
-            "dc": self.dc is not None,
-            "quad_form": self.quad_form is not None,
-        }
-
-
-def invert(entry: OperatorEntry) -> SetValuedMap:
-    """The registered closed-form inverse map of an entry."""
-    entry.need("inverse")
-    return entry.inverse

@@ -26,7 +26,6 @@ from rcontinuity import (
     estimate_modulus,
     excess,
     fit_holder,
-    invert,
     lojasiewicz_fit,
     run_dca,
     run_gdm,
@@ -50,7 +49,7 @@ def report(n, text):
 
 def test_criterion_1_holder_exponent_recovery():
     t0 = time.perf_counter()
-    curve = estimate_modulus(invert(catalog_lookup("square")), [0.0], None, DECADE,
+    curve = estimate_modulus(catalog_lookup("square").inverse, [0.0], None, DECADE,
                              samples_per_radius=64, seed=0)
     fit = fit_holder(curve)
     elapsed = time.perf_counter() - t0
@@ -103,7 +102,7 @@ def test_criterion_4_exponent_duality():
     for name, center, extent, radii in cases:
         entry = catalog_lookup(name)
         loja = lojasiewicz_fit(entry, Window.box([center], [extent]), 2001)
-        fit = fit_holder(estimate_modulus(invert(entry), [0.0], K10, radii, 64, seed=0))
+        fit = fit_holder(estimate_modulus(entry.inverse, [0.0], K10, radii, 64, seed=0))
         expected = 1.0 / loja.theta_hat
         assert abs(fit.theta_hat - expected) <= 0.1 * expected
         gaps[name] = abs(fit.theta_hat - expected) / expected
@@ -205,7 +204,7 @@ def test_criterion_9_distance_property_suite():
     for name, (make, certified) in runs.items():
         entry = catalog_lookup(name)
         window = Window.box([0.0] * entry.dim_out, [10.0] * entry.dim_out)
-        graph = closed_graph_test(invert(entry), [0.0] * entry.dim_out, window)
+        graph = closed_graph_test(entry.inverse, [0.0] * entry.dim_out, window)
         assert graph.passed, f"{name}: inverse graph probe"
         trace = make(entry)
         assert certified(trace), f"{name}: certificates"
@@ -215,7 +214,7 @@ def test_criterion_9_distance_property_suite():
 
     # slow selections keep flat-exp out of the certified suite: its inverse
     # probe is inconclusive, so the premise of the property does not apply
-    assert closed_graph_test(invert(catalog_lookup("flat-exp")), [0.0], K10).verdict == "inconclusive"
+    assert closed_graph_test(catalog_lookup("flat-exp").inverse, [0.0], K10).verdict == "inconclusive"
 
     # the gradient-map inverses backing the modulus link are closed at 0 too
     for name in ("square", "quad", "dc-quad"):
@@ -234,7 +233,7 @@ def test_criterion_9_distance_property_suite():
     # modulus link on the soft-threshold run (operator witnesses -> inverse)
     ab = catalog_lookup("abs-subdiff")
     ab_trace = run_ppa(ab, 0.3, [1.0])
-    ab_curve = estimate_modulus(invert(ab), [0.0], K10,
+    ab_curve = estimate_modulus(ab.inverse, [0.0], K10,
                                 list(np.geomspace(0.01, 1.0, 9)) + [2.0], 65, seed=0)
     ab_verdict = distance_trace(ab_trace, ab.solution_set, 1e-6, modulus=ab_curve)
     assert ab_verdict.link_checked > 0

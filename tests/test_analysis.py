@@ -25,12 +25,11 @@ from rcontinuity import (
     estimate_modulus,
     excess,
     fit_holder,
-    invert,
     lojasiewicz_fit,
     pointwise,
     sample_window,
 )
-from rcontinuity.analysis import _chain_converged, check_modulus
+from rcontinuity.analysis import _chain_converged, check_modulus, check_plk
 from rcontinuity.geometry import unit_directions
 from rcontinuity.setmap import ParamError, ScalarForm
 from conftest import brute_force_modulus, curves_agree, reference_member_dist
@@ -50,7 +49,7 @@ class TestEstimateModulus:
         assert curve.rho_hat == pytest.approx(radii, rel=1e-12)
 
     def test_square_inverse_is_sqrt_modulus(self):
-        curve = estimate_modulus(invert(catalog_lookup("square")), [0.0], None, DECADE, 64, seed=0)
+        curve = estimate_modulus(catalog_lookup("square").inverse, [0.0], None, DECADE, 64, seed=0)
         assert curve.rho_hat == pytest.approx([math.sqrt(r) for r in DECADE], rel=1e-12)
 
     def test_constant_map_gives_zero_curve(self):
@@ -74,7 +73,7 @@ class TestEstimateModulus:
             estimate_modulus(catalog_lookup("rm1").forward, [0.0], None, DECADE, 8, seed=0)
 
     def test_empty_base_value_rejected(self):
-        m = invert(catalog_lookup("square"))
+        m = catalog_lookup("square").inverse
         with pytest.raises(ValueError):
             estimate_modulus(m, [-1.0], None, DECADE, 8, seed=0)
 
@@ -93,13 +92,13 @@ class TestEstimateModulus:
         assert np.all(small.rho_hat <= large.rho_hat + 1e-15)
 
     def test_unwindowed_agrees_with_covering_window(self):
-        inv = invert(catalog_lookup("square"))
+        inv = catalog_lookup("square").inverse
         windowed = estimate_modulus(inv, [0.0], K10, DECADE, 64, seed=0)
         unwindowed = estimate_modulus(inv, [0.0], None, DECADE, 64, seed=0)
         assert np.array_equal(windowed.rho_hat, unwindowed.rho_hat)
 
     def test_deterministic(self):
-        inv = invert(catalog_lookup("double-well"))
+        inv = catalog_lookup("double-well").inverse
         a = estimate_modulus(inv, [0.0], K10, DECADE, 33, seed=9, scheme="halton")
         b = estimate_modulus(inv, [0.0], K10, DECADE, 33, seed=9, scheme="halton")
         assert np.array_equal(a.rho_hat, b.rho_hat)
@@ -107,7 +106,7 @@ class TestEstimateModulus:
     def test_matches_dense_oracle_on_double_well(self):
         # one decade of radii, so the 4096-point linear grid resolves each one
         radii = list(np.geomspace(1e-2, 1e-1, 13))
-        inv = invert(catalog_lookup("double-well"))
+        inv = catalog_lookup("double-well").inverse
         coarse = estimate_modulus(inv, [0.0], K10, radii, 64, seed=0)
         dense = brute_force_modulus(inv, [0.0], K10, radii)
         assert curves_agree(coarse.rho_hat, dense)
@@ -122,7 +121,7 @@ class TestFitHolder:
         assert fit.residual < 1e-10
 
     def test_sqrt_curve(self):
-        curve = estimate_modulus(invert(catalog_lookup("square")), [0.0], None, DECADE, 64, seed=0)
+        curve = estimate_modulus(catalog_lookup("square").inverse, [0.0], None, DECADE, 64, seed=0)
         fit = fit_holder(curve)
         assert 0.45 <= fit.theta_hat <= 0.55
 
@@ -135,12 +134,6 @@ class TestFitHolder:
         curve = ModulusCurve(radii=np.array([0.1, 0.2, 0.4]), rho_hat=np.array([1.0, 2.0, math.inf]),
                              sample_counts=[4, 4, 4], divergent=True)
         assert fit_holder(curve) == HolderFit(None, None, None, None)
-
-    def test_rho_at_interpolates_and_flags_out_of_range(self):
-        curve = ModulusCurve(radii=np.array([1.0, 2.0]), rho_hat=np.array([1.0, 3.0]), sample_counts=[4, 4])
-        assert curve.rho_at(1.5) == pytest.approx(2.0)
-        assert curve.rho_at(0.5) == pytest.approx(1.0)  # clamped below the grid
-        assert curve.rho_at(2.5) is None
 
     @pytest.mark.parametrize("radii, rho_hat, param", [
         ([math.nan, 1.0], [0.0, 1.0], "radii[0]"),
@@ -220,12 +213,12 @@ class TestClosedGraph:
 
     def test_slow_selection_is_inconclusive(self):
         # values shrink like 1/log(1/x): convergent but far from geometric
-        res = closed_graph_test(invert(catalog_lookup("flat-exp")), [0.0], K10)
+        res = closed_graph_test(catalog_lookup("flat-exp").inverse, [0.0], K10)
         assert res.verdict == "inconclusive"
 
     def test_catalog_inverses_close(self):
         for name in ("square", "double-well", "abs-subdiff", "quad", "linear-neg", "dc-quad"):
-            inv = invert(catalog_lookup(name))
+            inv = catalog_lookup(name).inverse
             assert closed_graph_test(inv, [0.0], K10).passed, name
 
 
@@ -324,6 +317,10 @@ class TestPlk:
     def test_missing_oracles_rejected(self):
         with pytest.raises(MissingOracleError):
             check_plk_exponent(catalog_lookup("rm1"), [0.0], PlkConfig(1.0, 0.5, 1.0, 1.0), 33)
+
+    def test_check_plk_returns_the_neighborhood_ball(self):
+        ball = check_plk(catalog_lookup("square"), [0.5], PlkConfig(2.0, 0.5, 1.0, 0.25), 33)
+        assert (ball.kind, ball.center.tolist(), ball.extent.tolist()) == ("ball", [0.5], [0.25])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -462,7 +459,7 @@ class TestDuality:
         entry = catalog_lookup(name)
         loja = lojasiewicz_fit(entry, Window.box([window_center], [window_extent]), 2001)
         radii = list(np.geomspace(1e-4, radius_hi, 13))
-        curve = estimate_modulus(invert(entry), [0.0], K10, radii, 64, seed=0)
+        curve = estimate_modulus(entry.inverse, [0.0], K10, radii, 64, seed=0)
         fit = fit_holder(curve)
         assert not loja.failed and not fit.degenerate
         expected = 1.0 / loja.theta_hat

@@ -21,7 +21,6 @@ from rcontinuity import (
     check_rclass,
     distance_trace,
     estimate_modulus,
-    invert,
     make_synthetic_trace,
     run_dca,
     run_gdm,

@@ -55,6 +55,7 @@ _PLK_1 = {"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0}
 _CERTIFICATES = 'certificates=[{"hypothesis": "H1", "alpha": 1}]'
 _MODULUS = ["modulus", "--set", "operator=square", "--set", "analysis.samples_per_radius=4"]
 _INVERSE = ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse", "--set"]
+_HUGE_WINDOW = 'analysis.window={"kind": "box", "center": [0.0], "extent": [1e308]}'
 
 
 def _rejected(name, argv, path, config=None):
@@ -188,6 +189,25 @@ REJECTED = [
     _rejected("plk-missing-field", ["plk", "--set", "operator=square", "--set",
                                     'analysis.plk={"M": 2.0, "q_exp": 0.5, "eta": 1.0}'],
               "analysis.plk.neighborhood_radius"),
+    # values past the float range, refused before they overflow in a run
+    _rejected("modulus-base-value-overflows", _MODULUS + ["--set", "analysis.xbar=[1e200]"], "analysis.xbar"),
+    _rejected("modulus-double-well-base-value-overflows", ["modulus", "--set", "operator=double-well", "--set",
+                                                           "analysis.xbar=[1e100]"], "analysis.xbar"),
+    _rejected("modulus-quad2-base-value-overflows", ["modulus", "--set", "operator=quad2", "--set",
+                                                     "analysis.xbar=[1e308, 1e308]"], "analysis.xbar"),
+    _rejected("modulus-sample-ball-overflows", _INVERSE + ["analysis.xbar=[1e308]", "--set",
+                                                           "analysis.radii=[1e308, 1.7e308]"], "analysis.radii"),
+    _rejected("modulus-base-window-overflows", ["modulus", "--set", "operator=rm1", "--set", "analysis.xbar=[1.0]",
+                                                "--set", _HUGE_WINDOW], "analysis.window"),
+    _rejected("pipeline-base-window-overflows", ["pipeline", "--set", "operator=abs-subdiff", "--set",
+                                                 'algorithm={"name": "ppa", "gamma": 0.3, "x0": [1.0]}',
+                                                 "--set", _HUGE_WINDOW], "analysis.window"),
+    _rejected("loja-window-corner-overflows", ["loja", "--set", "operator=square", "--set",
+                                               'analysis.window={"kind": "box", "center": [1e308], '
+                                               '"extent": [1e308]}'], "analysis.window"),
+    _rejected("plk-ball-overflows", ["plk", "--set", "operator=square", "--set",
+                                     'analysis.plk={"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1e308}',
+                                     "--set", "analysis.xbar=[1e308]"], "analysis.xbar"),
 ]
 
 
@@ -921,6 +941,14 @@ class TestStageTable:
         assert _subcommands(parser) == [name for name, _ in _KINDS.values()] + ["catalog"]
         for kind, (name, _) in _KINDS.items():
             assert parser.parse_args([name]).kind == kind
+
+    def test_the_readme_library_example_runs(self):
+        # a fresh interpreter on the package as checked out, so that a removed public name breaks this test
+        block = re.search(r"## Library example\n\n```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", block.group(1)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(README.parent / "src")})
+        assert proc.returncode == 0, proc.stderr
 
     def test_the_readme_lists_the_subcommands_kinds_and_stages(self):
         text = README.read_text(encoding="utf-8")

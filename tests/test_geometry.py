@@ -511,6 +511,18 @@ class TestWindow:
         assert w.center == pytest.approx([1.0])
         assert w.extent == pytest.approx([20.0])
 
+    @pytest.mark.parametrize("kind, center, extent", [
+        ("box", [0.0, 1e308], [1.0, 1e308]),  # the second axis's corners overflow
+        ("ball", [0.0, 1e308], [1e308]),
+    ])
+    def test_corners_past_the_float_range_are_refused(self, kind, center, extent):
+        with pytest.raises(ValueError, match="center ± extent finite"):
+            Window(kind, center, extent)
+
+    def test_corners_within_the_float_range_are_kept(self):
+        assert Window.box([1e308, -1e307], [7e307, 1.6e308]).dim == 2
+        assert Window.ball([-1e308], 7e307).dim == 1
+
     def test_ball_contains(self):
         w = Window.ball([0.0, 0.0], 1.0)
         assert w.contains_rows(np.array([[0.6, 0.8], [0.61, 0.8]])).tolist() == [True, False]

@@ -17,7 +17,6 @@ from rcontinuity import (
     catalog_listing,
     catalog_lookup,
     catalog_names,
-    invert,
     pointwise,
     sample_window,
 )
@@ -44,7 +43,7 @@ class TestEvalWindowed:
         assert sorted(got.points.ravel()) == pytest.approx([0.5, 2.0])
 
     def test_square_inverse_pair(self):
-        got = invert(catalog_lookup("square")).eval([0.25])
+        got = catalog_lookup("square").inverse.eval([0.25])
         assert sorted(got.points.ravel()) == pytest.approx([-0.5, 0.5])
 
     def test_window_required_enforced(self):
@@ -52,7 +51,7 @@ class TestEvalWindowed:
             catalog_lookup("rm1").forward.eval([0.5])
 
     def test_empty_value_allowed(self):
-        got = invert(catalog_lookup("square")).eval([-1.0])
+        got = catalog_lookup("square").inverse.eval([-1.0])
         assert got.is_empty
 
     def test_containment_is_exact(self):
@@ -93,7 +92,7 @@ class TestCatalog:
 
     def test_invert_requires_registration(self):
         with pytest.raises(MissingOracleError):
-            invert(catalog_lookup("rm1"))
+            catalog_lookup("rm1").need("inverse")
 
     @pytest.mark.parametrize("name", ["quad", "dc-quad", "quad2"])
     def test_gradient_map_shares_the_inverse(self, name):
@@ -102,7 +101,7 @@ class TestCatalog:
         assert entry.subgrad is entry.forward and entry.grad_inverse is entry.inverse
 
     def test_flat_exp_inverse_closed_form(self):
-        inv = invert(catalog_lookup("flat-exp"))
+        inv = catalog_lookup("flat-exp").inverse
         y = 0.2
         expected = math.sqrt(-1.0 / math.log(y))
         assert sorted(inv.eval([y]).points.ravel()) == pytest.approx([-expected, expected])
