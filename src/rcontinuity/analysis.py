@@ -26,7 +26,7 @@ from .setmap import (OperatorEntry, ParamError, SetValuedMap, ValueOverflowError
                      WindowRequiredError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ModulusCurve:
     """Estimated continuity modulus over a radius grid.
 
@@ -54,7 +54,7 @@ class ModulusCurve:
         object.__setattr__(self, "rho_hat", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class HolderFit:
     """Power-law fit ``rho(r) ~ L * r**theta`` of a modulus curve."""
 
@@ -168,7 +168,7 @@ def fit_holder(curve: ModulusCurve) -> HolderFit:
     return HolderFit(L_hat=float(np.exp(intercept)), theta_hat=float(slope), residual=residual, degenerate=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GraphTestResult:
     """Outcome of the sequential closed-graph probe."""
 
@@ -259,7 +259,7 @@ def _chain_converged(gaps: np.ndarray, limit_tol: float) -> bool:
     return rate < 0.97 and float(gaps[-1]) * rate / (1.0 - rate) <= limit_tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LojFit:
     """Envelope fit of ``d(x, S)**theta <= c * |f(x)|`` on a window."""
 
@@ -353,7 +353,7 @@ def check_lojasiewicz(entry: OperatorEntry, k: Optional[Window], grid_count: int
     return pts, d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PlkConfig:
     """Power-law desingularization parameters ``phi(t) = M * t**(1 - q)``.
 
@@ -379,7 +379,7 @@ class PlkConfig:
         return self.M * (1.0 - self.q_exp) * t ** (-self.q_exp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PlkResult:
     verdict: str  # "pass" | "fail" | "inconclusive"
     violations: List[np.ndarray]
@@ -436,7 +436,7 @@ def check_plk(entry: OperatorEntry, xbar, cfg: PlkConfig, grid_count: int) -> Wi
         raise ParamError("xbar", f"the neighborhood ball: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class InverseLipschitzResult:
     c_hat: float
     verdict: str  # "full-rank" | "rank-deficient"
@@ -485,7 +485,7 @@ def certify_inverse_lipschitz(entry: OperatorEntry, k: Window, test_samples: int
     return InverseLipschitzResult(c_hat, "full-rank", violations, len(xs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CalmnessResult:
     kappa_hat: float
     vacuous: bool

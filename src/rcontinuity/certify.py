@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .geometry import Region, _kth_nearest, _norms
-from .setmap import OperatorEntry, ParamError
+from .setmap import OperatorEntry, ParamError, check_distance
 
 if TYPE_CHECKING:
     from .analysis import ModulusCurve
@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 _ATOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Certificate:
     hypothesis: str  # "H1" | "H2" | "H3" | "H4" | "RCLASS"
     params: dict
@@ -179,7 +179,7 @@ def check_rclass(trace: IterateTrace, alpha: float, beta: float) -> Certificate:
                     tail_ok=tail_ok, note=note)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DistanceVerdict:
     """Distance-to-solution record with a trailing-window convergence verdict
     and an optional modulus-link audit ``d(x_k, S) <= 1.1 * rho(||w_k||)``."""
@@ -248,9 +248,3 @@ def distance_trace(
         link_violations=violations,
         link_out_of_range=out_of_range,
     )
-
-
-def check_distance(tolerance: float) -> None:
-    """Raise ``ParamError`` unless :func:`distance_trace`, and so the CLI, accepts ``tolerance``."""
-    if not tolerance > 0:
-        raise ParamError("tolerance", "tolerance must be positive")

@@ -16,6 +16,7 @@ certificate or verdict failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -27,9 +28,9 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import analysis, catalog, certify, serialize, solvers
+from . import catalog, serialize
 from .geometry import Window
-from .setmap import MissingOracleError, OperatorEntry, ParamError
+from .setmap import MissingOracleError, OperatorEntry, ParamError, StopRule, check_distance
 
 #: Largest ``analysis.radii.count``: validation builds the whole radius grid.
 _MAX_RADII = 10_000
@@ -107,13 +108,14 @@ def _radii_list(spec, path: str) -> List[float]:
     return [_number(r, f"{path}[{i}]") for i, r in enumerate(spec)]
 
 
-#: The analysis defaults, read from the signatures of the estimators they feed.
-_MODULUS, _LOJA, _PLK = ({key: p.default for key, p in inspect.signature(estimator).parameters.items()}
-                         for estimator in (analysis.estimate_modulus, analysis.lojasiewicz_fit,
-                                           analysis.check_plk_exponent))
+@functools.cache
+def _defaults(estimator: str) -> dict:
+    """The parameter defaults of ``analysis.<estimator>``, which its stage resolves into the echo."""
+    from . import analysis
+    return {key: p.default for key, p in inspect.signature(getattr(analysis, estimator)).parameters.items()}
 
-_STOP_FIELDS = fields(solvers.StopRule)
-_PLK_FIELDS = fields(analysis.PlkConfig)
+
+_STOP_FIELDS = fields(StopRule)
 
 
 def _rule(section: str, rule: Callable, *args, **params):
@@ -146,13 +148,15 @@ def _window(a: dict) -> Optional[Window]:
 # A stage is the one reader of the sections it uses: it validates them, resolves
 # their defaults into the echo, and returns its run, which writes its artifacts
 # through ``emit(name, writer)``, records its verdicts and returns what it made;
-# it looks the library's functions up when it runs.
+# it looks the library's functions up when it runs.  A stage imports the leaf
+# modules it uses itself, so that a run loads only those of its kind's stages.
 
 def _solve(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
     """The stop rule, the algorithm and the certificates; the run returns the trace."""
+    from . import certify, solvers
     stop_raw = _object(cfg.stop, "stop", [f.name for f in _STOP_FIELDS])
     cfg.stop = {f.name: _READ[f.type](stop_raw.get(f.name, f.default), f"stop.{f.name}") for f in _STOP_FIELDS}
-    stop = _rule("stop", solvers.StopRule, **cfg.stop)
+    stop = _rule("stop", StopRule, **cfg.stop)
     _require(isinstance(cfg.algorithm, dict), "algorithm", "must be a JSON object")
     name = cfg.algorithm.get("name")
     _require(isinstance(name, str) and name in solvers.ALGORITHMS, "algorithm.name",
@@ -204,12 +208,14 @@ def _solve(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
 
 def _modulus(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
     """The map, base point, window, radii and samples of the modulus; the run returns the curve."""
+    from . import analysis
     a = cfg.analysis
     window = _window(a)
     if cfg.kind == "full-pipeline":
         # the curve bounds distances via the solver's witnesses, so it is on the inverse of their map
         _require(a.setdefault("target", "auto") == "auto", "analysis.target",
                  "must be 'auto': the pipeline estimates on the inverse of its algorithm's witness map")
+        from . import solvers
         witness_map = solvers.ALGORITHMS[cfg.algorithm["name"]].witness_map
         path, oracle = "operator", "inverse" if witness_map == "forward" else "grad_inverse"
     else:
@@ -222,9 +228,10 @@ def _modulus(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
     m = getattr(entry, oracle)
     xbar = _vector(a.setdefault("xbar", [0.0] * m.dim_in), "analysis.xbar", m.dim_in)
     radii = a["radii"] = _radii_list(a.get("radii", {"start": 1e-4, "stop": 1e-1, "count": 13}), "analysis.radii")
-    samples = _int(a.setdefault("samples_per_radius", _MODULUS["samples_per_radius"]), "analysis.samples_per_radius",
+    defaults = _defaults("estimate_modulus")
+    samples = _int(a.setdefault("samples_per_radius", defaults["samples_per_radius"]), "analysis.samples_per_radius",
                    maximum=_MAX_SAMPLES)
-    scheme = a.setdefault("scheme", _MODULUS["scheme"])
+    scheme = a.setdefault("scheme", defaults["scheme"])
     base_value = _rule("analysis", analysis.check_modulus, m, xbar, window, radii, samples, scheme)
 
     def run(emit, verdicts) -> analysis.ModulusCurve:
@@ -240,9 +247,10 @@ def _modulus(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
 
 def _lojasiewicz(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
     """The window and grid of the Łojasiewicz fit; the run writes the fit."""
+    from . import analysis
     window = _window(cfg.analysis)
-    grid_count = _int(cfg.analysis.setdefault("grid_count", _LOJA["grid_count"]), "analysis.grid_count",
-                      maximum=_MAX_SAMPLES)
+    grid_count = _int(cfg.analysis.setdefault("grid_count", _defaults("lojasiewicz_fit")["grid_count"]),
+                      "analysis.grid_count", maximum=_MAX_SAMPLES)
     _rule("analysis", analysis.check_lojasiewicz, entry, window, grid_count)
 
     def run(emit, verdicts) -> None:
@@ -254,15 +262,18 @@ def _lojasiewicz(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
 
 def _plk(cfg: ExperimentConfig, entry: OperatorEntry) -> Callable:
     """The PLK parameters, base point and grid; the run writes the verdict."""
+    from . import analysis
     a = cfg.analysis
     _require("plk" in a, "analysis.plk", "missing PLK parameters")
-    plk = _object(a["plk"], "analysis.plk", [f.name for f in _PLK_FIELDS])
-    for f in _PLK_FIELDS:
+    plk_fields = fields(analysis.PlkConfig)
+    plk = _object(a["plk"], "analysis.plk", [f.name for f in plk_fields])
+    for f in plk_fields:
         _require(f.name in plk, f"analysis.plk.{f.name}", "missing")
         _READ[f.type](plk[f.name], f"analysis.plk.{f.name}")
     plk_config = _rule("analysis.plk", analysis.PlkConfig, **plk)
     xbar = _vector(a.setdefault("xbar", [0.0] * entry.dim_in), "analysis.xbar", entry.dim_in)
-    grid_count = _int(a.setdefault("grid_count", _PLK["grid_count"]), "analysis.grid_count", maximum=_MAX_SAMPLES)
+    grid_count = _int(a.setdefault("grid_count", _defaults("check_plk_exponent")["grid_count"]),
+                      "analysis.grid_count", maximum=_MAX_SAMPLES)
     _rule("analysis", analysis.check_plk, entry, xbar, plk_config, grid_count)
 
     def run(emit, verdicts) -> None:
@@ -289,7 +300,7 @@ _READS = {_modulus: ("target", "xbar", "radii", "samples_per_radius", "scheme", 
           _lojasiewicz: ("window", "grid_count"), _plk: ("plk", "xbar", "grid_count"), _solve: ()}
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ExperimentConfig:
     """Validated experiment description with all defaults resolved."""
 
@@ -302,10 +313,10 @@ class ExperimentConfig:
     analysis: dict
     stop: dict
     certificates: List[dict]
-    resolved: dict = field(init=False, repr=False, default_factory=dict)
+    resolved: dict = field(init=False, default_factory=dict)
     #: The catalog entry, and each stage's run, that validation made.
-    entry: Optional[OperatorEntry] = field(init=False, repr=False, compare=False, default=None)
-    runs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    entry: Optional[OperatorEntry] = field(init=False, default=None)
+    runs: dict = field(init=False, default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -322,13 +333,13 @@ class ExperimentConfig:
             raise ConfigError("operator", str(exc)) from None
         seed = _int(raw.get("seed", 0), "seed", 0)
         tolerance = _number(raw.get("tolerance", 1e-6), "tolerance")
-        _rule("", certify.check_distance, tolerance)
+        _rule("", check_distance, tolerance)
         out_dir = raw.get("out_dir")
         _require(out_dir is None or isinstance(out_dir, str), "out_dir", "must be a path string")
         reads = [key for stage in stages for key in _READS[stage]]
         analysis_cfg = _object(raw.get("analysis", {}), "analysis", reads, f"no stage of a {kind} run reads it")
         # only _solve reads these: a kind without it takes each only empty or as it echoes it
-        solver = {"stop": asdict(solvers.StopRule()), "algorithm": {}, "certificates": []}
+        solver = {"stop": asdict(StopRule()), "algorithm": {}, "certificates": []}
         for key, echo in solver.items():
             given = raw.get(key, echo)
             _require(_solve in stages or given in (echo, type(echo)()), key, f"a {kind} run has no solver to read it")
@@ -340,7 +351,7 @@ class ExperimentConfig:
         return cfg
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RunReport:
     manifest: dict
     verdicts: dict
@@ -371,6 +382,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
     made = {stage: run(emit, verdicts) for stage, run in cfg.runs.items()}
     trace, curve = made.get(_solve), made.get(_modulus)
     if trace is not None:
+        from . import certify
         dv = certify.distance_trace(trace, cfg.entry.solution_set, cfg.tolerance, modulus=curve)
         emit("trace.csv", lambda p: serialize.trace_to_csv(trace, p, distances=dv.distances))
         if curve is not None:

@@ -42,7 +42,7 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PointSet:
     """A finite (possibly empty) set of points of equal dimension.
 
@@ -206,7 +206,7 @@ def _in_float_range(center: np.ndarray, extent: np.ndarray) -> bool:
     return all(math.isfinite(abs(x) + h) for x, h in zip(c, e * (len(c) // len(e))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Window:
     """A compact axis-aligned box or closed ball.
 
@@ -275,7 +275,7 @@ class Window:
         return cls(d["kind"], np.asarray(d["center"], dtype=float), np.asarray(d["extent"], dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Region(PointSet):
     """A solution set: a nonempty finite point list.
 

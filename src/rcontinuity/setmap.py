@@ -20,6 +20,11 @@ paired rows too) where it exists, else by one ``eval_rows`` call.
 
 Maps and operator entries are immutable after construction; evaluation is
 reentrant and thread-safe.
+
+The two rules every CLI kind validates, solver or none, live here too, so
+that a run without a solver loads neither ``solvers`` nor ``certify``:
+:class:`StopRule` (every ``report.json`` echoes its fields) and
+:func:`check_distance` (the ``tolerance`` of ``certify.distance_trace``).
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ def pointwise(f: Callable[[np.ndarray, Optional[Window]], object]) -> Evaluator:
     return evaluator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SetValuedMap:
     """An evaluable mapping ``x -> finite point set``.
 
@@ -161,7 +166,7 @@ class SetValuedMap:
         return float(self.member_dist_rows(as_point(x, self.dim_in)[None], as_point(y, self.dim_out)[None], window)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProxOracle:
     """Closed-form resolvent ``J_{γA}(y) = (γA + I)^{-1}(y)``: ``resolvent(γ)``
     is ``y -> J_{γA}(y)`` on 1-d float vectors, with what depends on γ alone
@@ -187,7 +192,7 @@ class ProxOracle:
         return np.atleast_1d(np.asarray(self.bind(gamma)(y), dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DcSplit:
     """Convex split ``f = g - h`` with a prox oracle for g and a smooth h; a 1-d
     ``h_grad`` that is a :class:`ScalarForm` of shape ``(1,)`` has a float view."""
@@ -196,7 +201,7 @@ class DcSplit:
     h_grad: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ScalarForm:
     """A 1-d closed form as the oracle ``x -> form(x[0])``: a float for
     ``shape = ()`` (``f``), else an array of ``shape`` (``(1,)`` for ``grad``,
@@ -219,7 +224,7 @@ class ScalarForm:
             return self.form(X[:, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RowForm:
     """An ``f`` oracle given row-wise: ``rows(X)`` is ``f`` at each row of an
     ``(n, d)`` array, and the per-point oracle ``x -> f(x)`` is its one-row
@@ -231,7 +236,7 @@ class RowForm:
         return float(self.rows(np.asarray(x, dtype=float)[None])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class OperatorEntry:
     """A catalog operator: forward map plus whatever closed-form oracles exist.
 
@@ -284,3 +289,25 @@ class OperatorEntry:
             if isinstance(self.f, (ScalarForm, RowForm)):
                 return self.f.rows(X)
             return np.array([self.f(x) for x in X], dtype=float)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class StopRule:
+    """Step-size stopping with an iteration cap and a divergence guard."""
+
+    step_tol: float = 1e-10
+    max_iter: int = 100_000
+    divergence_guard: float = 1e12
+
+    def __post_init__(self):
+        if not self.max_iter >= 1:
+            raise ParamError("max_iter", "max_iter must be >= 1")
+        for name in ("step_tol", "divergence_guard"):
+            if not getattr(self, name) > 0:
+                raise ParamError(name, f"{name} must be positive")
+
+
+def check_distance(tolerance: float) -> None:
+    """Raise ``ParamError`` unless ``certify.distance_trace``, and so the CLI, accepts ``tolerance``."""
+    if not tolerance > 0:
+        raise ParamError("tolerance", "tolerance must be positive")

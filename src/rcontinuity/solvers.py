@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .geometry import _norm, _norm1, _norm_rows, as_point
-from .setmap import OperatorEntry, ParamError, ScalarForm
+from .setmap import OperatorEntry, ParamError, ScalarForm, StopRule
 
 
 def _views(entry: OperatorEntry, *oracles) -> Tuple[bool, list]:
@@ -56,23 +56,7 @@ def _views(entry: OperatorEntry, *oracles) -> Tuple[bool, list]:
     return False, [lambda x, o=o: np.asarray(o(x), dtype=float) for o in oracles]
 
 
-@dataclass(frozen=True)
-class StopRule:
-    """Step-size stopping with an iteration cap and a divergence guard."""
-
-    step_tol: float = 1e-10
-    max_iter: int = 100_000
-    divergence_guard: float = 1e12
-
-    def __post_init__(self):
-        if not self.max_iter >= 1:
-            raise ParamError("max_iter", "max_iter must be >= 1")
-        for name in ("step_tol", "divergence_guard"):
-            if not getattr(self, name) > 0:
-                raise ParamError(name, f"{name} must be positive")
-
-
-@dataclass
+@dataclass(eq=False, repr=False)
 class IterateTrace:
     """Per-iteration record of a solver run: ``(n, dim)`` iterates, ``(m, dim)``
     witness points and 1-d columns, coerced from raw sequences on construction.
@@ -94,7 +78,7 @@ class IterateTrace:
     xi_values: np.ndarray = field(default_factory=list)
     witness_side: Optional[str] = None  # "next" | "current"
     fejer_ledger: Optional[np.ndarray] = None
-    witness_norms: np.ndarray = field(init=False, repr=False)
+    witness_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.iterates = np.asarray(self.iterates, dtype=float).reshape(len(self.iterates), -1)

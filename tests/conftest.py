@@ -7,12 +7,15 @@ dense evaluation, so the tests cross-check two independent routes.
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import rcontinuity
 from rcontinuity import excess
 
 # Every property test draws the same examples on every run; a test's own
@@ -20,6 +23,13 @@ from rcontinuity import excess
 # asks for fresh random examples.
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+# Hypothesis also draws from the literals of every local module loaded when it
+# draws, and ``import rcontinuity`` loads no submodule: load them all before the
+# first draw, so that the package's literals are in that pool whichever tests run.
+for _module in pkgutil.iter_modules(rcontinuity.__path__):
+    if _module.name != "__main__":
+        importlib.import_module(f"rcontinuity.{_module.name}")
 
 
 def refine_brute_distance(distance_free_points, x, lo, hi, levels=5, per_level=800):

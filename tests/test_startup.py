@@ -1,17 +1,24 @@
-"""Start-up cost: no run loads scipy.
+"""Start-up cost: no run loads scipy, and a run loads only the modules its stages use.
 
 Importing ``scipy.stats`` alone takes longer than most CLI runs, so the
 package imports scipy nowhere: the scrambled Halton sampler (behind every
 Halton draw, the closed-graph directions among them) and the solvers' scalar
 routines are numpy and float ports whose tests compare bytes against scipy.
-These tests keep it that way, keep every norm in ``geometry.py``, keep every
-public default one that some call overrides, keep the leaf modules importing
-only the core, keep ``__all__`` the names the package imports, and keep every
+Every module the package compiles and runs costs start-up too, so
+``import rcontinuity`` loads no submodule (its public names load their module
+on first use), and a CLI kind loads only the leaves its stages import: a
+``modulus``, ``loja``, ``plk`` or ``catalog`` run never loads ``solvers`` or
+``certify``, and a ``solve`` or ``certify`` run never loads ``analysis``.
+These tests keep it that way, checking both in fresh interpreters; they also
+keep every norm in ``geometry.py``, keep every public default one that some
+call overrides, keep the leaf modules importing only the core, keep
+``__all__`` the names of the package's table of public names, and keep every
 exception type the package defines one that it raises.
 """
 
 import ast
 import builtins
+import importlib
 import inspect
 import json
 import math
@@ -164,14 +171,33 @@ def test_the_layering_lint_sees_a_leaf_importing_a_leaf(tmp_path):
                                              "certify.py imports serialize", "plotting.py has no layer"]
 
 
-def test_the_public_names_are_the_imported_ones():
-    # __all__ is derived from the package's globals; it must be exactly the names of its
-    # `from .<module> import (...)` statements, in order, and hold no module
-    tree = ast.parse((SRC / "rcontinuity" / "__init__.py").read_text(encoding="utf-8"))
-    imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
-                for alias in node.names]
-    assert rcontinuity.__all__ == imported
-    assert not any(isinstance(getattr(rcontinuity, name), ModuleType) for name in rcontinuity.__all__)
+#: ``__all__`` as it was when the package imported every module up front.
+_PUBLIC_NAMES = """
+DimensionMismatchError PointSet Region Window as_point excess sample_window
+DcSplit MissingOracleError OperatorEntry ProxOracle SetValuedMap WindowRequiredError pointwise
+CatalogError catalog_listing catalog_lookup catalog_names
+CalmnessResult GraphTestResult HolderFit InverseLipschitzResult LojFit ModulusCurve PlkConfig PlkResult
+calmness_estimate certify_inverse_lipschitz check_plk_exponent closed_graph_test estimate_modulus fit_holder
+lojasiewicz_fit
+IterateTrace StopRule make_synthetic_trace run_dca run_gdm run_ppa run_qpower_prox run_shifted_ppa
+Certificate DistanceVerdict check_h1 check_h2 check_h3 check_h4 check_rclass distance_trace
+""".split()
+
+
+def test_the_public_names_are_the_tabled_ones():
+    # __all__ is read off the package's table of owners: the same names, in the same order,
+    # and each resolves to what its owner module defines
+    assert rcontinuity.__all__ == _PUBLIC_NAMES
+    for name, module in rcontinuity._OWNERS.items():
+        value = getattr(rcontinuity, name)
+        assert value is getattr(importlib.import_module(f"rcontinuity.{module}"), name)
+        assert not isinstance(value, ModuleType)
+    assert set(_PUBLIC_NAMES) <= set(dir(rcontinuity))
+    star = {}
+    exec("from rcontinuity import *", star)
+    assert all(star[name] is getattr(rcontinuity, name) for name in _PUBLIC_NAMES)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rcontinuity.no_such_name
 
 
 def _unraised_exceptions(folder: Path) -> list:
@@ -216,31 +242,35 @@ def test_the_exception_lint_sees_an_unraised_type(tmp_path):
 
 _PROBE = """
 import json, sys
-from rcontinuity.cli import main
 run = json.loads(sys.argv[1])
-code = main(run) if isinstance(run, list) else exec(run or "")
-print(json.dumps([code or 0, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+if isinstance(run, list):
+    from rcontinuity.cli import main
+    code = main(run)
+else:
+    code = exec(run)
+print(json.dumps([code or 0, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+                  sorted(m.partition(".")[2] for m in sys.modules if m.startswith("rcontinuity."))]))
 """
 
 _WINDOW = '{"kind": "box", "center": [0.0], "extent": [1.0]}'
 _PLK = '{"M": 2.0, "q_exp": 0.5, "eta": 1.0, "neighborhood_radius": 1.0}'
 
 
-def _scipy_after(run, out: Path):
-    """Exit code and loaded scipy modules of a fresh interpreter that imports
-    ``rcontinuity.cli`` and then runs ``main(run)`` for a list, ``exec(run)``
-    for a string, or nothing for None."""
+def _loaded_after(run, out: Path):
+    """Exit code, loaded scipy modules and loaded ``rcontinuity`` submodules of a
+    fresh interpreter that runs ``rcontinuity.cli.main(run)`` for a list, or
+    ``exec(run)`` for a string."""
     if isinstance(run, list):
         run = run + ["--out", str(out)]
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(run)], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
-    return code, modules
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 @pytest.mark.parametrize("argv", [
-    None,
+    # every module, the command line among them
+    "import rcontinuity.cli\nfrom rcontinuity import *",
     ["catalog"],
     ["modulus", "--set", "operator=square", "--set", "analysis.target=inverse"],
     ["pipeline", "--set", "operator=quad", "--set", 'algorithm={"name": "gdm", "step": 0.5, "x0": [1.0]}'],
@@ -269,15 +299,48 @@ def _scipy_after(run, out: Path):
         "shifted-ppa", "qpower-closed-form", "qpower", "closed-graph-1d", "halton-modulus", "directions-2d",
         "closed-graph-2d", "inverse-lipschitz"])
 def test_runs_that_need_no_scipy_do_not_load_it(argv, tmp_path):
-    code, modules = _scipy_after(argv, tmp_path / "out")
+    code, modules, _ = _loaded_after(argv, tmp_path / "out")
     assert code in (0, 4)
     assert modules == []
 
 
 def test_the_probe_sees_a_scipy_import(tmp_path):
     # so that the empty lists above mean something
-    code, modules = _scipy_after("import scipy.special", tmp_path / "out")
+    code, modules, _ = _loaded_after("import scipy.special", tmp_path / "out")
     assert code == 0 and "scipy.special" in modules
+
+
+#: What every CLI run loads: the command line, the catalog (and so the core) and the writers.
+_CLI = {"catalog", "cli", "geometry", "serialize", "setmap"}
+_EVERY_MODULE = {path.stem for path in (SRC / "rcontinuity").glob("*.py")} - {"__init__", "__main__"}
+_GDM = 'algorithm={"name": "gdm", "step": 0.5, "x0": [1.0]}'
+
+
+@pytest.mark.parametrize("run, loaded", [
+    ("import rcontinuity", set()),
+    (["catalog"], _CLI),
+    (["modulus", "--set", "operator=square"], _CLI | {"analysis"}),
+    (["loja", "--set", "operator=square", "--set", f"analysis.window={_WINDOW}"], _CLI | {"analysis"}),
+    (["plk", "--set", "operator=square", "--set", f"analysis.plk={_PLK}"], _CLI | {"analysis"}),
+    (["solve", "--set", "operator=quad", "--set", _GDM], _CLI | {"solvers", "certify"}),
+    (["certify", "--set", "operator=quad", "--set", _GDM, "--set", 'certificates=[{"hypothesis": "H1", "alpha": 1}]'],
+     _CLI | {"solvers", "certify"}),
+    (["pipeline", "--set", "operator=quad", "--set", _GDM], _EVERY_MODULE),
+], ids=["import", "catalog", "modulus", "loja", "plk", "solve", "certify", "pipeline"])
+def test_each_kind_loads_only_the_modules_its_stages_use(run, loaded, tmp_path):
+    code, _, modules = _loaded_after(run, tmp_path / "out")
+    assert code in (0, 4)
+    assert set(modules) == loaded
+
+
+def test_importtime_times_every_module_a_run_loads():
+    # the set-up probes of perfbench/run.py read the catalog's line of `-X importtime`,
+    # which times only imports made through __import__
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "from rcontinuity import cli"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    timed = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {f"rcontinuity.{module}" for module in _CLI} <= timed
 
 
 def test_importing_the_package_builds_no_renderer_table():
