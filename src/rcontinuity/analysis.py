@@ -9,7 +9,7 @@ closed-graph sequence in one batch whose chains advance together, and
 membership distances in one ``member_dist_rows`` call; they are reduced per
 sample in sample order, so every result equals that of a loop evaluating one
 sample at a time, bit for bit.  Grid callers of a scalar function take it
-row-wise, by ``OperatorEntry.f_values``.
+row-wise, by ``setmap.oracle_rows``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import (PointSet, Window, _in_float_range, _norm_rows, _norms, as_point, check_sample, excess,
                        sample_window, unit_directions)
 from .setmap import (OperatorEntry, ParamError, SetValuedMap, ValueOverflowError, WindowDimensionError,
-                     WindowRequiredError)
+                     WindowRequiredError, oracle_rows)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -297,7 +297,7 @@ def lojasiewicz_fit(entry: OperatorEntry, k: Window, grid_count: int = 2001) -> 
     overflows fails the fit too.
     """
     pts0, d0 = check_lojasiewicz(entry, k, grid_count)
-    f0 = entry.f_values(pts0)
+    f0 = oracle_rows(entry.f, pts0)
     # a point carries log-log information where f is finite and nonzero and
     # the distance positive (and finite: it overflows past about 1.8e308)
     mask0 = np.isfinite(f0) & (f0 != 0.0) & np.isfinite(d0) & (d0 > 0.0)
@@ -308,7 +308,7 @@ def lojasiewicz_fit(entry: OperatorEntry, k: Window, grid_count: int = 2001) -> 
     level_exponents: List[float] = []
     for level in range(_LOJA_LEVELS):
         pts = sample_window(k, "grid", grid_count * (2 ** level), seed=0).points if level else pts0
-        d, f = (entry.solution_set.distance_rows(pts), entry.f_values(pts)) if level else (d0, f0)
+        d, f = (entry.solution_set.distance_rows(pts), oracle_rows(entry.f, pts)) if level else (d0, f0)
         band = d_max * 4.0 ** (-level)
         mask = np.isfinite(f) & (f != 0.0) & (d > 0.0) & (d <= band)
         if int(mask.sum()) < 5 or d[mask].min() == d[mask].max():  # no spread in log d: no slope
@@ -414,7 +414,7 @@ def check_plk_exponent(
     ball = check_plk(entry, xbar, cfg, grid_count)
     fbar = entry.f(ball.center)
     pts = sample_window(ball, "grid", grid_count).points
-    fvals = entry.f_values(pts).tolist()  # Python floats: phi_prime's ** is Python's
+    fvals = oracle_rows(entry.f, pts).tolist()  # Python floats: phi_prime's ** is Python's
     band = [i for i, fx in enumerate(fvals) if fbar < fx < fbar + cfg.eta]
     if not band:
         return PlkResult("inconclusive", [], 0, None)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .geometry import Region, _kth_nearest, _norms
-from .setmap import OperatorEntry, ParamError, check_distance
+from .setmap import OperatorEntry, ParamError, check_distance, oracle_rows
 
 if TYPE_CHECKING:
     from .analysis import ModulusCurve
@@ -158,7 +158,7 @@ def check_h4(trace: IterateTrace, entry: OperatorEntry) -> Certificate:
     fb = float(entry.f(xb))
     order = np.argsort(_norms(pts - xb))[:_H4_NEIGHBORHOOD]
     sub = np.sort(index_of[order])
-    fs = trace.f_values[sub] if trace.f_values is not None else entry.f_values(trace.iterates[sub])
+    fs = trace.f_values[sub] if trace.f_values is not None else oracle_rows(entry.f, trace.iterates[sub])
     return _collect("H4", {"cluster": [float(v) for v in xb]}, sub, np.abs(fs - fb) <= _H4_TOL * (1.0 + abs(fb)))
 
 

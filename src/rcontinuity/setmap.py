@@ -218,10 +218,10 @@ class ScalarForm:
         return np.array([v]) if len(self.shape) == 1 else np.array([[v]])
 
     def rows(self, X: np.ndarray) -> np.ndarray:
-        """``form(X[:, 0])``; an overflow gives +-inf without a warning, as
-        Python's float ``*`` and ``/`` do."""
+        """``form(X[:, 0])`` as an ``(n, *shape)`` array; an overflow gives
+        +-inf without a warning, as Python's float ``*`` and ``/`` do."""
         with np.errstate(over="ignore"):
-            return self.form(X[:, 0])
+            return self.form(X[:, 0]).reshape(len(X), *self.shape)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -236,6 +236,17 @@ class RowForm:
         return float(self.rows(np.asarray(x, dtype=float)[None])[0])
 
 
+def oracle_rows(oracle: Callable[[np.ndarray], object], X: np.ndarray) -> np.ndarray:
+    """``oracle`` (an entry's ``f``, ``grad`` or ``jac``, or a DC split's
+    ``h_grad``) at each row of an ``(n, dim_in)`` array, as an ``(n, *shape)``
+    array: by the ``rows`` of a :class:`ScalarForm` or :class:`RowForm`, else
+    row by row, with the per-point call's bits either way."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan, without a warning
+        if isinstance(oracle, (ScalarForm, RowForm)):
+            return oracle.rows(X)
+        return np.array([oracle(x) for x in X], dtype=float)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class OperatorEntry:
     """A catalog operator: forward map plus whatever closed-form oracles exist.
@@ -246,10 +257,10 @@ class OperatorEntry:
     is its closed-form inverse when registered.  ``quad_form = (Q, b)`` marks
     entries whose objective is ``x'Qx/2 - b'x``, unlocking closed-form
     power-penalty subproblems.  A 1-d entry's ``f``, ``grad`` and ``jac`` may be
-    :class:`ScalarForm` oracles, whose float and column views
-    :meth:`f_values` and the power-penalty subproblem use, and an entry's
-    ``f`` may be a :class:`RowForm`, whose row view :meth:`f_values` uses;
-    replacing an oracle replaces its views with it.
+    :class:`ScalarForm` oracles, whose float and column views the solvers and
+    :func:`oracle_rows` use, and an entry's ``f`` may be a :class:`RowForm`,
+    whose row view :func:`oracle_rows` uses; replacing an oracle replaces its
+    views with it.
     """
 
     name: str
@@ -281,14 +292,6 @@ class OperatorEntry:
         for name in names:
             if getattr(self, name) is None:
                 raise MissingOracleError(f"entry {self.name!r} has no {name} oracle")
-
-    def f_values(self, X: np.ndarray) -> np.ndarray:
-        """``f`` at each row of an ``(n, dim_in)`` array, by the ``rows`` of a
-        :class:`ScalarForm` or :class:`RowForm`, or else row by row."""
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan, without a warning
-            if isinstance(self.f, (ScalarForm, RowForm)):
-                return self.f.rows(X)
-            return np.array([self.f(x) for x in X], dtype=float)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

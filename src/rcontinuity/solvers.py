@@ -13,8 +13,9 @@ rule.  Each runner calls ``check`` first, and the CLI validates a config by call
 The step loop is lean on purpose.  :func:`_iterate` is the one loop, and
 it does only the work that picks the next step: the step, its norm, the
 finiteness rule, the divergence guard and the tolerance.  Each runner writes
-its step once, in operations that Python floats and numpy arrays share; only
-the oracle views and the norm are picked, once per run:
+its step once, as a pure map ``x -> x_next`` in operations that Python floats
+and numpy arrays share; only the oracle views and the norm are picked, once
+per run:
 
 - a 1-d run whose step oracles all have float views (:func:`_views`) carries
   a Python float and :func:`_norm1`, any other run an array and :func:`_norm`
@@ -24,12 +25,10 @@ the oracle views and the norm are picked, once per run:
   array loop checks only that each step keeps the iterate's shape, and the
   finiteness rule turns a non-finite step (an overflowing gradient, resolvent
   or DCA input) into divergence, without an overflow warning;
-- a value the previous step computed at ``x_{k+1}`` (DCA's ``∇h``) is
-  reused when the driver passes that same object back as ``x_k``, never
-  recomputed;
 - what a trace only records is built once after the loop from the stacked
-  iterates: the proximal witnesses ``(x_k - x_{k+1}) / γ`` and the
-  shifted-PPA Fejér ledger, with the bits the per-step forms had;
+  iterates and step norms: every runner's witnesses (with oracles taken by
+  :func:`~rcontinuity.setmap.oracle_rows`) and the shifted-PPA Fejér ledger,
+  with the bits the per-step forms had;
 - the 1-d power-penalty subproblem runs on floats and imports nothing:
   :func:`_fminbound` and :func:`_brentq` are scipy's bounded Brent minimizer
   and Brent zero finder, bit for bit.
@@ -45,7 +44,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .geometry import _norm, _norm1, _norm_rows, as_point
-from .setmap import OperatorEntry, ParamError, ScalarForm, StopRule
+from .setmap import OperatorEntry, ParamError, ScalarForm, StopRule, oracle_rows
 
 
 def _views(entry: OperatorEntry, *oracles) -> Tuple[bool, list]:
@@ -116,16 +115,13 @@ def _iterate(entry: OperatorEntry, x0, stop: StopRule, step: Callable, algorithm
 
     ``x0`` is validated once.  The point is a Python float where ``scalar``,
     else an array, and then each step must return ``x_{k+1}`` in ``x_k``'s
-    shape (else ``ValueError``); that is the one check per step.  ``x_{k+1}``
-    is passed back to ``step`` as the same object, so a step may reuse what it
-    computed there.  Each step records the iterate and its step norm Δ_k.  A
-    step with a non-finite Δ_k is not recorded and ends the run as divergence;
-    otherwise it stops on the divergence guard, then on the step tolerance,
-    then on ``max_iter``.  After the loop, ``witnesses(X)`` gives the witnesses,
-    built from the stacked iterates ``X`` or recorded by the steps; the first
-    ``len(X) - 1`` are kept (a step that ended the run unrecorded may have
-    recorded one more), the k-th at index k+1 or k (the algorithm's
-    ``witness_side``) and paired with xi = Δ_k.
+    shape (else ``ValueError``); that is the one check per step.  Each step
+    records the iterate and its step norm Δ_k.  A step with a non-finite Δ_k
+    is not recorded and ends the run as divergence; otherwise it stops on the
+    divergence guard, then on the step tolerance, then on ``max_iter``.  After
+    the loop, ``witnesses(X, steps)`` builds the ``len(X) - 1`` witnesses from
+    the stacked iterates ``X`` and the step norms, the k-th at index k+1 or k
+    (the algorithm's ``witness_side``) and paired with xi = Δ_k.
     """
     x = as_point(x0, entry.dim_in)
     shape = x.shape
@@ -162,9 +158,9 @@ def _iterate(entry: OperatorEntry, x0, stop: StopRule, step: Callable, algorithm
             step_norms=steps,
             stop=stop,
             termination=termination,
-            f_values=None if entry.f is None else entry.f_values(iterates),
+            f_values=None if entry.f is None else oracle_rows(entry.f, iterates),
             witness_indices=range(first, first + len(steps)),
-            witness_points=witnesses(iterates)[:len(steps)],
+            witness_points=witnesses(iterates, steps),
             xi_values=steps,
             witness_side=spec.witness_side,
         )
@@ -176,7 +172,7 @@ def _proximal(entry: OperatorEntry, gamma: float) -> Tuple[bool, Callable, Calla
     ``(x_k - x_{k+1}) / γ`` of the stacked iterates, which have the per-step
     form's bits (elementwise ``-`` and ``/`` round alike on floats and arrays)."""
     scalar, (resolvent,) = _views(entry, entry.prox.bind(gamma))
-    return scalar, resolvent, lambda X: (X[:-1] - X[1:]) / gamma
+    return scalar, resolvent, lambda X, _: (X[:-1] - X[1:]) / gamma
 
 
 def run_ppa(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -196,15 +192,9 @@ def run_gdm(entry: OperatorEntry, step: float, x0, stop: StopRule = StopRule()) 
     check("gdm", entry, step=step)
     scalar, (grad,) = _views(entry, entry.grad)
     step = float(step)  # so that a float x stays a Python float
-    grads: list = []
-
     # not as_point: an overflow must reach _iterate, which ends the run as divergence
-    def descend(x):
-        g = grad(x)
-        grads.append(g)
-        return x - step * g
-
-    return _iterate(entry, x0, stop, descend, "gdm", lambda _: grads, scalar)
+    return _iterate(entry, x0, stop, lambda x: x - step * grad(x), "gdm",
+                    lambda X, _: oracle_rows(entry.grad, X[:-1]), scalar)
 
 
 #: The constants of scipy's bounded Brent minimizer: ``sqrt(2.2e-16)`` and the
@@ -368,6 +358,11 @@ def _brentq(func: Callable[[float], float], xa: float, xb: float, fa: float, fb:
     return xcur, False
 
 
+def _closed_form(entry: OperatorEntry, q: float) -> bool:
+    """Whether the power-penalty subproblem has its closed form: a quadratic entry and q = 2."""
+    return entry.quad_form is not None and q == 2.0
+
+
 def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Tuple[bool, Callable]:
     """``(scalar, c -> argmin f(x) + γ ||x - c||**q)``: closed form on arrays
     for quadratics with q = 2, bracketed scalar minimization in 1-d otherwise.
@@ -376,7 +371,7 @@ def _qpower_subproblem(entry: OperatorEntry, gamma: float, q: float) -> Tuple[bo
     then a stationarity polish where the entry has ``grad``.  ``f`` and ``grad`` are
     the closed forms of the entry's :class:`ScalarForm` oracles, else its
     oracles on a one-element array."""
-    if entry.quad_form is not None and q == 2.0:
+    if _closed_form(entry, q):
         Q, b = np.atleast_2d(entry.quad_form[0]), np.atleast_1d(entry.quad_form[1])
         M, g2 = Q + 2.0 * gamma * np.eye(Q.shape[0]), 2.0 * gamma
         return False, lambda center: np.linalg.solve(M, b + g2 * center)
@@ -443,30 +438,32 @@ def run_qpower_prox(
 
     The stationarity witness at index k+1 is
     ``-γ q ||Δ||**(q-2) (x_{k+1} - x_k)``, of norm ``γ q Δ**(q-1)``; a zero
-    step gives the zero witness.  A step whose witness overflows is returned
-    as a non-finite step, which ends the run as divergence.
+    step gives the zero witness ``+0.0``.  A step whose witness norm
+    overflows is returned as a non-finite step, which ends the run as
+    divergence.
     """
     check("qpower", entry, gamma=gamma, q=q)
     scalar, subproblem = _qpower_subproblem(entry, gamma, q)
-    norm, zero = (_norm1, 0.0) if scalar else (_norm, np.zeros(entry.dim_in))
-    ws: list = []
+    norm = _norm1 if scalar else _norm
+
+    def scale(delta: float) -> float:
+        """The witness's factor ``-γ q Δ**(q-2)`` of a step of norm Δ > 0, ``-inf`` past the float range."""
+        try:
+            return -gamma * q * delta ** (q - 2.0)
+        except OverflowError:
+            return -math.inf
 
     def step(x):
         xn = subproblem(x)
         delta = norm(xn - x)
-        if not delta > 0:
-            ws.append(zero)
-            return xn
-        try:
-            scale = -gamma * q * delta ** (q - 2.0)
-        except OverflowError:
-            scale = -math.inf
-        if math.isinf(scale * delta):  # the witness norm overflows
-            return x + math.inf
-        ws.append(scale * (xn - x))
-        return xn
+        return x + math.inf if delta > 0 and math.isinf(scale(delta) * delta) else xn
 
-    return _iterate(entry, x0, stop, step, "qpower", lambda _: ws, scalar)
+    def witnesses(X, steps):
+        moved = np.array(steps)[:, None] > 0  # a step whose norm reads 0 has the witness +0.0
+        scales = np.array([scale(d) if d > 0 else 0.0 for d in steps])[:, None]
+        return np.where(moved, scales * (X[1:] - X[:-1]), 0.0)
+
+    return _iterate(entry, x0, stop, step, "qpower", witnesses, scalar)
 
 
 def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule()) -> IterateTrace:
@@ -474,26 +471,20 @@ def run_dca(entry: OperatorEntry, gamma: float, x0, stop: StopRule = StopRule())
 
     The witness at index k+1 is
     ``∇h(x_k) - ∇h(x_{k+1}) - (x_{k+1} - x_k)/γ``, a first-order residual of
-    the combined objective at the new iterate.  ``∇h`` is evaluated once per
-    iterate: step k's ``∇h(x_{k+1})`` is step k+1's ``∇h(x_k)``.
+    the combined objective at the new iterate.  The loop evaluates ``∇h`` once
+    per step, at ``x_k``; the witnesses take it once more, at every iterate
+    in one call after the loop.
     """
     check("dca", entry, gamma=gamma)
     scalar, (resolvent, h_grad) = _views(entry, entry.dc.g_prox.bind(gamma), entry.dc.h_grad)
     gamma = float(gamma)  # so that a float x stays a Python float
 
-    last_xn = last_hn = None  # the previous step's x_{k+1} and ∇h(x_{k+1})
-    ws: list = []
+    def witnesses(X, _):
+        H = oracle_rows(entry.dc.h_grad, X)
+        return H[:-1] - H[1:] - (X[1:] - X[:-1]) / gamma
 
     # not as_point: an overflow must reach _iterate, which ends the run as divergence
-    def step(x):
-        nonlocal last_xn, last_hn
-        hx = last_hn if x is last_xn else h_grad(x)
-        xn = resolvent(x + gamma * hx)
-        last_xn, last_hn = xn, h_grad(xn)
-        ws.append(hx - last_hn - (xn - x) / gamma)
-        return xn
-
-    return _iterate(entry, x0, stop, step, "dca", lambda _: ws, scalar)
+    return _iterate(entry, x0, stop, lambda x: resolvent(x + gamma * h_grad(x)), "dca", witnesses, scalar)
 
 
 def run_shifted_ppa(
@@ -586,7 +577,7 @@ def check(name: str, entry: OperatorEntry, **params) -> None:
     gamma = params.get("gamma")
     if spec.oracle in ("prox", "dc"):
         (entry.prox if spec.oracle == "prox" else entry.dc.g_prox).bind(gamma)
-    if name == "qpower" and (entry.quad_form is None or params["q"] != 2.0):  # no closed form
+    if name == "qpower" and not _closed_form(entry, params["q"]):
         if entry.dim_in != 1:
             raise ParamError("q" if entry.quad_form is not None else "name",
                              "power-penalty subproblems are 1-d only, except on quadratics with q = 2")

@@ -20,7 +20,7 @@ from rcontinuity import (
     pointwise,
     sample_window,
 )
-from rcontinuity.setmap import ParamError, ScalarForm
+from rcontinuity.setmap import ParamError, ScalarForm, oracle_rows
 from conftest import reference_member_dist, reference_value_dists
 
 # a handled overflow must not reach the user as a numpy warning
@@ -715,13 +715,20 @@ _F_POINTS = _BRANCH_POINTS + [1e-170, -1e-155, 1e-110, -1.7e-108, 1e-103, 1.3e15
                               1.9e154, -2e154, 1e200, -1e300, 1.7e308]
 
 
-def assert_f_values_match_f(entry, X):
-    """Bit for bit, per row ``x`` of ``X``: ``f_values(X)`` holds ``f(x)``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = entry.f_values(X)
-        want = np.array([entry.f(x) for x in X], dtype=float)
-    assert got.shape == (len(X),) and got.dtype == np.float64
-    assert got.tobytes() == want.tobytes()
+def assert_oracle_rows_match_calls(entry, X):
+    """Bit for bit, per row ``x`` of ``X`` and per oracle ``o`` of ``f``, ``grad`` and
+    ``jac`` the entry has: ``oracle_rows(o, X)`` holds ``o(x)``, in ``(n, *shape)`` (a
+    plain function's shape is unknown at no rows)."""
+    for name in ("f", "grad", "jac"):
+        oracle = getattr(entry, name)
+        if oracle is None:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = oracle_rows(oracle, X)
+            want = np.array([oracle(x) for x in X], dtype=float)
+        shape = {"f": (), "grad": (entry.dim_in,), "jac": (entry.dim_out, entry.dim_in)}[name]
+        assert (got.shape == (len(X), *shape) or not len(X)) and got.dtype == np.float64, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_lookup(n).f is not None])
@@ -732,7 +739,7 @@ class TestRowWiseF:
         entry = catalog_lookup(name)
         coord = st.one_of(_COORDS, st.sampled_from(_F_POINTS), st.floats(-1e300, 1e300))
         X = data.draw(st.lists(st.lists(coord, min_size=entry.dim_in, max_size=entry.dim_in), max_size=12))
-        assert_f_values_match_f(entry, np.array(X, dtype=float).reshape(-1, entry.dim_in))
+        assert_oracle_rows_match_calls(entry, np.array(X, dtype=float).reshape(-1, entry.dim_in))
 
     def test_on_a_dense_sample(self, name):
         entry = catalog_lookup(name)
@@ -741,7 +748,7 @@ class TestRowWiseF:
         signs = rng.choice([-1.0, 1.0], (n, d))
         X = np.concatenate([rng.uniform(-3.0, 3.0, (n, d)), signs * 10.0 ** rng.uniform(-320.0, 308.0, (n, d)),
                             np.repeat(np.array(_F_POINTS)[:, None], d, axis=1)])
-        assert_f_values_match_f(entry, X)
+        assert_oracle_rows_match_calls(entry, X)
 
 
 @pytest.mark.parametrize("name", [n for n in catalog_names() if isinstance(catalog_lookup(n).f, ScalarForm)])
@@ -771,13 +778,13 @@ _QUAD2_SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-320, -1e-320, 1e-170, 1e154, -1e154, 
 
 
 class TestQuad2RowForm:
-    """``quad2``'s ``f_values`` and per-point ``f`` against :func:`reference_quad2_f`, bit for bit,
-    NaN signs included; ``f_values`` raises no ``RuntimeWarning`` (the module turns one into an error)."""
+    """``quad2``'s ``oracle_rows`` of ``f`` and per-point ``f`` against :func:`reference_quad2_f`, bit for
+    bit, NaN signs included; ``oracle_rows`` raises no ``RuntimeWarning`` (the module turns one into an error)."""
 
     @staticmethod
     def assert_matches_reference(X):
         entry = catalog_lookup("quad2")
-        got = entry.f_values(X)
+        got = oracle_rows(entry.f, X)
         with np.errstate(over="ignore", invalid="ignore"):
             want = np.array([reference_quad2_f(x) for x in X], dtype=float)
             points = np.array([entry.f(x) for x in X], dtype=float)
@@ -798,7 +805,7 @@ class TestQuad2RowForm:
         self.assert_matches_reference(X[::3])
 
     def test_no_rows(self):
-        assert catalog_lookup("quad2").f_values(np.empty((0, 2))).shape == (0,)
+        assert oracle_rows(catalog_lookup("quad2").f, np.empty((0, 2))).shape == (0,)
 
 
 def test_f_values_loops_over_f_without_a_row_wise_form():
@@ -806,7 +813,7 @@ def test_f_values_loops_over_f_without_a_row_wise_form():
     assert not isinstance(entry.f, ScalarForm)  # a RowForm: its rows, not a loop over f
     calls = []
     square = dataclasses.replace(catalog_lookup("square"), f=lambda x: calls.append(x) or x[0] ** 2)
-    assert square.f_values(np.array([[3.0], [-2.0]])).tolist() == [9.0, 4.0]
+    assert oracle_rows(square.f, np.array([[3.0], [-2.0]])).tolist() == [9.0, 4.0]
     assert len(calls) == 2
 
 

@@ -25,7 +25,7 @@ from rcontinuity import (
 from rcontinuity.serialize import trace_to_csv
 from rcontinuity import catalog, solvers
 from rcontinuity.setmap import MissingOracleError as NoOracle
-from rcontinuity.setmap import ParamError, ProxOracle, ScalarForm
+from rcontinuity.setmap import ParamError, ProxOracle, ScalarForm, oracle_rows
 from rcontinuity.solvers import _brentq, _fminbound, _norm, _norm1, check
 
 
@@ -236,19 +236,25 @@ class TestDca:
         assert run_dca(narrow, 0.5, [1.0]).termination == "tolerance"
 
     @pytest.mark.parametrize("gamma, x0", [(1.0, [1.0]), (0.002, [1.0]), (3.0, [-7.5])])
-    def test_grad_h_once_per_iterate(self, gamma, x0):
+    def test_grad_h_once_per_step_and_once_over_the_trace(self, gamma, x0):
+        # a counting ScalarForm keeps the float path: the loop takes ∇h(x_k) on a
+        # float once per step, and the witnesses take it at every iterate in one
+        # column call after the loop
         entry = catalog_lookup("dc-quad")
-        calls = []
+        form, calls = entry.dc.h_grad.form, []
 
-        def h_grad(x):
-            calls.append(x)
-            return entry.dc.h_grad(x)
+        def h(t):
+            calls.append(t)
+            return form(t)
 
-        counted = dataclasses.replace(entry, dc=dataclasses.replace(entry.dc, h_grad=h_grad))
+        counted = dataclasses.replace(entry, dc=dataclasses.replace(entry.dc, h_grad=ScalarForm(h, (1,))))
         trace = run_dca(counted, gamma, x0)
         assert trace.termination == "tolerance"
-        assert len(calls) == (len(trace) - 1) + 1  # iterations + 1
-        assert [float(x[0]) for x in calls] == scalar_iterates(trace)
+        floats = [t for t in calls if type(t) is float]
+        columns = [t for t in calls if type(t) is not float]
+        assert floats == scalar_iterates(trace)[:-1]  # one per step
+        assert len(columns) == 1 and columns[0].tolist() == scalar_iterates(trace)
+        assert calls[-1] is columns[0]  # after the loop
 
 
 class TestShiftedPpa:
@@ -470,6 +476,40 @@ def reference_run_dca(entry, gamma, x0, stop):
     return reference_iterate(entry, x0, stop, step, "dca", "next")
 
 
+def reference_run_gdm(entry, step, x0, stop):
+    """Gradient descent whose witness ``∇f(x_k)`` is the gradient its step takes."""
+    def descend(x):
+        g = np.asarray(entry.grad(x), dtype=float)
+        with np.errstate(over="ignore"):
+            return x - step * g, g
+
+    return reference_iterate(entry, x0, stop, descend, "gdm", "current")
+
+
+def reference_run_qpower(entry, gamma, q, x0, stop):
+    """The power-penalty iteration whose witness ``-γ q Δ**(q-2) (x_{k+1} - x_k)`` is
+    taken at every step, ``+0.0`` where Δ reads 0, and whose step is non-finite where
+    the witness norm overflows; the subproblem is the runner's, on one-element arrays."""
+    scalar, subproblem = solvers._qpower_subproblem(entry, gamma, q)
+    solve = (lambda x: np.array([subproblem(float(x[0]))])) if scalar else subproblem
+
+    def step(x):
+        xn = solve(x)
+        with np.errstate(over="ignore"):
+            delta = reference_norm(xn - x)
+        if not delta > 0:
+            return xn, np.zeros_like(x)
+        try:
+            scale = -gamma * q * delta ** (q - 2.0)
+        except OverflowError:
+            scale = -math.inf
+        if math.isinf(scale * delta):
+            return x + math.inf, None
+        return xn, scale * (xn - x)
+
+    return reference_iterate(entry, x0, stop, step, "qpower", "next")
+
+
 def reference_proximal_step(entry, gamma):
     """The resolvent step with its witness ``(x_k - x_{k+1}) / γ`` taken at every step."""
     def step(x):
@@ -537,7 +577,44 @@ class TestLeanStepMatchesReference:
     ])
     def test_dca(self, gamma, x0, max_iter, tmp_path):
         entry, stop = catalog_lookup("dc-quad"), StopRule(max_iter=max_iter)
-        _same_trace(run_dca(entry, gamma, x0, stop), reference_run_dca(entry, gamma, x0, stop), tmp_path)
+        got, want = run_dca(entry, gamma, x0, stop), reference_run_dca(entry, gamma, x0, stop)
+        assert got.witness_points.tobytes() == want.witness_points.tobytes()
+        _same_trace(got, want, tmp_path)
+
+    @pytest.mark.parametrize("operator, step, x0", [
+        ("quad", 0.5, [1.0]),  # the float path
+        ("double-well", 0.1, [0.8]),
+        ("quad", 0.5, [1e200]),  # Δ squares past the float range
+        ("quad2", 0.3, [2.0, -1.0]),  # the array path
+        ("quad2", 0.01, [-4.0, 3.0]),
+        ("double-well", 0.01, [1e110]),  # the gradient overflows: diverges unrecorded
+        ("quad", 1e300, [1e10]),  # the step overflows
+        ("linear-neg", 0.1, [1.0]),  # diverges past the guard
+        ("flat-exp", 0.5, [0.5]),
+        ("flat-exp", 1.0, [0.0375]),  # f and f' are subnormal
+    ])
+    def test_gdm(self, operator, step, x0, tmp_path):
+        entry, stop = catalog_lookup(operator), StopRule()
+        got, want = run_gdm(entry, step, x0, stop), reference_run_gdm(entry, step, x0, stop)
+        assert got.witness_points.tobytes() == want.witness_points.tobytes()
+        _same_trace(got, want, tmp_path)
+
+    @pytest.mark.parametrize("operator, gamma, q, x0, max_iter", [
+        ("square", 1.0, 1.5, [0.8], 200),  # the scalar minimizer
+        ("double-well", 2.0, 2.5, [-0.7], 200),
+        ("quad", 1.0, 2.0, [1.0], 100_000),  # the closed form on a 1-d quadratic
+        ("quad2", 1.0, 2.0, [1.0, 1.0], 100_000),  # the closed form on arrays
+        ("quad2", 0.3, 2.0, [-2.0, 5.0], 100_000),
+        ("quad", 1.0, 2.0, [0.0], 100_000),  # a zero step: the +0.0 witness, not -2 * 0.0
+        ("quad", 1.0, 2.0, [1e-170], 100_000),  # Δ underflows to 0: the +0.0 witness
+        ("quad", 1.0, 2.0, [-1e-170], 100_000),
+        ("linear-neg", 1.0, 4, [1e103], 3),  # the witness norm overflows: diverges unrecorded
+    ])
+    def test_qpower(self, operator, gamma, q, x0, max_iter, tmp_path):
+        entry, stop = catalog_lookup(operator), StopRule(max_iter=max_iter)
+        got, want = run_qpower_prox(entry, gamma, q, x0, stop), reference_run_qpower(entry, gamma, q, x0, stop)
+        assert got.witness_points.tobytes() == want.witness_points.tobytes()
+        _same_trace(got, want, tmp_path)
 
     @pytest.mark.parametrize("operator, kappa, gamma, x0, condition", [
         ("dc-quad", 0.1, 0.5, [3.0], "derived"),
@@ -847,7 +924,7 @@ class TestQpowerPortMatchesScipy:
 
 def test_replacing_an_oracle_replaces_its_views(tmp_path):
     # square with f and grad replaced by (v - 1)^2 and 2 (v - 1): the qpower
-    # subproblem and f_values follow the new oracles, not square's forms, and
+    # subproblem and oracle_rows follow the new oracles, not square's forms, and
     # a ScalarForm of the new forms gives the plain oracles' bytes
     def g(v):
         return (v - 1.0) * (v - 1.0)
@@ -863,8 +940,8 @@ def test_replacing_an_oracle_replaces_its_views(tmp_path):
     assert want.termination == "tolerance" and abs(want.iterates[-1, 0] - 1.0) < 1e-6  # g's zero, not square's
     _same_trace(got, want, tmp_path)
     X = np.linspace(-3.0, 3.0, 61)[:, None]
-    assert plain.f_values(X).tolist() == [g(v) for v in X[:, 0].tolist()]
-    assert forms.f_values(X).tobytes() == plain.f_values(X).tobytes()
+    assert oracle_rows(plain.f, X).tolist() == [g(v) for v in X[:, 0].tolist()]
+    assert oracle_rows(forms.f, X).tobytes() == oracle_rows(plain.f, X).tobytes()
 
 
 # -- the float path against the array path --------------------------------------
