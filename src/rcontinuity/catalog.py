@@ -357,8 +357,9 @@ def _quad2() -> OperatorEntry:
         prox=ProxOracle(prox_resolvent),
         subgrad=fwd,
         grad_inverse=inv,
-        f=RowForm(f_rows),
-        grad=lambda x: Q @ x - b,
+        f=RowForm(f_rows, lambda x: float(0.5 * x @ Q @ x - b @ x)),
+        # per row, the stacked matmul runs the gemv of the per-point Q @ x
+        grad=RowForm(lambda X: (Q @ X[:, :, None])[:, :, 0] - b, lambda x: Q @ x - b),
         jac=lambda x: Q.copy(),
         quad_form=(Q, b),
         monotone=True,

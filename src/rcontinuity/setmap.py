@@ -226,14 +226,14 @@ class ScalarForm:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class RowForm:
-    """An ``f`` oracle given row-wise: ``rows(X)`` is ``f`` at each row of an
-    ``(n, d)`` array, and the per-point oracle ``x -> f(x)`` is its one-row
-    case, so the two views give the same bits."""
+    """The oracle ``point`` with a row view: ``rows(X)`` is ``point`` at each row of
+    an ``(n, d)`` array, as an ``(n, *shape)`` array with the per-point bits."""
 
     rows: Callable[[np.ndarray], np.ndarray]
+    point: Callable[[np.ndarray], object]
 
-    def __call__(self, x) -> float:
-        return float(self.rows(np.asarray(x, dtype=float)[None])[0])
+    def __call__(self, x):
+        return self.point(x)
 
 
 def oracle_rows(oracle: Callable[[np.ndarray], object], X: np.ndarray) -> np.ndarray:
@@ -258,9 +258,9 @@ class OperatorEntry:
     entries whose objective is ``x'Qx/2 - b'x``, unlocking closed-form
     power-penalty subproblems.  A 1-d entry's ``f``, ``grad`` and ``jac`` may be
     :class:`ScalarForm` oracles, whose float and column views the solvers and
-    :func:`oracle_rows` use, and an entry's ``f`` may be a :class:`RowForm`,
-    whose row view :func:`oracle_rows` uses; replacing an oracle replaces its
-    views with it.
+    :func:`oracle_rows` use, and an entry's ``f`` and ``grad`` may be
+    :class:`RowForm` oracles, whose row view :func:`oracle_rows` uses; replacing
+    an oracle replaces its views with it.
     """
 
     name: str

@@ -20,7 +20,7 @@ from rcontinuity import (
     pointwise,
     sample_window,
 )
-from rcontinuity.setmap import ParamError, ScalarForm, oracle_rows
+from rcontinuity.setmap import ParamError, RowForm, ScalarForm, oracle_rows
 from conftest import reference_member_dist, reference_value_dists
 
 # a handled overflow must not reach the user as a numpy warning
@@ -718,7 +718,7 @@ _F_POINTS = _BRANCH_POINTS + [1e-170, -1e-155, 1e-110, -1.7e-108, 1e-103, 1.3e15
 def assert_oracle_rows_match_calls(entry, X):
     """Bit for bit, per row ``x`` of ``X`` and per oracle ``o`` of ``f``, ``grad`` and
     ``jac`` the entry has: ``oracle_rows(o, X)`` holds ``o(x)``, in ``(n, *shape)`` (a
-    plain function's shape is unknown at no rows)."""
+    plain ``grad`` or ``jac`` function's shape is unknown at no rows)."""
     for name in ("f", "grad", "jac"):
         oracle = getattr(entry, name)
         if oracle is None:
@@ -727,7 +727,8 @@ def assert_oracle_rows_match_calls(entry, X):
             got = oracle_rows(oracle, X)
             want = np.array([oracle(x) for x in X], dtype=float)
         shape = {"f": (), "grad": (entry.dim_in,), "jac": (entry.dim_out, entry.dim_in)}[name]
-        assert (got.shape == (len(X), *shape) or not len(X)) and got.dtype == np.float64, name
+        unknown = not len(X) and name != "f" and not isinstance(oracle, (ScalarForm, RowForm))
+        assert (got.shape == (len(X), *shape) or unknown) and got.dtype == np.float64, name
         assert got.tobytes() == want.tobytes(), name
 
 
@@ -773,24 +774,32 @@ def reference_quad2_f(x) -> float:
     return float(0.5 * x @ Q @ x - b @ x)
 
 
+def reference_quad2_grad(x) -> np.ndarray:
+    """``quad2``'s ``grad`` as it was before its row form: one ``Q @ x - b`` per point."""
+    Q, b = catalog_lookup("quad2").quad_form
+    return Q @ x - b
+
+
 _QUAD2_SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-320, -1e-320, 1e-170, 1e154, -1e154, 1e200, -1e200,
                   1.7e308, -1.7e308, math.inf, -math.inf, math.nan, 5e-324]
 
 
 class TestQuad2RowForm:
-    """``quad2``'s ``oracle_rows`` of ``f`` and per-point ``f`` against :func:`reference_quad2_f`, bit for
-    bit, NaN signs included; ``oracle_rows`` raises no ``RuntimeWarning`` (the module turns one into an error)."""
+    """``quad2``'s ``oracle_rows`` of ``f`` and ``grad`` and its per-point ``f`` and ``grad`` against
+    :func:`reference_quad2_f` and :func:`reference_quad2_grad`, bit for bit, NaN signs included;
+    ``oracle_rows`` raises no ``RuntimeWarning`` (the module turns one into an error)."""
 
     @staticmethod
     def assert_matches_reference(X):
         entry = catalog_lookup("quad2")
-        got = oracle_rows(entry.f, X)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = np.array([reference_quad2_f(x) for x in X], dtype=float)
-            points = np.array([entry.f(x) for x in X], dtype=float)
-        assert got.shape == (len(X),)
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-        assert points.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        for oracle, reference, shape in ((entry.f, reference_quad2_f, ()), (entry.grad, reference_quad2_grad, (2,))):
+            got = oracle_rows(oracle, X)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.array([reference(x) for x in X], dtype=float).reshape(len(X), *shape)
+                points = np.array([oracle(x) for x in X], dtype=float).reshape(len(X), *shape)
+            assert got.shape == (len(X), *shape)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            assert points.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_special_value_grid(self):
         X = np.array([[u, v] for u in _QUAD2_SPECIAL for v in _QUAD2_SPECIAL])
@@ -805,12 +814,14 @@ class TestQuad2RowForm:
         self.assert_matches_reference(X[::3])
 
     def test_no_rows(self):
-        assert oracle_rows(catalog_lookup("quad2").f, np.empty((0, 2))).shape == (0,)
+        entry = catalog_lookup("quad2")
+        assert oracle_rows(entry.f, np.empty((0, 2))).shape == (0,)
+        assert oracle_rows(entry.grad, np.empty((0, 2))).shape == (0, 2)
 
 
-def test_f_values_loops_over_f_without_a_row_wise_form():
+def test_oracle_rows_loops_over_a_plain_oracle():
     entry = catalog_lookup("quad2")
-    assert not isinstance(entry.f, ScalarForm)  # a RowForm: its rows, not a loop over f
+    assert isinstance(entry.f, RowForm) and isinstance(entry.grad, RowForm)  # their rows, not a loop
     calls = []
     square = dataclasses.replace(catalog_lookup("square"), f=lambda x: calls.append(x) or x[0] ** 2)
     assert oracle_rows(square.f, np.array([[3.0], [-2.0]])).tolist() == [9.0, 4.0]

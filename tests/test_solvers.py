@@ -25,7 +25,7 @@ from rcontinuity import (
 from rcontinuity.serialize import trace_to_csv
 from rcontinuity import catalog, solvers
 from rcontinuity.setmap import MissingOracleError as NoOracle
-from rcontinuity.setmap import ParamError, ProxOracle, ScalarForm, oracle_rows
+from rcontinuity.setmap import ParamError, ProxOracle, RowForm, ScalarForm, oracle_rows
 from rcontinuity.solvers import _brentq, _fminbound, _norm, _norm1, check
 
 
@@ -127,6 +127,21 @@ class TestGdm:
         trace = run_gdm(catalog_lookup("double-well"), 0.1, [0.8], StopRule(max_iter=100))
         entry = catalog_lookup("double-well")
         assert max(witness_member_errors(trace, entry)) <= 1e-9
+
+    def test_2d_grad_once_per_step_and_once_over_the_trace(self):
+        # quad2's grad is a RowForm: the loop calls its point once per step, and the
+        # witnesses take it at every iterate but the last in one rows call after the loop
+        entry = catalog_lookup("quad2")
+        calls = []
+        counted = dataclasses.replace(entry, grad=RowForm(
+            lambda X: calls.append(("rows", X)) or entry.grad.rows(X),
+            lambda x: calls.append(("point", x)) or entry.grad.point(x)))
+        trace = run_gdm(counted, 0.3, [2.0, -1.0])
+        assert trace.termination == "tolerance"
+        points = [x for kind, x in calls if kind == "point"]
+        assert np.array(points).tobytes() == trace.iterates[:-1].tobytes()  # one per step
+        assert [kind for kind, _ in calls].count("rows") == 1 and calls[-1][0] == "rows"  # after the loop
+        assert calls[-1][1].tobytes() == trace.iterates[:-1].tobytes()
 
     def test_non_finite_step_diverges_unrecorded(self):
         trace = run_gdm(catalog_lookup("quad"), 1e300, [1e10])
