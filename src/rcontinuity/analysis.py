@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (PointSet, Window, _in_float_range, _norm_rows, _norms, as_point, check_sample, excess,
-                       sample_window, unit_directions)
+from .geometry import (PointSet, Window, _in_float_range, _norm_rows, _norms, _pow, as_point, check_sample,
+                       excess, sample_window, unit_directions)
 from .setmap import (OperatorEntry, ParamError, SetValuedMap, ValueOverflowError, WindowDimensionError,
                      WindowRequiredError, oracle_rows)
 
@@ -288,7 +288,9 @@ def lojasiewicz_fit(entry: OperatorEntry, k: Window, grid_count: int = 2001) -> 
     """Fit the distance-to-zero-set power inequality for a scalar function.
 
     The exponent is estimated on ``_LOJA_LEVELS`` shrinking bands around the
-    zero set over refining grids; blow-up past ``_LOJA_EXPONENT_CAP`` at any level sets the
+    zero set over refining grids (the first grid takes ``f`` at every point, a
+    refinement level only at the points of its band, where ``0 < d <= band``);
+    blow-up past ``_LOJA_EXPONENT_CAP`` at any level sets the
     failure flag (no finite exponent works), as do too few band points (or all
     at one distance, so no slope) at every level and an ``f`` that reads 0 off
     the zero set (it underflows on tiny windows).  Points where ``f`` is not
@@ -306,10 +308,14 @@ def lojasiewicz_fit(entry: OperatorEntry, k: Window, grid_count: int = 2001) -> 
     d_max = float(d0[mask0].max())
 
     level_exponents: List[float] = []
+    d, f = d0, f0
     for level in range(_LOJA_LEVELS):
-        pts = sample_window(k, "grid", grid_count * (2 ** level), seed=0).points if level else pts0
-        d, f = (entry.solution_set.distance_rows(pts), oracle_rows(entry.f, pts)) if level else (d0, f0)
         band = d_max * 4.0 ** (-level)
+        if level:  # a refinement level takes f only on its band rows, in grid order
+            pts = sample_window(k, "grid", grid_count * (2 ** level), seed=0).points
+            d = entry.solution_set.distance_rows(pts)
+            near = (d > 0.0) & (d <= band)
+            d, f = d[near], oracle_rows(entry.f, pts[near])
         mask = np.isfinite(f) & (f != 0.0) & (d > 0.0) & (d <= band)
         if int(mask.sum()) < 5 or d[mask].min() == d[mask].max():  # no spread in log d: no slope
             continue
@@ -375,8 +381,10 @@ class PlkConfig:
         if not 0.0 <= self.q_exp < 1.0:
             raise ParamError("q_exp", "q_exp must lie in [0, 1)")
 
-    def phi_prime(self, t: float) -> float:
-        return self.M * (1.0 - self.q_exp) * t ** (-self.q_exp)
+    def phi_prime(self, t):
+        """``phi'(t)`` on a float or per element of an array; ``inf`` where
+        ``t ** -q_exp`` overflows."""
+        return self.M * (1.0 - self.q_exp) * _pow(t, -self.q_exp)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -409,20 +417,29 @@ def check_plk_exponent(
 
     The grid covers the neighborhood ball and keeps only points with
     ``f(xbar) < f(x) < f(xbar) + eta`` (strictly).  An empty band yields an
-    inconclusive verdict, never a pass.
+    inconclusive verdict, never a pass.  Where ``phi'`` overflows (``t ** -q``
+    for a tiny ``t``) the product is taken in logs, so it is finite where it
+    is in exact arithmetic, and 0, a violation, at a zero slope.
     """
     ball = check_plk(entry, xbar, cfg, grid_count)
     fbar = entry.f(ball.center)
     pts = sample_window(ball, "grid", grid_count).points
-    fvals = oracle_rows(entry.f, pts).tolist()  # Python floats: phi_prime's ** is Python's
-    band = [i for i, fx in enumerate(fvals) if fbar < fx < fbar + cfg.eta]
-    if not band:
+    fvals = oracle_rows(entry.f, pts)
+    band = np.flatnonzero((fbar < fvals) & (fvals < fbar + cfg.eta))
+    if not band.size:
         return PlkResult("inconclusive", [], 0, None)
     # d(0, subgrad f(x)) per band point, inf where the subgradient is empty
-    slopes = entry.subgrad.member_dist_rows(pts[band], np.zeros((len(band), entry.dim_out))).tolist()
-    products = [cfg.phi_prime(fvals[i] - fbar) * slope for i, slope in zip(band, slopes)]
-    violations = [pts[i] for i, product in zip(band, products) if product < 1.0 - 1e-12]
-    return PlkResult("fail" if violations else "pass", violations, len(band), min(products))
+    slopes = entry.subgrad.member_dist_rows(pts[band], np.zeros((band.size, entry.dim_out)))
+    t = fvals[band] - fbar
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi = cfg.phi_prime(t)
+        products = phi * slopes
+        over = np.isinf(phi)
+        products[over] = np.exp(math.log(cfg.M * (1.0 - cfg.q_exp)) - cfg.q_exp * np.log(t[over])
+                                + np.log(slopes[over]))
+    violations = list(pts[band[products < 1.0 - 1e-12]])
+    # Python's min: a NaN product is skipped unless it comes first
+    return PlkResult("fail" if violations else "pass", violations, band.size, min(products.tolist()))
 
 
 def check_plk(entry: OperatorEntry, xbar, cfg: PlkConfig, grid_count: int) -> Window:

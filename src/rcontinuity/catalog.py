@@ -18,9 +18,10 @@ rest from it: :func:`_lift`, the column lift, makes the single-valued
 row-wise map (``forward``, ``subgrad``), and :func:`_scalar` makes the ``f``,
 ``grad`` and ``jac`` oracles, each a :class:`~rcontinuity.setmap.ScalarForm`
 that carries the form itself (the qpower subproblem's view) and its column
-(the grids' view).  :func:`_pow` is the one place that applies
-Python's ``**``.  The three functions are made by :func:`_smooth`, and the
-linear maps ``quad``, ``dc-quad`` and ``linear-neg`` by :func:`_linear`.
+(the grids' view).  :func:`rcontinuity.geometry._pow` is the one place in
+the package that applies Python's ``**`` per element of a column.  The three
+functions are made by :func:`_smooth`, and the linear maps ``quad``,
+``dc-quad`` and ``linear-neg`` by :func:`_linear`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 # solve's singular-matrix error cannot occur; a successful solve clears the FP flags.
 from numpy.linalg import _umath_linalg
 
-from .geometry import Region
+from .geometry import Region, _pow
 from .setmap import DcSplit, OperatorEntry, ProxOracle, RowForm, ScalarForm, SetValuedMap
 
 #: Sample count for continuum-valued branches (intervals, half-lines).
@@ -56,18 +57,6 @@ def _branches(*parts):
 def _each(values: np.ndarray, rows: np.ndarray):
     """The same values for every row in ``rows``, as a branch part."""
     return np.tile(values, rows.size), np.repeat(rows, values.size)
-
-
-def _pow(v, exponent: float):
-    """Python's float ``**`` on a float, and per element on an array (numpy's
-    power rounds differently), with the IEEE limit where ``**`` overflows."""
-    if type(v) is not float:
-        return np.array([_pow(t, exponent) for t in v.tolist()], dtype=float)
-    try:
-        return v ** exponent
-    except OverflowError:  # Python raises where IEEE arithmetic gives +-inf
-        with np.errstate(over="ignore"):
-            return float(np.power(v, exponent))
 
 
 def _divide(c: float) -> ScalarForm:
@@ -292,13 +281,13 @@ def _linear(name: str, a: float, description: str, **extra) -> OperatorEntry:
     else:
         extra.update(grad_inverse=inv, quad_form=(np.array([[a]]), np.array([0.0])), inf_f=0.0)
 
-    # a v^2 / 2, per value as _pow is; only where the square overflows and the
-    # product does not is it (half * v) * v, whose last bit differs elsewhere
+    # a v^2 / 2; only where the square overflows and the product does not is
+    # it (half * v) * v, whose last bit differs elsewhere
     def f(v):
-        if type(v) is not float:
-            return np.array([f(t) for t in v.tolist()], dtype=float)
         value = half * _pow(v, 2)
-        return (half * v) * v if math.isinf(value) and math.isfinite(v) else value
+        if type(v) is float:
+            return (half * v) * v if math.isinf(value) and math.isfinite(v) else value
+        return np.where(np.isinf(value) & np.isfinite(v), (half * v) * v, value)
 
     oracles = _scalar(f, grad)
     oracles["jac"] = lambda x: np.array([[a]])  # the Jacobian of A, constant

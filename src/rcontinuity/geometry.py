@@ -124,6 +124,24 @@ def _norm1(d: float) -> float:
     return abs(d) if r == math.inf else r
 
 
+def _pow(v, exponent: float):
+    """Python's float ``**`` on a float, and per element on an array (numpy's
+    power rounds differently), with the IEEE limit where ``**`` overflows.
+    The array path is one comprehension over the column; only a column where
+    ``**`` overflows takes the per-element path."""
+    if type(v) is float:
+        try:
+            return v ** exponent
+        except OverflowError:  # Python raises where IEEE arithmetic gives +-inf
+            with np.errstate(over="ignore"):
+                return float(np.power(v, exponent))
+    values = v.tolist()
+    try:
+        return np.array([t ** exponent for t in values], dtype=float)
+    except OverflowError:
+        return np.array([_pow(t, exponent) for t in values], dtype=float)
+
+
 def _norm_rows(v: np.ndarray) -> np.ndarray:
     """:func:`_norm` of each row of an ``(n, dim)`` array, bit for bit, in one
     array operation: a stacked ``matmul`` takes each row's dot product as

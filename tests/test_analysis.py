@@ -241,7 +241,8 @@ class TestLojasiewiczFit:
         assert fit.theta_hat is None
 
     def test_the_first_grid_is_evaluated_once(self):
-        # levels 0, 1, 2 take 101, 202 and 404 points; level 0 is the first grid.
+        # levels 0, 1, 2 lay 101, 202 and 404 points; level 0 is the first grid, and
+        # levels 1 and 2 take f only on their band rows, 0 < d <= band (50 and 26).
         # The rows are counted where they reach the closed form's column view
         entry = catalog_lookup("square")
         rows = []
@@ -254,7 +255,7 @@ class TestLojasiewiczFit:
         counted = dataclasses.replace(entry, f=ScalarForm(form))
         fit = lojasiewicz_fit(counted, Window.box([0.0], [1.0]), 101)
         assert fit.to_json_dict() == lojasiewicz_fit(entry, Window.box([0.0], [1.0]), 101).to_json_dict()
-        assert rows == [101, 202, 404]
+        assert rows == [101, 50, 26]
 
     def test_window_must_meet_solution_set(self):
         with pytest.raises(ValueError):
@@ -308,6 +309,19 @@ class TestPlk:
         res = check_plk_exponent(catalog_lookup("flat-exp"), [0.0], PlkConfig(2.0, 0.5, 1.0, 1.0), 257)
         assert res.verdict == "fail"
         assert res.violations
+
+    def test_a_zero_slope_where_phi_prime_overflows_is_a_violation(self):
+        # t = x^2 is subnormal on this ball, so phi'(t) = inf; a zero slope makes the
+        # product 0, not inf * 0 = NaN
+        flat = SetValuedMap("zero", 1, 1, lambda X, w: (np.zeros((len(X), 1)), np.arange(len(X))))
+        entry = dataclasses.replace(catalog_lookup("square"), subgrad=flat)
+        cfg = PlkConfig(2.0, 0.999, 1.0, 3e-162)
+        band = sample_window(Window.ball([0.0], 3e-162), "grid", 257).points
+        band = band[band[:, 0] ** 2 > 0.0]
+        assert np.isinf(cfg.phi_prime(band[:, 0] ** 2)).all()
+        res = check_plk_exponent(entry, [0.0], cfg, 257)
+        assert (res.verdict, res.checked, repr(res.min_product)) == ("fail", len(band), "0.0")
+        assert _same_points(res.violations, list(band))
 
     def test_empty_band_is_inconclusive(self):
         res = check_plk_exponent(catalog_lookup("square"), [0.0], PlkConfig(2.0, 0.5, 1e-30, 1.0), 257)
@@ -545,6 +559,43 @@ def reference_plk(entry, xbar, cfg, grid_count, seed):
     return ("fail" if violations else "pass"), violations, checked, min_product
 
 
+def reference_lojasiewicz(entry, k, grid_count):
+    """The fit as it was when every level evaluated ``f`` at each of its grid
+    points, one point at a time: ``(to_json_dict(), max_ratio_points)``."""
+    def level_grid(level):
+        pts = sample_window(k, "grid", grid_count * 2 ** level, seed=0).points
+        return pts, entry.solution_set.distance_rows(pts), np.array([entry.f(p) for p in pts], dtype=float)
+
+    def fit(theta, c, failed, exponents, diag):
+        return {"theta_hat": theta, "c_hat": c, "failed": failed, "level_exponents": exponents,
+                "window": k.to_dict()}, diag
+
+    pts0, d0, f0 = level_grid(0)
+    mask0 = np.isfinite(f0) & (f0 != 0.0) & np.isfinite(d0) & (d0 > 0.0)
+    if not mask0.any():
+        return fit(None, None, True, [], [])
+    d_max = float(d0[mask0].max())
+    exponents = []
+    for level in range(3):
+        _, d, f = level_grid(level)
+        mask = np.isfinite(f) & (f != 0.0) & (d > 0.0) & (d <= d_max * 4.0 ** (-level))
+        if int(mask.sum()) < 5 or d[mask].min() == d[mask].max():
+            continue
+        exponents.append(float(np.polyfit(np.log(d[mask]), np.log(np.abs(f[mask])), 1)[0]))
+    if not exponents or any(not np.isfinite(t) or t > 100.0 for t in exponents):
+        return fit(None, None, True, exponents, [])
+    theta = exponents[-1]
+    d, f = d0[mask0], np.abs(f0[mask0])
+    with np.errstate(over="ignore"):
+        ratios = d ** theta / f
+        ratios = np.where(np.isinf(ratios), np.exp(theta * np.log(d) - np.log(f)), ratios)
+    if np.isinf(ratios.max()):
+        return fit(None, None, True, exponents, [])
+    order = np.argsort(ratios)[::-1][:3]
+    diag = [(float(np.linalg.norm(p)), float(r)) for p, r in zip(pts0[mask0][order], ratios[order])]
+    return fit(float(theta), float(ratios.max()), False, exponents, diag)
+
+
 def reference_inverse_lipschitz_violations(entry, xs, c_hat, tol):
     def fvec(x):
         vals = entry.forward.eval(x)
@@ -683,6 +734,22 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
                 # by repr, as plk.json writes it: 0.0 == -0.0 would hide a signed zero
                 assert (res.verdict, res.checked, repr(res.min_product)) == (verdict, checked, repr(min_product))
                 assert _same_points(res.violations, violations)
+
+    @pytest.mark.parametrize("name, center, extent, grid_count", [
+        ("square", 0.3, 1.0, 2001), ("square", -0.9, 1.0, 101), ("square", 2.0, 2.5, 9),
+        ("double-well", 0.8, 1.5, 2001), ("double-well", 1.1, 0.4, 257),
+        ("flat-exp", 0.2, 0.9, 2001), ("flat-exp", -0.5, 3.0, 257),
+        ("quad", -0.4, 2.0, 2001), ("quad", 0.7, 1e200, 257), ("quad", 3e-161, 1e-160, 257),
+    ])
+    def test_lojasiewicz_fit(self, name, center, extent, grid_count):
+        # the refinement levels take f only on their band rows: the same arrays reach polyfit
+        entry = catalog_lookup(name)
+        k = Window.box([center], [extent])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, diag = reference_lojasiewicz(entry, k, grid_count)
+            fit = lojasiewicz_fit(entry, k, grid_count)
+        assert fit.to_json_dict() == want
+        assert fit.max_ratio_points == diag
 
     @pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_lookup(n).jac is not None])
     def test_certify_inverse_lipschitz(self, name):

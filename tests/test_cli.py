@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
+from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from rcontinuity import (PlkConfig, StopRule, Window, analysis, catalog, catalog_listing, catalog_lookup, catalog_names,
                          check_h1, check_h2, check_h3, check_h4, check_plk_exponent, check_rclass, distance_trace,
                          estimate_modulus, lojasiewicz_fit, run_dca, run_gdm, run_ppa, run_qpower_prox,
-                         run_shifted_ppa, solvers)
+                         run_shifted_ppa, sample_window, solvers)
 from rcontinuity.cli import _KINDS, _READS, ConfigError, ExperimentConfig, _build_parser, main, run_experiment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -861,6 +862,24 @@ class TestMainExitCodes:
         assert json.loads((tmp_path / "holder_fit.json").read_text()) == {
             "L_hat": None, "theta_hat": None, "residual": None, "degenerate": None, "divergent": True}
         assert (tmp_path / "modulus.csv").read_text() == "sigma,rho_hat,samples\n1e+200,inf,64\n1e+300,inf,64\n"
+
+    def test_a_plk_product_whose_phi_prime_overflows_is_taken_in_logs(self, tmp_path, capsys):
+        # f = x^2 is subnormal on this ball: t ** -0.999 overflows, the product with 2|x| does not
+        M, q, radius = 2.0, 0.999, 3e-162
+        plk = {"M": M, "q_exp": q, "eta": 1.0, "neighborhood_radius": radius}
+        assert main(["plk", "--set", "operator=square", "--set", "analysis.xbar=[0.0]", "--set",
+                     f"analysis.plk={json.dumps(plk)}", "--out", str(tmp_path)]) == 0
+        result = _strict_json((tmp_path / "plk.json").read_text())
+        # 2M(1-q)|x|^(1-2q) at t = x^2, times (x^2 / t)^q for t, the subnormal that x * x rounds to
+        band = [x for x in sample_window(Window.ball([0.0], radius), "grid", 257).points[:, 0].tolist()
+                if 0.0 < x * x < 1.0]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            dq = Decimal(q)
+            products = [2 * Decimal(M) * (1 - dq) * Decimal(abs(x)) ** (1 - 2 * dq)
+                        * (Decimal(x) ** 2 / Decimal(x * x)) ** dq for x in band]
+        assert (result["verdict"], result["checked"]) == ("pass", len(band))
+        assert result["min_product"] == pytest.approx(float(min(products)), rel=1e-12)
 
     def test_the_seed_flag_is_echoed(self, tmp_path, capsys):
         assert main(_SOLVE + ["--seed", "7", "--out", str(tmp_path)]) == 0

@@ -15,7 +15,8 @@ from rcontinuity import (
     sample_window,
 )
 from rcontinuity import geometry
-from rcontinuity.geometry import _BALL_BUDGET, ParamError, _Halton, _nearest, _norm, _norm_rows, _norms, unit_directions
+from rcontinuity.geometry import (_BALL_BUDGET, ParamError, _Halton, _nearest, _norm, _norm_rows, _norms, _pow,
+                                  unit_directions)
 from conftest import refine_brute_distance
 
 # a handled overflow must not reach the user as a numpy warning
@@ -361,6 +362,46 @@ class TestNormPrimitives:
         assert _norms(np.array([[1e-200], [-5e-324], [-1e300]])).tolist() == [1e-200, 5e-324, 1e300]
         rows = np.array([[1e-200, 0.0], [3e-160, 4e-160], [-3e-200, 4e-200], [3.0, 1e200], [-1e300, 0.0]])
         assert _norms(rows).tolist() == [1e-200, 5e-160, 5e-200, 1e200, 1e300]
+
+
+def _python_pow(t: float, exponent) -> float:
+    """Python's float ``**``, and the IEEE limit where it raises ``OverflowError``:
+    ``-inf`` for a negative base to an odd power, ``+inf`` otherwise."""
+    try:
+        return t ** exponent
+    except OverflowError:
+        return math.copysign(math.inf, t) if exponent % 2 == 1 else math.inf
+
+
+#: Signed zeros, subnormals, NaN, and bases whose square (past about 1.34e154), cube (past
+#: about 5.6e102) or power -0.999 (subnormals) overflows; x ** 2 and x ** 3 underflow too.
+_POW_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-170, -1e-110, math.nan, math.inf, -math.inf,
+                 5.6e102, -5.7e102, 1.3e154, -1.4e154, 1e200, -1e300]
+
+
+class TestPow:
+    # a float's bits compared as integers: NaN equals NaN of the same payload, -0.0 differs from 0.0
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(exponent=st.sampled_from([2, 3]), values=st.lists(st.floats() | st.sampled_from(_POW_SPECIALS)))
+    def test_a_column_gets_pythons_power_per_element(self, exponent, values):
+        expected = np.array([_python_pow(t, exponent) for t in values], dtype=float).view(np.uint64).tolist()
+        column = _pow(np.array(values, dtype=float), exponent)
+        per_float = np.array([_pow(t, exponent) for t in values], dtype=float)
+        assert column.view(np.uint64).tolist() == expected == per_float.view(np.uint64).tolist()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, exclude_min=True)
+                    | st.sampled_from([t for t in _POW_SPECIALS if not t <= 0.0])))
+    def test_a_negative_power_overflows_to_inf_on_subnormals(self, values):
+        # phi'(t) = M (1 - q) t ** -q of a PLK check; below about 1e-308, t ** -0.999 overflows
+        expected = np.array([_python_pow(t, -0.999) for t in values], dtype=float)
+        got = _pow(np.array(values, dtype=float), -0.999)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_an_overflow_reads_the_signed_limit(self):
+        got = _pow(np.array([3.0, 1e200, -1e200, 5e-324, -0.0]), 3)
+        assert got.tolist() == [27.0, math.inf, -math.inf, 0.0, -0.0] and math.copysign(1.0, got[-1]) == -1.0
+        assert _pow(5e-324, -0.999) == math.inf and _pow(-1e200, 3) == -math.inf
 
 
 class TestSampleWindow:

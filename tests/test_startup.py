@@ -10,7 +10,8 @@ on first use), and a CLI kind loads only the leaves its stages import: a
 ``modulus``, ``loja``, ``plk`` or ``catalog`` run never loads ``solvers`` or
 ``certify``, and a ``solve`` or ``certify`` run never loads ``analysis``.
 These tests keep it that way, checking both in fresh interpreters; they also
-keep every norm in ``geometry.py``, keep every public default one that some
+keep every norm in ``geometry.py`` and every per-element power in
+``geometry._pow``, keep every public default one that some
 call overrides, keep the leaf modules importing only the core, keep
 ``__all__`` the names of the package's table of public names, and keep every
 exception type the package defines one that it raises.
@@ -62,6 +63,45 @@ def test_only_geometry_takes_a_norm():
     offenders = [f"{path.name}:{i}" for path in sorted((SRC / "rcontinuity").glob("*.py")) if path.name != "geometry.py"
                  for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if "linalg.norm" in line]
     assert not offenders
+
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def _power_comprehensions(folder: Path) -> list:
+    """``file:line`` of each ``**`` in a comprehension's element that reads one of its
+    loop variables, outside ``geometry._pow``, the one per-element power."""
+    offenders = []
+    for path in sorted(folder.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        kernel = {id(node) for top in tree.body if path.name == "geometry.py"
+                  and isinstance(top, ast.FunctionDef) and top.name == "_pow" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if not isinstance(node, _COMPREHENSIONS) or id(node) in kernel:
+                continue
+            loop = {n.id for gen in node.generators for n in ast.walk(gen.target) if isinstance(n, ast.Name)}
+            elements = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            offenders += [f"{path.name}:{sub.lineno}" for element in elements for sub in ast.walk(element)
+                          if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow)
+                          and loop & {n.id for n in ast.walk(sub) if isinstance(n, ast.Name)}]
+    return offenders
+
+
+def test_only_geometry_pow_takes_a_power_per_element():
+    # a Python ** per element is the slow path of a column; geometry._pow takes it in one
+    # comprehension, with Python's bits, and every column power goes through it
+    assert _power_comprehensions(SRC / "rcontinuity") == []
+
+
+def test_the_power_lint_sees_a_comprehension_power(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "xs = [t ** 2 for t in v]\nys = [c ** 2 for t in v]\nzs = [f(t) for t in v]\n"
+        "d = {k: w ** q for k, w in pairs}\ng = sum(2.0 ** -j\n          for j in range(9))\n"
+        "n = [[(x - 1.0) ** 3 for x in row] for row in rows]\n", encoding="utf-8")
+    (tmp_path / "geometry.py").write_text(
+        "def _pow(v, e):\n    return [t ** e for t in v]\n"
+        "def _other(v, e):\n    return [t ** e for t in v]\n", encoding="utf-8")
+    assert _power_comprehensions(tmp_path) == ["a.py:1", "a.py:4", "a.py:5", "a.py:7", "geometry.py:4"]
 
 
 def _calls(paths):
