@@ -308,15 +308,17 @@ def lojasiewicz_fit(entry: OperatorEntry, k: Window, grid_count: int = 2001) -> 
     d_max = float(d0[mask0].max())
 
     level_exponents: List[float] = []
-    d, f = d0, f0
     for level in range(_LOJA_LEVELS):
         band = d_max * 4.0 ** (-level)
-        if level:  # a refinement level takes f only on its band rows, in grid order
+        if level:
             pts = sample_window(k, "grid", grid_count * (2 ** level), seed=0).points
             d = entry.solution_set.distance_rows(pts)
-            near = (d > 0.0) & (d <= band)
-            d, f = d[near], oracle_rows(entry.f, pts[near])
-        mask = np.isfinite(f) & (f != 0.0) & (d > 0.0) & (d <= band)
+        else:
+            pts, d = pts0, d0
+        near = (d > 0.0) & (d <= band)
+        # a refinement level takes f only on its band rows, in grid order
+        d, f = d[near], (oracle_rows(entry.f, pts[near]) if level else f0[near])
+        mask = np.isfinite(f) & (f != 0.0)
         if int(mask.sum()) < 5 or d[mask].min() == d[mask].max():  # no spread in log d: no slope
             continue
         slope = float(np.polyfit(np.log(d[mask]), np.log(np.abs(f[mask])), 1)[0])
@@ -434,8 +436,9 @@ def check_plk_exponent(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         phi = cfg.phi_prime(t)
         products = phi * slopes
-        over = np.isinf(phi)
-        products[over] = np.exp(math.log(cfg.M * (1.0 - cfg.q_exp)) - cfg.q_exp * np.log(t[over])
+        # M (1 - q) in logs too: it may round to 0 for a subnormal M, making phi' 0 * inf = NaN
+        over = ~np.isfinite(phi)
+        products[over] = np.exp(math.log(cfg.M) + math.log1p(-cfg.q_exp) - cfg.q_exp * np.log(t[over])
                                 + np.log(slopes[over]))
     violations = list(pts[band[products < 1.0 - 1e-12]])
     # Python's min: a NaN product is skipped unless it comes first

@@ -125,21 +125,24 @@ def _norm1(d: float) -> float:
 
 
 def _pow(v, exponent: float):
-    """Python's float ``**`` on a float, and per element on an array (numpy's
-    power rounds differently), with the IEEE limit where ``**`` overflows.
+    """Python's float ``**`` on a float (or a number, such as a numpy scalar,
+    taken as one), and per element on an array of at least one dimension
+    (numpy's power rounds differently), with the IEEE limit where ``**`` overflows.
     The array path is one comprehension over the column; only a column where
     ``**`` overflows takes the per-element path."""
-    if type(v) is float:
-        try:
-            return v ** exponent
-        except OverflowError:  # Python raises where IEEE arithmetic gives +-inf
-            with np.errstate(over="ignore"):
-                return float(np.power(v, exponent))
-    values = v.tolist()
+    if type(v) is not float:
+        if isinstance(v, np.ndarray) and v.ndim:
+            values = v.tolist()
+            try:
+                return np.array([t ** exponent for t in values], dtype=float)
+            except OverflowError:
+                return np.array([_pow(t, exponent) for t in values], dtype=float)
+        v = float(v)  # a numpy scalar, an int or a 0-d array takes the float path
     try:
-        return np.array([t ** exponent for t in values], dtype=float)
-    except OverflowError:
-        return np.array([_pow(t, exponent) for t in values], dtype=float)
+        return v ** exponent
+    except OverflowError:  # Python raises where IEEE arithmetic gives +-inf
+        with np.errstate(over="ignore"):
+            return float(np.power(v, exponent))
 
 
 def _norm_rows(v: np.ndarray) -> np.ndarray:

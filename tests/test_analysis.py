@@ -323,6 +323,20 @@ class TestPlk:
         assert (res.verdict, res.checked, repr(res.min_product)) == ("fail", len(band), "0.0")
         assert _same_points(res.violations, list(band))
 
+    def test_a_subnormal_scale_keeps_the_zero_products(self):
+        # M (1 - q) rounds to 0: every finite phi' is 0, so every product is 0, a violation
+        res = check_plk_exponent(catalog_lookup("square"), [0.0], PlkConfig(5e-324, 0.5, 1.0, 1.0), 257)
+        assert (res.verdict, res.checked, repr(res.min_product)) == ("fail", 254, "0.0")
+        # where t ** -q overflows too, phi' reads 0 * inf = NaN; the product in logs is finite
+        res = check_plk_exponent(catalog_lookup("square"), [0.0], PlkConfig(5e-324, 0.999, 1.0, 3e-162), 257)
+        assert res.verdict == "fail" and 0.0 < res.min_product < 1e-160
+
+    def test_phi_prime_takes_a_numpy_scalar_an_int_and_a_0d_array(self):
+        cfg = PlkConfig(2.0, 0.5, 1.0, 1.0)
+        for t in (np.float64(0.3), 3, np.array(0.3), np.float64(5e-324)):
+            assert cfg.phi_prime(t) == 2.0 * (1.0 - 0.5) * float(t) ** -0.5
+        assert PlkConfig(2.0, 0.999, 1.0, 1.0).phi_prime(np.float64(5e-324)) == math.inf
+
     def test_empty_band_is_inconclusive(self):
         res = check_plk_exponent(catalog_lookup("square"), [0.0], PlkConfig(2.0, 0.5, 1e-30, 1.0), 257)
         assert res.verdict == "inconclusive"

@@ -398,6 +398,16 @@ class TestPow:
         got = _pow(np.array(values, dtype=float), -0.999)
         assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("exponent", [2, 3, -0.999])
+    def test_a_number_that_is_not_a_float_takes_the_float_path(self, exponent):
+        for t in (1.5e-170, 5e-324, 0.3, 1e200) + ((-1e200, -0.0) if exponent > 0 else ()):
+            expected = _python_pow(t, exponent)
+            for v in (np.float64(t), np.array(t)):
+                got = _pow(v, exponent)
+                assert type(got) is float
+                assert np.array([got]).view(np.uint64)[0] == np.array([expected]).view(np.uint64)[0]
+        assert _pow(3, exponent) == _python_pow(3.0, exponent)
+
     def test_an_overflow_reads_the_signed_limit(self):
         got = _pow(np.array([3.0, 1e200, -1e200, 5e-324, -0.0]), 3)
         assert got.tolist() == [27.0, math.inf, -math.inf, 0.0, -0.0] and math.copysign(1.0, got[-1]) == -1.0
