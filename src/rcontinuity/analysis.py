@@ -419,9 +419,11 @@ def check_plk_exponent(
 
     The grid covers the neighborhood ball and keeps only points with
     ``f(xbar) < f(x) < f(xbar) + eta`` (strictly).  An empty band yields an
-    inconclusive verdict, never a pass.  Where ``phi'`` overflows (``t ** -q``
-    for a tiny ``t``) the product is taken in logs, so it is finite where it
-    is in exact arithmetic, and 0, a violation, at a zero slope.
+    inconclusive verdict, never a pass.  Where ``phi'`` is not finite
+    (``t ** -q`` overflows for a tiny ``t``; against a subnormal ``M``,
+    ``M * (1 - q)`` may round to 0 and ``phi'`` read NaN) the product is taken
+    in logs, so it is finite where it is in exact arithmetic, and 0, a
+    violation, at a zero slope.
     """
     ball = check_plk(entry, xbar, cfg, grid_count)
     fbar = entry.f(ball.center)
@@ -436,7 +438,6 @@ def check_plk_exponent(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         phi = cfg.phi_prime(t)
         products = phi * slopes
-        # M (1 - q) in logs too: it may round to 0 for a subnormal M, making phi' 0 * inf = NaN
         over = ~np.isfinite(phi)
         products[over] = np.exp(math.log(cfg.M) + math.log1p(-cfg.q_exp) - cfg.q_exp * np.log(t[over])
                                 + np.log(slopes[over]))
