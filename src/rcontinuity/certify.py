@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .geometry import Region, _kth_nearest, _norms
+from .geometry import Region, _kth_nearest, _nearest
 from .setmap import OperatorEntry, ParamError, check_distance, oracle_rows
 
 if TYPE_CHECKING:
@@ -156,10 +156,12 @@ def check_h4(trace: IterateTrace, entry: OperatorEntry) -> Certificate:
         return _collect("H4", {}, [0], [False], note="no cluster point found")
     xb = pts[best]
     fb = float(entry.f(xb))
-    order = np.argsort(_norms(pts - xb))[:_H4_NEIGHBORHOOD]
+    order = np.argsort(_nearest(pts, xb[None]))[:_H4_NEIGHBORHOOD]
     sub = np.sort(index_of[order])
     fs = trace.f_values[sub] if trace.f_values is not None else oracle_rows(entry.f, trace.iterates[sub])
-    return _collect("H4", {"cluster": [float(v) for v in xb]}, sub, np.abs(fs - fb) <= _H4_TOL * (1.0 + abs(fb)))
+    with np.errstate(invalid="ignore"):  # where f overflows to inf at the cluster, inf - inf is not within the tolerance
+        oks = np.abs(fs - fb) <= _H4_TOL * (1.0 + abs(fb))
+    return _collect("H4", {"cluster": [float(v) for v in xb]}, sub, oks)
 
 
 def check_rclass(trace: IterateTrace, alpha: float, beta: float) -> Certificate:

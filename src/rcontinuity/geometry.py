@@ -97,9 +97,10 @@ def as_rows(pts, dim: int) -> np.ndarray:
 
 
 #: Row-point pairs per block in :func:`_pair_blocks`, so that the temporaries of
-#: :func:`_nearest` and :func:`_kth_nearest` stay near 0.5 MB per coordinate
-#: however many rows a batched evaluation or a trace produces; also the largest
-#: batch of a Halton draw in a ball of fewer points.
+#: :func:`_nearest` and :func:`_kth_nearest` in d >= 2 stay near 0.5 MB per
+#: coordinate however many rows a batched evaluation or a trace produces (in 1-d
+#: both sort instead and scan no pairs); also the largest batch of a Halton draw
+#: in a ball of fewer points.
 _PAIR_BLOCK = 1 << 16
 
 
@@ -186,7 +187,8 @@ def _pair_blocks(rows: np.ndarray, points: np.ndarray) -> Iterator[Tuple[int, np
     """The :func:`_norms` distances from every row of ``rows`` to every row of
     ``points``, as ``(i, block)`` with ``block[j, l]`` the distance from
     ``rows[i + j]`` to ``points[l]``; a block holds about ``_PAIR_BLOCK``
-    distances."""
+    distances.  A difference past the float range reads inf, without a warning
+    where the caller ignores overflow, as each caller does once per call."""
     step = max(1, _PAIR_BLOCK // points.shape[0])
     for i in range(0, rows.shape[0], step):
         yield i, _norms(rows[i:i + step, None, :] - points[None, :, :])
@@ -196,27 +198,47 @@ def _nearest(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from each row of ``rows`` to its nearest row of ``points``, by
     :func:`_norms`.  In 1-d it is ``|x - p|``; with two points or more, only
     the row's neighbours in the sorted points are measured (rounding is
-    monotone, so one of them has the least difference)."""
-    if points.shape[1] == 1:
-        x, p = rows[:, 0], points[:, 0]
-        if p.size == 1:
-            return np.abs(x - p[0])
-        p = np.sort(p)
-        i = np.searchsorted(p, x)
-        return np.minimum(np.abs(x - p[np.maximum(i - 1, 0)]), np.abs(x - p[np.minimum(i, p.size - 1)]))
-    blocks = [block.min(axis=1) for _, block in _pair_blocks(rows, points)]
+    monotone, so one of them has the least difference).  A distance past the
+    float range reads inf."""
+    with np.errstate(over="ignore"):
+        if points.shape[1] == 1:
+            x, p = rows[:, 0], points[:, 0]
+            if p.size == 1:
+                return np.abs(x - p[0])
+            p = np.sort(p)
+            i = np.searchsorted(p, x)
+            return np.minimum(np.abs(x - p[np.maximum(i - 1, 0)]), np.abs(x - p[np.minimum(i, p.size - 1)]))
+        blocks = [block.min(axis=1) for _, block in _pair_blocks(rows, points)]
     return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 def _kth_nearest(pts: np.ndarray, k: int) -> np.ndarray:
     """For each row of ``pts``, the distance to its ``k``-th nearest other row
     (``k = 0`` is the nearest), as a full sort of its :func:`_norms` to the
-    other rows gives it."""
-    kth = np.empty(pts.shape[0])
-    for i, block in _pair_blocks(pts, pts):
-        rows = np.arange(block.shape[0])
-        block[rows, i + rows] = np.inf  # a point is not its own neighbour
-        kth[i:i + rows.size] = np.partition(block, k, axis=1)[:, k]
+    other rows gives it; a distance past the float range reads inf.
+
+    In 1-d the points are sorted once and each is measured to its ``k + 1``
+    neighbours on either side (rounding is monotone, so its ``k + 1`` nearest
+    others are among them), and the ``k``-th of those ``2 (k + 1)`` distances
+    is taken, inf standing for a neighbour past either end.  In d >= 2 every
+    pair is measured, in :func:`_pair_blocks` row blocks."""
+    with np.errstate(over="ignore"):
+        if pts.shape[1] == 1:
+            order = np.argsort(pts[:, 0], kind="stable")
+            s = pts[order, 0]
+            near = np.full((s.size, 2 * (k + 1)), np.inf)
+            for j in range(1, k + 2):
+                gap = np.abs(s[j:] - s[:-j])
+                near[:-j, j - 1] = gap  # to the j-th neighbour on the right
+                near[j:, k + j] = gap  # to the j-th neighbour on the left
+            kth = np.empty(s.size)
+            kth[order] = np.partition(near, k, axis=1)[:, k]
+            return kth
+        kth = np.empty(pts.shape[0])
+        for i, block in _pair_blocks(pts, pts):
+            rows = np.arange(block.shape[0])
+            block[rows, i + rows] = np.inf  # a point is not its own neighbour
+            kth[i:i + rows.size] = np.partition(block, k, axis=1)[:, k]
     return kth
 
 

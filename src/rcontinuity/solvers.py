@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .geometry import _norm, _norm1, _norm_rows, as_point
+from .geometry import _norm, _norm1, _norm_rows, _pow, as_point
 from .setmap import OperatorEntry, ParamError, ScalarForm, StopRule, oracle_rows
 
 
@@ -510,30 +510,27 @@ def run_shifted_ppa(
     xb = entry.solution_set.project(x0)
     trace = _iterate(entry, x0, stop, resolvent, "shifted-ppa", witnesses, scalar)
     with np.errstate(over="ignore"):  # a distance past the float range reads inf, as the per-step norm did
-        dist = _norm_rows(trace.iterates - xb).tolist()
-    trace.fejer_ledger = np.array(_fejer_ledger(dist, trace.step_norms.tolist(), 1.0 - 2.0 * kappa / gamma))
+        dist = _norm_rows(trace.iterates - xb)
+    trace.fejer_ledger = _fejer_ledger(dist, trace.step_norms, 1.0 - 2.0 * kappa / gamma)
     return trace
 
 
-def _fejer_ledger(dist: List[float], steps: List[float], coeff: float) -> List[float]:
+def _fejer_ledger(dist: np.ndarray, steps: np.ndarray, coeff: float) -> np.ndarray:
     """``a**2 - b**2 + coeff * Δ_k**2`` per step, for ``a, b`` the distances
     ``||x_{k+1} - xbar||`` and ``||x_k - xbar||`` in ``dist`` and ``Δ_k`` in ``steps``.
 
-    The squares are Python's ``**`` on floats (numpy's square rounds some of
-    them differently): ``OverflowError`` past 1.3e154.  Where a square or the
-    entry overflows, the entry is recomputed scaled by the largest of the
-    three norms, so it is finite wherever its true value is."""
-    entries = []
-    for a, b, delta in zip(dist[1:], dist, steps):
-        try:
-            value = a ** 2 - b ** 2 + coeff * delta ** 2
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            m = max(a, b, delta)
-            value = m * (m * ((a / m) ** 2 - (b / m) ** 2 + coeff * (delta / m) ** 2))
-        entries.append(value)
-    return entries
+    The squares are Python's ``**`` on floats, by :func:`_pow` (numpy's square
+    rounds some of them differently): inf past 1.3e154.  Where a square or the
+    entry is not finite, the entry is recomputed on floats, scaled by the
+    largest of the three norms, so it is finite wherever its true value is."""
+    sq = _pow(dist, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows here is recomputed below
+        ledger = sq[1:] - sq[:-1] + coeff * _pow(steps, 2)
+    for i in np.flatnonzero(~np.isfinite(ledger)).tolist():
+        a, b, delta = float(dist[i + 1]), float(dist[i]), float(steps[i])
+        m = max(a, b, delta)
+        ledger[i] = m * (m * ((a / m) ** 2 - (b / m) ** 2 + coeff * (delta / m) ** 2))
+    return ledger
 
 
 class _Algorithm(NamedTuple):

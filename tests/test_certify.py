@@ -28,6 +28,7 @@ from rcontinuity import (
     run_qpower_prox,
     run_shifted_ppa,
 )
+from rcontinuity import geometry
 from rcontinuity.serialize import modulus_to_csv, trace_to_csv
 
 S0 = Region([[0.0]])
@@ -135,6 +136,15 @@ class TestH4:
         assert cert.vacuous
         assert not cert.passed
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_iterates_past_the_float_range_apart_warn_nothing(self):
+        # neighbours 2e308 apart are inf apart; f overflows at the cluster, so no f is within the tolerance
+        with np.errstate(over="ignore"):  # the trace's own step norms overflow
+            trace = make_synthetic_trace([[1e308 * (-1) ** k] for k in range(25)], witnesses=[], xi_values=[])
+        cert = check_h4(trace, catalog_lookup("quad"))
+        assert cert.params == {"cluster": [1e308]}
+        assert not cert.passed and cert.first_violation == 0
+
 
 def reference_check_h4(trace, entry, tol=1e-8, cluster_radius=1e-2, neighborhood=10):
     """``(cluster, (index, ok) pairs, note)`` as ``check_h4`` found them with a
@@ -227,6 +237,30 @@ class TestH4RowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+    @pytest.mark.parametrize("run, scans", [
+        (lambda: run_gdm(catalog_lookup("quad"), 1e-3, [1.0]), False),
+        (lambda: run_shifted_ppa(catalog_lookup("quad2"), 5e-4, 0.002, [2.0, 2.0]), True),
+    ], ids=["gdm-quad", "shifted-ppa-quad2"])
+    def test_only_a_2d_trace_scans_pairs(self, run, scans, monkeypatch):
+        # a 1-d trace finds its cluster point by sorting
+        trace, calls = run(), []
+        pair_blocks = geometry._pair_blocks
+        monkeypatch.setattr(geometry, "_pair_blocks", lambda rows, points: calls.append(len(rows)) or pair_blocks(rows, points))
+        check_h4(trace, catalog_lookup("quad" if trace.dim == 1 else "quad2"))
+        assert bool(calls) == scans
+
+    def test_traced_peak_of_a_1d_trace_stays_below_1_mib(self):
+        # the 1,791 strided GDM points take 2 x 10 neighbour distances each, not a block of all pairs
+        trace = run_gdm(catalog_lookup("quad"), 1e-3, [1.0])
+        tracemalloc.start()
+        try:
+            check_h4(trace, catalog_lookup("quad"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestRclass:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,8 +15,8 @@ from rcontinuity import (
     sample_window,
 )
 from rcontinuity import geometry
-from rcontinuity.geometry import (_BALL_BUDGET, ParamError, _Halton, _nearest, _norm, _norm_rows, _norms, _pow,
-                                  unit_directions)
+from rcontinuity.geometry import (_BALL_BUDGET, ParamError, _Halton, _kth_nearest, _nearest, _norm, _norm_rows,
+                                  _norms, _pow, unit_directions)
 from conftest import refine_brute_distance
 
 # a handled overflow must not reach the user as a numpy warning
@@ -151,6 +151,15 @@ class TestRegionDistance:
     def test_finite_distance_past_the_square_overflow_stays_finite(self, target, rows, expected):
         # the squares of these coordinates overflow; the distances do not
         assert target.distance_rows(rows).tolist() == expected
+
+    @pytest.mark.parametrize("target, rows", [
+        ([[-1e308]], [[1e308]]),
+        ([[-1e308], [-1.5e308]], [[1e308], [-1e308]]),
+        ([[-1e308, 0.0]], [[1e308, 0.0]]),
+    ], ids=["one-point", "sorted-points", "2d-point"])
+    def test_a_distance_past_the_float_range_reads_inf(self, target, rows):
+        # the differences themselves overflow, without a warning
+        assert Region(target).distance_rows(rows).tolist() == [math.inf] + [0.0] * (len(rows) - 1)
 
     @pytest.mark.parametrize("target", [[[0.0]], [[0.0], [1.0], [-3.0]]], ids=["one-point", "three-points"])
     def test_a_1d_distance_below_the_square_underflow_is_exact(self, target):
@@ -328,6 +337,54 @@ class TestSortedNearest:
 
     def test_no_rows_give_no_distances(self):
         assert _nearest(np.empty((0, 1)), np.array([[1.0], [0.0]])).shape == (0,)
+
+
+def full_sort_kth_nearest(x, k):
+    """The ``k``-th entry of each row of the sorted ``|x_i - x_l|`` matrix of a
+    column ``x``, its diagonal left out."""
+    with np.errstate(over="ignore"):
+        d = np.abs(x - x.T)
+    np.fill_diagonal(d, np.inf)
+    d.sort(axis=1)
+    return d[:, k].copy()
+
+
+#: 1-d coordinates with signed zeros, a subnormal, small integers and
+#: magnitudes near 1e308, whose differences overflow
+_KTH_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0, 2.0, 1e308, -1e308, 1.7976931348623157e308,
+                                         -1.7976931348623157e308]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def kth_nearest_cases(draw):
+    """A column of 2 to 3,000 points, drawn with repeats from a pool of up to
+    12 values (one value gives an all-equal column) and, in some draws,
+    mixed with spread-out normal points; and a ``k`` from 0 to m - 2."""
+    pool = np.array(draw(st.lists(_KTH_VALUES, min_size=1, max_size=12)))
+    m = draw(st.integers(2, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = pool[rng.integers(pool.size, size=m)]
+    scale = draw(st.sampled_from([0.0, 1e-300, 1.0, 1e300]))
+    if scale:
+        spread = rng.random(m) < 0.5
+        x[spread] = scale * rng.standard_normal(spread.sum())
+    return x.reshape(-1, 1), draw(st.integers(0, m - 2))
+
+
+class TestSortedKthNearest:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(kth_nearest_cases())
+    @example((np.full((3000, 1), 7.0), 2998))
+    @example((np.array([[0.0], [-0.0], [0.0], [-0.0], [1.0]]), 0))
+    @example((np.array([[1e308], [-1e308], [1.7976931348623157e308], [-1.7976931348623157e308]]), 2))
+    def test_matches_a_full_sort_bit_for_bit(self, case):
+        pts, k = case
+        assert _kth_nearest(pts, k).tobytes() == full_sort_kth_nearest(pts, k).tobytes()
+
+    @pytest.mark.parametrize("pts", [[[1e308], [-1e308], [1e308]], [[1e308, 0.0], [-1e308, 0.0], [1e308, 0.0]]],
+                             ids=["1d", "2d"])
+    def test_a_distance_past_the_float_range_reads_inf(self, pts):
+        assert _kth_nearest(np.array(pts), 1).tolist() == [math.inf] * 3
 
 
 # finite coordinates, with signed zeros, subnormals, and magnitudes whose squares underflow or overflow

@@ -318,6 +318,48 @@ class TestShiftedPpa:
         assert max(witness_member_errors(trace, entry)) <= 1e-9
 
 
+def reference_fejer_ledger(dist, steps, coeff):
+    """The per-element form of ``solvers._fejer_ledger``: Python's ``**`` on
+    floats, each entry recomputed scaled by the largest norm where a square
+    overflows or the entry is not finite."""
+    entries = []
+    for a, b, delta in zip(dist[1:], dist, steps):
+        try:
+            value = a ** 2 - b ** 2 + coeff * delta ** 2
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            m = max(a, b, delta)
+            value = m * (m * ((a / m) ** 2 - (b / m) ** 2 + coeff * (delta / m) ** 2))
+        entries.append(value)
+    return np.array(entries, dtype=float)
+
+
+#: norms whose squares are exact, round, underflow or overflow (past about 1.3e154), and inf
+_LEDGER_NORMS = st.one_of(st.floats(0.0, 1e10), st.floats(1e150, 1e160),
+                          st.sampled_from([0.0, 5e-324, 1e-200, 1.0, 3.0, 1.3e154, 1e160, 1e308, math.inf]))
+
+
+@st.composite
+def ledger_columns(draw):
+    dist = draw(st.lists(_LEDGER_NORMS, min_size=1, max_size=40))
+    steps = draw(st.lists(_LEDGER_NORMS, min_size=len(dist) - 1, max_size=len(dist) - 1))
+    coeff = draw(st.sampled_from([1.0, 0.5, -3.0, 1e-300, 1e300]))
+    return dist, steps, coeff
+
+
+class TestFejerLedgerColumns:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(ledger_columns())
+    @example(([1e160, 2e160, 1.5e160, 1e160], [1e160, 5e159, 5e159], 0.5))  # every square overflows
+    @example(([1.0, math.inf, math.inf, 2.0], [math.inf, 0.0, math.inf], 0.5))  # inf distances
+    def test_matches_the_per_element_loop_bit_for_bit(self, case):
+        dist, steps, coeff = case
+        got = solvers._fejer_ledger(np.array(dist, dtype=float), np.array(steps, dtype=float), coeff)
+        want = reference_fejer_ledger(dist, steps, coeff)
+        assert got.dtype == np.float64 and got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 class TestTraceBookkeeping:
     def test_step_norms_off_by_one(self):
         trace = run_ppa(catalog_lookup("quad"), 1.0, [4.0], StopRule(max_iter=8))
