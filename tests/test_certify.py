@@ -238,16 +238,19 @@ class TestH4RowBlocks:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
-
     @pytest.mark.parametrize("run, scans", [
         (lambda: run_gdm(catalog_lookup("quad"), 1e-3, [1.0]), False),
         (lambda: run_shifted_ppa(catalog_lookup("quad2"), 5e-4, 0.002, [2.0, 2.0]), True),
     ], ids=["gdm-quad", "shifted-ppa-quad2"])
     def test_only_a_2d_trace_scans_pairs(self, run, scans, monkeypatch):
         # a 1-d trace finds its cluster point by sorting
-        trace, calls = run(), []
-        pair_blocks = geometry._pair_blocks
-        monkeypatch.setattr(geometry, "_pair_blocks", lambda rows, points: calls.append(len(rows)) or pair_blocks(rows, points))
+        trace, calls, pair_blocks = run(), [], geometry._pair_blocks
+
+        def counted(rows, points):
+            calls.append(len(rows))
+            return pair_blocks(rows, points)
+
+        monkeypatch.setattr(geometry, "_pair_blocks", counted)
         check_h4(trace, catalog_lookup("quad" if trace.dim == 1 else "quad2"))
         assert bool(calls) == scans
 
