@@ -199,10 +199,10 @@ def closed_graph_test(
 
     Sequences approach the base point along seeded directions at the radii
     ``_START_RADIUS * 2**-j``, ``j <= depth``.  Selections are built by nearest-neighbor
-    chaining; a chain counts as convergent when its gaps vanish with a
-    geometric-type ratio and the projected remaining motion is below the
-    acceptance slack.  Failure reports the violating limit; no convergent
-    chain at all is inconclusive rather than a failure.
+    chaining, searched only at the levels where some chain has a choice of values; a
+    chain counts as convergent when its gaps vanish with a geometric-type ratio and
+    the projected remaining motion is below the acceptance slack.  Failure reports
+    the violating limit; no convergent chain at all is inconclusive rather than a failure.
     """
     xb = as_point(xbar, m.dim_in)
     limit_tol = 0.1 * tol
@@ -218,7 +218,8 @@ def closed_graph_test(
     seq = np.repeat(np.flatnonzero(live), starts[live])  # the sequence of each chain
     chains = np.empty((seq.size, depth + 1, pts.shape[1]))
     chains[:, 0] = pts[_ranges(offsets[live, 0], starts[live])[0]]
-    for j in range(1, depth + 1):
+    chains[:, 1:] = pts[offsets[seq, 1:]]  # a segment of one value is its own nearest point
+    for j in 1 + np.flatnonzero((counts[seq, 1:] > 1).any(axis=0)):  # the levels that offer a choice
         # each chain takes the nearest in its segment of cand, the first on ties as argmin does
         n = counts[seq, j]
         cand, first = _ranges(offsets[seq, j], n)

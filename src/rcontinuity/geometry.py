@@ -425,7 +425,8 @@ class _Halton:
                 q, r = np.divmod(q, b)
                 acc += terms[j][r]
                 size, j = size * b, j + 1
-            for t in terms[j:, 0].tolist():  # digit 0 at every index from here on
+            tail = terms[j:, 0].tolist()  # digit 0 at every index from here on
+            for t in [sum(tail)] if b == 2 else tail:  # in base 2 each level adds its own bit: every sum is exact
                 if t:  # adding +0.0 to a nonnegative sum changes no bit
                     acc += t
             out[:, k] = acc

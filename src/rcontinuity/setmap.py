@@ -227,13 +227,15 @@ class ScalarForm:
 @dataclass(frozen=True, eq=False, repr=False)
 class RowForm:
     """The oracle ``point`` with a row view: ``rows(X)`` is ``point`` at each row of
-    an ``(n, d)`` array, as an ``(n, *shape)`` array with the per-point bits."""
+    an ``(n, d)`` array, as an ``(n, *shape)`` array with the per-point bits; an
+    overflow reads inf or nan without a warning, in both as in :func:`oracle_rows`."""
 
     rows: Callable[[np.ndarray], np.ndarray]
     point: Callable[[np.ndarray], object]
 
     def __call__(self, x):
-        return self.point(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.point(x)
 
 
 def oracle_rows(oracle: Callable[[np.ndarray], object], X: np.ndarray) -> np.ndarray:

@@ -601,10 +601,12 @@ def make_synthetic_trace(
 ) -> IterateTrace:
     """Assemble a trace of algorithm ``_SYNTHETIC`` from raw sequences, mainly for tests and examples."""
     xs = np.asarray(iterates, dtype=float).reshape(len(iterates), -1)
+    with np.errstate(over="ignore"):  # iterates past the float range apart take a step norm of inf
+        steps = np.diff(xs, axis=0)
     return IterateTrace(
         algorithm=_SYNTHETIC,
         iterates=xs,
-        step_norms=_norm_rows(np.diff(xs, axis=0)),
+        step_norms=_norm_rows(steps),
         stop=stop,
         termination="max_iter",
         f_values=f_values,

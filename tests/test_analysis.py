@@ -29,6 +29,7 @@ from rcontinuity import (
     pointwise,
     sample_window,
 )
+from rcontinuity import analysis
 from rcontinuity.analysis import _chain_converged, check_modulus, check_plk
 from rcontinuity.geometry import unit_directions
 from rcontinuity.setmap import ParamError, ScalarForm
@@ -184,6 +185,30 @@ def holed(at_zero):
 
 
 BROKEN, BROKEN_JUMP = holed(0.0), holed(1.0)
+
+
+def interleaved(at_zero):
+    """The identity with extra values on some levels, ``{at_zero}`` at 0.  The
+    rows of a sequence from 0 along ±1 sit at ``v = ±0.5 * 2**-j``: along +1 the
+    levels ``j % 3 == 0`` have the values ``{v + 1, v, -v}``, along -1 the odd
+    levels ``{1 - v, v, v}`` (a tie, the first wins), and every other level the
+    one value ``v``.  At level 4 no chain has a choice, at level 3 every chain,
+    and at levels 1 and 6 only some; the nearest of a choice is never its first
+    value."""
+    def values(x, w):
+        v = float(x[0])
+        if v == 0.0:
+            return np.array([[at_zero]])
+        j = -math.frexp(v)[1]
+        if v > 0.0 and j % 3 == 0:
+            return np.array([[v + 1.0], [v], [-v]])
+        if v < 0.0 and j % 2 == 1:
+            return np.array([[1.0 - v], [v], [v]])
+        return np.array([[v]])
+    return SetValuedMap("interleaved", 1, 1, pointwise(values))
+
+
+INTERLEAVED, INTERLEAVED_JUMP = interleaved(0.0), interleaved(1.0)
 
 
 class TestClosedGraph:
@@ -712,6 +737,9 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
         ("quad2-inverse", catalog_lookup("quad2").inverse, [1.0, -1.0], 8),
         ("ties", TIES, [0.0], 2),
         ("jump", JUMP, [0.0], 4),
+        # single-valued levels between levels with a choice, for some chains or all
+        ("interleaved", INTERLEAVED, [0.0], 4),
+        ("interleaved-jump", INTERLEAVED_JUMP, [0.0], 4),
     ]])
     @pytest.mark.parametrize("depth", [0, 1, 60])
     def test_closed_graph_on_ragged_and_broken_sequences(self, label, m, xbar, n_sequences, depth):
@@ -735,6 +763,31 @@ class TestBatchedEstimatorsMatchPerSampleLoops:
         assert (broken.verdict, broken.chains_total, broken.chains_converged) == ("pass", 5, 2)
         jump = closed_graph_test(BROKEN_JUMP, [0.0], K10, n_sequences=5)
         assert (jump.verdict, jump.chains_total, jump.chains_converged) == ("fail", 2, 1)
+        # the + sequences start 3 chains each, the - sequences 1
+        res = closed_graph_test(INTERLEAVED, [0.0], K10, n_sequences=4)
+        assert (res.verdict, res.chains_total, res.chains_converged) == ("pass", 8, 8)
+        res = closed_graph_test(INTERLEAVED_JUMP, [0.0], K10, n_sequences=4)
+        assert (res.verdict, res.chains_total, res.chains_converged) == ("fail", 1, 1)  # its first chain fails
+        assert res.witness.tolist() == [2.0 ** -61]  # its chain's value at level 60, 0.5 * 2**-60
+
+    @pytest.mark.parametrize("m, xbar, searches", [
+        # one value per row at every level: one gather, and _norms only for the gaps
+        (catalog_lookup("quad2").forward, [0.0, 0.0], 0),
+        (catalog_lookup("abs-subdiff").forward, [0.0], 0),
+        # levels 1..60 with a choice: the 30 odd ones and the 10 even multiples of 3
+        (INTERLEAVED, [0.0], 40),
+    ], ids=["quad2", "abs-subdiff", "interleaved"])
+    def test_only_levels_with_a_choice_are_searched(self, m, xbar, searches, monkeypatch):
+        calls, norms = [], analysis._norms
+
+        def counted(v):
+            calls.append(v.shape)
+            return norms(v)
+
+        monkeypatch.setattr(analysis, "_norms", counted)
+        closed_graph_test(m, xbar, _window(m), n_sequences=64)
+        assert len(calls) == searches + 1
+        assert calls[-1][1] == 60  # the gaps of every chain, last
 
     @pytest.mark.parametrize("name", [n for n in catalog_names()
                                       if catalog_lookup(n).f is not None

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -32,6 +35,7 @@ from rcontinuity import geometry
 from rcontinuity.serialize import modulus_to_csv, trace_to_csv
 
 S0 = Region([[0.0]])
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -139,11 +143,22 @@ class TestH4:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_iterates_past_the_float_range_apart_warn_nothing(self):
         # neighbours 2e308 apart are inf apart; f overflows at the cluster, so no f is within the tolerance
-        with np.errstate(over="ignore"):  # the trace's own step norms overflow
-            trace = make_synthetic_trace([[1e308 * (-1) ** k] for k in range(25)], witnesses=[], xi_values=[])
+        trace = make_synthetic_trace([[1e308 * (-1) ** k] for k in range(25)], witnesses=[], xi_values=[])
+        assert trace.step_norms.tolist() == [math.inf] * 24
         cert = check_h4(trace, catalog_lookup("quad"))
         assert cert.params == {"cluster": [1e308]}
         assert not cert.passed and cert.first_violation == 0
+
+    def test_iterates_past_the_float_range_apart_warn_nothing_under_a_plain_filter(self):
+        # the suite fails a RuntimeWarning only from the package's own frames, and
+        # np.diff warns from numpy's: a fresh interpreter fails on any of them
+        probe = ("from rcontinuity import catalog_lookup, check_h4, make_synthetic_trace\n"
+                 "for name, rest in (('quad', []), ('quad2', [0.0])):\n"
+                 "    xs = [[1e308 * (-1) ** k, *rest] for k in range(25)]\n"
+                 "    assert not check_h4(make_synthetic_trace(xs, witnesses=[], xi_values=[]), catalog_lookup(name)).passed\n")
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def reference_check_h4(trace, entry, tol=1e-8, cluster_radius=1e-2, neighborhood=10):

@@ -570,6 +570,14 @@ class TestHaltonMatchesScipy:
             for n in _DRAWS:
                 assert ours.random(n).tobytes() == theirs.random(n).tobytes(), (seed, n)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_continued_small_draws(self, dim):
+        # small draws leave most levels to the digit-0 tail, which base 2 adds at once
+        for seed in range(20):
+            ours, theirs = _Halton(dim, seed), scipy_halton(dim, seed)
+            for n in (1, 1, 2, 5, 1, 7, 300, 1, 3):
+                assert ours.random(n).tobytes() == theirs.random(n).tobytes(), (seed, n)
+
     @pytest.mark.parametrize("power", [2 ** 10, 3 ** 6, 5 ** 4, 7 ** 3, 11 ** 3])
     def test_draws_whose_size_or_last_index_is_a_power_of_a_base(self, power):
         # `power` points end just below the power; `power + 1` points, or one more point after
